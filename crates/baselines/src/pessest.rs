@@ -10,7 +10,7 @@
 
 use crate::traits::CardEst;
 use factorjoin::{keep_for_mask, Factor, JoinScratch};
-use fj_query::{compile_filter, Query, QueryGraph};
+use fj_query::{filtered_selection, Query, QueryGraph};
 use fj_storage::Catalog;
 use std::collections::HashMap;
 
@@ -52,10 +52,7 @@ impl CardEst for PessEst {
                 .catalog
                 .table(&query.tables()[i].table)
                 .expect("validated");
-            let compiled = compile_filter(table, query.filter(i));
-            let sel: Vec<usize> = (0..table.nrows())
-                .filter(|&r| compiled.eval(table, r))
-                .collect();
+            let sel = filtered_selection(table, query.filter(i));
             let mut entries = Vec::new();
             for &var in &graph.alias_vars(i) {
                 let cols: Vec<usize> = graph
@@ -69,7 +66,7 @@ impl CardEst for PessEst {
                 'row: for &r in &sel {
                     let mut val: Option<i64> = None;
                     for &c in &cols {
-                        match table.column(c).key_at(r) {
+                        match table.column(c).key_at(r as usize) {
                             None => continue 'row,
                             Some(v) => match val {
                                 None => val = Some(v),

@@ -97,9 +97,7 @@ impl CardEst for WanderJoin {
             .collect();
         if n == 1 {
             // Single table: exact scan is what real systems do.
-            return (0..tables[0].nrows())
-                .filter(|&r| filters[0].eval(tables[0], r))
-                .count() as f64;
+            return filters[0].count(tables[0]) as f64;
         }
 
         // Spanning-tree walk order: edges (from_alias, via join predicate).

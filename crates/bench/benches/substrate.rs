@@ -4,10 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use factorjoin::{build_group_bins, BinningStrategy};
-use fj_datagen::{stats_catalog, StatsConfig};
+use fj_datagen::{imdb_catalog, stats_catalog, ImdbConfig, StatsConfig};
 use fj_exec::TrueCardEngine;
 use fj_query::parse_query;
-use fj_stats::{BaseTableEstimator, BayesNetEstimator, BnConfig, TableBins};
+use fj_stats::{
+    BaseTableEstimator, BayesNetEstimator, BnConfig, KeyBinMap, SamplingEstimator, TableBins,
+    TableProfile,
+};
 
 fn executor_join(c: &mut Criterion) {
     let cat = stats_catalog(&StatsConfig {
@@ -89,11 +92,58 @@ fn filter_compilation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Single-table inference on a sample (`SamplingEstimator::profile_into`,
+/// the `stats.profile_us_per_alias` layer of the repository benchmark), one
+/// case per filter class of an IMDB-JOB alias: no filter (cached histogram
+/// copy), numeric predicates (bitmap scan + bin accumulation), and `LIKE`
+/// (plus the dictionary pre-evaluation with the compiled pattern).
+fn sampling_profile(c: &mut Criterion) {
+    let cat = imdb_catalog(&ImdbConfig::default());
+    let title = cat.table("title").expect("table exists");
+    let mut bins = TableBins::new();
+    for key in ["id", "kind_id"] {
+        bins.insert(key, KeyBinMap::new(100, Default::default()));
+    }
+    let sampler = SamplingEstimator::build(title, &bins, 0.1, 42);
+    let pred = fj_query::FilterExpr::pred;
+    let cases = [
+        ("unfiltered", fj_query::FilterExpr::True),
+        (
+            "numeric",
+            fj_query::FilterExpr::and(vec![
+                pred(fj_query::Predicate::cmp(
+                    "production_year",
+                    fj_query::CmpOp::Ge,
+                    1990,
+                )),
+                pred(fj_query::Predicate::in_list(
+                    "kind_id",
+                    vec![1.into(), 2.into(), 4.into()],
+                )),
+            ]),
+        ),
+        ("like", pred(fj_query::Predicate::like("title", "%the%"))),
+    ];
+    let mut group = c.benchmark_group("sampling_profile");
+    group.sample_size(20);
+    let mut profile = TableProfile::default();
+    for (class, filter) in &cases {
+        group.bench_with_input(BenchmarkId::from_parameter(class), filter, |b, filter| {
+            b.iter(|| {
+                sampler.profile_into(filter, &["id", "kind_id"], &mut profile);
+                std::hint::black_box(profile.rows)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     executor_join,
     binning_strategies,
     bayesnet_inference,
-    filter_compilation
+    filter_compilation,
+    sampling_profile
 );
 criterion_main!(benches);

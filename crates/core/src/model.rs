@@ -370,9 +370,14 @@ impl FactorJoinModel {
             profile,
             key_order,
             ones,
+            grow_events,
             ..
         } = scratch;
+        let reserved = profile.capacity();
         est.profile_into(query.filter(alias), &name_refs, profile);
+        if profile.capacity() != reserved {
+            *grow_events += 1;
+        }
 
         // Group keys per var: a var may have several member columns within
         // this alias (e.g. movie_id and linked_movie_id equated); combine
@@ -1118,27 +1123,37 @@ mod tests {
 
     /// The scratch-reuse contract: once warmed on a workload, re-running
     /// the same workload performs zero buffer growths — i.e. the per-mask
-    /// join path allocates nothing.
+    /// join path allocates nothing, and the scanning estimators refill the
+    /// session's profile (distributions and selection bitmap) in place.
     #[test]
     fn warm_session_does_not_allocate() {
         let cat = tiny_catalog();
-        let model = FactorJoinModel::train(&cat, truescan_config(30));
         let wl = stats_ceb_workload(&cat, &WorkloadConfig::tiny(4));
-        let mut session = model.subplan_estimator();
-        for q in &wl {
-            session.estimate_subplans(q, 1);
-        }
-        let warm = session.grow_events();
-        for _ in 0..3 {
+        for estimator in [
+            BaseEstimatorKind::TrueScan,
+            BaseEstimatorKind::Sampling { rate: 0.2 },
+        ] {
+            let config = FactorJoinConfig {
+                estimator,
+                ..truescan_config(30)
+            };
+            let model = FactorJoinModel::train(&cat, config);
+            let mut session = model.subplan_estimator();
             for q in &wl {
                 session.estimate_subplans(q, 1);
             }
+            let warm = session.grow_events();
+            for _ in 0..3 {
+                for q in &wl {
+                    session.estimate_subplans(q, 1);
+                }
+            }
+            assert_eq!(
+                session.grow_events(),
+                warm,
+                "estimation buffers grew on a warm {estimator:?} session"
+            );
         }
-        assert_eq!(
-            session.grow_events(),
-            warm,
-            "estimation buffers grew on a warm session"
-        );
     }
 
     /// The reusable-session path returns exactly what the allocate-per-call

@@ -447,11 +447,9 @@ mod tests {
         let title = cat.table("title").unwrap();
         let col = title.column_by_name("title").unwrap();
         let count = |pat: &str| {
+            let pat = fj_query::LikePattern::new(pat);
             (0..title.nrows())
-                .filter(|&i| {
-                    !col.is_null(i)
-                        && fj_query::like_match(pat, &col.dict()[col.codes()[i] as usize])
-                })
+                .filter(|&i| !col.is_null(i) && pat.matches(&col.dict()[col.codes()[i] as usize]))
                 .count()
         };
         let common = count("%the%");

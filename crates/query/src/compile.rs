@@ -2,12 +2,19 @@
 //!
 //! A [`crate::FilterExpr`] is compiled once per (table, filter) pair:
 //! column names resolve to indices, string predicates pre-evaluate against
-//! the column dictionary (so `LIKE` costs one dictionary scan, not one
-//! pattern match per row), and literals are coerced to the column type.
-//! Evaluation is then a tight per-row loop over typed vectors.
+//! the column dictionary (so `LIKE` costs one dictionary scan with a
+//! pattern compiled once, not one pattern match per row), and literals are
+//! coerced to the column type.
+//!
+//! Full scans evaluate the compiled filter **column at a time** into a
+//! [`Selection`] bitmap ([`CompiledFilter::select`]): each predicate reads
+//! one typed column slice and produces one `u64` per 64 rows, NULLs are
+//! masked a word at a time from the column's null bitmap, and AND/OR/NOT
+//! are word operations. [`CompiledFilter::eval`] decides a single row, for
+//! callers that look rows up by index instead of scanning.
 
 use crate::expr::FilterExpr;
-use crate::like::like_match;
+use crate::like::LikePattern;
 use crate::predicate::{CmpOp, Predicate};
 use fj_storage::{Column, DataType, Table, Value};
 use std::collections::HashSet;
@@ -24,8 +31,8 @@ enum CompiledPred {
     IntBetween { col: usize, lo: i64, hi: i64 },
     /// Float range (inclusive).
     FloatBetween { col: usize, lo: f64, hi: f64 },
-    /// Integer set membership.
-    IntIn { col: usize, set: HashSet<i64> },
+    /// Integer set membership; `values` is sorted.
+    IntIn { col: usize, values: Vec<i64> },
     /// String predicate pre-evaluated per dictionary code.
     StrCodes { col: usize, codes: Vec<bool> },
     /// NULL test.
@@ -97,14 +104,10 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
                 Some(f) => CompiledPred::FloatCmp { col, op: *op, v: f },
                 None => CompiledPred::Never,
             },
-            (DataType::Str, Value::Str(s)) => {
-                let op = *op;
-                let s = s.clone();
-                CompiledPred::StrCodes {
-                    col,
-                    codes: str_codes(column, |d| op.eval(d.cmp(s.as_str()))),
-                }
-            }
+            (DataType::Str, Value::Str(s)) => CompiledPred::StrCodes {
+                col,
+                codes: str_codes(column, |d| op.eval(d.cmp(s.as_str()))),
+            },
             _ => CompiledPred::Never,
         },
         Predicate::Between { lo, hi, .. } => match dtype {
@@ -131,20 +134,18 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
                 _ => CompiledPred::Never,
             },
             DataType::Str => match (lo, hi) {
-                (Value::Str(a), Value::Str(b)) => {
-                    let (a, b) = (a.clone(), b.clone());
-                    CompiledPred::StrCodes {
-                        col,
-                        codes: str_codes(column, |d| d >= a.as_str() && d <= b.as_str()),
-                    }
-                }
+                (Value::Str(a), Value::Str(b)) => CompiledPred::StrCodes {
+                    col,
+                    codes: str_codes(column, |d| d >= a.as_str() && d <= b.as_str()),
+                },
                 _ => CompiledPred::Never,
             },
         },
         Predicate::InList { values, .. } => match dtype {
             DataType::Int => {
-                let set: HashSet<i64> = values.iter().filter_map(Value::as_int).collect();
-                CompiledPred::IntIn { col, set }
+                let mut values: Vec<i64> = values.iter().filter_map(Value::as_int).collect();
+                values.sort_unstable();
+                CompiledPred::IntIn { col, values }
             }
             DataType::Str => {
                 let wanted: HashSet<&str> = values.iter().filter_map(Value::as_str).collect();
@@ -159,10 +160,10 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
             pattern, negated, ..
         } => match dtype {
             DataType::Str => {
-                let (pat, neg) = (pattern.clone(), *negated);
+                let pattern = LikePattern::new(pattern);
                 CompiledPred::StrCodes {
                     col,
-                    codes: str_codes(column, |d| like_match(&pat, d) != neg),
+                    codes: str_codes(column, |d| pattern.matches(d) != *negated),
                 }
             }
             _ => CompiledPred::Never,
@@ -174,11 +175,42 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
     }
 }
 
+/// `x <op> v`, where an unordered pair (a NaN on either side) satisfies no
+/// operator, `<>` included.
+#[inline]
+fn cmp_holds<T: PartialOrd>(op: CmpOp, x: T, v: T) -> bool {
+    x.partial_cmp(&v).is_some_and(|ord| op.eval(ord))
+}
+
 impl CompiledFilter {
     /// Evaluates the filter for row `idx` of the table it was compiled for.
+    /// For point lookups; scans go through [`Self::select`].
     #[inline]
     pub fn eval(&self, table: &Table, idx: usize) -> bool {
         eval_node(&self.root, table, idx)
+    }
+
+    /// Evaluates the filter for every row of the table it was compiled
+    /// for, leaving in `out` one bit per row (set = the row passes).
+    pub fn select(&self, table: &Table, out: &mut Selection) {
+        let Selection { words, temps } = out;
+        let nrows = table.nrows();
+        words.clear();
+        words.resize(nrows.div_ceil(64), 0);
+        select_node(&self.root, table, words, Combine::Set, temps);
+        // NOT and constant-true fill whole words; clear the bits past the
+        // last row so counting and iteration see rows only.
+        let tail_rows = nrows % 64;
+        if tail_rows != 0 {
+            *words.last_mut().expect("nrows > 0") &= (1u64 << tail_rows) - 1;
+        }
+    }
+
+    /// Number of rows of `table` passing the filter.
+    pub fn count(&self, table: &Table) -> u64 {
+        let mut selection = Selection::default();
+        self.select(table, &mut selection);
+        selection.count()
     }
 }
 
@@ -194,74 +226,208 @@ fn eval_node(node: &CompiledNode, table: &Table, idx: usize) -> bool {
 
 #[inline]
 fn eval_pred(p: &CompiledPred, table: &Table, idx: usize) -> bool {
+    let valid = |col: &usize| !table.column(*col).is_null(idx);
     match p {
         CompiledPred::IntCmp { col, op, v } => {
-            let c = table.column(*col);
-            !c.is_null(idx) && op.eval(c.ints()[idx].cmp(v))
+            valid(col) && cmp_holds(*op, table.column(*col).ints()[idx], *v)
         }
         CompiledPred::IntCmpF { col, op, v } => {
-            let c = table.column(*col);
-            !c.is_null(idx)
-                && (c.ints()[idx] as f64)
-                    .partial_cmp(v)
-                    .is_some_and(|ord| op.eval(ord))
+            valid(col) && cmp_holds(*op, table.column(*col).ints()[idx] as f64, *v)
         }
         CompiledPred::FloatCmp { col, op, v } => {
-            let c = table.column(*col);
-            !c.is_null(idx)
-                && c.floats()[idx]
-                    .partial_cmp(v)
-                    .is_some_and(|ord| op.eval(ord))
+            valid(col) && cmp_holds(*op, table.column(*col).floats()[idx], *v)
         }
         CompiledPred::IntBetween { col, lo, hi } => {
-            let c = table.column(*col);
-            !c.is_null(idx) && {
-                let v = c.ints()[idx];
-                v >= *lo && v <= *hi
-            }
+            valid(col) && (*lo..=*hi).contains(&table.column(*col).ints()[idx])
         }
         CompiledPred::FloatBetween { col, lo, hi } => {
-            let c = table.column(*col);
-            !c.is_null(idx) && {
-                let v = c.floats()[idx];
-                v >= *lo && v <= *hi
-            }
+            valid(col) && (*lo..=*hi).contains(&table.column(*col).floats()[idx])
         }
-        CompiledPred::IntIn { col, set } => {
-            let c = table.column(*col);
-            !c.is_null(idx) && set.contains(&c.ints()[idx])
+        CompiledPred::IntIn { col, values } => {
+            valid(col)
+                && values
+                    .binary_search(&table.column(*col).ints()[idx])
+                    .is_ok()
         }
         CompiledPred::StrCodes { col, codes } => {
-            let c = table.column(*col);
-            !c.is_null(idx) && codes[c.codes()[idx] as usize]
+            valid(col) && codes[table.column(*col).codes()[idx] as usize]
         }
         CompiledPred::IsNull { col, negated } => table.column(*col).is_null(idx) != *negated,
         CompiledPred::Never => false,
     }
 }
 
-/// Returns the indices of rows matching `expr`.
-pub fn filtered_selection(table: &Table, expr: &FilterExpr) -> Vec<u32> {
-    let compiled = compile_filter(table, expr);
-    let mut out = Vec::new();
-    for i in 0..table.nrows() {
-        if compiled.eval(table, i) {
-            out.push(i as u32);
+/// A selection over the rows of one table: one bit per row, 64 rows per
+/// word, row `r` at bit `r % 64` of word `r / 64`.
+///
+/// The buffer is reusable: [`CompiledFilter::select`] overwrites it in
+/// place and keeps its allocations, including the temporaries nested
+/// boolean nodes evaluate into.
+#[derive(Debug, Clone, Default)]
+pub struct Selection {
+    words: Vec<u64>,
+    /// Scratch words of composite nodes nested under AND/OR, one per level.
+    temps: Vec<Vec<u64>>,
+}
+
+impl Selection {
+    /// Number of selected rows.
+    pub fn count(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// The selected row indices in ascending order; costs one step per
+    /// word plus one per selected row.
+    pub fn rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            std::iter::successors(Some(word).filter(|&w| w != 0), |&w| {
+                Some(w & (w - 1)).filter(|&w| w != 0)
+            })
+            .map(move |w| wi * 64 + w.trailing_zeros() as usize)
+        })
+    }
+
+    /// Words reserved across all buffers — lets owners of a reused
+    /// selection count its growth.
+    pub fn capacity(&self) -> usize {
+        self.words.capacity() + self.temps.iter().map(Vec::capacity).sum::<usize>()
+    }
+}
+
+/// How a node's result enters the destination words.
+#[derive(Clone, Copy, PartialEq)]
+enum Combine {
+    Set,
+    And,
+    Or,
+}
+
+impl Combine {
+    #[inline]
+    fn apply(self, dst: &mut u64, bits: u64) {
+        match self {
+            Combine::Set => *dst = bits,
+            Combine::And => *dst &= bits,
+            Combine::Or => *dst |= bits,
         }
     }
-    out
+}
+
+/// Evaluates `node` over all rows and combines the result into `dst`.
+///
+/// Leaves combine straight into `dst`, so a flat AND/OR of predicates
+/// needs no temporary; only a composite node nested under AND/OR evaluates
+/// into a scratch buffer first (`temps[0]`, handing `temps[1..]` down).
+/// Bits past the last row are unspecified here; `select` clears them.
+fn select_node(
+    node: &CompiledNode,
+    table: &Table,
+    dst: &mut [u64],
+    how: Combine,
+    temps: &mut Vec<Vec<u64>>,
+) {
+    match node {
+        CompiledNode::True => dst.iter_mut().for_each(|w| how.apply(w, !0)),
+        CompiledNode::Pred(p) => select_pred(p, table, dst, how),
+        _ if how != Combine::Set => {
+            let mut tmp = temps.pop().unwrap_or_default();
+            tmp.clear();
+            tmp.resize(dst.len(), 0);
+            select_node(node, table, &mut tmp, Combine::Set, temps);
+            for (w, &bits) in dst.iter_mut().zip(&tmp) {
+                how.apply(w, bits);
+            }
+            temps.push(tmp);
+        }
+        CompiledNode::And(parts) => {
+            dst.fill(!0);
+            for part in parts {
+                select_node(part, table, dst, Combine::And, temps);
+            }
+        }
+        CompiledNode::Or(parts) => {
+            dst.fill(0);
+            for part in parts {
+                select_node(part, table, dst, Combine::Or, temps);
+            }
+        }
+        CompiledNode::Not(inner) => {
+            select_node(inner, table, dst, Combine::Set, temps);
+            dst.iter_mut().for_each(|w| *w = !*w);
+        }
+    }
+}
+
+/// Tests 64 values per word and combines the non-NULL hits into `dst`.
+#[inline]
+fn select_values<T: Copy>(
+    column: &Column,
+    values: &[T],
+    dst: &mut [u64],
+    how: Combine,
+    test: impl Fn(T) -> bool,
+) {
+    let nulls = column.nulls();
+    for (wi, (chunk, w)) in values.chunks(64).zip(dst).enumerate() {
+        let mut bits = 0u64;
+        for (b, &v) in chunk.iter().enumerate() {
+            bits |= u64::from(test(v)) << b;
+        }
+        how.apply(w, bits & !nulls.word(wi));
+    }
+}
+
+fn select_pred(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine) {
+    match p {
+        CompiledPred::IntCmp { col, op, v } => {
+            let c = table.column(*col);
+            select_values(c, c.ints(), dst, how, |x| cmp_holds(*op, x, *v));
+        }
+        CompiledPred::IntCmpF { col, op, v } => {
+            let c = table.column(*col);
+            select_values(c, c.ints(), dst, how, |x| cmp_holds(*op, x as f64, *v));
+        }
+        CompiledPred::FloatCmp { col, op, v } => {
+            let c = table.column(*col);
+            select_values(c, c.floats(), dst, how, |x| cmp_holds(*op, x, *v));
+        }
+        CompiledPred::IntBetween { col, lo, hi } => {
+            let c = table.column(*col);
+            select_values(c, c.ints(), dst, how, |x| (*lo..=*hi).contains(&x));
+        }
+        CompiledPred::FloatBetween { col, lo, hi } => {
+            let c = table.column(*col);
+            select_values(c, c.floats(), dst, how, |x| (*lo..=*hi).contains(&x));
+        }
+        CompiledPred::IntIn { col, values } => {
+            let c = table.column(*col);
+            select_values(c, c.ints(), dst, how, |x| values.binary_search(&x).is_ok());
+        }
+        CompiledPred::StrCodes { col, codes } => {
+            let c = table.column(*col);
+            select_values(c, c.codes(), dst, how, |code| codes[code as usize]);
+        }
+        CompiledPred::IsNull { col, negated } => {
+            let nulls = table.column(*col).nulls();
+            for (wi, w) in dst.iter_mut().enumerate() {
+                let bits = nulls.word(wi);
+                how.apply(w, if *negated { !bits } else { bits });
+            }
+        }
+        CompiledPred::Never => dst.iter_mut().for_each(|w| how.apply(w, 0)),
+    }
+}
+
+/// Returns the indices of rows matching `expr`.
+pub fn filtered_selection(table: &Table, expr: &FilterExpr) -> Vec<u32> {
+    let mut selection = Selection::default();
+    compile_filter(table, expr).select(table, &mut selection);
+    selection.rows().map(|r| r as u32).collect()
 }
 
 /// Counts rows matching `expr` without materializing the selection.
 pub fn filtered_count(table: &Table, expr: &FilterExpr) -> u64 {
-    let compiled = compile_filter(table, expr);
-    let mut n = 0u64;
-    for i in 0..table.nrows() {
-        if compiled.eval(table, i) {
-            n += 1;
-        }
-    }
-    n
+    compile_filter(table, expr).count(table)
 }
 
 #[cfg(test)]

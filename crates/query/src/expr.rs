@@ -1,5 +1,6 @@
 //! Boolean filter expressions: AND/OR/NOT trees over [`Predicate`]s.
 
+use crate::like::LikePattern;
 use crate::predicate::Predicate;
 use fj_storage::Value;
 use serde::{Deserialize, Serialize};
@@ -90,6 +91,29 @@ impl FilterExpr {
         }
     }
 
+    /// Prepares a single-column clause for evaluation against many values
+    /// of that column (a dictionary, a list of distinct values): `LIKE`
+    /// patterns are compiled here, once, not once per value.
+    pub fn value_matcher(&self) -> ValueMatcher<'_> {
+        ValueMatcher(match self {
+            FilterExpr::True => MatchNode::True,
+            FilterExpr::Pred(Predicate::Like {
+                pattern, negated, ..
+            }) => MatchNode::Like {
+                pattern: LikePattern::new(pattern),
+                negated: *negated,
+            },
+            FilterExpr::Pred(p) => MatchNode::Pred(p),
+            FilterExpr::And(parts) => {
+                MatchNode::And(parts.iter().map(|e| e.value_matcher().0).collect())
+            }
+            FilterExpr::Or(parts) => {
+                MatchNode::Or(parts.iter().map(|e| e.value_matcher().0).collect())
+            }
+            FilterExpr::Not(inner) => MatchNode::Not(Box::new(inner.value_matcher().0)),
+        })
+    }
+
     /// All column names referenced, deduplicated, in first-reference order.
     pub fn columns(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -177,6 +201,40 @@ impl FilterExpr {
     }
 }
 
+/// A clause bound by [`FilterExpr::value_matcher`].
+pub struct ValueMatcher<'a>(MatchNode<'a>);
+
+enum MatchNode<'a> {
+    True,
+    Pred(&'a Predicate),
+    Like { pattern: LikePattern, negated: bool },
+    And(Vec<MatchNode<'a>>),
+    Or(Vec<MatchNode<'a>>),
+    Not(Box<MatchNode<'a>>),
+}
+
+impl ValueMatcher<'_> {
+    /// [`FilterExpr::eval`] with every referenced column reading `v`.
+    pub fn matches(&self, v: &Value) -> bool {
+        self.0.matches(v)
+    }
+}
+
+impl MatchNode<'_> {
+    fn matches(&self, v: &Value) -> bool {
+        match self {
+            MatchNode::True => true,
+            MatchNode::Pred(p) => p.eval(v),
+            MatchNode::Like { pattern, negated } => {
+                v.as_str().is_some_and(|s| pattern.matches(s) != *negated)
+            }
+            MatchNode::And(parts) => parts.iter().all(|n| n.matches(v)),
+            MatchNode::Or(parts) => parts.iter().any(|n| n.matches(v)),
+            MatchNode::Not(inner) => !inner.matches(v),
+        }
+    }
+}
+
 impl fmt::Display for FilterExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Display without alias prefix (columns as-is). Used in diagnostics.
@@ -228,6 +286,46 @@ mod tests {
         assert!(e.eval(&getter(&r1)));
         assert!(!e.eval(&getter(&r2)));
         assert!(!e.eval(&getter(&r3)));
+    }
+
+    #[test]
+    fn value_matcher_agrees_with_eval() {
+        let clauses = [
+            FilterExpr::True,
+            FilterExpr::pred(Predicate::like("s", "%an%")),
+            FilterExpr::Not(Box::new(FilterExpr::pred(Predicate::like("s", "b_n%")))),
+            FilterExpr::or(vec![
+                FilterExpr::pred(Predicate::Like {
+                    column: "s".into(),
+                    pattern: "%a".into(),
+                    negated: true,
+                }),
+                FilterExpr::and(vec![
+                    FilterExpr::pred(Predicate::cmp("s", CmpOp::Ge, "b")),
+                    FilterExpr::pred(Predicate::IsNull {
+                        column: "s".into(),
+                        negated: true,
+                    }),
+                ]),
+            ]),
+        ];
+        let values = [
+            Value::Str("banana".into()),
+            Value::Str("pear".into()),
+            Value::Str(String::new()),
+            Value::Int(5),
+            Value::Null,
+        ];
+        for clause in &clauses {
+            let matcher = clause.value_matcher();
+            for v in &values {
+                assert_eq!(
+                    matcher.matches(v),
+                    clause.eval(&|_| v.clone()),
+                    "{clause} on {v:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,11 +26,11 @@ pub mod predicate;
 pub mod query;
 pub mod subplan;
 
-pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter};
-pub use expr::FilterExpr;
+pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter, Selection};
+pub use expr::{FilterExpr, ValueMatcher};
 pub use fingerprint::{subplan_fingerprints, StableHasher};
 pub use graph::{KeyVar, QueryGraph};
-pub use like::like_match;
+pub use like::{like_match, LikePattern};
 pub use parser::{parse_query, ParseError};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{ColRef, JoinPredicate, Query, QueryError, TableRef};

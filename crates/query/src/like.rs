@@ -4,44 +4,158 @@
 //! character, and a backslash escapes the next character. Matching is
 //! case-sensitive, as in PostgreSQL's `LIKE` (the IMDB-JOB workload uses
 //! case-sensitive patterns).
+//!
+//! A pattern is compiled once into a [`LikePattern`] and then matched
+//! against many texts (a column dictionary, a list of most-common values):
+//! patterns made only of literals and `%` — every pattern IMDB-JOB uses —
+//! become literal segments matched with prefix/substring/suffix searches on
+//! bytes; patterns with `_` or escapes run the general two-pointer matcher.
+
+/// A compiled `LIKE` pattern.
+#[derive(Debug, Clone)]
+pub struct LikePattern(Kind);
+
+#[derive(Debug, Clone)]
+enum Kind {
+    /// No wildcard at all: the text must equal the literal.
+    Exact(String),
+    /// Literals separated by `%`: the text starts with `prefix`, ends with
+    /// `suffix`, and contains the `inner` literals in order in between.
+    Segments {
+        prefix: String,
+        inner: Vec<String>,
+        suffix: String,
+    },
+    /// `_` or `\` present: matched by [`match_general`].
+    General(String),
+}
+
+impl LikePattern {
+    /// Compiles `pattern`.
+    pub fn new(pattern: &str) -> Self {
+        if pattern.contains(['_', '\\']) {
+            return LikePattern(Kind::General(pattern.to_string()));
+        }
+        let mut parts = pattern.split('%');
+        let prefix = parts.next().expect("split yields at least one part");
+        let Some(suffix) = parts.next_back() else {
+            return LikePattern(Kind::Exact(prefix.to_string()));
+        };
+        LikePattern(Kind::Segments {
+            prefix: prefix.to_string(),
+            // Empty inner segments (`%%`) match anywhere; drop them.
+            inner: parts
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect(),
+            suffix: suffix.to_string(),
+        })
+    }
+
+    /// Returns true when `text` matches the pattern.
+    ///
+    /// Segment search works on bytes: a UTF-8 literal can only occur in
+    /// UTF-8 text at a character boundary, so byte offsets never split a
+    /// character.
+    pub fn matches(&self, text: &str) -> bool {
+        match &self.0 {
+            Kind::Exact(literal) => text == literal,
+            Kind::Segments {
+                prefix,
+                inner,
+                suffix,
+            } => {
+                let text = text.as_bytes();
+                // The emptiness tests are not redundant: comparing against
+                // an empty `String` hands `memcmp` a dangling pointer with
+                // length 0, and that call measured ≈ 90 ns on x86-64 glibc
+                // (2 ns with a valid pointer; presumably a suppressed fault
+                // on a masked load) — per entry, several times the cost of
+                // the search itself.
+                if text.len() < prefix.len() + suffix.len()
+                    || !(prefix.is_empty() || text.starts_with(prefix.as_bytes()))
+                    || !(suffix.is_empty() || text.ends_with(suffix.as_bytes()))
+                {
+                    return false;
+                }
+                // Leftmost placement of each inner literal leaves the most
+                // room for the next one, so greedy search is exact.
+                let mut rest = &text[prefix.len()..text.len() - suffix.len()];
+                for literal in inner {
+                    match find_bytes(rest, literal.as_bytes()) {
+                        Some(at) => rest = &rest[at + literal.len()..],
+                        None => return false,
+                    }
+                }
+                true
+            }
+            Kind::General(pattern) => match_general(pattern, text),
+        }
+    }
+}
+
+/// Position of the first occurrence of the non-empty `needle` in `hay`.
+///
+/// Dictionary entries are short (tens of bytes), where skipping to the
+/// needle's first byte and comparing beats the set-up cost of `str::find`'s
+/// two-way searcher, which would be paid once per entry.
+fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let (&first, tail) = needle.split_first().expect("inner literals are non-empty");
+    let last_start = hay.len().checked_sub(needle.len())?;
+    let mut from = 0;
+    while from <= last_start {
+        from += hay[from..=last_start].iter().position(|&b| b == first)?;
+        if &hay[from + 1..from + needle.len()] == tail {
+            return Some(from);
+        }
+        from += 1;
+    }
+    None
+}
 
 /// Returns true when `text` matches the SQL LIKE `pattern`.
 ///
-/// The implementation is the classic two-pointer greedy algorithm with
-/// backtracking on the last `%`, which runs in O(|text|·|pattern|) worst
-/// case but linear time for the common `%substr%` patterns.
+/// Compiles the pattern on every call; to match one pattern against many
+/// texts build a [`LikePattern`] once.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
+    LikePattern::new(pattern).matches(text)
+}
+
+/// The general matcher: the classic two-pointer greedy algorithm with
+/// backtracking on the last `%`, which runs in O(|text|·|pattern|) worst
+/// case. It walks both strings by byte offset and decodes one character at
+/// a time, so it allocates nothing.
+fn match_general(pattern: &str, text: &str) -> bool {
+    let char_at = |s: &str, i: usize| s[i..].chars().next();
     let (mut pi, mut ti) = (0usize, 0usize);
     // Position after the most recent '%' (pattern) and the text position we
     // will retry from on mismatch.
     let mut star: Option<(usize, usize)> = None;
 
-    while ti < t.len() {
-        if pi < p.len() {
-            match p[pi] {
+    while let Some(tc) = char_at(text, ti) {
+        if let Some(pc) = char_at(pattern, pi) {
+            let after = pi + pc.len_utf8();
+            match pc {
                 '%' => {
-                    star = Some((pi + 1, ti));
-                    pi += 1;
+                    star = Some((after, ti));
+                    pi = after;
                     continue;
                 }
                 '_' => {
-                    pi += 1;
-                    ti += 1;
+                    pi = after;
+                    ti += tc.len_utf8();
                     continue;
                 }
-                '\\' if pi + 1 < p.len() => {
-                    if p[pi + 1] == t[ti] {
-                        pi += 2;
-                        ti += 1;
-                        continue;
-                    }
-                }
-                c => {
-                    if c == t[ti] {
-                        pi += 1;
-                        ti += 1;
+                _ => {
+                    // A backslash escapes the next character; a trailing
+                    // backslash stands for itself.
+                    let (literal, next) = match char_at(pattern, after) {
+                        Some(escaped) if pc == '\\' => (escaped, after + escaped.len_utf8()),
+                        _ => (pc, after),
+                    };
+                    if literal == tc {
+                        pi = next;
+                        ti += tc.len_utf8();
                         continue;
                     }
                 }
@@ -50,18 +164,17 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
         // Mismatch: backtrack to the last '%' and consume one more text char.
         match star {
             Some((sp, st)) => {
+                let skipped = char_at(text, st).expect("retry position precedes `ti`");
+                let retry = st + skipped.len_utf8();
                 pi = sp;
-                ti = st + 1;
-                star = Some((sp, st + 1));
+                ti = retry;
+                star = Some((sp, retry));
             }
             None => return false,
         }
     }
     // Remaining pattern must be all '%'.
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 #[cfg(test)]

@@ -324,8 +324,9 @@ impl DiscreteColumn {
                 w[self.null_code()] = eval01(clause, &Value::Null);
             }
             Encoding::StrSmall { dict, .. } => {
+                let matcher = clause.value_matcher();
                 for (i, s) in dict.iter().enumerate() {
-                    w[i] = eval01(clause, &Value::Str(s.clone()));
+                    w[i] = f64::from(matcher.matches(&Value::Str(s.clone())));
                 }
                 w[self.null_code()] = eval01(clause, &Value::Null);
             }
@@ -336,8 +337,9 @@ impl DiscreteColumn {
                 bucket_rows,
             } => {
                 let mut matched = vec![0f64; *n];
+                let matcher = clause.value_matcher();
                 for (code, s) in dict.iter().enumerate() {
-                    if eval01(clause, &Value::Str(s.clone())) > 0.5 {
+                    if matcher.matches(&Value::Str(s.clone())) {
                         matched[str_bucket(s, *n)] += dict_rows[code] as f64;
                     }
                 }

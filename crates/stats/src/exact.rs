@@ -50,37 +50,33 @@ impl BaseTableEstimator for ExactEstimator {
     }
 
     fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let compiled = compile_filter(&self.table, filter);
-        let cols: Vec<Option<(usize, &crate::binmap::KeyBinMap)>> = key_cols
-            .iter()
-            .map(|k| {
-                self.table
-                    .schema()
-                    .index_of(k)
-                    .and_then(|ci| self.bins.get(k).map(|m| (ci, m)))
-            })
-            .collect();
-        let mut dists: Vec<Vec<f64>> = key_cols
-            .iter()
-            .map(|k| vec![0.0; self.key_bins(k)])
-            .collect();
-        let mut rows = 0f64;
-        for r in 0..self.table.nrows() {
-            if !compiled.eval(&self.table, r) {
+        let mut out = TableProfile::default();
+        self.profile_into(filter, key_cols, &mut out);
+        out
+    }
+
+    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
+        out.reset(key_cols.len());
+        let TableProfile {
+            rows,
+            key_dists,
+            selection,
+            ..
+        } = out;
+        compile_filter(&self.table, filter).select(&self.table, selection);
+        *rows = selection.count() as f64;
+        for (dist, name) in key_dists.iter_mut().zip(key_cols) {
+            dist.resize(self.key_bins(name), 0.0);
+            let (Some(ci), Some(map)) = (self.table.schema().index_of(name), self.bins.get(name))
+            else {
                 continue;
-            }
-            rows += 1.0;
-            for (d, info) in dists.iter_mut().zip(&cols) {
-                if let Some((ci, map)) = info {
-                    if let Some(v) = self.table.column(*ci).key_at(r) {
-                        d[map.bin_of(v)] += 1.0;
-                    }
+            };
+            let column = self.table.column(ci);
+            for r in selection.rows() {
+                if let Some(v) = column.key_at(r) {
+                    dist[map.bin_of(v)] += 1.0;
                 }
             }
-        }
-        TableProfile {
-            rows,
-            key_dists: dists,
         }
     }
 

@@ -6,7 +6,7 @@
 //! selectivity for `LIKE` — deliberately reproducing the weaknesses the
 //! paper's Figure 7 shows for the `Postgres` baseline.
 
-use fj_query::{like_match, CmpOp, FilterExpr, Predicate};
+use fj_query::{CmpOp, FilterExpr, LikePattern, Predicate};
 use fj_storage::{Column, DataType, Value};
 use std::collections::HashMap;
 
@@ -301,10 +301,11 @@ impl ColumnHistogram {
             Predicate::Like {
                 pattern, negated, ..
             } => {
+                let pattern = LikePattern::new(pattern);
                 let hit: f64 = self
                     .mcv_str
                     .iter()
-                    .filter(|(s, _)| like_match(pattern, s))
+                    .filter(|(s, _)| pattern.matches(s))
                     .map(|&(_, f)| f)
                     .sum();
                 let mcv_mass: f64 = self.mcv_str.iter().map(|&(_, f)| f).sum();

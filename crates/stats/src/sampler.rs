@@ -3,22 +3,37 @@
 //! The paper uses "traditional random sampling" as one of the two base
 //! estimators (§3.3) — it is the one used for IMDB-JOB because it supports
 //! arbitrary filter shapes: disjunctions, `LIKE`, NULL tests, anything the
-//! row-level evaluator can decide. The estimator materializes a uniform
-//! sample as its own small [`Table`], compiles each query's filter against
-//! the sample once, and scales counts by the inverse sampling fraction.
+//! filter evaluator can decide. The estimator materializes a uniform
+//! sample as its own small [`Table`] with the bin id of every sampled join
+//! key precomputed. A query's filter is compiled against the sample and
+//! evaluated column at a time into a selection bitmap; the selected rows'
+//! bin ids are counted per key and scaled by the inverse sampling fraction.
+//! An unfiltered alias skips the scan and copies a cached histogram.
 
 use crate::binmap::TableBins;
 use crate::traits::{BaseTableEstimator, TableProfile};
-use fj_query::{compile_filter, FilterExpr};
+use fj_query::{compile_filter, filtered_count, FilterExpr};
 use fj_storage::Table;
-use std::collections::HashMap;
+
+/// One binned join-key column of the sample.
+#[derive(Clone)]
+struct KeyColumn {
+    name: String,
+    /// Index of the column in the sample's schema.
+    col: usize,
+    /// Bin id of each sampled row. NULL keys carry the id `k` (one past the
+    /// last bin), so counting indexes a `k + 1`-slot histogram unbranched.
+    bin_ids: Vec<u32>,
+    /// Sampled rows per bin id over the whole sample, unscaled (`k + 1`
+    /// slots, NULLs last) — the histogram of an unfiltered alias.
+    counts: Vec<f64>,
+}
 
 /// Sampling-based estimator for one table.
 #[derive(Clone)]
 pub struct SamplingEstimator {
     sample: Table,
-    /// Per sampled row, per key column: the bin index (or `None` for NULL).
-    key_bins_per_row: HashMap<String, Vec<Option<u32>>>,
+    keys: Vec<KeyColumn>,
     bins: TableBins,
     base_rows: f64,
     rate: f64,
@@ -54,30 +69,45 @@ impl SamplingEstimator {
             rows.push(0);
         }
         let sample = table.select_rows(table.name(), &rows);
+        let keys = bins
+            .iter()
+            .filter_map(|(name, map)| {
+                Some(KeyColumn {
+                    name: name.clone(),
+                    col: sample.schema().index_of(name)?,
+                    bin_ids: Vec::with_capacity(sample.nrows()),
+                    counts: vec![0.0; map.k() + 1],
+                })
+            })
+            .collect();
         let mut est = SamplingEstimator {
             sample,
-            key_bins_per_row: HashMap::new(),
+            keys,
             bins: bins.clone(),
             base_rows: n as f64,
             rate,
             seed,
         };
-        est.rebin();
+        est.bin_rows_from(0);
         est
     }
 
-    /// (Re)computes per-row bin ids for each binned key column.
-    fn rebin(&mut self) {
-        self.key_bins_per_row.clear();
-        for (col_name, map) in self.bins.iter() {
-            let Some(ci) = self.sample.schema().index_of(col_name) else {
-                continue;
-            };
-            let col = self.sample.column(ci);
-            let per_row: Vec<Option<u32>> = (0..self.sample.nrows())
-                .map(|r| col.key_at(r).map(|v| map.bin_of(v) as u32))
-                .collect();
-            self.key_bins_per_row.insert(col_name.clone(), per_row);
+    /// Bins the keys of sample rows `from..`, extending each key column's
+    /// bin ids and unfiltered histogram. Rows before `from` keep their
+    /// ids: the bin maps are frozen, and appending to the sample leaves
+    /// the dictionary codes of string keys in place.
+    fn bin_rows_from(&mut self, from: usize) {
+        for key in &mut self.keys {
+            let column = self.sample.column(key.col);
+            let map = self
+                .bins
+                .get(&key.name)
+                .expect("key columns come from `bins`");
+            for r in from..self.sample.nrows() {
+                let bin = column.key_at(r).map_or(map.k(), |v| map.bin_of(v));
+                key.bin_ids.push(bin as u32);
+                key.counts[bin] += 1.0;
+            }
         }
     }
 
@@ -102,14 +132,7 @@ impl BaseTableEstimator for SamplingEstimator {
     }
 
     fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
-        let compiled = compile_filter(&self.sample, filter);
-        let mut hits = 0u64;
-        for i in 0..self.sample.nrows() {
-            if compiled.eval(&self.sample, i) {
-                hits += 1;
-            }
-        }
-        hits as f64 * self.scale()
+        filtered_count(&self.sample, filter) as f64 * self.scale()
     }
 
     fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
@@ -124,38 +147,45 @@ impl BaseTableEstimator for SamplingEstimator {
     }
 
     fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let compiled = compile_filter(&self.sample, filter);
-        let mut dists: Vec<Vec<f64>> = key_cols
-            .iter()
-            .map(|k| vec![0.0; self.key_bins(k)])
-            .collect();
-        let bin_rows: Vec<Option<&Vec<Option<u32>>>> = key_cols
-            .iter()
-            .map(|k| self.key_bins_per_row.get(*k))
-            .collect();
-        let mut hits = 0u64;
-        for i in 0..self.sample.nrows() {
-            if !compiled.eval(&self.sample, i) {
+        let mut out = TableProfile::default();
+        self.profile_into(filter, key_cols, &mut out);
+        out
+    }
+
+    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
+        out.reset(key_cols.len());
+        let TableProfile {
+            rows,
+            key_dists,
+            selection,
+            ..
+        } = out;
+        let scale = self.scale();
+        let unfiltered = filter.is_trivial();
+        let hits = if unfiltered {
+            self.sample.nrows() as u64
+        } else {
+            compile_filter(&self.sample, filter).select(&self.sample, selection);
+            selection.count()
+        };
+        *rows = hits as f64 * scale;
+        for (dist, name) in key_dists.iter_mut().zip(key_cols) {
+            let Some(key) = self.keys.iter().find(|key| key.name == *name) else {
+                dist.resize(self.key_bins(name), 0.0);
                 continue;
-            }
-            hits += 1;
-            for (d, br) in dists.iter_mut().zip(&bin_rows) {
-                if let Some(rows) = br {
-                    if let Some(b) = rows[i] {
-                        d[b as usize] += 1.0;
-                    }
+            };
+            if unfiltered {
+                dist.extend_from_slice(&key.counts);
+            } else {
+                dist.resize(key.counts.len(), 0.0);
+                for r in selection.rows() {
+                    dist[key.bin_ids[r] as usize] += 1.0;
                 }
             }
-        }
-        let s = self.scale();
-        for d in &mut dists {
-            for x in d.iter_mut() {
-                *x *= s;
+            dist.pop(); // the NULL slot
+            for x in dist.iter_mut() {
+                *x *= scale;
             }
-        }
-        TableProfile {
-            rows: hits as f64 * s,
-            key_dists: dists,
         }
     }
 
@@ -165,7 +195,7 @@ impl BaseTableEstimator for SamplingEstimator {
 
     fn insert(&mut self, table: &Table, first_new_row: usize) {
         // Extend the sample systematically over the inserted suffix, then
-        // recompute bin ids (new values may hash into fallback bins).
+        // bin the appended sample rows.
         let n = table.nrows();
         let stride = (1.0 / self.rate).max(1.0);
         let offset = (self.seed % stride.ceil() as u64) as f64;
@@ -175,21 +205,22 @@ impl BaseTableEstimator for SamplingEstimator {
             new_rows.push(table.row(pos as usize));
             pos += stride;
         }
+        let sampled_before = self.sample.nrows();
         if !new_rows.is_empty() {
             self.sample
                 .append_rows(&new_rows)
                 .expect("schema-compatible rows");
         }
         self.base_rows = n as f64;
-        self.rebin();
+        self.bin_rows_from(sampled_before);
     }
 
     fn model_bytes(&self) -> usize {
         self.sample.heap_bytes()
             + self
-                .key_bins_per_row
-                .values()
-                .map(|v| v.len() * 5)
+                .keys
+                .iter()
+                .map(|key| key.bin_ids.len() * 4 + key.counts.len() * 8)
                 .sum::<usize>()
     }
 }
@@ -200,6 +231,7 @@ mod tests {
     use crate::binmap::KeyBinMap;
     use fj_query::{CmpOp, Predicate};
     use fj_storage::{ColumnDef, DataType, TableSchema, Value};
+    use std::collections::HashMap;
 
     fn table(n: usize) -> Table {
         let schema = TableSchema::new(vec![
@@ -314,6 +346,84 @@ mod tests {
         // The x=5 mass grew substantially.
         let f5 = est.estimate_filter(&FilterExpr::pred(Predicate::eq("x", 5)));
         assert!(f5 > 400.0, "x=5 estimate {f5}");
+    }
+
+    /// `x IS NULL OR x IS NOT NULL`: accepts every row, but through the scan.
+    fn tautology() -> FilterExpr {
+        let null_test = |negated| {
+            FilterExpr::pred(Predicate::IsNull {
+                column: "x".into(),
+                negated,
+            })
+        };
+        FilterExpr::or(vec![null_test(false), null_test(true)])
+    }
+
+    #[test]
+    fn insert_bins_the_appended_rows_only_and_keeps_the_cached_histogram_exact() {
+        let mut t = table(1000);
+        let mut est = SamplingEstimator::build(&t, &bins_for(5), 0.5, 3);
+        let ids_before = est.keys[0].bin_ids.clone();
+        for round in 0..3i64 {
+            let first_new_row = t.nrows();
+            // New rows bring NULL keys and key values the bins never saw.
+            let new_rows: Vec<Vec<Value>> = (0..333)
+                .map(|i| {
+                    let id = match i % 7 {
+                        0 => Value::Null,
+                        1 => Value::Int(1000 + round * 10 + i % 3),
+                        _ => Value::Int(i % 50),
+                    };
+                    vec![id, Value::Int(5)]
+                })
+                .collect();
+            t.append_rows(&new_rows).unwrap();
+            est.insert(&t, first_new_row);
+
+            assert_eq!(est.keys[0].bin_ids.len(), est.sample_rows());
+            assert_eq!(est.keys[0].bin_ids[..ids_before.len()], ids_before[..]);
+            let cached = est.profile(&FilterExpr::True, &["id"]);
+            let recount = est.profile(&tautology(), &["id"]);
+            assert_eq!(cached.rows.to_bits(), recount.rows.to_bits());
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cached.key_dists[0]), bits(&recount.key_dists[0]));
+        }
+        assert!(est.sample_rows() > ids_before.len() + 400);
+    }
+
+    #[test]
+    fn profile_into_refills_the_callers_buffers() {
+        let t = table(2000);
+        let est = SamplingEstimator::build(&t, &bins_for(4), 0.5, 1);
+        let selective = FilterExpr::pred(Predicate::cmp("x", CmpOp::Ge, 90));
+        let mut out = TableProfile::default();
+        // Warm up on the widest request, and on a narrower one so the
+        // parked distribution buffer has its slot.
+        est.profile_into(&tautology(), &["id", "id"], &mut out);
+        est.profile_into(&tautology(), &["id"], &mut out);
+        let reserved = out.capacity();
+        let buffer = out.key_dists[0].as_ptr();
+        for (filter, keys) in [
+            (&selective, &["id"][..]),
+            (&FilterExpr::True, &["id", "id"][..]),
+            (&tautology(), &["id"][..]),
+        ] {
+            est.profile_into(filter, keys, &mut out);
+            assert_eq!(out.key_dists.len(), keys.len());
+            assert_eq!(out.key_dists[0].as_ptr(), buffer);
+            assert_eq!(out.capacity(), reserved);
+        }
+    }
+
+    #[test]
+    fn model_bytes_charges_bin_ids_and_cached_histograms() {
+        let t = table(1000);
+        let est = SamplingEstimator::build(&t, &bins_for(5), 1.0, 7);
+        // One key: 4 B per sampled row, 8 B per bin plus the NULL slot.
+        assert_eq!(
+            est.model_bytes(),
+            est.sample.heap_bytes() + 1000 * 4 + (5 + 1) * 8
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The estimator interface FactorJoin plugs into.
 
-use fj_query::FilterExpr;
+use fj_query::{FilterExpr, Selection};
 use fj_storage::Table;
 
 /// Everything FactorJoin needs from a table for one query: the estimated
@@ -17,6 +17,11 @@ pub struct TableProfile {
     /// For each requested key column: estimated rows per bin (unnormalized
     /// distribution over the key's binned domain, NULL keys excluded).
     pub key_dists: Vec<Vec<f64>>,
+    /// Scratch of the scanning estimators: the rows passing the filter.
+    pub(crate) selection: Selection,
+    /// Distribution buffers beyond the last request's key count, kept so a
+    /// later request with more keys reuses them.
+    spare: Vec<Vec<f64>>,
 }
 
 impl TableProfile {
@@ -24,10 +29,25 @@ impl TableProfile {
     /// existing vector capacities.
     pub fn reset(&mut self, n: usize) {
         self.rows = 0.0;
-        self.key_dists.resize_with(n, Vec::new);
+        while self.key_dists.len() > n {
+            self.spare.extend(self.key_dists.pop());
+        }
+        while self.key_dists.len() < n {
+            self.key_dists.push(self.spare.pop().unwrap_or_default());
+        }
         for d in &mut self.key_dists {
             d.clear();
         }
+    }
+
+    /// Elements reserved across all buffers. A refill that leaves this
+    /// unchanged grew nothing — how sessions count profile allocations.
+    pub fn capacity(&self) -> usize {
+        let dists = self.key_dists.iter().chain(&self.spare);
+        self.key_dists.capacity()
+            + self.spare.capacity()
+            + dists.map(Vec::capacity).sum::<usize>()
+            + self.selection.capacity()
     }
 }
 
@@ -61,6 +81,7 @@ pub trait BaseTableEstimator: Send + Sync {
                 .iter()
                 .map(|k| self.key_distribution(k, filter))
                 .collect(),
+            ..TableProfile::default()
         }
     }
 

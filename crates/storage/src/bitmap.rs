@@ -81,6 +81,13 @@ impl NullBitmap {
         }
     }
 
+    /// The NULL bits of rows `64 * word .. 64 * word + 64` (bit `i` set =
+    /// row `64 * word + i` is NULL) — lets bulk scans mask 64 rows at once.
+    #[inline]
+    pub fn word(&self, word: usize) -> u64 {
+        self.words.get(word).copied().unwrap_or(0)
+    }
+
     /// Iterator over the row indices that are NULL.
     pub fn null_indices(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(move |&i| self.is_null(i))
@@ -130,6 +137,24 @@ mod tests {
             assert_eq!(b.is_null(i), i % 63 == 0, "row {i}");
         }
         assert_eq!(b.null_count(), (0..200).filter(|i| i % 63 == 0).count());
+    }
+
+    #[test]
+    fn word_agrees_with_is_null() {
+        let mut b = NullBitmap::new();
+        for i in 0..150 {
+            b.push(i % 5 == 1 && i < 70);
+        }
+        for i in 0..150 {
+            assert_eq!(
+                (b.word(i / 64) >> (i % 64)) & 1 == 1,
+                b.is_null(i),
+                "row {i}"
+            );
+        }
+        // Words past the last NULL are not allocated and read as all-valid.
+        assert_eq!(b.word(2), 0);
+        assert_eq!(b.word(99), 0);
     }
 
     #[test]
