@@ -12,7 +12,7 @@ use fj_bench::experiments::{
     end_to_end, fig6, fig7, fig9, per_query, table1, table2, table5, table6, table7, table8,
     ExpConfig,
 };
-use fj_bench::{perfbase, quality, throughput, training, BenchKind};
+use fj_bench::{quality, record, BenchKind};
 use std::path::Path;
 
 const KNOWN_IDS: &[&str] = &[
@@ -20,224 +20,20 @@ const KNOWN_IDS: &[&str] = &[
     "fig7", "fig8", "fig9", "fig10", "fig11",
 ];
 
-/// The shared shape of a `bench-*` baseline subcommand: a measurement
-/// module with `measure`/`append_sample`/`format_sample`/`check_against`
-/// plus the strings that differ between subcommands.
-struct BaselineOps<S, R> {
-    /// Subcommand name (for usage/error messages).
-    sub: &'static str,
-    /// Name of the per-subcommand repetition flag (`--passes`, `--repeats`).
-    count_flag: &'static str,
-    /// Default repetitions.
-    default_count: usize,
-    /// Default regression threshold.
-    default_threshold: f64,
-    /// Pinned measurement scale (overridable via `FJ_SCALE`).
-    default_scale: f64,
-    /// What a failed check means, for the FAIL line.
-    fail_what: &'static str,
-    measure: fn(&str, f64, usize) -> S,
-    append: fn(&Path, &S) -> std::io::Result<()>,
-    format: fn(&S) -> String,
-    check: fn(&Path, f64, usize) -> std::io::Result<R>,
-    /// Prints the comparison verdict line(s); returns whether it passed.
-    report_check: fn(&R, f64) -> bool,
+/// The value following flag `name`, or usage-style exit 2 when it is missing.
+fn flag_value(it: &mut std::slice::Iter<'_, String>, name: &str) -> String {
+    it.next().cloned().unwrap_or_else(|| {
+        eprintln!("error: {name} needs a value");
+        std::process::exit(2);
+    })
 }
 
-/// Parses `--write/--check/--label/--threshold/<count_flag>` and runs the
-/// write-or-check flow. Both baseline subcommands are this function with
-/// different [`BaselineOps`].
-fn run_baseline_subcommand<S, R>(ops: BaselineOps<S, R>, args: &[String]) -> ! {
-    let mut write: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut label = "unlabelled".to_string();
-    let mut threshold = ops.default_threshold;
-    let mut count = ops.default_count;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("error: {name} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match a.as_str() {
-            "--write" => write = Some(val("--write")),
-            "--check" => check = Some(val("--check")),
-            "--label" => label = val("--label"),
-            "--threshold" => {
-                threshold = val("--threshold").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --threshold needs a number");
-                    std::process::exit(2);
-                })
-            }
-            flag if flag == ops.count_flag => {
-                count = val(ops.count_flag).parse().unwrap_or_else(|_| {
-                    eprintln!("error: {} needs an integer", ops.count_flag);
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("error: unknown {} flag {other:?}", ops.sub);
-                std::process::exit(2);
-            }
-        }
-    }
-    let scale = std::env::var("FJ_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(ops.default_scale);
-    match (write, check) {
-        (Some(path), None) => {
-            let sample = (ops.measure)(&label, scale, count);
-            println!("measured {}", (ops.format)(&sample));
-            (ops.append)(Path::new(&path), &sample).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("recorded as new baseline in {path}");
-            std::process::exit(0);
-        }
-        (None, Some(path)) => {
-            let report = (ops.check)(Path::new(&path), threshold, count).unwrap_or_else(|e| {
-                eprintln!("error: cannot check against {path}: {e}");
-                std::process::exit(1);
-            });
-            if (ops.report_check)(&report, threshold) {
-                println!("OK: within threshold");
-                std::process::exit(0);
-            }
-            eprintln!(
-                "FAIL: {} regression exceeds {threshold}× baseline",
-                ops.fail_what
-            );
-            std::process::exit(1);
-        }
-        _ => {
-            eprintln!(
-                "usage: fj-experiments {} (--write <json> [--label <l>] | \
-                 --check <json> [--threshold <f>]) [{} <n>]",
-                ops.sub, ops.count_flag
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `bench-estimation` subcommand: measure the sub-plan estimation hot path
-/// at the pinned scale and write/check `BENCH_estimation.json`.
-///
-/// ```text
-/// fj-experiments bench-estimation --write BENCH_estimation.json --label flat-factor
-/// fj-experiments bench-estimation --check BENCH_estimation.json [--threshold 1.5]
-/// ```
-fn bench_estimation(args: &[String]) -> ! {
-    run_baseline_subcommand(
-        BaselineOps {
-            sub: "bench-estimation",
-            count_flag: "--passes",
-            default_count: 30,
-            default_threshold: perfbase::DEFAULT_THRESHOLD,
-            default_scale: perfbase::PINNED_SCALE,
-            fail_what: "planning-latency",
-            measure: perfbase::measure,
-            append: perfbase::append_sample,
-            format: perfbase::format_sample,
-            check: perfbase::check_against,
-            report_check: |report, threshold| {
-                println!("baseline {}", perfbase::format_sample(&report.baseline));
-                println!("fresh    {}", perfbase::format_sample(&report.fresh));
-                println!(
-                    "planning latency {:.2}× baseline (threshold {threshold}×)",
-                    report.slowdown
-                );
-                match report.kernel_slowdown {
-                    Some(k) => println!(
-                        "join kernel {k:.2}× baseline ns/bin, calibration-normalized \
-                         (threshold {threshold}×)"
-                    ),
-                    None => println!(
-                        "join kernel: ungated (baseline predates the kernel metric; \
-                         re-record with --write)"
-                    ),
-                }
-                report.ok
-            },
-        },
-        args,
-    )
-}
-
-/// `bench-throughput` subcommand: sweep the `fj-service` worker pool over
-/// 1/2/4/8 workers on the pinned STATS-CEB environment and write/check
-/// `BENCH_throughput.json`.
-///
-/// ```text
-/// fj-experiments bench-throughput --write BENCH_throughput.json --label service-v1
-/// fj-experiments bench-throughput --check BENCH_throughput.json [--threshold 1.5] [--repeats 200]
-/// ```
-fn bench_throughput(args: &[String]) -> ! {
-    run_baseline_subcommand(
-        BaselineOps {
-            sub: "bench-throughput",
-            count_flag: "--repeats",
-            default_count: 400,
-            default_threshold: throughput::DEFAULT_THRESHOLD,
-            default_scale: perfbase::PINNED_SCALE,
-            fail_what: "serving-throughput",
-            measure: throughput::measure,
-            append: throughput::append_sample,
-            format: throughput::format_sample,
-            check: throughput::check_against,
-            report_check: |report, threshold| {
-                println!("baseline {}", throughput::format_sample(&report.baseline));
-                println!("fresh    {}", throughput::format_sample(&report.fresh));
-                println!(
-                    "throughput at {} workers: {:.2}× baseline, calibration-normalized \
-                     (fail under {:.2}×)",
-                    report.workers,
-                    report.speedup,
-                    1.0 / threshold
-                );
-                match report.tcp {
-                    Some((workers, speedup)) => println!(
-                        "loopback-TCP throughput at {} workers: {:.2}× baseline, \
-                         calibration-normalized (fail under {:.2}×)",
-                        workers,
-                        speedup,
-                        1.0 / threshold
-                    ),
-                    None => println!(
-                        "loopback-TCP throughput: ungated (baseline predates the network tier; \
-                         re-record with --write)"
-                    ),
-                }
-                match report.metrics_overhead {
-                    Some(ratio) => println!(
-                        "metrics-enabled serving keeps {:.1}% of no-op throughput \
-                         (fail under {:.1}%)",
-                        ratio * 100.0,
-                        throughput::METRICS_OVERHEAD_FLOOR * 100.0
-                    ),
-                    None => println!("metrics overhead: not measured"),
-                }
-                match (report.cache_hit_rate, report.cache_speedup) {
-                    (Some(rate), Some(speedup)) => println!(
-                        "sub-plan cache replay: {:.1}% hit rate (fail under {:.0}%), \
-                         {speedup:.2}× uncached throughput (fail under {:.1}×)",
-                        rate * 100.0,
-                        throughput::CACHE_HIT_RATE_FLOOR * 100.0,
-                        throughput::CACHE_SPEEDUP_FLOOR
-                    ),
-                    _ => println!("sub-plan cache replay: not measured"),
-                }
-                report.ok
-            },
-        },
-        args,
-    )
+/// [`flag_value`] parsed as a number, or exit 2 when it is not one.
+fn flag_number<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, name: &str) -> T {
+    flag_value(it, name).parse().unwrap_or_else(|_| {
+        eprintln!("error: {name} needs a number");
+        std::process::exit(2);
+    })
 }
 
 /// `bench-quality` subcommand: run the deterministic estimator sweep at
@@ -248,75 +44,120 @@ fn bench_throughput(args: &[String]) -> ! {
 /// fj-experiments bench-quality --check BENCH_quality.json [--threshold 1.1] [--queries 16]
 /// ```
 fn bench_quality(args: &[String]) -> ! {
-    run_baseline_subcommand(
-        BaselineOps {
-            sub: "bench-quality",
-            count_flag: "--queries",
-            default_count: quality::PINNED_QUERIES,
-            default_threshold: quality::DEFAULT_THRESHOLD,
-            default_scale: perfbase::PINNED_SCALE,
-            fail_what: "estimator-quality",
-            measure: quality::measure,
-            append: quality::append_sample,
-            format: quality::format_sample,
-            check: quality::check_against,
-            report_check: |report, _threshold| {
-                println!("baseline {}", quality::format_sample(&report.baseline));
-                println!("fresh    {}", quality::format_sample(&report.fresh));
-                println!("{}", quality::format_deltas(report));
-                report.ok
-            },
-        },
-        args,
-    )
+    let mut write: Option<String> = None;
+    let mut check: Option<String> = None;
+    let mut label = "unlabelled".to_string();
+    let mut threshold = quality::DEFAULT_THRESHOLD;
+    let mut queries = quality::PINNED_QUERIES;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--write" => write = Some(flag_value(&mut it, "--write")),
+            "--check" => check = Some(flag_value(&mut it, "--check")),
+            "--label" => label = flag_value(&mut it, "--label"),
+            "--threshold" => threshold = flag_number(&mut it, "--threshold"),
+            "--queries" => queries = flag_number(&mut it, "--queries"),
+            other => {
+                eprintln!("error: unknown bench-quality flag {other:?}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let scale = std::env::var("FJ_SCALE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(quality::PINNED_SCALE);
+    match (write, check) {
+        (Some(path), None) => {
+            let sample = quality::measure(&label, scale, queries);
+            println!("measured {}", quality::format_sample(&sample));
+            quality::append_sample(Path::new(&path), &sample).unwrap_or_else(|e| {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(1);
+            });
+            println!("recorded as new baseline in {path}");
+            std::process::exit(0);
+        }
+        (None, Some(path)) => {
+            let report = quality::check_against(Path::new(&path), threshold, queries)
+                .unwrap_or_else(|e| {
+                    eprintln!("error: cannot check against {path}: {e}");
+                    std::process::exit(1);
+                });
+            println!("baseline {}", quality::format_sample(&report.baseline));
+            println!("fresh    {}", quality::format_sample(&report.fresh));
+            println!("{}", quality::format_deltas(&report));
+            if report.ok {
+                println!("OK: within threshold");
+                std::process::exit(0);
+            }
+            eprintln!("FAIL: estimator-quality regression exceeds {threshold}× baseline");
+            std::process::exit(1);
+        }
+        _ => {
+            eprintln!(
+                "usage: fj-experiments bench-quality (--write <json> [--label <l>] | \
+                 --check <json> [--threshold <f>]) [--queries <n>]"
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
-/// `bench-training` subcommand: measure the offline pipeline (serial +
-/// parallel cold builds with a bit-identity probe, the ~10% insert batch
-/// through both update paths, a cold retrain) on the pinned date-split
-/// STATS environment and write/check `BENCH_training.json`.
-///
-/// ```text
-/// fj-experiments bench-training --write BENCH_training.json --label parallel-pipeline
-/// fj-experiments bench-training --check BENCH_training.json [--threshold 1.5] [--repeats 3]
-/// ```
-fn bench_training(args: &[String]) -> ! {
-    run_baseline_subcommand(
-        BaselineOps {
-            sub: "bench-training",
-            count_flag: "--repeats",
-            default_count: 3,
-            default_threshold: training::DEFAULT_THRESHOLD,
-            default_scale: training::PINNED_TRAIN_SCALE,
-            fail_what: "training-pipeline",
-            measure: training::measure,
-            append: training::append_sample,
-            format: training::format_sample,
-            check: training::check_against,
-            report_check: |report, _threshold| {
-                println!("baseline {}", training::format_sample(&report.baseline));
-                println!("fresh    {}", training::format_sample(&report.fresh));
-                println!("{}", training::format_deltas(report));
-                report.ok
-            },
-        },
-        args,
-    )
+/// `record` subcommand: append one captured `fj_benchmark` run (stdin, or
+/// the file named as the one positional argument) to a `BENCH_*.json`
+/// trajectory — see [`fj_bench::record`].
+fn record_run(args: &[String]) -> ! {
+    let (mut out, mut label, mut input) = (None, "unlabelled".to_string(), None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--out" => out = Some(flag_value(&mut it, "--out")),
+            "--label" => label = flag_value(&mut it, "--label"),
+            path if !path.starts_with("--") && input.is_none() => input = Some(path),
+            other => {
+                eprintln!("error: unknown record argument {other:?}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let Some(out) = out else { usage() };
+    let captured = match input {
+        Some(path) => std::fs::read_to_string(path),
+        None => std::io::read_to_string(std::io::stdin()),
+    };
+    let appended = captured
+        .and_then(|text| record::entry(&label, &text))
+        .and_then(|entry| record::append(Path::new(&out), entry));
+    if let Err(e) = appended {
+        eprintln!("error: nothing recorded in {out}: {e}");
+        std::process::exit(1);
+    }
+    println!("recorded {label} in {out}");
+    std::process::exit(0);
+}
+
+/// Prints the usage text and exits 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: fj-experiments [{}] … [--dataset-dir <dir>]",
+        KNOWN_IDS.join("|")
+    );
+    eprintln!("       fj-experiments bench-quality (--write <json> | --check <json>)");
+    eprintln!("       fj-experiments record --out <json> [--label <l>] [<fj_benchmark stdout>]");
+    eprintln!(
+        "env: FJ_SCALE=<f64> (default 0.5), FJ_QUERIES=<n> (default full workload), \
+         FJ_DATASET_DIR=<dir> (real dumps instead of synthetic data)"
+    );
+    std::process::exit(2);
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-estimation") {
-        bench_estimation(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench-throughput") {
-        bench_throughput(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench-quality") {
-        bench_quality(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench-training") {
-        bench_training(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("bench-quality") => bench_quality(&args[1..]),
+        Some("record") => record_run(&args[1..]),
+        _ => {}
     }
     let mut cfg = ExpConfig::from_env();
     // `--dataset-dir <path>` anywhere in the argument list swaps synthetic
@@ -333,26 +174,11 @@ fn main() {
         cfg.dataset_dir = Some(Box::leak(dir.into_boxed_str()));
     }
     if args.is_empty() {
-        eprintln!(
-            "usage: fj-experiments [{}] … [--dataset-dir <dir>]",
-            KNOWN_IDS.join("|")
-        );
-        eprintln!("       fj-experiments bench-estimation (--write <json> | --check <json>)");
-        eprintln!("       fj-experiments bench-throughput (--write <json> | --check <json>)");
-        eprintln!("       fj-experiments bench-quality    (--write <json> | --check <json>)");
-        eprintln!("       fj-experiments bench-training   (--write <json> | --check <json>)");
-        eprintln!(
-            "env: FJ_SCALE=<f64> (default 0.5), FJ_QUERIES=<n> (default full workload), \
-             FJ_DATASET_DIR=<dir> (real dumps instead of synthetic data)"
-        );
-        std::process::exit(2);
+        usage();
     }
     if let Some(unknown) = args.iter().find(|a| !KNOWN_IDS.contains(&a.as_str())) {
-        eprintln!(
-            "error: unknown experiment id {unknown:?} (known: {})",
-            KNOWN_IDS.join(", ")
-        );
-        std::process::exit(2);
+        eprintln!("error: unknown experiment id {unknown:?}");
+        usage();
     }
     println!(
         "# FactorJoin reproduction experiments (scale={}, queries={})",

@@ -14,11 +14,9 @@
 pub mod env;
 pub mod experiments;
 pub mod harness;
-pub mod perfbase;
 pub mod quality;
+pub mod record;
 pub mod report;
-pub mod throughput;
-pub mod training;
 
 pub use env::{BenchEnv, BenchKind};
 pub use harness::{run_end_to_end, EndToEnd, MethodResult};

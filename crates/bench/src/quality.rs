@@ -2,25 +2,22 @@
 //!
 //! The paper's headline claim is accuracy-per-cost (Tables 3/4): FactorJoin
 //! matches or beats learned estimators on STATS-CEB / IMDB-JOB q-error
-//! while training in minutes. The latency and throughput gates
-//! ([`crate::perfbase`], [`crate::throughput`]) keep the *speed* claims
-//! honest; this module does the same for *accuracy*: it runs the estimator
-//! sweep on both benchmark workloads at the pinned scale, records
-//! per-workload p50/p95 q-error and the plan-cost-vs-TrueCard ratio in a
-//! checked-in JSON history, and lets CI fail on a quality regression past a
-//! tolerance — so an accuracy regression surfaces in review exactly like a
-//! test failure or a hot-path slowdown.
+//! while training in minutes. Everything timed is measured by the
+//! repository benchmark (`fj_benchmark/`); this module keeps the
+//! *accuracy* claim honest: it runs the estimator sweep on both benchmark
+//! workloads at the pinned scale, records per-workload p50/p95 q-error and
+//! the plan-cost-vs-TrueCard ratio in a checked-in JSON history, and lets
+//! CI fail on a quality regression past a tolerance — so an accuracy
+//! regression surfaces in review exactly like a test failure.
 //!
-//! Unlike the timing baselines, everything measured here is **fully
-//! deterministic**: the synthetic data, the workloads, and every recorded
-//! estimator are seeded, so a fresh measurement on any machine reproduces
-//! the baseline bit-for-bit unless the *code* changed. The default
-//! tolerance is therefore tight.
+//! Everything measured here is **fully deterministic**: the synthetic
+//! data, the workloads, and every recorded estimator are seeded, so a
+//! fresh measurement on any machine reproduces the baseline bit-for-bit
+//! unless the *code* changed. The default tolerance is therefore tight.
 
 use crate::env::{BenchEnv, BenchKind};
 use crate::experiments::paper_factorjoin;
 use crate::harness::EndToEnd;
-use crate::perfbase::{PINNED_BINS, PINNED_SCALE};
 use crate::report::{percentile, q_error};
 use fj_baselines::{CardEst, JoinHist, JoinHistConfig, PessEst, PostgresLike, TrueCard};
 use fj_query::Query;
@@ -30,6 +27,14 @@ use std::path::Path;
 /// Regression tolerance: fail when a fresh quality metric exceeds
 /// `threshold × baseline`. Tight because the measurement is deterministic.
 pub const DEFAULT_THRESHOLD: f64 = 1.1;
+
+/// Pinned data scale for the baseline measurement. Overridable through
+/// `FJ_SCALE` for local experiments, but the checked-in baseline and the CI
+/// check both use this value so numbers stay comparable across commits.
+pub const PINNED_SCALE: f64 = 0.1;
+
+/// Pinned bin count (the paper's default k = 100).
+pub const PINNED_BINS: usize = 100;
 
 /// Evaluation queries per workload for the pinned measurement. Small
 /// enough for CI (true cardinalities of every sub-plan are computed by
@@ -241,8 +246,8 @@ pub fn measure(label: &str, scale: f64, queries: usize) -> QualitySample {
 }
 
 // ------------------------------------------------------- JSON conversion
-// Hand-rolled against `serde_json::Value` like perfbase/throughput (the
-// vendored serde derives are no-ops; see vendor/README.md).
+// Hand-rolled against `serde_json::Value` (the vendored serde derives are
+// no-ops; see vendor/README.md).
 
 fn err(m: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string())

@@ -18,22 +18,6 @@ fn qerrors(env: &BenchEnv, est: &mut dyn CardEst) -> Vec<f64> {
     out
 }
 
-/// Serving scale-out: 1 → 4 workers must raise aggregate sub-plan
-/// throughput by >1.9× — but only where 4 workers can actually run in
-/// parallel, so this is `#[ignore]`d by default and meant for multi-core
-/// hardware (`cargo test -p fj-bench --test accept --release -- --ignored`).
-/// CI gates serving throughput via the calibration-normalized
-/// `bench-throughput --check` instead (see crates/bench/src/throughput.rs).
-#[test]
-#[ignore = "requires ≥4 physical cores and a release build to be meaningful"]
-fn service_scales_1_to_4_workers() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert!(cores >= 4, "this machine has {cores} cores; run on ≥4");
-    let sample = fj_bench::throughput::measure("scaling-test", 0.05, 200);
-    let ratio = sample.scaling(1, 4).expect("sweep covers 1 and 4 workers");
-    assert!(ratio > 1.9, "1→4 workers only scaled {ratio:.2}×");
-}
-
 /// Paper Tables 2/3: FactorJoin's binned-bound estimates beat the
 /// Postgres-style independence assumption on join sub-plans. Pinned as a
 /// p50 q-error floor on the (deterministic) tiny STATS-CEB workload.

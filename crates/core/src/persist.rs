@@ -9,8 +9,8 @@
 //!   parse. This is what [`save_model`] writes by default.
 //! * **JSON** ([`save_model_json`]) — the debug export: human-readable,
 //!   diff-able, hand-editable for fixtures. ~an order of magnitude larger
-//!   and slower to load (`bench-training` records both cold-load times
-//!   and CI gates the ratio).
+//!   and slower to load (the benchmark's `core.load_saved_s` /
+//!   `ttfe_s` time the binary path).
 //!
 //! The format choice is explicit on save ([`save_model`] dispatches on the
 //! path extension: `.json` → JSON, anything else → binary) and **sniffed
@@ -25,7 +25,7 @@
 //! the binning, which is the part whose reproducibility matters (bin
 //! selection is the expensive, data-dependent step, and incremental
 //! updates must keep bins fixed, §4.3). All writes are crash-safe via
-//! [`write_atomic`]-style staging (same-dir temp + fsync + rename).
+//! `write_atomic`-style staging (same-dir temp + fsync + rename).
 
 pub mod binary;
 
@@ -443,7 +443,7 @@ pub fn load_model(path: &Path, catalog: &Catalog) -> std::io::Result<FactorJoinM
 
 /// Reads and fully validates a model file's persisted statistics without
 /// rebuilding estimators — the format-sniffing read stage of
-/// [`load_model`], exposed so tooling (and `bench-training`) can measure
+/// [`load_model`], exposed so tooling (and `fj_benchmark`) can measure
 /// or inspect the persistence formats in isolation.
 pub fn load_saved(path: &Path) -> std::io::Result<SavedModel> {
     let bytes = std::fs::read(path)?;

@@ -57,7 +57,7 @@ fn delta_records_staged_rows() {
 #[test]
 fn update_then_estimate_matches_retrain_then_estimate() {
     // Split at ~90% of the date domain → a ~10% insert batch, the shape
-    // `bench-training` measures and the acceptance criterion names.
+    // the benchmark's `lifecycle` workload measures.
     let (catalog, delta, stale) = split_and_apply(3285);
     let updated = stale.updated_with(&catalog, &delta);
     let retrained = FactorJoinModel::train(&catalog, truescan(30));

@@ -20,11 +20,11 @@
 //!   hot-swap/`apply_insert`: an entry written under the old model can
 //!   never answer a request resolved against the new one. Stale entries
 //!   are not swept; they become preferred eviction victims in place.
-//! * **Sharding** — the table is split into [`NUM_SHARDS`] lock-striped
+//! * **Sharding** — the table is split into `NUM_SHARDS` lock-striped
 //!   shards selected by the fingerprint's high bits, so concurrent
 //!   workers rarely contend on one mutex and there is no global lock.
 //! * **Bounded memory** — each shard is a fixed set-associative array
-//!   ([`WAYS`] entries per set, capacity chosen at construction and
+//!   (`WAYS` entries per set, capacity chosen at construction and
 //!   never grown). Insertion picks an empty slot, else a stale-epoch
 //!   slot, else a round-robin victim within the set — eviction is O(WAYS)
 //!   with no heap activity on the hot path.
@@ -75,7 +75,7 @@ pub struct SubplanCache {
 impl SubplanCache {
     /// A cache holding at least `total_entries` estimates across all
     /// shards (rounded up so each shard is a power-of-two number of
-    /// [`WAYS`]-wide sets). `total_entries` must be nonzero — a disabled
+    /// `WAYS`-wide sets). `total_entries` must be nonzero — a disabled
     /// cache is represented by *not constructing one* (see
     /// [`crate::ServiceConfig::subplan_cache_entries`]).
     pub fn new(total_entries: usize) -> Self {

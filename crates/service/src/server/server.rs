@@ -76,10 +76,6 @@ pub struct ServerConfig {
     /// this long is treated as dead and disconnected, so its backpressure
     /// cannot wedge the reply path. `None` blocks writes indefinitely.
     pub write_timeout: Option<Duration>,
-    /// When false, shard workers skip latency/stage histogram recording
-    /// (counters still tick) — the no-op recorder the bench's
-    /// metrics-overhead gate compares against. Defaults to true.
-    pub metrics_enabled: bool,
     /// Worst-N capacity of the slow-query log rendered into
     /// [`FjServer::metrics_text`] (min 1). Defaults to 16.
     pub slowlog_capacity: usize,
@@ -97,7 +93,6 @@ impl ServerConfig {
             read_timeout: Some(Duration::from_millis(500)),
             idle_timeout: Some(Duration::from_secs(60)),
             write_timeout: Some(Duration::from_secs(30)),
-            metrics_enabled: true,
             slowlog_capacity: 16,
         }
     }
@@ -129,12 +124,6 @@ impl ServerConfig {
     /// Overrides the socket write timeout.
     pub fn with_write_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.write_timeout = timeout;
-        self
-    }
-
-    /// Toggles histogram recording (see [`ServerConfig::metrics_enabled`]).
-    pub fn with_metrics_enabled(mut self, enabled: bool) -> Self {
-        self.metrics_enabled = enabled;
         self
     }
 
@@ -245,8 +234,7 @@ impl FjServer {
             let service = EstimatorService::start(
                 Arc::clone(&spec.registry),
                 ServiceConfig::new(&spec.dataset, config.workers_per_shard)
-                    .with_queue_capacity(config.queue_capacity)
-                    .with_metrics_enabled(config.metrics_enabled),
+                    .with_queue_capacity(config.queue_capacity),
             );
             shard_map.insert(
                 spec.dataset,

@@ -25,14 +25,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Dataset served when a request does not name one.
     pub default_dataset: String,
-    /// When false, workers skip latency/stage histogram recording
-    /// (counters still tick, so throughput math keeps working) — the
-    /// no-op recorder the bench's metrics-overhead gate compares against.
-    /// Defaults to true.
-    pub metrics_enabled: bool,
     /// Total capacity (in cached sub-plan estimates) of the sharded
     /// sub-plan estimate cache, rounded up to the cache's set geometry.
-    /// `0` disables the cache entirely (the bench's uncached arm);
+    /// `0` disables the cache entirely (the benchmark's uncached arm);
     /// defaults to 65 536 entries ≈ 2 MiB.
     pub subplan_cache_entries: usize,
 }
@@ -45,7 +40,6 @@ impl ServiceConfig {
             workers,
             queue_capacity: 1024,
             default_dataset: default_dataset.to_string(),
-            metrics_enabled: true,
             subplan_cache_entries: 65_536,
         }
     }
@@ -53,12 +47,6 @@ impl ServiceConfig {
     /// Overrides the queue capacity.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Toggles histogram recording (see [`ServiceConfig::metrics_enabled`]).
-    pub fn with_metrics_enabled(mut self, enabled: bool) -> Self {
-        self.metrics_enabled = enabled;
         self
     }
 
@@ -87,7 +75,7 @@ impl EstimatorService {
     /// Starts the worker pool against an existing (shareable) registry.
     pub fn start(registry: Arc<ModelRegistry>, config: ServiceConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let stats = Arc::new(StatsInner::with_histograms(config.metrics_enabled));
+        let stats = Arc::new(StatsInner::new());
         let cache = (config.subplan_cache_entries > 0)
             .then(|| Arc::new(SubplanCache::new(config.subplan_cache_entries)));
         let workers = spawn_workers(

@@ -13,74 +13,121 @@ use fj_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, Stage};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The shard's counters, named once: the discriminant indexes
+/// [`StatsInner::counters`] and every per-shard `[u64; N]` of counts, and
+/// [`COUNTERS`] gives each one its exported name and help text.
+#[derive(Clone, Copy)]
+enum Stat {
+    Requests,
+    Subplans,
+    Errors,
+    /// Requests refused by admission control (per-client quota) before
+    /// reaching the queue.
+    Rejected,
+    /// Requests shed because the bounded queue had no room (load shedding
+    /// chosen over producer blocking by the non-blocking submit path).
+    Shed,
+    /// Requests whose deadline passed while queued: a worker popped them
+    /// already expired and shed them without estimating.
+    Expired,
+    /// Worker panics contained while estimating (the worker survived and
+    /// the ticket resolved with an error instead of hanging).
+    WorkerPanics,
+    /// Sub-plan estimates served straight from the sub-plan cache,
+    /// bit-identical to a fresh computation.
+    CacheHits,
+    /// Sub-plan estimates computed by the model and inserted into the
+    /// cache (counts sub-plans, like [`Stat::CacheHits`], so
+    /// hits/(hits+misses) is the per-sub-plan hit rate).
+    CacheMisses,
+    /// Live cache entries evicted to make room (capacity pressure;
+    /// overwriting empty or stale-epoch slots is not counted).
+    CacheEvictions,
+}
+
+const N: usize = Stat::CacheEvictions as usize + 1;
+
+/// `(counter, metric name, help)` in exposition order.
+const COUNTERS: [(Stat, &str, &str); N] = [
+    (
+        Stat::Requests,
+        "fj_requests_total",
+        "Requests served successfully.",
+    ),
+    (
+        Stat::Subplans,
+        "fj_subplans_total",
+        "Sub-plan estimates produced across served requests.",
+    ),
+    (
+        Stat::Errors,
+        "fj_errors_total",
+        "Requests that resolved with a service error (unknown dataset, contained worker panic).",
+    ),
+    (
+        Stat::Rejected,
+        "fj_rejected_total",
+        "Requests refused by admission control before reaching the queue.",
+    ),
+    (
+        Stat::Shed,
+        "fj_shed_total",
+        "Requests shed because the bounded queue was full.",
+    ),
+    (
+        Stat::Expired,
+        "fj_expired_total",
+        "Requests whose deadline passed while queued; shed unserved.",
+    ),
+    (
+        Stat::WorkerPanics,
+        "fj_worker_panics_total",
+        "Worker panics contained while estimating.",
+    ),
+    (
+        Stat::CacheHits,
+        "fj_subplan_cache_hits_total",
+        "Sub-plan estimates served from the sub-plan cache.",
+    ),
+    (
+        Stat::CacheMisses,
+        "fj_subplan_cache_misses_total",
+        "Sub-plan estimates computed by the model and cached.",
+    ),
+    (
+        Stat::CacheEvictions,
+        "fj_subplan_cache_evictions_total",
+        "Live sub-plan cache entries evicted under capacity pressure.",
+    ),
+];
+
 /// Shared counters the workers update as they serve (internal; read
 /// through [`crate::EstimatorService::stats`]).
 pub(crate) struct StatsInner {
-    requests: Counter,
-    subplans: Counter,
-    errors: Counter,
-    /// Requests refused by admission control (per-client quota) before
-    /// reaching the queue.
-    rejected: Counter,
-    /// Requests shed because the bounded queue had no room (load shedding
-    /// chosen over producer blocking by the non-blocking submit path).
-    shed: Counter,
-    /// Requests whose deadline passed while queued: a worker popped them
-    /// already expired and shed them without estimating.
-    expired: Counter,
-    /// Worker panics contained while estimating (the worker survived and
-    /// the ticket resolved with an error instead of hanging).
-    worker_panics: Counter,
-    /// Sub-plan estimates served straight from the sub-plan cache,
-    /// bit-identical to a fresh computation.
-    cache_hits: Counter,
-    /// Sub-plan estimates computed by the model and inserted into the
-    /// cache (counts sub-plans, like [`Self::cache_hits`], so
-    /// hits/(hits+misses) is the per-sub-plan hit rate).
-    cache_misses: Counter,
-    /// Live cache entries evicted to make room (capacity pressure;
-    /// overwriting empty or stale-epoch slots is not counted).
-    cache_evictions: Counter,
+    /// Indexed by [`Stat`].
+    counters: [Counter; N],
     /// End-to-end latency (queue wait + estimation), nanoseconds.
     latency: Histogram,
     /// Queue-wait stage only, nanoseconds.
     queue_wait: Histogram,
     /// Estimation stage only, nanoseconds.
     estimation: Histogram,
-    /// When false (the bench's no-op recorder), histogram recording is
-    /// skipped; counters still tick so throughput math keeps working.
-    histograms_enabled: bool,
     window_start: Mutex<Instant>,
 }
 
 impl StatsInner {
-    /// Full recorder (histograms on) — the production default; only the
-    /// bench's no-op comparison passes `false` to `with_histograms`.
-    #[cfg(test)]
     pub(crate) fn new() -> Self {
-        Self::with_histograms(true)
-    }
-
-    /// `enabled = false` builds the no-op recorder used by the
-    /// metrics-overhead bench gate: counters tick, histograms don't.
-    pub(crate) fn with_histograms(enabled: bool) -> Self {
         StatsInner {
-            requests: Counter::new(),
-            subplans: Counter::new(),
-            errors: Counter::new(),
-            rejected: Counter::new(),
-            shed: Counter::new(),
-            expired: Counter::new(),
-            worker_panics: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            cache_evictions: Counter::new(),
+            counters: std::array::from_fn(|_| Counter::new()),
             latency: Histogram::new(),
             queue_wait: Histogram::new(),
             estimation: Histogram::new(),
-            histograms_enabled: enabled,
             window_start: Mutex::new(Instant::now()),
         }
+    }
+
+    fn counter(&self, stat: Stat) -> &Counter {
+        &self.counters[stat as usize]
     }
 
     /// Record one served request. Stage durations are recorded in
@@ -92,46 +139,44 @@ impl StatsInner {
         queue_wait: Duration,
         estimation: Duration,
     ) {
-        self.requests.inc();
-        self.subplans.add(subplans as u64);
-        if self.histograms_enabled {
-            let qw = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
-            let est = u64::try_from(estimation.as_nanos()).unwrap_or(u64::MAX);
-            self.latency.record(qw.saturating_add(est));
-            self.queue_wait.record(qw);
-            self.estimation.record(est);
-        }
+        self.counter(Stat::Requests).inc();
+        self.counter(Stat::Subplans).add(subplans as u64);
+        let qw = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
+        let est = u64::try_from(estimation.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.record(qw.saturating_add(est));
+        self.queue_wait.record(qw);
+        self.estimation.record(est);
     }
 
     pub(crate) fn record_error(&self) {
-        self.errors.inc();
+        self.counter(Stat::Errors).inc();
     }
 
     pub(crate) fn record_rejected(&self) {
-        self.rejected.inc();
+        self.counter(Stat::Rejected).inc();
     }
 
     pub(crate) fn record_shed(&self, requests: usize) {
-        self.shed.add(requests as u64);
+        self.counter(Stat::Shed).add(requests as u64);
     }
 
     pub(crate) fn record_expired(&self) {
-        self.expired.inc();
+        self.counter(Stat::Expired).inc();
     }
 
     /// Record a request fully served from the sub-plan cache (`subplans`
     /// estimates returned without touching the model).
     pub(crate) fn record_cache_hits(&self, subplans: usize) {
-        self.cache_hits.add(subplans as u64);
+        self.counter(Stat::CacheHits).add(subplans as u64);
     }
 
     /// Record a request that missed the sub-plan cache: all `subplans`
     /// estimates were computed and (re)inserted, with `evictions` live
     /// entries displaced.
     pub(crate) fn record_cache_misses(&self, subplans: usize, evictions: usize) {
-        self.cache_misses.add(subplans as u64);
+        self.counter(Stat::CacheMisses).add(subplans as u64);
         if evictions > 0 {
-            self.cache_evictions.add(evictions as u64);
+            self.counter(Stat::CacheEvictions).add(evictions as u64);
         }
     }
 
@@ -139,23 +184,14 @@ impl StatsInner {
     /// request resolved with `ServiceError::WorkerPanicked`, so it belongs
     /// in the failure total too.
     pub(crate) fn record_worker_panic(&self) {
-        self.worker_panics.inc();
-        self.errors.inc();
+        self.counter(Stat::WorkerPanics).inc();
+        self.counter(Stat::Errors).inc();
     }
 
     /// Clears all counters and restarts the measurement window (used
     /// between benchmark warm-up and the timed run).
     pub(crate) fn reset(&self) {
-        self.requests.reset();
-        self.subplans.reset();
-        self.errors.reset();
-        self.rejected.reset();
-        self.shed.reset();
-        self.expired.reset();
-        self.worker_panics.reset();
-        self.cache_hits.reset();
-        self.cache_misses.reset();
-        self.cache_evictions.reset();
+        self.counters.iter().for_each(Counter::reset);
         self.latency.clear();
         self.queue_wait.clear();
         self.estimation.clear();
@@ -173,59 +209,11 @@ impl StatsInner {
     /// clones, so the hot path never learns the registry exists.
     pub(crate) fn install_metrics(self: &Arc<Self>, registry: &MetricsRegistry, dataset: &str) {
         let d = dataset;
-        let counters: [(&str, &str, fn(&StatsInner) -> &Counter); 10] = [
-            ("fj_requests_total", "Requests served successfully.", |s| {
-                &s.requests
-            }),
-            (
-                "fj_subplans_total",
-                "Sub-plan estimates produced across served requests.",
-                |s| &s.subplans,
-            ),
-            (
-                "fj_errors_total",
-                "Requests that resolved with a service error (unknown dataset, contained worker panic).",
-                |s| &s.errors,
-            ),
-            (
-                "fj_rejected_total",
-                "Requests refused by admission control before reaching the queue.",
-                |s| &s.rejected,
-            ),
-            (
-                "fj_shed_total",
-                "Requests shed because the bounded queue was full.",
-                |s| &s.shed,
-            ),
-            (
-                "fj_expired_total",
-                "Requests whose deadline passed while queued; shed unserved.",
-                |s| &s.expired,
-            ),
-            (
-                "fj_worker_panics_total",
-                "Worker panics contained while estimating.",
-                |s| &s.worker_panics,
-            ),
-            (
-                "fj_subplan_cache_hits_total",
-                "Sub-plan estimates served from the sub-plan cache.",
-                |s| &s.cache_hits,
-            ),
-            (
-                "fj_subplan_cache_misses_total",
-                "Sub-plan estimates computed by the model and cached.",
-                |s| &s.cache_misses,
-            ),
-            (
-                "fj_subplan_cache_evictions_total",
-                "Live sub-plan cache entries evicted under capacity pressure.",
-                |s| &s.cache_evictions,
-            ),
-        ];
-        for (name, help, get) in counters {
+        for (stat, name, help) in COUNTERS {
             let me = Arc::clone(self);
-            registry.register_counter_fn(name, help, &[("dataset", d)], move || get(&me).get());
+            registry.register_counter_fn(name, help, &[("dataset", d)], move || {
+                me.counter(stat).get()
+            });
         }
         let me = Arc::clone(self);
         registry.register_histogram_fn(
@@ -255,29 +243,18 @@ impl StatsInner {
         self.window_start.lock().expect("stats lock").elapsed()
     }
 
-    fn fill_counts(&self, snap: &mut StatsSnapshot) {
-        snap.requests = self.requests.get();
-        snap.subplans = self.subplans.get();
-        snap.errors = self.errors.get();
-        snap.rejected = self.rejected.get();
-        snap.shed = self.shed.get();
-        snap.expired = self.expired.get();
-        snap.worker_panics = self.worker_panics.get();
-        snap.cache_hits = self.cache_hits.get();
-        snap.cache_misses = self.cache_misses.get();
-        snap.cache_evictions = self.cache_evictions.get();
+    fn counts(&self) -> [u64; N] {
+        std::array::from_fn(|i| self.counters[i].get())
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, queue_high_water: usize) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::from_histogram(
+        StatsSnapshot::new(
+            &self.counts(),
             &self.latency_snapshot(),
             self.window_elapsed(),
             queue_depth,
             queue_high_water,
-        );
-        self.fill_counts(&mut snap);
-        snap.finish_rates();
-        snap
+        )
     }
 }
 
@@ -292,38 +269,17 @@ pub(crate) fn merged_snapshot<'a>(
     let mut window = Duration::ZERO;
     let mut depth = 0usize;
     let mut high_water = 0usize;
-    let mut counts = [0u64; 10];
+    let mut counts = [0u64; N];
     for (inner, queue_depth, queue_high_water) in shards {
         hist.merge_from(&inner.latency_snapshot());
         window = window.max(inner.window_elapsed());
         depth += queue_depth;
         high_water = high_water.max(queue_high_water);
-        counts[0] += inner.requests.get();
-        counts[1] += inner.subplans.get();
-        counts[2] += inner.errors.get();
-        counts[3] += inner.rejected.get();
-        counts[4] += inner.shed.get();
-        counts[5] += inner.expired.get();
-        counts[6] += inner.worker_panics.get();
-        counts[7] += inner.cache_hits.get();
-        counts[8] += inner.cache_misses.get();
-        counts[9] += inner.cache_evictions.get();
+        for (total, count) in counts.iter_mut().zip(inner.counts()) {
+            *total += count;
+        }
     }
-    let mut snap = StatsSnapshot::from_histogram(&hist, window, depth, high_water);
-    [
-        snap.requests,
-        snap.subplans,
-        snap.errors,
-        snap.rejected,
-        snap.shed,
-        snap.expired,
-        snap.worker_panics,
-        snap.cache_hits,
-        snap.cache_misses,
-        snap.cache_evictions,
-    ] = counts;
-    snap.finish_rates();
-    snap
+    StatsSnapshot::new(&counts, &hist, window, depth, high_water)
 }
 
 /// A point-in-time view of service health since the last reset.
@@ -394,25 +350,28 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn from_histogram(
+    fn new(
+        counts: &[u64; N],
         hist: &HistogramSnapshot,
         window: Duration,
         queue_depth: usize,
         queue_high_water: usize,
     ) -> Self {
+        let count = |stat: Stat| counts[stat as usize];
+        let secs = window.as_secs_f64().max(1e-12);
         StatsSnapshot {
-            requests: 0,
-            subplans: 0,
-            errors: 0,
-            rejected: 0,
-            shed: 0,
-            expired: 0,
-            worker_panics: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            requests_per_second: 0.0,
-            subplans_per_second: 0.0,
+            requests: count(Stat::Requests),
+            subplans: count(Stat::Subplans),
+            errors: count(Stat::Errors),
+            rejected: count(Stat::Rejected),
+            shed: count(Stat::Shed),
+            expired: count(Stat::Expired),
+            worker_panics: count(Stat::WorkerPanics),
+            cache_hits: count(Stat::CacheHits),
+            cache_misses: count(Stat::CacheMisses),
+            cache_evictions: count(Stat::CacheEvictions),
+            requests_per_second: count(Stat::Requests) as f64 / secs,
+            subplans_per_second: count(Stat::Subplans) as f64 / secs,
             p50_latency: Duration::from_nanos(hist.value_at_quantile(0.50)),
             p95_latency: Duration::from_nanos(hist.value_at_quantile(0.95)),
             p99_latency: Duration::from_nanos(hist.value_at_quantile(0.99)),
@@ -420,12 +379,6 @@ impl StatsSnapshot {
             queue_high_water,
             window,
         }
-    }
-
-    fn finish_rates(&mut self) {
-        let secs = self.window.as_secs_f64().max(1e-12);
-        self.requests_per_second = self.requests as f64 / secs;
-        self.subplans_per_second = self.subplans as f64 / secs;
     }
 
     /// Fraction of sub-plan estimates served from the cache,
@@ -491,6 +444,15 @@ mod tests {
         // Split arbitrarily across the two stages; the end-to-end
         // histogram records the sum.
         s.record_success(subplans, latency / 2, latency - latency / 2);
+    }
+
+    #[test]
+    fn counter_table_names_every_stat_once() {
+        // Each row sits at its own discriminant, so no counter is exported
+        // twice or left out.
+        for (i, (stat, name, _)) in COUNTERS.iter().enumerate() {
+            assert_eq!(*stat as usize, i, "{name}");
+        }
     }
 
     #[test]
@@ -580,16 +542,6 @@ mod tests {
             let exact = Duration::from_nanos(all[rank - 1]);
             assert_quantized(d, exact);
         }
-    }
-
-    #[test]
-    fn noop_recorder_counts_but_skips_histograms() {
-        let s = StatsInner::with_histograms(false);
-        success(&s, 4, Duration::from_micros(500));
-        let snap = s.snapshot(0, 0);
-        assert_eq!(snap.requests, 1);
-        assert_eq!(snap.subplans, 4);
-        assert_eq!(snap.p50_latency, Duration::ZERO, "no-op recorder");
     }
 
     #[test]

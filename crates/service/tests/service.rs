@@ -425,7 +425,7 @@ fn cache_hit_is_bit_identical_to_miss_for_every_backend() {
 
 /// With the cache disabled (`subplan_cache_entries = 0`) the service
 /// serves bit-identically through the uncached path and the cache
-/// counters never move — the bench's uncached arm cannot be silently
+/// counters never move — the benchmark's uncached arm cannot be silently
 /// cached.
 #[test]
 fn disabled_cache_serves_identically_with_zero_counters() {

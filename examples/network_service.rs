@@ -18,7 +18,7 @@ use fj_service::{
     ServerConfig, ShardSpec,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[path = "util/scale.rs"]
 mod util;
@@ -168,7 +168,26 @@ fn main() {
             panic!("traced batch rejected ({reason}): {message}")
         }
     }
-    let text = client.metrics().expect("metrics scrape");
+    // The server offers a request to the slow-query log only *after* it
+    // has written the reply frame, so a scrape can overtake the entry:
+    // poll, bounded, until the traced line shows.
+    let needle = format!("trace_id={trace_id:#018x}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (text, slow) = loop {
+        let text = client.metrics().expect("metrics scrape");
+        let slow = text
+            .lines()
+            .find(|l| l.starts_with("# slowlog") && l.contains(&needle))
+            .map(str::to_string);
+        if let Some(slow) = slow {
+            break (text, slow);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "traced request {needle} never reached the slow-query log; last scrape:\n{text}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
     let requests_line = text
         .lines()
         .find(|l| l.starts_with("fj_requests_total"))
@@ -177,11 +196,6 @@ fn main() {
         "scraped {} bytes of exposition; {requests_line}",
         text.len()
     );
-    let needle = format!("trace_id={trace_id:#018x}");
-    let slow = text
-        .lines()
-        .find(|l| l.starts_with("# slowlog") && l.contains(&needle))
-        .expect("traced request in the slow-query log");
     println!("slowlog pins the traced request: {slow}");
 
     // Graceful drain: stop accepting, finish in-flight, reject new batches
