@@ -3,7 +3,7 @@
 //! the engineering claims in DESIGN.md (ablations of design choices).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use factorjoin::{build_group_bins, BinningStrategy};
+use factorjoin::{build_group_bins, BinningStrategy, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{imdb_catalog, stats_catalog, ImdbConfig, StatsConfig};
 use fj_exec::TrueCardEngine;
 use fj_query::parse_query;
@@ -53,6 +53,12 @@ fn binning_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+/// Single-table inference on the Bayesian network (`stats.profile_us_per_alias`
+/// on the STATS workloads): `estimate_filter`, then `profile_into` for the
+/// `posts` keys by request shape — no filter (cached priors), evidence on
+/// one and on two columns, and evidence on the attribute farthest in the
+/// learned tree from the key asked for (both propagation passes over the
+/// longest path the network has).
 fn bayesnet_inference(c: &mut Criterion) {
     let cat = stats_catalog(&StatsConfig {
         scale: 0.1,
@@ -60,13 +66,80 @@ fn bayesnet_inference(c: &mut Criterion) {
     });
     let posts = cat.table("posts").expect("table exists");
     let bn = BayesNetEstimator::build(posts, &TableBins::new(), BnConfig::default());
-    let filter =
-        fj_query::FilterExpr::pred(fj_query::Predicate::cmp("score", fj_query::CmpOp::Ge, 5));
+    let pred = fj_query::FilterExpr::pred;
+    let score = pred(fj_query::Predicate::cmp("score", fj_query::CmpOp::Ge, 5));
     let mut group = c.benchmark_group("bayesnet");
     group.sample_size(20);
     group.bench_function("filter_inference", |b| {
-        b.iter(|| std::hint::black_box(bn.estimate_filter(&filter)))
+        b.iter(|| std::hint::black_box(bn.estimate_filter(&score)))
     });
+
+    // The served shape: keys at the model's 100 bins.
+    let model = FactorJoinModel::train(&cat, FactorJoinConfig::default());
+    let bins = model.table_bins("posts").expect("posts has join keys");
+    let bn = BayesNetEstimator::build(posts, bins, BnConfig::default());
+    // `posts` has no float column, so node i models column i; hops = tree
+    // distance.
+    let columns: Vec<&str> = posts
+        .schema()
+        .columns()
+        .iter()
+        .map(|d| d.name.as_str())
+        .collect();
+    let parent = bn.structure();
+    let ancestors = |mut i: usize| {
+        let mut path = vec![i];
+        while let Some(p) = parent[i] {
+            path.push(p);
+            i = p;
+        }
+        path
+    };
+    let hops = |a: usize, b: usize| {
+        let (pa, pb) = (ancestors(a), ancestors(b));
+        let shared = pa
+            .iter()
+            .rev()
+            .zip(pb.iter().rev())
+            .take_while(|(x, y)| x == y);
+        pa.len() + pb.len() - 2 * shared.count()
+    };
+    let key = columns.iter().position(|&c| c == "id").expect("posts.id");
+    let far = (0..columns.len())
+        .filter(|&i| bins.get(columns[i]).is_none())
+        .max_by_key(|&i| hops(i, key))
+        .expect("posts has attributes");
+    let views = pred(fj_query::Predicate::between("view_count", 100, 900));
+    let cases = [
+        ("unfiltered", fj_query::FilterExpr::True),
+        ("one_column", score.clone()),
+        ("two_columns", fj_query::FilterExpr::and(vec![score, views])),
+        (
+            "far_key",
+            pred(fj_query::Predicate::IsNull {
+                column: columns[far].into(),
+                negated: true,
+            }),
+        ),
+    ];
+    println!(
+        "bayesnet/profile_into: far_key = evidence on {} ({} hops from id)",
+        columns[far],
+        hops(far, key)
+    );
+    let mut profile = TableProfile::default();
+    for (shape, filter) in &cases {
+        group.bench_with_input(
+            BenchmarkId::new("profile_into", shape),
+            filter,
+            |b, filter| {
+                b.iter(|| {
+                    bn.profile_into(filter, &["id", "owner_user_id"], &mut profile);
+                    std::hint::black_box(profile.rows)
+                })
+            },
+        );
+    }
     group.finish();
 }
 

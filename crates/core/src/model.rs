@@ -145,11 +145,23 @@ pub struct FactorJoinModel {
     config: FactorJoinConfig,
     group_of: HashMap<KeyRef, usize>,
     group_bins: Vec<KeyBinMap>,
-    key_stats: HashMap<KeyRef, KeyStats>,
+    /// Offline statistics of every join key; `key_slot` names the slots.
+    key_stats: Vec<KeyStats>,
+    key_slot: HashMap<KeyRef, usize>,
     table_bins: HashMap<String, TableBins>,
     estimators: HashMap<String, Box<dyn BaseTableEstimator>>,
-    schemas: HashMap<String, TableSchema>,
+    tables: HashMap<String, TableMeta>,
     report: TrainingReport,
+}
+
+/// What estimation reads about one table besides its estimator, resolved
+/// once per model so the per-alias path looks nothing up by name.
+#[derive(Debug, Clone)]
+struct TableMeta {
+    schema: TableSchema,
+    /// Per schema column: the slot of its statistics in `key_stats`
+    /// (`None` for a column that is not a declared join key).
+    key_slots: Vec<Option<usize>>,
 }
 
 impl FactorJoinModel {
@@ -199,7 +211,6 @@ impl FactorJoinModel {
                 .collect();
             build_group_bins(&member_freqs, k, config.strategy)
         });
-        let bins_per_group: Vec<usize> = group_bins.iter().map(KeyBinMap::k).collect();
 
         // Wave 2b — per-bin statistics of every key under its group's
         // bins, one task per key.
@@ -225,19 +236,51 @@ impl FactorJoinModel {
             key_stats.insert((*kr).clone(), KeyStats::from_vectors(vectors, freq));
         }
 
-        // Per-table bin sets, then one estimator fit per table (wave 3 —
-        // the dominant cost: Chow-Liu trees and CPTs for BayesNet models).
-        let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
-        let (estimators, schemas) = build_estimators(catalog, &table_bins, &config, &pool);
+        Self::assemble(
+            config, group_of, group_bins, key_stats, catalog, &pool, start,
+        )
+    }
 
+    /// The tail shared by [`Self::train`] and [`Self::from_parts`]: per-table
+    /// bin sets, one estimator fit per table (wave 3 — the dominant cost:
+    /// Chow-Liu trees and CPTs for BayesNet models), and each table's key
+    /// statistics resolved by column.
+    fn assemble(
+        config: FactorJoinConfig,
+        group_of: HashMap<KeyRef, usize>,
+        group_bins: Vec<KeyBinMap>,
+        key_stats: HashMap<KeyRef, KeyStats>,
+        catalog: &Catalog,
+        pool: &WorkerPool,
+        start: Instant,
+    ) -> Self {
+        let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
+        let estimators = build_estimators(catalog, &table_bins, &config, pool);
+        let (keys, key_stats): (Vec<KeyRef>, Vec<KeyStats>) = key_stats.into_iter().unzip();
+        let key_slot: HashMap<KeyRef, usize> = keys.into_iter().zip(0..).collect();
+        let tables = catalog
+            .tables()
+            .map(|t| {
+                let schema = t.schema().clone();
+                let key_slots = schema
+                    .columns()
+                    .iter()
+                    .map(|def| key_slot.get(&KeyRef::new(t.name(), &def.name)).copied())
+                    .collect();
+                (t.name().to_string(), TableMeta { schema, key_slots })
+            })
+            .collect();
+        let num_groups = group_bins.len();
+        let bins_per_group = group_bins.iter().map(KeyBinMap::k).collect();
         let mut model = FactorJoinModel {
             config,
             group_of,
             group_bins,
             key_stats,
+            key_slot,
             table_bins,
             estimators,
-            schemas,
+            tables,
             report: TrainingReport {
                 train_seconds: 0.0,
                 model_bytes: 0,
@@ -273,12 +316,14 @@ impl FactorJoinModel {
 
     /// Per-key offline statistics.
     pub fn key_stats(&self, key: &KeyRef) -> Option<&KeyStats> {
-        self.key_stats.get(key)
+        self.key_slot.get(key).map(|&slot| &self.key_stats[slot])
     }
 
     /// Iterates over all (key, statistics) pairs (used by persistence).
     pub fn iter_key_stats(&self) -> impl Iterator<Item = (&KeyRef, &KeyStats)> {
-        self.key_stats.iter()
+        self.key_slot
+            .iter()
+            .map(|(key, &slot)| (key, &self.key_stats[slot]))
     }
 
     /// Reassembles a model from persisted statistics, rebuilding the
@@ -291,31 +336,16 @@ impl FactorJoinModel {
         key_stats: HashMap<KeyRef, KeyStats>,
         catalog: &Catalog,
     ) -> Self {
-        let start = Instant::now();
         let pool = WorkerPool::new(config.threads);
-        let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
-        let (estimators, schemas) = build_estimators(catalog, &table_bins, &config, &pool);
-        let num_groups = group_bins.len();
-        let bins_per_group = group_bins.iter().map(KeyBinMap::k).collect();
-        let mut model = FactorJoinModel {
+        Self::assemble(
             config,
             group_of,
             group_bins,
             key_stats,
-            table_bins,
-            estimators,
-            schemas,
-            report: TrainingReport {
-                train_seconds: 0.0,
-                model_bytes: 0,
-                num_groups,
-                bins_per_group,
-                threads: pool.threads(),
-            },
-        };
-        model.report.model_bytes = model.model_bytes();
-        model.report.train_seconds = start.elapsed().as_secs_f64();
-        model
+            catalog,
+            &pool,
+            Instant::now(),
+        )
     }
 
     /// The single-table estimator of `table` (for baselines and tests).
@@ -332,7 +362,7 @@ impl FactorJoinModel {
     pub fn model_bytes(&self) -> usize {
         let est: usize = self.estimators.values().map(|e| e.model_bytes()).sum();
         let bins: usize = self.group_bins.iter().map(KeyBinMap::heap_bytes).sum();
-        let stats: usize = self.key_stats.values().map(KeyStats::heap_bytes).sum();
+        let stats: usize = self.key_stats.iter().map(KeyStats::heap_bytes).sum();
         est + bins + stats
     }
 
@@ -356,15 +386,24 @@ impl FactorJoinModel {
         scratch: &mut EstimationScratch,
     ) -> f64 {
         let tref = &query.tables()[alias];
-        let schema = &self.schemas[&tref.table];
+        let meta = &self.tables[&tref.table];
         let est = &self.estimators[&tref.table];
 
-        // Distinct key columns of this alias, with their variables.
+        // Distinct key columns of this alias, with their variables. Their
+        // names sit on the stack: an alias joins on a handful of keys.
         let keys = graph.alias_keys(alias);
-        let name_refs: Vec<&str> = keys
-            .iter()
-            .map(|&(c, _)| schema.column(c).name.as_str())
-            .collect();
+        let name = |&(c, _): &(usize, usize)| meta.schema.column(c).name.as_str();
+        let mut few = [""; 8];
+        let many: Vec<&str>;
+        let names: &[&str] = if keys.len() <= few.len() {
+            for (slot, key) in few.iter_mut().zip(keys) {
+                *slot = name(key);
+            }
+            &few[..keys.len()]
+        } else {
+            many = keys.iter().map(name).collect();
+            &many
+        };
         let EstimationScratch {
             join,
             profile,
@@ -374,7 +413,7 @@ impl FactorJoinModel {
             ..
         } = scratch;
         let reserved = profile.capacity();
-        est.profile_into(query.filter(alias), &name_refs, profile);
+        est.profile_into(query.filter(alias), names, profile);
         if profile.capacity() != reserved {
             *grow_events += 1;
         }
@@ -391,9 +430,8 @@ impl FactorJoinModel {
         let mut prev_var = usize::MAX;
         for &(var, idx) in key_order.iter() {
             let dist: &[f64] = &profile.key_dists[idx];
-            let kr = KeyRef::new(&tref.table, name_refs[idx]);
-            let mfv: &[f64] = match self.key_stats.get(&kr) {
-                Some(s) => &s.bin_mfv,
+            let mfv: &[f64] = match meta.key_slots[keys[idx].0] {
+                Some(slot) => &self.key_stats[slot].bin_mfv,
                 None => {
                     if ones.len() < dist.len() {
                         ones.resize(dist.len(), 1.0);
@@ -561,26 +599,19 @@ impl FactorJoinModel {
     /// One table's worth of [`Self::insert`] without the model-size
     /// refresh (batched by [`Self::apply_insert`]).
     fn insert_inner(&mut self, table: &Table, first_new_row: usize) {
-        let name = table.name().to_string();
+        let name = table.name();
+        let Some(meta) = self.tables.get(name) else {
+            return;
+        };
         // Update key statistics for this table's join keys.
-        let keys: Vec<KeyRef> = self
-            .key_stats
-            .keys()
-            .filter(|kr| kr.table == name)
-            .cloned()
-            .collect();
-        for kr in keys {
-            let ci = table
-                .schema()
-                .index_of(&kr.column)
-                .expect("schema unchanged");
-            let gid = self.group_of[&kr];
+        for (ci, slot) in meta.key_slots.iter().enumerate() {
+            let Some(slot) = *slot else { continue };
+            let gid = self.group_of[&KeyRef::new(name, &meta.schema.column(ci).name)];
             // Adopt new values into the group map so the per-key stats and
             // the estimator bins agree on fallback assignments.
-            let stats = self.key_stats.get_mut(&kr).expect("key exists");
-            stats.insert(table, ci, first_new_row, &mut self.group_bins[gid]);
+            self.key_stats[slot].insert(table, ci, first_new_row, &mut self.group_bins[gid]);
         }
-        if let Some(est) = self.estimators.get_mut(&name) {
+        if let Some(est) = self.estimators.get_mut(name) {
             est.insert(table, first_new_row);
         }
     }
@@ -624,13 +655,14 @@ impl Clone for FactorJoinModel {
             group_of: self.group_of.clone(),
             group_bins: self.group_bins.clone(),
             key_stats: self.key_stats.clone(),
+            key_slot: self.key_slot.clone(),
             table_bins: self.table_bins.clone(),
             estimators: self
                 .estimators
                 .iter()
                 .map(|(name, est)| (name.clone(), est.clone_box()))
                 .collect(),
-            schemas: self.schemas.clone(),
+            tables: self.tables.clone(),
             report: self.report.clone(),
         }
     }
@@ -766,16 +798,12 @@ fn assemble_table_bins(
 /// Fits one single-table estimator per catalog table across the pool —
 /// wave 3 of training, and the dominant cost for learned estimators
 /// (Chow-Liu structure search + CPT counting per table).
-#[allow(clippy::type_complexity)]
 fn build_estimators(
     catalog: &Catalog,
     table_bins: &HashMap<String, TableBins>,
     config: &FactorJoinConfig,
     pool: &WorkerPool,
-) -> (
-    HashMap<String, Box<dyn BaseTableEstimator>>,
-    HashMap<String, TableSchema>,
-) {
+) -> HashMap<String, Box<dyn BaseTableEstimator>> {
     let tables: Vec<&Table> = catalog.tables().collect();
     let built: Vec<(String, Box<dyn BaseTableEstimator>)> = pool.run_indexed(tables.len(), |i| {
         let table = tables[i];
@@ -785,11 +813,7 @@ fn build_estimators(
             build_estimator(&config.estimator, table, bins, config.seed),
         )
     });
-    let schemas = tables
-        .iter()
-        .map(|t| (t.name().to_string(), t.schema().clone()))
-        .collect();
-    (built.into_iter().collect(), schemas)
+    built.into_iter().collect()
 }
 
 #[cfg(test)]

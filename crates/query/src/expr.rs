@@ -91,9 +91,9 @@ impl FilterExpr {
         }
     }
 
-    /// Prepares a single-column clause for evaluation against many values
-    /// of that column (a dictionary, a list of distinct values): `LIKE`
-    /// patterns are compiled here, once, not once per value.
+    /// Prepares a single-column clause for evaluation against many strings
+    /// of that column (a dictionary): `LIKE` patterns are compiled here,
+    /// once, not once per string.
     pub fn value_matcher(&self) -> ValueMatcher<'_> {
         ValueMatcher(match self {
             FilterExpr::True => MatchNode::True,
@@ -214,23 +214,23 @@ enum MatchNode<'a> {
 }
 
 impl ValueMatcher<'_> {
-    /// [`FilterExpr::eval`] with every referenced column reading `v`.
-    pub fn matches(&self, v: &Value) -> bool {
-        self.0.matches(v)
+    /// [`FilterExpr::eval`] with every referenced column reading the
+    /// string `s` (never wrapped in a [`Value`]: the callers scan whole
+    /// dictionaries).
+    pub fn matches_str(&self, s: &str) -> bool {
+        self.0.matches_str(s)
     }
 }
 
 impl MatchNode<'_> {
-    fn matches(&self, v: &Value) -> bool {
+    fn matches_str(&self, s: &str) -> bool {
         match self {
             MatchNode::True => true,
-            MatchNode::Pred(p) => p.eval(v),
-            MatchNode::Like { pattern, negated } => {
-                v.as_str().is_some_and(|s| pattern.matches(s) != *negated)
-            }
-            MatchNode::And(parts) => parts.iter().all(|n| n.matches(v)),
-            MatchNode::Or(parts) => parts.iter().any(|n| n.matches(v)),
-            MatchNode::Not(inner) => !inner.matches(v),
+            MatchNode::Pred(p) => p.eval_str(s),
+            MatchNode::Like { pattern, negated } => pattern.matches(s) != *negated,
+            MatchNode::And(parts) => parts.iter().all(|n| n.matches_str(s)),
+            MatchNode::Or(parts) => parts.iter().any(|n| n.matches_str(s)),
+            MatchNode::Not(inner) => !inner.matches_str(s),
         }
     }
 }
@@ -309,20 +309,13 @@ mod tests {
                 ]),
             ]),
         ];
-        let values = [
-            Value::Str("banana".into()),
-            Value::Str("pear".into()),
-            Value::Str(String::new()),
-            Value::Int(5),
-            Value::Null,
-        ];
         for clause in &clauses {
             let matcher = clause.value_matcher();
-            for v in &values {
+            for s in ["banana", "pear", "", "a"] {
                 assert_eq!(
-                    matcher.matches(v),
-                    clause.eval(&|_| v.clone()),
-                    "{clause} on {v:?}"
+                    matcher.matches_str(s),
+                    clause.eval(&|_| Value::Str(s.into())),
+                    "{clause} on {s:?}"
                 );
             }
         }

@@ -139,6 +139,25 @@ impl Predicate {
         }
     }
 
+    /// [`Self::eval`] on the string `s`, without building a [`Value`] for it
+    /// (dictionary scans test every entry): only string literals compare
+    /// with a string, and a string is never NULL.
+    pub fn eval_str(&self, s: &str) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let cmp = |lit: &Value| lit.as_str().map(|l| s.cmp(l));
+        match self {
+            Predicate::Cmp { op, value, .. } => cmp(value).is_some_and(|ord| op.eval(ord)),
+            Predicate::Between { lo, hi, .. } => {
+                matches!(cmp(lo), Some(Greater | Equal)) && matches!(cmp(hi), Some(Less | Equal))
+            }
+            Predicate::InList { values, .. } => values.iter().any(|v| cmp(v) == Some(Equal)),
+            Predicate::Like {
+                pattern, negated, ..
+            } => crate::like::like_match(pattern, s) != *negated,
+            Predicate::IsNull { negated, .. } => *negated,
+        }
+    }
+
     /// Convenience constructor: `col = value`.
     pub fn eq(column: &str, value: impl Into<Value>) -> Self {
         Predicate::Cmp {
@@ -287,6 +306,37 @@ mod tests {
         };
         assert!(!n.eval(&Value::Null));
         assert!(n.eval(&Value::Int(0)));
+    }
+
+    #[test]
+    fn eval_str_agrees_with_eval_on_a_string_value() {
+        let preds = [
+            Predicate::eq("c", "pear"),
+            Predicate::cmp("c", CmpOp::Lt, "pear"),
+            Predicate::cmp("c", CmpOp::Neq, 5),
+            Predicate::between("c", "apple", "fig"),
+            Predicate::between("c", 1, "fig"),
+            Predicate::in_list("c", vec![Value::Int(1), Value::Str("fig".into())]),
+            Predicate::like("c", "%ea%"),
+            Predicate::Like {
+                column: "c".into(),
+                pattern: "p%".into(),
+                negated: true,
+            },
+            Predicate::IsNull {
+                column: "c".into(),
+                negated: false,
+            },
+            Predicate::IsNull {
+                column: "c".into(),
+                negated: true,
+            },
+        ];
+        for p in &preds {
+            for s in ["apple", "fig", "pear", "peach", ""] {
+                assert_eq!(p.eval_str(s), p.eval(&Value::Str(s.into())), "{p} on {s:?}");
+            }
+        }
     }
 
     #[test]

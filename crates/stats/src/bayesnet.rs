@@ -3,21 +3,48 @@
 //! Build phase (paper §5.1): discretize every modeled column (join keys at
 //! bin granularity, attributes into ≤ `max_codes` codes, NULL as a code),
 //! learn a Chow-Liu tree from pairwise mutual information, and store CPTs
-//! as smoothed counts. Query phase: a filter becomes per-node *evidence
-//! weights* (fraction of each code satisfying the clause) and exact
-//! two-pass belief propagation yields, in one sweep, the evidence
-//! probability (filter selectivity) and every node's conditional marginal
-//! — in particular `P(key bin | filter)`, which is exactly what the factor
-//! graph needs.
+//! as smoothed counts. From the counts the estimator derives — at fit and
+//! again after every `insert` batch — what inference reads besides them:
+//! every CPT in one parent-major slab, each node's evidence-free *prior*
+//! marginal, and that prior scaled to rows.
+//!
+//! Query phase, one path for every request:
+//!
+//! 1. **Evidence.** Each conjunct of the filter that constrains a single
+//!    modeled column multiplies its per-code weights (the fraction of the
+//!    code's rows satisfying it) straight into that node's `λ` buffer;
+//!    conjuncts the network cannot express — cross-column disjunctions,
+//!    unmodeled columns — charge `fallback_selectivity` instead. Conjuncts
+//!    are multiplied one by one, never merged per column first: the same
+//!    weights for every encoding with two exceptions, both for several
+//!    conjuncts on one column — a binned key asked `IS NULL` *and* a value
+//!    comparison now gets weight 0 everywhere (the true answer; merged, the
+//!    NULL test was ignored), and a hashed string column gets the product of
+//!    each pattern's per-bucket match fraction rather than the fraction
+//!    matching all patterns.
+//! 2. **No evidence** (an unfiltered alias): the answer is a pure function
+//!    of the model — copy the cached priors.
+//! 3. **Propagation** runs only over the subtree spanning the evidence
+//!    nodes and the requested keys. Per tree, the lowest common ancestor of
+//!    those nodes is the *top*; nothing above it carries evidence, so its
+//!    cached prior is its exact root distribution and
+//!    `P(evidence) = Σ prior_top · λ_top`. Messages flow up to the top from
+//!    the evidence below it, beliefs flow down from the top to the keys; a
+//!    key in a tree without evidence is its cached prior scaled by the other
+//!    trees' evidence probability. This is the same sum-product as two full
+//!    passes through the root, so results differ from it by rounding only.
+//!
+//! The result is `P(filter)` and `P(key bin, filter)` for every requested
+//! key — exactly what the factor graph needs — and depends on nothing but
+//! the counts and the request: the propagation scratch is fully rewritten
+//! by each call.
 
 use crate::binmap::TableBins;
 use crate::chowliu::chow_liu_tree_threads;
 use crate::discretize::{DiscreteColumn, Discretizer};
-use crate::evidence::split_per_column;
 use crate::traits::{BaseTableEstimator, TableProfile};
 use fj_query::FilterExpr;
 use fj_storage::Table;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Bayesian-network build configuration.
@@ -30,8 +57,9 @@ pub struct BnConfig {
     /// Laplace smoothing added to every count cell.
     pub alpha: f64,
     /// Selectivity factor applied per filter conjunct the network cannot
-    /// express as evidence (cross-column disjunctions). A crude constant,
-    /// mirroring how real systems punt on unsupported predicates.
+    /// express as evidence (cross-column disjunctions) and once per
+    /// filtered column it does not model. A crude constant, mirroring how
+    /// real systems punt on unsupported predicates.
     pub fallback_selectivity: f64,
     /// Worker threads for the pairwise mutual-information sweep of
     /// structure learning (1 = serial; the learned tree is identical for
@@ -53,59 +81,166 @@ impl Default for BnConfig {
     }
 }
 
-/// Dense dot product with four independent accumulators, so the reduction
-/// carries no loop-carried dependency and autovectorizes. Used by the
-/// downward belief-propagation pass, whose rows are `max_codes`-wide.
+/// `out[j] += Σᵢ w[i] · mat[i·n + j]` over the rows `i` with `w[i] > 0`,
+/// `n = out.len()` — the one kernel of both propagation directions (each
+/// reads a layout of its own, so rows are always contiguous). Rows are taken
+/// four at a time: every load and store of `out` then carries four
+/// multiply-adds, and evidence that zeroes most codes skips their rows.
 #[inline]
-fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        acc[0] += x[0] * y[0];
-        acc[1] += x[1] * y[1];
-        acc[2] += x[2] * y[2];
-        acc[3] += x[3] * y[3];
+fn axpy_rows(out: &mut [f64], mat: &[f64], w: &[f64]) {
+    let n = out.len();
+    let row = |i: usize| &mat[i * n..(i + 1) * n];
+    let mut pending = [0usize; 4];
+    let mut filled = 0;
+    for (i, &wi) in w.iter().enumerate() {
+        if wi > 0.0 {
+            pending[filled] = i;
+            filled += 1;
+            if filled == 4 {
+                filled = 0;
+                let [a, b, c, d] = pending;
+                let (wa, wb, wc, wd) = (w[a], w[b], w[c], w[d]);
+                let rows = row(a).iter().zip(row(b)).zip(row(c)).zip(row(d));
+                for (o, (((&xa, &xb), &xc), &xd)) in out.iter_mut().zip(rows) {
+                    *o += (wa * xa + wb * xb) + (wc * xc + wd * xd);
+                }
+            }
+        }
     }
-    let tail: f64 = ca
-        .remainder()
-        .iter()
-        .zip(cb.remainder())
-        .map(|(&x, &y)| x * y)
-        .sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    for &i in &pending[..filled] {
+        for (o, &x) in out.iter_mut().zip(row(i)) {
+            *o += w[i] * x;
+        }
+    }
 }
 
-/// Reusable belief-propagation buffers. Sizes track the network shape, so
-/// after the first query on a table no per-propagation allocation remains.
-#[derive(Debug, Default)]
+/// "No node": the parent of a root, the top of a tree without evidence.
+const NONE: usize = usize::MAX;
+
+/// One node's place in the tree and in the slabs.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Parent node ([`NONE`] for a root) and distance from the root.
+    parent: usize,
+    depth: usize,
+    /// Index of the tree (connected component) the node belongs to.
+    tree: usize,
+    /// Codes of the node and of its parent (0 for a root).
+    k: usize,
+    kp: usize,
+    /// Start of the node's `k` slots in every per-code slab (`prior`,
+    /// `prior_rows`, `lambda`, `belief`).
+    at: usize,
+    /// Start of its `k · kp` cells in the CPT slab, and of the `kp` slots
+    /// of its message to the parent.
+    cpt: usize,
+    msg: usize,
+}
+
+impl Node {
+    fn codes(&self) -> std::ops::Range<usize> {
+        self.at..self.at + self.k
+    }
+
+    fn cells(&self) -> std::ops::Range<usize> {
+        self.cpt..self.cpt + self.k * self.kp
+    }
+
+    fn message(&self) -> std::ops::Range<usize> {
+        self.msg..self.msg + self.kp
+    }
+}
+
+/// Belief-propagation buffers, sized once from the network shape and fully
+/// rewritten by every request (so results never depend on what ran before).
+#[derive(Debug)]
 struct PropScratch {
-    /// Upward messages `λ` per node (filled only where evidence exists).
-    lambda: Vec<Vec<f64>>,
-    /// Message to parent per node (filled only where evidence exists).
-    msg: Vec<Vec<f64>>,
-    /// Beliefs per node (filled only for requested targets + ancestors).
-    belief: Vec<Vec<f64>>,
-    /// π of the parent with the child's message divided out.
+    /// Per node: evidence weights times the messages of its children.
+    lambda: Vec<f64>,
+    /// Per node: `P(node = c, evidence of its tree)`, filled for the
+    /// requested keys and the nodes between them and the top.
+    belief: Vec<f64>,
+    /// Per non-root node: its message to the parent.
+    msg: Vec<f64>,
+    /// The parent's belief with one child's message divided out.
     pi_ex: Vec<f64>,
-    /// Whether node i's subtree carries evidence.
-    has_ev: Vec<bool>,
-    /// Whether node i's belief is needed (target or ancestor of one).
-    need_belief: Vec<bool>,
-    /// Connected-component id per node.
-    comp_of: Vec<usize>,
-    /// Evidence probability per component.
-    comp_p: Vec<f64>,
+    /// Whether node i's `lambda` is in use: it or its subtree (below the
+    /// top) carries evidence.
+    live: Vec<bool>,
+    /// Whether node i's belief is needed: a requested key or on the path
+    /// from the top down to one.
+    need: Vec<bool>,
+    /// The node of each requested key column ([`NONE`]: not modeled).
+    keys: Vec<usize>,
+    /// Per tree: lowest common ancestor of its evidence nodes and requested
+    /// keys — [`NONE`] while the tree carries no evidence.
+    top: Vec<usize>,
+    /// Per tree with evidence: the probability of that evidence.
+    tree_p: Vec<f64>,
+}
+
+impl PropScratch {
+    fn new(nodes: &[Node], trees: usize) -> Self {
+        let codes = nodes.iter().map(|n| n.k).sum();
+        PropScratch {
+            lambda: vec![0.0; codes],
+            belief: vec![0.0; codes],
+            msg: vec![0.0; nodes.iter().map(|n| n.kp).sum()],
+            pi_ex: vec![0.0; nodes.iter().map(|n| n.kp).max().unwrap_or(0)],
+            live: vec![false; nodes.len()],
+            need: vec![false; nodes.len()],
+            keys: Vec::with_capacity(8),
+            top: vec![NONE; trees],
+            tree_p: vec![0.0; trees],
+        }
+    }
+}
+
+/// The columns a clause constrains: none, exactly one, or several.
+enum Columns<'a> {
+    None,
+    One(&'a str),
+    Many,
+}
+
+impl<'a> Columns<'a> {
+    fn of(expr: &'a FilterExpr) -> Self {
+        Self::extend(Columns::None, expr)
+    }
+
+    fn extend(self, expr: &'a FilterExpr) -> Self {
+        match expr {
+            FilterExpr::True => self,
+            FilterExpr::Pred(p) => match self {
+                Columns::None => Columns::One(p.column()),
+                Columns::One(c) if c == p.column() => self,
+                _ => Columns::Many,
+            },
+            FilterExpr::And(parts) | FilterExpr::Or(parts) => {
+                parts.iter().fold(self, Columns::extend)
+            }
+            FilterExpr::Not(inner) => self.extend(inner),
+        }
+    }
+}
+
+/// Calls `visit` on the conjuncts of `filter` in order — nested `AND`s
+/// flattened, `TRUE` skipped — until it returns `false`.
+fn each_conjunct<'a>(
+    filter: &'a FilterExpr,
+    visit: &mut impl FnMut(&'a FilterExpr) -> bool,
+) -> bool {
+    match filter {
+        FilterExpr::True => true,
+        FilterExpr::And(parts) => parts.iter().all(|part| each_conjunct(part, visit)),
+        clause => visit(clause),
+    }
 }
 
 /// A Bayesian-network estimator bound to one table.
 pub struct BayesNetEstimator {
     cols: Vec<DiscreteColumn>,
-    col_index: HashMap<String, usize>,
     parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
     /// Marginal counts per node (unsmoothed).
     marginal: Vec<Vec<f64>>,
     /// For non-root node i: joint counts `[code_i * k_parent + code_parent]`.
@@ -113,16 +248,26 @@ pub struct BayesNetEstimator {
     /// For non-root node i: per-parent-code column sums of `joint[i]`
     /// (cached CPT normalizers — recomputing them per cell is O(k³)).
     joint_parent_total: Vec<Option<Vec<f64>>>,
-    /// For non-root node i: the smoothed CPT `P(c | p)` flattened as
-    /// `[c * k_parent + p]` — precomputed at build/insert time so belief
-    /// propagation multiplies instead of re-deriving each cell.
-    cpt_flat: Vec<Vec<f64>>,
-    /// For root node i: the smoothed marginal `P(c)`.
-    root_dist: Vec<Vec<f64>>,
-    /// Topological order, parents before children.
-    topo: Vec<usize>,
     nrows: f64,
     cfg: BnConfig,
+    /// Tree shape and slab layout, fixed at fit.
+    nodes: Vec<Node>,
+    /// Topological order, parents before children.
+    topo: Vec<usize>,
+    trees: usize,
+    // Derived from the counts by `recompute_derived` (fit, every insert
+    // batch); like the scratch, not part of `model_bytes`.
+    /// Smoothed `P(c | p)` of every non-root node, parent-major
+    /// `[p · k + c]`: the downward pass adds row `p` times `π(p)` into the
+    /// node's belief. (The upward pass wants child-major rows and reads
+    /// the `joint` counts themselves, smoothing each message as a whole.)
+    cpt: Vec<f64>,
+    /// Evidence-free marginal `P(c)` of every node (a root's is its
+    /// smoothed marginal, a child's follows from its parent's by the
+    /// downward recurrence).
+    prior: Vec<f64>,
+    /// `prior × nrows`: what an unfiltered alias copies out.
+    prior_rows: Vec<f64>,
     /// Propagation buffers, reused across queries. Concurrent queries on
     /// the same table fall back to fresh local buffers (`try_lock`), so
     /// the estimator stays `Sync` without serializing readers.
@@ -130,24 +275,23 @@ pub struct BayesNetEstimator {
 }
 
 impl Clone for BayesNetEstimator {
-    /// Deep copy of the trained network. The propagation scratch is
-    /// per-instance transient state (buffers sized lazily on first query),
-    /// so the clone starts with a fresh empty one.
+    /// Deep copy of the trained network with propagation buffers of its own.
     fn clone(&self) -> Self {
         BayesNetEstimator {
             cols: self.cols.clone(),
-            col_index: self.col_index.clone(),
             parent: self.parent.clone(),
-            children: self.children.clone(),
             marginal: self.marginal.clone(),
             joint: self.joint.clone(),
             joint_parent_total: self.joint_parent_total.clone(),
-            cpt_flat: self.cpt_flat.clone(),
-            root_dist: self.root_dist.clone(),
-            topo: self.topo.clone(),
             nrows: self.nrows,
             cfg: self.cfg,
-            scratch: Mutex::new(PropScratch::default()),
+            nodes: self.nodes.clone(),
+            topo: self.topo.clone(),
+            trees: self.trees,
+            cpt: self.cpt.clone(),
+            prior: self.prior.clone(),
+            prior_rows: self.prior_rows.clone(),
+            scratch: Mutex::new(PropScratch::new(&self.nodes, self.trees)),
         }
     }
 }
@@ -166,7 +310,6 @@ impl BayesNetEstimator {
                 src_cols.push(ci);
             }
         }
-        let m = cols.len();
         let n = table.nrows();
 
         // Encode all rows, column-major.
@@ -187,6 +330,20 @@ impl BayesNetEstimator {
             .collect();
         let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
         let parent = chow_liu_tree_threads(&sampled, &domains, cfg.threads);
+        Self::from_codes(cols, parent, &codes, cfg)
+    }
+
+    /// Fits the forest `parent` over `cols` to the encoded rows `codes`
+    /// (column-major, one vector per column).
+    fn from_codes(
+        cols: Vec<DiscreteColumn>,
+        parent: Vec<Option<usize>>,
+        codes: &[Vec<u32>],
+        cfg: BnConfig,
+    ) -> Self {
+        let m = cols.len();
+        let n = codes.first().map_or(0, Vec::len);
+        let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
 
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); m];
         for (i, p) in parent.iter().enumerate() {
@@ -201,6 +358,39 @@ impl BayesNetEstimator {
         while let Some(v) = queue.pop_front() {
             topo.push(v);
             queue.extend(children[v].iter().copied());
+        }
+
+        // Slab layout in node order; depth and tree follow the parent's.
+        let mut nodes: Vec<Node> = Vec::with_capacity(m);
+        let (mut at, mut cpt, mut msg) = (0, 0, 0);
+        for (i, &k) in domains.iter().enumerate() {
+            let kp = parent[i].map_or(0, |p| domains[p]);
+            nodes.push(Node {
+                parent: parent[i].unwrap_or(NONE),
+                depth: 0,
+                tree: 0,
+                k,
+                kp,
+                at,
+                cpt,
+                msg,
+            });
+            at += k;
+            cpt += k * kp;
+            msg += kp;
+        }
+        let mut trees = 0;
+        for &i in &topo {
+            match parent[i] {
+                None => {
+                    nodes[i].tree = trees;
+                    trees += 1;
+                }
+                Some(p) => {
+                    nodes[i].tree = nodes[p].tree;
+                    nodes[i].depth = nodes[p].depth + 1;
+                }
+            }
         }
 
         // Count marginals and child-parent joints over all rows.
@@ -220,28 +410,25 @@ impl BayesNetEstimator {
             }
         }
 
-        let col_index = cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
+        let scratch = Mutex::new(PropScratch::new(&nodes, trees));
         let mut bn = BayesNetEstimator {
             cols,
-            col_index,
             parent,
-            children,
             marginal,
             joint,
             joint_parent_total: Vec::new(),
-            cpt_flat: Vec::new(),
-            root_dist: Vec::new(),
-            topo,
             nrows: n as f64,
             cfg,
-            scratch: Mutex::new(PropScratch::default()),
+            nodes,
+            topo,
+            trees,
+            cpt: Vec::new(),
+            prior: Vec::new(),
+            prior_rows: Vec::new(),
+            scratch,
         };
         bn.recompute_parent_totals();
-        bn.recompute_cpts();
+        bn.recompute_derived();
         bn
     }
 
@@ -266,28 +453,39 @@ impl BayesNetEstimator {
             .collect();
     }
 
-    /// Refreshes the precomputed smoothed CPTs / root marginals from the
-    /// current counts (after build and after each `insert` batch).
-    fn recompute_cpts(&mut self) {
-        let m = self.cols.len();
-        self.cpt_flat = (0..m)
-            .map(|i| match self.parent[i] {
-                None => Vec::new(),
-                Some(_) => {
-                    let kp = self.k(self.parent[i].expect("non-root"));
-                    let kc = self.k(i);
-                    (0..kc * kp)
-                        .map(|idx| self.cpt(i, idx / kp, idx % kp))
-                        .collect()
+    /// Refreshes everything inference reads from the current counts (after
+    /// build and after each `insert` batch): the CPT slab, and every node's
+    /// prior by the recurrence the downward pass uses —
+    /// `prior_child = Σ_p prior_parent(p) · P(· | p)`, parents first.
+    fn recompute_derived(&mut self) {
+        let codes = self.nodes.iter().map(|n| n.k).sum();
+        let cells = self.nodes.iter().map(|n| n.k * n.kp).sum();
+        let mut cpt = std::mem::take(&mut self.cpt);
+        let mut prior = std::mem::take(&mut self.prior);
+        cpt.resize(cells, 0.0);
+        prior.clear();
+        prior.resize(codes, 0.0);
+        for &i in &self.topo {
+            let node = self.nodes[i];
+            if node.parent == NONE {
+                for (c, slot) in prior[node.codes()].iter_mut().enumerate() {
+                    *slot = self.root_prob(i, c);
                 }
-            })
-            .collect();
-        self.root_dist = (0..m)
-            .map(|i| match self.parent[i] {
-                Some(_) => Vec::new(),
-                None => (0..self.k(i)).map(|c| self.root_prob(i, c)).collect(),
-            })
-            .collect();
+                continue;
+            }
+            let cpt = &mut cpt[node.cells()];
+            for p in 0..node.kp {
+                for c in 0..node.k {
+                    cpt[p * node.k + c] = self.cpt_cell(i, c, p);
+                }
+            }
+            let of_parent = prior[self.nodes[node.parent].codes()].to_vec();
+            axpy_rows(&mut prior[node.codes()], cpt, &of_parent);
+        }
+        self.prior_rows.clear();
+        self.prior_rows.extend(prior.iter().map(|p| p * self.nrows));
+        self.cpt = cpt;
+        self.prior = prior;
     }
 
     /// Number of network nodes.
@@ -305,7 +503,7 @@ impl BayesNetEstimator {
     }
 
     /// Smoothed CPT entry `P(node_i = c | parent = p)`.
-    fn cpt(&self, i: usize, c: usize, p: usize) -> f64 {
+    fn cpt_cell(&self, i: usize, c: usize, p: usize) -> f64 {
         let kp = self.k(self.parent[i].expect("cpt only for non-roots"));
         let kc = self.k(i);
         let j = self.joint[i].as_ref().expect("non-root has joint counts");
@@ -320,254 +518,234 @@ impl BayesNetEstimator {
         (self.marginal[i][c] + self.cfg.alpha) / (self.nrows + self.cfg.alpha * self.k(i) as f64)
     }
 
-    /// Converts a filter into per-node evidence weights plus a fallback
-    /// multiplier for non-decomposable / unmodeled parts.
-    fn evidence(&self, filter: &FilterExpr) -> (Vec<Option<Vec<f64>>>, f64) {
-        let mut ev: Vec<Option<Vec<f64>>> = vec![None; self.cols.len()];
-        let mut fallback = 1.0;
-        match split_per_column(filter) {
-            Some(clauses) => {
-                for (col, clause) in clauses {
-                    match self.col_index.get(&col) {
-                        Some(&i) => {
-                            let w = self.cols[i].clause_weights(&clause);
-                            ev[i] = Some(match ev[i].take() {
-                                None => w,
-                                Some(old) => old.iter().zip(&w).map(|(a, b)| a * b).collect(),
-                            });
-                        }
-                        None => fallback *= self.cfg.fallback_selectivity,
-                    }
-                }
-            }
-            None => {
-                // Decompose what we can from the top-level conjunction and
-                // charge the constant for the rest.
-                if let FilterExpr::And(parts) = filter {
-                    for part in parts {
-                        let (sub_ev, sub_fb) = self.evidence(part);
-                        if sub_fb == 1.0 && split_per_column(part).is_some() {
-                            for (slot, w) in ev.iter_mut().zip(sub_ev) {
-                                if let Some(w) = w {
-                                    *slot = Some(match slot.take() {
-                                        None => w,
-                                        Some(old) => {
-                                            old.iter().zip(&w).map(|(a, b)| a * b).collect()
-                                        }
-                                    });
-                                }
-                            }
-                        } else {
-                            fallback *= self.cfg.fallback_selectivity;
-                        }
-                    }
-                } else {
-                    fallback *= self.cfg.fallback_selectivity;
-                }
+    /// The node modeling column `name` (a scan: a table has few columns).
+    fn node_of(&self, name: &str) -> Option<usize> {
+        self.cols.iter().position(|c| c.name == name)
+    }
+
+    /// Lowest common ancestor of two nodes of one tree.
+    fn lca(&self, mut a: usize, mut b: usize) -> usize {
+        while a != b {
+            if self.nodes[a].depth >= self.nodes[b].depth {
+                a = self.nodes[a].parent;
+            } else {
+                b = self.nodes[b].parent;
             }
         }
-        (ev, fallback)
+        a
     }
 
     /// Runs `f` with the shared propagation scratch, falling back to fresh
     /// local buffers when another thread holds it (keeps `profile` lock-free
     /// for concurrent readers of one table model).
-    fn with_scratch<R>(&self, f: impl FnOnce(&Self, &mut PropScratch) -> R) -> R {
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut PropScratch) -> R) -> R {
         match self.scratch.try_lock() {
-            Ok(mut guard) => f(self, &mut guard),
-            Err(_) => f(self, &mut PropScratch::default()),
+            Ok(mut guard) => f(&mut guard),
+            Err(_) => f(&mut PropScratch::new(&self.nodes, self.trees)),
         }
     }
 
-    /// Two-pass belief propagation with evidence-subtree pruning and a
-    /// targeted downward pass.
-    ///
-    /// Writes `belief[t][c] = P(node_t = c, evidence)` into `scratch` for
-    /// every `t ∈ targets` and returns the evidence probability. Work is
-    /// proportional to the evidence-carrying subtrees (upward) and the
-    /// root→target paths (downward): a subtree without evidence sends the
-    /// exactly-unit message (the CPT is normalized), so its O(k²) message
-    /// computation is skipped entirely, and beliefs of nodes nobody asked
-    /// about are never formed. Buffers live in `scratch`, so a warm call
-    /// allocates nothing.
-    fn propagate_targets(
-        &self,
-        ev: &[Option<Vec<f64>>],
-        targets: &[usize],
-        scratch: &mut PropScratch,
-    ) -> f64 {
-        let m = self.cols.len();
-        let s = scratch;
-        s.lambda.resize_with(m, Vec::new);
-        s.msg.resize_with(m, Vec::new);
-        s.belief.resize_with(m, Vec::new);
-        s.has_ev.clear();
-        s.has_ev.resize(m, false);
-        s.need_belief.clear();
-        s.need_belief.resize(m, false);
-        s.comp_of.clear();
-        s.comp_of.resize(m, 0);
-        s.comp_p.clear();
-
-        // Which subtrees carry evidence (children precede parents in
-        // reverse topological order).
-        for &i in self.topo.iter().rev() {
-            let mut h = ev[i].is_some();
-            for &ch in &self.children[i] {
-                h |= s.has_ev[ch];
-            }
-            s.has_ev[i] = h;
+    /// Node `i`'s evidence weights, set to all-ones (and the node counted
+    /// into its tree's top) on first use within a request.
+    fn evidence_slot<'s>(&self, s: &'s mut PropScratch, i: usize) -> &'s mut [f64] {
+        let node = self.nodes[i];
+        let slot = &mut s.lambda[node.codes()];
+        if !s.live[i] {
+            s.live[i] = true;
+            slot.fill(1.0);
+            let top = &mut s.top[node.tree];
+            *top = if *top == NONE { i } else { self.lca(*top, i) };
         }
-        // Whose beliefs we need: targets and all their ancestors.
-        for &t in targets {
-            let mut i = t;
-            loop {
-                if s.need_belief[i] {
-                    break;
-                }
-                s.need_belief[i] = true;
-                match self.parent[i] {
-                    Some(p) => i = p,
-                    None => break,
-                }
+        slot
+    }
+
+    /// Clears `s` and multiplies the evidence of `filter` into it, conjunct
+    /// by conjunct. Returns the fallback multiplier for what the network
+    /// cannot express.
+    fn compile_evidence(&self, filter: &FilterExpr, s: &mut PropScratch) -> f64 {
+        s.live.fill(false);
+        s.top.fill(NONE);
+        let mut fallback = 1.0;
+        each_conjunct(filter, &mut |clause| {
+            match Columns::of(clause) {
+                Columns::None => {}
+                Columns::One(col) => match self.node_of(col) {
+                    Some(i) => self.cols[i].apply_clause(clause, self.evidence_slot(s, i)),
+                    None => {
+                        // One charge per unmodeled column, however many
+                        // conjuncts name it: skip when an earlier one did.
+                        let mut first = true;
+                        each_conjunct(filter, &mut |earlier| {
+                            if std::ptr::eq(earlier, clause) {
+                                return false;
+                            }
+                            first = !matches!(Columns::of(earlier), Columns::One(c) if c == col);
+                            first
+                        });
+                        if first {
+                            fallback *= self.cfg.fallback_selectivity;
+                        }
+                    }
+                },
+                Columns::Many => fallback *= self.cfg.fallback_selectivity,
+            }
+            true
+        });
+        fallback
+    }
+
+    /// Sum-product over the subtree spanning the compiled evidence and the
+    /// requested keys `s.keys`. Returns `P(evidence)`; for every requested
+    /// key in a tree with evidence, leaves `P(key = c, that tree's
+    /// evidence)` in `s.belief` and the tree's evidence probability in
+    /// `s.tree_p`.
+    fn propagate(&self, s: &mut PropScratch) -> f64 {
+        if s.top.iter().all(|&top| top == NONE) {
+            return 1.0;
+        }
+        // Tops: a requested key lifts the top of its tree to their common
+        // ancestor; a tree without evidence needs no propagation at all.
+        for &t in s.keys.iter().filter(|&&t| t != NONE) {
+            let top = &mut s.top[self.nodes[t].tree];
+            if *top != NONE {
+                *top = self.lca(*top, t);
             }
         }
 
-        // Upward: λ_i(c) = w_i(c) · Π_{child} msg_child(c);
-        // msg_i(p) = Σ_c P(c|p) λ_i(c). Evidence-free subtrees send the
-        // unit message and are skipped.
+        // Upward, children before parents: every live node below its top
+        // sends msg(p) = Σ_c P(c | p) · λ(c) into its parent's λ. Subtrees
+        // without evidence would send exactly 1 and stay silent. With
+        // P(c | p) = (count(c, p) + α) / (total(p) + α·k), the sum runs over
+        // the child-major counts and is smoothed once per parent code.
         for &i in self.topo.iter().rev() {
-            if !s.has_ev[i] {
+            let node = self.nodes[i];
+            if !s.live[i] || s.top[node.tree] == i {
                 continue;
             }
-            let k = self.k(i);
-            {
-                let lambda_i = &mut s.lambda[i];
-                lambda_i.clear();
-                match ev[i].as_ref() {
-                    Some(w) => lambda_i.extend_from_slice(w),
-                    None => lambda_i.resize(k, 1.0),
-                }
+            let counts = self.joint[i].as_ref().expect("non-root has joint counts");
+            let totals = self.joint_parent_total[i]
+                .as_ref()
+                .expect("cached totals for non-roots");
+            let lambda = &s.lambda[node.codes()];
+            let msg = &mut s.msg[node.message()];
+            msg.fill(0.0);
+            axpy_rows(msg, counts, lambda);
+            let smoothing = self.cfg.alpha * lambda.iter().sum::<f64>();
+            let pad = self.cfg.alpha * node.k as f64;
+            for (m, &total) in msg.iter_mut().zip(totals) {
+                *m = (*m + smoothing) / (total + pad);
             }
-            for &ch in &self.children[i] {
-                if !s.has_ev[ch] {
-                    continue;
+            let into = &mut s.lambda[self.nodes[node.parent].codes()];
+            if s.live[node.parent] {
+                for (l, &m) in into.iter_mut().zip(&s.msg[node.message()]) {
+                    *l *= m;
                 }
-                // `lambda` and `msg` are disjoint buffers.
-                let msg = std::mem::take(&mut s.msg[ch]);
-                for (l, &mv) in s.lambda[i].iter_mut().zip(&msg) {
-                    *l *= mv;
-                }
-                s.msg[ch] = msg;
-            }
-            if let Some(p) = self.parent[i] {
-                let kp = self.k(p);
-                let cpt = &self.cpt_flat[i];
-                let msg = &mut s.msg[i];
-                msg.clear();
-                msg.resize(kp, 0.0);
-                for (c, &l) in s.lambda[i].iter().enumerate() {
-                    if l <= 0.0 {
-                        continue;
-                    }
-                    let row = &cpt[c * kp..(c + 1) * kp];
-                    for (slot, &p_cp) in msg.iter_mut().zip(row) {
-                        *slot += p_cp * l;
-                    }
-                }
+            } else {
+                s.live[node.parent] = true;
+                into.copy_from_slice(&s.msg[node.message()]);
             }
         }
 
-        // Per-component evidence probability (forest ⇒ product); a
-        // component without evidence contributes exactly 1.
-        for &i in &self.topo {
-            match self.parent[i] {
-                None => {
-                    let p = if s.has_ev[i] {
-                        self.root_dist[i]
-                            .iter()
-                            .zip(&s.lambda[i])
-                            .map(|(&r, &l)| r * l)
-                            .sum()
-                    } else {
-                        1.0
-                    };
-                    s.comp_of[i] = s.comp_p.len();
-                    s.comp_p.push(p);
-                }
-                Some(p) => s.comp_of[i] = s.comp_of[p],
+        // Nothing above a top carries evidence, so its prior is its exact
+        // root distribution: P(tree's evidence) = Σ prior_top · λ_top.
+        let mut p_evidence = 1.0;
+        for tree in 0..self.trees {
+            if s.top[tree] != NONE {
+                let codes = self.nodes[s.top[tree]].codes();
+                let prior = &self.prior[codes.clone()];
+                let p: f64 = prior
+                    .iter()
+                    .zip(&s.lambda[codes])
+                    .map(|(&p, &l)| p * l)
+                    .sum();
+                s.tree_p[tree] = p;
+                p_evidence *= p;
             }
         }
-        let p_evidence: f64 = s.comp_p.iter().product();
 
-        // Downward, only along root→target paths: belief_i(c) = π_i(c) ·
-        // λ_i(c), where for the root π = prior and for children π comes
-        // from the parent's belief with this child's message divided out.
+        // Downward, only from each top to the requested keys below it:
+        // belief(c) = λ(c) · Σ_p π(p) · P(c | p), where π is the parent's
+        // belief with this node's own message divided out.
+        s.need.fill(false);
+        for &t in s.keys.iter().filter(|&&t| t != NONE) {
+            let (mut i, top) = (t, s.top[self.nodes[t].tree]);
+            while top != NONE && !s.need[i] {
+                s.need[i] = true;
+                if i != top {
+                    i = self.nodes[i].parent;
+                }
+            }
+        }
         for &i in &self.topo {
-            if !s.need_belief[i] {
+            if !s.need[i] {
                 continue;
             }
-            let k = self.k(i);
-            match self.parent[i] {
-                None => {
-                    let belief_i = &mut s.belief[i];
-                    belief_i.clear();
-                    belief_i.extend_from_slice(&self.root_dist[i]);
-                    if s.has_ev[i] {
-                        for (b, &l) in belief_i.iter_mut().zip(&s.lambda[i]) {
-                            *b *= l;
-                        }
-                    }
+            let node = self.nodes[i];
+            if s.top[node.tree] == i {
+                let belief = s.belief[node.codes()].iter_mut();
+                let prior = &self.prior[node.codes()];
+                for ((b, &p), &l) in belief.zip(prior).zip(&s.lambda[node.codes()]) {
+                    *b = p * l;
                 }
-                Some(p) => {
-                    let kp = self.k(p);
-                    // π_parent excluding child i (unit message ⇒ π = belief).
-                    s.pi_ex.clear();
-                    if s.has_ev[i] {
-                        for (pc, &b) in s.belief[p].iter().enumerate() {
-                            let mv = s.msg[i][pc];
-                            s.pi_ex.push(if mv > 0.0 { b / mv } else { 0.0 });
-                        }
-                    } else {
-                        s.pi_ex.extend_from_slice(&s.belief[p]);
-                    }
-                    let cpt = &self.cpt_flat[i];
-                    let belief_i = &mut s.belief[i];
-                    belief_i.clear();
-                    belief_i.resize(k, 0.0);
-                    // Branch-free per-code dot product: a zero π entry
-                    // contributes an exact 0.0, so the former `pe > 0.0`
-                    // test only blocked vectorization.
-                    for (c, slot) in belief_i.iter_mut().enumerate() {
-                        *slot = dot_chunked(&s.pi_ex, &cpt[c * kp..(c + 1) * kp]);
-                    }
-                    if s.has_ev[i] {
-                        for (b, &l) in s.belief[i].iter_mut().zip(&s.lambda[i]) {
-                            *b *= l;
-                        }
-                    }
+                continue;
+            }
+            let pi = &mut s.pi_ex[..node.kp];
+            pi.copy_from_slice(&s.belief[self.nodes[node.parent].codes()]);
+            if s.live[i] {
+                // Where the message is 0 the parent's belief is 0 too, and
+                // so is that parent code's share of this node's belief.
+                for (x, &m) in pi.iter_mut().zip(&s.msg[node.message()]) {
+                    *x = if m > 0.0 { *x / m } else { 0.0 };
                 }
             }
-        }
-        // Scale each computed belief by the other components' evidence
-        // probability so belief sums equal the global p_evidence. Iterate
-        // the need_belief marks (not `targets`) so a duplicated target is
-        // scaled exactly once.
-        if s.comp_p.len() > 1 {
-            for i in 0..m {
-                if !s.need_belief[i] {
-                    continue;
-                }
-                let own = s.comp_p[s.comp_of[i]];
-                let others = if own > 0.0 { p_evidence / own } else { 0.0 };
-                if others != 1.0 {
-                    for b in &mut s.belief[i] {
-                        *b *= others;
-                    }
+            let belief = &mut s.belief[node.codes()];
+            belief.fill(0.0);
+            axpy_rows(belief, &self.cpt[node.cells()], &s.pi_ex[..node.kp]);
+            if s.live[i] {
+                for (b, &l) in belief.iter_mut().zip(&s.lambda[node.codes()]) {
+                    *b *= l;
                 }
             }
         }
         p_evidence
+    }
+
+    /// Propagates the evidence compiled into `s` and writes the profile:
+    /// `rows = P(evidence) · fallback · nrows`, and per requested key the
+    /// same mass split over its bins (NULL code dropped); a key the network
+    /// does not model gets one bin holding `rows`.
+    fn infer_into(
+        &self,
+        s: &mut PropScratch,
+        fallback: f64,
+        key_cols: &[&str],
+        out: &mut TableProfile,
+    ) {
+        s.keys.clear();
+        let node_of = |key: &&str| self.node_of(key).unwrap_or(NONE);
+        s.keys.extend(key_cols.iter().map(node_of));
+        let p_evidence = self.propagate(s);
+        out.reset(key_cols.len());
+        out.rows = p_evidence * fallback * self.nrows;
+        for (dist, &t) in out.key_dists.iter_mut().zip(&s.keys) {
+            if t == NONE {
+                dist.push(out.rows);
+                continue;
+            }
+            let node = self.nodes[t];
+            let bins = node.at..node.at + node.k - 1;
+            if s.top[node.tree] == NONE {
+                // No evidence in the key's tree (an unfiltered alias: in
+                // no tree, and the scale is exactly 1).
+                let scale = p_evidence * fallback;
+                dist.extend(self.prior_rows[bins].iter().map(|&r| r * scale));
+            } else {
+                let own = s.tree_p[node.tree];
+                let others = if own > 0.0 { p_evidence / own } else { 0.0 };
+                let scale = others * fallback * self.nrows;
+                dist.extend(s.belief[bins].iter().map(|&b| b * scale));
+            }
+        }
     }
 }
 
@@ -576,74 +754,17 @@ impl BaseTableEstimator for BayesNetEstimator {
         "bayesnet"
     }
 
-    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
-        let (ev, fallback) = self.evidence(filter);
-        let p = self.with_scratch(|bn, scratch| bn.propagate_targets(&ev, &[], scratch));
-        p * fallback * self.nrows
-    }
-
-    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, &[key_col], &mut out);
-        out.key_dists.pop().expect("one key requested")
-    }
-
     fn key_bins(&self, key_col: &str) -> usize {
-        match self.col_index.get(key_col) {
-            Some(&i) => self.k(i) - 1, // exclude the NULL code
+        match self.node_of(key_col) {
+            Some(i) => self.k(i) - 1, // exclude the NULL code
             None => 1,
         }
     }
 
-    fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, key_cols, &mut out);
-        out
-    }
-
     fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
-        let (ev, fallback) = self.evidence(filter);
-        // Belief targets: the requested keys the network models (≤ a few
-        // per alias — a stack array avoids allocating per profile; the
-        // spill path covers pathological key counts).
-        let mut targets_buf = [0usize; 16];
-        let mut spill: Vec<usize> = Vec::new();
-        let mut nt = 0usize;
-        for kc in key_cols {
-            if let Some(&i) = self.col_index.get(*kc) {
-                if nt < targets_buf.len() {
-                    targets_buf[nt] = i;
-                    nt += 1;
-                } else {
-                    if spill.is_empty() {
-                        spill.extend_from_slice(&targets_buf);
-                    }
-                    spill.push(i);
-                }
-            }
-        }
-        let targets: &[usize] = if spill.is_empty() {
-            &targets_buf[..nt]
-        } else {
-            &spill
-        };
-        out.reset(key_cols.len());
-        self.with_scratch(|bn, scratch| {
-            let p = bn.propagate_targets(&ev, targets, scratch);
-            out.rows = p * fallback * bn.nrows;
-            for (d, kc) in out.key_dists.iter_mut().zip(key_cols) {
-                match bn.col_index.get(*kc) {
-                    Some(&i) => {
-                        let nk = bn.k(i) - 1; // drop NULL code
-                        d.extend(
-                            scratch.belief[i][..nk]
-                                .iter()
-                                .map(|&b| b * fallback * bn.nrows),
-                        );
-                    }
-                    None => d.push(out.rows),
-                }
-            }
+        self.with_scratch(|s| {
+            let fallback = self.compile_evidence(filter, s);
+            self.infer_into(s, fallback, key_cols, out);
         });
     }
 
@@ -700,9 +821,9 @@ impl BaseTableEstimator for BayesNetEstimator {
             }
         }
         self.nrows += (n - first_new_row) as f64;
-        // Counts changed → refresh the precomputed CPTs / root marginals
-        // once per batch (they are derived state).
-        self.recompute_cpts();
+        // Counts changed → refresh the CPT slabs and cached priors once per
+        // batch (they are derived state).
+        self.recompute_derived();
     }
 
     fn model_bytes(&self) -> usize {
@@ -723,8 +844,10 @@ mod tests {
     use crate::binmap::KeyBinMap;
     use fj_query::{CmpOp, Predicate};
     use fj_storage::{ColumnDef, DataType, TableSchema, Value};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng as _, SeedableRng};
+    use std::collections::HashMap;
 
     /// Table with a strong key↔attribute correlation: attr = key % 4.
     fn correlated_table(n: usize) -> Table {
@@ -764,7 +887,7 @@ mod tests {
         let bn = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
         let est = bn.estimate_filter(&FilterExpr::True);
         assert!((est - 4000.0).abs() < 1.0, "est {est}");
-        let d = bn.key_distribution("id", &FilterExpr::True);
+        let d = bn.profile(&FilterExpr::True, &["id"]).key_dists.remove(0);
         assert_eq!(d.len(), 8);
         let sum: f64 = d.iter().sum();
         assert!((sum - 4000.0).abs() / 4000.0 < 0.02, "sum {sum}");
@@ -792,7 +915,7 @@ mod tests {
         // Bin i holds keys with key % 8 == i, so attr=0 ⇒ bins {0, 4} only.
         let bn = BayesNetEstimator::build(&t, &bins_mod(k), BnConfig::default());
         let f = FilterExpr::pred(Predicate::eq("attr", 0));
-        let d = bn.key_distribution("id", &f);
+        let d = bn.profile(&f, &["id"]).key_dists.remove(0);
         let total: f64 = d.iter().sum();
         let in_04 = d[0] + d[4];
         assert!(in_04 / total > 0.9, "correlation not captured: {d:?}");
@@ -803,7 +926,7 @@ mod tests {
         let t = correlated_table(8000);
         let bn = BayesNetEstimator::build(&t, &bins_mod(4), BnConfig::default());
         let f = FilterExpr::pred(Predicate::eq("attr", 1));
-        let d = bn.key_distribution("id", &f);
+        let d = bn.profile(&f, &["id"]).key_dists.remove(0);
         // Ground truth per bin.
         let id = t.column_by_name("id").unwrap().ints();
         let attr = t.column_by_name("attr").unwrap().ints();
@@ -921,7 +1044,7 @@ mod tests {
         let map: HashMap<i64, u32> = (0..10).map(|v| (v, (v % 2) as u32)).collect();
         tb.insert("id", KeyBinMap::new(2, map));
         let bn = BayesNetEstimator::build(&t, &tb, BnConfig::default());
-        let d = bn.key_distribution("id", &FilterExpr::True);
+        let d = bn.profile(&FilterExpr::True, &["id"]).key_dists.remove(0);
         // 20 NULL ids excluded: distribution sums to ≈ 80.
         let sum: f64 = d.iter().sum();
         assert!((sum - 80.0).abs() < 3.0, "sum {sum}");
@@ -957,9 +1080,299 @@ mod tests {
         let f = FilterExpr::pred(Predicate::eq("attr", 3));
         let p = bn.profile(&f, &["id"]);
         assert!((p.rows - bn.estimate_filter(&f)).abs() < 1e-9);
-        let d = bn.key_distribution("id", &f);
+        // Asking for a second column moves the top of the propagated
+        // subtree; the shared key's distribution moves by rounding only.
+        let d = bn.profile(&f, &["noise", "id"]).key_dists.remove(1);
         for (a, b) in p.key_dists[0].iter().zip(&d) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    // ------------------------------------------------- exactness oracle
+
+    /// Brute-force enumeration of the joint the network encodes: returns
+    /// `P(evidence)` and, per node, `P(node = c, evidence)`, with `ev[i]`
+    /// the per-code evidence weights of node i (`None`: no evidence).
+    fn enumerate_joint(bn: &BayesNetEstimator, ev: &[Option<Vec<f64>>]) -> (f64, Vec<Vec<f64>>) {
+        let m = bn.num_nodes();
+        let mut state = vec![0usize; m];
+        let mut p_evidence = 0.0;
+        let mut with_evidence: Vec<Vec<f64>> = (0..m).map(|i| vec![0.0; bn.k(i)]).collect();
+        loop {
+            let mut p = 1.0;
+            for i in 0..m {
+                p *= match bn.parent[i] {
+                    None => bn.root_prob(i, state[i]),
+                    Some(pa) => bn.cpt_cell(i, state[i], state[pa]),
+                };
+                if let Some(w) = &ev[i] {
+                    p *= w[state[i]];
+                }
+            }
+            p_evidence += p;
+            for i in 0..m {
+                with_evidence[i][state[i]] += p;
+            }
+            let mut digit = 0;
+            loop {
+                if digit == m {
+                    return (p_evidence, with_evidence);
+                }
+                state[digit] += 1;
+                if state[digit] < bn.k(digit) {
+                    break;
+                }
+                state[digit] = 0;
+                digit += 1;
+            }
+        }
+    }
+
+    /// Fits the forest `parent` over int columns `c0, c1, …` holding `rows`
+    /// (value 3 reads as NULL, so a column has ≤ 4 codes).
+    fn forest(parent: Vec<Option<usize>>, rows: &[Vec<i64>]) -> BayesNetEstimator {
+        let m = parent.len();
+        let schema = TableSchema::new(
+            (0..m)
+                .map(|i| ColumnDef::new(&format!("c{i}"), DataType::Int))
+                .collect(),
+        );
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|r| {
+                let cell = |&v: &i64| if v == 3 { Value::Null } else { Value::Int(v) };
+                r[..m].iter().map(cell).collect()
+            })
+            .collect();
+        let t = Table::from_rows("t", schema, &rows).unwrap();
+        let disc = Discretizer::default();
+        let cols: Vec<DiscreteColumn> =
+            (0..m).map(|ci| disc.build(&t, ci, None).unwrap()).collect();
+        let codes: Vec<Vec<u32>> = cols
+            .iter()
+            .enumerate()
+            .map(|(ci, dc)| {
+                (0..t.nrows())
+                    .map(|r| dc.encode_row(t.column(ci), r) as u32)
+                    .collect()
+            })
+            .collect();
+        BayesNetEstimator::from_codes(cols, parent, &codes, BnConfig::default())
+    }
+
+    proptest! {
+
+        /// Spanning-subtree propagation ≡ brute-force enumeration of the
+        /// joint, on random forests of ≤ 5 nodes × ≤ 4 codes in 1–3 trees,
+        /// with fractional evidence on any subset of nodes and any multiset
+        /// of requested keys (duplicates, unmodeled names).
+        #[test]
+        fn propagation_matches_enumeration_of_the_joint(
+            m in 1usize..6,
+            links in prop::collection::vec(0usize..16, 5..6),
+            rows in prop::collection::vec(prop::collection::vec(0i64..4, 5..6), 1..40),
+            evidence in prop::collection::vec(
+                (0u32..3, prop::collection::vec(0u32..8, 4..5)),
+                5..6,
+            ),
+            keys in prop::collection::vec(0usize..7, 0..5),
+            charged in 0u32..2,
+        ) {
+            // Node i > 0 hangs under an earlier node or starts a tree of
+            // its own while fewer than three exist.
+            let mut roots = 1;
+            let parent: Vec<Option<usize>> = (0..m)
+                .map(|i| {
+                    let pick = links[i] % (i + 2);
+                    if i == 0 || (pick >= i && roots < 3) {
+                        roots += usize::from(i > 0);
+                        None
+                    } else {
+                        Some(pick % i)
+                    }
+                })
+                .collect();
+            let bn = forest(parent, &rows);
+            // A third of the nodes carry evidence: weights 0, 1 and
+            // fractions in between.
+            let ev: Vec<Option<Vec<f64>>> = (0..m)
+                .map(|i| {
+                    let (on, weights) = &evidence[i];
+                    (*on == 0).then(|| {
+                        let weight = |&w: &u32| match w {
+                            0 => 0.0,
+                            1 => 1.0,
+                            w => f64::from(w) / 9.0,
+                        };
+                        weights[..bn.k(i)].iter().map(weight).collect()
+                    })
+                })
+                .collect();
+            let names: Vec<String> = keys.iter().map(|k| format!("c{k}")).collect();
+            let key_cols: Vec<&str> = names.iter().map(String::as_str).collect();
+            let fallback = if charged == 1 { 0.25 } else { 1.0 };
+
+            let mut out = TableProfile::default();
+            bn.with_scratch(|s| {
+                bn.compile_evidence(&FilterExpr::True, s);
+                for (i, w) in ev.iter().enumerate() {
+                    if let Some(w) = w {
+                        for (l, &x) in bn.evidence_slot(s, i).iter_mut().zip(w) {
+                            *l *= x;
+                        }
+                    }
+                }
+                bn.infer_into(s, fallback, &key_cols, &mut out);
+            });
+
+            let (p_evidence, joint) = enumerate_joint(&bn, &ev);
+            let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs() + 1e-300;
+            let rows_want = p_evidence * fallback * bn.nrows;
+            prop_assert!(close(out.rows, rows_want), "rows {} vs {}", out.rows, rows_want);
+            prop_assert_eq!(out.key_dists.len(), keys.len());
+            for (dist, &k) in out.key_dists.iter().zip(&keys) {
+                if k >= m {
+                    prop_assert!(dist.len() == 1 && close(dist[0], rows_want));
+                    continue;
+                }
+                prop_assert_eq!(dist.len(), bn.k(k) - 1);
+                for (c, &got) in dist.iter().enumerate() {
+                    let want = joint[k][c] * fallback * bn.nrows;
+                    prop_assert!(
+                        close(got, want),
+                        "key c{} code {}: {} vs {} ({:?}, ev {:?})", k, c, got, want, bn.parent, ev
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(p: &TableProfile) -> (u64, Vec<Vec<u64>>) {
+        let dists = p.key_dists.iter();
+        (
+            p.rows.to_bits(),
+            dists
+                .map(|d| d.iter().map(|x| x.to_bits()).collect())
+                .collect(),
+        )
+    }
+
+    /// Filters and key lists covering every inference shape: unfiltered,
+    /// one and two evidence columns, a same-column and a cross-column
+    /// disjunction, keys modeled, repeated and unknown.
+    fn requests() -> Vec<(FilterExpr, Vec<&'static str>)> {
+        let attr = |v: i64| FilterExpr::pred(Predicate::eq("attr", v));
+        let noise = FilterExpr::pred(Predicate::between("noise", 100, 700));
+        vec![
+            (FilterExpr::True, vec!["id"]),
+            (attr(1), vec!["id"]),
+            (FilterExpr::True, vec![]),
+            (
+                FilterExpr::and(vec![attr(2), noise.clone()]),
+                vec!["id", "id"],
+            ),
+            (FilterExpr::or(vec![attr(0), attr(3)]), vec!["noise", "id"]),
+            (
+                FilterExpr::or(vec![attr(0), noise.clone()]),
+                vec!["id", "nope"],
+            ),
+            (noise, vec![]),
+        ]
+    }
+
+    #[test]
+    fn results_do_not_depend_on_scratch_state() {
+        let t = correlated_table(3000);
+        let bn = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        let requests = requests();
+        // Cold: a clone that has answered nothing yet.
+        let cold: Vec<_> = requests
+            .iter()
+            .map(|(f, keys)| bits(&bn.clone().profile(f, keys)))
+            .collect();
+        // Warm: one estimator, one output buffer, after every other
+        // request has run through both.
+        let mut out = TableProfile::default();
+        for (f, keys) in requests.iter().rev() {
+            bn.profile_into(f, keys, &mut out);
+        }
+        for ((f, keys), cold) in requests.iter().zip(&cold) {
+            bn.profile_into(f, keys, &mut out);
+            assert_eq!(&bits(&out), cold, "warm {f}");
+        }
+        // Contended: another reader holds the scratch, so `try_lock` fails
+        // and the request runs on fresh buffers.
+        let held = bn.scratch.lock().unwrap();
+        for ((f, keys), cold) in requests.iter().zip(&cold) {
+            assert_eq!(&bits(&bn.profile(f, keys)), cold, "contended {f}");
+        }
+        drop(held);
+    }
+
+    #[test]
+    fn insert_refreshes_every_cache() {
+        // After an insert the estimator must answer exactly like one fitted
+        // to the same counts from scratch — filtered (CPT slabs, priors of
+        // the tops) and unfiltered (cached key marginals).
+        let mut t = correlated_table(2000);
+        let mut bn = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        let new_rows: Vec<Vec<Value>> = (0..700)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 37),
+                    Value::Int(i % 3),
+                    Value::Int(i * 7 % 900),
+                ]
+            })
+            .collect();
+        t.append_rows(&new_rows).unwrap();
+        bn.insert(&t, 2000);
+        let codes: Vec<Vec<u32>> = bn
+            .cols
+            .iter()
+            .map(|dc| {
+                let col = t.column_by_name(&dc.name).unwrap();
+                (0..t.nrows())
+                    .map(|r| dc.encode_row(col, r) as u32)
+                    .collect()
+            })
+            .collect();
+        let refit =
+            BayesNetEstimator::from_codes(bn.cols.clone(), bn.parent.clone(), &codes, bn.cfg);
+        for (f, keys) in requests() {
+            assert_eq!(
+                bits(&bn.profile(&f, &keys)),
+                bits(&refit.profile(&f, &keys)),
+                "{f}"
+            );
+        }
+    }
+
+    #[test]
+    fn unfiltered_rows_are_exactly_the_row_count() {
+        // The oracle holds exact ties on unfiltered aliases: no rounding
+        // may creep into `nrows × fallback`.
+        let t = correlated_table(2357);
+        let bn = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        let p = bn.profile(&FilterExpr::True, &["id"]);
+        assert_eq!(p.rows, 2357.0);
+        assert_eq!(p.key_dists[0], bn.prior_rows[..8]);
+    }
+
+    #[test]
+    fn unmodeled_columns_charge_the_fallback_once_each() {
+        let t = correlated_table(1000);
+        let bn = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        let on = |col: &str, v: i64| FilterExpr::pred(Predicate::cmp(col, CmpOp::Gt, v));
+        let rows = |f: &FilterExpr| bn.estimate_filter(f);
+        assert_eq!(rows(&on("x", 1)), 250.0);
+        assert_eq!(rows(&FilterExpr::and(vec![on("x", 1), on("x", 5)])), 250.0);
+        assert_eq!(rows(&FilterExpr::and(vec![on("x", 1), on("y", 5)])), 62.5);
+        // A cross-column disjunction is charged per conjunct.
+        let cross = FilterExpr::or(vec![on("attr", 1), on("noise", 5)]);
+        assert_eq!(
+            rows(&FilterExpr::and(vec![cross.clone(), on("x", 1), cross])),
+            15.625
+        );
     }
 }

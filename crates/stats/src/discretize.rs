@@ -15,9 +15,10 @@
 //!   evidence.
 
 use crate::binmap::KeyBinMap;
-use fj_query::{FilterExpr, Predicate};
+use fj_query::{CmpOp, FilterExpr, Predicate};
 use fj_storage::{Column, DataType, Table, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a column's values map to codes.
@@ -91,7 +92,9 @@ impl Discretizer {
             });
         }
         match def.dtype {
-            DataType::Float => None, // not modeled; clauses on floats are ignored
+            // Not modeled: the network charges `fallback_selectivity` once for
+            // the clauses on each such column.
+            DataType::Float => None,
             DataType::Int => Some(self.build_int(&def.name, col)),
             DataType::Str => Some(self.build_str(&def.name, col)),
         }
@@ -284,51 +287,92 @@ impl DiscreteColumn {
     /// under within-bucket uniformity for bucketized numerics (combined
     /// with product/complement fuzzy logic across boolean connectives).
     pub fn clause_weights(&self, clause: &FilterExpr) -> Vec<f64> {
-        let n = self.n_codes();
-        let mut w = vec![0.0; n];
+        let mut w = vec![1.0; self.n_codes()];
+        self.apply_clause(clause, &mut w);
+        w
+    }
+
+    /// Multiplies `lambda` (one slot per code) by each code's
+    /// [`Self::clause_weights`] weight, in place — how the Bayesian network
+    /// compiles a conjunct into a node's evidence. A lone comparison or
+    /// `BETWEEN` on an integer column is resolved by binary search to the
+    /// run of codes it keeps (plus the boundary buckets it covers in
+    /// part); any other clause shape is evaluated code by code. Integer
+    /// and key columns allocate nothing; a clause on a string column
+    /// compiles its matcher (`LIKE` patterns) once per call.
+    pub fn apply_clause(&self, clause: &FilterExpr, lambda: &mut [f64]) {
+        let nn = self.non_null_codes;
+        let (codes, null) = lambda[..=nn].split_at_mut(nn);
+        let null = &mut null[0];
         match &self.encoding {
             Encoding::KeyBins(_) => {
                 // Value predicates on binned keys are not representable at
                 // bin granularity; treat as non-selective (weight 1) except
-                // for NULL tests, which the code structure does capture.
-                for (c, slot) in w.iter_mut().enumerate() {
-                    let v = if c == self.null_code() {
-                        Value::Null
-                    } else {
-                        Value::Int(c as i64)
-                    };
-                    *slot = match only_null_tests(clause) {
-                        Some(expr) => eval01(&expr, &v),
-                        None => {
-                            if c == self.null_code() {
-                                0.0
-                            } else {
-                                1.0
-                            }
-                        }
-                    };
+                // for NULL tests, which the code structure does capture —
+                // the same for every bin, so two evaluations cover all codes.
+                if only_null_tests(clause) {
+                    if !clause.eval(&|_c: &str| Value::Int(0)) {
+                        codes.fill(0.0);
+                    }
+                    keep_if(null, clause.eval(&|_c: &str| Value::Null));
+                } else {
+                    *null = 0.0;
                 }
             }
-            Encoding::IntCategorical { values } => {
-                for (i, &x) in values.iter().enumerate() {
-                    w[i] = eval01(clause, &Value::Int(x));
+            Encoding::IntCategorical { values } => match kept_run(values, clause) {
+                Some(run) => {
+                    codes[..run.start].fill(0.0);
+                    codes[run.end..].fill(0.0);
+                    *null = 0.0;
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
-            }
+                None => {
+                    for (slot, &x) in codes.iter_mut().zip(values) {
+                        keep_if(slot, clause.eval(&|_c: &str| Value::Int(x)));
+                    }
+                    // An all-NULL column keeps one phantom code no row maps to.
+                    codes[values.len()..].fill(0.0);
+                    keep_if(null, clause.eval(&|_c: &str| Value::Null));
+                }
+            },
             Encoding::IntBuckets {
                 mins, maxs, ndv, ..
             } => {
-                for i in 0..self.non_null_codes {
-                    w[i] = bucket_coverage(clause, mins[i], maxs[i], ndv[i]);
+                let coverage = |i: usize| bucket_coverage(clause, mins[i], maxs[i], ndv[i]);
+                match bucket_interval(clause) {
+                    Some((a, b)) => {
+                        // Buckets wholly outside [a, b] weigh 0, buckets
+                        // wholly inside (with a margin of one, which every
+                        // operator's coverage formula honours) weigh 1;
+                        // only the few in between are evaluated.
+                        let zero_to = maxs.partition_point(|&hi| hi as f64 + 1.0 <= a);
+                        let zero_from = mins.partition_point(|&lo| (lo as f64 - 1.0) < b);
+                        let full_from = mins.partition_point(|&lo| (lo as f64 - 1.0) < a);
+                        let full_to = maxs.partition_point(|&hi| hi as f64 + 1.0 <= b);
+                        codes[..zero_to].fill(0.0);
+                        codes[zero_from.max(zero_to)..].fill(0.0);
+                        for i in zero_to..zero_from {
+                            if !(full_from..full_to).contains(&i) {
+                                codes[i] *= coverage(i);
+                            }
+                        }
+                        *null = 0.0;
+                    }
+                    None => {
+                        for (i, slot) in codes.iter_mut().enumerate() {
+                            *slot *= coverage(i);
+                        }
+                        keep_if(null, clause.eval(&|_c: &str| Value::Null));
+                    }
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
             }
             Encoding::StrSmall { dict, .. } => {
                 let matcher = clause.value_matcher();
-                for (i, s) in dict.iter().enumerate() {
-                    w[i] = f64::from(matcher.matches(&Value::Str(s.clone())));
+                for (slot, s) in codes.iter_mut().zip(dict) {
+                    keep_if(slot, matcher.matches_str(s));
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
+                // An empty dictionary keeps one phantom code no row maps to.
+                codes[dict.len()..].fill(0.0);
+                keep_if(null, clause.eval(&|_c: &str| Value::Null));
             }
             Encoding::StrHashed {
                 n,
@@ -339,21 +383,16 @@ impl DiscreteColumn {
                 let mut matched = vec![0f64; *n];
                 let matcher = clause.value_matcher();
                 for (code, s) in dict.iter().enumerate() {
-                    if matcher.matches(&Value::Str(s.clone())) {
+                    if matcher.matches_str(s) {
                         matched[str_bucket(s, *n)] += dict_rows[code] as f64;
                     }
                 }
-                for i in 0..*n {
-                    w[i] = if bucket_rows[i] > 0.0 {
-                        matched[i] / bucket_rows[i]
-                    } else {
-                        0.0
-                    };
+                for ((slot, &hit), &rows) in codes.iter_mut().zip(&matched).zip(bucket_rows) {
+                    *slot *= if rows > 0.0 { hit / rows } else { 0.0 };
                 }
-                w[self.null_code()] = eval01(clause, &Value::Null);
+                keep_if(null, clause.eval(&|_c: &str| Value::Null));
             }
         }
-        w
     }
 
     /// Approximate heap footprint in bytes.
@@ -370,22 +409,92 @@ impl DiscreteColumn {
     }
 }
 
-/// Extracts the clause if it consists only of NULL tests (else `None`).
-fn only_null_tests(clause: &FilterExpr) -> Option<FilterExpr> {
-    let all_null = clause
-        .predicates()
-        .iter()
-        .all(|p| matches!(p, Predicate::IsNull { .. }));
-    all_null.then(|| clause.clone())
+/// Zeroes `slot` unless `keep` (a 0/1 weight multiplied in).
+#[inline]
+fn keep_if(slot: &mut f64, keep: bool) {
+    if !keep {
+        *slot = 0.0;
+    }
 }
 
-/// Evaluates a clause on a concrete value → {0.0, 1.0}.
-fn eval01(clause: &FilterExpr, v: &Value) -> f64 {
-    if clause.eval(&|_c: &str| v.clone()) {
-        1.0
-    } else {
-        0.0
+/// Whether every predicate of `clause` is a NULL test.
+fn only_null_tests(clause: &FilterExpr) -> bool {
+    match clause {
+        FilterExpr::True => true,
+        FilterExpr::Pred(p) => matches!(p, Predicate::IsNull { .. }),
+        FilterExpr::And(parts) | FilterExpr::Or(parts) => parts.iter().all(only_null_tests),
+        FilterExpr::Not(inner) => only_null_tests(inner),
     }
+}
+
+/// How many of the sorted `values` compare below `lit` and how many below
+/// or equal, under SQL numeric comparison; `None` when `lit` is not a
+/// number (every comparison with it is then false).
+fn ranks(values: &[i64], lit: &Value) -> Option<(usize, usize)> {
+    match lit {
+        Value::Int(b) => Some((
+            values.partition_point(|x| x < b),
+            values.partition_point(|x| x <= b),
+        )),
+        Value::Float(f) if !f.is_nan() => Some((
+            values.partition_point(|&x| (x as f64) < *f),
+            values.partition_point(|&x| (x as f64) <= *f),
+        )),
+        _ => None,
+    }
+}
+
+/// The run of the sorted distinct `values` a lone comparison or `BETWEEN`
+/// accepts; `None` for every other clause shape (and `<>`, whose answer is
+/// not a run).
+fn kept_run(values: &[i64], clause: &FilterExpr) -> Option<Range<usize>> {
+    let FilterExpr::Pred(p) = clause else {
+        return None;
+    };
+    let n = values.len();
+    Some(match p {
+        Predicate::Cmp { op, value, .. } => {
+            let Some((lt, le)) = ranks(values, value) else {
+                return (*op != CmpOp::Neq).then_some(0..0);
+            };
+            match op {
+                CmpOp::Eq => lt..le,
+                CmpOp::Lt => 0..lt,
+                CmpOp::Le => 0..le,
+                CmpOp::Gt => le..n,
+                CmpOp::Ge => lt..n,
+                CmpOp::Neq => return None,
+            }
+        }
+        Predicate::Between { lo, hi, .. } => match (ranks(values, lo), ranks(values, hi)) {
+            (Some((from, _)), Some((_, to))) => from..to.max(from),
+            _ => 0..0,
+        },
+        _ => return None,
+    })
+}
+
+/// The numeric interval `[a, b]` (open sides infinite) a lone comparison or
+/// `BETWEEN` on a bucketized column asks for; `None` for every other clause
+/// shape, `<>`, and literals that are not numbers.
+fn bucket_interval(clause: &FilterExpr) -> Option<(f64, f64)> {
+    let FilterExpr::Pred(p) = clause else {
+        return None;
+    };
+    let (a, b) = match p {
+        Predicate::Cmp { op, value, .. } => {
+            let v = value.as_float()?;
+            match op {
+                CmpOp::Eq => (v, v),
+                CmpOp::Lt | CmpOp::Le => (f64::NEG_INFINITY, v),
+                CmpOp::Gt | CmpOp::Ge => (v, f64::INFINITY),
+                CmpOp::Neq => return None,
+            }
+        }
+        Predicate::Between { lo, hi, .. } => (lo.as_float()?, hi.as_float()?),
+        _ => return None,
+    };
+    (!a.is_nan() && !b.is_nan()).then_some((a, b))
 }
 
 /// Fractional coverage of an integer bucket `[min, max]` (with `ndv`
@@ -419,24 +528,24 @@ fn pred_coverage(p: &Predicate, min: i64, max: i64, ndv: u32) -> f64 {
             };
             let (lo, hi) = (min as f64, max as f64);
             match op {
-                fj_query::CmpOp::Eq => {
+                CmpOp::Eq => {
                     if v >= lo && v <= hi {
                         1.0 / ndv.max(1) as f64
                     } else {
                         0.0
                     }
                 }
-                fj_query::CmpOp::Neq => {
+                CmpOp::Neq => {
                     if v >= lo && v <= hi {
                         1.0 - 1.0 / ndv.max(1) as f64
                     } else {
                         1.0
                     }
                 }
-                fj_query::CmpOp::Lt => clampf((v - lo) / width),
-                fj_query::CmpOp::Le => clampf((v - lo + 1.0) / width),
-                fj_query::CmpOp::Gt => clampf((hi - v) / width),
-                fj_query::CmpOp::Ge => clampf((hi - v + 1.0) / width),
+                CmpOp::Lt => clampf((v - lo) / width),
+                CmpOp::Le => clampf((v - lo + 1.0) / width),
+                CmpOp::Gt => clampf((hi - v) / width),
+                CmpOp::Ge => clampf((hi - v + 1.0) / width),
             }
         }
         Predicate::Between { lo, hi, .. } => {
@@ -469,7 +578,6 @@ fn pred_coverage(p: &Predicate, min: i64, max: i64, ndv: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fj_query::CmpOp;
     use fj_storage::{ColumnDef, TableSchema};
 
     fn int_table(values: &[Option<i64>]) -> Table {
@@ -522,6 +630,73 @@ mod tests {
         assert!((total - 5.0).abs() < 0.2, "coverage {total}");
         // Every bucket's weight within [0,1].
         assert!(w.iter().all(|&x| (0.0..=1.0).contains(&x)));
+    }
+
+    #[test]
+    fn binary_searched_clauses_match_code_by_code_evaluation() {
+        // A lone comparison / BETWEEN takes the binary-search path; wrapped
+        // in a one-element AND it is evaluated code by code. Same weights,
+        // bit for bit, on both integer encodings — in-range, boundary,
+        // out-of-range, fractional, NaN and non-numeric literals.
+        let values: Vec<Option<i64>> = (0..400).map(|i| Some(i * i % 977)).chain([None]).collect();
+        let t = int_table(&values);
+        let literals = [
+            Value::Int(-5),
+            Value::Int(0),
+            Value::Int(126),
+            Value::Int(500),
+            Value::Int(976),
+            Value::Int(5000),
+            Value::Float(125.5),
+            Value::Float(126.0),
+            Value::Float(f64::NAN),
+            Value::Str("x".into()),
+            Value::Null,
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Neq,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for max_codes in [1000, 16] {
+            let d = Discretizer { max_codes }.build(&t, 0, None).unwrap();
+            let mut preds = Vec::new();
+            for a in &literals {
+                preds.extend(ops.iter().map(|&op| Predicate::cmp("x", op, a.clone())));
+                for b in &literals {
+                    preds.push(Predicate::Between {
+                        column: "x".into(),
+                        lo: a.clone(),
+                        hi: b.clone(),
+                    });
+                }
+            }
+            for p in preds {
+                let lone = FilterExpr::pred(p);
+                let wrapped = FilterExpr::And(vec![lone.clone()]);
+                let (fast, slow) = (d.clause_weights(&lone), d.clause_weights(&wrapped));
+                let same = fast
+                    .iter()
+                    .zip(&slow)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{lone} at {max_codes} codes: {fast:?} vs {slow:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clauses_multiply_into_earlier_evidence() {
+        let t = int_table(&[Some(1), Some(5), Some(9), None]);
+        let d = Discretizer::default().build(&t, 0, None).unwrap();
+        let mut lambda = vec![0.5, 0.25, 1.0, 1.0];
+        d.apply_clause(
+            &FilterExpr::pred(Predicate::cmp("x", CmpOp::Le, 5)),
+            &mut lambda,
+        );
+        assert_eq!(lambda, vec![0.5, 0.25, 0.0, 0.0]);
     }
 
     #[test]
@@ -582,8 +757,20 @@ mod tests {
         assert_eq!(d.encode(&Value::Int(10)), 0);
         assert_eq!(d.encode(&Value::Int(30)), 1);
         // Value predicates on binned keys: weight 1 on non-null codes.
-        let w = d.clause_weights(&FilterExpr::pred(Predicate::cmp("k", CmpOp::Gt, 15)));
-        assert_eq!(w, vec![1.0, 1.0, 0.0]);
+        let gt = FilterExpr::pred(Predicate::cmp("k", CmpOp::Gt, 15));
+        assert_eq!(d.clause_weights(&gt), vec![1.0, 1.0, 0.0]);
+        // NULL tests are representable; conjunct by conjunct, `IS NULL`
+        // and a value predicate contradict each other.
+        let is_null = FilterExpr::pred(Predicate::IsNull {
+            column: "k".into(),
+            negated: false,
+        });
+        let mut lambda = d.clause_weights(&is_null);
+        assert_eq!(lambda, vec![0.0, 0.0, 1.0]);
+        d.apply_clause(&gt, &mut lambda);
+        assert_eq!(lambda, vec![0.0, 0.0, 0.0]);
+        let not_null = FilterExpr::Not(Box::new(is_null));
+        assert_eq!(d.clause_weights(&not_null), vec![1.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Filter decomposition into per-column clauses ("evidence").
+//! Filter decomposition into per-column clauses.
 //!
-//! The Bayesian-network estimator treats a filter as *evidence* on the
-//! network's nodes: a per-column weight vector over that column's discrete
-//! codes. This is possible exactly when the filter is a conjunction of
-//! clauses that each reference a single column (disjunctions/negations
-//! *inside* a clause are fine — they still induce a code-weight vector).
-//! [`split_per_column`] performs the decomposition; [`clause_weights`]
-//! evaluates a clause against a discretized column.
+//! A filter can be read column by column exactly when it is a conjunction
+//! of clauses that each reference a single column (disjunctions/negations
+//! *inside* a clause are fine — they still induce a weight per value of
+//! that column). [`split_per_column`] performs the decomposition for the
+//! histogram baselines in `fj-baselines`, merging the clauses of one column
+//! with `AND`; [`clause_weights`] evaluates a clause against a discretized
+//! column. The Bayesian network no longer goes through here: it walks the
+//! conjunction itself and multiplies each clause's weights into its
+//! evidence buffers in place (see [`crate::bayesnet`]).
 
 use crate::discretize::DiscreteColumn;
 use fj_query::FilterExpr;
 
 /// Splits `filter` into per-column clauses if it is a conjunction of
 /// single-column sub-expressions; returns `None` for cross-column
-/// disjunctions (which the BN estimator cannot express as evidence).
+/// disjunctions.
 pub fn split_per_column(filter: &FilterExpr) -> Option<Vec<(String, FilterExpr)>> {
     let mut clauses: Vec<(String, FilterExpr)> = Vec::new();
     collect(filter, &mut clauses)?;

@@ -34,25 +34,8 @@ impl BaseTableEstimator for ExactEstimator {
         "truescan"
     }
 
-    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
-        fj_query::filtered_count(&self.table, filter) as f64
-    }
-
-    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
-        self.profile(filter, &[key_col])
-            .key_dists
-            .pop()
-            .expect("one key requested")
-    }
-
     fn key_bins(&self, key_col: &str) -> usize {
         self.bins.get(key_col).map(|m| m.k()).unwrap_or(1)
-    }
-
-    fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, key_cols, &mut out);
-        out
     }
 
     fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
@@ -142,7 +125,7 @@ mod tests {
     fn distribution_is_exact_and_excludes_nulls() {
         let t = table();
         let e = ExactEstimator::build(&t, &bins());
-        let d = e.key_distribution("id", &FilterExpr::True);
+        let d = &e.profile(&FilterExpr::True, &["id"]).key_dists[0];
         let nulls = t.column_by_name("id").unwrap().nulls().null_count() as f64;
         let sum: f64 = d.iter().sum();
         assert_eq!(sum, 200.0 - nulls);

@@ -12,7 +12,7 @@
 
 use crate::binmap::TableBins;
 use crate::traits::{BaseTableEstimator, TableProfile};
-use fj_query::{compile_filter, filtered_count, FilterExpr};
+use fj_query::{compile_filter, FilterExpr};
 use fj_storage::Table;
 
 /// One binned join-key column of the sample.
@@ -131,25 +131,8 @@ impl BaseTableEstimator for SamplingEstimator {
         "sampling"
     }
 
-    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
-        filtered_count(&self.sample, filter) as f64 * self.scale()
-    }
-
-    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64> {
-        self.profile(filter, &[key_col])
-            .key_dists
-            .pop()
-            .expect("one key requested")
-    }
-
     fn key_bins(&self, key_col: &str) -> usize {
         self.bins.get(key_col).map(|m| m.k()).unwrap_or(1)
-    }
-
-    fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        let mut out = TableProfile::default();
-        self.profile_into(filter, key_cols, &mut out);
-        out
     }
 
     fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
@@ -284,7 +267,7 @@ mod tests {
     fn key_distribution_sums_to_non_null_rows() {
         let t = table(1000);
         let est = SamplingEstimator::build(&t, &bins_for(5), 1.0, 7);
-        let d = est.key_distribution("id", &FilterExpr::True);
+        let d = &est.profile(&FilterExpr::True, &["id"]).key_dists[0];
         assert_eq!(d.len(), 5);
         let sum: f64 = d.iter().sum();
         // 10% of ids are NULL.
@@ -298,7 +281,7 @@ mod tests {
         let f = FilterExpr::pred(Predicate::cmp("x", CmpOp::Ge, 40));
         let p = est.profile(&f, &["id"]);
         assert_eq!(p.rows, est.estimate_filter(&f));
-        assert_eq!(p.key_dists[0], est.key_distribution("id", &f));
+        assert_eq!(p.key_dists[0], est.profile(&f, &["x", "id"]).key_dists[1]);
     }
 
     #[test]

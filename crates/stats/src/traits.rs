@@ -61,36 +61,25 @@ pub trait BaseTableEstimator: Send + Sync {
     /// Short method name ("bayesnet", "sampling", "truescan").
     fn name(&self) -> &'static str;
 
-    /// Estimated number of rows satisfying `filter`.
-    fn estimate_filter(&self, filter: &FilterExpr) -> f64;
-
-    /// Estimated rows per bin of join key `key_col`, conditioned on
-    /// `filter`. Length equals the key's bin count; NULL keys excluded.
-    fn key_distribution(&self, key_col: &str, filter: &FilterExpr) -> Vec<f64>;
-
-    /// Number of bins of `key_col` (the length `key_distribution` returns).
+    /// Number of bins of `key_col` (the length of its distribution in a
+    /// profile).
     fn key_bins(&self, key_col: &str) -> usize;
 
-    /// Filtered row count *and* several key distributions in one pass —
-    /// the hot path of sub-plan estimation. The default calls the two
-    /// methods above; implementations override to share work.
+    /// The one question an estimator answers: the filtered row count *and*
+    /// the distribution of every requested key, in one pass, refilling the
+    /// caller's buffer in place — the hot path of sub-plan estimation.
+    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile);
+
+    /// [`Self::profile_into`] into a fresh buffer.
     fn profile(&self, filter: &FilterExpr, key_cols: &[&str]) -> TableProfile {
-        TableProfile {
-            rows: self.estimate_filter(filter),
-            key_dists: key_cols
-                .iter()
-                .map(|k| self.key_distribution(k, filter))
-                .collect(),
-            ..TableProfile::default()
-        }
+        let mut out = TableProfile::default();
+        self.profile_into(filter, key_cols, &mut out);
+        out
     }
 
-    /// [`Self::profile`] into a caller-owned buffer, reusing its
-    /// allocations where possible. The default replaces the buffer with a
-    /// fresh [`Self::profile`]; allocation-conscious implementations
-    /// override this to refill `out` in place.
-    fn profile_into(&self, filter: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
-        *out = self.profile(filter, key_cols);
+    /// Estimated number of rows satisfying `filter`: a profile without keys.
+    fn estimate_filter(&self, filter: &FilterExpr) -> f64 {
+        self.profile(filter, &[]).rows
     }
 
     /// Incorporates rows `first_new_row..` of the (already updated) table —
@@ -111,21 +100,22 @@ pub trait BaseTableEstimator: Send + Sync {
 mod tests {
     use super::*;
 
-    /// A trivial estimator to exercise the default `profile` impl.
+    /// A trivial estimator to exercise the provided wrappers.
     struct Fixed;
 
     impl BaseTableEstimator for Fixed {
         fn name(&self) -> &'static str {
             "fixed"
         }
-        fn estimate_filter(&self, _f: &FilterExpr) -> f64 {
-            10.0
-        }
-        fn key_distribution(&self, _k: &str, _f: &FilterExpr) -> Vec<f64> {
-            vec![4.0, 6.0]
-        }
         fn key_bins(&self, _k: &str) -> usize {
             2
+        }
+        fn profile_into(&self, _f: &FilterExpr, key_cols: &[&str], out: &mut TableProfile) {
+            out.reset(key_cols.len());
+            out.rows = 10.0;
+            for d in &mut out.key_dists {
+                d.extend([4.0, 6.0]);
+            }
         }
         fn insert(&mut self, _t: &Table, _i: usize) {}
         fn clone_box(&self) -> Box<dyn BaseTableEstimator> {
@@ -143,5 +133,6 @@ mod tests {
         assert_eq!(p.rows, 10.0);
         assert_eq!(p.key_dists.len(), 2);
         assert_eq!(p.key_dists[0], vec![4.0, 6.0]);
+        assert_eq!(e.estimate_filter(&FilterExpr::True), 10.0);
     }
 }

@@ -296,7 +296,7 @@ proptest! {
     }
 
     /// `profile_into` into a used buffer ≡ `profile` ≡ (`estimate_filter`,
-    /// `key_distribution`) for the two scanning estimators, and the
+    /// a `profile` of the one key) for the two scanning estimators, and the
     /// unfiltered shortcut equals a scan that accepts every row.
     #[test]
     fn scanning_estimators_agree_with_themselves(
@@ -331,7 +331,7 @@ proptest! {
                     prop_assert_eq!(fresh.key_dists[i].len(), est.key_bins(key));
                     prop_assert!(same(&fresh.key_dists[i], &reused.key_dists[i]), "{}", est.name());
                     prop_assert!(
-                        same(&fresh.key_dists[i], &est.key_distribution(key, filter)),
+                        same(&fresh.key_dists[i], &est.profile(filter, &[key]).key_dists[0]),
                         "{}", est.name()
                     );
                 }
