@@ -1,16 +1,19 @@
 //! Criterion micro-benchmarks for the substrates: executor joins, GBSA
-//! binning, Bayesian-network inference, and filter compilation. These back
-//! the engineering claims in DESIGN.md (ablations of design choices).
+//! binning, Bayesian-network inference, filter compilation, and the
+//! service hand-off. These back the engineering claims in DESIGN.md
+//! (ablations of design choices).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use factorjoin::{build_group_bins, BinningStrategy, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{imdb_catalog, stats_catalog, ImdbConfig, StatsConfig};
 use fj_exec::TrueCardEngine;
 use fj_query::parse_query;
+use fj_service::{EstimatorService, ModelRegistry, ServiceConfig};
 use fj_stats::{
     BaseTableEstimator, BayesNetEstimator, BnConfig, KeyBinMap, SamplingEstimator, TableBins,
     TableProfile,
 };
+use std::sync::Arc;
 
 fn executor_join(c: &mut Criterion) {
     let cat = stats_catalog(&StatsConfig {
@@ -211,12 +214,52 @@ fn sampling_profile(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the queue, the worker hand-off and the reply add to a direct
+/// estimate — the micro number behind the benchmark's
+/// `service.handoff_us` / `service.batch_handoff_us`: 16 direct estimates
+/// against 16 single submits' worth (`submit_wait` × 16) and one 16-query
+/// batch, on one worker with the cache off so every side computes.
+fn service_handoff(c: &mut Criterion) {
+    let cat = stats_catalog(&StatsConfig {
+        scale: 0.1,
+        ..Default::default()
+    });
+    let model = Arc::new(FactorJoinModel::train(&cat, FactorJoinConfig::default()));
+    let wl = fj_datagen::stats_ceb_workload(&cat, &fj_datagen::WorkloadConfig::tiny(3));
+    let batch: Vec<_> = wl.iter().cycle().take(16).cloned().collect();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("stats", Arc::clone(&model));
+    let service = EstimatorService::start(
+        registry,
+        ServiceConfig::new("stats", 1).with_subplan_cache_entries(0),
+    );
+    let mut group = c.benchmark_group("service");
+    group.sample_size(200);
+    group.bench_function("direct_x16", |b| {
+        let mut scratch = factorjoin::EstimationScratch::default();
+        b.iter(|| {
+            for q in &batch {
+                std::hint::black_box(model.estimate_subplans_with(&mut scratch, q, 1));
+            }
+        })
+    });
+    group.bench_function("submit_wait", |b| {
+        b.iter(|| service.submit(batch[0].clone()).wait().expect("served"))
+    });
+    group.bench_function("submit_batch_16_wait", |b| {
+        b.iter(|| service.submit_batch(&batch).wait_all())
+    });
+    group.finish();
+    service.shutdown();
+}
+
 criterion_group!(
     benches,
     executor_join,
     binning_strategies,
     bayesnet_inference,
     filter_compilation,
-    sampling_profile
+    sampling_profile,
+    service_handoff
 );
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //!                                                     │ Arc<Model> + epoch
 //!              submit / submit_batch                  ▼
 //!  clients ───────────────▶ BoundedQueue ───▶ worker pool (N threads,
-//!              Ticket ◀─────── replies ◀──── one EstimationScratch each)
+//!              Ticket ◀── one reply/batch ◀── one EstimationScratch each)
 //! ```
 //!
 //! * [`EstimatorService`] owns the worker pool. Each worker holds one
@@ -19,8 +19,10 @@
 //!   core's zero-allocation-per-sub-plan hot path.
 //! * Requests flow through a **bounded** MPMC queue ([`queue::BoundedQueue`]):
 //!   submission blocks once the queue is full, which is the service's
-//!   backpressure. Batched submission enqueues under one lock and shares
-//!   one reply channel.
+//!   backpressure. A submitted batch is one queue entry, admitted whole or
+//!   not at all; workers claim its queries one at a time and whoever
+//!   finishes the last sends the batch's one reply. A lone `submit` is a
+//!   batch of one.
 //! * [`ModelRegistry`] maps dataset names to `Arc`-shared immutable
 //!   models. [`ModelRegistry::swap_model`] atomically publishes a
 //!   retrained model without pausing readers; responses carry the serving

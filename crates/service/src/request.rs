@@ -1,7 +1,7 @@
 //! Request/response types and completion tickets.
 
 use fj_query::{Query, SubplanMask};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// One estimation request: a query plus how it should be served.
@@ -15,7 +15,7 @@ pub struct EstimateRequest {
     /// [`factorjoin::FactorJoinModel::estimate_subplans`].
     pub min_size: u32,
     /// Latest instant at which the result is still useful. A worker that
-    /// pops the request past this point **sheds** it — replies
+    /// claims the request past this point **sheds** it — replies
     /// [`ServiceError::DeadlineExceeded`] without estimating (counted as
     /// [`crate::StatsSnapshot::expired`]) — instead of burning CPU on an
     /// answer nobody is waiting for. `None` means no deadline.
@@ -64,8 +64,9 @@ pub struct EstimateResponse {
     /// Every connected sub-plan's probabilistic cardinality bound, in the
     /// same deterministic order `estimate_subplans` produces.
     pub estimates: Vec<(SubplanMask, f64)>,
-    /// Dataset the request was served from.
-    pub dataset: String,
+    /// Dataset the request was served from (shared, not allocated per
+    /// response).
+    pub dataset: Arc<str>,
     /// Epoch of the model that served the request (see
     /// [`crate::ModelRegistry`]); lets clients detect hot-swaps.
     pub model_epoch: u64,
@@ -94,9 +95,9 @@ pub enum ServiceError {
     Shutdown,
     /// The request was **never accepted**: the service was already
     /// shutting down when it was submitted, so no worker ever saw it.
-    /// Distinct from [`ServiceError::Shutdown`] so a batch that races
-    /// shutdown can tell its enqueued-then-drained slots from the
-    /// remainder that was dropped at the door.
+    /// Distinct from [`ServiceError::Shutdown`] so a caller racing
+    /// shutdown can tell a batch refused at the door (safe to resubmit
+    /// elsewhere) from one that was admitted and then lost.
     SubmitAfterShutdown,
     /// The request's [`EstimateRequest::deadline`] passed before a worker
     /// picked it up, so it was shed unserved (the caller stopped waiting;
@@ -201,12 +202,15 @@ impl std::fmt::Display for AdmissionRejected {
 
 impl std::error::Error for AdmissionRejected {}
 
-/// Worker reply: (multiplexing tag, index within the batch, result). The
-/// tag is 0 for plain in-process submits; the network tier uses it to
-/// route replies of interleaved requests sharing one connection channel.
-pub(crate) type Reply = (u64, usize, Result<EstimateResponse, ServiceError>);
+/// A batch's one reply: (multiplexing tag, every query's result in
+/// submission order). Whichever worker resolves the batch's last query
+/// sends it — one message per batch, however many queries it held or
+/// workers served it. The tag is 0 for plain in-process submits; the
+/// network tier uses it to route replies of interleaved requests sharing
+/// one connection channel.
+pub(crate) type Reply = (u64, Vec<Result<EstimateResponse, ServiceError>>);
 
-/// Completion handle for a single submitted request.
+/// Completion handle for a single submitted request — a batch of one.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) rx: mpsc::Receiver<Reply>,
@@ -216,14 +220,15 @@ impl Ticket {
     /// Blocks until the response arrives.
     pub fn wait(self) -> Result<EstimateResponse, ServiceError> {
         match self.rx.recv() {
-            Ok((_, _, result)) => result,
+            Ok((_, mut results)) => results.pop().unwrap_or(Err(ServiceError::Shutdown)),
             Err(_) => Err(ServiceError::Shutdown),
         }
     }
 }
 
-/// Completion handle for a submitted batch. All requests of the batch share
-/// one reply channel, so a large batch costs one channel, not N.
+/// Completion handle for a submitted batch. The batch resolves with one
+/// message on one channel, so waiting on a large batch costs one wake-up,
+/// not N.
 #[derive(Debug)]
 pub struct BatchTicket {
     pub(crate) rx: mpsc::Receiver<Reply>,
@@ -242,34 +247,25 @@ impl BatchTicket {
         self.expected == 0
     }
 
-    /// How many of the batch's requests were actually enqueued. Equal to
-    /// [`Self::len`] except when submission raced shutdown, in which case
-    /// the first `accepted` requests were enqueued (and will resolve
-    /// normally) while the remainder resolve with
-    /// [`ServiceError::SubmitAfterShutdown`].
+    /// How many of the batch's requests were enqueued. A batch is admitted
+    /// whole or not at all, so this is [`Self::len`] — or 0 when
+    /// submission lost the race with shutdown, in which case every slot
+    /// resolves with [`ServiceError::SubmitAfterShutdown`].
     pub fn accepted(&self) -> usize {
         self.accepted
     }
 
-    /// Blocks until every response of the batch has arrived; results are
-    /// returned in submission order regardless of completion order. A
-    /// request lost to shutdown reports [`ServiceError::Shutdown`] in its
-    /// slot; a request that was never enqueued because submission raced
-    /// shutdown reports [`ServiceError::SubmitAfterShutdown`].
+    /// Blocks until the batch has been served; results are in submission
+    /// order regardless of which worker served which query. If the service
+    /// goes away without serving an admitted batch, every slot reports
+    /// [`ServiceError::Shutdown`]; a batch refused at the door reports
+    /// [`ServiceError::SubmitAfterShutdown`] in every slot.
     pub fn wait_all(self) -> Vec<Result<EstimateResponse, ServiceError>> {
-        let mut out: Vec<Result<EstimateResponse, ServiceError>> = (0..self.expected)
-            .map(|_| Err(ServiceError::Shutdown))
-            .collect();
-        let mut received = 0usize;
-        while received < self.expected {
-            match self.rx.recv() {
-                Ok((_, index, result)) => {
-                    out[index] = result;
-                    received += 1;
-                }
-                Err(_) => break, // all workers gone; remaining slots stay Shutdown
-            }
+        match self.rx.recv() {
+            Ok((_, results)) => results,
+            Err(_) => (0..self.expected)
+                .map(|_| Err(ServiceError::Shutdown))
+                .collect(),
         }
-        out
     }
 }

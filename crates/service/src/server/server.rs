@@ -5,7 +5,7 @@ use super::wire::{
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::registry::ModelRegistry;
-use crate::request::{EstimateRequest, RejectReason, Reply, ServiceError};
+use crate::request::{EstimateRequest, EstimateResponse, RejectReason, Reply, ServiceError};
 use crate::service::{EstimatorService, ServiceConfig};
 use crate::stats::StatsSnapshot;
 use factorjoin::FactorJoinModel;
@@ -510,29 +510,19 @@ fn reap_finished(shared: &ServerShared, conn_threads: &Mutex<HashMap<u64, JoinHa
     }
 }
 
-/// A response being assembled from per-query worker replies.
+/// What the collector needs to finish a batch a shard service is working
+/// on; the results themselves arrive whole in the service's one reply.
+/// Presence in the connection's `pending` map is also what the
+/// duplicate-in-flight-id check tests.
 struct PendingBatch {
-    results: Vec<Option<Result<WireEstimates, String>>>,
-    remaining: usize,
-    /// At least one slot expired unserved: a partial result past the
-    /// deadline is worthless, so the whole batch becomes a
-    /// [`RejectReason::DeadlineExceeded`] rejection.
-    expired: bool,
     /// Client-minted trace id (0 = untraced), echoed into the slowlog.
     trace_id: u64,
     dataset: String,
-    /// Sub-plan estimates produced so far, summed across served slots.
-    subplans: usize,
     /// When the request frame came off the socket — the batch's
     /// end-to-end serving time starts here.
     received: Instant,
-    /// Frame receipt → enqueue (decode, admission checks, job build).
+    /// Frame receipt → enqueue (decode, admission checks, batch build).
     admission_ns: u64,
-    /// Worst per-slot queue wait (slots wait concurrently, so the max —
-    /// not the sum — is the wall-clock the batch spent queued).
-    queue_wait_ns: u64,
-    /// Estimation time summed across slots (CPU spent on the batch).
-    estimation_ns: u64,
     /// The owning shard's stage histograms, for encode/write recording.
     stages: Arc<ShardStages>,
 }
@@ -598,8 +588,8 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> 
         &tx,
     );
     // Dropping our sender lets the collector's recv() disconnect once the
-    // shard services resolve every job still in flight for this
-    // connection — queued work is never abandoned mid-assembly.
+    // shard services resolve every batch still in flight for this
+    // connection (each holds a clone until it replies).
     drop(tx);
     let _ = collector.join();
     result
@@ -726,13 +716,11 @@ fn reader_loop(
             continue;
         }
 
-        let n = batch.queries.len();
-
         // The wire deadline is a relative budget from receipt; workers
-        // shed any slot still queued past it instead of estimating for a
-        // caller that has stopped waiting.
-        let deadline = (batch.deadline_ms > 0)
-            .then(|| Instant::now() + Duration::from_millis(batch.deadline_ms));
+        // shed any query still unclaimed past it instead of estimating for
+        // a caller that has stopped waiting.
+        let deadline =
+            (batch.deadline_ms > 0).then(|| received + Duration::from_millis(batch.deadline_ms));
 
         // Admission check 2: non-blocking, all-or-nothing enqueue. A full
         // queue sheds the whole batch back to the client instead of
@@ -754,16 +742,10 @@ fn reader_loop(
         pending.lock().expect("pending").insert(
             id,
             PendingBatch {
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-                expired: false,
                 trace_id: batch.trace_id,
                 dataset: batch.dataset,
-                subplans: 0,
                 received,
                 admission_ns,
-                queue_wait_ns: 0,
-                estimation_ns: 0,
                 stages: Arc::clone(&shard.stages),
             },
         );
@@ -796,58 +778,15 @@ fn collector_loop(
     inflight: &AtomicUsize,
     slowlog: &SlowLog,
 ) {
-    while let Ok((tag, index, result)) = rx.recv() {
-        // Fold the slot into its batch under the lock; encoding and the
-        // socket write happen outside it (and are timed as stages).
-        let entry = {
-            let mut map = pending.lock().expect("pending");
-            let Some(entry) = map.get_mut(&tag) else {
-                continue;
-            };
-            if matches!(result, Err(ServiceError::DeadlineExceeded)) {
-                entry.expired = true;
-            }
-            entry.results[index] = Some(match result {
-                Ok(resp) => {
-                    entry.subplans += resp.estimates.len();
-                    // Slots wait in the queue concurrently, so the batch's
-                    // queued wall-clock is the worst slot, not the sum;
-                    // estimation is per-slot CPU, so it *does* sum.
-                    entry.queue_wait_ns = entry.queue_wait_ns.max(duration_ns(resp.queue_wait));
-                    entry.estimation_ns += duration_ns(resp.estimate_time);
-                    Ok(WireEstimates {
-                        model_epoch: resp.model_epoch,
-                        estimates: resp.estimates,
-                    })
-                }
-                Err(err) => Err(err.to_string()),
-            });
-            entry.remaining -= 1;
-            if entry.remaining > 0 {
-                continue;
-            }
-            map.remove(&tag).expect("just updated")
+    // One wake-up per batch: the shard service replies once, with every
+    // query's result in submission order.
+    while let Ok((tag, results)) = rx.recv() {
+        let Some(entry) = pending.lock().expect("pending").remove(&tag) else {
+            continue;
         };
 
         let encode_started = Instant::now();
-        let frame = if entry.expired {
-            // Any shed slot poisons the batch: a response assembled
-            // past its deadline is dead weight on the wire, so the
-            // client gets one small rejection instead.
-            wire::encode_rejected(
-                tag,
-                RejectReason::DeadlineExceeded,
-                "deadline expired before the batch was fully served",
-            )
-        } else {
-            let results: Vec<Result<WireEstimates, String>> = entry
-                .results
-                .into_iter()
-                .map(|slot| slot.expect("remaining hit zero"))
-                .collect();
-            wire::encode_batch_result(tag, &results)
-        };
-        let frame = enforce_frame_cap(tag, frame);
+        let served = encode_served(tag, results);
         let encode_ns = elapsed_ns(encode_started);
 
         inflight.fetch_sub(1, Ordering::SeqCst);
@@ -857,7 +796,7 @@ fn collector_loop(
         let write_started = Instant::now();
         {
             let mut w = writer.lock().expect("writer");
-            if write_frame(&mut *w, &frame).is_err() {
+            if write_frame(&mut *w, &served.frame).is_err() {
                 let _ = w.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -867,17 +806,70 @@ fn collector_loop(
         entry.stages.socket_write.record(socket_write_ns);
         let mut stages = StageBreakdown::new();
         stages.set(Stage::Admission, entry.admission_ns);
-        stages.set(Stage::QueueWait, entry.queue_wait_ns);
-        stages.set(Stage::Estimation, entry.estimation_ns);
+        stages.set(Stage::QueueWait, served.queue_wait_ns);
+        stages.set(Stage::Estimation, served.estimation_ns);
         stages.set(Stage::Encode, encode_ns);
         stages.set(Stage::SocketWrite, socket_write_ns);
         slowlog.offer(SlowQuery {
             trace_id: entry.trace_id,
             dataset: entry.dataset,
-            subplans: entry.subplans,
+            subplans: served.subplans,
             total_ns: elapsed_ns(entry.received),
             stages,
         });
+    }
+}
+
+/// A served batch as the wire and the slowlog see it.
+struct ServedBatch {
+    frame: Vec<u8>,
+    /// Sub-plan estimates produced, summed across served queries.
+    subplans: usize,
+    /// Worst per-query queue wait (queries wait concurrently, so the max —
+    /// not the sum — is the wall-clock the batch spent queued).
+    queue_wait_ns: u64,
+    /// Estimation time summed across queries (CPU spent on the batch).
+    estimation_ns: u64,
+}
+
+/// Turns a shard service's reply into the batch's response frame: a
+/// `BatchResult` with one slot per query, or — if any query expired
+/// unserved — a single [`RejectReason::DeadlineExceeded`] rejection (a
+/// response assembled past its deadline is dead weight on the wire).
+fn encode_served(tag: u64, results: Vec<Result<EstimateResponse, ServiceError>>) -> ServedBatch {
+    let (mut expired, mut subplans, mut queue_wait_ns, mut estimation_ns) = (false, 0, 0, 0);
+    let results: Vec<Result<WireEstimates, String>> = results
+        .into_iter()
+        .map(|result| match result {
+            Ok(resp) => {
+                subplans += resp.estimates.len();
+                queue_wait_ns = queue_wait_ns.max(duration_ns(resp.queue_wait));
+                estimation_ns += duration_ns(resp.estimate_time);
+                Ok(WireEstimates {
+                    model_epoch: resp.model_epoch,
+                    estimates: resp.estimates,
+                })
+            }
+            Err(err) => {
+                expired |= err == ServiceError::DeadlineExceeded;
+                Err(err.to_string())
+            }
+        })
+        .collect();
+    let frame = if expired {
+        wire::encode_rejected(
+            tag,
+            RejectReason::DeadlineExceeded,
+            "deadline expired before the batch was fully served",
+        )
+    } else {
+        enforce_frame_cap(tag, wire::encode_batch_result(tag, &results))
+    };
+    ServedBatch {
+        frame,
+        subplans,
+        queue_wait_ns,
+        estimation_ns,
     }
 }
 
@@ -988,6 +980,40 @@ mod tests {
         assert_eq!(id, 9);
         assert_eq!(reason, RejectReason::ResponseTooLarge);
         assert!(message.contains("split"), "actionable message: {message}");
+    }
+
+    /// One reply in, one frame out: slot errors travel inside a
+    /// `BatchResult`, but a batch any of whose queries expired unserved is
+    /// a single `DeadlineExceeded` rejection however many were served.
+    #[test]
+    fn a_partly_expired_batch_is_one_deadline_rejection_frame() {
+        let ok = |subplans: usize, queue_us: u64, estimate_us: u64| {
+            Ok(EstimateResponse {
+                estimates: (0..subplans).map(|i| (1 << i, 2.5)).collect(),
+                dataset: Arc::from("stats"),
+                model_epoch: 4,
+                worker: 0,
+                queue_wait: Duration::from_micros(queue_us),
+                estimate_time: Duration::from_micros(estimate_us),
+            })
+        };
+        let unknown = || Err(ServiceError::UnknownDataset("nope".into()));
+
+        let served = encode_served(9, vec![ok(2, 30, 5), unknown(), ok(3, 10, 7)]);
+        let (id, results) = wire::decode_batch_result(&served.frame).expect("a result frame");
+        assert_eq!((id, results.len()), (9, 3));
+        assert_eq!(results[0].as_ref().expect("served").model_epoch, 4);
+        assert!(results[1].as_ref().unwrap_err().contains("nope"));
+        assert_eq!(
+            (served.subplans, served.queue_wait_ns, served.estimation_ns),
+            (5, 30_000, 12_000),
+            "sub-plans and estimation sum, queue wait is the worst slot"
+        );
+
+        let expired = || Err(ServiceError::DeadlineExceeded);
+        let served = encode_served(9, vec![ok(2, 30, 5), ok(1, 1, 1), ok(1, 1, 1), expired()]);
+        let (id, reason, _) = wire::decode_rejected(&served.frame).expect("a rejection frame");
+        assert_eq!((id, reason), (9, RejectReason::DeadlineExceeded));
     }
 
     /// Regression for the empty-batch fast path skipping the duplicate-id

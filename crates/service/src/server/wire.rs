@@ -47,7 +47,7 @@
 use crate::request::RejectReason;
 use fj_query::{ColRef, FilterExpr, JoinPredicate, Predicate, Query, SubplanMask, TableRef};
 use fj_storage::Value;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u32 = 3;
@@ -256,11 +256,21 @@ impl<'a> Dec<'a> {
 
 // ----------------------------------------------------------------- frames
 
-/// Writes one `[u32 length][payload]` frame.
+/// Writes one `[u32 length][payload]` frame — prefix and payload in **one**
+/// vectored write, so an unbuffered `TCP_NODELAY` socket sends one segment
+/// and the peer is never woken by the 4-byte prefix alone. Whatever a
+/// short write (or a writer without real vectored support, which takes
+/// the first slice only) left over follows in plain writes.
 pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let sent = match w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(payload)]) {
+        Ok(sent) => sent,
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
+        Err(e) => return Err(e),
+    };
+    w.write_all(&prefix[sent.min(prefix.len())..])?;
+    w.write_all(&payload[sent.saturating_sub(prefix.len())..])?;
     w.flush()
 }
 
@@ -1213,6 +1223,50 @@ mod tests {
         let mut cursor = &huge[..];
         let err = read_frame(&mut cursor, &mut buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn write_frame_is_one_write_and_survives_short_ones() {
+        /// Accepts at most `limit` bytes per call, across slices.
+        struct Sink {
+            bytes: Vec<u8>,
+            calls: usize,
+            limit: usize,
+        }
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.calls += 1;
+                let before = self.bytes.len();
+                for buf in bufs {
+                    let room = self.limit - (self.bytes.len() - before);
+                    self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+                }
+                Ok(self.bytes.len() - before)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = encode_rejected(1, RejectReason::Overloaded, "x");
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        // A short write may end inside the prefix (3), at its end (4),
+        // inside the payload (5), or not happen at all.
+        for limit in [3, 4, 5, usize::MAX] {
+            let mut sink = Sink {
+                bytes: Vec::new(),
+                calls: 0,
+                limit,
+            };
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.bytes, expected, "limit {limit}: bytes unchanged");
+            if limit == usize::MAX {
+                assert_eq!(sink.calls, 1, "prefix and payload leave in one call");
+            }
+        }
     }
 
     #[test]

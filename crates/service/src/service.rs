@@ -1,27 +1,28 @@
 //! The estimator service: a worker pool over a bounded request queue.
 
 use crate::cache::SubplanCache;
-use crate::queue::{BoundedQueue, TryPushError};
+use crate::queue::{BoundedQueue, Closed, TryPushError};
 use crate::registry::ModelRegistry;
 use crate::request::{
     AdmissionRejected, BatchTicket, EstimateRequest, RejectReason, Reply, ServiceError, Ticket,
 };
 use crate::stats::{StatsInner, StatsSnapshot};
-use crate::worker::{spawn_workers, Job};
+use crate::worker::{spawn_workers, Batch, Pool};
 use factorjoin::FactorJoinModel;
 use fj_obs::MetricsRegistry;
 use fj_query::Query;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads, each holding a long-lived estimation scratch.
     pub workers: usize,
-    /// Bounded request-queue capacity — the backpressure limit: submits
-    /// block once this many requests are in flight but unclaimed.
+    /// Bounded request-queue capacity in queries — the backpressure limit:
+    /// a blocking submit waits while its batch would take the unclaimed
+    /// queries past this (unless the queue is empty), a non-blocking one
+    /// is shed.
     pub queue_capacity: usize,
     /// Dataset served when a request does not name one.
     pub default_dataset: String,
@@ -64,35 +65,23 @@ impl ServiceConfig {
 /// every already-submitted request (their tickets still resolve), then the
 /// worker threads are joined.
 pub struct EstimatorService {
-    queue: Arc<BoundedQueue<Job>>,
-    registry: Arc<ModelRegistry>,
-    stats: Arc<StatsInner>,
-    cache: Option<Arc<SubplanCache>>,
+    pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl EstimatorService {
     /// Starts the worker pool against an existing (shareable) registry.
     pub fn start(registry: Arc<ModelRegistry>, config: ServiceConfig) -> Self {
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let stats = Arc::new(StatsInner::new());
-        let cache = (config.subplan_cache_entries > 0)
-            .then(|| Arc::new(SubplanCache::new(config.subplan_cache_entries)));
-        let workers = spawn_workers(
-            config.workers,
-            config.default_dataset,
-            Arc::clone(&queue),
-            Arc::clone(&registry),
-            Arc::clone(&stats),
-            cache.clone(),
-        );
-        EstimatorService {
-            queue,
+        let pool = Arc::new(Pool {
+            default_dataset: Arc::from(config.default_dataset),
+            queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
             registry,
-            stats,
-            cache,
-            workers,
-        }
+            stats: Arc::new(StatsInner::new()),
+            cache: (config.subplan_cache_entries > 0)
+                .then(|| Arc::new(SubplanCache::new(config.subplan_cache_entries))),
+        });
+        let workers = spawn_workers(config.workers, &pool);
+        EstimatorService { pool, workers }
     }
 
     /// Convenience: a fresh registry holding one model, served by
@@ -109,61 +98,40 @@ impl EstimatorService {
         self.submit_request(EstimateRequest::new(query))
     }
 
-    /// Submits one request. If the service is already shutting down, the
-    /// returned ticket resolves with [`ServiceError::SubmitAfterShutdown`]
-    /// — the error is never silently dropped.
+    /// Submits one request — a batch of one over the batch path. If the
+    /// service is already shutting down, the returned ticket resolves with
+    /// [`ServiceError::SubmitAfterShutdown`] — the error is never silently
+    /// dropped.
     pub fn submit_request(&self, request: EstimateRequest) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            tag: 0,
-            index: 0,
-            request,
-            submitted: Instant::now(),
-            reply: tx,
-        };
-        if let Err(crate::queue::Closed(rejected)) = self.queue.push(job) {
-            for job in rejected {
-                let _ =
-                    job.reply
-                        .send((job.tag, job.index, Err(ServiceError::SubmitAfterShutdown)));
-            }
-        }
+        let BatchTicket { rx, .. } = self.submit_requests(vec![request]);
         Ticket { rx }
     }
 
-    /// Submits a batch of queries against the default dataset. The whole
-    /// batch shares one reply channel and is enqueued under one queue lock
-    /// acquisition, so batched submission stays cheap at high request
-    /// rates.
+    /// Submits a batch of queries against the default dataset. The batch
+    /// is one queue entry and resolves with one reply, so batched
+    /// submission stays cheap at high request rates.
     pub fn submit_batch(&self, queries: &[Query]) -> BatchTicket {
         self.submit_requests(queries.iter().cloned().map(EstimateRequest::new).collect())
     }
 
     /// [`Self::submit_batch`] with per-request control.
     ///
-    /// A batch that races shutdown can be **partially** enqueued: the
-    /// already-queued prefix is drained and resolves normally, while the
-    /// dropped remainder resolves with
-    /// [`ServiceError::SubmitAfterShutdown`]. The returned ticket's
-    /// [`BatchTicket::accepted`] reports how many requests made it in.
+    /// Blocks — the backpressure — until the queue has room for the whole
+    /// batch or is empty (so a batch larger than the capacity waits for
+    /// the queue to drain instead of deadlocking); a batch is never
+    /// partially enqueued. One that loses the race with shutdown is
+    /// refused whole: [`BatchTicket::accepted`] is 0 and every slot
+    /// resolves with [`ServiceError::SubmitAfterShutdown`]. An empty batch
+    /// resolves at once, to an empty result.
     pub fn submit_requests(&self, requests: Vec<EstimateRequest>) -> BatchTicket {
         let (tx, rx) = mpsc::channel::<Reply>();
         let expected = requests.len();
-        let jobs = Self::make_jobs(requests, 0, &tx);
-        let accepted = match self.queue.push_many(jobs) {
-            Ok(()) => expected,
-            Err(crate::queue::Closed(rejected)) => {
-                let accepted = expected - rejected.len();
-                for job in rejected {
-                    let _ = job.reply.send((
-                        job.tag,
-                        job.index,
-                        Err(ServiceError::SubmitAfterShutdown),
-                    ));
-                }
-                accepted
-            }
-        };
+        let mut accepted = expected;
+        let batch = Batch::new(0, requests, tx);
+        if let Err(Closed(batch)) = self.pool.queue.push(batch, expected) {
+            batch.refuse(&ServiceError::SubmitAfterShutdown);
+            accepted = 0;
+        }
         BatchTicket {
             rx,
             expected,
@@ -173,10 +141,11 @@ impl EstimatorService {
 
     /// Non-blocking, all-or-nothing batch submission — the admission-
     /// control path for serving tiers that must never stall a network
-    /// thread. The batch is enqueued only when the queue is open and has
-    /// room for all of it; otherwise it comes back in
-    /// [`AdmissionRejected`] (reason [`RejectReason::Overloaded`] on a
-    /// full queue — counted as shed load in [`StatsSnapshot::shed`] — or
+    /// thread. The batch is enqueued only when the queue is open and
+    /// `queued + n <= capacity` (so a batch larger than the capacity is
+    /// always shed); otherwise it comes back in [`AdmissionRejected`]
+    /// (reason [`RejectReason::Overloaded`] on a full queue — all `n`
+    /// counted as shed load in [`StatsSnapshot::shed`] — or
     /// [`RejectReason::ShuttingDown`] on a closed one).
     pub fn offer_requests(
         &self,
@@ -184,7 +153,7 @@ impl EstimatorService {
     ) -> Result<BatchTicket, AdmissionRejected> {
         let (tx, rx) = mpsc::channel::<Reply>();
         let expected = requests.len();
-        self.offer_jobs(requests, 0, &tx)?;
+        self.offer_tagged(requests, 0, &tx)?;
         Ok(BatchTicket {
             rx,
             expected,
@@ -192,62 +161,30 @@ impl EstimatorService {
         })
     }
 
-    /// [`Self::offer_requests`] routing replies to a caller-owned channel,
-    /// tagged so interleaved batches can share it (the network tier's
-    /// submission path: one reply channel per connection, tag = wire
-    /// request id).
+    /// [`Self::offer_requests`] routing the reply to a caller-owned
+    /// channel, tagged so interleaved batches can share it (the network
+    /// tier's submission path: one reply channel per connection, tag =
+    /// wire request id).
     pub(crate) fn offer_tagged(
         &self,
         requests: Vec<EstimateRequest>,
         tag: u64,
         reply: &mpsc::Sender<Reply>,
     ) -> Result<(), AdmissionRejected> {
-        self.offer_jobs(requests, tag, reply)
-    }
-
-    fn make_jobs(
-        requests: Vec<EstimateRequest>,
-        tag: u64,
-        reply: &mpsc::Sender<Reply>,
-    ) -> Vec<Job> {
-        let submitted = Instant::now();
-        requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, request)| Job {
-                tag,
-                index,
-                request,
-                submitted,
-                reply: reply.clone(),
-            })
-            .collect()
-    }
-
-    fn offer_jobs(
-        &self,
-        requests: Vec<EstimateRequest>,
-        tag: u64,
-        reply: &mpsc::Sender<Reply>,
-    ) -> Result<(), AdmissionRejected> {
         let count = requests.len();
-        let jobs = Self::make_jobs(requests, tag, reply);
-        match self.queue.try_push_many(jobs) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                let (reason, jobs) = match err {
-                    TryPushError::Full(jobs) => {
-                        self.stats.record_shed(count);
-                        (RejectReason::Overloaded, jobs)
-                    }
-                    TryPushError::Closed(jobs) => (RejectReason::ShuttingDown, jobs),
-                };
-                Err(AdmissionRejected {
-                    reason,
-                    requests: jobs.into_iter().map(|j| j.request).collect(),
-                })
+        let batch = Batch::new(tag, requests, reply.clone());
+        let (reason, batch) = match self.pool.queue.try_push(batch, count) {
+            Ok(()) => return Ok(()),
+            Err(TryPushError::Full(batch)) => {
+                self.pool.stats.record_shed(count);
+                (RejectReason::Overloaded, batch)
             }
-        }
+            Err(TryPushError::Closed(batch)) => (RejectReason::ShuttingDown, batch),
+        };
+        Err(AdmissionRejected {
+            reason,
+            requests: batch.into_requests(),
+        })
     }
 
     /// Counts an admission-control rejection (per-client quota) in
@@ -255,18 +192,18 @@ impl EstimatorService {
     /// top — quota policy lives with the connection state they own, but
     /// the counter belongs to the service the client was refused.
     pub fn record_admission_rejection(&self) {
-        self.stats.record_rejected();
+        self.pool.stats.record_rejected();
     }
 
     /// The shared registry (publish/swap models through this).
     pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
+        &self.pool.registry
     }
 
     /// The sub-plan estimate cache, or `None` when disabled
     /// ([`ServiceConfig::subplan_cache_entries`] = 0).
     pub fn subplan_cache(&self) -> Option<&Arc<SubplanCache>> {
-        self.cache.as_ref()
+        self.pool.cache.as_ref()
     }
 
     /// Number of worker threads.
@@ -277,12 +214,12 @@ impl EstimatorService {
     /// Requests queued but not yet picked up by a worker (a health-probe
     /// load signal).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.pool.queue.len()
     }
 
     /// The bounded queue's capacity.
     pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
+        self.pool.queue.capacity()
     }
 
     /// Register this service's counters, latency/stage histograms, and a
@@ -290,8 +227,8 @@ impl EstimatorService {
     /// Entries are closure-backed `Arc` clones: the hot path records into
     /// the same atomics it always did and never touches the registry.
     pub fn install_metrics(&self, registry: &MetricsRegistry, dataset: &str) {
-        self.stats.install_metrics(registry, dataset);
-        let queue = Arc::clone(&self.queue);
+        self.pool.stats.install_metrics(registry, dataset);
+        let queue = Arc::clone(&self.pool.queue);
         registry.register_gauge_fn(
             "fj_queue_depth",
             "Requests queued but not yet picked up by a worker.",
@@ -302,26 +239,26 @@ impl EstimatorService {
 
     /// The shard's raw stats, for cross-shard merging ([`crate::FjServer::stats_merged`]).
     pub(crate) fn stats_inner(&self) -> &Arc<StatsInner> {
-        &self.stats
+        &self.pool.stats
     }
 
     /// Queue depth and high-water mark under one lock, for snapshots.
     pub(crate) fn queue_depth_and_high_water(&self) -> (usize, usize) {
-        self.queue.depth_and_high_water()
+        self.pool.queue.depth_and_high_water()
     }
 
     /// Service statistics since start (or the last [`Self::reset_stats`]).
     pub fn stats(&self) -> StatsSnapshot {
-        let (depth, high_water) = self.queue.depth_and_high_water();
-        self.stats.snapshot(depth, high_water)
+        let (depth, high_water) = self.pool.queue.depth_and_high_water();
+        self.pool.stats.snapshot(depth, high_water)
     }
 
     /// Clears counters/latencies, restarts the measurement window, and
     /// resets the queue high-water mark (between benchmark warm-up and the
     /// timed run).
     pub fn reset_stats(&self) {
-        self.stats.reset();
-        self.queue.reset_high_water();
+        self.pool.stats.reset();
+        self.pool.queue.reset_high_water();
     }
 
     /// Shuts down: rejects new submits, serves everything already queued,
@@ -331,7 +268,7 @@ impl EstimatorService {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.queue.close();
+        self.pool.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -347,9 +284,11 @@ impl Drop for EstimatorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ServiceError;
+    use crate::request::{EstimateResponse, ServiceError};
+    use crate::worker::{Resolved, Worker};
     use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig};
     use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
+    use std::time::{Duration, Instant};
 
     fn tiny_setup() -> (Arc<FactorJoinModel>, Vec<Query>) {
         let cat = stats_catalog(&StatsConfig {
@@ -376,7 +315,7 @@ mod tests {
 
         let got = service.submit(wl[0].clone()).wait().unwrap();
         assert_eq!(got.estimates, expected[0]);
-        assert_eq!(got.dataset, "stats");
+        assert_eq!(&*got.dataset, "stats");
         assert!(got.worker < 2);
 
         let batch = service.submit_batch(&wl).wait_all();
@@ -384,6 +323,7 @@ mod tests {
         for (resp, exp) in batch.iter().zip(&expected) {
             assert_eq!(resp.as_ref().unwrap().estimates, *exp);
         }
+        assert!(service.submit_batch(&[]).wait_all().is_empty());
         let snap = service.stats();
         assert_eq!(snap.requests as usize, wl.len() + 1);
         assert!(snap.subplans > 0);
@@ -414,28 +354,49 @@ mod tests {
         assert!(resp.estimates.iter().all(|(m, _)| m.count_ones() >= 2));
     }
 
-    /// A worker-less service (private constructor): jobs stay queued until
-    /// the test drains them, making submit/close races deterministic.
+    /// A worker-less service (private constructor): batches stay queued
+    /// until the test claims them, making every race deterministic.
     fn stalled_service(queue_capacity: usize) -> EstimatorService {
         EstimatorService {
-            queue: Arc::new(BoundedQueue::new(queue_capacity)),
-            registry: Arc::new(ModelRegistry::new()),
-            stats: Arc::new(StatsInner::new()),
-            cache: None,
+            pool: Arc::new(Pool {
+                default_dataset: Arc::from("stats"),
+                queue: Arc::new(BoundedQueue::new(queue_capacity)),
+                registry: Arc::new(ModelRegistry::new()),
+                stats: Arc::new(StatsInner::new()),
+                cache: None,
+            }),
             workers: Vec::new(),
         }
+    }
+
+    fn requests(wl: &[Query], n: usize) -> Vec<EstimateRequest> {
+        (wl.iter().cycle().take(n).cloned())
+            .map(EstimateRequest::new)
+            .collect()
+    }
+
+    fn bits(estimates: &[(u64, f64)]) -> Vec<(u64, u64)> {
+        estimates.iter().map(|&(m, e)| (m, e.to_bits())).collect()
+    }
+
+    /// Asserts `got` is `query` served by `model`, bit for bit.
+    fn assert_served_by(got: &EstimateResponse, model: &FactorJoinModel, query: &Query) {
+        assert_eq!(
+            bits(&got.estimates),
+            bits(&model.estimate_subplans(query, 1))
+        );
     }
 
     #[test]
     fn submit_after_close_resolves_with_distinct_error() {
         // Regression: the Closed error from the queue used to be discarded
-        // (`let _ = self.queue.push(job)`), leaving the caller with only a
+        // (`let _ = self.pool.queue.push(job)`), leaving the caller with only a
         // generic Shutdown after an arbitrary wait. Submission against a
         // closed queue must resolve immediately and distinctly.
         let (model, wl) = tiny_setup();
         let service = stalled_service(4);
-        service.registry.publish("stats", model);
-        service.queue.close();
+        service.pool.registry.publish("stats", model);
+        service.pool.queue.close();
 
         let err = service.submit(wl[0].clone()).wait().unwrap_err();
         assert_eq!(err, ServiceError::SubmitAfterShutdown);
@@ -448,58 +409,251 @@ mod tests {
     }
 
     #[test]
-    fn close_during_submit_batch_reports_partial_acceptance() {
-        // Regression: a batch that races shutdown is *partially* enqueued
-        // — push_many blocks on a full queue, close() wakes it, and the
-        // remainder comes back Closed. The dropped remainder must resolve
-        // with SubmitAfterShutdown (not hang, not generic Shutdown) and
-        // accepted() must report the enqueued prefix.
+    fn close_during_blocked_submit_batch_refuses_it_whole() {
+        // A batch is admitted whole or not at all, on the blocking path
+        // too: one that is parked for room when the queue closes comes
+        // back refused — nothing of it enqueued, accepted() == 0, every
+        // slot SubmitAfterShutdown (not a hang, not generic Shutdown).
         let (model, wl) = tiny_setup();
-        let service = stalled_service(1); // room for exactly one job
-        service.registry.publish("stats", model);
-
-        let requests: Vec<EstimateRequest> = wl.iter().cloned().map(EstimateRequest::new).collect();
-        let batch_len = requests.len();
-        assert!(batch_len >= 2, "need a batch larger than the queue");
+        let service = stalled_service(1);
+        service.pool.registry.publish("stats", model);
+        let earlier = service.submit(wl[0].clone()); // fills the queue
 
         let ticket = std::thread::scope(|s| {
-            let submitter = s.spawn(|| service.submit_requests(requests));
-            // Wait for the submitter to fill the queue and block for room,
-            // then close — the exact mid-batch shutdown race.
-            while service.queue.is_empty() {
+            let submitter = s.spawn(|| service.submit_requests(requests(&wl, 2)));
+            // Neither room nor an empty queue: the submitter parks. Close
+            // exactly then — the mid-submit shutdown race.
+            while service.pool.queue.blocked_producers() == 0 {
                 std::thread::yield_now();
             }
-            service.queue.close();
+            assert_eq!(service.pool.queue.len(), 1, "no part of the batch went in");
+            service.pool.queue.close();
             submitter.join().expect("submitter thread")
         });
-        assert_eq!(ticket.len(), batch_len);
-        assert_eq!(ticket.accepted(), 1, "one job fit before the close");
+        assert_eq!((ticket.len(), ticket.accepted()), (2, 0));
+        for result in ticket.wait_all() {
+            assert_eq!(result.unwrap_err(), ServiceError::SubmitAfterShutdown);
+        }
 
-        // Drain the accepted job as a worker would, so its slot resolves.
-        let job = service.queue.pop().expect("the accepted job is queued");
-        assert_eq!(job.index, 0, "the enqueued prefix comes first");
-        let handle = service.registry.get("stats").expect("published");
-        let estimates = handle.model.estimate_subplans(&job.request.query, 1);
-        let response = crate::request::EstimateResponse {
-            dataset: "stats".to_string(),
-            model_epoch: handle.epoch,
-            worker: 0,
-            queue_wait: std::time::Duration::ZERO,
-            estimate_time: std::time::Duration::ZERO,
-            estimates,
-        };
-        job.reply
-            .send((job.tag, job.index, Ok(response)))
-            .expect("ticket alive");
+        // What was admitted before the close is still served.
+        assert_eq!(service.pool.queue.len(), 1);
+        let (batch, index) = service.pool.queue.claim().expect("the earlier submit");
+        Worker::new(0, &service.pool).serve(&batch, index, &mut Resolved::default());
+        assert!(earlier.wait().is_ok());
+    }
 
-        let results = ticket.wait_all();
-        assert!(results[0].is_ok(), "the accepted job resolves normally");
-        for result in &results[1..] {
+    #[test]
+    fn a_batch_is_one_reply_in_submission_order() {
+        let (model, wl) = tiny_setup();
+        for n in [1, 16] {
+            let service = stalled_service(32);
+            service.pool.registry.publish("stats", Arc::clone(&model));
+            // n = 1 goes through `submit`: a Ticket is a batch of one.
+            let rx = if n == 1 {
+                service.submit(wl[0].clone()).rx
+            } else {
+                service.submit_requests(requests(&wl, n)).rx
+            };
+            assert_eq!(service.pool.queue.len(), n, "depth counts queries");
+
+            let mut worker = Worker::new(0, &service.pool);
+            let mut resolved = Resolved::default();
+            for served in 0..n {
+                assert!(rx.try_recv().is_err(), "no reply after {served} of {n}");
+                let (batch, index) = service.pool.queue.claim().expect("queued");
+                assert_eq!(index, served, "claims walk the batch in order");
+                worker.serve(&batch, index, &mut resolved);
+            }
+            let (tag, results) = rx.try_recv().expect("the reply, once the last slot fills");
+            assert_eq!((tag, results.len()), (0, n));
+            for (result, query) in results.iter().zip(wl.iter().cycle()) {
+                assert_served_by(result.as_ref().expect("served"), &model, query);
+            }
             assert_eq!(
-                *result.as_ref().unwrap_err(),
-                ServiceError::SubmitAfterShutdown,
-                "dropped remainder resolves with the distinct submit error"
+                rx.try_recv().unwrap_err(),
+                mpsc::TryRecvError::Disconnected,
+                "exactly one message per batch"
             );
+            assert_eq!(service.stats().requests as usize, n);
+        }
+    }
+
+    #[test]
+    fn two_workers_share_a_batch_and_the_last_to_finish_replies() {
+        let (model, wl) = tiny_setup();
+        for last in [0, 1] {
+            let service = stalled_service(8);
+            service.pool.registry.publish("stats", Arc::clone(&model));
+            let ticket = service.submit_requests(requests(&wl, 4));
+            let mut workers = [Worker::new(0, &service.pool), Worker::new(1, &service.pool)];
+            let mut resolved = [Resolved::default(), Resolved::default()];
+
+            // Both idle workers wake on the one batch and take turns at
+            // its claim cursor: worker 0 gets queries 0 and 2, worker 1
+            // gets 1 and 3.
+            let (batch, q0) = service.pool.queue.claim().expect("worker 0's claim");
+            let (same, q1) = service.pool.queue.claim().expect("worker 1's claim");
+            assert!(Arc::ptr_eq(&batch, &same), "one batch, shared");
+            let q2 = service
+                .pool
+                .queue
+                .claim_more(&batch)
+                .expect("worker 0 again");
+            let q3 = service
+                .pool
+                .queue
+                .claim_more(&batch)
+                .expect("worker 1 again");
+            let claims = [[q0, q2], [q1, q3]];
+            assert_eq!(claims, [[0, 2], [1, 3]]);
+            assert_eq!(service.pool.queue.claim_more(&batch), None, "fully claimed");
+            assert!(service.pool.queue.is_empty(), "and so out of the queue");
+
+            // Whoever is not `last` finishes both of its queries first.
+            for w in [1 - last, last] {
+                for index in claims[w] {
+                    assert!(ticket.rx.try_recv().is_err(), "a slot is still open");
+                    workers[w].serve(&batch, index, &mut resolved[w]);
+                }
+            }
+            let results = ticket.wait_all();
+            for (index, result) in results.iter().enumerate() {
+                let got = result.as_ref().expect("served");
+                assert_eq!(got.worker, index % 2, "disjoint claims cover the batch");
+                assert_served_by(got, &model, &wl[index % wl.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_passing_mid_batch_sheds_only_the_rest() {
+        // A worker checks each query's deadline when it claims it, so a
+        // batch deadline that passes between the 3rd and 4th claim is a
+        // batch whose first three deadlines lie ahead and the rest behind.
+        let (model, wl) = tiny_setup();
+        let service = stalled_service(8);
+        service.pool.registry.publish("stats", Arc::clone(&model));
+        let now = Instant::now();
+        let batch: Vec<EstimateRequest> = (requests(&wl, 6).into_iter().enumerate())
+            .map(|(i, r)| {
+                r.with_deadline(if i < 3 {
+                    now + Duration::from_secs(3600)
+                } else {
+                    now
+                })
+            })
+            .collect();
+        let ticket = service.submit_requests(batch);
+
+        let mut worker = Worker::new(0, &service.pool);
+        let mut resolved = Resolved::default();
+        while !service.pool.queue.is_empty() {
+            let (batch, index) = service.pool.queue.claim().expect("queued");
+            worker.serve(&batch, index, &mut resolved);
+        }
+        let results = ticket.wait_all();
+        for (index, result) in results.iter().enumerate() {
+            match result {
+                Ok(got) if index < 3 => assert_served_by(got, &model, &wl[index % wl.len()]),
+                Err(ServiceError::DeadlineExceeded) if index >= 3 => {}
+                other => panic!("slot {index}: {other:?}"),
+            }
+        }
+        let snap = service.stats();
+        assert_eq!(
+            (snap.requests, snap.expired),
+            (3, 3),
+            "expiry counts per query"
+        );
+    }
+
+    #[test]
+    fn a_panic_fails_its_slot_only() {
+        let (model, wl) = tiny_setup();
+        let service = stalled_service(8);
+        service.pool.registry.publish("stats", Arc::clone(&model));
+        // Structurally valid, but names a table the model never saw: the
+        // estimator panics on it.
+        let bogus = Query::from_wire_parts(
+            vec![fj_query::TableRef::new("z", "no_such_table")],
+            vec![],
+            vec![fj_query::FilterExpr::True],
+        )
+        .expect("structurally valid");
+        let queries = [wl[0].clone(), bogus, wl[1].clone()];
+        let ticket = service.submit_batch(&queries);
+
+        let mut worker = Worker::new(0, &service.pool);
+        let mut resolved = Resolved::default();
+        while !service.pool.queue.is_empty() {
+            let (batch, index) = service.pool.queue.claim().expect("queued");
+            worker.serve(&batch, index, &mut resolved);
+        }
+        let results = ticket.wait_all();
+        assert_served_by(
+            results[0].as_ref().expect("before the panic"),
+            &model,
+            &wl[0],
+        );
+        assert!(matches!(&results[1], Err(ServiceError::WorkerPanicked(_))));
+        // The slot after the panic runs on a rebuilt scratch, same worker.
+        assert_served_by(
+            results[2].as_ref().expect("after the panic"),
+            &model,
+            &wl[1],
+        );
+        let snap = service.stats();
+        assert_eq!((snap.requests, snap.worker_panics), (2, 1));
+    }
+
+    #[test]
+    fn hot_swap_between_batches_never_mixes_epochs_within_one() {
+        let (model_a, wl) = tiny_setup();
+        let model_b = Arc::new(FactorJoinModel::train(
+            &stats_catalog(&StatsConfig {
+                scale: 0.02,
+                ..Default::default()
+            }),
+            FactorJoinConfig {
+                bin_budget: BinBudget::Uniform(25),
+                estimator: BaseEstimatorKind::TrueScan,
+                ..Default::default()
+            },
+        ));
+        let service = stalled_service(8);
+        let epoch_a = service.pool.registry.publish("stats", Arc::clone(&model_a));
+        let tickets = [
+            service.submit_requests(requests(&wl, 3)),
+            service.submit_requests(requests(&wl, 3)),
+        ];
+
+        // The swap lands after the worker's first query of batch 0: what
+        // it resolved for that batch holds until the batch runs out.
+        let mut worker = Worker::new(0, &service.pool);
+        let mut epoch_b = None;
+        for _ in 0..2 {
+            let (batch, first) = service.pool.queue.claim().expect("queued");
+            let mut resolved = Resolved::default();
+            let mut next = Some(first);
+            while let Some(index) = next {
+                worker.serve(&batch, index, &mut resolved);
+                if epoch_b.is_none() {
+                    service
+                        .pool
+                        .registry
+                        .swap_model("stats", Arc::clone(&model_b));
+                    epoch_b = Some(service.pool.registry.get("stats").expect("published").epoch);
+                }
+                next = service.pool.queue.claim_more(&batch);
+            }
+        }
+        let served = [(epoch_a, &model_a), (epoch_b.expect("swapped"), &model_b)];
+        for (ticket, (epoch, model)) in tickets.into_iter().zip(served) {
+            for (result, query) in ticket.wait_all().iter().zip(wl.iter().cycle()) {
+                let got = result.as_ref().expect("served");
+                assert_eq!(got.model_epoch, epoch);
+                assert_served_by(got, model, query);
+            }
         }
     }
 
@@ -507,7 +661,7 @@ mod tests {
     fn offer_requests_sheds_on_full_queue_and_counts_it() {
         let (model, wl) = tiny_setup();
         let service = stalled_service(2); // no workers: queue never drains
-        service.registry.publish("stats", Arc::clone(&model));
+        service.pool.registry.publish("stats", Arc::clone(&model));
         let reqs = |n: usize| -> Vec<EstimateRequest> {
             (0..n)
                 .map(|i| EstimateRequest::new(wl[i % wl.len()].clone()))
@@ -517,7 +671,7 @@ mod tests {
         let err = service.offer_requests(reqs(3)).unwrap_err();
         assert_eq!(err.reason, RejectReason::Overloaded);
         assert_eq!(err.requests.len(), 3, "the batch comes back for retry");
-        assert_eq!(service.queue.len(), 0, "nothing partially enqueued");
+        assert_eq!(service.pool.queue.len(), 0, "nothing partially enqueued");
         // A fitting batch is accepted.
         let ticket = service.offer_requests(reqs(2)).expect("fits");
         assert_eq!(ticket.accepted(), 2);
@@ -530,7 +684,7 @@ mod tests {
         assert_eq!(snap.shed, 4, "3 + 1 shed requests counted");
         assert_eq!(snap.rejected, 1);
         // Closed queue refuses with ShuttingDown instead.
-        service.queue.close();
+        service.pool.queue.close();
         let err = service.offer_requests(reqs(1)).unwrap_err();
         assert_eq!(err.reason, RejectReason::ShuttingDown);
     }
@@ -540,9 +694,14 @@ mod tests {
         let (model, wl) = tiny_setup();
         let service = EstimatorService::serve("stats", Arc::clone(&model), 1);
         let ticket = service.submit(wl[0].clone());
+        let batches = [service.submit_batch(&wl), service.submit_batch(&wl)];
         service.shutdown();
-        // Submitted before shutdown → still served.
+        // Submitted before shutdown → still served, every admitted batch
+        // to completion.
         assert!(ticket.wait().is_ok());
+        for batch in batches {
+            assert!(batch.wait_all().iter().all(|r| r.is_ok()));
+        }
         // (The service is consumed by shutdown; nothing further to submit.)
     }
 

@@ -1,5 +1,15 @@
-//! Worker threads: each owns a long-lived estimation scratch and serves
-//! requests from the shared queue.
+//! Worker threads and the unit of work they share: the [`Batch`].
+//!
+//! A submitted batch is **one** queue entry. Workers claim its queries one
+//! at a time under the queue lock (so idle workers share a large batch),
+//! resolve each into the batch's result slots, and whichever worker fills
+//! the last slot sends the batch's single reply. A lone `submit` is a
+//! batch of one over the same path.
+//!
+//! Per batch a worker works on it resolves, once, the dataset name its
+//! responses carry and the [`ModelHandle`] that serves them ([`Resolved`]);
+//! per query it checks the deadline, estimates under `catch_unwind`
+//! through the sub-plan cache, and records stats.
 
 use crate::cache::{SubplanCache, FINGERPRINT_SEED};
 use crate::queue::BoundedQueue;
@@ -8,129 +18,215 @@ use crate::request::{EstimateRequest, EstimateResponse, Reply, ServiceError};
 use crate::stats::StatsInner;
 use factorjoin::EstimationScratch;
 use fj_query::{subplan_fingerprints, SubplanMask};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A queued unit of work: the request plus its reply route.
-pub(crate) struct Job {
+/// A queued unit of work: the submitted requests, their one reply route,
+/// and the slots their results collect in. (The claim cursor lives in the
+/// queue entry, under the queue lock.)
+pub(crate) struct Batch {
     /// Multiplexing tag (0 for plain submits; wire request id for the
     /// network tier, whose connections share one reply channel).
-    pub tag: u64,
-    /// Index within the submitting batch (0 for single submits).
-    pub index: usize,
-    pub request: EstimateRequest,
-    pub submitted: Instant,
-    pub reply: mpsc::Sender<Reply>,
+    tag: u64,
+    requests: Vec<EstimateRequest>,
+    submitted: Instant,
+    reply: mpsc::Sender<Reply>,
+    slots: Mutex<Slots>,
 }
 
-/// Spawns `count` workers draining `queue` until it is closed.
+struct Slots {
+    /// In submission order; a slot reads [`ServiceError::Shutdown`] until
+    /// its query is resolved.
+    results: Vec<Result<EstimateResponse, ServiceError>>,
+    unresolved: usize,
+}
+
+impl Batch {
+    pub(crate) fn new(
+        tag: u64,
+        requests: Vec<EstimateRequest>,
+        reply: mpsc::Sender<Reply>,
+    ) -> Self {
+        let slots = Slots {
+            results: requests
+                .iter()
+                .map(|_| Err(ServiceError::Shutdown))
+                .collect(),
+            unresolved: requests.len(),
+        };
+        Batch {
+            tag,
+            requests,
+            submitted: Instant::now(),
+            reply,
+            slots: Mutex::new(slots),
+        }
+    }
+
+    /// Number of queries — the units this batch occupies in the queue.
+    pub(crate) fn len(&self) -> usize {
+        self.requests.len()
+    }
+
+    /// The requests back, for a batch refused admission.
+    pub(crate) fn into_requests(self) -> Vec<EstimateRequest> {
+        self.requests
+    }
+
+    /// Resolves every slot with `error`: the batch was never admitted.
+    pub(crate) fn refuse(&self, error: &ServiceError) {
+        for index in 0..self.len() {
+            self.resolve(index, Err(error.clone()));
+        }
+    }
+
+    /// Stores query `index`'s result; the call that resolves the batch's
+    /// last open slot sends its one reply.
+    fn resolve(&self, index: usize, result: Result<EstimateResponse, ServiceError>) {
+        let mut slots = self.slots.lock().expect("batch slots");
+        slots.results[index] = result;
+        slots.unresolved -= 1;
+        if slots.unresolved > 0 {
+            return;
+        }
+        let results = std::mem::take(&mut slots.results);
+        drop(slots);
+        // A dropped ticket just means the client stopped waiting.
+        let _ = self.reply.send((self.tag, results));
+    }
+}
+
+/// What a worker resolves once per batch it works on instead of per query:
+/// the dataset name (shared into every response) and the model serving it.
+/// Holding the handle for the batch is also what keeps one worker's
+/// replies for one batch on a single epoch across a hot-swap. Requests of
+/// one batch may name different datasets; a change of name re-resolves.
+#[derive(Default)]
+pub(crate) struct Resolved(Option<(Arc<str>, Option<ModelHandle>)>);
+
+/// What a service's submit side and its workers share.
+pub(crate) struct Pool {
+    pub default_dataset: Arc<str>,
+    /// Its own `Arc` so the queue-depth gauge can outlive the service
+    /// without pinning the rest of the pool.
+    pub queue: Arc<BoundedQueue<Batch>>,
+    pub registry: Arc<ModelRegistry>,
+    pub stats: Arc<StatsInner>,
+    pub cache: Option<Arc<SubplanCache>>,
+}
+
+/// One worker thread's state.
 ///
-/// Each worker holds one [`EstimationScratch`] for its whole life — the
+/// The [`EstimationScratch`] lives as long as the worker — the
 /// scratch-reuse contract of `SubplanEstimator` carried across requests
 /// *and* across hot-swapped models (the scratch holds only buffers; every
-/// request rebuilds its factors from the model it resolved, so reusing it
-/// under a different model is sound). Model resolution happens per request
-/// through the registry, which is what makes hot-swap atomic: a request is
-/// served entirely by whichever model the registry held when the worker
-/// picked it up.
-pub(crate) fn spawn_workers(
-    count: usize,
-    default_dataset: String,
-    queue: Arc<BoundedQueue<Job>>,
-    registry: Arc<ModelRegistry>,
-    stats: Arc<StatsInner>,
-    cache: Option<Arc<SubplanCache>>,
-) -> Vec<JoinHandle<()>> {
+/// request rebuilds its factors from the model it was served by, so
+/// reusing it under a different model is sound).
+pub(crate) struct Worker {
+    id: usize,
+    pool: Arc<Pool>,
+    scratch: EstimationScratch,
+}
+
+/// Spawns `count` workers draining `pool.queue` until it is closed.
+pub(crate) fn spawn_workers(count: usize, pool: &Arc<Pool>) -> Vec<JoinHandle<()>> {
     (0..count.max(1))
-        .map(|worker_id| {
-            let queue = Arc::clone(&queue);
-            let registry = Arc::clone(&registry);
-            let stats = Arc::clone(&stats);
-            let cache = cache.clone();
-            let default_dataset = default_dataset.clone();
+        .map(|id| {
+            let worker = Worker::new(id, pool);
             std::thread::Builder::new()
-                .name(format!("fj-worker-{worker_id}"))
-                .spawn(move || {
-                    worker_loop(
-                        worker_id,
-                        &default_dataset,
-                        &queue,
-                        &registry,
-                        &stats,
-                        cache.as_deref(),
-                    )
-                })
+                .name(format!("fj-worker-{id}"))
+                .spawn(move || worker.run())
                 .expect("spawn worker thread")
         })
         .collect()
 }
 
-fn worker_loop(
-    worker_id: usize,
-    default_dataset: &str,
-    queue: &BoundedQueue<Job>,
-    registry: &ModelRegistry,
-    stats: &StatsInner,
-    cache: Option<&SubplanCache>,
-) {
-    let mut scratch = EstimationScratch::default();
-    while let Some(job) = queue.pop() {
+impl Worker {
+    pub(crate) fn new(id: usize, pool: &Arc<Pool>) -> Self {
+        Worker {
+            id,
+            pool: Arc::clone(pool),
+            scratch: EstimationScratch::default(),
+        }
+    }
+
+    fn run(mut self) {
+        while let Some((batch, first)) = self.pool.queue.claim() {
+            // Scoped to the batch, so an idle worker pins no model.
+            let mut resolved = Resolved::default();
+            let mut next = Some(first);
+            while let Some(index) = next {
+                self.serve(&batch, index, &mut resolved);
+                next = self.pool.queue.claim_more(&batch);
+            }
+        }
+    }
+
+    /// Serves the claimed query `index` of `batch` into its slot.
+    pub(crate) fn serve(&mut self, batch: &Batch, index: usize, resolved: &mut Resolved) {
+        let request = &batch.requests[index];
         let picked_up = Instant::now();
         // Shed already-expired work before touching the model: the caller
         // stopped waiting, so estimating would only steal CPU from live
-        // requests. The ticket still resolves (with DeadlineExceeded) so
+        // requests. The slot still resolves (with DeadlineExceeded) so
         // nothing upstream hangs.
-        if let Some(deadline) = job.request.deadline {
-            if picked_up >= deadline {
-                stats.record_expired();
-                let result = Err(ServiceError::DeadlineExceeded);
-                let _ = job.reply.send((job.tag, job.index, result));
-                continue;
-            }
+        if request
+            .deadline
+            .is_some_and(|deadline| picked_up >= deadline)
+        {
+            self.pool.stats.record_expired();
+            batch.resolve(index, Err(ServiceError::DeadlineExceeded));
+            return;
         }
-        let dataset = job.request.dataset.as_deref().unwrap_or(default_dataset);
-        let result = match registry.get(dataset) {
-            None => {
-                stats.record_error();
-                Err(ServiceError::UnknownDataset(dataset.to_string()))
+        let pool = &*self.pool;
+        let name = request.dataset.as_deref().unwrap_or(&pool.default_dataset);
+        if !matches!(&resolved.0, Some((held, _)) if **held == *name) {
+            let dataset = if *name == *pool.default_dataset {
+                Arc::clone(&pool.default_dataset)
+            } else {
+                Arc::from(name)
+            };
+            resolved.0 = Some((dataset, pool.registry.get(name)));
+        }
+        let (dataset, handle) = resolved.0.as_ref().expect("resolved above");
+        let Some(handle) = handle else {
+            pool.stats.record_error();
+            batch.resolve(index, Err(ServiceError::UnknownDataset(name.to_string())));
+            return;
+        };
+        // Contain estimator panics: the scratch holds only buffers, but a
+        // panic can leave them in an arbitrary state, so it is rebuilt.
+        // AssertUnwindSafe is sound because nothing else aliases the
+        // scratch and the model is read-only.
+        let scratch = &mut self.scratch;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            estimate_through_cache(handle, scratch, request, &pool.stats, pool.cache.as_deref())
+        }));
+        let result = match attempt {
+            Ok(estimates) => {
+                let response = EstimateResponse {
+                    dataset: Arc::clone(dataset),
+                    model_epoch: handle.epoch,
+                    worker: self.id,
+                    queue_wait: picked_up.duration_since(batch.submitted),
+                    estimate_time: picked_up.elapsed(),
+                    estimates,
+                };
+                pool.stats.record_success(
+                    response.estimates.len(),
+                    response.queue_wait,
+                    response.estimate_time,
+                );
+                Ok(response)
             }
-            Some(handle) => {
-                // Contain estimator panics: the scratch holds only buffers,
-                // but a panic can leave them in an arbitrary state, so it is
-                // rebuilt. AssertUnwindSafe is sound because nothing else
-                // aliases the scratch and the model is read-only.
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    estimate_through_cache(&handle, &mut scratch, &job.request, stats, cache)
-                }));
-                match attempt {
-                    Ok(estimates) => {
-                        let response = EstimateResponse {
-                            dataset: dataset.to_string(),
-                            model_epoch: handle.epoch,
-                            worker: worker_id,
-                            queue_wait: picked_up.duration_since(job.submitted),
-                            estimate_time: picked_up.elapsed(),
-                            estimates,
-                        };
-                        stats.record_success(
-                            response.estimates.len(),
-                            response.queue_wait,
-                            response.estimate_time,
-                        );
-                        Ok(response)
-                    }
-                    Err(payload) => {
-                        scratch = EstimationScratch::default();
-                        stats.record_worker_panic();
-                        Err(ServiceError::WorkerPanicked(panic_message(&payload)))
-                    }
-                }
+            Err(payload) => {
+                self.scratch = EstimationScratch::default();
+                pool.stats.record_worker_panic();
+                Err(ServiceError::WorkerPanicked(panic_message(&payload)))
             }
         };
-        // A dropped ticket just means the client stopped waiting.
-        let _ = job.reply.send((job.tag, job.index, result));
+        batch.resolve(index, result);
     }
 }
 

@@ -458,9 +458,10 @@ fn disabled_cache_serves_identically_with_zero_counters() {
     assert_eq!(snap.cache_hit_rate(), 0.0);
 }
 
-/// Backpressure: a queue smaller than the batch still serves everything
-/// (producers block, workers drain), and the high-water mark shows the
-/// queue saturated.
+/// Backpressure: a queue smaller than the batch still serves everything.
+/// A batch goes in whole or not at all, and one larger than the capacity
+/// goes in only when the queue is empty (producers block until the
+/// workers have drained it) — so the high-water mark is exactly one batch.
 #[test]
 fn bounded_queue_backpressure_serves_all() {
     let catalog = tiny_catalog();
@@ -486,6 +487,11 @@ fn bounded_queue_backpressure_serves_all() {
     }
     let snap = service.stats();
     assert_eq!(snap.requests as usize, 4 * queries.len());
-    assert_eq!(snap.queue_high_water, 2, "queue hit its capacity");
+    assert!(queries.len() > 2, "each batch is larger than the queue");
+    assert_eq!(
+        snap.queue_high_water,
+        queries.len(),
+        "never two oversized batches queued at once, never part of one"
+    );
     assert!(snap.subplans_per_second > 0.0);
 }
