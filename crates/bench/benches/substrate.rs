@@ -178,7 +178,7 @@ fn sampling_profile(c: &mut Criterion) {
     let title = cat.table("title").expect("table exists");
     let mut bins = TableBins::new();
     for key in ["id", "kind_id"] {
-        bins.insert(key, KeyBinMap::new(100, Default::default()));
+        bins.insert(key, KeyBinMap::new(100, []));
     }
     let sampler = SamplingEstimator::build(title, &bins, 0.1, 42);
     let pred = fj_query::FilterExpr::pred;

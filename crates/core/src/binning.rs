@@ -57,6 +57,11 @@ impl BinBudget {
 /// Builds the value→bin map for one key group from its member keys'
 /// frequency maps. `freqs` must be non-empty; `k` is clamped to the number
 /// of distinct values.
+///
+/// Every strategy yields its `(value, bin)` pairs in an order fixed by the
+/// sorted domain and the counts, never by a hash map's, so the same data
+/// always builds the same slab layout and hence the same `.fjm` bytes —
+/// across repeated trainings and across thread counts.
 pub fn build_group_bins(freqs: &[&KeyFreq], k: usize, strategy: BinningStrategy) -> KeyBinMap {
     assert!(!freqs.is_empty(), "a key group has at least one member");
     // The group domain is the union of member domains.
@@ -79,7 +84,7 @@ pub fn build_group_bins(freqs: &[&KeyFreq], k: usize, strategy: BinningStrategy)
     KeyBinMap::new(k, assign)
 }
 
-fn equal_width(domain: &[i64], k: usize) -> HashMap<i64, u32> {
+fn equal_width(domain: &[i64], k: usize) -> Vec<(i64, u32)> {
     let (lo, hi) = (domain[0], *domain.last().expect("non-empty"));
     let width = ((hi - lo) as f64 + 1.0) / k as f64;
     domain
@@ -91,15 +96,15 @@ fn equal_width(domain: &[i64], k: usize) -> HashMap<i64, u32> {
         .collect()
 }
 
-fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> HashMap<i64, u32> {
+fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
     let total_count = |v: i64| -> u64 { freqs.iter().map(|f| f.get(v)).sum() };
     let total: u64 = domain.iter().map(|&v| total_count(v)).sum();
     let per = (total as f64 / k as f64).max(1.0);
-    let mut out = HashMap::with_capacity(domain.len());
+    let mut out = Vec::with_capacity(domain.len());
     let mut acc = 0f64;
     let mut bin = 0u32;
     for &v in domain {
-        out.insert(v, bin);
+        out.push((v, bin));
         acc += total_count(v) as f64;
         if acc >= per * (bin as f64 + 1.0) && (bin as usize) < k - 1 {
             bin += 1;
@@ -118,7 +123,7 @@ fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> HashMap<i64, u32
 /// 3. For each remaining key: apply the current bins, rank bins by that
 ///    key's within-bin count variance, and dichotomize the worst
 ///    `remaining/2` bins by that key's counts; halve the remaining budget.
-fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> HashMap<i64, u32> {
+fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
     // Order member keys by descending domain size.
     let mut order: Vec<usize> = (0..freqs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(freqs[i].len()));
@@ -179,13 +184,10 @@ fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> HashMap<i64, u32> {
         }
     }
 
-    let mut out = HashMap::with_capacity(domain.len());
-    for (bi, b) in bins.iter().enumerate() {
-        for &v in b {
-            out.insert(v, bi as u32);
-        }
-    }
-    out
+    bins.iter()
+        .enumerate()
+        .flat_map(|(bi, b)| b.iter().map(move |&v| (v, bi as u32)))
+        .collect()
 }
 
 /// Minimum-variance binning of a single key: sort values by count and cut

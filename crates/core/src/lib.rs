@@ -59,5 +59,5 @@ pub use model::{
     keep_for_mask, BaseEstimatorKind, EstimationScratch, FactorJoinConfig, FactorJoinModel,
     ModelDelta, SubplanEstimator, TrainingReport,
 };
-pub use persist::binary::{save_model_binary, PersistError};
-pub use persist::{load_model, load_saved, save_model, save_model_json, SavedModel};
+pub use persist::binary::PersistError;
+pub use persist::{load_model, load_saved, save_model, SavedModel};

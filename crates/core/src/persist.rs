@@ -1,60 +1,49 @@
-//! Model persistence: the binary `.fjm` format plus a JSON debug export.
+//! Model persistence: the binary `.fjm` format.
 //!
 //! FactorJoin's deployable statistics — the per-group bin maps and the
-//! per-key bin statistics — persist in **two formats behind one API**:
+//! per-key bin statistics — persist in one format, `.fjm` ([`binary`]):
+//! versioned, checksummed, little-endian sections whose layout mirrors the
+//! in-memory flat slabs, so load is validate + bulk copy rather than
+//! parse. [`save_model`] writes it whatever the path's extension, and
+//! [`load_model`] reads nothing else: a file that does not start with
+//! [`binary::MAGIC`] — an old JSON export, an empty file, any foreign
+//! bytes — is rejected as [`PersistError::BadMagic`] with the path named,
+//! without any attempt to parse it.
 //!
-//! * **Binary `.fjm`** ([`binary`]) — the production format: versioned,
-//!   checksummed, little-endian sections whose layout mirrors the
-//!   in-memory flat slabs, so load is validate + bulk copy rather than
-//!   parse. This is what [`save_model`] writes by default.
-//! * **JSON** ([`save_model_json`]) — the debug export: human-readable,
-//!   diff-able, hand-editable for fixtures. ~an order of magnitude larger
-//!   and slower to load (the benchmark's `core.load_saved_s` /
-//!   `ttfe_s` time the binary path).
+//! The bytes are canonical: the same statistics always encode to the same
+//! file, whether they come from one training or another, from any thread
+//! count, or from a reloaded model (see [`binary::encode`]).
 //!
-//! The format choice is explicit on save ([`save_model`] dispatches on the
-//! path extension: `.json` → JSON, anything else → binary) and **sniffed
-//! on load**: [`load_model`] reads the first bytes and accepts either
-//! format regardless of extension — `.fjm` files start with the
-//! [`binary::MAGIC`] signature, which no JSON document can (JSON starts
-//! with `{` or whitespace), so the dispatch is unambiguous.
+//! Single-table estimators are *rebuilt* from the catalog on load: they
+//! train in well under a second at paper scale (Figure 6), so shipping
+//! them would only complicate the format. The saved file pins the binning,
+//! which is the part whose reproducibility matters (bin selection is the
+//! expensive, data-dependent step, and incremental updates must keep bins
+//! fixed, §4.3). All writes are crash-safe via `write_atomic` (same-dir
+//! temp + fsync + rename).
 //!
-//! In both formats, single-table estimators are *rebuilt* from the catalog
-//! on load: they train in well under a second at paper scale (Figure 6),
-//! so shipping them would only complicate the formats. The saved file pins
-//! the binning, which is the part whose reproducibility matters (bin
-//! selection is the expensive, data-dependent step, and incremental
-//! updates must keep bins fixed, §4.3). All writes are crash-safe via
-//! `write_atomic`-style staging (same-dir temp + fsync + rename).
+//! [`PersistError::BadMagic`]: binary::PersistError::BadMagic
 
 pub mod binary;
 
-use crate::binning::{BinningStrategy, KeyFreq};
+use crate::binning::{BinBudget, BinningStrategy};
 use crate::keystats::KeyStats;
 use crate::model::{BaseEstimatorKind, FactorJoinConfig, FactorJoinModel};
-use fj_stats::{BnConfig, KeyBinMap};
+use fj_stats::KeyBinMap;
 use fj_storage::{Catalog, KeyRef};
-use serde_json::Value;
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
-/// On-disk representation of a trained model's statistics — the common
-/// intermediate both the binary `.fjm` codec and the JSON export encode
-/// from and decode to, so the two formats cannot drift apart semantically.
-///
-/// The JSON mapping is hand-rolled against [`serde_json::Value`] (the
-/// vendored serde derives are no-ops, see `vendor/README.md`): integers
-/// keyed maps are stored as sorted `[key, value]` pair arrays so the output
-/// is deterministic and stays valid JSON.
+/// A trained model's persistable statistics — what the `.fjm` codec
+/// encodes from and decodes to.
 #[derive(Debug)]
 pub struct SavedModel {
-    /// Format version.
-    pub version: u32,
     /// Binning strategy used at training time.
-    pub strategy: String,
-    /// Estimator kind (`"bayesnet"`, `"sampling:<rate>"`, `"truescan"`).
-    pub estimator: String,
+    pub strategy: BinningStrategy,
+    /// Single-table estimator kind. The file records the kind and the
+    /// sampling rate; a decoded `BayesNet` carries `BnConfig::default()`.
+    pub estimator: BaseEstimatorKind,
     /// Seed for sampling estimators.
     pub seed: u64,
     /// Per-group bin maps.
@@ -65,199 +54,8 @@ pub struct SavedModel {
     pub key_stats: HashMap<String, KeyStats>,
 }
 
-// ------------------------------------------------------- JSON conversion
-
 fn err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-fn binmap_to_json(b: &KeyBinMap) -> Value {
-    let mut pairs: Vec<(i64, u32)> = b.entries().collect();
-    pairs.sort_unstable();
-    Value::object([
-        ("k".to_string(), Value::from(b.k())),
-        (
-            "map".to_string(),
-            Value::Array(
-                pairs
-                    .into_iter()
-                    .map(|(v, bin)| Value::Array(vec![Value::from(v), Value::from(bin)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn binmap_from_json(v: &Value) -> std::io::Result<KeyBinMap> {
-    let k = v["k"].as_u64().ok_or_else(|| err("bin map: bad k"))? as usize;
-    let mut map = HashMap::new();
-    for pair in v["map"].as_array().ok_or_else(|| err("bin map: bad map"))? {
-        let key = pair[0].as_i64().ok_or_else(|| err("bin map: bad key"))?;
-        let bin = pair[1].as_u64().ok_or_else(|| err("bin map: bad bin"))? as u32;
-        if bin as usize >= k.max(1) {
-            return Err(err(format!("bin map: bin {bin} out of range for k={k}")));
-        }
-        map.insert(key, bin);
-    }
-    if k == 0 {
-        return Err(err("bin map: k must be positive"));
-    }
-    Ok(KeyBinMap::new(k, map))
-}
-
-fn f64s_to_json(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().map(|&x| Value::from(x)).collect())
-}
-
-fn f64s_from_json(v: &Value) -> std::io::Result<Vec<f64>> {
-    v.as_array()
-        .ok_or_else(|| err("expected number array"))?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| err("expected number")))
-        .collect()
-}
-
-fn keystats_to_json(s: &KeyStats) -> Value {
-    let freq = s.freq.sorted_entries();
-    Value::object([
-        ("bin_total".to_string(), f64s_to_json(&s.bin_total)),
-        ("bin_mfv".to_string(), f64s_to_json(&s.bin_mfv)),
-        ("bin_ndv".to_string(), f64s_to_json(&s.bin_ndv)),
-        (
-            "freq".to_string(),
-            Value::Array(
-                freq.into_iter()
-                    .map(|(v, c)| Value::Array(vec![Value::from(v), Value::from(c)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn keystats_from_json(v: &Value) -> std::io::Result<KeyStats> {
-    let mut freq = KeyFreq::default();
-    for pair in v["freq"]
-        .as_array()
-        .ok_or_else(|| err("key stats: bad freq"))?
-    {
-        let value = pair[0]
-            .as_i64()
-            .ok_or_else(|| err("key stats: bad freq key"))?;
-        let count = pair[1]
-            .as_u64()
-            .ok_or_else(|| err("key stats: bad freq count"))?;
-        freq.set(value, count);
-    }
-    Ok(KeyStats {
-        bin_total: f64s_from_json(&v["bin_total"])?,
-        bin_mfv: f64s_from_json(&v["bin_mfv"])?,
-        bin_ndv: f64s_from_json(&v["bin_ndv"])?,
-        freq,
-    })
-}
-
-fn saved_to_json(saved: &SavedModel) -> Value {
-    Value::object([
-        ("version".to_string(), Value::from(saved.version)),
-        ("strategy".to_string(), Value::from(saved.strategy.clone())),
-        (
-            "estimator".to_string(),
-            Value::from(saved.estimator.clone()),
-        ),
-        ("seed".to_string(), Value::from(saved.seed)),
-        (
-            "group_bins".to_string(),
-            Value::Array(saved.group_bins.iter().map(binmap_to_json).collect()),
-        ),
-        (
-            "group_of".to_string(),
-            Value::object(
-                saved
-                    .group_of
-                    .iter()
-                    .map(|(k, &g)| (k.clone(), Value::from(g))),
-            ),
-        ),
-        (
-            "key_stats".to_string(),
-            Value::object(
-                saved
-                    .key_stats
-                    .iter()
-                    .map(|(k, s)| (k.clone(), keystats_to_json(s))),
-            ),
-        ),
-    ])
-}
-
-fn saved_from_json(v: &Value) -> std::io::Result<SavedModel> {
-    let version = v["version"]
-        .as_u64()
-        .ok_or_else(|| err("missing version"))? as u32;
-    if version != 1 {
-        return Err(err(format!("unsupported model format version {version}")));
-    }
-    let strategy = v["strategy"]
-        .as_str()
-        .ok_or_else(|| err("missing strategy"))?
-        .to_string();
-    let estimator = v["estimator"]
-        .as_str()
-        .ok_or_else(|| err("missing estimator"))?
-        .to_string();
-    let seed = v["seed"].as_u64().ok_or_else(|| err("missing seed"))?;
-    let group_bins = v["group_bins"]
-        .as_array()
-        .ok_or_else(|| err("missing group_bins"))?
-        .iter()
-        .map(binmap_from_json)
-        .collect::<std::io::Result<Vec<_>>>()?;
-    let mut group_of = HashMap::new();
-    for (k, g) in v["group_of"]
-        .as_object()
-        .ok_or_else(|| err("missing group_of"))?
-    {
-        let gid = g.as_u64().ok_or_else(|| err("group_of: bad group id"))? as usize;
-        if gid >= group_bins.len() {
-            return Err(err(format!("group_of: group {gid} has no bin map")));
-        }
-        group_of.insert(k.clone(), gid);
-    }
-    let mut key_stats = HashMap::new();
-    for (k, s) in v["key_stats"]
-        .as_object()
-        .ok_or_else(|| err("missing key_stats"))?
-    {
-        let stats = keystats_from_json(s)?;
-        // Per-bin vectors must agree with each other and with the bin count
-        // of the key's group, or estimation would index out of bounds later.
-        if stats.bin_mfv.len() != stats.bin_total.len()
-            || stats.bin_ndv.len() != stats.bin_total.len()
-        {
-            return Err(err(format!(
-                "key stats {k:?}: per-bin vectors disagree in length"
-            )));
-        }
-        if let Some(&gid) = group_of.get(k) {
-            let expect = group_bins[gid].k();
-            if stats.k() != expect {
-                return Err(err(format!(
-                    "key stats {k:?}: {} bins but group {gid} has {expect}",
-                    stats.k()
-                )));
-            }
-        }
-        key_stats.insert(k.clone(), stats);
-    }
-    Ok(SavedModel {
-        version,
-        strategy,
-        estimator,
-        seed,
-        group_bins,
-        group_of,
-        key_stats,
-    })
 }
 
 fn key_to_string(k: &KeyRef) -> String {
@@ -267,19 +65,9 @@ fn key_to_string(k: &KeyRef) -> String {
 impl SavedModel {
     /// Snapshots a trained model's persistable statistics (bins, group
     /// assignments, per-key stats, config fingerprint) via its public
-    /// accessors. Both the binary and JSON savers start here.
+    /// accessors. [`save_model`] starts here.
     pub fn from_model(model: &FactorJoinModel) -> SavedModel {
         let cfg = model.config();
-        let estimator = match cfg.estimator {
-            BaseEstimatorKind::BayesNet(_) => "bayesnet".to_string(),
-            BaseEstimatorKind::Sampling { rate } => format!("sampling:{rate}"),
-            BaseEstimatorKind::TrueScan => "truescan".to_string(),
-        };
-        let strategy = match cfg.strategy {
-            BinningStrategy::Gbsa => "gbsa",
-            BinningStrategy::EqualWidth => "equal-width",
-            BinningStrategy::EqualDepth => "equal-depth",
-        };
         let mut group_of = HashMap::new();
         let mut key_stats = HashMap::new();
         let mut max_gid = 0usize;
@@ -294,9 +82,8 @@ impl SavedModel {
         let group_bins: Vec<KeyBinMap> =
             (0..=max_gid).map(|g| model.group_bins(g).clone()).collect();
         SavedModel {
-            version: 1,
-            strategy: strategy.to_string(),
-            estimator,
+            strategy: cfg.strategy,
+            estimator: cfg.estimator,
             seed: cfg.seed,
             group_bins,
             group_of,
@@ -305,31 +92,12 @@ impl SavedModel {
     }
 
     /// Reconstructs a servable model from saved statistics, rebuilding
-    /// single-table estimators from `catalog`. Both load paths end here.
+    /// single-table estimators from `catalog`. [`load_model`] ends here.
     pub fn into_model(self, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
-        let estimator = if self.estimator == "bayesnet" {
-            BaseEstimatorKind::BayesNet(BnConfig::default())
-        } else if self.estimator == "truescan" {
-            BaseEstimatorKind::TrueScan
-        } else if let Some(rate) = self.estimator.strip_prefix("sampling:") {
-            BaseEstimatorKind::Sampling {
-                rate: rate.parse().unwrap_or(0.01),
-            }
-        } else {
-            return Err(err(format!("unknown estimator {:?}", self.estimator)));
-        };
-        let strategy = match self.strategy.as_str() {
-            "gbsa" => BinningStrategy::Gbsa,
-            "equal-width" => BinningStrategy::EqualWidth,
-            "equal-depth" => BinningStrategy::EqualDepth,
-            other => return Err(err(format!("unknown strategy {other:?}"))),
-        };
         let config = FactorJoinConfig {
-            bin_budget: crate::binning::BinBudget::Uniform(
-                self.group_bins.first().map(KeyBinMap::k).unwrap_or(1),
-            ),
-            strategy,
-            estimator,
+            bin_budget: BinBudget::Uniform(self.group_bins.first().map(KeyBinMap::k).unwrap_or(1)),
+            strategy: self.strategy,
+            estimator: self.estimator,
             seed: self.seed,
             threads: 0,
         };
@@ -353,17 +121,14 @@ impl SavedModel {
     }
 }
 
-/// Writes `bytes`' producer output to `path` atomically: serialize into a
-/// same-directory temp file, flush + `fsync`, then `rename` over the
-/// target. A crash at any point leaves either the old file or the new one,
-/// never a torn mix — `rename` within one directory is atomic on POSIX
-/// filesystems, and the temp file must live in the same directory so the
-/// rename cannot cross a mount. The directory itself is fsynced
-/// best-effort afterwards so the rename survives a power cut.
-fn write_atomic(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
-) -> std::io::Result<()> {
+/// Writes `bytes` to `path` atomically: write a same-directory temp file,
+/// flush + `fsync`, then `rename` over the target. A crash at any point
+/// leaves either the old file or the new one, never a torn mix — `rename`
+/// within one directory is atomic on POSIX filesystems, and the temp file
+/// must live in the same directory so the rename cannot cross a mount. The
+/// directory itself is fsynced best-effort afterwards so the rename
+/// survives a power cut.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
@@ -379,10 +144,8 @@ fn write_atomic(
         TEMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
     ));
     let result = (|| {
-        let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-        write(&mut w)?;
-        w.flush()?;
-        let file = w.into_inner().map_err(|e| e.into_error())?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
         // Durability point: the temp file's bytes must hit disk before the
         // rename publishes them, or a crash could expose an empty file
         // under the final name.
@@ -404,35 +167,18 @@ fn write_atomic(
     Ok(())
 }
 
-/// Serializes the model's statistics to `path`, picking the format from
-/// the extension: `.json` → the JSON debug export, anything else (the
-/// `.fjm` convention included) → the binary format.
+/// Serializes the model's statistics to `path` as `.fjm`, whatever the
+/// extension.
 ///
-/// Either way the write is crash-safe: bytes are staged in a
-/// same-directory temp file, fsynced, and renamed over `path`, so a kill
-/// or power loss mid-save leaves the previous model file intact
-/// (`write_atomic` below).
+/// The write is crash-safe: bytes are staged in a same-directory temp
+/// file, fsynced, and renamed over `path`, so a kill or power loss
+/// mid-save leaves the previous model file intact (`write_atomic` above).
 pub fn save_model(model: &FactorJoinModel, path: &Path) -> std::io::Result<()> {
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("json") => save_model_json(model, path),
-        _ => binary::save_model_binary(model, path),
-    }
+    write_atomic(path, &binary::encode(&SavedModel::from_model(model)))
 }
 
-/// Serializes the model's statistics to `path` as JSON, regardless of
-/// extension — the human-readable debug export (crash-safe like
-/// [`save_model`]).
-pub fn save_model_json(model: &FactorJoinModel, path: &Path) -> std::io::Result<()> {
-    let saved = SavedModel::from_model(model);
-    write_atomic(path, |w| serde_json::to_writer(w, &saved_to_json(&saved)))
-}
-
-/// Loads a saved model, rebuilding single-table estimators from `catalog`.
-///
-/// Accepts **both formats** regardless of extension by sniffing the first
-/// bytes: a file starting with [`binary::MAGIC`] decodes as `.fjm`
-/// binary; anything else is parsed as the JSON export (valid JSON can
-/// never start with the magic — its first byte has the high bit set).
+/// Loads a saved `.fjm` model, rebuilding single-table estimators from
+/// `catalog`.
 ///
 /// The catalog must have the same schema as at save time; data may have
 /// changed (estimators retrain on the current data while the saved bins
@@ -441,42 +187,22 @@ pub fn load_model(path: &Path, catalog: &Catalog) -> std::io::Result<FactorJoinM
     load_saved(path)?.into_model(catalog)
 }
 
-/// Reads and fully validates a model file's persisted statistics without
-/// rebuilding estimators — the format-sniffing read stage of
-/// [`load_model`], exposed so tooling (and `fj_benchmark`) can measure
-/// or inspect the persistence formats in isolation.
+/// Reads and fully validates a `.fjm` file's persisted statistics without
+/// rebuilding estimators — the read stage of [`load_model`], exposed so
+/// tooling (and `fj_benchmark`) can measure or inspect the format in
+/// isolation. Any rejection is `InvalidData` naming the file, with the
+/// typed [`binary::PersistError`] diagnosis in the message.
 pub fn load_saved(path: &Path) -> std::io::Result<SavedModel> {
     let bytes = std::fs::read(path)?;
-    if bytes.starts_with(&binary::MAGIC) {
-        // Typed rejection taxonomy lives in `binary::PersistError`; name
-        // the file here so the operator knows which one to restore.
-        binary::decode(&bytes).map_err(|e| err(format!("model file {}: {e}", path.display())))
-    } else {
-        // A truncated file (torn non-atomic write, interrupted copy) fails
-        // JSON parsing; surface it with the path so the operator sees which
-        // file to restore rather than a bare "unexpected end of input".
-        let text = std::str::from_utf8(&bytes).map_err(|_| {
-            err(format!(
-                "model file {} is truncated or corrupt: not UTF-8 and not .fjm binary",
-                path.display()
-            ))
-        })?;
-        let value = serde_json::from_str(text).map_err(|e| {
-            err(format!(
-                "model file {} is truncated or corrupt: {e}",
-                path.display()
-            ))
-        })?;
-        saved_from_json(&value)
-    }
+    binary::decode(&bytes).map_err(|e| err(format!("model file {}: {e}", path.display())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binning::BinBudget;
     use fj_datagen::{stats_catalog, StatsConfig};
     use fj_query::parse_query;
+    use fj_stats::BnConfig;
 
     #[test]
     fn save_load_roundtrip_preserves_estimates() {
@@ -499,7 +225,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("fj_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = dir.join("model.fjm");
         save_model(&model, &path).unwrap();
         let loaded = load_model(&path, &cat).unwrap();
         let after = loaded.estimate(&q);
@@ -511,14 +237,42 @@ mod tests {
     fn load_rejects_garbage() {
         let dir = std::env::temp_dir().join("fj_persist_test2");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, b"{not json").unwrap();
         let cat = stats_catalog(&StatsConfig {
             scale: 0.02,
             ..Default::default()
         });
-        assert!(load_model(&path, &cat).is_err());
-        std::fs::remove_file(&path).ok();
+        // Every non-`.fjm` file — a JSON model export as older builds wrote
+        // it, other bytes, an empty file — is refused up front by both entry
+        // points as a foreign file, naming it, and never parsed.
+        let cases: [(&str, &[u8]); 4] = [
+            (
+                "model.json",
+                br#"{"version":1,"strategy":"gbsa","estimator":"truescan","seed":42,"group_bins":[{"k":1,"map":[[1,0]]}],"group_of":{"posts.id":0},"key_stats":{}}"#,
+            ),
+            ("bad.fjm", b"{not json"),
+            (
+                "binary.fjm",
+                &[0x00, 0xFF, 0x89, b'F', b'J', b'M', 0x0D, 0x0A, 0x1A],
+            ),
+            ("empty.fjm", b""),
+        ];
+        for (name, bytes) in cases {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            for e in [
+                load_saved(&path).map(|_| ()).unwrap_err(),
+                load_model(&path, &cat).map(|_| ()).unwrap_err(),
+            ] {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}: {e}");
+                let msg = e.to_string();
+                assert!(msg.contains(&path.display().to_string()), "unnamed: {msg}");
+                assert!(
+                    msg.contains(&binary::PersistError::BadMagic.to_string()),
+                    "{name} not diagnosed as a foreign file: {msg}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -542,7 +296,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join("fj_persist_atomic");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = dir.join("model.fjm");
         save_model(&model, &path).unwrap();
 
         // A successful save leaves no staging debris behind.
@@ -557,7 +311,7 @@ mod tests {
         // after staging half the bytes but before the rename. The temp file
         // sits in the directory; the published model file is untouched.
         let good = std::fs::read(&path).unwrap();
-        let torn = dir.join(".model.json.tmp.99999.0");
+        let torn = dir.join(".model.fjm.tmp.99999.0");
         std::fs::write(&torn, &good[..good.len() / 2]).unwrap();
         let loaded = load_model(&path, &cat).unwrap();
         assert_eq!(
@@ -573,12 +327,12 @@ mod tests {
         };
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(
-            e.to_string().contains("truncated or corrupt"),
+            e.to_string().contains("truncated"),
             "unhelpful truncation error: {e}"
         );
 
-        // An empty file (crashed before any bytes) is rejected the same way.
-        let empty = dir.join("empty.json");
+        // An empty file (crashed before any bytes) is rejected too.
+        let empty = dir.join("empty.fjm");
         std::fs::write(&empty, b"").unwrap();
         assert!(load_model(&empty, &cat).is_err());
 
@@ -590,32 +344,46 @@ mod tests {
     }
 
     #[test]
-    fn saved_file_is_json_with_version() {
+    fn saved_meta_is_typed() {
         let cat = stats_catalog(&StatsConfig {
             scale: 0.02,
             ..Default::default()
         });
-        let model = FactorJoinModel::train(
-            &cat,
-            FactorJoinConfig {
-                bin_budget: BinBudget::Uniform(5),
-                estimator: BaseEstimatorKind::Sampling { rate: 0.5 },
-                ..Default::default()
-            },
-        );
         let dir = std::env::temp_dir().join("fj_persist_test3");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
-        save_model(&model, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v["version"], 1);
-        assert_eq!(v["estimator"], "sampling:0.5");
-        std::fs::remove_file(&path).ok();
+        let path = dir.join("model.fjm");
+        for (strategy, estimator) in [
+            (
+                BinningStrategy::EqualDepth,
+                BaseEstimatorKind::Sampling { rate: 0.5 },
+            ),
+            (BinningStrategy::EqualWidth, BaseEstimatorKind::TrueScan),
+            (
+                BinningStrategy::Gbsa,
+                BaseEstimatorKind::BayesNet(BnConfig::default()),
+            ),
+        ] {
+            let model = FactorJoinModel::train(
+                &cat,
+                FactorJoinConfig {
+                    bin_budget: BinBudget::Uniform(5),
+                    strategy,
+                    estimator,
+                    seed: 9,
+                    threads: 1,
+                },
+            );
+            save_model(&model, &path).unwrap();
+            let saved = load_saved(&path).unwrap();
+            assert_eq!(saved.strategy, strategy);
+            assert_eq!(saved.estimator, estimator);
+            assert_eq!(saved.seed, 9);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn save_dispatches_on_extension_and_load_sniffs_magic() {
+    fn save_writes_fjm_whatever_the_extension() {
         let cat = stats_catalog(&StatsConfig {
             scale: 0.02,
             ..Default::default()
@@ -637,42 +405,28 @@ mod tests {
 
         let dir = std::env::temp_dir().join("fj_persist_dispatch");
         std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("model.json");
         let fjm_path = dir.join("model.fjm");
-        save_model(&model, &json_path).unwrap();
         save_model(&model, &fjm_path).unwrap();
-
-        // Extension dispatch: .json produced a JSON document, .fjm the
-        // binary signature.
-        let json_bytes = std::fs::read(&json_path).unwrap();
         let fjm_bytes = std::fs::read(&fjm_path).unwrap();
-        assert_eq!(json_bytes[0], b'{');
         assert!(fjm_bytes.starts_with(&binary::MAGIC));
 
-        // Magic sniffing: both load through the same entry point, and to
-        // prove sniffing beats extension, load the binary bytes from a
-        // mislabeled .json path.
-        let mislabeled = dir.join("mislabeled.json");
-        std::fs::write(&mislabeled, &fjm_bytes).unwrap();
-        for p in [&json_path, &fjm_path, &mislabeled] {
-            let loaded = load_model(p, &cat).unwrap();
-            let got = loaded.estimate(&q);
-            assert_eq!(
-                before.to_bits(),
-                got.to_bits(),
-                "estimates diverged via {}",
-                p.display()
-            );
+        // Any other name gets the same bytes, and loads the same way.
+        for name in ["model.json", "model"] {
+            let p = dir.join(name);
+            save_model(&model, &p).unwrap();
+            assert_eq!(std::fs::read(&p).unwrap(), fjm_bytes, "{name}");
+            let got = load_model(&p, &cat).unwrap().estimate(&q);
+            assert_eq!(before.to_bits(), got.to_bits(), "estimate via {name}");
         }
 
-        // save -> load -> save is byte-identical for the binary format.
+        // save -> load -> save is byte-identical.
         let reloaded = load_model(&fjm_path, &cat).unwrap();
         let second = dir.join("model2.fjm");
         save_model(&reloaded, &second).unwrap();
         assert_eq!(
             fjm_bytes,
             std::fs::read(&second).unwrap(),
-            "binary save->load->save must be byte-identical"
+            "save->load->save must be byte-identical"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -696,8 +450,7 @@ mod tests {
         let path = dir.join("model.fjm");
         save_model(&model, &path).unwrap();
 
-        // `.fjm` saves go through the same `write_atomic` staging as JSON:
-        // a successful save leaves no temp debris behind.
+        // A successful save leaves no temp debris behind.
         let strays: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -1,11 +1,10 @@
-//! `.fjm` — the versioned, checksummed, little-endian binary model format.
+//! `.fjm` — the versioned, checksummed, little-endian binary model format,
+//! the only one a model persists in.
 //!
-//! The JSON export re-parses and re-validates every factor on load; at
-//! scale 10 that is ~17 MB of text between a cold process and its first
-//! estimate. This format instead mirrors the **in-memory flat slabs** on
-//! disk — the open-addressing `KeyFreq` (i64→u64) and `KeyBinMap`
-//! (i64→u32) tables and the per-bin `f64` statistics vectors are written
-//! verbatim — so load is *validate + bulk copy*, not parse. Every
+//! The format mirrors the **in-memory flat slabs** on disk — the
+//! open-addressing `KeyFreq` (i64→u64) and `KeyBinMap` (i64→u32) tables
+//! and the per-bin `f64` statistics vectors are written verbatim — so a
+//! cold load is *validate + bulk copy*, not parse. Every
 //! multi-byte field is little-endian and every array sits at an 8-byte
 //! aligned offset, so a future mmap-based loader could reference sections
 //! in place.
@@ -64,13 +63,11 @@
 //! typed error — never a panic, never an unbounded allocation.
 
 use super::SavedModel;
-use crate::binning::KeyFreq;
+use crate::binning::{BinningStrategy, KeyFreq};
 use crate::keystats::KeyStats;
-use crate::model::FactorJoinModel;
-use fj_stats::KeyBinMap;
+use crate::model::BaseEstimatorKind;
+use fj_stats::{BnConfig, KeyBinMap};
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::Path;
 
 /// First eight bytes of every `.fjm` file.
 pub const MAGIC: [u8; 8] = *b"\x89FJM\r\n\x1a\n";
@@ -229,12 +226,6 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-impl From<PersistError> for std::io::Error {
-    fn from(e: PersistError) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
-
 fn invalid(what: impl Into<String>) -> PersistError {
     PersistError::Invalid { what: what.into() }
 }
@@ -333,30 +324,22 @@ impl Enc {
     }
 }
 
-fn encode_meta(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
-    let strategy: u8 = match saved.strategy.as_str() {
-        "gbsa" => 0,
-        "equal-width" => 1,
-        "equal-depth" => 2,
-        other => return Err(invalid(format!("unknown strategy {other:?}"))),
+fn encode_meta(saved: &SavedModel) -> Vec<u8> {
+    let strategy: u8 = match saved.strategy {
+        BinningStrategy::Gbsa => 0,
+        BinningStrategy::EqualWidth => 1,
+        BinningStrategy::EqualDepth => 2,
     };
-    let (estimator, rate): (u8, f64) = if saved.estimator == "bayesnet" {
-        (0, 0.0)
-    } else if let Some(r) = saved.estimator.strip_prefix("sampling:") {
-        let rate: f64 = r
-            .parse()
-            .map_err(|_| invalid(format!("bad sampling rate {r:?}")))?;
-        (1, rate)
-    } else if saved.estimator == "truescan" {
-        (2, 0.0)
-    } else {
-        return Err(invalid(format!("unknown estimator {:?}", saved.estimator)));
+    let (estimator, rate): (u8, f64) = match saved.estimator {
+        BaseEstimatorKind::BayesNet(_) => (0, 0.0),
+        BaseEstimatorKind::Sampling { rate } => (1, rate),
+        BaseEstimatorKind::TrueScan => (2, 0.0),
     };
     let mut e = Enc::default();
     e.bytes(&[strategy, estimator, 0, 0, 0, 0, 0, 0]);
     e.f64(rate);
     e.u64(saved.seed);
-    Ok(e.finish())
+    e.finish()
 }
 
 fn encode_group_bins(saved: &SavedModel) -> Vec<u8> {
@@ -378,9 +361,8 @@ fn encode_group_bins(saved: &SavedModel) -> Vec<u8> {
     e.finish()
 }
 
-/// Canonical key order: sorted by full `table.column` name, so identical
-/// statistics always serialize to identical bytes regardless of hash-map
-/// iteration order.
+/// Canonical key order: sorted by full `table.column` name, so the
+/// `HashMap` iteration order of [`SavedModel`] never reaches the bytes.
 fn sorted_keys(saved: &SavedModel) -> Vec<&String> {
     let mut names: Vec<&String> = saved.group_of.keys().collect();
     names.sort();
@@ -435,14 +417,17 @@ fn encode_key_stats(saved: &SavedModel, names: &[&String]) -> Vec<u8> {
 
 /// Serializes `saved` into the `.fjm` byte layout (see module docs).
 ///
-/// Deterministic: the same statistics always produce the same bytes (keys
-/// are written in sorted order; slab layouts are deterministic functions
-/// of the insert sequence), which is what makes save→load→save
-/// byte-identity a testable contract.
-pub fn encode(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
+/// Canonical: the same statistics always produce the same bytes. Keys are
+/// written in sorted order, and every slab is a deterministic function of
+/// its insert sequence — `build_group_bins` inserts bin assignments in an
+/// order fixed by the data, key frequencies are counted in row order, and
+/// a decoded slab is the written one. So two trainings on the same data,
+/// at any thread count, write identical files, and save→load→save is
+/// byte-identical.
+pub fn encode(saved: &SavedModel) -> Vec<u8> {
     let names = sorted_keys(saved);
     let sections: [(u32, Vec<u8>); 4] = [
-        (SEC_META, encode_meta(saved)?),
+        (SEC_META, encode_meta(saved)),
         (SEC_GROUP_BINS, encode_group_bins(saved)),
         (SEC_KEYS, encode_keys(saved, &names)),
         (SEC_KEY_STATS, encode_key_stats(saved, &names)),
@@ -470,7 +455,7 @@ pub fn encode(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
         out[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
         out[e + 24..e + 28].copy_from_slice(&crc.to_le_bytes());
     }
-    Ok(out)
+    out
 }
 
 // ----------------------------------------------------------------- decoder
@@ -568,30 +553,31 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn decode_meta(payload: &[u8]) -> Result<(String, String, u64), PersistError> {
+fn decode_meta(payload: &[u8]) -> Result<(BinningStrategy, BaseEstimatorKind, u64), PersistError> {
     let mut d = Dec::new(payload);
     let head = d.take(8, "META header")?;
     let strategy = match head[0] {
-        0 => "gbsa",
-        1 => "equal-width",
-        2 => "equal-depth",
+        0 => BinningStrategy::Gbsa,
+        1 => BinningStrategy::EqualWidth,
+        2 => BinningStrategy::EqualDepth,
         t => return Err(invalid(format!("unknown strategy tag {t}"))),
     };
     let est_tag = head[1];
     let rate = d.f64("META sampling rate")?;
     let seed = d.u64("META seed")?;
     let estimator = match est_tag {
-        0 => "bayesnet".to_string(),
+        // The network's own `BnConfig` is not persisted.
+        0 => BaseEstimatorKind::BayesNet(BnConfig::default()),
         1 => {
             if !(rate.is_finite() && rate > 0.0 && rate <= 1.0) {
                 return Err(invalid(format!("sampling rate {rate} outside (0, 1]")));
             }
-            format!("sampling:{rate}")
+            BaseEstimatorKind::Sampling { rate }
         }
-        2 => "truescan".to_string(),
+        2 => BaseEstimatorKind::TrueScan,
         t => return Err(invalid(format!("unknown estimator tag {t}"))),
     };
-    Ok((strategy.to_string(), estimator, seed))
+    Ok((strategy, estimator, seed))
 }
 
 fn decode_group_bins(payload: &[u8]) -> Result<Vec<KeyBinMap>, PersistError> {
@@ -673,8 +659,8 @@ fn decode_key_stats(
         let fcounts = d.u64s(fcap, "stats freq counts")?;
         let freq = KeyFreq::from_raw_parts(fkeys, fcounts, flen as usize)
             .map_err(|e| invalid(format!("key {name:?} frequency slab: {e}")))?;
-        // Same cross-check as the JSON loader: per-bin vectors must agree
-        // with the key's group, or estimation would index out of bounds.
+        // Per-bin vectors must agree with the key's group, or estimation
+        // would index out of bounds later.
         let expect = group_bins[*gid].k();
         if k != expect {
             return Err(invalid(format!(
@@ -698,15 +684,17 @@ fn decode_key_stats(
 /// endianness, the section table, every per-section CRC, and every length
 /// field (see module docs for the exact rejection taxonomy).
 pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
-    if bytes.len() >= 8 && bytes[..8] != MAGIC {
-        return Err(PersistError::BadMagic);
+    if !bytes.starts_with(&MAGIC) {
+        // A non-empty proper prefix of the magic is a torn `.fjm`; anything
+        // else — an empty file, an old JSON export — is not `.fjm` at all.
+        return Err(if !bytes.is_empty() && MAGIC.starts_with(bytes) {
+            PersistError::Truncated { what: "header" }
+        } else {
+            PersistError::BadMagic
+        });
     }
     if bytes.len() < HEADER_LEN {
-        return Err(if bytes.len() < 8 && !MAGIC.starts_with(bytes) {
-            PersistError::BadMagic
-        } else {
-            PersistError::Truncated { what: "header" }
-        });
+        return Err(PersistError::Truncated { what: "header" });
     }
     // Endianness before version: a byte-swapped file swaps the version
     // fields too, and "wrong endian" is the more actionable diagnosis.
@@ -774,7 +762,6 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
     let keys = decode_keys(sections[&SEC_KEYS], group_bins.len())?;
     let key_stats = decode_key_stats(sections[&SEC_KEY_STATS], &keys, &group_bins)?;
     Ok(SavedModel {
-        version: 1,
         strategy,
         estimator,
         seed,
@@ -782,14 +769,6 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
         group_of: keys.into_iter().collect(),
         key_stats,
     })
-}
-
-/// Serializes the model's statistics to `path` in the binary `.fjm`
-/// format, crash-safely (same-dir temp + fsync + rename via
-/// `write_atomic`, exactly like the JSON export).
-pub fn save_model_binary(model: &FactorJoinModel, path: &Path) -> std::io::Result<()> {
-    let bytes = encode(&SavedModel::from_model(model)).map_err(std::io::Error::from)?;
-    super::write_atomic(path, |w| w.write_all(&bytes))
 }
 
 #[cfg(test)]
@@ -808,17 +787,11 @@ mod tests {
     }
 
     /// A small but structurally complete SavedModel: two groups, three
-    /// keys, one key deliberately without stats (the JSON format allows
-    /// that, so the binary format must round-trip it too).
+    /// keys, one key deliberately without stats (a grouped key need not
+    /// have any, so the format must round-trip that too).
     fn sample_saved() -> SavedModel {
-        let mut m0 = HashMap::new();
-        for v in 0..40i64 {
-            m0.insert(v * 7, (v % 4) as u32);
-        }
-        let mut m1 = HashMap::new();
-        for v in 0..17i64 {
-            m1.insert(v * 3 - 5, (v % 3) as u32);
-        }
+        let m0 = (0..40i64).map(|v| (v * 7, (v % 4) as u32));
+        let m1 = (0..17i64).map(|v| (v * 3 - 5, (v % 3) as u32));
         let mut freq_a = KeyFreq::default();
         for v in 0..25i64 {
             freq_a.set(v * 7, (v as u64 % 9) + 1);
@@ -839,9 +812,8 @@ mod tests {
         key_stats.insert("comments.post_id".to_string(), stats(4, &freq_b));
         // "users.id" has a group but no stats on purpose.
         SavedModel {
-            version: 1,
-            strategy: "gbsa".to_string(),
-            estimator: "sampling:0.25".to_string(),
+            strategy: BinningStrategy::Gbsa,
+            estimator: BaseEstimatorKind::Sampling { rate: 0.25 },
             seed: 42,
             group_bins: vec![KeyBinMap::new(4, m0), KeyBinMap::new(3, m1)],
             group_of,
@@ -902,7 +874,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_as_documented() {
-        let bytes = encode(&sample_saved()).unwrap();
+        let bytes = encode(&sample_saved());
         assert_eq!(&bytes[..8], &MAGIC);
         assert_eq!(
             u16::from_le_bytes(bytes[8..10].try_into().unwrap()),
@@ -925,9 +897,9 @@ mod tests {
     #[test]
     fn encode_decode_reencode_is_byte_identical() {
         let saved = sample_saved();
-        let bytes = encode(&saved).unwrap();
+        let bytes = encode(&saved);
         let decoded = decode(&bytes).unwrap();
-        let again = encode(&decoded).unwrap();
+        let again = encode(&decoded);
         assert_eq!(bytes, again, "save -> load -> save must be byte-identical");
         // And the decode is semantically faithful, not just re-encodable.
         assert_eq!(decoded.strategy, saved.strategy);
@@ -956,16 +928,17 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_a_named_error() {
-        let mut bytes = encode(&sample_saved()).unwrap();
+        let mut bytes = encode(&sample_saved());
         bytes[0] ^= 0x40;
         assert_eq!(decode(&bytes).unwrap_err(), PersistError::BadMagic);
-        // A JSON model file can never be mistaken for binary.
+        // Neither an old JSON export nor an empty file is a torn `.fjm`.
         assert_eq!(
             decode(b"{\"version\":1}").unwrap_err(),
             PersistError::BadMagic
         );
-        // Nor can a 7-bit-stripped copy of a real file (PNG-magic trick).
-        let mut stripped = encode(&sample_saved()).unwrap();
+        assert_eq!(decode(b"").unwrap_err(), PersistError::BadMagic);
+        // Nor is a 7-bit-stripped copy of a real file (PNG-magic trick).
+        let mut stripped = encode(&sample_saved());
         for b in &mut stripped {
             *b &= 0x7F;
         }
@@ -974,14 +947,14 @@ mod tests {
 
     #[test]
     fn byte_swapped_file_is_a_named_error() {
-        let mut bytes = encode(&sample_saved()).unwrap();
+        let mut bytes = encode(&sample_saved());
         bytes[12..16].copy_from_slice(&ENDIAN_MARK.to_be_bytes());
         assert_eq!(decode(&bytes).unwrap_err(), PersistError::WrongEndian);
     }
 
     #[test]
     fn future_major_is_rejected_future_minor_is_tolerated() {
-        let sections = split_sections(&encode(&sample_saved()).unwrap());
+        let sections = split_sections(&encode(&sample_saved()));
         // Major bump: reject by policy, naming both versions.
         let v2 = assemble(FORMAT_MAJOR + 1, 0, &sections);
         assert_eq!(
@@ -1002,13 +975,16 @@ mod tests {
         skewed.push((99, b"from the future".to_vec()));
         let future = assemble(FORMAT_MAJOR, FORMAT_MINOR + 1, &skewed);
         let decoded = decode(&future).expect("future-minor file must load");
-        assert_eq!(decoded.estimator, "sampling:0.25");
+        assert_eq!(
+            decoded.estimator,
+            BaseEstimatorKind::Sampling { rate: 0.25 }
+        );
         assert_eq!(decoded.group_of.len(), 3);
     }
 
     #[test]
     fn missing_and_duplicate_sections_are_named_errors() {
-        let sections = split_sections(&encode(&sample_saved()).unwrap());
+        let sections = split_sections(&encode(&sample_saved()));
         let without_stats: Vec<_> = sections
             .iter()
             .filter(|(id, _)| *id != SEC_KEY_STATS)
@@ -1028,7 +1004,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_is_a_clear_error() {
-        let bytes = encode(&sample_saved()).unwrap();
+        let bytes = encode(&sample_saved());
         // Cut points: every header byte, every table-entry edge, every
         // section start / midpoint / end-minus-one. (All prefixes would be
         // O(n^2) CRC work; boundaries are where the interesting states are,
@@ -1061,7 +1037,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
-        let bytes = encode(&sample_saved()).unwrap();
+        let bytes = encode(&sample_saved());
         let first_off = {
             let e = HEADER_LEN;
             u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize
@@ -1080,7 +1056,7 @@ mod tests {
 
     #[test]
     fn hostile_lengths_are_rejected_before_allocation() {
-        let base = split_sections(&encode(&sample_saved()).unwrap());
+        let base = split_sections(&encode(&sample_saved()));
         let with = |id: u32, payload: Vec<u8>| {
             let swapped: Vec<_> = base
                 .iter()
@@ -1134,7 +1110,7 @@ mod tests {
 
     #[test]
     fn invalid_slabs_and_tags_are_rejected() {
-        let base = split_sections(&encode(&sample_saved()).unwrap());
+        let base = split_sections(&encode(&sample_saved()));
         let with = |id: u32, payload: Vec<u8>| {
             let swapped: Vec<_> = base
                 .iter()
@@ -1184,7 +1160,7 @@ mod tests {
     /// failure here).
     #[test]
     fn seeded_byte_mutation_fuzz_never_panics() {
-        let good = encode(&sample_saved()).unwrap();
+        let good = encode(&sample_saved());
         for seed in 0..64u64 {
             let mut rng = seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0x9E37;
             for round in 0..64 {

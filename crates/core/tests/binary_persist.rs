@@ -1,9 +1,10 @@
 //! Differential persistence battery: for each persistable estimator
-//! backend, at two scales, on both synthetic workloads, the binary `.fjm`
-//! path must be **bit-identical** — the loaded model's estimates equal the
-//! in-memory model's and the JSON path's by exact `f64::to_bits`
-//! comparison (no tolerance), and save→load→save reproduces the same
-//! bytes.
+//! backend, at two scales, on both synthetic workloads, the `.fjm` round
+//! trip must be **bit-identical** — the loaded model's estimates equal the
+//! in-memory model's by exact `f64::to_bits` comparison (no tolerance),
+//! and save→load→save reproduces the same bytes. The bytes are canonical
+//! beyond that: retraining on the same data, at any thread count, writes
+//! the same file.
 //!
 //! Backends covered: `TrueScan`, `BayesNet`, `Sampling` — the three
 //! `BaseEstimatorKind`s a `FactorJoinModel` can persist. `PostgresLike`
@@ -11,14 +12,14 @@
 //! a FactorJoin backend, and has no persistence path to differentiate.
 //!
 //! Bit-identity is a meaningful contract here because persistence stores
-//! bins + key statistics verbatim (raw slab copies in the binary format,
-//! exact `f64` bits in both formats) and deterministically rebuilds
+//! bins + key statistics verbatim (raw slab copies, exact `f64` bits) and
+//! deterministically rebuilds
 //! single-table estimators from the catalog — so *any* bit of drift means
 //! a codec bug, not noise.
 
 use factorjoin::{
-    load_model, save_model, save_model_json, BaseEstimatorKind, BinBudget, BinningStrategy,
-    FactorJoinConfig, FactorJoinModel,
+    load_model, save_model, BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig,
+    FactorJoinModel,
 };
 use fj_datagen::{
     imdb_catalog, imdb_job_workload, stats_catalog, stats_ceb_workload, ImdbConfig, StatsConfig,
@@ -38,9 +39,21 @@ fn config(estimator: BaseEstimatorKind, bins: usize) -> FactorJoinConfig {
     }
 }
 
-/// Trains a model, persists it through both formats, and proves the three
-/// estimate streams (in-memory, binary-loaded, JSON-loaded) bit-identical
-/// over `queries` — plus binary save→load→save byte-identity.
+/// The `.fjm` bytes `model` saves to (`tag` keeps concurrently running
+/// tests off each other's files).
+fn fjm_bytes(model: &FactorJoinModel, tag: &str) -> Vec<u8> {
+    let dir = std::env::temp_dir().join("fj_binary_persist_bytes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.fjm"));
+    save_model(model, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// Trains a model, persists it, and proves the two estimate streams
+/// (in-memory, loaded) bit-identical over `queries` — plus save→load→save
+/// byte-identity.
 fn assert_roundtrip_bit_identical(
     cat: &Catalog,
     queries: &[Query],
@@ -51,45 +64,36 @@ fn assert_roundtrip_bit_identical(
     let dir = std::env::temp_dir().join(format!("fj_binary_persist_{label}"));
     std::fs::create_dir_all(&dir).unwrap();
     let fjm = dir.join("model.fjm");
-    let json = dir.join("model.json");
     save_model(&model, &fjm).unwrap();
-    save_model_json(&model, &json).unwrap();
+    let loaded = load_model(&fjm, cat).unwrap();
 
-    let from_binary = load_model(&fjm, cat).unwrap();
-    let from_json = load_model(&json, cat).unwrap();
-
-    // Full-query estimates and every sub-plan of the join lattice: all
-    // three models must agree to the last bit.
+    // Full-query estimates and every sub-plan of the join lattice: both
+    // models must agree to the last bit.
     let mut s0 = model.subplan_estimator();
-    let mut s1 = from_binary.subplan_estimator();
-    let mut s2 = from_json.subplan_estimator();
+    let mut s1 = loaded.subplan_estimator();
     for (i, q) in queries.iter().enumerate() {
         let e0 = model.estimate(q);
-        let e1 = from_binary.estimate(q);
-        let e2 = from_json.estimate(q);
+        let e1 = loaded.estimate(q);
         assert_eq!(
             e0.to_bits(),
             e1.to_bits(),
-            "{label} q{i}: binary-loaded estimate diverged ({e0} vs {e1})"
+            "{label} q{i}: loaded estimate diverged ({e0} vs {e1})"
         );
         assert_eq!(
-            e0.to_bits(),
-            e2.to_bits(),
-            "{label} q{i}: JSON-loaded estimate diverged ({e0} vs {e2})"
+            s0.estimate_subplans(q, 1),
+            s1.estimate_subplans(q, 1),
+            "{label} q{i}: sub-plans"
         );
-        let p0 = s0.estimate_subplans(q, 1);
-        assert_eq!(p0, s1.estimate_subplans(q, 1), "{label} q{i}: sub-plans");
-        assert_eq!(p0, s2.estimate_subplans(q, 1), "{label} q{i}: sub-plans");
     }
 
-    // The binary format is canonical: re-saving the loaded model must
-    // reproduce the original file byte for byte.
+    // Re-saving the loaded model must reproduce the original file byte
+    // for byte.
     let again = dir.join("model2.fjm");
-    save_model(&from_binary, &again).unwrap();
+    save_model(&loaded, &again).unwrap();
     assert_eq!(
         std::fs::read(&fjm).unwrap(),
         std::fs::read(&again).unwrap(),
-        "{label}: binary save->load->save is not byte-identical"
+        "{label}: save->load->save is not byte-identical"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -189,4 +193,34 @@ fn sampling_roundtrips_bit_identical_on_imdb_job() {
         config(BaseEstimatorKind::Sampling { rate: 0.25 }, 20),
         "sampling_imdb",
     );
+}
+
+/// The `.fjm` bytes are a function of the data alone: two trainings with
+/// the same config, and a serial against a 4-thread training, write
+/// byte-identical files for every estimator backend: bin-map slab layout
+/// depends on insertion order, so that order must come from the data.
+#[test]
+fn retraining_writes_byte_identical_fjm() {
+    let cat = stats_cat(0.05);
+    for (name, estimator) in [
+        ("truescan", BaseEstimatorKind::TrueScan),
+        ("bayesnet", BaseEstimatorKind::BayesNet(BnConfig::default())),
+        ("sampling", BaseEstimatorKind::Sampling { rate: 0.2 }),
+    ] {
+        let cfg = |threads| FactorJoinConfig {
+            threads,
+            ..config(estimator, 30)
+        };
+        let first = fjm_bytes(&FactorJoinModel::train(&cat, cfg(1)), &format!("{name}-a"));
+        let second = fjm_bytes(&FactorJoinModel::train(&cat, cfg(1)), &format!("{name}-b"));
+        let parallel = fjm_bytes(&FactorJoinModel::train(&cat, cfg(4)), &format!("{name}-x4"));
+        assert!(
+            first == second,
+            "{name}: two trainings wrote different bytes"
+        );
+        assert!(
+            first == parallel,
+            "{name}: 1 vs 4 threads wrote different bytes"
+        );
+    }
 }

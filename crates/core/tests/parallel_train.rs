@@ -1,9 +1,9 @@
 //! Differential tests of the parallel training pipeline: for every thread
 //! count, `FactorJoinModel::train` must produce the **same model bit for
-//! bit** as the serial build. The comparison is three-layered — persisted
-//! statistics (bins, group map, per-key stats incl. the frequency maps),
-//! training-report shape, and the actual sub-plan estimates on a workload
-//! (exact `==` on `f64`s, no tolerance).
+//! bit** as the serial build. The comparison is three-layered — the `.fjm`
+//! bytes (bin-map and frequency slabs as laid out, group map, per-key
+//! stats), training-report shape, and the actual sub-plan estimates on a
+//! workload (exact `==` on `f64`s, no tolerance).
 
 use factorjoin::{
     save_model, BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel,
@@ -29,11 +29,11 @@ fn config(estimator: BaseEstimatorKind, threads: usize) -> FactorJoinConfig {
     }
 }
 
-/// Persisted statistics of a model, as canonical JSON bytes.
+/// Persisted statistics of a model, as its canonical `.fjm` bytes.
 fn persisted(model: &FactorJoinModel, tag: &str) -> Vec<u8> {
     let dir = std::env::temp_dir().join("fj_parallel_train_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.json"));
+    let path = dir.join(format!("{tag}.fjm"));
     save_model(model, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -41,13 +41,13 @@ fn persisted(model: &FactorJoinModel, tag: &str) -> Vec<u8> {
 }
 
 fn assert_models_identical(serial: &FactorJoinModel, parallel: &FactorJoinModel, label: &str) {
-    // Layer 1: every persisted statistic (bin maps, group ids, per-bin
-    // totals/MFV/NDV, sorted frequency maps) byte-identical. Tags carry
+    // Layer 1: every persisted statistic (bin-map slabs, group ids,
+    // per-bin totals/MFV/NDV, frequency slabs) byte-identical. Tags carry
     // the label so concurrently-running tests never share a temp file.
     let tag = label.replace([' ', '/'], "-");
-    assert_eq!(
-        persisted(serial, &format!("serial-{tag}")),
-        persisted(parallel, &format!("parallel-{tag}")),
+    assert!(
+        persisted(serial, &format!("serial-{tag}"))
+            == persisted(parallel, &format!("parallel-{tag}")),
         "{label}: persisted statistics diverged"
     );
     // Layer 2: report shape and deployable size.

@@ -168,10 +168,9 @@ impl ModelRegistry {
         }
     }
 
-    /// Persists the served model of `dataset` to `path` — the format
-    /// follows the extension (`.json` → JSON debug export, anything else →
-    /// binary `.fjm`), and the write is crash-safe (same-dir temp + fsync
-    /// + rename). Fails with `NotFound` for an unknown dataset.
+    /// Persists the served model of `dataset` to `path` as `.fjm` (whatever
+    /// the extension); the write is crash-safe (same-dir temp + fsync +
+    /// rename). Fails with `NotFound` for an unknown dataset.
     pub fn save_dataset(&self, dataset: &str, path: &std::path::Path) -> std::io::Result<()> {
         let handle = self.get(dataset).ok_or_else(|| {
             std::io::Error::new(
@@ -182,8 +181,8 @@ impl ModelRegistry {
         factorjoin::save_model(&handle.model, path)
     }
 
-    /// Loads a model file (binary `.fjm` or JSON — `load_model` sniffs the
-    /// magic bytes) and publishes it under `dataset`, keeping `catalog`
+    /// Loads a `.fjm` model file (anything else is refused as
+    /// `InvalidData`) and publishes it under `dataset`, keeping `catalog`
     /// alongside for later retrains/updates. Returns the publication
     /// epoch. This is the registry's cold-start path: ship a trained
     /// `.fjm` to a fresh shard and it serves without retraining.

@@ -208,11 +208,10 @@ fn persisted_model_serves_identically() {
     let dir = std::env::temp_dir().join("fj_service_persist_test");
     std::fs::create_dir_all(&dir).unwrap();
     let catalog = Arc::new(catalog);
-    // Both formats must serve bit-identically: binary `.fjm` (the
-    // production cold-start path, via the registry's own loader) and the
-    // JSON debug export (via load_model + publish).
-    for (file, via_registry) in [("model.fjm", true), ("model.json", false)] {
-        let path = dir.join(file);
+    // Both load paths must serve bit-identically: the registry's own
+    // cold-start loader and load_model + publish.
+    for via_registry in [true, false] {
+        let path = dir.join("model.fjm");
         save_model(&model, &path).expect("save");
         let registry = Arc::new(ModelRegistry::new());
         if via_registry {
@@ -232,7 +231,7 @@ fn persisted_model_serves_identically() {
             assert_eq!(
                 to_bits(&resp.estimates),
                 expected[qi],
-                "{file}: loaded model diverges from the saved one on query {qi}"
+                "via_registry={via_registry}: loaded model diverges from the saved one on query {qi}"
             );
         }
         // The registry kept the catalog for offline retraining paths.

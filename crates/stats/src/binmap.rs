@@ -34,17 +34,24 @@ pub struct KeyBinMap {
 const EMPTY: u32 = u32::MAX;
 
 impl KeyBinMap {
-    /// Creates a map with `k` bins from explicit assignments.
-    pub fn new(k: usize, map: HashMap<i64, u32>) -> Self {
+    /// Creates a map with `k` bins from explicit `(value, bin)` assignments.
+    ///
+    /// The slab layout (which slot a colliding value lands in) follows the
+    /// order of `assignments`, and the `.fjm` format writes the slabs
+    /// verbatim: pass them in an order fixed by the inputs — not a std
+    /// `HashMap`'s randomly seeded one — for the same statistics to persist
+    /// to the same bytes.
+    pub fn new(k: usize, assignments: impl IntoIterator<Item = (i64, u32)>) -> Self {
         assert!(k > 0, "at least one bin required");
+        let assignments: Vec<(i64, u32)> = assignments.into_iter().collect();
         let mut out = KeyBinMap {
             k,
             keys: Vec::new(),
             bins: Vec::new(),
             len: 0,
         };
-        out.grow_to((map.len() * 8 / 7 + 1).next_power_of_two().max(8));
-        for (v, b) in map {
+        out.grow_to((assignments.len() * 8 / 7 + 1).next_power_of_two().max(8));
+        for (v, b) in assignments {
             debug_assert!((b as usize) < k, "bin index out of range");
             out.set(v, b);
         }

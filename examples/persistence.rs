@@ -5,14 +5,13 @@
 //! cargo run --release --example persistence
 //! ```
 //!
-//! The binary format (magic + section table + per-section CRC) is the
-//! deployment path: load is validate + bulk copy, not parse. JSON remains
-//! available as a human-readable debug export; `load_model` sniffs the
-//! magic bytes so both formats load through the same call.
+//! `.fjm` (magic + section table + per-section CRC) is the only model
+//! format: load is validate + bulk copy, not parse. Its bytes are
+//! canonical — training again on the same data writes the same file.
 
 use std::time::Instant;
 
-use factorjoin::{load_model, save_model, save_model_json, FactorJoinConfig, FactorJoinModel};
+use factorjoin::{load_model, save_model, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{stats_catalog, StatsConfig};
 use fj_query::parse_query;
 
@@ -34,53 +33,42 @@ fn main() {
         model.report().model_bytes / 1024
     );
 
-    // 2. Save both formats: `.fjm` (binary, the deployment format — the
-    //    extension dispatch in `save_model` picks it for anything that is
-    //    not `.json`) and a JSON debug export for humans and diff tools.
+    // 2. Save it.
     let dir = std::env::temp_dir().join(format!("fj_persistence_example_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let fjm = dir.join("model.fjm");
-    let json = dir.join("model.json");
-    save_model(&model, &fjm).expect("save binary model");
-    save_model_json(&model, &json).expect("save JSON debug export");
-    let fjm_bytes = std::fs::metadata(&fjm).expect("stat .fjm").len();
-    let json_bytes = std::fs::metadata(&json).expect("stat .json").len();
-    println!(
-        "saved  : {} ({} KB) and {} ({} KB)",
-        fjm.display(),
-        fjm_bytes / 1024,
-        json.display(),
-        json_bytes / 1024
-    );
+    save_model(&model, &fjm).expect("save model");
+    let saved = std::fs::read(&fjm).expect("read .fjm");
+    println!("saved  : {} ({} KB)", fjm.display(), saved.len() / 1024);
 
-    // 3. Cold-start both files through the same sniffing loader and time it.
+    // 3. Cold-start from the file and time it.
     let t0 = Instant::now();
-    let from_binary = load_model(&fjm, &catalog).expect("load binary model");
-    let binary_load = t0.elapsed();
-    let t0 = Instant::now();
-    let from_json = load_model(&json, &catalog).expect("load JSON model");
-    let json_load = t0.elapsed();
-    println!(
-        "loaded : binary {:.2}ms, JSON {:.2}ms",
-        binary_load.as_secs_f64() * 1e3,
-        json_load.as_secs_f64() * 1e3
-    );
+    let loaded = load_model(&fjm, &catalog).expect("load model");
+    println!("loaded : {:.2}ms", t0.elapsed().as_secs_f64() * 1e3);
 
-    // 4. The loaded models must estimate bit-identically to the trained one.
+    // 4. The loaded model must estimate bit-identically to the trained one.
     let sql = "SELECT COUNT(*) FROM users u, posts p, comments c \
                WHERE u.id = p.owner_user_id AND p.id = c.post_id \
                AND u.reputation > 50 AND p.score >= 2;";
     let query = parse_query(&catalog, sql).expect("valid SQL");
     let original = model.estimate(&query);
-    for (label, loaded) in [("binary", &from_binary), ("json", &from_json)] {
-        let est = loaded.estimate(&query);
-        assert_eq!(
-            est.to_bits(),
-            original.to_bits(),
-            "{label} reload changed the estimate: {est} vs {original}"
-        );
-    }
-    println!("verify : reloaded estimates bit-identical ({original:.0})");
+    let est = loaded.estimate(&query);
+    assert_eq!(
+        est.to_bits(),
+        original.to_bits(),
+        "reload changed the estimate: {est} vs {original}"
+    );
+    println!("verify : reloaded estimate bit-identical ({original:.0})");
+
+    // 5. The bytes are canonical: a second training writes the same file.
+    let retrained = FactorJoinModel::train(&catalog, FactorJoinConfig::default());
+    let again = dir.join("retrained.fjm");
+    save_model(&retrained, &again).expect("save retrained model");
+    assert!(
+        std::fs::read(&again).expect("read retrained .fjm") == saved,
+        "retraining on the same data wrote different bytes"
+    );
+    println!("verify : retrained model saves byte-identically");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -137,7 +137,7 @@ fn persistence_roundtrip_through_disk() {
     let before = model.estimate(&q);
     let dir = std::env::temp_dir().join("fj_integration");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("model.json");
+    let path = dir.join("model.fjm");
     factorjoin::save_model(&model, &path).expect("save");
     let loaded = factorjoin::load_model(&path, &cat).expect("load");
     assert_eq!(loaded.estimate(&q), before);

@@ -169,7 +169,7 @@ fn tautology() -> FilterExpr {
 /// map's fallback hash.
 fn bins(k: usize) -> TableBins {
     let mut bins = TableBins::new();
-    let assigned = (0i64..30).map(|v| (v, (v % k as i64) as u32)).collect();
+    let assigned = (0i64..30).map(|v| (v, (v % k as i64) as u32));
     bins.insert("k", KeyBinMap::new(k, assigned));
     bins
 }
