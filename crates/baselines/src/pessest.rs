@@ -100,7 +100,7 @@ impl CardEst for PessEst {
             let next = (0..n)
                 .filter(|&i| joined & (1 << i) == 0)
                 .min_by_key(|&i| {
-                    let adjacent = graph.neighbors(i).iter().any(|&nb| joined & (1 << nb) != 0);
+                    let adjacent = graph.neighbor_mask(i) & joined != 0;
                     (!adjacent, factors[i].rows as i64)
                 })
                 .expect("aliases remain");

@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the substrates: executor joins, GBSA
-//! binning, Bayesian-network inference, filter compilation, and the
-//! service hand-off. These back the engineering claims in DESIGN.md
+//! binning, Bayesian-network inference, filter compilation, query
+//! analysis, and the service hand-off. These back the engineering claims in DESIGN.md
 //! (ablations of design choices).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use factorjoin::{build_group_bins, BinningStrategy, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{imdb_catalog, stats_catalog, ImdbConfig, StatsConfig};
 use fj_exec::TrueCardEngine;
-use fj_query::parse_query;
+use fj_query::{connected_subplans_into, parse_query, subplan_fingerprints, QueryGraph};
 use fj_service::{EstimatorService, ModelRegistry, ServiceConfig};
 use fj_stats::{
     BaseTableEstimator, BayesNetEstimator, BnConfig, KeyBinMap, SamplingEstimator, TableBins,
@@ -214,6 +214,66 @@ fn sampling_profile(c: &mut Criterion) {
     group.finish();
 }
 
+/// Query analysis, the per-request work in front of every cache probe
+/// (`query.enumerate_us` and `query.fingerprint_us` of the repository
+/// benchmark): `QueryGraph::analyze`, `connected_subplans_into` and
+/// `subplan_fingerprints` over one batch of each paper-shaped workload —
+/// STATS-CEB (2–6 aliases, trees) and IMDB-JOB (3–8 aliases, cyclic,
+/// `LIKE`).
+fn query_analysis(c: &mut Criterion) {
+    let stats = stats_catalog(&StatsConfig {
+        scale: 0.1,
+        ..Default::default()
+    });
+    let imdb = imdb_catalog(&ImdbConfig::tiny());
+    let batches = [
+        (
+            "stats",
+            fj_datagen::stats_ceb_workload(&stats, &fj_datagen::WorkloadConfig::stats_ceb()),
+        ),
+        (
+            "imdb",
+            fj_datagen::imdb_job_workload(&imdb, &fj_datagen::WorkloadConfig::imdb_job()),
+        ),
+    ];
+    let mut group = c.benchmark_group("query_analysis");
+    group.sample_size(20);
+    for (workload, batch) in &batches {
+        group.bench_with_input(BenchmarkId::new("analyze", workload), batch, |b, batch| {
+            b.iter(|| {
+                for q in batch {
+                    std::hint::black_box(QueryGraph::analyze(q));
+                }
+            })
+        });
+        let mut masks = Vec::new();
+        group.bench_with_input(
+            BenchmarkId::new("connected_subplans_into", workload),
+            batch,
+            |b, batch| {
+                b.iter(|| {
+                    for q in batch {
+                        connected_subplans_into(q, 1, &mut masks);
+                        std::hint::black_box(masks.len());
+                    }
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("subplan_fingerprints", workload),
+            batch,
+            |b, batch| {
+                b.iter(|| {
+                    for q in batch {
+                        std::hint::black_box(subplan_fingerprints(q, 1, 0x5eed));
+                    }
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 /// What the queue, the worker hand-off and the reply add to a direct
 /// estimate — the micro number behind the benchmark's
 /// `service.handoff_us` / `service.batch_handoff_us`: 16 direct estimates
@@ -260,6 +320,7 @@ criterion_group!(
     bayesnet_inference,
     filter_compilation,
     sampling_profile,
+    query_analysis,
     service_handoff
 );
 criterion_main!(benches);

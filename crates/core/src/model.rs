@@ -80,13 +80,15 @@ pub struct TrainingReport {
 /// [`FactorJoinModel::estimate_subplans_with`] allocation-free per
 /// sub-plan: joined factors live in a [`FactorArena`], joins run through a
 /// [`JoinScratch`], base-table profiles refill a reused [`TableProfile`],
-/// and the per-mask cache index keeps its table. Every buffer growth is
+/// and the per-mask factor ids keep their buffer. Every buffer growth is
 /// counted, so tests can assert the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct EstimationScratch {
     join: JoinScratch,
     arena: FactorArena,
-    mask_index: HashMap<SubplanMask, FactorId>,
+    /// The arena id of each sub-plan estimated so far, parallel to the
+    /// query's sorted mask list.
+    ids: Vec<FactorId>,
     masks: Vec<SubplanMask>,
     base_ids: Vec<Option<FactorId>>,
     profile: TableProfile,
@@ -102,12 +104,6 @@ impl EstimationScratch {
     /// contract of the hot path.
     pub fn grow_events(&self) -> u64 {
         self.grow_events + self.join.grow_events() + self.arena.grow_events()
-    }
-
-    fn note_mask_index_growth(&mut self) {
-        if self.mask_index.len() == self.mask_index.capacity() {
-            self.grow_events += 1;
-        }
     }
 }
 
@@ -497,7 +493,7 @@ impl FactorJoinModel {
             let next = (0..n)
                 .filter(|&i| joined & (1 << i) == 0)
                 .min_by_key(|&i| {
-                    let adjacent = graph.neighbors(i).iter().any(|&nb| joined & (1 << nb) != 0);
+                    let adjacent = graph.neighbor_mask(i) & joined != 0;
                     (!adjacent, factors[i].rows as i64)
                 })
                 .expect("remaining alias exists");
@@ -524,67 +520,91 @@ impl FactorJoinModel {
         self.estimate_subplans_with(&mut scratch, query, min_size)
     }
 
-    /// [`Self::estimate_subplans`] through caller-owned scratch buffers.
+    /// [`Self::estimate_subplans`] through caller-owned scratch buffers:
+    /// analyses and enumerates `query`, then [`Self::estimate_analyzed`].
     ///
     /// After the base factors of a query are built, the per-sub-plan work —
-    /// split lookup, keep-set construction, factor join, cache insert — is
-    /// free of heap allocation on a warm scratch (asserted by the
-    /// scratch-reuse tests via [`EstimationScratch::grow_events`]).
+    /// split lookup, keep-set construction, factor join — is free of heap
+    /// allocation on a warm scratch (asserted by the scratch-reuse tests via
+    /// [`EstimationScratch::grow_events`]).
     pub fn estimate_subplans_with(
         &self,
         scratch: &mut EstimationScratch,
         query: &Query,
         min_size: u32,
     ) -> Vec<(SubplanMask, f64)> {
-        let n = query.num_tables();
         let graph = QueryGraph::analyze(query);
+        let mut masks = std::mem::take(&mut scratch.masks);
+        let cap = masks.capacity();
+        connected_subplans_into(query, 1, &mut masks);
+        if masks.capacity() != cap {
+            scratch.grow_events += 1;
+        }
+        let out = self.estimate_analyzed(scratch, query, &graph, &masks, min_size);
+        scratch.masks = masks;
+        out
+    }
+
+    /// Progressive sub-plan estimation of a query its caller has already
+    /// analysed — the one implementation behind
+    /// [`Self::estimate_subplans_with`], and what the service's request
+    /// path calls with the analysis its cache keys were computed from.
+    ///
+    /// `graph` is `QueryGraph::analyze(query)` and `masks` every connected
+    /// sub-plan of `query` in `connected_subplans_into(query, 1, ..)` order
+    /// (ascending `(popcount, mask)`); the estimates returned are those of
+    /// the masks with at least `min_size` aliases, in that order.
+    pub fn estimate_analyzed(
+        &self,
+        scratch: &mut EstimationScratch,
+        query: &Query,
+        graph: &QueryGraph,
+        masks: &[SubplanMask],
+        min_size: u32,
+    ) -> Vec<(SubplanMask, f64)> {
+        debug_assert!(
+            masks
+                .windows(2)
+                .all(|w| (w[0].count_ones(), w[0]) < (w[1].count_ones(), w[1])),
+            "masks in enumeration order"
+        );
+        let n = query.num_tables();
         scratch.arena.clear();
-        scratch.mask_index.clear();
-        {
-            let cap = scratch.masks.capacity();
-            connected_subplans_into(query, 1, &mut scratch.masks);
-            if scratch.masks.capacity() != cap {
-                scratch.grow_events += 1;
-            }
+        scratch.ids.clear();
+        if scratch.ids.capacity() < masks.len() {
+            scratch.grow_events += 1;
+            scratch.ids.reserve(masks.len());
         }
         if scratch.base_ids.capacity() < n {
             scratch.grow_events += 1;
         }
         scratch.base_ids.clear();
         scratch.base_ids.resize(n, None);
-        let mut out = Vec::with_capacity(scratch.masks.len());
+        let mut out = Vec::with_capacity(masks.len());
 
-        for mi in 0..scratch.masks.len() {
-            let mask = scratch.masks[mi];
-            if mask.count_ones() == 1 {
+        for &mask in masks {
+            let (id, rows) = if mask.count_ones() == 1 {
                 // Base factors, including exact single-table row estimates.
                 let i = mask.trailing_zeros() as usize;
-                let rows = self.build_base_factor(query, &graph, i, scratch);
+                let rows = self.build_base_factor(query, graph, i, scratch);
                 let id = scratch.arena.push_scratch(rows, &scratch.join);
                 scratch.base_ids[i] = Some(id);
-                scratch.note_mask_index_growth();
-                scratch.mask_index.insert(mask, id);
-                out.push((mask, rows));
+                (id, rows)
             } else {
-                // Split off one alias whose removal keeps the rest cached.
-                let (rest, alias) = split_mask(mask, &scratch.mask_index);
-                let keep = keep_for_mask(&graph, mask);
-                let EstimationScratch {
-                    join,
-                    arena,
-                    mask_index,
-                    base_ids,
-                    ..
-                } = scratch;
-                let rest_id = mask_index[&rest];
-                let base_id = base_ids[alias].expect("singletons come first");
-                let (id, rows) = arena.join(rest_id, base_id, &keep, join);
-                scratch.note_mask_index_growth();
-                scratch.mask_index.insert(mask, id);
+                // Split off one alias whose removal leaves an estimated
+                // (connected) sub-plan.
+                let (rest_at, alias) = split_mask(mask, &masks[..scratch.ids.len()]);
+                let keep = keep_for_mask(graph, mask);
+                let base_id = scratch.base_ids[alias].expect("singletons come first");
+                scratch
+                    .arena
+                    .join(scratch.ids[rest_at], base_id, &keep, &mut scratch.join)
+            };
+            scratch.ids.push(id);
+            if mask.count_ones() >= min_size {
                 out.push((mask, rows));
             }
         }
-        out.retain(|(m, _)| m.count_ones() >= min_size);
         out
     }
 
@@ -722,27 +742,24 @@ impl ModelDelta {
 /// references them). Shared by the model's fold and by baselines that
 /// reuse the bound-preserving join (e.g. PessEst).
 pub fn keep_for_mask(graph: &QueryGraph, mask: SubplanMask) -> KeepVars {
-    let mut kv = KeepVars::none();
-    for var in graph.vars() {
-        if var.members.iter().any(|cr| mask & (1 << cr.alias) == 0) {
-            kv.insert(var.id);
-        }
-    }
-    kv
+    KeepVars::from_fn(graph.num_vars(), |var| graph.var_aliases(var) & !mask != 0)
 }
 
-/// Finds `(rest, alias)` with `mask = rest | bit(alias)` and `rest` cached.
-fn split_mask(mask: SubplanMask, cache: &HashMap<SubplanMask, FactorId>) -> (SubplanMask, usize) {
+/// Finds `(rest, alias)` with `mask = rest | bit(alias)` and `rest` among
+/// the sub-plans already estimated, `done` (sorted by `(popcount, mask)`):
+/// returns `rest`'s index in `done`. The lowest such alias bit wins.
+fn split_mask(mask: SubplanMask, done: &[SubplanMask]) -> (usize, usize) {
     let mut rest = mask;
     while rest != 0 {
         let bit = rest & rest.wrapping_neg();
         let candidate = mask & !bit;
-        if cache.contains_key(&candidate) {
-            return (candidate, bit.trailing_zeros() as usize);
+        let key = (candidate.count_ones(), candidate);
+        if let Ok(at) = done.binary_search_by_key(&key, |&m| (m.count_ones(), m)) {
+            return (at, bit.trailing_zeros() as usize);
         }
         rest &= rest - 1;
     }
-    panic!("connected sub-plan must have a cached connected predecessor");
+    panic!("connected sub-plan must have an estimated connected predecessor");
 }
 
 fn build_estimator(
@@ -1177,6 +1194,176 @@ mod tests {
                 warm,
                 "estimation buffers grew on a warm {estimator:?} session"
             );
+        }
+    }
+
+    // ------------------------------------------- analysis oracles
+
+    /// `QueryGraph::analyze` before its flat rewrite: keys indexed through a
+    /// `BTreeMap`, all inserted before any union, grouped by
+    /// `UnionFind::groups`, per-alias lists deduplicated by `contains`.
+    struct OracleGraph {
+        vars: Vec<fj_query::KeyVar>,
+        alias_keys: Vec<Vec<(usize, usize)>>,
+        adjacency: Vec<Vec<usize>>,
+    }
+
+    fn oracle_analyze(query: &Query) -> OracleGraph {
+        use fj_query::ColRef;
+        let mut keys: Vec<ColRef> = Vec::new();
+        let mut index: std::collections::BTreeMap<ColRef, usize> = Default::default();
+        for j in query.joins() {
+            for cr in [j.left, j.right] {
+                index.entry(cr).or_insert_with(|| {
+                    keys.push(cr);
+                    keys.len() - 1
+                });
+            }
+        }
+        let mut uf = fj_storage::UnionFind::new(keys.len());
+        for j in query.joins() {
+            uf.union(index[&j.left], index[&j.right]);
+        }
+        let mut key_to_var = vec![0usize; keys.len()];
+        let mut vars = Vec::new();
+        for (id, members) in uf.groups().into_iter().enumerate() {
+            for &m in &members {
+                key_to_var[m] = id;
+            }
+            let members = members.into_iter().map(|m| keys[m]).collect();
+            vars.push(fj_query::KeyVar { id, members });
+        }
+        let n = query.num_tables();
+        let mut alias_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for (ki, cr) in keys.iter().enumerate() {
+            let entry = (cr.column, key_to_var[ki]);
+            if !alias_keys[cr.alias].contains(&entry) {
+                alias_keys[cr.alias].push(entry);
+            }
+        }
+        let mut adjacency = vec![Vec::new(); n];
+        for j in query.joins() {
+            let (a, b) = (j.left.alias, j.right.alias);
+            if !adjacency[a].contains(&b) {
+                adjacency[a].push(b);
+            }
+            if !adjacency[b].contains(&a) {
+                adjacency[b].push(a);
+            }
+        }
+        alias_keys.iter_mut().for_each(|l| l.sort_unstable());
+        adjacency.iter_mut().for_each(|l| l.sort_unstable());
+        OracleGraph {
+            vars,
+            alias_keys,
+            adjacency,
+        }
+    }
+
+    /// `keep_for_mask` before per-variable alias masks: a member scan.
+    fn oracle_keep(graph: &OracleGraph, mask: SubplanMask) -> KeepVars {
+        let mut kv = KeepVars::none();
+        for var in &graph.vars {
+            if var.members.iter().any(|cr| mask & (1 << cr.alias) == 0) {
+                kv.insert(var.id);
+            }
+        }
+        kv
+    }
+
+    /// Progressive estimation before the analysed entry point: factor ids
+    /// in a `HashMap` by mask, split through the map, oracle keep sets.
+    /// Base factors read only `alias_keys`, which the caller asserts equal
+    /// to the oracle's.
+    fn oracle_estimate_subplans(model: &FactorJoinModel, q: &Query) -> Vec<(SubplanMask, f64)> {
+        let graph = QueryGraph::analyze(q);
+        let oracle = oracle_analyze(q);
+        let mut scratch = EstimationScratch::default();
+        let mut index: HashMap<SubplanMask, FactorId> = HashMap::new();
+        let mut base_ids = vec![None; q.num_tables()];
+        let mut out = Vec::new();
+        for mask in fj_query::connected_subplans(q, 1) {
+            let (id, rows) = if mask.count_ones() == 1 {
+                let i = mask.trailing_zeros() as usize;
+                let rows = model.build_base_factor(q, &graph, i, &mut scratch);
+                let id = scratch.arena.push_scratch(rows, &scratch.join);
+                base_ids[i] = Some(id);
+                (id, rows)
+            } else {
+                let bit = (0..64)
+                    .map(|b| 1u64 << b)
+                    .find(|&bit| mask & bit != 0 && index.contains_key(&(mask & !bit)))
+                    .expect("estimated predecessor");
+                let keep = oracle_keep(&oracle, mask);
+                let base = base_ids[bit.trailing_zeros() as usize].unwrap();
+                let rest = index[&(mask & !bit)];
+                scratch.arena.join(rest, base, &keep, &mut scratch.join)
+            };
+            index.insert(mask, id);
+            out.push((mask, rows));
+        }
+        out
+    }
+
+    /// The rewritten analysis, keep sets and estimator bookkeeping against
+    /// the oracles above on generated STATS-CEB and IMDB-JOB workloads
+    /// (cyclic joins, self-joins, `LIKE`): identical graphs, identical keep
+    /// sets for every connected mask, bit-identical estimates.
+    #[test]
+    fn analysis_matches_the_oracles_on_stats_and_imdb_workloads() {
+        use fj_datagen::{imdb_catalog, imdb_job_workload, ImdbConfig};
+        let stats = tiny_catalog();
+        let imdb = imdb_catalog(&ImdbConfig {
+            scale: 0.05,
+            ..Default::default()
+        });
+        let cases = [
+            (&stats, BaseEstimatorKind::TrueScan, 30, false),
+            (&imdb, BaseEstimatorKind::Sampling { rate: 0.5 }, 30, true),
+        ];
+        for (cat, estimator, k, is_imdb) in cases {
+            let model = FactorJoinModel::train(
+                cat,
+                FactorJoinConfig {
+                    estimator,
+                    ..truescan_config(k)
+                },
+            );
+            let mut session = model.subplan_estimator();
+            let mut cyclic = 0;
+            for seed in [3, 17, 41] {
+                let wl = if is_imdb {
+                    imdb_job_workload(cat, &WorkloadConfig::tiny(seed))
+                } else {
+                    stats_ceb_workload(cat, &WorkloadConfig::tiny(seed))
+                };
+                for q in &wl {
+                    let graph = QueryGraph::analyze(q);
+                    let oracle = oracle_analyze(q);
+                    assert_eq!(graph.vars(), &oracle.vars[..]);
+                    for a in 0..q.num_tables() {
+                        assert_eq!(graph.alias_keys(a), &oracle.alias_keys[a][..]);
+                        let adjacent = oracle.adjacency[a].iter().fold(0, |m, &b| m | 1 << b);
+                        assert_eq!(graph.neighbor_mask(a), adjacent);
+                    }
+                    cyclic += usize::from(q.joins().len() >= q.num_tables());
+                    for mask in fj_query::connected_subplans(q, 1) {
+                        assert_eq!(keep_for_mask(&graph, mask), oracle_keep(&oracle, mask));
+                    }
+                    let bits = |e: Vec<(SubplanMask, f64)>| {
+                        e.into_iter()
+                            .map(|(m, x)| (m, x.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(session.estimate_subplans(q, 1)),
+                        bits(oracle_estimate_subplans(&model, q))
+                    );
+                }
+            }
+            if is_imdb {
+                assert!(cyclic > 0, "the IMDB workload exercises cyclic joins");
+            }
         }
     }
 

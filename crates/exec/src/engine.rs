@@ -163,11 +163,7 @@ impl TrueCardEngine {
                 .copied()
                 .filter(|&i| joined_mask & (1u64 << i) == 0)
                 .min_by_key(|&i| {
-                    let adjacent = self
-                        .graph
-                        .neighbors(i)
-                        .iter()
-                        .any(|&nb| joined_mask & (1u64 << nb) != 0);
+                    let adjacent = self.graph.neighbor_mask(i) & joined_mask != 0;
                     (!adjacent, self.alias_rels[i].num_groups())
                 })
                 .expect("mask not exhausted");

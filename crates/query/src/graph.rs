@@ -6,10 +6,16 @@
 //! nodes of the factor graph. Each alias (table occurrence) touches a set of
 //! variables, and that alias's factor node will hold the distribution of
 //! exactly those variables.
+//!
+//! Analysis runs once per estimate request on the serving path, so it
+//! records bitset views the hot loops test instead of scanning lists — per
+//! alias its join neighbors, per variable the aliases it touches, per alias
+//! the variables its keys touch — and builds the per-variable member lists
+//! only when [`QueryGraph::vars`] is first asked for them.
 
 use crate::query::{ColRef, Query};
 use fj_storage::UnionFind;
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An equivalent key group variable of one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,118 +29,191 @@ pub struct KeyVar {
 /// The analyzed join structure of a query.
 #[derive(Debug, Clone)]
 pub struct QueryGraph {
-    vars: Vec<KeyVar>,
-    /// For each alias, the distinct (column, var) pairs it contributes.
-    alias_keys: Vec<Vec<(usize, usize)>>,
-    /// Alias-level adjacency derived from shared variables.
-    adjacency: Vec<Vec<usize>>,
+    /// Every distinct join key with its variable, in first-appearance
+    /// order.
+    keys: Vec<(ColRef, usize)>,
+    num_vars: usize,
+    /// The member lists, built on first use: the estimation path reads
+    /// only the bitset views.
+    vars: OnceLock<Vec<KeyVar>>,
+    /// Every alias's distinct (column, var) pairs, sorted, alias after
+    /// alias: alias `a`'s run is `alias_keys[key_start[a]..key_start[a + 1]]`.
+    alias_keys: Vec<(usize, usize)>,
+    key_start: Vec<usize>,
+    /// Three bitset tables in one buffer: per alias the mask of aliases it
+    /// is directly joined with (`n` words); per variable the mask of aliases
+    /// with a member key in it (`num_vars` words); per alias the variables
+    /// its keys touch (`var_words` = ⌈num_vars / 64⌉ words each, bit
+    /// `v % 64` of word `v / 64`, so an id ≥ 64 lands in its own word
+    /// instead of wrapping).
+    bits: Vec<u64>,
+    num_aliases: usize,
+    var_words: usize,
 }
 
 impl QueryGraph {
     /// Analyzes `query` into variables and per-alias key sets.
     pub fn analyze(query: &Query) -> Self {
-        // Collect distinct join-key ColRefs in first-appearance order.
-        let mut keys: Vec<ColRef> = Vec::new();
-        let mut index: BTreeMap<ColRef, usize> = BTreeMap::new();
-        for j in query.joins() {
-            for cr in [j.left, j.right] {
-                index.entry(cr).or_insert_with(|| {
-                    keys.push(cr);
-                    keys.len() - 1
-                });
-            }
-        }
-        let mut uf = UnionFind::new(keys.len());
-        for j in query.joins() {
-            uf.union(index[&j.left], index[&j.right]);
-        }
-        let groups = uf.groups();
-        let mut vars = Vec::with_capacity(groups.len());
-        let mut key_to_var = vec![0usize; keys.len()];
-        for (vid, members) in groups.into_iter().enumerate() {
-            for &m in &members {
-                key_to_var[m] = vid;
-            }
-            vars.push(KeyVar {
-                id: vid,
-                members: members.into_iter().map(|m| keys[m]).collect(),
-            });
-        }
-
         let n = query.num_tables();
-        let mut alias_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (ki, cr) in keys.iter().enumerate() {
-            let entry = (cr.column, key_to_var[ki]);
-            if !alias_keys[cr.alias].contains(&entry) {
-                alias_keys[cr.alias].push(entry);
+        let joins = query.joins();
+        // Distinct join keys in first-appearance order, found by a linear
+        // scan (a query has a handful), and unioned join by join — the same
+        // indices and the same union sequence as inserting every key first,
+        // so the same roots. Slots past the distinct keys stay singletons.
+        let mut keys: Vec<(ColRef, usize)> = Vec::with_capacity(2 * joins.len());
+        let mut uf = UnionFind::new(2 * joins.len());
+        for j in joins {
+            let left = key_index(&mut keys, j.left);
+            let right = key_index(&mut keys, j.right);
+            uf.union(left, right);
+        }
+        // Each key's variable: ids number the groups by ascending root,
+        // members by ascending key index. Roots take their ids first, then
+        // every key reads its root's.
+        let mut num_vars = 0;
+        for k in 0..keys.len() {
+            if uf.find(k) == k {
+                keys[k].1 = num_vars;
+                num_vars += 1;
             }
         }
-        for ak in &mut alias_keys {
-            ak.sort_unstable();
+        for k in 0..keys.len() {
+            keys[k].1 = keys[uf.find(k)].1;
         }
 
-        let mut adjacency = vec![Vec::new(); n];
-        for j in query.joins() {
-            let (a, b) = (j.left.alias, j.right.alias);
-            if !adjacency[a].contains(&b) {
-                adjacency[a].push(b);
-            }
-            if !adjacency[b].contains(&a) {
-                adjacency[b].push(a);
-            }
+        let var_words = num_vars.div_ceil(64).max(1);
+        let mut bits = vec![0u64; n + num_vars + n * var_words];
+        let (neighbors, rest) = bits.split_at_mut(n);
+        let (var_aliases, var_sets) = rest.split_at_mut(num_vars);
+        // Keys are distinct (alias, column)s, so each alias's (column, var)
+        // pairs are distinct too: a counting sort by alias places them.
+        let mut key_start = vec![0usize; n + 1];
+        for &(cr, var) in &keys {
+            var_aliases[var] |= 1 << cr.alias;
+            var_sets[cr.alias * var_words + var / 64] |= 1 << (var % 64);
+            key_start[cr.alias + 1] += 1;
         }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
+        for a in 0..n {
+            key_start[a + 1] += key_start[a];
+        }
+        let mut alias_keys = vec![(0, 0); keys.len()];
+        // `key_start[a]` is alias `a`'s fill cursor and ends at its run's
+        // end; shifting right by one restores the starts.
+        for &(cr, var) in &keys {
+            alias_keys[key_start[cr.alias]] = (cr.column, var);
+            key_start[cr.alias] += 1;
+        }
+        key_start.copy_within(0..n, 1);
+        key_start[0] = 0;
+        for a in 0..n {
+            alias_keys[key_start[a]..key_start[a + 1]].sort_unstable();
+        }
+
+        for j in joins {
+            neighbors[j.left.alias] |= 1 << j.right.alias;
+            neighbors[j.right.alias] |= 1 << j.left.alias;
         }
 
         QueryGraph {
-            vars,
+            keys,
+            num_vars,
+            vars: OnceLock::new(),
             alias_keys,
-            adjacency,
+            key_start,
+            bits,
+            num_aliases: n,
+            var_words,
         }
     }
 
     /// Equivalent key group variables.
     pub fn vars(&self) -> &[KeyVar] {
-        &self.vars
+        self.vars.get_or_init(|| {
+            let mut vars: Vec<KeyVar> = (0..self.num_vars)
+                .map(|id| KeyVar {
+                    id,
+                    members: Vec::new(),
+                })
+                .collect();
+            for &(cr, var) in &self.keys {
+                vars[var].members.push(cr);
+            }
+            vars
+        })
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.num_vars
     }
 
-    /// Distinct (column index, variable id) pairs contributed by `alias`.
+    /// Distinct (column index, variable id) pairs contributed by `alias`,
+    /// sorted.
     pub fn alias_keys(&self, alias: usize) -> &[(usize, usize)] {
-        &self.alias_keys[alias]
+        &self.alias_keys[self.key_start[alias]..self.key_start[alias + 1]]
     }
 
     /// Variable ids touched by `alias`.
     pub fn alias_vars(&self, alias: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = self.alias_keys[alias].iter().map(|&(_, var)| var).collect();
+        let mut v: Vec<usize> = self.alias_keys(alias).iter().map(|&(_, var)| var).collect();
         v.sort_unstable();
         v.dedup();
         v
     }
 
-    /// Alias-level neighbors of `alias` in the join graph.
-    pub fn neighbors(&self, alias: usize) -> &[usize] {
-        &self.adjacency[alias]
+    /// Words in each variable bitset: ⌈[`Self::num_vars`] / 64⌉, at least
+    /// one.
+    pub(crate) fn var_set_words(&self) -> usize {
+        self.var_words
+    }
+
+    /// The variables `alias` touches as a bitset: bit `v % 64` of word
+    /// `v / 64`, [`Self::var_set_words`] words.
+    pub(crate) fn alias_var_set(&self, alias: usize) -> &[u64] {
+        let start = self.num_aliases + self.num_vars + alias * self.var_words;
+        &self.bits[start..start + self.var_words]
+    }
+
+    /// The mask of aliases with a member key in variable `var`.
+    pub fn var_aliases(&self, var: usize) -> u64 {
+        self.bits[self.num_aliases + var]
+    }
+
+    /// The mask of `alias`'s neighbors in the join graph: the aliases it
+    /// shares a join condition with.
+    pub fn neighbor_mask(&self, alias: usize) -> u64 {
+        self.bits[alias]
     }
 
     /// Maximum number of distinct join keys in any single alias — the
     /// `max(|JK|)` exponent in the paper's complexity analysis (§3.2).
     pub fn max_keys_per_alias(&self) -> usize {
-        self.alias_keys.iter().map(Vec::len).max().unwrap_or(0)
+        self.key_start
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
     /// The variable id of a given (alias, column) key, if it is a join key
     /// of this query.
     pub fn var_of(&self, alias: usize, column: usize) -> Option<usize> {
-        self.alias_keys[alias]
+        self.alias_keys(alias)
             .iter()
             .find(|&&(c, _)| c == column)
             .map(|&(_, v)| v)
+    }
+}
+
+/// Index of `key` in `keys`, appending it (variable not yet known) on
+/// first sight.
+fn key_index(keys: &mut Vec<(ColRef, usize)>, key: ColRef) -> usize {
+    match keys.iter().position(|&(k, _)| k == key) {
+        Some(i) => i,
+        None => {
+            keys.push((key, usize::MAX));
+            keys.len() - 1
+        }
     }
 }
 
@@ -211,8 +290,8 @@ mod tests {
         assert_eq!(g.alias_vars(0).len(), 2);
         assert_eq!(g.alias_vars(3).len(), 1);
         // a is adjacent to b and c, not d.
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.neighbors(3), &[2]);
+        assert_eq!(g.neighbor_mask(0), 0b0110);
+        assert_eq!(g.neighbor_mask(3), 0b0100);
     }
 
     #[test]
@@ -253,6 +332,22 @@ mod tests {
         let g = QueryGraph::analyze(&q);
         assert_eq!(g.num_vars(), 1);
         assert_eq!(g.vars()[0].members.len(), 3);
+    }
+
+    #[test]
+    fn bitset_views_match_member_lists() {
+        let cat = catalog();
+        let g = QueryGraph::analyze(&figure3_query(&cat));
+        for v in g.vars() {
+            let aliases = v.members.iter().fold(0u64, |m, cr| m | 1 << cr.alias);
+            assert_eq!(g.var_aliases(v.id), aliases);
+        }
+        for alias in 0..4 {
+            let set = g.alias_var_set(alias);
+            assert_eq!(set.len(), 1);
+            let vars = g.alias_vars(alias).iter().fold(0u64, |m, &v| m | 1 << v);
+            assert_eq!(set[0], vars);
+        }
     }
 
     #[test]

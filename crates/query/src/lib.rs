@@ -28,7 +28,9 @@ pub mod subplan;
 
 pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter, Selection};
 pub use expr::{FilterExpr, ValueMatcher};
-pub use fingerprint::{subplan_fingerprints, StableHasher};
+pub use fingerprint::{
+    subplan_fingerprints, subplan_fingerprints_into, FingerprintBuf, StableHasher,
+};
 pub use graph::{KeyVar, QueryGraph};
 pub use like::{like_match, LikePattern};
 pub use parser::{parse_query, ParseError};

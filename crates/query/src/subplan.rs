@@ -39,6 +39,9 @@ pub fn connected_subplans_into(query: &Query, min_size: u32, out: &mut Vec<Subpl
         adj[j.right.alias] |= 1u64 << j.left.alias;
     }
     out.clear();
+    // A connected graph on n vertices has at least n(n+1)/2 connected
+    // vertex subsets (a path has exactly that), so this never overshoots.
+    out.reserve(n * (n + 1) / 2);
     // Standard "EnumerateCsg" (Moerkotte & Neumann): seeds descend so each
     // connected set is produced exactly once.
     for seed in (0..n).rev() {
@@ -48,7 +51,8 @@ pub fn connected_subplans_into(query: &Query, min_size: u32, out: &mut Vec<Subpl
         emit_and_expand(seed_mask, forbidden, &adj[..n], out);
     }
     out.retain(|m| m.count_ones() >= min_size);
-    out.sort_by_key(|m| (m.count_ones(), *m));
+    // Masks are distinct, so an unstable sort gives the same order.
+    out.sort_unstable_by_key(|m| (m.count_ones(), *m));
 }
 
 fn neighborhood(set: u64, adj: &[u64]) -> u64 {

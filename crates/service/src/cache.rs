@@ -7,7 +7,7 @@
 //! This module provides that fast path:
 //!
 //! * **Key** — `(model epoch, sub-plan mask, fingerprint)`. The
-//!   fingerprint is [`fj_query::subplan_fingerprints`]'s seeded stable
+//!   fingerprint is [`fj_query::subplan_fingerprints`]'s seeded word-mixed
 //!   hash over the canonicalized sub-plan (table identities, filter
 //!   terms in stored order, join-key equivalence structure projected
 //!   onto the sub-plan); equal keys imply an isomorphic estimation
@@ -42,7 +42,7 @@ const NUM_SHARDS: usize = 16;
 /// Set associativity: slots probed per lookup/insert.
 const WAYS: usize = 8;
 
-/// Seed for the stable sub-plan fingerprint hash. Fixed for the life of
+/// Seed for the sub-plan fingerprint hash. Fixed for the life of
 /// a cache so the same canonical sub-plan always maps to the same key;
 /// distinct from zero so accidental all-zero keys do not collide with
 /// empty slots.

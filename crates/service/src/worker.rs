@@ -17,7 +17,9 @@ use crate::registry::{ModelHandle, ModelRegistry};
 use crate::request::{EstimateRequest, EstimateResponse, Reply, ServiceError};
 use crate::stats::StatsInner;
 use factorjoin::EstimationScratch;
-use fj_query::{subplan_fingerprints, SubplanMask};
+use fj_query::{
+    connected_subplans_into, subplan_fingerprints_into, FingerprintBuf, QueryGraph, SubplanMask,
+};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -118,15 +120,24 @@ pub(crate) struct Pool {
 
 /// One worker thread's state.
 ///
-/// The [`EstimationScratch`] lives as long as the worker — the
-/// scratch-reuse contract of `SubplanEstimator` carried across requests
-/// *and* across hot-swapped models (the scratch holds only buffers; every
-/// request rebuilds its factors from the model it was served by, so
-/// reusing it under a different model is sound).
+/// The [`Buffers`] live as long as the worker — the scratch-reuse contract
+/// of `SubplanEstimator` carried across requests *and* across hot-swapped
+/// models (they hold only buffers; every request rebuilds its factors from
+/// the model it was served by, so reusing them under a different model is
+/// sound).
 pub(crate) struct Worker {
     id: usize,
     pool: Arc<Pool>,
-    scratch: EstimationScratch,
+    buffers: Buffers,
+}
+
+/// What a worker reuses from request to request: the estimator's scratch,
+/// and the sub-plan list and fingerprints of the request being served.
+#[derive(Default)]
+struct Buffers {
+    estimation: EstimationScratch,
+    masks: Vec<SubplanMask>,
+    fingerprints: FingerprintBuf,
 }
 
 /// Spawns `count` workers draining `pool.queue` until it is closed.
@@ -147,7 +158,7 @@ impl Worker {
         Worker {
             id,
             pool: Arc::clone(pool),
-            scratch: EstimationScratch::default(),
+            buffers: Buffers::default(),
         }
     }
 
@@ -195,13 +206,13 @@ impl Worker {
             batch.resolve(index, Err(ServiceError::UnknownDataset(name.to_string())));
             return;
         };
-        // Contain estimator panics: the scratch holds only buffers, but a
-        // panic can leave them in an arbitrary state, so it is rebuilt.
-        // AssertUnwindSafe is sound because nothing else aliases the
-        // scratch and the model is read-only.
-        let scratch = &mut self.scratch;
+        // Contain estimator panics: the worker's buffers are only buffers,
+        // but a panic can leave them in an arbitrary state, so they are
+        // rebuilt. AssertUnwindSafe is sound because nothing else aliases
+        // them and the model is read-only.
+        let buffers = &mut self.buffers;
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            estimate_through_cache(handle, scratch, request, &pool.stats, pool.cache.as_deref())
+            estimate_through_cache(handle, buffers, request, &pool.stats, pool.cache.as_deref())
         }));
         let result = match attempt {
             Ok(estimates) => {
@@ -221,7 +232,7 @@ impl Worker {
                 Ok(response)
             }
             Err(payload) => {
-                self.scratch = EstimationScratch::default();
+                self.buffers = Buffers::default();
                 pool.stats.record_worker_panic();
                 Err(ServiceError::WorkerPanicked(panic_message(&payload)))
             }
@@ -242,31 +253,53 @@ impl Worker {
 /// unchanged) and every `(mask, estimate)` pair is inserted, so the next
 /// repeat hits.
 ///
+/// The query is analysed and its sub-plans enumerated **once**: the
+/// fingerprints and, on a miss, the estimator both read that one
+/// [`QueryGraph`] and mask list.
+///
 /// Correctness hinges on two facts proven elsewhere:
-/// * `subplan_fingerprints` enumerates masks in exactly the order
-///   `estimate_subplans_with` returns them (asserted in debug builds),
-///   and equal fingerprints imply bit-identical estimates — so a hit
-///   reproduces the miss exactly (`f64::to_bits` round-trip, no
-///   arithmetic).
+/// * the fingerprinted masks are the suffix of the enumeration with at
+///   least `min_size` aliases — exactly what `estimate_analyzed` returns,
+///   in its order (asserted in debug builds) — and equal fingerprints
+///   imply bit-identical estimates, so a hit reproduces the miss exactly
+///   (`f64::to_bits` round-trip, no arithmetic).
 /// * Registry epochs are globally unique and monotonic, so keying on
 ///   `handle.epoch` makes entries from a superseded model unreachable
 ///   the instant `swap_model`/`apply_insert` publishes: a request is
 ///   served entirely by the model *and cache generation* it resolved.
 fn estimate_through_cache(
     handle: &ModelHandle,
-    scratch: &mut EstimationScratch,
+    buffers: &mut Buffers,
     request: &EstimateRequest,
     stats: &StatsInner,
     cache: Option<&SubplanCache>,
 ) -> Vec<(SubplanMask, f64)> {
-    let Some(cache) = cache else {
-        return handle
+    let Buffers {
+        estimation,
+        masks,
+        fingerprints,
+    } = buffers;
+    let query = &request.query;
+    let graph = QueryGraph::analyze(query);
+    connected_subplans_into(query, 1, masks);
+    let estimate = |estimation: &mut EstimationScratch| {
+        handle
             .model
-            .estimate_subplans_with(scratch, &request.query, request.min_size);
+            .estimate_analyzed(estimation, query, &graph, masks, request.min_size)
     };
-    let fps = subplan_fingerprints(&request.query, request.min_size, FINGERPRINT_SEED);
+    let Some(cache) = cache else {
+        return estimate(estimation);
+    };
+    let first = masks.partition_point(|m| m.count_ones() < request.min_size);
+    let fps = subplan_fingerprints_into(
+        query,
+        &graph,
+        &masks[first..],
+        FINGERPRINT_SEED,
+        fingerprints,
+    );
     let mut cached = Vec::with_capacity(fps.len());
-    for &(mask, fp) in &fps {
+    for &(mask, fp) in fps {
         match cache.get(handle.epoch, mask, fp) {
             Some(bits) => cached.push((mask, f64::from_bits(bits))),
             None => {
@@ -279,16 +312,14 @@ fn estimate_through_cache(
         stats.record_cache_hits(cached.len());
         return cached;
     }
-    let estimates = handle
-        .model
-        .estimate_subplans_with(scratch, &request.query, request.min_size);
+    let estimates = estimate(estimation);
     debug_assert_eq!(
         estimates.len(),
         fps.len(),
-        "fingerprint enumeration must mirror estimate_subplans_with"
+        "fingerprinted masks must mirror estimate_analyzed"
     );
     let mut evictions = 0usize;
-    for ((mask, estimate), &(fp_mask, fp)) in estimates.iter().zip(&fps) {
+    for ((mask, estimate), &(fp_mask, fp)) in estimates.iter().zip(fps) {
         debug_assert_eq!(*mask, fp_mask, "sub-plan order must match");
         if cache.insert(handle.epoch, fp_mask, fp, estimate.to_bits()) {
             evictions += 1;

@@ -422,6 +422,81 @@ fn cache_hit_is_bit_identical_to_miss_for_every_backend() {
     }
 }
 
+/// The cache's soundness contract across **different** queries: every
+/// pair of sub-plans with equal `(mask, fingerprint)` keys, from any
+/// queries of three STATS-CEB and three IMDB-JOB workloads (the paper-sized
+/// one and two small seeds each; IMDB adds cyclic joins, `LIKE` and
+/// self-joins), gets the same `f64::to_bits` from every backend. The workloads must share keys between distinct queries, so
+/// the check cannot pass vacuously. (The grouping does not depend on the
+/// fingerprint seed.)
+#[test]
+fn equal_cache_keys_are_bit_identical_across_queries() {
+    use fj_datagen::{imdb_catalog, imdb_job_workload, ImdbConfig};
+    use std::collections::hash_map::{Entry, HashMap};
+    let stats = tiny_catalog();
+    let imdb = imdb_catalog(&ImdbConfig {
+        scale: 0.05,
+        ..Default::default()
+    });
+    let stats_workload: fn(&Catalog, &WorkloadConfig) -> Vec<Query> = stats_ceb_workload;
+    for (dataset, catalog, generate, paper) in [
+        ("stats", &stats, stats_workload, WorkloadConfig::stats_ceb()),
+        ("imdb", &imdb, imdb_job_workload, WorkloadConfig::imdb_job()),
+    ] {
+        let queries: Vec<Query> = [paper, WorkloadConfig::tiny(3), WorkloadConfig::tiny(17)]
+            .iter()
+            .flat_map(|config| generate(catalog, config))
+            .collect();
+        let keys: Vec<_> = queries
+            .iter()
+            .map(|q| fj_query::subplan_fingerprints(q, 1, 0x5eed))
+            .collect();
+        for estimator in [
+            BaseEstimatorKind::TrueScan,
+            BaseEstimatorKind::BayesNet(fj_stats::BnConfig::default()),
+            BaseEstimatorKind::Sampling { rate: 0.5 },
+        ] {
+            let model = FactorJoinModel::train(
+                catalog,
+                FactorJoinConfig {
+                    bin_budget: BinBudget::Uniform(20),
+                    estimator,
+                    ..Default::default()
+                },
+            );
+            // key → (estimate bits, first query that produced it)
+            let mut groups: HashMap<(u64, u64), (u64, usize)> = HashMap::new();
+            let mut shared = 0usize;
+            for (qi, q) in queries.iter().enumerate() {
+                let estimates = model.estimate_subplans(q, 1);
+                assert_eq!(estimates.len(), keys[qi].len());
+                for (&(mask, fp), &(estimated_mask, estimate)) in keys[qi].iter().zip(&estimates) {
+                    assert_eq!(mask, estimated_mask);
+                    match groups.entry((mask, fp)) {
+                        Entry::Vacant(slot) => {
+                            slot.insert((estimate.to_bits(), qi));
+                        }
+                        Entry::Occupied(group) => {
+                            let (bits, first) = *group.get();
+                            assert_eq!(
+                                bits,
+                                estimate.to_bits(),
+                                "{dataset} {estimator:?}: mask {mask:b} of queries {first} and \
+                                 {qi} share a key but not an estimate"
+                            );
+                            shared += usize::from(queries[first] != *q);
+                        }
+                    }
+                }
+            }
+            assert!(
+                shared > 0,
+                "{dataset} {estimator:?}: no key shared between distinct queries"
+            );
+        }
+    }
+}
+
 /// With the cache disabled (`subplan_cache_entries = 0`) the service
 /// serves bit-identically through the uncached path and the cache
 /// counters never move — the benchmark's uncached arm cannot be silently
