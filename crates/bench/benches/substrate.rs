@@ -165,6 +165,36 @@ fn filter_compilation(c: &mut Criterion) {
     group.bench_function("compile_and_count", |b| {
         b.iter(|| std::hint::black_box(fj_query::filtered_count(posts, &filter)))
     });
+
+    // String predicates over the full IMDB `title` column — the
+    // `TrueScan` / `TrueCardEngine` path, which compiles against the whole
+    // dictionary rather than a sample's: a `%word%` arena scan and an
+    // equality on an existing title.
+    let imdb = imdb_catalog(&ImdbConfig::default());
+    let title = imdb.table("title").expect("table exists");
+    let column = title.column_by_name("title").expect("title.title");
+    let existing = column.dict().get(column.codes()[0] as usize).to_string();
+    println!(
+        "filter/title_*: {} rows, {} dictionary entries",
+        title.nrows(),
+        column.dict().len()
+    );
+    let pred = fj_query::FilterExpr::pred;
+    let cases = [
+        (
+            "title_like_the",
+            pred(fj_query::Predicate::like("title", "%the%")),
+        ),
+        (
+            "title_eq_existing",
+            pred(fj_query::Predicate::eq("title", existing.as_str())),
+        ),
+    ];
+    for (case, filter) in &cases {
+        group.bench_with_input(BenchmarkId::from_parameter(case), filter, |b, filter| {
+            b.iter(|| std::hint::black_box(fj_query::filtered_count(title, filter)))
+        });
+    }
     group.finish();
 }
 

@@ -449,7 +449,9 @@ mod tests {
         let count = |pat: &str| {
             let pat = fj_query::LikePattern::new(pat);
             (0..title.nrows())
-                .filter(|&i| !col.is_null(i) && pat.matches(&col.dict()[col.codes()[i] as usize]))
+                .filter(|&i| {
+                    !col.is_null(i) && pat.matches(col.dict().get(col.codes()[i] as usize))
+                })
                 .count()
         };
         let common = count("%the%");

@@ -1,10 +1,15 @@
 //! Filter compilation and evaluation against columnar tables.
 //!
 //! A [`crate::FilterExpr`] is compiled once per (table, filter) pair:
-//! column names resolve to indices, string predicates pre-evaluate against
-//! the column dictionary (so `LIKE` costs one dictionary scan with a
-//! pattern compiled once, not one pattern match per row), and literals are
-//! coerced to the column type.
+//! column names resolve to indices, literals are coerced to the column
+//! type, and every string predicate (`=`, `<>`, `<`, `<=`, `>`, `>=`,
+//! `BETWEEN`, `IN`, `[NOT] LIKE`) pre-evaluates against the column's
+//! dictionary into one `bool` per code — reading the dictionary's byte
+//! arena, and for `LIKE` through [`LikePattern::match_dict`], which scans
+//! the arena once instead of matching entry by entry. Numeric `IN` keeps
+//! SQL equality (`Value::sql_eq`): an integer column compares integer
+//! literals exactly and float literals after widening, and NaN equals
+//! nothing.
 //!
 //! Full scans evaluate the compiled filter **column at a time** into a
 //! [`Selection`] bitmap ([`CompiledFilter::select`]): each predicate reads
@@ -31,8 +36,15 @@ enum CompiledPred {
     IntBetween { col: usize, lo: i64, hi: i64 },
     /// Float range (inclusive).
     FloatBetween { col: usize, lo: f64, hi: f64 },
-    /// Integer set membership; `values` is sorted.
-    IntIn { col: usize, values: Vec<i64> },
+    /// Integer set membership: `ints` (sorted) exactly, or `floats`
+    /// (sorted, no NaN) after widening the row to `f64`.
+    IntIn {
+        col: usize,
+        ints: Vec<i64>,
+        floats: Vec<f64>,
+    },
+    /// Float set membership; `values` is sorted and holds no NaN.
+    FloatIn { col: usize, values: Vec<f64> },
     /// String predicate pre-evaluated per dictionary code.
     StrCodes { col: usize, codes: Vec<bool> },
     /// NULL test.
@@ -76,9 +88,31 @@ fn compile_node(table: &Table, expr: &FilterExpr) -> CompiledNode {
     }
 }
 
-/// Pre-evaluates a string predicate against every dictionary entry.
-fn str_codes(column: &Column, pred: impl Fn(&str) -> bool) -> Vec<bool> {
-    column.dict().iter().map(|s| pred(s)).collect()
+/// Pre-evaluates a string predicate against every dictionary entry, read
+/// as bytes from the arena (UTF-8 compares and orders as its bytes do).
+fn str_codes(column: &Column, pred: impl Fn(&[u8]) -> bool) -> Vec<bool> {
+    column.dict().iter_bytes().map(pred).collect()
+}
+
+/// The numeric literals of an `IN` list as `f64`s, sorted, without NaN
+/// (which equals nothing); `keep` picks which literals take this path.
+fn float_set(values: &[Value], keep: impl Fn(&Value) -> bool) -> Vec<f64> {
+    let mut set: Vec<f64> = values
+        .iter()
+        .filter(|v| keep(v))
+        .filter_map(Value::as_float)
+        .filter(|f| !f.is_nan())
+        .collect();
+    set.sort_unstable_by(f64::total_cmp);
+    set
+}
+
+/// Whether `x` equals a member of the sorted, NaN-free `set` (`-0.0`
+/// equals `0.0`, as in SQL).
+#[inline]
+fn float_in(set: &[f64], x: f64) -> bool {
+    set.binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Less))
+        .is_ok()
 }
 
 fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
@@ -106,7 +140,12 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
             },
             (DataType::Str, Value::Str(s)) => CompiledPred::StrCodes {
                 col,
-                codes: str_codes(column, |d| op.eval(d.cmp(s.as_str()))),
+                codes: str_codes(column, |d| match op {
+                    // Equality looks at the length before any byte.
+                    CmpOp::Eq => d == s.as_bytes(),
+                    CmpOp::Neq => d != s.as_bytes(),
+                    _ => op.eval(d.cmp(s.as_bytes())),
+                }),
             },
             _ => CompiledPred::Never,
         },
@@ -136,35 +175,43 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
             DataType::Str => match (lo, hi) {
                 (Value::Str(a), Value::Str(b)) => CompiledPred::StrCodes {
                     col,
-                    codes: str_codes(column, |d| d >= a.as_str() && d <= b.as_str()),
+                    codes: str_codes(column, |d| d >= a.as_bytes() && d <= b.as_bytes()),
                 },
                 _ => CompiledPred::Never,
             },
         },
         Predicate::InList { values, .. } => match dtype {
             DataType::Int => {
-                let mut values: Vec<i64> = values.iter().filter_map(Value::as_int).collect();
-                values.sort_unstable();
-                CompiledPred::IntIn { col, values }
+                let mut ints: Vec<i64> = values.iter().filter_map(Value::as_int).collect();
+                ints.sort_unstable();
+                let floats = float_set(values, |v| matches!(v, Value::Float(_)));
+                CompiledPred::IntIn { col, ints, floats }
             }
             DataType::Str => {
-                let wanted: HashSet<&str> = values.iter().filter_map(Value::as_str).collect();
+                let wanted: HashSet<&[u8]> = values
+                    .iter()
+                    .filter_map(Value::as_str)
+                    .map(str::as_bytes)
+                    .collect();
                 CompiledPred::StrCodes {
                     col,
                     codes: str_codes(column, |d| wanted.contains(d)),
                 }
             }
-            DataType::Float => CompiledPred::Never,
+            DataType::Float => CompiledPred::FloatIn {
+                col,
+                values: float_set(values, |_| true),
+            },
         },
         Predicate::Like {
             pattern, negated, ..
         } => match dtype {
             DataType::Str => {
-                let pattern = LikePattern::new(pattern);
-                CompiledPred::StrCodes {
-                    col,
-                    codes: str_codes(column, |d| pattern.matches(d) != *negated),
+                let mut codes = LikePattern::new(pattern).match_dict(column.dict());
+                if *negated {
+                    codes.iter_mut().for_each(|c| *c = !*c);
                 }
+                CompiledPred::StrCodes { col, codes }
             }
             _ => CompiledPred::Never,
         },
@@ -243,11 +290,12 @@ fn eval_pred(p: &CompiledPred, table: &Table, idx: usize) -> bool {
         CompiledPred::FloatBetween { col, lo, hi } => {
             valid(col) && (*lo..=*hi).contains(&table.column(*col).floats()[idx])
         }
-        CompiledPred::IntIn { col, values } => {
-            valid(col)
-                && values
-                    .binary_search(&table.column(*col).ints()[idx])
-                    .is_ok()
+        CompiledPred::IntIn { col, ints, floats } => {
+            let x = table.column(*col).ints()[idx];
+            valid(col) && (ints.binary_search(&x).is_ok() || float_in(floats, x as f64))
+        }
+        CompiledPred::FloatIn { col, values } => {
+            valid(col) && float_in(values, table.column(*col).floats()[idx])
         }
         CompiledPred::StrCodes { col, codes } => {
             valid(col) && codes[table.column(*col).codes()[idx] as usize]
@@ -399,9 +447,15 @@ fn select_pred(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine) {
             let c = table.column(*col);
             select_values(c, c.floats(), dst, how, |x| (*lo..=*hi).contains(&x));
         }
-        CompiledPred::IntIn { col, values } => {
+        CompiledPred::IntIn { col, ints, floats } => {
             let c = table.column(*col);
-            select_values(c, c.ints(), dst, how, |x| values.binary_search(&x).is_ok());
+            select_values(c, c.ints(), dst, how, |x| {
+                ints.binary_search(&x).is_ok() || float_in(floats, x as f64)
+            });
+        }
+        CompiledPred::FloatIn { col, values } => {
+            let c = table.column(*col);
+            select_values(c, c.floats(), dst, how, |x| float_in(values, x));
         }
         CompiledPred::StrCodes { col, codes } => {
             let c = table.column(*col);
@@ -475,13 +529,17 @@ mod tests {
             .collect()
     }
 
+    /// Both compiled paths — the bitmap scan and the per-row `eval` —
+    /// against the reference.
     fn check(expr: FilterExpr) {
         let t = table();
-        assert_eq!(
-            filtered_selection(&t, &expr),
-            reference(&t, &expr),
-            "expr {expr}"
-        );
+        let expected = reference(&t, &expr);
+        assert_eq!(filtered_selection(&t, &expr), expected, "expr {expr}");
+        let compiled = compile_filter(&t, &expr);
+        let by_row: Vec<u32> = (0..t.nrows() as u32)
+            .filter(|&r| compiled.eval(&t, r as usize))
+            .collect();
+        assert_eq!(by_row, expected, "expr {expr} row by row");
     }
 
     #[test]
@@ -518,6 +576,26 @@ mod tests {
             pattern: "%apple%".into(),
             negated: true,
         }));
+    }
+
+    #[test]
+    fn in_lists_keep_sql_equality() {
+        let t = table();
+        let count = |col: &str, values: Vec<Value>| {
+            let expr = FilterExpr::pred(Predicate::in_list(col, values));
+            check(expr.clone());
+            filtered_count(&t, &expr)
+        };
+        // Float column: an int literal widens, a float literal compares.
+        assert_eq!(count("f", vec![Value::Int(9)]), 1);
+        assert_eq!(count("f", vec![Value::Float(2.5), "x".into()]), 1);
+        // Int column: a float literal compares against the widened row.
+        assert_eq!(count("a", vec![Value::Float(5.0)]), 2);
+        let mixed = vec![Value::Float(0.5), Value::Int(10), Value::Float(1.0)];
+        assert_eq!(count("a", mixed), 2);
+        // NaN equals nothing.
+        assert_eq!(count("f", vec![Value::Float(f64::NAN)]), 0);
+        assert_eq!(count("a", vec![Value::Float(f64::NAN), Value::Null]), 0);
     }
 
     #[test]

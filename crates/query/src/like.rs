@@ -5,11 +5,23 @@
 //! case-sensitive, as in PostgreSQL's `LIKE` (the IMDB-JOB workload uses
 //! case-sensitive patterns).
 //!
-//! A pattern is compiled once into a [`LikePattern`] and then matched
-//! against many texts (a column dictionary, a list of most-common values):
-//! patterns made only of literals and `%` — every pattern IMDB-JOB uses —
-//! become literal segments matched with prefix/substring/suffix searches on
-//! bytes; patterns with `_` or escapes run the general two-pointer matcher.
+//! A pattern is compiled once into a [`LikePattern`]: patterns made only of
+//! literals and `%` — every pattern IMDB-JOB uses — become literal segments
+//! matched with prefix / substring / suffix searches on bytes; patterns
+//! with `_` or escapes run the general two-pointer matcher.
+//!
+//! [`LikePattern::match_dict`] decides a whole column dictionary at once,
+//! reading the dictionary's byte arena ([`StrDict`]) rather than one string
+//! per entry: `%w%` is one pass of the substring kernel over the arena,
+//! `w%`, `%w` and exact patterns are slice compares at the entry offsets,
+//! and a pattern of several literals scans for its first literal and
+//! checks only the entries that contain it. One substring kernel serves
+//! both paths: it tests 16 candidate positions per step for "first and
+//! last byte of the literal both equal" with integer arithmetic on `u128`
+//! words (safe code, no CPU feature detection) and compares the literal
+//! only where both hold.
+
+use fj_storage::StrDict;
 
 /// A compiled `LIKE` pattern.
 #[derive(Debug, Clone)]
@@ -80,10 +92,10 @@ impl LikePattern {
                 }
                 // Leftmost placement of each inner literal leaves the most
                 // room for the next one, so greedy search is exact.
-                let mut rest = &text[prefix.len()..text.len() - suffix.len()];
+                let (mut at, end) = (prefix.len(), text.len() - suffix.len());
                 for literal in inner {
-                    match find_bytes(rest, literal.as_bytes()) {
-                        Some(at) => rest = &rest[at + literal.len()..],
+                    match find(&text[..end], literal.as_bytes(), at) {
+                        Some(hit) => at = hit + literal.len(),
                         None => return false,
                     }
                 }
@@ -92,25 +104,98 @@ impl LikePattern {
             Kind::General(pattern) => match_general(pattern, text),
         }
     }
+
+    /// Decides every entry of `dict`: `out[code]` is
+    /// `self.matches(dict.get(code))`, computed over the byte arena.
+    pub fn match_dict(&self, dict: &StrDict) -> Vec<bool> {
+        let entries = dict.iter_bytes();
+        match &self.0 {
+            Kind::Exact(literal) => entries.map(|e| e == literal.as_bytes()).collect(),
+            Kind::Segments {
+                prefix,
+                inner,
+                suffix,
+            } => match (prefix.is_empty(), inner.as_slice(), suffix.is_empty()) {
+                (true, [], true) => vec![true; dict.len()],
+                (false, [], true) => entries.map(|e| e.starts_with(prefix.as_bytes())).collect(),
+                (true, [], false) => entries.map(|e| e.ends_with(suffix.as_bytes())).collect(),
+                (true, [literal], true) => scan_dict(dict, literal.as_bytes(), |_| true),
+                _ => {
+                    let first = std::iter::once(prefix)
+                        .chain(inner)
+                        .chain([suffix])
+                        .find(|l| !l.is_empty())
+                        .expect("a pattern of several segments has a literal");
+                    scan_dict(dict, first.as_bytes(), |code| self.matches(dict.get(code)))
+                }
+            },
+            Kind::General(pattern) => dict.iter().map(|e| match_general(pattern, e)).collect(),
+        }
+    }
 }
 
-/// Position of the first occurrence of the non-empty `needle` in `hay`.
-///
-/// Dictionary entries are short (tens of bytes), where skipping to the
-/// needle's first byte and comparing beats the set-up cost of `str::find`'s
-/// two-way searcher, which would be paid once per entry.
-fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
-    let (&first, tail) = needle.split_first().expect("inner literals are non-empty");
-    let last_start = hay.len().checked_sub(needle.len())?;
-    let mut from = 0;
-    while from <= last_start {
-        from += hay[from..=last_start].iter().position(|&b| b == first)?;
-        if &hay[from + 1..from + needle.len()] == tail {
-            return Some(from);
+/// One pass of [`find`] over `dict`'s arena for the non-empty `literal`:
+/// each entry holding an occurrence (wholly inside it — a hit that runs
+/// past its entry's end spans two entries and is rejected) is marked with
+/// `check(code)`, and the scan resumes at the next entry, so every entry
+/// is looked at most once.
+fn scan_dict(dict: &StrDict, literal: &[u8], check: impl Fn(usize) -> bool) -> Vec<bool> {
+    let (bytes, ends) = (dict.bytes(), dict.ends());
+    let mut out = vec![false; ends.len()];
+    let (mut at, mut code) = (0, 0);
+    while let Some(hit) = find(bytes, literal, at) {
+        // Entries are found by walking forward: the hits ascend.
+        while ends[code] as usize <= hit {
+            code += 1;
         }
-        from += 1;
+        let end = ends[code] as usize;
+        out[code] = hit + literal.len() <= end && check(code);
+        at = end;
     }
-    None
+    out
+}
+
+/// Candidate start positions [`find`] tests per step: one `u128` of bytes.
+const LANES: usize = 16;
+/// `0x01` in every byte of a step.
+const ONES: u128 = u128::MAX / 255;
+/// `0x80` in every byte of a step.
+const HIGH: u128 = ONES << 7;
+
+/// Position of the first occurrence of the non-empty `needle` in `hay` at
+/// or after `from`.
+///
+/// Each step loads the 16 bytes at the candidate starts and the 16 at the
+/// candidate ends (`start + needle.len() - 1`) as two `u128`s and XORs them
+/// with the needle's first and last byte repeated, so a byte of the OR is
+/// zero exactly where both ends match; an exact zero-byte test (no carry
+/// crosses a byte) turns that into one mask bit per candidate, and only
+/// candidates whose bit is set get a slice compare. On dictionary text that
+/// rejects almost every position in one step of plain integer arithmetic,
+/// and it costs nothing to set up, so it serves one short entry as well as
+/// a whole arena. The last `< 16` candidates are tested one by one.
+fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
+    let (&first, &last) = (needle.first()?, needle.last()?);
+    let span = needle.len() - 1;
+    // Candidate starts are `from..stop`.
+    let stop = hay.len().checked_sub(span)?;
+    let (firsts, lasts) = (ONES * u128::from(first), ONES * u128::from(last));
+    let load = |at: usize| u128::from_le_bytes(hay[at..at + LANES].try_into().expect("16 bytes"));
+    let mut at = from;
+    while at + LANES <= stop {
+        let diff = (load(at) ^ firsts) | (load(at + span) ^ lasts);
+        // The high bit of each byte of `diff` that is zero.
+        let mut mask = !(((diff & !HIGH) + !HIGH) | diff) & HIGH;
+        while mask != 0 {
+            let start = at + mask.trailing_zeros() as usize / 8;
+            if hay[start..=start + span] == *needle {
+                return Some(start);
+            }
+            mask &= mask - 1;
+        }
+        at += LANES;
+    }
+    (at..stop).find(|&i| hay[i] == first && hay[i + span] == last && hay[i..=i + span] == *needle)
 }
 
 /// Returns true when `text` matches the SQL LIKE `pattern`.
@@ -235,6 +320,34 @@ mod tests {
         let text = "a".repeat(200);
         assert!(like_match("%a%a%a%a%a%a%a%a%b%", &(text.clone() + "b")));
         assert!(!like_match("%a%a%a%a%a%a%a%a%b%", &text));
+    }
+
+    #[test]
+    fn find_tests_every_candidate_position() {
+        // 70 bytes: four full 16-candidate steps and a scalar tail.
+        let hay: Vec<u8> = (0..70u8).map(|i| b'a' + i % 3).collect();
+        for needle in [&b"a"[..], b"ca", b"bcab", b"abcabcabcabcabcabca", b"cc"] {
+            for from in [0, 1, 15, 16, 17, 40, 69, 70] {
+                let naive =
+                    (from..=hay.len() - needle.len()).find(|&i| hay[i..].starts_with(needle));
+                assert_eq!(find(&hay, needle, from), naive, "{needle:?} from {from}");
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_matcher_rejects_hits_across_entries() {
+        let mut dict = StrDict::new();
+        for s in ["", "xab", "cx", "abc", "", "日本", "c"] {
+            dict.push(s).unwrap();
+        }
+        let bc = LikePattern::new("%bc%").match_dict(&dict);
+        assert_eq!(bc, [false, false, false, true, false, false, false]);
+        for pattern in ["%b%", "ab%", "%c", "", "%", "%本%", "x%c%", "%a%c", "_b%"] {
+            let p = LikePattern::new(pattern);
+            let per_entry: Vec<bool> = dict.iter().map(|e| p.matches(e)).collect();
+            assert_eq!(p.match_dict(&dict), per_entry, "{pattern}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::binmap::KeyBinMap;
 use fj_query::{CmpOp, FilterExpr, Predicate};
-use fj_storage::{Column, DataType, Table, Value};
+use fj_storage::{Column, DataType, StrDict, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -39,14 +39,14 @@ enum Encoding {
     },
     /// One code per dictionary string.
     StrSmall {
-        dict: Vec<String>,
+        dict: StrDict,
         intern: HashMap<String, u32>,
     },
     /// Hashed string buckets: code = hash(string) % n; `dict`/`dict_rows`
     /// retained to evaluate pattern clauses as per-bucket row fractions.
     StrHashed {
         n: usize,
-        dict: Vec<String>,
+        dict: StrDict,
         dict_rows: Vec<u32>,
         bucket_rows: Vec<f64>,
     },
@@ -156,12 +156,12 @@ impl Discretizer {
     }
 
     fn build_str(&self, name: &str, col: &Column) -> DiscreteColumn {
-        let dict = col.dict().to_vec();
+        let dict = col.dict().clone();
         if dict.len() <= self.max_codes {
             let intern = dict
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (s.clone(), i as u32))
+                .map(|(i, s)| (s.to_string(), i as u32))
                 .collect();
             return DiscreteColumn {
                 name: name.to_string(),
@@ -276,7 +276,7 @@ impl DiscreteColumn {
             }
             Encoding::StrSmall { .. } => col.codes()[r] as usize,
             Encoding::StrHashed { n, dict, .. } => {
-                str_bucket(&dict[col.codes()[r] as usize % dict.len()], *n)
+                str_bucket(dict.get(col.codes()[r] as usize % dict.len()), *n)
             }
         }
     }
@@ -367,7 +367,7 @@ impl DiscreteColumn {
             }
             Encoding::StrSmall { dict, .. } => {
                 let matcher = clause.value_matcher();
-                for (slot, s) in codes.iter_mut().zip(dict) {
+                for (slot, s) in codes.iter_mut().zip(dict.iter()) {
                     keep_if(slot, matcher.matches_str(s));
                 }
                 // An empty dictionary keeps one phantom code no row maps to.
@@ -401,10 +401,15 @@ impl DiscreteColumn {
             Encoding::KeyBins(m) => m.heap_bytes(),
             Encoding::IntCategorical { values } => values.len() * 8,
             Encoding::IntBuckets { uppers, .. } => uppers.len() * 8 * 3 + uppers.len() * 4,
-            Encoding::StrSmall { dict, .. } => dict.iter().map(|s| 2 * s.len() + 48).sum(),
-            Encoding::StrHashed { dict, .. } => {
-                dict.iter().map(|s| s.len() + 28).sum::<usize>() + dict.len() * 4
+            Encoding::StrSmall { dict, .. } => {
+                dict.heap_bytes() + dict.iter().map(|s| s.len() + 24).sum::<usize>()
             }
+            Encoding::StrHashed {
+                dict,
+                dict_rows,
+                bucket_rows,
+                ..
+            } => dict.heap_bytes() + dict_rows.len() * 4 + bucket_rows.len() * 8,
         }
     }
 }

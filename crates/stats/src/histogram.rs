@@ -136,7 +136,7 @@ impl ColumnHistogram {
         let mcv_str: Vec<(String, f64)> = by_freq
             .iter()
             .take(NUM_MCV)
-            .map(|&(c, n)| (dict[c as usize].clone(), n as f64 / total.max(1.0)))
+            .map(|&(c, n)| (dict.get(c as usize).to_string(), n as f64 / total.max(1.0)))
             .collect();
         ColumnHistogram {
             total,
@@ -211,7 +211,7 @@ impl ColumnHistogram {
                     // build time (strings keep only an MCV list); misses
                     // fall back to default selectivities like stale
                     // Postgres stats.
-                    let s = &col.dict()[col.codes()[i] as usize];
+                    let s = col.dict().get(col.codes()[i] as usize);
                     if let Some((_, f)) = self.mcv_str.iter_mut().find(|(m, _)| m == s) {
                         *f += one;
                     }

@@ -1,4 +1,13 @@
 //! Typed columnar vectors with null bitmaps and string dictionaries.
+//!
+//! A string column is dictionary-encoded: one `u32` code per row and one
+//! [`StrDict`] per column. The dictionary keeps every distinct string in a
+//! single byte arena — entries back to back, plus each entry's end offset —
+//! so a predicate over the dictionary (`LIKE`, `=`, a range) reads one
+//! contiguous buffer instead of one heap allocation per entry. `LIKE '%w%'`
+//! is then a single substring scan over the arena
+//! (`fj_query::LikePattern::match_dict`), and the dictionary costs its
+//! bytes plus four per entry.
 
 use crate::bitmap::NullBitmap;
 use crate::schema::DataType;
@@ -21,9 +30,105 @@ pub enum Column {
     /// Dictionary-encoded strings.
     Str {
         codes: Vec<u32>,
-        dict: Vec<String>,
+        dict: StrDict,
         nulls: NullBitmap,
     },
+}
+
+/// A string dictionary as one arena: entry `c` is the text between the end
+/// of entry `c - 1` (0 for the first) and `ends()[c]`.
+///
+/// The arena is a `String`, so [`Self::get`] slices it without re-checking
+/// UTF-8 (every entry boundary is a character boundary); [`Self::bytes`]
+/// hands scans the same memory as bytes. Offsets are `u32`: an arena of
+/// more than `u32::MAX` bytes is refused by [`Self::push`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StrDict {
+    text: String,
+    ends: Vec<u32>,
+}
+
+/// [`StrDict::push`] would grow the arena past `u32::MAX` bytes or entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DictionaryFull;
+
+impl StrDict {
+    /// An empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there is no entry.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Entry `code` (panics when out of range).
+    pub fn get(&self, code: usize) -> &str {
+        let start = match code {
+            0 => 0,
+            _ => self.ends[code - 1] as usize,
+        };
+        &self.text[start..self.ends[code] as usize]
+    }
+
+    /// The entries in code order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let entry = &self.text[start..end as usize];
+            start = end as usize;
+            entry
+        })
+    }
+
+    /// The entries in code order, as bytes: [`Self::iter`] without the
+    /// character-boundary checks of slicing a `str` (byte order is the
+    /// order of `str`, so comparisons need nothing else).
+    pub fn iter_bytes(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let entry = &self.text.as_bytes()[start..end as usize];
+            start = end as usize;
+            entry
+        })
+    }
+
+    /// The arena: every entry's UTF-8 bytes, back to back.
+    pub fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
+    /// The end offset of each entry in [`Self::bytes`], ascending.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends
+    }
+
+    /// Appends `s` as a new entry (no interning: a repeated string gets a
+    /// second code) and returns its code.
+    pub fn push(&mut self, s: &str) -> Result<u32, DictionaryFull> {
+        let code = u32::try_from(self.ends.len()).map_err(|_| DictionaryFull)?;
+        let end = u32::try_from(self.text.len() + s.len()).map_err(|_| DictionaryFull)?;
+        self.text.push_str(s);
+        self.ends.push(end);
+        Ok(code)
+    }
+
+    /// Heap footprint in bytes: the arena plus four bytes per entry once
+    /// the column is finished (its buffers are then exactly full).
+    pub fn heap_bytes(&self) -> usize {
+        self.text.capacity() + self.ends.capacity() * 4
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
 }
 
 impl Column {
@@ -90,7 +195,7 @@ impl Column {
     }
 
     /// String dictionary (panics if not a Str column).
-    pub fn dict(&self) -> &[String] {
+    pub fn dict(&self) -> &StrDict {
         match self {
             Column::Str { dict, .. } => dict,
             other => panic!("expected Str column, got {}", other.dtype().name()),
@@ -105,7 +210,7 @@ impl Column {
         match self {
             Column::Int { values, .. } => Value::Int(values[idx]),
             Column::Float { values, .. } => Value::Float(values[idx]),
-            Column::Str { codes, dict, .. } => Value::Str(dict[codes[idx] as usize].clone()),
+            Column::Str { codes, dict, .. } => Value::Str(dict.get(codes[idx] as usize).into()),
         }
     }
 
@@ -127,16 +232,13 @@ impl Column {
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        let base = match self {
+        match self {
             Column::Int { values, nulls } => values.capacity() * 8 + nulls.heap_bytes(),
             Column::Float { values, nulls } => values.capacity() * 8 + nulls.heap_bytes(),
             Column::Str { codes, dict, nulls } => {
-                codes.capacity() * 4
-                    + dict.iter().map(|s| s.capacity() + 24).sum::<usize>()
-                    + nulls.heap_bytes()
+                codes.capacity() * 4 + dict.heap_bytes() + nulls.heap_bytes()
             }
-        };
-        base
+        }
     }
 }
 
@@ -150,9 +252,25 @@ pub struct ColumnBuilder {
     ints: Vec<i64>,
     floats: Vec<f64>,
     codes: Vec<u32>,
-    dict: Vec<String>,
+    dict: StrDict,
     intern: HashMap<String, u32>,
     nulls: NullBitmap,
+}
+
+/// Why [`ColumnBuilder::push`] refused a value (converted to a typed
+/// [`crate::StorageError`] by [`crate::Table`], which knows the column name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The value has this type, which the column does not hold.
+    TypeMismatch(&'static str),
+    /// The string would grow the dictionary past `u32::MAX` bytes.
+    DictionaryFull,
+}
+
+impl From<DictionaryFull> for PushError {
+    fn from(_: DictionaryFull) -> Self {
+        PushError::DictionaryFull
+    }
 }
 
 impl ColumnBuilder {
@@ -163,7 +281,7 @@ impl ColumnBuilder {
             ints: Vec::new(),
             floats: Vec::new(),
             codes: Vec::new(),
-            dict: Vec::new(),
+            dict: StrDict::new(),
             intern: HashMap::new(),
             nulls: NullBitmap::new(),
         }
@@ -180,11 +298,9 @@ impl ColumnBuilder {
         b
     }
 
-    /// Appends one value, coercing `Int`→`Float` for float columns.
-    ///
-    /// Returns an error string on type mismatch (converted to a typed error
-    /// by [`crate::Table`], which knows the column name).
-    pub fn push(&mut self, v: &Value) -> std::result::Result<(), &'static str> {
+    /// Appends one value, coercing `Int`→`Float` for float columns. A
+    /// refused value leaves the builder unchanged.
+    pub fn push(&mut self, v: &Value) -> Result<(), PushError> {
         match (self.dtype, v) {
             (_, Value::Null) => {
                 self.nulls.push(true);
@@ -195,7 +311,7 @@ impl ColumnBuilder {
                 }
                 // The dictionary must stay non-empty if code 0 is referenced.
                 if self.dtype == DataType::Str && self.dict.is_empty() {
-                    self.dict.push(String::new());
+                    self.dict.push("").expect("an empty dictionary has room");
                     self.intern.insert(String::new(), 0);
                 }
                 Ok(())
@@ -216,20 +332,19 @@ impl ColumnBuilder {
                 Ok(())
             }
             (DataType::Str, Value::Str(s)) => {
-                self.nulls.push(false);
                 let code = match self.intern.get(s.as_str()) {
                     Some(&c) => c,
                     None => {
-                        let c = self.dict.len() as u32;
-                        self.dict.push(s.clone());
+                        let c = self.dict.push(s)?;
                         self.intern.insert(s.clone(), c);
                         c
                     }
                 };
+                self.nulls.push(false);
                 self.codes.push(code);
                 Ok(())
             }
-            _ => Err(v.type_name()),
+            _ => Err(PushError::TypeMismatch(v.type_name())),
         }
     }
 
@@ -243,8 +358,9 @@ impl ColumnBuilder {
         self.len() == 0
     }
 
-    /// Finalizes the builder into an immutable [`Column`].
-    pub fn finish(self) -> Column {
+    /// Finalizes the builder into an immutable [`Column`]; a string
+    /// column's dictionary is shrunk to fit.
+    pub fn finish(mut self) -> Column {
         match self.dtype {
             DataType::Int => Column::Int {
                 values: self.ints,
@@ -254,11 +370,14 @@ impl ColumnBuilder {
                 values: self.floats,
                 nulls: self.nulls,
             },
-            DataType::Str => Column::Str {
-                codes: self.codes,
-                dict: self.dict,
-                nulls: self.nulls,
-            },
+            DataType::Str => {
+                self.dict.shrink_to_fit();
+                Column::Str {
+                    codes: self.codes,
+                    dict: self.dict,
+                    nulls: self.nulls,
+                }
+            }
         }
     }
 }
@@ -297,11 +416,40 @@ mod tests {
             b.push(&Value::Str(s.into())).unwrap();
         }
         let c = b.finish();
-        assert_eq!(c.dict().len(), 3);
+        assert_eq!(c.dict().iter().collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(c.codes(), &[0, 1, 0, 2, 1]);
         assert_eq!(c.get(2).as_str(), Some("a"));
         // String keys surface dictionary codes.
         assert_eq!(c.key_at(3), Some(2));
+    }
+
+    #[test]
+    fn string_dictionary_is_one_arena() {
+        let mut b = ColumnBuilder::new(DataType::Str);
+        for v in [
+            Value::Null,
+            "café".into(),
+            "".into(),
+            "ab".into(),
+            "café".into(),
+        ] {
+            b.push(&v).unwrap();
+        }
+        let c = b.finish();
+        let dict = c.dict();
+        // The NULL placeholder and the empty string share code 0.
+        assert_eq!(c.codes(), &[0, 1, 0, 2, 1]);
+        assert_eq!(dict.iter().collect::<Vec<_>>(), ["", "café", "ab"]);
+        assert_eq!(dict.bytes(), "caféab".as_bytes());
+        assert_eq!(dict.ends(), &[0, 5, 7]);
+        assert_eq!((dict.get(1), dict.get(2)), ("café", "ab"));
+        assert_eq!(dict.heap_bytes(), 7 + 4 * 3);
+        let mut raw = StrDict::new();
+        assert_eq!(
+            (raw.push("x"), raw.push("x")),
+            (Ok(0), Ok(1)),
+            "no interning"
+        );
     }
 
     #[test]

@@ -19,6 +19,8 @@ pub enum StorageError {
         expected: &'static str,
         got: &'static str,
     },
+    /// A string column's dictionary would outgrow its `u32` byte offsets.
+    DictionaryFull { column: String },
     /// Row had the wrong number of fields for the schema.
     ArityMismatch { expected: usize, got: usize },
     /// A join relation referenced a column that is not declared as a join key.
@@ -43,6 +45,9 @@ impl fmt::Display for StorageError {
                     f,
                     "type mismatch on column {column}: expected {expected}, got {got}"
                 )
+            }
+            StorageError::DictionaryFull { column } => {
+                write!(f, "dictionary of column {column} is full (u32 offsets)")
             }
             StorageError::ArityMismatch { expected, got } => {
                 write!(

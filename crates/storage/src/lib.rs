@@ -30,7 +30,7 @@ pub mod value;
 
 pub use bitmap::NullBitmap;
 pub use catalog::{Catalog, JoinRelation, KeyGroup, KeyRef};
-pub use column::{Column, ColumnBuilder};
+pub use column::{Column, ColumnBuilder, DictionaryFull, PushError, StrDict};
 pub use error::StorageError;
 pub use schema::{ColumnDef, DataType, TableSchema};
 pub use table::Table;

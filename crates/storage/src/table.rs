@@ -1,8 +1,8 @@
 //! In-memory tables: a schema plus one [`Column`] per attribute.
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Column, ColumnBuilder, PushError};
 use crate::error::StorageError;
-use crate::schema::TableSchema;
+use crate::schema::{ColumnDef, TableSchema};
 use crate::value::Value;
 use crate::Result;
 
@@ -79,11 +79,7 @@ impl Table {
                 });
             }
             for (b, (v, def)) in builders.iter_mut().zip(row.iter().zip(schema.columns())) {
-                b.push(v).map_err(|got| StorageError::TypeMismatch {
-                    column: def.name.clone(),
-                    expected: def.dtype.name(),
-                    got,
-                })?;
+                b.push(v).map_err(|e| push_error(def, e))?;
             }
         }
         let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
@@ -172,11 +168,7 @@ impl Table {
                 .iter_mut()
                 .zip(row.iter().zip(self.schema.columns()))
             {
-                b.push(v).map_err(|got| StorageError::TypeMismatch {
-                    column: def.name.clone(),
-                    expected: def.dtype.name(),
-                    got,
-                })?;
+                b.push(v).map_err(|e| push_error(def, e))?;
             }
         }
         self.columns = builders.into_iter().map(ColumnBuilder::finish).collect();
@@ -213,10 +205,23 @@ impl Table {
     }
 }
 
+/// Names the column a refused value was pushed to.
+fn push_error(def: &ColumnDef, e: PushError) -> StorageError {
+    let column = def.name.clone();
+    match e {
+        PushError::TypeMismatch(got) => StorageError::TypeMismatch {
+            column,
+            expected: def.dtype.name(),
+            got,
+        },
+        PushError::DictionaryFull => StorageError::DictionaryFull { column },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, DataType};
+    use crate::schema::DataType;
 
     fn schema() -> TableSchema {
         TableSchema::new(vec![

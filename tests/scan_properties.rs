@@ -1,6 +1,9 @@
 //! Differential properties of bulk single-table inference: the selection
-//! bitmap against the per-row evaluator, compiled `LIKE` against the
-//! reference matcher, and the in-place profile against its parts.
+//! bitmap against the per-row evaluator, the compiled filter against the
+//! reference `FilterExpr::eval`, compiled `LIKE` against the reference
+//! matcher, the dictionary-wide `LIKE` matcher against per-entry matching,
+//! string columns across round trips, and the in-place profile against
+//! its parts.
 
 use fj_query::{
     compile_filter, filtered_count, filtered_selection, like_match, CmpOp, FilterExpr, LikePattern,
@@ -9,7 +12,7 @@ use fj_query::{
 use fj_stats::{
     BaseTableEstimator, ExactEstimator, KeyBinMap, SamplingEstimator, TableBins, TableProfile,
 };
-use fj_storage::{ColumnDef, DataType, Table, TableSchema, Value};
+use fj_storage::{ColumnDef, DataType, StrDict, Table, TableSchema, Value};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- inputs
@@ -40,7 +43,8 @@ const PATTERNS: [&str; 8] = [
 ];
 
 /// One row of `t(k key Int, a Int, f Float, s Str)`; a fifth of each column
-/// is NULL, and floats include NaN.
+/// is NULL, and floats include whole numbers (which `IN` lists hit) and
+/// NaN.
 fn row() -> impl Strategy<Value = Vec<Value>> {
     let nullable = |s: BoxedStrategy<Value>| prop_oneof![4 => s, 1 => Just(Value::Null)];
     (
@@ -48,7 +52,8 @@ fn row() -> impl Strategy<Value = Vec<Value>> {
         nullable((-5i64..15).prop_map(Value::Int).boxed()),
         nullable(
             prop_oneof![
-                8 => (-2.0f64..6.0).prop_map(Value::Float),
+                6 => (-2.0f64..6.0).prop_map(Value::Float),
+                2 => (-2i64..6).prop_map(|i| Value::Float(i as f64)),
                 1 => Just(Value::Float(f64::NAN)),
             ]
             .boxed(),
@@ -104,7 +109,19 @@ impl Strategy for Filters {
             ][(0usize..6).generate(rng)]
         };
         let negated = |rng: &mut TestRng| (0u32..2).generate(rng) == 1;
-        let kinds = if self.depth == 0 { 16 } else { 22 };
+        // IN-list literals: ints, floats (some equal to an int) and NaN.
+        let numbers = |rng: &mut TestRng, ints: bool| {
+            let n = (0usize..5).generate(rng);
+            (0..n)
+                .map(|_| match (0u32..8).generate(rng) {
+                    0 => Value::Float(f64::NAN),
+                    1 | 2 => Value::Float(int(rng) as f64),
+                    3 | 4 if ints => Value::Int(int(rng)),
+                    _ => Value::Float(float(rng)),
+                })
+                .collect()
+        };
+        let kinds = if self.depth == 0 { 18 } else { 24 };
         let children = |rng: &mut TestRng| {
             let sub = Filters {
                 depth: self.depth - 1,
@@ -147,8 +164,11 @@ impl Strategy for Filters {
             // Never: type-mismatched literals.
             14 => Predicate::eq("s", int(rng)),
             15 => Predicate::like("a", "%1%"),
-            16 | 17 => return FilterExpr::And(children(rng)),
-            18 | 19 => return FilterExpr::Or(children(rng)),
+            // FloatIn (int and float literals), IntIn with float literals.
+            16 => Predicate::in_list("f", numbers(rng, true)),
+            17 => Predicate::in_list("a", numbers(rng, false)),
+            18 | 19 => return FilterExpr::And(children(rng)),
+            20 | 21 => return FilterExpr::Or(children(rng)),
             _ => return FilterExpr::Not(Box::new(children(rng).pop().unwrap_or(FilterExpr::True))),
         })
     }
@@ -231,6 +251,51 @@ fn strings(alphabet: &'static [char], max_len: usize) -> impl Strategy<Value = S
         .prop_map(move |picks| picks.into_iter().map(|i| alphabet[i]).collect())
 }
 
+/// Dictionary entries: short (often empty) strings with multi-byte
+/// characters and the `LIKE` metacharacters as data.
+fn entries() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(strings(&['a', 'b', 'é', '日', '%', '_', '\\'], 4), 0..24)
+}
+
+/// Patterns of every `LikePattern` shape: the fixed corner cases, then
+/// random ones (literal-and-`%` only, or with `_` and escapes).
+fn patterns() -> impl Strategy<Value = String> {
+    const FIXED: [&str; 12] = [
+        "%", "%%", "", "_", "\\%", "%\\%%", "%a%b%", "a%b", "b%%é", "%日%", "%ab%", "a_%",
+    ];
+    prop_oneof![
+        2 => (0..FIXED.len()).prop_map(|i| FIXED[i].to_string()),
+        2 => strings(&['a', 'b', '%', '%', 'é', '日'], 6),
+        1 => strings(&['a', 'b', '%', '_', '\\', 'é', '日'], 6),
+    ]
+}
+
+/// `%xy%` for each pair of adjacent entries, `x` the last character of
+/// the first and `y` the first of the second: a literal the arena holds
+/// across an entry boundary.
+fn straddling_patterns(dict: &StrDict) -> Vec<String> {
+    let entries: Vec<&str> = dict.iter().filter(|e| !e.is_empty()).collect();
+    entries
+        .windows(2)
+        .filter_map(|pair| {
+            let (x, y) = (pair[0].chars().last()?, pair[1].chars().next()?);
+            let plain = |c: char| !matches!(c, '%' | '_' | '\\');
+            (plain(x) && plain(y)).then(|| format!("%{x}{y}%"))
+        })
+        .collect()
+}
+
+/// A one-column string table: a NULL first row (so code 0 is the empty
+/// placeholder), then `entries` in order.
+fn string_table(entries: &[String]) -> Table {
+    let schema = TableSchema::new(vec![ColumnDef::new("s", DataType::Str)]);
+    let rows: Vec<Vec<Value>> = std::iter::once(Value::Null)
+        .chain(entries.iter().map(|e| Value::Str(e.clone())))
+        .map(|v| vec![v])
+        .collect();
+    Table::from_rows("d", schema, &rows).expect("rows match the schema")
+}
+
 // ------------------------------------------------------------ properties
 
 proptest! {
@@ -258,6 +323,99 @@ proptest! {
         prop_assert_eq!(filtered_count(&t, &expr), expected.len() as u64);
         let as_u32: Vec<u32> = expected.iter().map(|&r| r as u32).collect();
         prop_assert_eq!(filtered_selection(&t, &expr), as_u32);
+    }
+
+    /// The compiled filter — bitmap scan and per-row `eval` — accepts
+    /// exactly the rows the reference evaluator `FilterExpr::eval` does,
+    /// so a compile bug both compiled paths share cannot hide.
+    #[test]
+    fn compiled_filter_equals_reference_evaluator(
+        rows in prop::collection::vec(row(), 200..201),
+        nrows in row_count(),
+        expr in Filters { depth: 3 },
+    ) {
+        let t = table(rows, nrows);
+        let reference: Vec<usize> = (0..t.nrows())
+            .filter(|&r| expr.eval(&|c: &str| t.column_by_name(c).expect("bound").get(r)))
+            .collect();
+        let compiled = compile_filter(&t, &expr);
+        let by_row: Vec<usize> = (0..t.nrows()).filter(|&r| compiled.eval(&t, r)).collect();
+        prop_assert_eq!(&by_row, &reference, "{}", expr);
+        let mut selection = Selection::default();
+        compiled.select(&t, &mut selection);
+        prop_assert_eq!(selection.rows().collect::<Vec<_>>(), reference, "{}", expr);
+    }
+
+    /// `LikePattern::match_dict` marks exactly the entries per-entry
+    /// `matches` accepts — on interned dictionaries with the NULL
+    /// placeholder and on raw ones with repeated and empty entries, for
+    /// corner-case, random and entry-straddling patterns — and compiled
+    /// `LIKE` / `NOT LIKE` agree with the reference evaluator row by row.
+    #[test]
+    fn dictionary_matcher_equals_per_entry_matches(
+        words in entries(),
+        pats in prop::collection::vec(patterns(), 4..5),
+    ) {
+        let t = string_table(&words);
+        let mut raw = StrDict::new();
+        for w in &words {
+            raw.push(w).expect("small dictionary");
+        }
+        let interned = t.column(0).dict();
+        for dict in [interned, &raw] {
+            for pattern in pats.iter().cloned().chain(straddling_patterns(dict)) {
+                let compiled = LikePattern::new(&pattern);
+                let per_entry: Vec<bool> = dict.iter().map(|e| compiled.matches(e)).collect();
+                prop_assert_eq!(compiled.match_dict(dict), per_entry, "{:?} over {:?}", pattern, words);
+            }
+        }
+        for pattern in &pats {
+            for negated in [false, true] {
+                let like = Predicate::Like { column: "s".into(), pattern: pattern.clone(), negated };
+                let expr = FilterExpr::pred(like);
+                let reference: Vec<u32> = (0..t.nrows() as u32)
+                    .filter(|&r| expr.eval(&|_: &str| t.column(0).get(r as usize)))
+                    .collect();
+                prop_assert_eq!(filtered_selection(&t, &expr), reference, "{}", expr);
+            }
+        }
+    }
+
+    /// A string column decodes every row to what was loaded, keeps its
+    /// codes through `select_rows` and `append_rows`, and its dictionary
+    /// costs exactly its bytes plus four per entry.
+    #[test]
+    fn string_columns_round_trip_with_stable_codes(
+        words in entries(),
+        more in entries(),
+    ) {
+        let t = string_table(&words);
+        let col = t.column(0);
+        let dict = col.dict();
+        let text: usize = dict.iter().map(str::len).sum();
+        prop_assert_eq!(dict.heap_bytes(), text + 4 * dict.len());
+        prop_assert_eq!(dict.bytes().len(), text);
+        for (r, w) in words.iter().enumerate() {
+            prop_assert_eq!(col.get(r + 1), Value::Str(w.clone()));
+        }
+        prop_assert!(col.get(0).is_null());
+
+        let all: Vec<usize> = (0..t.nrows()).collect();
+        let copy = t.select_rows("copy", &all);
+        prop_assert_eq!(copy.column(0).codes(), col.codes());
+        prop_assert_eq!(copy.column(0).dict(), dict);
+
+        let mut grown = t.clone();
+        let rows: Vec<Vec<Value>> = more.iter().map(|w| vec![Value::Str(w.clone())]).collect();
+        grown.append_rows(&rows).expect("rows match the schema");
+        let g = grown.column(0);
+        prop_assert_eq!(&g.codes()[..t.nrows()], col.codes());
+        prop_assert_eq!(&g.dict().ends()[..dict.len()], dict.ends());
+        for (r, w) in more.iter().enumerate() {
+            prop_assert_eq!(g.get(t.nrows() + r), Value::Str(w.clone()));
+        }
+        let gd = g.dict();
+        prop_assert_eq!(gd.heap_bytes(), gd.bytes().len() + 4 * gd.len());
     }
 
     /// A compiled pattern decides every text as the reference matcher
