@@ -3,11 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use factorjoin::{
-    BaseEstimatorKind, BinBudget, Factor, FactorJoinConfig, FactorJoinModel, JoinScratch, KeepVars,
+    build_group_bins, BaseEstimatorKind, BinBudget, BinningStrategy, Factor, FactorJoinConfig,
+    FactorJoinModel, JoinScratch, KeepVars, KeyFreq,
 };
 use fj_baselines::{CardEst, FactorJoinEst, PessEst, PostgresLike, UBlock};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
-use fj_stats::BnConfig;
+use fj_stats::{BaseTableEstimator, BayesNetEstimator, BnConfig, TableBins};
+use fj_storage::KeyRef;
+use std::sync::Arc;
 
 fn bench_env() -> (fj_storage::Catalog, Vec<fj_query::Query>) {
     let cat = stats_catalog(&StatsConfig {
@@ -181,11 +184,58 @@ fn training_time(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two training phases that dominate `train` at STATS scale 2, each
+/// on its largest input: GBSA binning of the `posts.id` key group (wave
+/// 2a) and the Bayesian-network fit of `votes` (wave 3 — also the refit
+/// `load_model` pays, and the encoder `insert` shares).
+fn training_phases(c: &mut Criterion) {
+    let cat = stats_catalog(&StatsConfig {
+        scale: 2.0,
+        ..Default::default()
+    });
+    let posts_id = KeyRef::new("posts", "id");
+    let group = cat
+        .equivalent_key_groups()
+        .into_iter()
+        .find(|g| g.keys.contains(&posts_id))
+        .expect("posts.id is a join key");
+    let column = |k: &KeyRef| {
+        let table = cat.table(&k.table).expect("group keys exist");
+        table.column_by_name(&k.column).expect("group keys exist")
+    };
+    let freqs: Vec<KeyFreq> = group
+        .keys
+        .iter()
+        .map(|k| KeyFreq::count_column(column(k)))
+        .collect();
+    let members: Vec<&KeyFreq> = freqs.iter().collect();
+    let bins = Arc::new(build_group_bins(&members, 100, BinningStrategy::Gbsa));
+    let votes = cat.table("votes").expect("table exists");
+    let mut votes_bins = TableBins::new();
+    for k in group.keys.iter().filter(|k| k.table == "votes") {
+        votes_bins.insert_shared(&k.column, Arc::clone(&bins));
+    }
+
+    let mut g = c.benchmark_group("training_phases");
+    g.sample_size(20);
+    g.bench_function("gbsa_posts_id_group", |b| {
+        b.iter(|| std::hint::black_box(build_group_bins(&members, 100, BinningStrategy::Gbsa)))
+    });
+    g.bench_function("bayesnet_fit_votes", |b| {
+        b.iter(|| {
+            let bn = BayesNetEstimator::build(votes, &votes_bins, BnConfig::default());
+            std::hint::black_box(bn.model_bytes())
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     fig9_latency_vs_bins,
     factor_join_micro,
     planning_latency,
-    training_time
+    training_time,
+    training_phases
 );
 criterion_main!(benches);

@@ -5,6 +5,15 @@
 //! occurs equally often on every member key, the MFV bound is exact. GBSA
 //! greedily minimizes that variance across all member keys; equal-width and
 //! equal-depth binning are provided for the Table 6 ablation.
+//!
+//! Binning probes no hash map. Walking the members' frequency maps in slot
+//! order yields the group's sorted domain and every member's count of each
+//! value, by domain position: through a table over `[min, max]` when the
+//! values are packed (as ids are), through one sort of all entries
+//! otherwise.
+//! Bins then hold domain positions, and every sort orders materialised
+//! `(count, position)` pairs — the `(count, value)` order, since the domain
+//! is sorted.
 
 use fj_stats::KeyBinMap;
 use std::collections::HashMap;
@@ -64,48 +73,128 @@ impl BinBudget {
 /// across repeated trainings and across thread counts.
 pub fn build_group_bins(freqs: &[&KeyFreq], k: usize, strategy: BinningStrategy) -> KeyBinMap {
     assert!(!freqs.is_empty(), "a key group has at least one member");
-    // The group domain is the union of member domains.
-    let mut domain: Vec<i64> = freqs
-        .iter()
-        .flat_map(|f| f.iter().map(|(v, _)| v))
-        .collect::<std::collections::HashSet<i64>>()
-        .into_iter()
-        .collect();
-    domain.sort_unstable();
-    if domain.is_empty() {
+    let group = GroupCounts::new(freqs);
+    if group.domain.is_empty() {
         return KeyBinMap::single_bin();
     }
-    let k = k.clamp(1, domain.len());
+    let k = k.clamp(1, group.domain.len());
     let assign = match strategy {
-        BinningStrategy::EqualWidth => equal_width(&domain, k),
-        BinningStrategy::EqualDepth => equal_depth(&domain, freqs, k),
-        BinningStrategy::Gbsa => gbsa(&domain, freqs, k),
+        BinningStrategy::EqualWidth => equal_width(&group.domain, k),
+        BinningStrategy::EqualDepth => equal_depth(&group, k),
+        BinningStrategy::Gbsa => gbsa(&group, freqs, k),
     };
     KeyBinMap::new(k, assign)
 }
 
+/// Integers per frequency-map entry up to which a group's domain is read
+/// off a table over `[min, max]` rather than sorted.
+const DENSE_SPAN_PER_ENTRY: u64 = 4;
+
+/// A key group's domain — the union of its members' values, sorted and
+/// duplicate-free — and every member's count of each domain value, by
+/// position. Binning reads counts from these slabs, never from the members'
+/// hash maps.
+#[derive(Debug, PartialEq)]
+struct GroupCounts {
+    domain: Vec<i64>,
+    /// `counts[j][p]`: member `j`'s count of `domain[p]` (0 when absent).
+    counts: Vec<Vec<u64>>,
+}
+
+impl GroupCounts {
+    fn new(freqs: &[&KeyFreq]) -> Self {
+        let entries: usize = freqs.iter().map(|f| f.len()).sum();
+        let values = freqs.iter().flat_map(|f| f.iter().map(|(v, _)| v));
+        let (lo, hi) = values.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        if entries > 0 && lo.abs_diff(hi) <= DENSE_SPAN_PER_ENTRY * entries as u64 {
+            Self::dense(freqs, lo, lo.abs_diff(hi) as usize)
+        } else {
+            Self::sorted(freqs)
+        }
+    }
+
+    /// Values packed into a narrow range `[lo, lo + span]`: each member's
+    /// entries are marked in a table over the range, whose scan yields the
+    /// sorted domain and each value's position.
+    fn dense(freqs: &[&KeyFreq], lo: i64, span: usize) -> Self {
+        const ABSENT: usize = usize::MAX;
+        let mut position = vec![ABSENT; span + 1];
+        for f in freqs {
+            for (v, _) in f.iter() {
+                position[v.abs_diff(lo) as usize] = 0;
+            }
+        }
+        let mut domain = Vec::new();
+        for (offset, slot) in position.iter_mut().enumerate() {
+            if *slot != ABSENT {
+                *slot = domain.len();
+                domain.push(lo + offset as i64);
+            }
+        }
+        let counts = freqs
+            .iter()
+            .map(|f| {
+                let mut counts = vec![0; domain.len()];
+                for (v, c) in f.iter() {
+                    counts[position[v.abs_diff(lo) as usize]] = c;
+                }
+                counts
+            })
+            .collect();
+        GroupCounts { domain, counts }
+    }
+
+    /// Any values: one sort of every `(value, member, count)` entry.
+    fn sorted(freqs: &[&KeyFreq]) -> Self {
+        let mut entries: Vec<(i64, usize, u64)> = freqs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, f)| f.iter().map(move |(v, c)| (v, j, c)))
+            .collect();
+        entries.sort_unstable_by_key(|&(v, _, _)| v);
+        let mut domain: Vec<i64> = entries.iter().map(|&(v, _, _)| v).collect();
+        domain.dedup();
+        let mut counts = vec![vec![0; domain.len()]; freqs.len()];
+        let mut p = 0;
+        for &(v, j, c) in &entries {
+            if domain[p] != v {
+                p += 1;
+            }
+            counts[j][p] = c;
+        }
+        GroupCounts { domain, counts }
+    }
+}
+
+/// Bin `⌊(v − lo) / width⌋` of `k` equal ranges over `[lo, hi]`. The
+/// differences are taken in `i128`: over a domain spanning more than
+/// `i64::MAX` they overflow `i64`, and below that they are the same exact
+/// integers, rounded once into `f64`.
 fn equal_width(domain: &[i64], k: usize) -> Vec<(i64, u32)> {
     let (lo, hi) = (domain[0], *domain.last().expect("non-empty"));
-    let width = ((hi - lo) as f64 + 1.0) / k as f64;
+    let offset = |v: i64| (i128::from(v) - i128::from(lo)) as f64;
+    let width = (offset(hi) + 1.0) / k as f64;
     domain
         .iter()
         .map(|&v| {
-            let b = (((v - lo) as f64) / width).floor() as usize;
+            let b = (offset(v) / width).floor() as usize;
             (v, b.min(k - 1) as u32)
         })
         .collect()
 }
 
-fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
-    let total_count = |v: i64| -> u64 { freqs.iter().map(|f| f.get(v)).sum() };
-    let total: u64 = domain.iter().map(|&v| total_count(v)).sum();
+fn equal_depth(group: &GroupCounts, k: usize) -> Vec<(i64, u32)> {
+    let totals: Vec<u64> = (0..group.domain.len())
+        .map(|p| group.counts.iter().map(|c| c[p]).sum())
+        .collect();
+    let total: u64 = totals.iter().sum();
     let per = (total as f64 / k as f64).max(1.0);
-    let mut out = Vec::with_capacity(domain.len());
+    let mut out = Vec::with_capacity(group.domain.len());
     let mut acc = 0f64;
     let mut bin = 0u32;
-    for &v in domain {
+    for (&v, &count) in group.domain.iter().zip(&totals) {
         out.push((v, bin));
-        acc += total_count(v) as f64;
+        acc += count as f64;
         if acc >= per * (bin as f64 + 1.0) && (bin as usize) < k - 1 {
             bin += 1;
         }
@@ -123,29 +212,31 @@ fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> 
 /// 3. For each remaining key: apply the current bins, rank bins by that
 ///    key's within-bin count variance, and dichotomize the worst
 ///    `remaining/2` bins by that key's counts; halve the remaining budget.
-fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
+///
+/// Bins hold positions in the sorted domain, and every sort compares
+/// materialised `(count, position)` pairs, which order like `(count,
+/// value)` because the domain is sorted and duplicate-free.
+fn gbsa(group: &GroupCounts, freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
     // Order member keys by descending domain size.
     let mut order: Vec<usize> = (0..freqs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(freqs[i].len()));
 
-    // Bins as vectors of values.
-    let mut bins: Vec<Vec<i64>>;
-    let first = freqs[order[0]];
+    let first = &group.counts[order[0]];
     let k_init = if freqs.len() == 1 { k } else { (k / 2).max(1) };
-    bins = min_variance_bins(domain, first, k_init);
+    let mut bins = min_variance_bins(first, k_init);
     let mut remaining = k.saturating_sub(bins.len());
 
     for &j in order.iter().skip(1) {
         if remaining == 0 {
             break;
         }
-        let fj = freqs[j];
+        let counts = &group.counts[j];
         // Rank current bins by their variance under key j.
         let mut ranked: Vec<(f64, usize)> = bins
             .iter()
             .enumerate()
             .filter(|(_, b)| b.len() > 1)
-            .map(|(i, b)| (count_variance(b, fj), i))
+            .map(|(i, b)| (count_variance(b.iter().map(|&p| counts[p])), i))
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("variance is finite"));
         let splits = (remaining / 2).max(1).min(ranked.len()).min(remaining);
@@ -153,7 +244,7 @@ fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
         let targets: Vec<usize> = ranked.iter().take(splits).map(|&(_, i)| i).collect();
         let mut used = 0;
         for i in targets {
-            if let Some((a, b)) = min_variance_dichotomy(&bins[i], fj) {
+            if let Some((a, b)) = min_variance_dichotomy(&bins[i], counts) {
                 bins[i] = a;
                 bins.push(b);
                 used += 1;
@@ -186,42 +277,47 @@ fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
 
     bins.iter()
         .enumerate()
-        .flat_map(|(bi, b)| b.iter().map(move |&v| (v, bi as u32)))
+        .flat_map(|(bi, b)| b.iter().map(move |&p| (group.domain[p], bi as u32)))
         .collect()
 }
 
-/// Minimum-variance binning of a single key: sort values by count and cut
-/// into `k` equal-population chunks (similar counts share a bin).
-fn min_variance_bins(domain: &[i64], freq: &KeyFreq, k: usize) -> Vec<Vec<i64>> {
-    let mut by_count: Vec<i64> = domain.to_vec();
-    by_count.sort_by_key(|&v| (freq.get(v), v));
-    let k = k.clamp(1, by_count.len());
-    let per = by_count.len().div_ceil(k);
-    by_count.chunks(per).map(|c| c.to_vec()).collect()
+/// The domain positions `bin` sorted by `(counts[p], p)`.
+fn by_count(bin: impl Iterator<Item = usize>, counts: &[u64]) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = bin.map(|p| (counts[p], p)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, p)| p).collect()
 }
 
-/// Variance of key counts within a bin.
-fn count_variance(bin: &[i64], freq: &KeyFreq) -> f64 {
-    if bin.len() < 2 {
+/// Minimum-variance binning of a single key (`counts` by domain position):
+/// sort positions by count and cut into `k` equal-population chunks (similar
+/// counts share a bin).
+fn min_variance_bins(counts: &[u64], k: usize) -> Vec<Vec<usize>> {
+    let sorted = by_count(0..counts.len(), counts);
+    let k = k.clamp(1, sorted.len());
+    let per = sorted.len().div_ceil(k);
+    sorted.chunks(per).map(<[usize]>::to_vec).collect()
+}
+
+/// Variance of the key counts within a bin.
+fn count_variance(counts: impl Iterator<Item = u64> + Clone) -> f64 {
+    let n = counts.clone().count();
+    if n < 2 {
         return 0.0;
     }
-    let counts: Vec<f64> = bin.iter().map(|&v| freq.get(v) as f64).collect();
-    let n = counts.len() as f64;
-    let mean = counts.iter().sum::<f64>() / n;
-    counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / n
+    let n = n as f64;
+    let mean = counts.clone().map(|c| c as f64).sum::<f64>() / n;
+    counts.map(|c| (c as f64 - mean).powi(2)).sum::<f64>() / n
 }
 
 /// Splits a bin into two halves of the count-sorted order (minimizing the
-/// larger half's variance under `freq`). Returns `None` for unsplittable
+/// larger half's variance under `counts`). Returns `None` for unsplittable
 /// singleton bins.
-fn min_variance_dichotomy(bin: &[i64], freq: &KeyFreq) -> Option<(Vec<i64>, Vec<i64>)> {
+fn min_variance_dichotomy(bin: &[usize], counts: &[u64]) -> Option<(Vec<usize>, Vec<usize>)> {
     if bin.len() < 2 {
         return None;
     }
-    let mut sorted: Vec<i64> = bin.to_vec();
-    sorted.sort_by_key(|&v| (freq.get(v), v));
-    let mid = sorted.len() / 2;
-    let right = sorted.split_off(mid);
+    let mut sorted = by_count(bin.iter().copied(), counts);
+    let right = sorted.split_off(sorted.len() / 2);
     Some((sorted, right))
 }
 
@@ -265,6 +361,17 @@ mod tests {
         assert_eq!(map.bin_of(5), 0);
         assert_eq!(map.bin_of(10), 1);
         assert_eq!(map.bin_of(29), 2);
+    }
+
+    #[test]
+    fn equal_width_survives_a_domain_wider_than_i64() {
+        // hi − lo and v − lo overflow i64 here.
+        let keys = [i64::MIN + 5, -1, 0, 7, i64::MAX - 5];
+        let f = freq(&keys.map(|v| (v, 1)));
+        let map = build_group_bins(&[&f], 4, BinningStrategy::EqualWidth);
+        let bins: Vec<usize> = keys.iter().map(|&v| map.bin_of(v)).collect();
+        // Width 2^62 (the span rounds to 2^64): the middle keys sit at 2^63.
+        assert_eq!(bins, vec![0, 2, 2, 2, 3]);
     }
 
     #[test]
@@ -341,7 +448,7 @@ mod tests {
             bins_of(map, &domain)
                 .iter()
                 .filter(|b| !b.is_empty())
-                .map(|b| count_variance(b, &f))
+                .map(|b| count_variance(b.iter().map(|&v| f.get(v))))
                 .sum()
         };
         let gb = build_group_bins(&[&f], 20, BinningStrategy::Gbsa);
@@ -506,5 +613,180 @@ mod tests {
             1,
             "uniform budget floors at 1"
         );
+    }
+
+    /// Binning straight off the frequency maps — the domain through a
+    /// `HashSet`, every sort probing the maps from its comparator: the
+    /// oracle the count-slab versions must equal.
+    mod by_comparator {
+        use super::super::*;
+
+        pub fn build(freqs: &[&KeyFreq], k: usize, strategy: BinningStrategy) -> KeyBinMap {
+            let mut domain: Vec<i64> = freqs
+                .iter()
+                .flat_map(|f| f.iter().map(|(v, _)| v))
+                .collect::<std::collections::HashSet<i64>>()
+                .into_iter()
+                .collect();
+            domain.sort_unstable();
+            if domain.is_empty() {
+                return KeyBinMap::single_bin();
+            }
+            let k = k.clamp(1, domain.len());
+            let assign = match strategy {
+                BinningStrategy::EqualWidth => equal_width(&domain, k),
+                BinningStrategy::EqualDepth => equal_depth(&domain, freqs, k),
+                BinningStrategy::Gbsa => gbsa(&domain, freqs, k),
+            };
+            KeyBinMap::new(k, assign)
+        }
+
+        fn equal_depth(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
+            let total_count = |v: i64| -> u64 { freqs.iter().map(|f| f.get(v)).sum() };
+            let total: u64 = domain.iter().map(|&v| total_count(v)).sum();
+            let per = (total as f64 / k as f64).max(1.0);
+            let mut out = Vec::with_capacity(domain.len());
+            let mut acc = 0f64;
+            let mut bin = 0u32;
+            for &v in domain {
+                out.push((v, bin));
+                acc += total_count(v) as f64;
+                if acc >= per * (bin as f64 + 1.0) && (bin as usize) < k - 1 {
+                    bin += 1;
+                }
+            }
+            out
+        }
+
+        fn gbsa(domain: &[i64], freqs: &[&KeyFreq], k: usize) -> Vec<(i64, u32)> {
+            let mut order: Vec<usize> = (0..freqs.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(freqs[i].len()));
+            let first = freqs[order[0]];
+            let k_init = if freqs.len() == 1 { k } else { (k / 2).max(1) };
+            let mut bins = min_variance_bins(domain, first, k_init);
+            let mut remaining = k.saturating_sub(bins.len());
+            for &j in order.iter().skip(1) {
+                if remaining == 0 {
+                    break;
+                }
+                let fj = freqs[j];
+                let mut ranked: Vec<(f64, usize)> = bins
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| b.len() > 1)
+                    .map(|(i, b)| (count_variance(b, fj), i))
+                    .collect();
+                ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("variance is finite"));
+                let splits = (remaining / 2).max(1).min(ranked.len()).min(remaining);
+                let targets: Vec<usize> = ranked.iter().take(splits).map(|&(_, i)| i).collect();
+                let mut used = 0;
+                for i in targets {
+                    if let Some((a, b)) = min_variance_dichotomy(&bins[i], fj) {
+                        bins[i] = a;
+                        bins.push(b);
+                        used += 1;
+                    }
+                }
+                remaining -= used;
+            }
+            while remaining > 0 {
+                let (idx, _) = match bins
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, b)| b.len() > 1)
+                    .max_by_key(|(_, b)| b.len())
+                {
+                    Some((i, b)) => (i, b.len()),
+                    None => break,
+                };
+                match min_variance_dichotomy(&bins[idx], first) {
+                    Some((a, b)) => {
+                        bins[idx] = a;
+                        bins.push(b);
+                        remaining -= 1;
+                    }
+                    None => break,
+                }
+            }
+            bins.iter()
+                .enumerate()
+                .flat_map(|(bi, b)| b.iter().map(move |&v| (v, bi as u32)))
+                .collect()
+        }
+
+        fn min_variance_bins(domain: &[i64], freq: &KeyFreq, k: usize) -> Vec<Vec<i64>> {
+            let mut by_count: Vec<i64> = domain.to_vec();
+            by_count.sort_by_key(|&v| (freq.get(v), v));
+            let k = k.clamp(1, by_count.len());
+            let per = by_count.len().div_ceil(k);
+            by_count.chunks(per).map(|c| c.to_vec()).collect()
+        }
+
+        fn count_variance(bin: &[i64], freq: &KeyFreq) -> f64 {
+            if bin.len() < 2 {
+                return 0.0;
+            }
+            let counts: Vec<f64> = bin.iter().map(|&v| freq.get(v) as f64).collect();
+            let n = counts.len() as f64;
+            let mean = counts.iter().sum::<f64>() / n;
+            counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / n
+        }
+
+        fn min_variance_dichotomy(bin: &[i64], freq: &KeyFreq) -> Option<(Vec<i64>, Vec<i64>)> {
+            if bin.len() < 2 {
+                return None;
+            }
+            let mut sorted: Vec<i64> = bin.to_vec();
+            sorted.sort_by_key(|&v| (freq.get(v), v));
+            let mid = sorted.len() / 2;
+            let right = sorted.split_off(mid);
+            Some((sorted, right))
+        }
+    }
+
+    /// The slabs and the bin count of a map: equal raw parts mean equal
+    /// `.fjm` bytes.
+    fn raw(map: &KeyBinMap) -> (usize, Vec<i64>, Vec<u32>, usize) {
+        let (k, keys, bins, len) = map.raw_parts();
+        (k, keys.to_vec(), bins.to_vec(), len)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// GBSA and equal-depth over count slabs build the same maps, slab
+        /// for slab, as the comparator-sort oracle — on groups of 1–5
+        /// members with overlapping domains, counts with many ties, domains
+        /// narrow enough for the dense table or as wide as `i64`, and
+        /// budgets from one bin to more bins than values.
+        #[test]
+        fn keyed_binning_equals_the_comparator_sort(
+            members in prop::collection::vec(
+                prop::collection::vec((-40i64..200, 1u64..6), 0..120),
+                1..6,
+            ),
+            heavy in prop::collection::vec((-40i64..200, 1u64..100_000), 0..8),
+            wide in prop::collection::vec((i64::MIN..i64::MAX, 1u64..6), 0..3),
+            k in 1usize..80,
+        ) {
+            let mut freqs: Vec<KeyFreq> = members
+                .iter()
+                .map(|entries| entries.iter().copied().collect())
+                .collect();
+            let n = freqs.len();
+            for &(v, c) in heavy.iter().chain(&wide) {
+                freqs[v.unsigned_abs() as usize % n].add(v, c);
+            }
+            let refs: Vec<&KeyFreq> = freqs.iter().collect();
+            // Without a wide value the domain is read off the dense table.
+            prop_assert_eq!(GroupCounts::new(&refs), GroupCounts::sorted(&refs));
+            for strategy in [BinningStrategy::Gbsa, BinningStrategy::EqualDepth] {
+                prop_assert_eq!(
+                    raw(&build_group_bins(&refs, k, strategy)),
+                    raw(&by_comparator::build(&refs, k, strategy)),
+                    "{:?} k={}", strategy, k
+                );
+            }
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! Build phase (paper §5.1): discretize every modeled column (join keys at
 //! bin granularity, attributes into ≤ `max_codes` codes, NULL as a code),
 //! learn a Chow-Liu tree from pairwise mutual information, and store CPTs
-//! as smoothed counts. From the counts the estimator derives — at fit and
+//! as smoothed counts. The fit and every `insert` batch encode their rows
+//! a column at a time (`DiscreteColumn::encode_rows`) and count them a
+//! column at a time. From the counts the estimator derives — at fit and
 //! again after every `insert` batch — what inference reads besides them:
 //! every CPT in one parent-major slab, each node's evidence-free *prior*
 //! marginal, and that prior scaled to rows.
@@ -241,13 +243,12 @@ fn each_conjunct<'a>(
 pub struct BayesNetEstimator {
     cols: Vec<DiscreteColumn>,
     parent: Vec<Option<usize>>,
-    /// Marginal counts per node (unsmoothed).
+    /// Marginal counts per node (unsmoothed). A parent's also normalize its
+    /// children's CPTs: they are the per-parent-code sums of each child's
+    /// joint counts.
     marginal: Vec<Vec<f64>>,
     /// For non-root node i: joint counts `[code_i * k_parent + code_parent]`.
     joint: Vec<Option<Vec<f64>>>,
-    /// For non-root node i: per-parent-code column sums of `joint[i]`
-    /// (cached CPT normalizers — recomputing them per cell is O(k³)).
-    joint_parent_total: Vec<Option<Vec<f64>>>,
     nrows: f64,
     cfg: BnConfig,
     /// Tree shape and slab layout, fixed at fit.
@@ -282,7 +283,6 @@ impl Clone for BayesNetEstimator {
             parent: self.parent.clone(),
             marginal: self.marginal.clone(),
             joint: self.joint.clone(),
-            joint_parent_total: self.joint_parent_total.clone(),
             nrows: self.nrows,
             cfg: self.cfg,
             nodes: self.nodes.clone(),
@@ -316,10 +316,7 @@ impl BayesNetEstimator {
         let codes: Vec<Vec<u32>> = cols
             .iter()
             .zip(&src_cols)
-            .map(|(dc, &ci)| {
-                let col = table.column(ci);
-                (0..n).map(|r| dc.encode_row(col, r) as u32).collect()
-            })
+            .map(|(dc, &ci)| dc.encode_rows(table.column(ci), 0..n))
             .collect();
 
         // Structure learning on a strided sample.
@@ -393,31 +390,19 @@ impl BayesNetEstimator {
             }
         }
 
-        // Count marginals and child-parent joints over all rows.
-        let mut marginal: Vec<Vec<f64>> = domains.iter().map(|&k| vec![0.0; k]).collect();
-        let mut joint: Vec<Option<Vec<f64>>> = parent
+        let marginal = domains.iter().map(|&k| vec![0.0; k]).collect();
+        let joint = parent
             .iter()
             .enumerate()
             .map(|(i, p)| p.map(|p| vec![0.0; domains[i] * domains[p]]))
             .collect();
-        for r in 0..n {
-            for i in 0..m {
-                let c = codes[i][r] as usize;
-                marginal[i][c] += 1.0;
-                if let (Some(p), Some(j)) = (parent[i], joint[i].as_mut()) {
-                    j[c * domains[p] + codes[p][r] as usize] += 1.0;
-                }
-            }
-        }
-
         let scratch = Mutex::new(PropScratch::new(&nodes, trees));
         let mut bn = BayesNetEstimator {
             cols,
             parent,
             marginal,
             joint,
-            joint_parent_total: Vec::new(),
-            nrows: n as f64,
+            nrows: 0.0,
             cfg,
             nodes,
             topo,
@@ -427,30 +412,30 @@ impl BayesNetEstimator {
             prior_rows: Vec::new(),
             scratch,
         };
-        bn.recompute_parent_totals();
-        bn.recompute_derived();
+        bn.count(codes, n);
         bn
     }
 
-    fn recompute_parent_totals(&mut self) {
-        self.joint_parent_total = self
-            .parent
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                p.map(|p| {
-                    let (kc, kp) = (self.cols[i].n_codes(), self.cols[p].n_codes());
-                    let j = self.joint[i].as_ref().expect("non-root has joint counts");
-                    let mut totals = vec![0.0; kp];
-                    for c in 0..kc {
-                        for (pc, t) in totals.iter_mut().enumerate() {
-                            *t += j[c * kp + pc];
-                        }
-                    }
-                    totals
-                })
-            })
-            .collect();
+    /// Adds `rows` rows, encoded as `codes` (column-major), to the marginal
+    /// and child×parent joint counts, one column at a time, then refreshes
+    /// what inference derives from the counts. Every count is an exact
+    /// integer in an `f64`, so the order rows are added in cannot change a
+    /// bit of it.
+    fn count(&mut self, codes: &[Vec<u32>], rows: usize) {
+        for (i, column) in codes.iter().enumerate() {
+            let marginal = &mut self.marginal[i];
+            for &c in column {
+                marginal[c as usize] += 1.0;
+            }
+            if let (Some(p), Some(joint)) = (self.parent[i], self.joint[i].as_mut()) {
+                let kp = self.cols[p].n_codes();
+                for (&c, &cp) in column.iter().zip(&codes[p]) {
+                    joint[c as usize * kp + cp as usize] += 1.0;
+                }
+            }
+        }
+        self.nrows += rows as f64;
+        self.recompute_derived();
     }
 
     /// Refreshes everything inference reads from the current counts (after
@@ -504,13 +489,11 @@ impl BayesNetEstimator {
 
     /// Smoothed CPT entry `P(node_i = c | parent = p)`.
     fn cpt_cell(&self, i: usize, c: usize, p: usize) -> f64 {
-        let kp = self.k(self.parent[i].expect("cpt only for non-roots"));
+        let parent = self.parent[i].expect("cpt only for non-roots");
         let kc = self.k(i);
         let j = self.joint[i].as_ref().expect("non-root has joint counts");
-        let parent_total = self.joint_parent_total[i]
-            .as_ref()
-            .expect("cached totals for non-roots")[p];
-        (j[c * kp + p] + self.cfg.alpha) / (parent_total + self.cfg.alpha * kc as f64)
+        let parent_total = self.marginal[parent][p];
+        (j[c * self.k(parent) + p] + self.cfg.alpha) / (parent_total + self.cfg.alpha * kc as f64)
     }
 
     /// Smoothed root marginal `P(node_i = c)`.
@@ -623,9 +606,7 @@ impl BayesNetEstimator {
                 continue;
             }
             let counts = self.joint[i].as_ref().expect("non-root has joint counts");
-            let totals = self.joint_parent_total[i]
-                .as_ref()
-                .expect("cached totals for non-roots");
+            let totals = &self.marginal[node.parent];
             let lambda = &s.lambda[node.codes()];
             let msg = &mut s.msg[node.message()];
             msg.fill(0.0);
@@ -773,57 +754,19 @@ impl BaseTableEstimator for BayesNetEstimator {
     }
 
     fn insert(&mut self, table: &Table, first_new_row: usize) {
-        let n = table.nrows();
-        let m = self.cols.len();
-        // Map node → source column index by name (schema may have floats
-        // that were skipped at build time).
-        let src: Vec<usize> = self
-            .cols
-            .iter()
-            .map(|c| table.schema().index_of(&c.name).expect("schema unchanged"))
-            .collect();
-        // Encode the delta column-major like the build path: one column
-        // borrow and one encoding dispatch per column, sequential reads —
-        // the per-(row, column) re-dispatch of a row-major loop costs ~2×
-        // on wide tables.
-        let delta_rows = n - first_new_row;
+        // The delta is encoded and counted like the fit's rows. Nodes find
+        // their columns by name: the schema may have float columns the
+        // fit skipped.
+        let rows = first_new_row..table.nrows();
         let codes: Vec<Vec<u32>> = self
             .cols
             .iter()
-            .zip(&src)
-            .map(|(dc, &ci)| {
-                let col = table.column(ci);
-                (first_new_row..n)
-                    .map(|r| dc.encode_row(col, r) as u32)
-                    .collect()
+            .map(|dc| {
+                let ci = table.schema().index_of(&dc.name).expect("schema unchanged");
+                dc.encode_rows(table.column(ci), rows.clone())
             })
             .collect();
-        for i in 0..m {
-            let ci = &codes[i];
-            let marginal = &mut self.marginal[i];
-            if let (Some(p), Some(j)) = (self.parent[i], self.joint[i].as_mut()) {
-                let kp = self.cols[p].n_codes();
-                let cp = &codes[p];
-                let totals = self.joint_parent_total[i].as_mut();
-                for r in 0..delta_rows {
-                    marginal[ci[r] as usize] += 1.0;
-                    j[ci[r] as usize * kp + cp[r] as usize] += 1.0;
-                }
-                if let Some(t) = totals {
-                    for r in 0..delta_rows {
-                        t[cp[r] as usize] += 1.0;
-                    }
-                }
-            } else {
-                for r in 0..delta_rows {
-                    marginal[ci[r] as usize] += 1.0;
-                }
-            }
-        }
-        self.nrows += (n - first_new_row) as f64;
-        // Counts changed → refresh the CPT slabs and cached priors once per
-        // batch (they are derived state).
-        self.recompute_derived();
+        self.count(&codes, rows.len());
     }
 
     fn model_bytes(&self) -> usize {
@@ -1151,11 +1094,7 @@ mod tests {
         let codes: Vec<Vec<u32>> = cols
             .iter()
             .enumerate()
-            .map(|(ci, dc)| {
-                (0..t.nrows())
-                    .map(|r| dc.encode_row(t.column(ci), r) as u32)
-                    .collect()
-            })
+            .map(|(ci, dc)| dc.encode_rows(t.column(ci), 0..t.nrows()))
             .collect();
         BayesNetEstimator::from_codes(cols, parent, &codes, BnConfig::default())
     }
@@ -1330,12 +1269,7 @@ mod tests {
         let codes: Vec<Vec<u32>> = bn
             .cols
             .iter()
-            .map(|dc| {
-                let col = t.column_by_name(&dc.name).unwrap();
-                (0..t.nrows())
-                    .map(|r| dc.encode_row(col, r) as u32)
-                    .collect()
-            })
+            .map(|dc| dc.encode_rows(t.column_by_name(&dc.name).unwrap(), 0..t.nrows()))
             .collect();
         let refit =
             BayesNetEstimator::from_codes(bn.cols.clone(), bn.parent.clone(), &codes, bn.cfg);
@@ -1346,6 +1280,44 @@ mod tests {
                 "{f}"
             );
         }
+    }
+
+    #[test]
+    fn insert_encodes_strings_the_fit_never_saw() {
+        // A small string dictionary frozen at fit: appended strings it
+        // never saw land where `encode` puts them, never on the NULL code
+        // or past the counts.
+        let schema = TableSchema::new(vec![ColumnDef::new("s", DataType::Str)]);
+        let strings = ["a", "b", "c"];
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|i| vec![Value::Str(strings[i % 3].into())])
+            .collect();
+        let mut t = Table::from_rows("t", schema, &rows).unwrap();
+        let mut bn = BayesNetEstimator::build(&t, &TableBins::new(), BnConfig::default());
+        let rows_where =
+            |bn: &BayesNetEstimator, p: Predicate| bn.estimate_filter(&FilterExpr::pred(p));
+        let is_null = || Predicate::IsNull {
+            column: "s".into(),
+            negated: false,
+        };
+        let w = bn.cols[0].encode(&Value::Str("w".into()));
+        assert!(w < 3, "an unseen string takes a string's code");
+        t.append_rows(&vec![vec![Value::Str("w".into())]; 100])
+            .unwrap();
+        bn.insert(&t, 300);
+        assert!(rows_where(&bn, is_null()) < 1.0, "no row is NULL");
+        let shared = rows_where(&bn, Predicate::eq("s", strings[w]));
+        assert!(
+            (shared - 200.0).abs() < 1.0,
+            "'w' shares {}'s code: {shared}",
+            strings[w]
+        );
+        // A second unseen string, and a NULL.
+        t.append_rows(&[vec![Value::Str("zz".into())], vec![Value::Null]])
+            .unwrap();
+        bn.insert(&t, 400);
+        assert_eq!(bn.estimate_filter(&FilterExpr::True), 402.0);
+        assert!((rows_where(&bn, is_null()) - 1.0).abs() < 0.2);
     }
 
     #[test]

@@ -13,6 +13,20 @@
 //!   clauses become approximate code weights;
 //! * **NULL** → a dedicated trailing code, making `IS NULL` ordinary
 //!   evidence.
+//!
+//! An integer column's distinct values and their multiplicities come from
+//! one census: a histogram over `[min, max]` when that range holds at most
+//! four integers per non-NULL value, else one sort. The equi-depth buckets
+//! are cut from the cumulative counts, at the same boundaries a walk over
+//! the sorted values would cut.
+//!
+//! [`DiscreteColumn::encode_rows`] encodes a range of rows a column at a
+//! time — the fit and every `insert` batch go through it: one dispatch on
+//! the encoding, one loop over the typed slice, each string dictionary
+//! entry encoded once, and NULLs patched in from the null bitmap a word at
+//! a time. Every row gets the code [`DiscreteColumn::encode`] gives its
+//! value, so rows appended after the fit — values and strings it never saw
+//! — land where the value-level encoder puts them.
 
 use crate::binmap::KeyBinMap;
 use fj_query::{CmpOp, FilterExpr, Predicate};
@@ -27,7 +41,8 @@ enum Encoding {
     /// FactorJoin key bins (shared with the model and its other
     /// estimators; frozen after bin selection).
     KeyBins(Arc<KeyBinMap>),
-    /// One code per distinct integer (sorted).
+    /// One code per distinct integer (sorted); an unseen value takes the
+    /// code of the next higher one, or the last code.
     IntCategorical { values: Vec<i64> },
     /// Equi-depth integer buckets: `uppers[i]` is the inclusive upper bound
     /// of bucket `i`; `mins`/`maxs`/`ndv` describe the bucket contents.
@@ -101,47 +116,43 @@ impl Discretizer {
     }
 
     fn build_int(&self, name: &str, col: &Column) -> DiscreteColumn {
-        let mut values: Vec<i64> = (0..col.len())
+        let ints = col.ints();
+        let mut values: Vec<i64> = (0..ints.len())
             .filter(|&i| !col.is_null(i))
-            .map(|i| col.ints()[i])
+            .map(|i| ints[i])
             .collect();
-        values.sort_unstable();
-        let mut distinct = values.clone();
-        distinct.dedup();
-        if distinct.len() <= self.max_codes {
+        let runs = census(&mut values);
+        if runs.len() <= self.max_codes {
             return DiscreteColumn {
                 name: name.to_string(),
-                non_null_codes: distinct.len().max(1),
-                encoding: Encoding::IntCategorical { values: distinct },
+                non_null_codes: runs.len().max(1),
+                encoding: Encoding::IntCategorical {
+                    values: runs.iter().map(|&(v, _)| v).collect(),
+                },
             };
         }
         // Equi-depth buckets over the sorted multiset, cut at distinct-value
-        // boundaries so a value belongs to exactly one bucket.
+        // boundaries so a value belongs to exactly one bucket: a bucket
+        // ends with the run holding its `per`-th value.
         let n = self.max_codes;
         let per = values.len().div_ceil(n);
         let mut uppers = Vec::with_capacity(n);
         let mut mins = Vec::with_capacity(n);
         let mut maxs = Vec::with_capacity(n);
         let mut ndv = Vec::with_capacity(n);
-        let mut start = 0usize;
-        while start < values.len() {
-            let mut end = (start + per).min(values.len());
-            // Extend to the end of the run of equal values.
-            while end < values.len() && values[end] == values[end - 1] {
-                end += 1;
+        let (mut first, mut start) = (0usize, 0usize);
+        while first < runs.len() {
+            let target = (start + per).min(values.len());
+            let (mut last, mut end) = (first, start + runs[first].1);
+            while end < target {
+                last += 1;
+                end += runs[last].1;
             }
-            let slice = &values[start..end];
-            let mut d = 1u32;
-            for w in slice.windows(2) {
-                if w[0] != w[1] {
-                    d += 1;
-                }
-            }
-            mins.push(slice[0]);
-            maxs.push(slice[slice.len() - 1]);
-            uppers.push(slice[slice.len() - 1]);
-            ndv.push(d);
-            start = end;
+            mins.push(runs[first].0);
+            maxs.push(runs[last].0);
+            uppers.push(runs[last].0);
+            ndv.push((last - first + 1) as u32);
+            (first, start) = (last + 1, end);
         }
         DiscreteColumn {
             name: name.to_string(),
@@ -193,6 +204,44 @@ impl Discretizer {
     }
 }
 
+/// Integers per value up to which [`census`] counts into a histogram over
+/// `[min, max]` instead of sorting.
+const CENSUS_SPAN_PER_VALUE: u64 = 4;
+
+/// The distinct `values`, ascending, each with its number of occurrences.
+/// Counted into a histogram over `[min, max]` when that range holds at most
+/// [`CENSUS_SPAN_PER_VALUE`] integers per value; otherwise `values` is
+/// sorted in place and its runs are counted.
+fn census(values: &mut [i64]) -> Vec<(i64, usize)> {
+    let (lo, hi) = values
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let span = lo.abs_diff(hi);
+    let dense = !values.is_empty()
+        && u32::try_from(values.len()).is_ok()
+        && span <= CENSUS_SPAN_PER_VALUE * values.len() as u64;
+    if dense {
+        let mut histogram = vec![0u32; span as usize + 1];
+        for &v in values.iter() {
+            histogram[v.abs_diff(lo) as usize] += 1;
+        }
+        return (lo..=hi)
+            .zip(histogram)
+            .filter(|&(_, count)| count > 0)
+            .map(|(v, count)| (v, count as usize))
+            .collect();
+    }
+    values.sort_unstable();
+    let mut runs: Vec<(i64, usize)> = Vec::new();
+    for &v in values.iter() {
+        match runs.last_mut() {
+            Some((last, count)) if *last == v => *count += 1,
+            _ => runs.push((v, 1)),
+        }
+    }
+    runs
+}
+
 fn str_bucket(s: &str, n: usize) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -224,61 +273,100 @@ impl DiscreteColumn {
                 Some(x) => map.bin_of(x),
                 None => self.null_code(),
             },
-            Encoding::IntCategorical { values } => match v.as_int() {
-                Some(x) => match values.binary_search(&x) {
-                    Ok(i) => i,
-                    // Unseen value: clamp to the nearest existing code.
-                    Err(i) => i.min(values.len().saturating_sub(1)),
-                },
+            Encoding::IntCategorical { values: sorted }
+            | Encoding::IntBuckets { uppers: sorted, .. } => match v.as_int() {
+                Some(x) => code_at_or_above(sorted, x),
                 None => self.null_code(),
             },
-            Encoding::IntBuckets { uppers, .. } => match v.as_int() {
-                Some(x) => match uppers.binary_search(&x) {
-                    Ok(i) => i,
-                    Err(i) => i.min(uppers.len() - 1),
-                },
-                None => self.null_code(),
-            },
-            Encoding::StrSmall { intern, dict, .. } => match v.as_str() {
-                Some(s) => match intern.get(s) {
-                    Some(&c) => c as usize,
-                    None => str_bucket(s, dict.len().max(1)),
-                },
-                None => self.null_code(),
-            },
-            Encoding::StrHashed { n, .. } => match v.as_str() {
-                Some(s) => str_bucket(s, *n),
+            Encoding::StrSmall { .. } | Encoding::StrHashed { .. } => match v.as_str() {
+                Some(s) => self.encode_str(s),
                 None => self.null_code(),
             },
         }
     }
 
-    /// Fast-path encoding of row `r` of the column this was built from.
-    pub fn encode_row(&self, col: &Column, r: usize) -> usize {
-        if col.is_null(r) {
-            return self.null_code();
-        }
+    /// A non-NULL string's code: its dictionary entry's in a small
+    /// dictionary (a string the fit never saw hashes into one of them),
+    /// its hash bucket otherwise.
+    fn encode_str(&self, s: &str) -> usize {
         match &self.encoding {
-            Encoding::KeyBins(map) => map.bin_of(col.key_at(r).expect("non-null checked")),
-            Encoding::IntCategorical { values } => {
-                let x = col.ints()[r];
-                match values.binary_search(&x) {
-                    Ok(i) => i,
-                    Err(i) => i.min(values.len().saturating_sub(1)),
+            Encoding::StrSmall { intern, dict } => match intern.get(s) {
+                Some(&c) => c as usize,
+                None => str_bucket(s, dict.len().max(1)),
+            },
+            Encoding::StrHashed { n, .. } => str_bucket(s, *n),
+            _ => self.null_code(),
+        }
+    }
+
+    /// The codes of the strings `dict` holds at `codes`. While the
+    /// dictionary has no more entries than there are rows, each entry is
+    /// encoded once, when first met.
+    fn encode_strs(&self, codes: &[u32], dict: &StrDict) -> Vec<u32> {
+        let encode = |c: u32| self.encode_str(dict.get(c as usize)) as u32;
+        if dict.len() > codes.len() {
+            return codes.iter().map(|&c| encode(c)).collect();
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let mut memo = vec![UNSEEN; dict.len()];
+        codes
+            .iter()
+            .map(|&c| {
+                let code = &mut memo[c as usize];
+                if *code == UNSEEN {
+                    *code = encode(c);
                 }
-            }
-            Encoding::IntBuckets { uppers, .. } => {
-                let x = col.ints()[r];
-                match uppers.binary_search(&x) {
-                    Ok(i) => i,
-                    Err(i) => i.min(uppers.len() - 1),
+                *code
+            })
+            .collect()
+    }
+
+    /// The codes of rows `rows` of `col` — the column this was fitted to, or
+    /// that column after rows were appended. Row `r` gets what
+    /// [`Self::encode`] gives its value; a join key's value is its join-key
+    /// value [`Column::key_at`], so a string key encodes its dictionary
+    /// code. A string reads through `col`'s own dictionary, whose codes
+    /// need not match the fit's. A column of another type than the fit's
+    /// encodes every row as NULL.
+    pub fn encode_rows(&self, col: &Column, rows: Range<usize>) -> Vec<u32> {
+        let mut out: Vec<u32> = match (&self.encoding, col) {
+            (Encoding::KeyBins(map), Column::Int { values, .. }) => values[rows.clone()]
+                .iter()
+                .map(|&x| map.bin_of(x) as u32)
+                .collect(),
+            (Encoding::KeyBins(map), Column::Str { codes, .. }) => codes[rows.clone()]
+                .iter()
+                .map(|&c| map.bin_of(i64::from(c)) as u32)
+                .collect(),
+            (
+                Encoding::IntCategorical { values: sorted }
+                | Encoding::IntBuckets { uppers: sorted, .. },
+                Column::Int { values, .. },
+            ) => values[rows.clone()]
+                .iter()
+                .map(|&x| code_at_or_above(sorted, x) as u32)
+                .collect(),
+            (
+                Encoding::StrSmall { .. } | Encoding::StrHashed { .. },
+                Column::Str { codes, dict, .. },
+            ) => self.encode_strs(&codes[rows.clone()], dict),
+            _ => vec![self.null_code() as u32; rows.len()],
+        };
+        let nulls = col.nulls();
+        if !nulls.no_nulls() {
+            let null = self.null_code() as u32;
+            for word in rows.start / 64..rows.end.div_ceil(64) {
+                let mut bits = nulls.word(word);
+                while bits != 0 {
+                    let r = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if rows.contains(&r) {
+                        out[r - rows.start] = null;
+                    }
                 }
-            }
-            Encoding::StrSmall { .. } => col.codes()[r] as usize,
-            Encoding::StrHashed { n, dict, .. } => {
-                str_bucket(dict.get(col.codes()[r] as usize % dict.len()), *n)
             }
         }
+        out
     }
 
     /// Evaluates a single-column clause, returning a weight per code in
@@ -412,6 +500,16 @@ impl DiscreteColumn {
             } => dict.heap_bytes() + dict_rows.len() * 4 + bucket_rows.len() * 8,
         }
     }
+}
+
+/// The code of `x` under strictly increasing `sorted` values or bucket
+/// uppers: the first at or above `x`, or the last when `x` is above them
+/// all.
+#[inline]
+fn code_at_or_above(sorted: &[i64], x: i64) -> usize {
+    sorted
+        .partition_point(|&s| s < x)
+        .min(sorted.len().saturating_sub(1))
 }
 
 /// Zeroes `slot` unless `keep` (a 0/1 weight multiplied in).
@@ -603,10 +701,11 @@ mod tests {
         assert_eq!(d.encode(&Value::Int(5)), 1);
         assert_eq!(d.encode(&Value::Int(9)), 2);
         assert_eq!(d.encode(&Value::Null), 3);
-        // Row-level encoding agrees with value-level.
+        // The column encoder agrees with the value encoder.
         let col = t.column(0);
-        for r in 0..t.nrows() {
-            assert_eq!(d.encode_row(col, r), d.encode(&col.get(r)));
+        let codes = d.encode_rows(col, 0..t.nrows());
+        for (r, &c) in codes.iter().enumerate() {
+            assert_eq!(c as usize, d.encode(&col.get(r)));
         }
     }
 
@@ -792,5 +891,186 @@ mod tests {
         let c = d.encode(&Value::Int(1000));
         assert!(c < d.n_codes());
         assert_eq!(c, d.encode(&Value::Int(1000)));
+    }
+
+    /// The integer discretizer by one sort and a walk over the sorted
+    /// values: the census's oracle.
+    fn build_int_by_sort(disc: &Discretizer, name: &str, col: &Column) -> DiscreteColumn {
+        let mut values: Vec<i64> = (0..col.len())
+            .filter(|&i| !col.is_null(i))
+            .map(|i| col.ints()[i])
+            .collect();
+        values.sort_unstable();
+        let mut distinct = values.clone();
+        distinct.dedup();
+        if distinct.len() <= disc.max_codes {
+            return DiscreteColumn {
+                name: name.to_string(),
+                non_null_codes: distinct.len().max(1),
+                encoding: Encoding::IntCategorical { values: distinct },
+            };
+        }
+        let n = disc.max_codes;
+        let per = values.len().div_ceil(n);
+        let (mut uppers, mut mins, mut maxs, mut ndv) = (vec![], vec![], vec![], vec![]);
+        let mut start = 0usize;
+        while start < values.len() {
+            let mut end = (start + per).min(values.len());
+            while end < values.len() && values[end] == values[end - 1] {
+                end += 1;
+            }
+            let slice = &values[start..end];
+            let mut d = 1u32;
+            for w in slice.windows(2) {
+                if w[0] != w[1] {
+                    d += 1;
+                }
+            }
+            mins.push(slice[0]);
+            maxs.push(slice[slice.len() - 1]);
+            uppers.push(slice[slice.len() - 1]);
+            ndv.push(d);
+            start = end;
+        }
+        DiscreteColumn {
+            name: name.to_string(),
+            non_null_codes: uppers.len(),
+            encoding: Encoding::IntBuckets {
+                uppers,
+                mins,
+                maxs,
+                ndv,
+            },
+        }
+    }
+
+    /// Every field of an integer encoding, tagged by variant.
+    type IntFields = (&'static str, usize, Vec<i64>, Vec<i64>, Vec<i64>, Vec<u32>);
+
+    fn int_fields(d: &DiscreteColumn) -> IntFields {
+        match &d.encoding {
+            Encoding::IntCategorical { values } => (
+                "categorical",
+                d.non_null_codes,
+                values.clone(),
+                vec![],
+                vec![],
+                vec![],
+            ),
+            Encoding::IntBuckets {
+                uppers,
+                mins,
+                maxs,
+                ndv,
+            } => (
+                "buckets",
+                d.non_null_codes,
+                uppers.clone(),
+                mins.clone(),
+                maxs.clone(),
+                ndv.clone(),
+            ),
+            other => panic!("not an integer encoding: {other:?}"),
+        }
+    }
+
+    /// A `NULL`-able integer drawn as `(tag, x)`: tags below `nulls` are
+    /// NULL; the rest spread `x` narrowly, over a thousand values, or over
+    /// all of `i64` (its ends included), by `shape`.
+    fn int_value(shape: u32, nulls: u32, (tag, x): (u32, i64)) -> Value {
+        if tag < nulls {
+            return Value::Null;
+        }
+        Value::Int(match shape {
+            0 => x % 30 - 10,
+            1 => x % 1000 - 500,
+            _ => match x % 40 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => x.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64),
+            },
+        })
+    }
+
+    fn one_column(dtype: DataType, values: impl Iterator<Item = Value>) -> Table {
+        let schema = TableSchema::new(vec![ColumnDef::new("x", dtype)]);
+        let rows: Vec<Vec<Value>> = values.map(|v| vec![v]).collect();
+        Table::from_rows("t", schema, &rows).unwrap()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The census builds the integer encoding field for field like the
+        /// sort-based oracle: narrow spans (histogram), wide and
+        /// `i64`-extreme ones (sort), NULLs, all-NULL and empty columns,
+        /// categorical and bucketed.
+        #[test]
+        fn census_equals_the_sorting_discretizer(
+            shape in 0u32..3,
+            nulls in 0u32..11,
+            rows in prop::collection::vec((0u32..10, 0i64..1_000_000), 0..300),
+            max_codes in 1usize..80,
+        ) {
+            let t = one_column(DataType::Int, rows.iter().map(|&r| int_value(shape, nulls, r)));
+            let disc = Discretizer { max_codes };
+            let census = disc.build(&t, 0, None).unwrap();
+            let oracle = build_int_by_sort(&disc, "x", t.column(0));
+            prop_assert_eq!(int_fields(&census), int_fields(&oracle));
+        }
+
+        /// `encode_rows` gives every row of any range what `encode` gives
+        /// its value (a key row: its join-key value) — on integer
+        /// (categorical, bucketed, `i64`-extreme), string (small and hashed
+        /// dictionaries), integer-key and string-key columns with NULLs,
+        /// all-NULL and empty, and on the column grown by rows the fit never
+        /// saw: appended, or ahead of the fitted rows so that every
+        /// dictionary code moves.
+        #[test]
+        fn column_encoder_equals_the_value_encoder(
+            kind in 0u32..6,
+            nulls in 0u32..11,
+            fit in prop::collection::vec((0u32..10, 0i64..1_000_000), 0..150),
+            more in prop::collection::vec((0u32..10, 0i64..1_000_000), 0..70),
+            ahead in 0u32..2,
+            max_codes in 1usize..40,
+            range in (0usize..230, 0usize..230),
+        ) {
+            let (dtype, key) = match kind {
+                0..=2 => (DataType::Int, false),
+                3 => (DataType::Str, false),
+                4 => (DataType::Int, true),
+                _ => (DataType::Str, true),
+            };
+            let value = |&(tag, x): &(u32, i64)| match kind {
+                0..=2 => int_value(kind, nulls, (tag, x)),
+                4 => int_value(0, nulls, (tag, x)),
+                _ if tag < nulls => Value::Null,
+                _ => Value::Str(format!("s{}", x % 90)),
+            };
+            let fitted = one_column(dtype, fit.iter().map(value));
+            // Key bins assign every other fitted key; the rest take the
+            // map's fallback.
+            let bins = key.then(|| {
+                let col = fitted.column(0);
+                let assigned = (0..col.len()).filter_map(|r| col.key_at(r)).filter(|v| v % 2 == 0);
+                Arc::new(KeyBinMap::new(7, assigned.map(|v| (v, v.rem_euclid(7) as u32))))
+            });
+            let d = Discretizer { max_codes }.build(&fitted, 0, bins.as_ref()).unwrap();
+            let grown = if ahead == 1 {
+                one_column(dtype, more.iter().chain(&fit).map(value))
+            } else {
+                one_column(dtype, fit.iter().chain(&more).map(value))
+            };
+            let col = grown.column(0);
+            let (a, b) = (range.0.min(col.len()), range.1.min(col.len()));
+            let rows = a.min(b)..a.max(b);
+            let codes = d.encode_rows(col, rows.clone());
+            prop_assert_eq!(codes.len(), rows.len());
+            for (r, &code) in rows.zip(&codes) {
+                let v = if key { col.key_at(r).map_or(Value::Null, Value::Int) } else { col.get(r) };
+                prop_assert_eq!(code as usize, d.encode(&v), "row {} = {:?}", r, v);
+            }
+        }
     }
 }
