@@ -6,12 +6,9 @@
 //! greedily minimizes that variance across all member keys; equal-width and
 //! equal-depth binning are provided for the Table 6 ablation.
 //!
-//! Binning probes no hash map. Walking the members' frequency maps in slot
-//! order yields the group's sorted domain and every member's count of each
-//! value, by domain position: through a table over `[min, max]` when the
-//! values are packed (as ids are), through one sort of all entries
-//! otherwise.
-//! Bins then hold domain positions, and every sort orders materialised
+//! Binning probes no hash map. One sort of the members' frequency-map
+//! entries yields the group's sorted domain and every member's count of
+//! each value, by domain position. Bins then hold domain positions, and every sort orders materialised
 //! `(count, position)` pairs — the `(count, value)` order, since the domain
 //! is sorted.
 
@@ -86,15 +83,10 @@ pub fn build_group_bins(freqs: &[&KeyFreq], k: usize, strategy: BinningStrategy)
     KeyBinMap::new(k, assign)
 }
 
-/// Integers per frequency-map entry up to which a group's domain is read
-/// off a table over `[min, max]` rather than sorted.
-const DENSE_SPAN_PER_ENTRY: u64 = 4;
-
 /// A key group's domain — the union of its members' values, sorted and
 /// duplicate-free — and every member's count of each domain value, by
 /// position. Binning reads counts from these slabs, never from the members'
 /// hash maps.
-#[derive(Debug, PartialEq)]
 struct GroupCounts {
     domain: Vec<i64>,
     /// `counts[j][p]`: member `j`'s count of `domain[p]` (0 when absent).
@@ -102,50 +94,9 @@ struct GroupCounts {
 }
 
 impl GroupCounts {
+    /// One sort of every `(value, member, count)` entry: its values,
+    /// deduplicated, are the domain, and a walk over it fills the slabs.
     fn new(freqs: &[&KeyFreq]) -> Self {
-        let entries: usize = freqs.iter().map(|f| f.len()).sum();
-        let values = freqs.iter().flat_map(|f| f.iter().map(|(v, _)| v));
-        let (lo, hi) = values.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        if entries > 0 && lo.abs_diff(hi) <= DENSE_SPAN_PER_ENTRY * entries as u64 {
-            Self::dense(freqs, lo, lo.abs_diff(hi) as usize)
-        } else {
-            Self::sorted(freqs)
-        }
-    }
-
-    /// Values packed into a narrow range `[lo, lo + span]`: each member's
-    /// entries are marked in a table over the range, whose scan yields the
-    /// sorted domain and each value's position.
-    fn dense(freqs: &[&KeyFreq], lo: i64, span: usize) -> Self {
-        const ABSENT: usize = usize::MAX;
-        let mut position = vec![ABSENT; span + 1];
-        for f in freqs {
-            for (v, _) in f.iter() {
-                position[v.abs_diff(lo) as usize] = 0;
-            }
-        }
-        let mut domain = Vec::new();
-        for (offset, slot) in position.iter_mut().enumerate() {
-            if *slot != ABSENT {
-                *slot = domain.len();
-                domain.push(lo + offset as i64);
-            }
-        }
-        let counts = freqs
-            .iter()
-            .map(|f| {
-                let mut counts = vec![0; domain.len()];
-                for (v, c) in f.iter() {
-                    counts[position[v.abs_diff(lo) as usize]] = c;
-                }
-                counts
-            })
-            .collect();
-        GroupCounts { domain, counts }
-    }
-
-    /// Any values: one sort of every `(value, member, count)` entry.
-    fn sorted(freqs: &[&KeyFreq]) -> Self {
         let mut entries: Vec<(i64, usize, u64)> = freqs
             .iter()
             .enumerate()
@@ -756,9 +707,9 @@ mod tests {
     proptest! {
         /// GBSA and equal-depth over count slabs build the same maps, slab
         /// for slab, as the comparator-sort oracle — on groups of 1–5
-        /// members with overlapping domains, counts with many ties, domains
-        /// narrow enough for the dense table or as wide as `i64`, and
-        /// budgets from one bin to more bins than values.
+        /// members with overlapping domains, counts with many ties, narrow
+        /// domains and domains as wide as `i64`, and budgets from one bin
+        /// to more bins than values.
         #[test]
         fn keyed_binning_equals_the_comparator_sort(
             members in prop::collection::vec(
@@ -778,8 +729,6 @@ mod tests {
                 freqs[v.unsigned_abs() as usize % n].add(v, c);
             }
             let refs: Vec<&KeyFreq> = freqs.iter().collect();
-            // Without a wide value the domain is read off the dense table.
-            prop_assert_eq!(GroupCounts::new(&refs), GroupCounts::sorted(&refs));
             for strategy in [BinningStrategy::Gbsa, BinningStrategy::EqualDepth] {
                 prop_assert_eq!(
                     raw(&build_group_bins(&refs, k, strategy)),

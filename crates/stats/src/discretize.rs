@@ -22,9 +22,8 @@
 //!
 //! [`DiscreteColumn::encode_rows`] encodes a range of rows a column at a
 //! time — the fit and every `insert` batch go through it: one dispatch on
-//! the encoding, one loop over the typed slice, each string dictionary
-//! entry encoded once, and NULLs patched in from the null bitmap a word at
-//! a time. Every row gets the code [`DiscreteColumn::encode`] gives its
+//! the encoding, one loop over the typed slice, and NULLs patched in from
+//! the null bitmap a word at a time. Every row gets the code [`DiscreteColumn::encode`] gives its
 //! value, so rows appended after the fit — values and strings it never saw
 //! — land where the value-level encoder puts them.
 
@@ -299,28 +298,6 @@ impl DiscreteColumn {
         }
     }
 
-    /// The codes of the strings `dict` holds at `codes`. While the
-    /// dictionary has no more entries than there are rows, each entry is
-    /// encoded once, when first met.
-    fn encode_strs(&self, codes: &[u32], dict: &StrDict) -> Vec<u32> {
-        let encode = |c: u32| self.encode_str(dict.get(c as usize)) as u32;
-        if dict.len() > codes.len() {
-            return codes.iter().map(|&c| encode(c)).collect();
-        }
-        const UNSEEN: u32 = u32::MAX;
-        let mut memo = vec![UNSEEN; dict.len()];
-        codes
-            .iter()
-            .map(|&c| {
-                let code = &mut memo[c as usize];
-                if *code == UNSEEN {
-                    *code = encode(c);
-                }
-                *code
-            })
-            .collect()
-    }
-
     /// The codes of rows `rows` of `col` — the column this was fitted to, or
     /// that column after rows were appended. Row `r` gets what
     /// [`Self::encode`] gives its value; a join key's value is its join-key
@@ -349,7 +326,10 @@ impl DiscreteColumn {
             (
                 Encoding::StrSmall { .. } | Encoding::StrHashed { .. },
                 Column::Str { codes, dict, .. },
-            ) => self.encode_strs(&codes[rows.clone()], dict),
+            ) => codes[rows.clone()]
+                .iter()
+                .map(|&c| self.encode_str(dict.get(c as usize)) as u32)
+                .collect(),
             _ => vec![self.null_code() as u32; rows.len()],
         };
         let nulls = col.nulls();
