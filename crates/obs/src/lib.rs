@@ -18,7 +18,8 @@
 //!   and a worst-N slow-query log rendered as `# slowlog` comment lines
 //!   appended to the exposition text.
 //! * [`next_trace_id`] — client-side minting of the trace ids that ride
-//!   the wire (protocol v3) and key slow-query-log entries.
+//!   the wire (`EstimateBatch`'s `trace_id` field) and key slow-query-log
+//!   entries.
 //!
 //! ```
 //! use fj_obs::MetricsRegistry;

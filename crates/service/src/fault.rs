@@ -4,20 +4,20 @@
 //! prints its seed, and re-running with that seed replays the exact same
 //! byte-level fault schedule. Two layers:
 //!
-//! - [`FaultyStream`] wraps any `Read`/`Write` transport and applies a
-//!   [`FaultScript`] per direction — split writes into 1-byte chunks,
-//!   inject a delay, corrupt a byte, sever, or stall at scripted stream
-//!   offsets. Use it to unit-test codecs against torn/corrupted I/O
-//!   without sockets.
+//! - [`FaultyStream`] wraps any `Write` transport and applies a
+//!   [`FaultScript`] to the bytes written — split writes into 1-byte
+//!   chunks, inject a delay, corrupt a byte, sever, or stall at scripted
+//!   stream offsets.
 //! - [`FaultProxy`] is an in-process TCP proxy that applies a
 //!   [`FaultPlan`] (one script per direction) between a real client and a
 //!   real server, for integration tests: the peers run unmodified and the
-//!   proxy misbehaves on cue.
+//!   proxy misbehaves on cue. Each direction is one pump writing through
+//!   a [`FaultyStream`].
 //!
 //! In a [`FaultyStream`], a stall surfaces immediately as an
 //! [`std::io::ErrorKind::TimedOut`] error (modelling what a socket
-//! timeout would deliver); only the proxy holds a genuinely silent open
-//! connection, bounded by dropping the proxy.
+//! timeout would deliver); the proxy turns it into a genuinely silent
+//! open connection, bounded by dropping the proxy.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -170,40 +170,24 @@ impl FaultPlan {
     }
 }
 
-/// A `Read`/`Write` transport that misbehaves on schedule.
-///
-/// The write script applies to bytes written, the read script to bytes
-/// read; each direction tracks its own byte offset. See the module docs
-/// for stall semantics.
+/// A `Write` transport that misbehaves on schedule: the script's offsets
+/// count bytes written. See the module docs for stall semantics.
 pub struct FaultyStream<S> {
     inner: S,
-    write_script: FaultScript,
-    read_script: FaultScript,
+    script: FaultScript,
     written: u64,
-    consumed: u64,
-    write_delay_pending: bool,
-    read_delay_pending: bool,
+    delay_pending: bool,
 }
 
 impl<S> FaultyStream<S> {
-    /// Wraps `inner` with independent per-direction scripts.
-    pub fn new(inner: S, write_script: FaultScript, read_script: FaultScript) -> Self {
-        let write_delay_pending = write_script.delay.is_some();
-        let read_delay_pending = read_script.delay.is_some();
+    /// Wraps `inner`, faulting the bytes written to it per `script`.
+    pub fn writes_only(inner: S, script: FaultScript) -> Self {
         FaultyStream {
             inner,
-            write_script,
-            read_script,
+            delay_pending: script.delay.is_some(),
+            script,
             written: 0,
-            consumed: 0,
-            write_delay_pending,
-            read_delay_pending,
         }
-    }
-
-    /// Faults on writes only; reads pass through untouched.
-    pub fn writes_only(inner: S, script: FaultScript) -> Self {
-        Self::new(inner, script, FaultScript::clean())
     }
 
     /// Unwraps the transport.
@@ -228,25 +212,25 @@ impl<S: Write> Write for FaultyStream<S> {
         if buf.is_empty() {
             return self.inner.write(buf);
         }
-        if self.write_delay_pending {
-            if let Some((offset, delay)) = self.write_script.delay {
+        if self.delay_pending {
+            if let Some((offset, delay)) = self.script.delay {
                 if self.written >= offset {
-                    self.write_delay_pending = false;
+                    self.delay_pending = false;
                     std::thread::sleep(delay);
                 }
             }
         }
         let mut limit = buf.len();
-        if let Some((offset, kind)) = self.write_script.cut {
+        if let Some((offset, kind)) = self.script.cut {
             if self.written >= offset {
                 return Err(Self::cut_error(kind));
             }
             limit = limit.min((offset - self.written) as usize);
         }
-        if self.write_script.chunk {
+        if self.script.chunk {
             limit = limit.min(1);
         }
-        let n = if let Some((offset, mask)) = self.write_script.corrupt {
+        let n = if let Some((offset, mask)) = self.script.corrupt {
             if offset >= self.written && offset < self.written + limit as u64 {
                 let mut corrupted = buf[..limit].to_vec();
                 corrupted[(offset - self.written) as usize] ^= mask.max(1);
@@ -263,44 +247,6 @@ impl<S: Write> Write for FaultyStream<S> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-impl<S: Read> Read for FaultyStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        if self.read_delay_pending {
-            if let Some((offset, delay)) = self.read_script.delay {
-                if self.consumed >= offset {
-                    self.read_delay_pending = false;
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-        let mut limit = buf.len();
-        if let Some((offset, kind)) = self.read_script.cut {
-            if self.consumed >= offset {
-                return match kind {
-                    // A severed read side is an EOF, possibly mid-frame.
-                    CutKind::Sever => Ok(0),
-                    CutKind::Stall => Err(Self::cut_error(kind)),
-                };
-            }
-            limit = limit.min((offset - self.consumed) as usize);
-        }
-        if self.read_script.chunk {
-            limit = limit.min(1);
-        }
-        let n = self.inner.read(&mut buf[..limit])?;
-        if let Some((offset, mask)) = self.read_script.corrupt {
-            if offset >= self.consumed && offset < self.consumed + n as u64 {
-                buf[(offset - self.consumed) as usize] ^= mask.max(1);
-            }
-        }
-        self.consumed += n as u64;
-        Ok(n)
     }
 }
 
@@ -457,7 +403,6 @@ fn pump(mut src: TcpStream, dst: TcpStream, script: FaultScript, stop: &AtomicBo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     #[test]
     fn splitmix64_is_deterministic_and_seed_sensitive() {
@@ -517,44 +462,5 @@ mod tests {
         let err = stream.write_all(&payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(stream.into_inner().len(), 10, "prefix made it through");
-    }
-
-    #[test]
-    fn stalled_and_severed_reads_surface_distinctly() {
-        let data = [1u8; 32];
-        // Stall: TimedOut after the prefix.
-        let mut stream = FaultyStream::new(
-            Cursor::new(data),
-            FaultScript::clean(),
-            FaultScript::stall_at(5),
-        );
-        let mut sink = Vec::new();
-        let err = stream.read_to_end(&mut sink).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert_eq!(sink, &data[..5]);
-        // Sever: clean EOF after the prefix (the codec layer decides
-        // whether mid-frame EOF is an error).
-        let mut stream = FaultyStream::new(
-            Cursor::new(data),
-            FaultScript::clean(),
-            FaultScript::sever_at(5),
-        );
-        let mut sink = Vec::new();
-        stream.read_to_end(&mut sink).unwrap();
-        assert_eq!(sink, &data[..5]);
-    }
-
-    #[test]
-    fn read_corruption_hits_the_scripted_offset_across_chunked_reads() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        let mut script = FaultScript::corrupt_at(200, 0x01);
-        script.chunk = true; // 1-byte reads: the offset must still land
-        let mut stream = FaultyStream::new(Cursor::new(data.clone()), FaultScript::clean(), script);
-        let mut sink = Vec::new();
-        stream.read_to_end(&mut sink).unwrap();
-        assert_eq!(sink.len(), data.len());
-        assert_eq!(sink[200], data[200] ^ 0x01);
-        assert_eq!(&sink[..200], &data[..200]);
-        assert_eq!(&sink[201..], &data[201..]);
     }
 }

@@ -3,12 +3,12 @@
 
 use super::retry::RetryPolicy;
 use super::wire::{
-    self, read_frame, write_frame, BatchOutcome, HealthReport, MIN_PROTOCOL_VERSION,
-    OP_BATCH_RESULT, OP_HEALTH_OK, OP_METRICS_OK, OP_REJECTED, PROTOCOL_VERSION,
+    self, read_frame, write_frame, BatchOutcome, FrameRead, HealthReport, WireError, MAX_FRAME_LEN,
+    OP_BATCH_RESULT, OP_REJECTED, PROTOCOL_VERSION,
 };
 use fj_obs::next_trace_id;
 use fj_query::Query;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -70,16 +70,15 @@ struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     stash: HashMap<u64, BatchOutcome>,
-    health_stash: VecDeque<HealthReport>,
-    metrics_stash: VecDeque<String>,
     frame: Vec<u8>,
 }
 
-/// A decoded server→client frame.
+/// A server→client frame: a batch reply, decoded, or any other frame —
+/// a control reply (`HealthOk`/`MetricsOk`) when a probe awaits one — left
+/// undecoded in [`Conn::frame`].
 enum Incoming {
     Batch(u64, BatchOutcome),
-    Health(HealthReport),
-    Metrics(String),
+    Control,
 }
 
 /// A connected estimation client.
@@ -158,15 +157,10 @@ impl FjClient {
 
         write_frame(&mut writer, &wire::encode_hello())?;
         let mut frame = Vec::new();
-        if !read_frame(&mut reader, &mut frame)? {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection during the handshake",
-            ));
-        }
+        read_reply(&mut reader, &mut frame)?;
         let (theirs, datasets) = wire::decode_hello_ok(&frame)?;
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&theirs) {
-            return Err(wire::WireError::VersionMismatch { theirs }.into());
+        if theirs != PROTOCOL_VERSION {
+            return Err(WireError::VersionMismatch { theirs }.into());
         }
 
         self.datasets = datasets;
@@ -174,11 +168,25 @@ impl FjClient {
             reader,
             writer,
             stash: HashMap::new(),
-            health_stash: VecDeque::new(),
-            metrics_stash: VecDeque::new(),
             frame,
         });
         Ok(())
+    }
+
+    /// Runs `op` on the live connection and drops the connection if `op`
+    /// fails.
+    fn with_conn<T>(&mut self, op: impl FnOnce(&mut Conn) -> io::Result<T>) -> io::Result<T> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotConnected,
+                "not connected; any in-flight request died with the previous connection",
+            ));
+        };
+        let result = op(conn);
+        if result.is_err() {
+            self.conn = None;
+        }
+        result
     }
 
     /// Sends one estimate batch without waiting for the response; returns
@@ -187,8 +195,7 @@ impl FjClient {
     /// configured request budget rides along as the wire deadline, so the
     /// server sheds the work if this client stops waiting.
     pub fn send(&mut self, dataset: &str, min_size: u32, queries: &[Query]) -> io::Result<u64> {
-        self.send_with(dataset, min_size, queries, 0)
-            .map(|(id, _)| id)
+        self.send_with(dataset, min_size, queries, self.budget_deadline(), 0)
     }
 
     /// [`FjClient::send`] with a freshly minted trace id riding along on
@@ -202,48 +209,51 @@ impl FjClient {
         min_size: u32,
         queries: &[Query],
     ) -> io::Result<(u64, u64)> {
-        self.send_with(dataset, min_size, queries, next_trace_id())
+        let trace_id = next_trace_id();
+        let id = self.send_with(dataset, min_size, queries, self.budget_deadline(), trace_id)?;
+        Ok((id, trace_id))
     }
 
+    /// Writes one batch whose wire deadline is the time left before
+    /// `deadline`. A frame over [`MAX_FRAME_LEN`] is refused with
+    /// `InvalidInput` before anything is written, so the connection stays
+    /// up — the twin of the server's response cap.
     fn send_with(
         &mut self,
         dataset: &str,
         min_size: u32,
         queries: &[Query],
+        deadline: Option<Instant>,
         trace_id: u64,
-    ) -> io::Result<(u64, u64)> {
+    ) -> io::Result<u64> {
         self.ensure_connected()?;
         let id = self.next_id;
         self.next_id += 1;
-        let deadline_ms = budget_ms(self.config.request_timeout);
-        let conn = self.conn.as_mut().expect("just connected");
+        let deadline_ms = deadline.map_or(0, |d| {
+            (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1)
+        });
         let frame =
             wire::encode_estimate_batch(id, dataset, min_size, queries, deadline_ms, trace_id);
-        match write_frame(&mut conn.writer, &frame) {
-            Ok(()) => Ok((id, trace_id)),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        if frame.len() > MAX_FRAME_LEN as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "encoded batch of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap; \
+                     split the batch into smaller requests",
+                    frame.len()
+                ),
+            ));
         }
+        self.with_conn(|conn| write_frame(&mut conn.writer, &frame))?;
+        Ok(id)
     }
 
     /// Blocks until the response for `request_id` arrives, bounded by the
     /// request budget. Responses for other pipelined requests that land
     /// first are stashed and returned by their own `recv` calls.
     pub fn recv(&mut self, request_id: u64) -> io::Result<BatchOutcome> {
-        let deadline = self.config.request_timeout.map(|t| Instant::now() + t);
-        let Some(conn) = self.conn.as_mut() else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "not connected; any in-flight request died with the previous connection",
-            ));
-        };
-        let result = recv_on(conn, request_id, deadline);
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        let deadline = self.budget_deadline();
+        self.with_conn(|conn| recv_on(conn, request_id, deadline))
     }
 
     /// [`FjClient::send`] + [`FjClient::recv`] in one call, with retries.
@@ -261,7 +271,7 @@ impl FjClient {
         min_size: u32,
         queries: &[Query],
     ) -> io::Result<BatchOutcome> {
-        let deadline = self.config.request_timeout.map(|t| Instant::now() + t);
+        let deadline = self.budget_deadline();
         // One trace id for the whole call: every retry of this logical
         // request shows up under the same trace server-side.
         let trace_id = next_trace_id();
@@ -303,48 +313,16 @@ impl FjClient {
         trace_id: u64,
     ) -> io::Result<BatchOutcome> {
         remaining_budget(deadline)?;
-        self.ensure_connected()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let deadline_ms = match deadline {
-            Some(d) => (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1),
-            None => 0,
-        };
-        let conn = self.conn.as_mut().expect("just connected");
-        let frame =
-            wire::encode_estimate_batch(id, dataset, min_size, queries, deadline_ms, trace_id);
-        let result =
-            write_frame(&mut conn.writer, &frame).and_then(|()| recv_on(conn, id, deadline));
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        let id = self.send_with(dataset, min_size, queries, deadline, trace_id)?;
+        self.with_conn(|conn| recv_on(conn, id, deadline))
     }
 
     /// Probes the server: draining state plus per-shard queue depth and
     /// model epoch, bounded by the request budget. Safe to interleave with
-    /// pipelined batches — frames of either kind arriving out of turn are
-    /// stashed for their own receiver.
+    /// pipelined batches — batch replies arriving first are stashed for
+    /// their own receiver.
     pub fn health(&mut self) -> io::Result<HealthReport> {
-        let deadline = self.config.request_timeout.map(|t| Instant::now() + t);
-        self.ensure_connected()?;
-        let conn = self.conn.as_mut().expect("just connected");
-        let result = write_frame(&mut conn.writer, &wire::encode_health()).and_then(|()| loop {
-            if let Some(report) = conn.health_stash.pop_front() {
-                return Ok(report);
-            }
-            match read_incoming(conn, deadline)? {
-                Incoming::Health(report) => return Ok(report),
-                Incoming::Batch(id, outcome) => {
-                    conn.stash.insert(id, outcome);
-                }
-                Incoming::Metrics(text) => conn.metrics_stash.push_back(text),
-            }
-        });
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        self.control(&wire::encode_health(), wire::decode_health_ok)
     }
 
     /// Scrapes the server's metrics plane: the Prometheus text exposition
@@ -353,25 +331,36 @@ impl FjClient {
     /// [`FjClient::health`], this keeps working while the server drains,
     /// and is safe to interleave with pipelined batches.
     pub fn metrics(&mut self) -> io::Result<String> {
-        let deadline = self.config.request_timeout.map(|t| Instant::now() + t);
+        self.control(&wire::encode_metrics(), wire::decode_metrics_ok)
+    }
+
+    /// Writes a control probe and decodes the first control reply with
+    /// `decode`, stashing batch replies that land before it. The server
+    /// answers probes in order and only probes, and a failed probe drops
+    /// the connection, so the first control reply is this probe's.
+    fn control<T>(
+        &mut self,
+        probe: &[u8],
+        decode: fn(&[u8]) -> Result<T, WireError>,
+    ) -> io::Result<T> {
+        let deadline = self.budget_deadline();
         self.ensure_connected()?;
-        let conn = self.conn.as_mut().expect("just connected");
-        let result = write_frame(&mut conn.writer, &wire::encode_metrics()).and_then(|()| loop {
-            if let Some(text) = conn.metrics_stash.pop_front() {
-                return Ok(text);
-            }
-            match read_incoming(conn, deadline)? {
-                Incoming::Metrics(text) => return Ok(text),
-                Incoming::Batch(id, outcome) => {
-                    conn.stash.insert(id, outcome);
+        self.with_conn(|conn| {
+            write_frame(&mut conn.writer, probe)?;
+            loop {
+                match read_incoming(conn, deadline)? {
+                    Incoming::Batch(id, outcome) => {
+                        conn.stash.insert(id, outcome);
+                    }
+                    Incoming::Control => return Ok(decode(&conn.frame)?),
                 }
-                Incoming::Health(report) => conn.health_stash.push_back(report),
             }
-        });
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        })
+    }
+
+    /// The deadline of an operation starting now under the request budget.
+    fn budget_deadline(&self) -> Option<Instant> {
+        self.config.request_timeout.map(|t| Instant::now() + t)
     }
 }
 
@@ -391,11 +380,6 @@ fn dial(addrs: &[SocketAddr], timeout: Option<Duration>) -> io::Result<TcpStream
     Err(last_err.expect("addrs checked non-empty"))
 }
 
-/// The wire deadline for a fresh request under `budget` (0 = none).
-fn budget_ms(budget: Option<Duration>) -> u64 {
-    budget.map_or(0, |t| (t.as_millis() as u64).max(1))
-}
-
 /// The time left before `deadline`, erring `TimedOut` once it is spent.
 fn remaining_budget(deadline: Option<Instant>) -> io::Result<Option<Duration>> {
     match deadline {
@@ -413,7 +397,24 @@ fn remaining_budget(deadline: Option<Instant>) -> io::Result<Option<Duration>> {
     }
 }
 
-/// Reads one server frame within the deadline and decodes it.
+/// Reads one server frame. The client reads only while it awaits a reply,
+/// so a close or a quiet socket even at a frame boundary is an error here.
+fn read_reply(reader: &mut BufReader<TcpStream>, frame: &mut Vec<u8>) -> io::Result<()> {
+    match read_frame(reader, frame)? {
+        FrameRead::Frame => Ok(()),
+        FrameRead::CleanEof => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection with a reply outstanding",
+        )),
+        FrameRead::TimedOut => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "no reply from the server within the request budget",
+        )),
+    }
+}
+
+/// Reads one server frame within the deadline; decodes it if it is a
+/// batch reply.
 fn read_incoming(conn: &mut Conn, deadline: Option<Instant>) -> io::Result<Incoming> {
     if let Some(remaining) = remaining_budget(deadline)? {
         // Re-arm the socket timeout to the *remaining* budget, so a server
@@ -421,37 +422,23 @@ fn read_incoming(conn: &mut Conn, deadline: Option<Instant>) -> io::Result<Incom
         // whole timeout per frame.
         conn.reader.get_ref().set_read_timeout(Some(remaining))?;
     }
-    if !read_frame(&mut conn.reader, &mut conn.frame)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection with a request in flight",
-        ));
-    }
-    match conn.frame.first().copied() {
+    read_reply(&mut conn.reader, &mut conn.frame)?;
+    Ok(match conn.frame.first().copied() {
         Some(OP_BATCH_RESULT) => {
             let (id, results) = wire::decode_batch_result(&conn.frame)?;
-            Ok(Incoming::Batch(id, BatchOutcome::Served(results)))
+            Incoming::Batch(id, BatchOutcome::Served(results))
         }
         Some(OP_REJECTED) => {
             let (id, reason, message) = wire::decode_rejected(&conn.frame)?;
-            Ok(Incoming::Batch(
-                id,
-                BatchOutcome::Rejected { reason, message },
-            ))
+            Incoming::Batch(id, BatchOutcome::Rejected { reason, message })
         }
-        Some(OP_HEALTH_OK) => Ok(Incoming::Health(wire::decode_health_ok(&conn.frame)?)),
-        Some(OP_METRICS_OK) => Ok(Incoming::Metrics(wire::decode_metrics_ok(&conn.frame)?)),
-        Some(tag) => Err(wire::WireError::BadTag {
-            what: "opcode",
-            tag,
-        }
-        .into()),
-        None => Err(wire::WireError::Truncated.into()),
-    }
+        _ => Incoming::Control,
+    })
 }
 
-/// Drains frames until `request_id`'s response lands, stashing everything
-/// else for its own receiver.
+/// Drains frames until `request_id`'s response lands, stashing other
+/// batch replies for their own receiver. No probe is outstanding here, so
+/// any other frame is a protocol violation.
 fn recv_on(
     conn: &mut Conn,
     request_id: u64,
@@ -466,8 +453,12 @@ fn recv_on(
             Incoming::Batch(id, outcome) => {
                 conn.stash.insert(id, outcome);
             }
-            Incoming::Health(report) => conn.health_stash.push_back(report),
-            Incoming::Metrics(text) => conn.metrics_stash.push_back(text),
+            Incoming::Control => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "unsolicited non-batch frame while awaiting a batch reply",
+                ))
+            }
         }
     }
 }
@@ -480,7 +471,8 @@ fn recv_on(
 mod tests {
     use super::*;
     use crate::request::RejectReason;
-    use fj_query::{FilterExpr, TableRef};
+    use fj_query::{CmpOp, FilterExpr, Predicate, TableRef};
+    use fj_storage::Value;
     use std::io::BufReader as StdBufReader;
     use std::net::TcpListener;
     use wire::WireEstimates;
@@ -524,14 +516,14 @@ mod tests {
                 let mut reader = StdBufReader::new(stream);
                 let mut frame = Vec::new();
                 // Handshake.
-                if !read_frame(&mut reader, &mut frame).expect("read hello") {
+                if read_frame(&mut reader, &mut frame).expect("read hello") != FrameRead::Frame {
                     continue;
                 }
                 wire::decode_hello(&frame).expect("hello");
                 write_frame(&mut writer, &wire::encode_hello_ok(&["stats".to_string()]))
                     .expect("write hello_ok");
                 // One scripted step per request on this connection.
-                while read_frame(&mut reader, &mut frame).unwrap_or(false) {
+                while let Ok(FrameRead::Frame) = read_frame(&mut reader, &mut frame) {
                     let batch = wire::decode_estimate_batch(&frame).expect("request");
                     served += 1;
                     match steps.pop_front() {
@@ -570,7 +562,7 @@ mod tests {
                     if steps.is_empty() {
                         // Script exhausted: let the client read the final
                         // reply (its EOF ends this read loop), then exit.
-                        while read_frame(&mut reader, &mut frame).unwrap_or(false) {}
+                        while let Ok(FrameRead::Frame) = read_frame(&mut reader, &mut frame) {}
                         return served;
                     }
                 }
@@ -674,7 +666,7 @@ mod tests {
             read_frame(&mut reader, &mut frame).expect("request");
             let batch = wire::decode_estimate_batch(&frame).expect("decode");
             assert!(batch.deadline_ms > 0, "the budget rides as the deadline");
-            while read_frame(&mut reader, &mut frame).unwrap_or(false) {}
+            while let Ok(FrameRead::Frame) = read_frame(&mut reader, &mut frame) {}
         });
         let config = ClientConfig::default()
             .with_request_timeout(Some(Duration::from_millis(100)))
@@ -699,5 +691,65 @@ mod tests {
         assert!(!client.is_connected(), "the stalled connection is poisoned");
         drop(client);
         server.join().unwrap();
+    }
+
+    /// The handshake is exact-match: a server speaking any other version is
+    /// refused at connect, naming the mismatch.
+    #[test]
+    fn a_server_of_another_version_is_refused_at_connect() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = StdBufReader::new(stream);
+            let mut frame = Vec::new();
+            read_frame(&mut reader, &mut frame).expect("hello");
+            let mut hello_ok = wire::Enc::new(wire::OP_HELLO_OK);
+            hello_ok.u32(PROTOCOL_VERSION + 1);
+            hello_ok.u32(0); // no datasets
+            write_frame(&mut writer, &hello_ok.finish()).expect("hello_ok");
+        });
+        let Err(err) = FjClient::connect(addr) else {
+            panic!("a client connected to a server of another version");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(
+            err.get_ref().and_then(|e| e.downcast_ref::<WireError>()),
+            Some(&WireError::VersionMismatch {
+                theirs: PROTOCOL_VERSION + 1
+            })
+        );
+        server.join().unwrap();
+    }
+
+    /// A batch too large for one frame is refused before a byte is written:
+    /// `InvalidInput` is not retryable, the connection stays up, and the
+    /// server never sees the batch.
+    #[test]
+    fn an_oversized_batch_is_refused_before_it_is_written() {
+        let (addr, server) = scripted_server(vec![Step::Serve]);
+        let mut client = FjClient::connect_with(addr, fast_retries(3)).expect("connect");
+        let huge = Query::from_wire_parts(
+            vec![TableRef::new("p", "posts")],
+            vec![],
+            vec![FilterExpr::Pred(Predicate::Cmp {
+                column: "body".into(),
+                op: CmpOp::Eq,
+                value: Value::Str("x".repeat(MAX_FRAME_LEN as usize + 1)),
+            })],
+        )
+        .expect("valid");
+        let err = client
+            .call("stats", 1, &[huge])
+            .expect_err("a frame over the cap cannot be sent");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(client.is_connected(), "nothing was written");
+        match client.call("stats", 1, &[one_query()]).expect("call") {
+            BatchOutcome::Served(results) => assert!(results[0].is_ok()),
+            other => panic!("the connection did not survive the refusal: {other:?}"),
+        }
+        drop(client);
+        assert_eq!(server.join().unwrap(), 1, "only the batch that fit arrived");
     }
 }

@@ -24,6 +24,5 @@ pub use client::{ClientConfig, FjClient};
 pub use retry::RetryPolicy;
 pub use server::{FjServer, ServerConfig, ShardSpec};
 pub use wire::{
-    BatchOutcome, HealthReport, ShardHealth, WireError, WireEstimates, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    BatchOutcome, HealthReport, ShardHealth, WireError, WireEstimates, PROTOCOL_VERSION,
 };

@@ -1,8 +1,7 @@
 //! [`FjServer`]: the TCP serving tier over per-dataset estimator shards.
 
 use super::wire::{
-    self, read_frame_idle, write_frame, FrameRead, WireEstimates, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, read_frame, write_frame, FrameRead, WireEstimates, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::registry::ModelRegistry;
 use crate::request::{EstimateRequest, EstimateResponse, RejectReason, Reply, ServiceError};
@@ -534,35 +533,6 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> 
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
 
-    // Handshake: Hello in, HelloOk out; a version-mismatched client gets
-    // the HelloOk (so it can report *our* version) and then the door. A
-    // connection that never says hello is reaped on the idle timeout.
-    let opened = Instant::now();
-    loop {
-        match read_frame_idle(&mut reader, &mut buf)? {
-            FrameRead::Frame => break,
-            FrameRead::CleanEof => return Ok(()),
-            FrameRead::TimedOut => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                if let Some(idle) = shared.idle_timeout {
-                    if opened.elapsed() >= idle {
-                        return Ok(()); // never spoke; reap
-                    }
-                }
-            }
-        }
-    }
-    let theirs = wire::decode_hello(&buf)?;
-    {
-        let mut w = writer.lock().expect("writer");
-        write_frame(&mut *w, &wire::encode_hello_ok(&shared.datasets))?;
-    }
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&theirs) {
-        return Ok(());
-    }
-
     let (tx, rx) = mpsc::channel::<Reply>();
     let pending: Arc<Mutex<HashMap<u64, PendingBatch>>> = Arc::new(Mutex::new(HashMap::new()));
     let inflight = Arc::new(AtomicUsize::new(0));
@@ -605,14 +575,16 @@ fn reader_loop(
     inflight: &AtomicUsize,
     tx: &mpsc::Sender<Reply>,
 ) -> io::Result<()> {
-    let reject = |id: u64, reason: RejectReason, message: &str| -> io::Result<()> {
-        let mut w = writer.lock().expect("writer");
-        write_frame(&mut *w, &wire::encode_rejected(id, reason, message))
+    let reply = |frame: &[u8]| write_frame(&mut *writer.lock().expect("writer"), frame);
+    let reject = |id: u64, reason: RejectReason, message: &str| {
+        reply(&wire::encode_rejected(id, reason, message))
     };
 
+    // A connection that never says hello is reaped like any idle one.
+    let mut greeted = false;
     let mut last_frame = Instant::now();
     loop {
-        match read_frame_idle(reader, buf)? {
+        match read_frame(reader, buf)? {
             FrameRead::Frame => {}
             FrameRead::CleanEof => return Ok(()),
             FrameRead::TimedOut => {
@@ -635,22 +607,32 @@ fn reader_loop(
         // enqueue counts as the admission stage.
         let received = last_frame;
 
+        // The hello comes first and only once: any other opener fails
+        // `decode_hello`, a second hello the opcode dispatch below. A
+        // version-mismatched client still gets the HelloOk (so it can
+        // report *our* version), then the door.
+        if !greeted {
+            let theirs = wire::decode_hello(buf)?;
+            reply(&wire::encode_hello_ok(&shared.datasets))?;
+            if theirs != PROTOCOL_VERSION {
+                return Ok(());
+            }
+            greeted = true;
+            continue;
+        }
+
         // Dispatch by opcode: health probes and metrics scrapes answer
         // inline (both must keep working while draining, so operators can
         // watch a drain finish); anything else is an estimate batch.
         match buf.first().copied() {
             Some(wire::OP_HEALTH) => {
                 wire::decode_health(buf)?;
-                let report = health_report(shared);
-                let mut w = writer.lock().expect("writer");
-                write_frame(&mut *w, &wire::encode_health_ok(&report))?;
+                reply(&wire::encode_health_ok(&health_report(shared)))?;
                 continue;
             }
             Some(wire::OP_METRICS) => {
                 wire::decode_metrics(buf)?;
-                let text = shared.metrics_text();
-                let mut w = writer.lock().expect("writer");
-                write_frame(&mut *w, &wire::encode_metrics_ok(&text))?;
+                reply(&wire::encode_metrics_ok(&shared.metrics_text()))?;
                 continue;
             }
             Some(wire::OP_ESTIMATE_BATCH) => {}
@@ -711,8 +693,7 @@ fn reader_loop(
         }
 
         if batch.queries.is_empty() {
-            let mut w = writer.lock().expect("writer");
-            write_frame(&mut *w, &wire::encode_batch_result(id, &[]))?;
+            reply(&wire::encode_batch_result(id, &[]))?;
             continue;
         }
 
@@ -928,11 +909,11 @@ fn enforce_frame_cap(tag: u64, frame: Vec<u8>) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::wire::read_frame;
     use crate::server::FjClient;
     use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig};
     use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
     use fj_query::Query;
+    use std::io::Write;
 
     fn tiny_setup() -> (Arc<FactorJoinModel>, Vec<Query>) {
         let cat = stats_catalog(&StatsConfig {
@@ -1040,42 +1021,40 @@ mod tests {
         let mut reader = BufReader::new(sock.try_clone().expect("clone"));
         let mut buf = Vec::new();
         write_frame(&mut sock, &wire::encode_hello()).unwrap();
-        assert!(read_frame(&mut reader, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
         wire::decode_hello_ok(&buf).expect("hello ok");
 
-        write_frame(
-            &mut sock,
-            &wire::encode_estimate_batch(7, "stats", 1, &big, 0, 0),
-        )
-        .unwrap();
         // Reuse id 7 while it is in flight, via the empty-batch fast path.
-        write_frame(
-            &mut sock,
-            &wire::encode_estimate_batch(7, "stats", 1, &[], 0, 0),
-        )
-        .unwrap();
+        // Both frames leave in one write, so the reuse is already buffered
+        // when the reader admits the big batch.
+        let mut frames = Vec::new();
+        for batch in [&big[..], &[]] {
+            let payload = wire::encode_estimate_batch(7, "stats", 1, batch, 0, 0);
+            write_frame(&mut frames, &payload).unwrap();
+        }
+        sock.write_all(&frames).unwrap();
 
         // The in-flight batch still resolves (exactly one response for id
         // 7), then the connection is dropped instead of answered twice.
-        assert!(read_frame(&mut reader, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
         let (id, results) = wire::decode_batch_result(&buf).expect("the in-flight batch");
         assert_eq!(id, 7);
         assert_eq!(results.len(), big.len());
-        assert!(
-            !read_frame(&mut reader, &mut buf).expect("clean close"),
+        assert_eq!(
+            read_frame(&mut reader, &mut buf).expect("clean close"),
+            FrameRead::CleanEof,
             "the id reuse must drop the connection, not answer"
         );
         server.shutdown();
     }
 
-    /// Wire-compat regression: a v3 server keeps serving the exact frame
-    /// shapes older clients emit — v1 `EstimateBatch` (no trailing
-    /// fields) and v2 (deadline only) — and answers `Metrics` scrapes
-    /// even while draining, like health probes.
+    /// The handshake is exact-match: a client of another version gets the
+    /// server's `HelloOk` (so it can name the mismatch), then a clean
+    /// close, and nothing it sends afterwards is answered.
     #[test]
-    fn v1_and_v2_frames_are_served_by_a_v3_server() {
+    fn a_client_of_another_version_gets_hello_ok_then_a_close() {
         let (model, wl) = tiny_setup();
-        let mut server = FjServer::bind(
+        let server = FjServer::bind(
             "127.0.0.1:0",
             vec![ShardSpec::new("stats", model)],
             ServerConfig::new(1),
@@ -1085,33 +1064,30 @@ mod tests {
         let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
         let mut reader = BufReader::new(sock.try_clone().expect("clone"));
         let mut buf = Vec::new();
-        write_frame(&mut sock, &wire::encode_hello()).unwrap();
-        assert!(read_frame(&mut reader, &mut buf).unwrap());
-        wire::decode_hello_ok(&buf).expect("hello ok");
-
-        // deadline=0 + trace=0 encodes the v1 shape (no trailing bytes);
-        // deadline>0 + trace=0 the v2 shape (one trailing u64). Both must
-        // round-trip through a v3 server unchanged.
-        let v1 = wire::encode_estimate_batch(1, "stats", 1, &wl[..1], 0, 0);
-        let v2 = wire::encode_estimate_batch(2, "stats", 1, &wl[..1], 30_000, 0);
-        assert_eq!(v2.len(), v1.len() + 8, "v2 adds exactly the deadline");
-        for (id, frame) in [(1, v1), (2, v2)] {
-            write_frame(&mut sock, &frame).expect("send old-shape frame");
-            assert!(read_frame(&mut reader, &mut buf).expect("response"));
-            let (got, results) = wire::decode_batch_result(&buf).expect("served");
-            assert_eq!(got, id);
-            assert_eq!(results.len(), 1);
-            assert!(results[0].is_ok());
-        }
-
-        server.begin_drain();
-        write_frame(&mut sock, &wire::encode_metrics()).expect("send metrics");
-        assert!(read_frame(&mut reader, &mut buf).expect("metrics ok"));
-        let text = wire::decode_metrics_ok(&buf).expect("decode metrics ok");
-        assert!(
-            text.contains("fj_requests_total{dataset=\"stats\"} 2"),
-            "both old-shape batches served and counted:\n{text}"
+        let mut hello = wire::Enc::new(wire::OP_HELLO);
+        hello.u32(PROTOCOL_VERSION + 1);
+        write_frame(&mut sock, &hello.finish()).unwrap();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
+        let (version, datasets) = wire::decode_hello_ok(&buf).expect("hello ok");
+        assert_eq!(
+            version, PROTOCOL_VERSION,
+            "the server names its own version"
         );
+        assert_eq!(datasets, ["stats"]);
+        assert_eq!(
+            read_frame(&mut reader, &mut buf).unwrap(),
+            FrameRead::CleanEof,
+            "then a clean close"
+        );
+
+        // The socket is closed: a batch sent now is never answered.
+        let batch = wire::encode_estimate_batch(1, "stats", 1, &wl[..1], 0, 0);
+        let _ = write_frame(&mut sock, &batch);
+        assert!(!matches!(
+            read_frame(&mut reader, &mut buf),
+            Ok(FrameRead::Frame)
+        ));
+        assert_eq!(server.stats("stats").expect("shard").requests, 0);
         server.shutdown();
     }
 

@@ -16,7 +16,7 @@
 //! | opcode | direction | message |
 //! |-------:|-----------|---------|
 //! | `0x01` | C → S     | `Hello { version }` — first frame after connect |
-//! | `0x02` | C → S     | `EstimateBatch { request_id, dataset, min_size, queries[, deadline_ms[, trace_id]] }` |
+//! | `0x02` | C → S     | `EstimateBatch { request_id, dataset, min_size, deadline_ms, trace_id, queries }` |
 //! | `0x03` | C → S     | `Health` — liveness/load probe |
 //! | `0x04` | C → S     | `Metrics` — scrape the server's metrics plane |
 //! | `0x81` | S → C     | `HelloOk { version, datasets }` |
@@ -33,29 +33,19 @@
 //!
 //! ## Versioning
 //!
-//! Version 2 added the optional trailing `deadline_ms` on `EstimateBatch`
-//! (a **relative** millisecond budget — peers' wall clocks are not
-//! synchronized) and the `Health`/`HealthOk` probe. Version 3 adds a
-//! second optional trailing field, the client-minted `trace_id` (0 =
-//! untraced, field absent), and the `Metrics`/`MetricsOk` scrape pair.
-//! Trailing fields detect their own presence from the remaining payload
-//! length — 0, 8, or 16 bytes after the queries — so an untraced frame is
-//! byte-identical to its v2 encoding and an untraced, deadline-less frame
-//! to its v1 encoding. Either side accepts any peer version in
-//! `[`[`MIN_PROTOCOL_VERSION`]`, `[`PROTOCOL_VERSION`]`]`.
+//! One layout per message and one version, [`PROTOCOL_VERSION`]; both
+//! peers require the other to speak exactly that version. Every field is
+//! always written: `EstimateBatch`'s `deadline_ms` (a **relative**
+//! millisecond budget — peers' wall clocks are not synchronized) and
+//! `trace_id` are fixed `u64`s, `0` meaning none.
 
 use crate::request::RejectReason;
 use fj_query::{ColRef, FilterExpr, JoinPredicate, Predicate, Query, SubplanMask, TableRef};
 use fj_storage::Value;
 use std::io::{IoSlice, Read, Write};
 
-/// Protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u32 = 3;
-
-/// Oldest peer version this build still accepts (the version-2 and
-/// version-3 additions are optional-trailing, so version-1 and version-2
-/// frames decode unchanged).
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+/// Protocol version spoken — and required of the peer — by this build.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard ceiling on a frame payload, validated before allocating.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -95,8 +85,7 @@ pub enum WireError {
     BadUtf8,
     /// A frame length prefix exceeded [`MAX_FRAME_LEN`].
     FrameTooLarge(u32),
-    /// The peer spoke a protocol version outside the accepted
-    /// `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]` range.
+    /// The peer spoke a protocol version other than [`PROTOCOL_VERSION`].
     VersionMismatch {
         /// Version in the peer's hello.
         theirs: u32,
@@ -119,8 +108,7 @@ impl std::fmt::Display for WireError {
             WireError::VersionMismatch { theirs } => {
                 write!(
                     f,
-                    "peer speaks protocol version {theirs}, this build accepts \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}"
+                    "peer speaks protocol version {theirs}, this build speaks {PROTOCOL_VERSION}"
                 )
             }
             WireError::BadQuery(msg) => write!(f, "invalid query on the wire: {msg}"),
@@ -133,7 +121,7 @@ impl std::error::Error for WireError {}
 
 impl From<WireError> for std::io::Error {
     fn from(e: WireError) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
     }
 }
 
@@ -239,12 +227,6 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
-    /// Bytes not yet consumed — how optional trailing fields detect their
-    /// own presence.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     pub(crate) fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -274,40 +256,8 @@ pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result
     w.flush()
 }
 
-/// Reads one frame into `buf` (reused across calls to avoid per-frame
-/// allocation). Returns `Ok(false)` on clean EOF at a frame boundary.
-pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-    // The length prefix is read incrementally so a clean close at a frame
-    // boundary (zero bytes available) is distinguishable from a peer dying
-    // mid-prefix (1-3 bytes), which must surface as a truncation error,
-    // not be silently reported as a complete stream.
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < len_bytes.len() {
-        match r.read(&mut len_bytes[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("stream ended {filled} bytes into a frame length prefix"),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge(len).into());
-    }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    Ok(true)
-}
-
-/// Outcome of [`read_frame_idle`].
+/// Outcome of [`read_frame`].
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum FrameRead {
     /// A complete frame landed in the buffer.
     Frame,
@@ -315,15 +265,16 @@ pub(crate) enum FrameRead {
     CleanEof,
     /// The socket read timeout fired **at a frame boundary** — the peer is
     /// merely quiet, not broken. The caller decides whether quiet means
-    /// idle-reap, shutdown-check, or keep waiting.
+    /// idle-reap, shutdown-check, keep waiting, or a spent budget.
     TimedOut,
 }
 
-/// [`read_frame`] for sockets with a read timeout: a timeout before any
-/// prefix byte arrived is reported as [`FrameRead::TimedOut`] (an idle
-/// peer), while a timeout *mid-frame* stays a hard error — the stream has
-/// lost sync and the only safe recovery is dropping the connection.
-pub(crate) fn read_frame_idle(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<FrameRead> {
+/// Reads one frame into `buf` (reused across calls to avoid per-frame
+/// allocation). A timeout or close before any prefix byte arrived is
+/// reported as [`FrameRead::TimedOut`] / [`FrameRead::CleanEof`]; either
+/// one *mid-frame* is a hard error — the stream has lost sync and the only
+/// safe recovery is dropping the connection.
+pub(crate) fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<FrameRead> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0usize;
     while filled < len_bytes.len() {
@@ -461,17 +412,14 @@ pub(crate) struct EstimateBatch {
     pub request_id: u64,
     pub dataset: String,
     pub min_size: u32,
-    pub queries: Vec<Query>,
     /// Relative deadline budget in milliseconds, counted from receipt
     /// (never an absolute wall time — clocks are not synchronized across
-    /// the wire). `0` means no deadline; on the wire the field is simply
-    /// absent then, keeping the frame byte-identical to protocol v1.
+    /// the wire). `0` means no deadline.
     pub deadline_ms: u64,
-    /// Client-minted trace id keying this request across client logs, the
-    /// server's slow-query log, and future hops (protocol v3). `0` means
-    /// untraced; the field is then absent on the wire, keeping the frame
-    /// byte-identical to its v1/v2 encoding.
+    /// Client-minted trace id keying this request across client logs and
+    /// the server's slow-query log. `0` means untraced.
     pub trace_id: u64,
+    pub queries: Vec<Query>,
 }
 
 pub(crate) fn encode_estimate_batch(
@@ -486,18 +434,11 @@ pub(crate) fn encode_estimate_batch(
     e.u64(request_id);
     e.str(dataset);
     e.u32(min_size);
+    e.u64(deadline_ms);
+    e.u64(trace_id);
     e.u32(queries.len() as u32);
     for q in queries {
         encode_query(&mut e, q);
-    }
-    // Trailing optional fields are positional: writing trace_id requires
-    // writing deadline_ms first (even a zero one), so a decoder can tell
-    // the 8-byte v2 shape from the 16-byte v3 shape by length alone.
-    if trace_id > 0 {
-        e.u64(deadline_ms);
-        e.u64(trace_id);
-    } else if deadline_ms > 0 {
-        e.u64(deadline_ms);
     }
     e.finish()
 }
@@ -508,25 +449,21 @@ pub(crate) fn decode_estimate_batch(payload: &[u8]) -> Result<EstimateBatch, Wir
     let request_id = d.u64()?;
     let dataset = d.str()?;
     let min_size = d.u32()?;
+    let deadline_ms = d.u64()?;
+    let trace_id = d.u64()?;
     let n = d.count(12)?;
     let mut queries = Vec::with_capacity(n);
     for _ in 0..n {
         queries.push(decode_query(&mut d)?);
     }
-    // Optional trailing fields: a v1 frame ends here (0 bytes left), a v2
-    // frame carries deadline_ms (8), a v3 frame deadline_ms + trace_id
-    // (16). Any other remainder is corruption and falls through to
-    // `finish()`'s TrailingBytes error.
-    let deadline_ms = if d.remaining() > 0 { d.u64()? } else { 0 };
-    let trace_id = if d.remaining() > 0 { d.u64()? } else { 0 };
     d.finish()?;
     Ok(EstimateBatch {
         request_id,
         dataset,
         min_size,
-        queries,
         deadline_ms,
         trace_id,
+        queries,
     })
 }
 
@@ -1043,53 +980,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deadline_field_is_optional_trailing_and_v1_compatible() {
-        let q = sample_query();
-        // With a deadline: roundtrips, and is exactly 8 bytes longer.
-        let with = encode_estimate_batch(1, "stats", 1, std::slice::from_ref(&q), 250, 0);
-        let without = encode_estimate_batch(1, "stats", 1, std::slice::from_ref(&q), 0, 0);
-        assert_eq!(with.len(), without.len() + 8);
-        assert_eq!(decode_estimate_batch(&with).unwrap().deadline_ms, 250);
-        // Without one, the encoding is byte-identical to what a protocol-v1
-        // peer produces (v1 never wrote the field at all).
-        assert_eq!(decode_estimate_batch(&without).unwrap().deadline_ms, 0);
-        // A partial trailing field (1-7 stray bytes) is corruption, not a
-        // deadline.
-        let mut torn = without.clone();
-        torn.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
-        assert!(decode_estimate_batch(&torn).is_err());
-    }
+    /// The `(deadline_ms, trace_id)` pairs the codec tests cover: none,
+    /// either one alone, and both.
+    const DEADLINE_TRACE_PAIRS: [(u64, u64); 4] = [(0, 0), (250, 0), (0, 0xfeed), (250, 0xfeed)];
 
     #[test]
-    fn trace_field_decodes_v1_v2_and_v3_shapes() {
+    fn deadline_and_trace_id_are_fixed_fields() {
         let q = sample_query();
         let qs = std::slice::from_ref(&q);
-        // v1 shape: no trailing fields at all.
-        let v1 = encode_estimate_batch(1, "stats", 1, qs, 0, 0);
-        // v2 shape: deadline only — byte-identical to a v2 peer's frame.
-        let v2 = encode_estimate_batch(1, "stats", 1, qs, 250, 0);
-        // v3 shape: deadline + trace (a traced frame always carries both,
-        // even a zero deadline, so length alone disambiguates).
-        let v3 = encode_estimate_batch(1, "stats", 1, qs, 250, 0xfeed);
-        let v3_no_deadline = encode_estimate_batch(1, "stats", 1, qs, 0, 0xfeed);
-        assert_eq!(v2.len(), v1.len() + 8);
-        assert_eq!(v3.len(), v1.len() + 16);
-        assert_eq!(v3_no_deadline.len(), v1.len() + 16);
-
-        let b = decode_estimate_batch(&v1).unwrap();
-        assert_eq!((b.deadline_ms, b.trace_id), (0, 0));
-        let b = decode_estimate_batch(&v2).unwrap();
-        assert_eq!((b.deadline_ms, b.trace_id), (250, 0));
-        let b = decode_estimate_batch(&v3).unwrap();
-        assert_eq!((b.deadline_ms, b.trace_id), (250, 0xfeed));
-        let b = decode_estimate_batch(&v3_no_deadline).unwrap();
-        assert_eq!((b.deadline_ms, b.trace_id), (0, 0xfeed));
-
-        // 9..15 trailing bytes is neither shape: corruption, not a trace.
-        let mut torn = v2.clone();
-        torn.extend_from_slice(&[0x01, 0x02, 0x03]);
-        assert!(decode_estimate_batch(&torn).is_err());
+        let len = encode_estimate_batch(1, "stats", 1, qs, 0, 0).len();
+        for (deadline_ms, trace_id) in DEADLINE_TRACE_PAIRS {
+            let payload = encode_estimate_batch(1, "stats", 1, qs, deadline_ms, trace_id);
+            assert_eq!(payload.len(), len, "one layout whatever the values");
+            let b = decode_estimate_batch(&payload).unwrap();
+            assert_eq!((b.deadline_ms, b.trace_id), (deadline_ms, trace_id));
+            assert_eq!(b.queries[0].filters(), q.filters());
+            // Stray bytes after the queries are corruption, not a field.
+            let mut torn = payload.clone();
+            torn.extend_from_slice(&[0x01; 8]);
+            assert_eq!(
+                decode_estimate_batch(&torn).err(),
+                Some(WireError::TrailingBytes)
+            );
+        }
     }
 
     #[test]
@@ -1212,11 +1125,14 @@ mod tests {
         .unwrap();
         let mut cursor = &pipe[..];
         let mut buf = Vec::new();
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut cursor, &mut buf).unwrap(), FrameRead::Frame);
         assert_eq!(decode_hello(&buf).unwrap(), PROTOCOL_VERSION);
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut cursor, &mut buf).unwrap(), FrameRead::Frame);
         assert_eq!(buf[0], OP_REJECTED);
-        assert!(!read_frame(&mut cursor, &mut buf).unwrap(), "clean EOF");
+        assert_eq!(
+            read_frame(&mut cursor, &mut buf).unwrap(),
+            FrameRead::CleanEof
+        );
 
         // A hostile length prefix is refused before allocating.
         let huge = (MAX_FRAME_LEN + 1).to_le_bytes();
@@ -1287,7 +1203,38 @@ mod tests {
         }
         // Zero bytes at a frame boundary stays a clean EOF.
         let mut cursor: &[u8] = &[];
-        assert!(!read_frame(&mut cursor, &mut buf).unwrap());
+        assert_eq!(
+            read_frame(&mut cursor, &mut buf).unwrap(),
+            FrameRead::CleanEof
+        );
+    }
+
+    #[test]
+    fn a_timeout_is_quiet_at_a_frame_boundary_and_an_error_mid_frame() {
+        /// Yields its bytes, then fails every read the way a socket read
+        /// timeout does.
+        struct Quiet<'a>(&'a [u8]);
+        impl Read for Quiet<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                self.0.read(buf)
+            }
+        }
+        let mut full = Vec::new();
+        write_frame(&mut full, &encode_hello()).unwrap();
+        let mut buf = Vec::new();
+        let mut quiet = Quiet(&full);
+        assert_eq!(read_frame(&mut quiet, &mut buf).unwrap(), FrameRead::Frame);
+        assert_eq!(
+            read_frame(&mut quiet, &mut buf).unwrap(),
+            FrameRead::TimedOut
+        );
+        for cut in [2, 6] {
+            let err = read_frame(&mut Quiet(&full[..cut]), &mut buf).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1322,6 +1269,8 @@ mod tests {
         enc.u64(1);
         enc.str("stats");
         enc.u32(1);
+        enc.u64(0); // no deadline
+        enc.u64(0); // untraced
         enc.u32(1); // one query
         enc.u32(tables.len() as u32);
         for t in &tables {
@@ -1378,11 +1327,9 @@ mod tests {
             }),
             Err("slot error".into()),
         ];
-        let frames: Vec<Vec<u8>> = vec![
+        let mut frames: Vec<Vec<u8>> = vec![
             encode_hello(),
             encode_hello_ok(&["imdb".into(), "stats".into()]),
-            encode_estimate_batch(7, "stats", 1, &[q.clone(), q.clone()], 125, 0),
-            encode_estimate_batch(8, "stats", 1, &[q], 125, 0xdead_beef),
             encode_batch_result(9, &results),
             encode_rejected(3, RejectReason::Overloaded, "full"),
             encode_health(),
@@ -1390,6 +1337,17 @@ mod tests {
             encode_metrics(),
             encode_metrics_ok("# HELP fj_requests_total Requests served.\nfj_requests_total 1\n"),
         ];
+        for (deadline_ms, trace_id) in DEADLINE_TRACE_PAIRS {
+            let qs = [q.clone(), q.clone()];
+            frames.push(encode_estimate_batch(
+                7,
+                "stats",
+                1,
+                &qs,
+                deadline_ms,
+                trace_id,
+            ));
+        }
 
         for seed in 0..64u64 {
             let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xfa17;

@@ -1,8 +1,8 @@
 //! Integration suite for the observability plane (the fj-obs tentpole):
 //! end-to-end traces that pin a slow batch to its dominant stage, remote
-//! metrics scrapes over the wire, and cross-shard stats merging. (The
-//! raw-frame v1/v2-against-v3 wire-compat regressions live with the
-//! in-crate server tests, which can speak the `pub(crate)` codec.)
+//! metrics scrapes over the wire, and cross-shard stats merging. (Raw-frame
+//! tests, such as the version handshake, live with the in-crate server
+//! tests, which can speak the `pub(crate)` codec.)
 
 use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
