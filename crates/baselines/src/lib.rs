@@ -1,39 +1,29 @@
 //! # fj-baselines — the CardEst methods FactorJoin is evaluated against
 //!
-//! One implementation per baseline of the paper's §6.1, all behind the
-//! [`CardEst`] trait so the end-to-end harness treats them uniformly:
+//! The §6.1 baselines that a recorded number (`BENCH_quality.json`, the
+//! quality gate, the pipeline tests) uses, all behind the [`CardEst`]
+//! trait so the end-to-end harness treats them uniformly. The paper's
+//! other baselines (WJSample, MSCN, BayesCard/DeepDB/FLAT, U-Block) are
+//! not implemented here.
 //!
 //! | paper name | here | category |
 //! |---|---|---|
 //! | PostgreSQL | [`PostgresLike`] | traditional (histogram + Selinger) |
 //! | JoinHist | [`JoinHist`] | traditional (join histograms) — plus the Table 8 `with Bound` / `with Conditional` variants |
-//! | WJSample | [`WanderJoin`] | sampling (random walks) |
-//! | MSCN | [`MscnLite`] | learned query-driven (from-scratch MLP) |
-//! | BayesCard / DeepDB / FLAT | [`DataDrivenFanout`] (small/medium/large) | learned data-driven (join-template models) |
 //! | PessEst | [`PessEst`] | bound-based (sketches on filtered tables) |
-//! | U-Block | [`UBlock`] | bound-based (top-k statistics) |
 //! | TrueCard | [`TrueCard`] | oracle |
 //! | FactorJoin | [`FactorJoinEst`] | this paper |
 
-pub mod datadriven;
 pub mod factorjoin_est;
 pub mod joinhist;
-pub mod mscn;
-pub mod nn;
 pub mod pessest;
 pub mod postgres;
 pub mod traits;
 pub mod truecard;
-pub mod ublock;
-pub mod wander;
 
-pub use datadriven::{DataDrivenFanout, FanoutSize};
 pub use factorjoin_est::FactorJoinEst;
 pub use joinhist::{JoinHist, JoinHistConfig};
-pub use mscn::{MscnConfig, MscnLite};
 pub use pessest::PessEst;
 pub use postgres::PostgresLike;
 pub use traits::CardEst;
 pub use truecard::TrueCard;
-pub use ublock::UBlock;
-pub use wander::WanderJoin;

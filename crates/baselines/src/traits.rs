@@ -7,8 +7,8 @@ use fj_query::{connected_subplans, Query, SubplanMask};
 /// `estimate_subplans` is the operation the end-to-end experiments time as
 /// *planning latency*: estimating every connected sub-plan of a query
 /// (paper §6.1 injects exactly these into Postgres). Methods take `&mut
-/// self` because several baselines keep per-query scratch state (random
-/// walk RNGs, materialized filter caches).
+/// self` because a baseline may keep scratch state across queries
+/// (FactorJoin's estimation buffers).
 pub trait CardEst {
     /// Display name used in experiment tables.
     fn name(&self) -> &'static str;

@@ -6,7 +6,7 @@ use factorjoin::{
     build_group_bins, BaseEstimatorKind, BinBudget, BinningStrategy, Factor, FactorJoinConfig,
     FactorJoinModel, JoinScratch, KeepVars, KeyFreq,
 };
-use fj_baselines::{CardEst, FactorJoinEst, PessEst, PostgresLike, UBlock};
+use fj_baselines::{CardEst, FactorJoinEst, PessEst, PostgresLike};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_stats::{BaseTableEstimator, BayesNetEstimator, BnConfig, TableBins};
 use fj_storage::KeyRef;
@@ -126,17 +126,6 @@ fn planning_latency(c: &mut Criterion) {
             let mut n = 0usize;
             for q in &wl {
                 n += pg.estimate_subplans(q, 1).len();
-            }
-            std::hint::black_box(n)
-        })
-    });
-
-    let mut ub = UBlock::build(&cat, 64);
-    group.bench_function("ublock", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            for q in &wl {
-                n += ub.estimate_subplans(q, 1).len();
             }
             std::hint::black_box(n)
         })

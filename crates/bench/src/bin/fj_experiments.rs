@@ -9,15 +9,14 @@
 //! ```
 
 use fj_bench::experiments::{
-    end_to_end, fig6, fig7, fig9, per_query, table1, table2, table5, table6, table7, table8,
-    ExpConfig,
+    end_to_end, fig6, fig7, fig9, per_query, table2, table5, table6, table7, table8, ExpConfig,
 };
 use fj_bench::{quality, record, BenchKind};
 use std::path::Path;
 
 const KNOWN_IDS: &[&str] = &[
-    "all", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "fig6",
-    "fig7", "fig8", "fig9", "fig10", "fig11",
+    "all", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "fig6", "fig7",
+    "fig8", "fig9", "fig10", "fig11",
 ];
 
 /// The value following flag `name`, or usage-style exit 2 when it is missing.
@@ -190,9 +189,6 @@ fn main() {
     let run_all = args.iter().any(|a| a == "all");
     let want = |id: &str| run_all || args.iter().any(|a| a == id);
 
-    if want("table1") {
-        table1();
-    }
     if want("table2") {
         table2(cfg);
     }

@@ -7,11 +7,9 @@ use factorjoin::{
     BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel,
 };
 use fj_baselines::{
-    CardEst, DataDrivenFanout, FactorJoinEst, FanoutSize, JoinHist, JoinHistConfig, MscnConfig,
-    MscnLite, PessEst, PostgresLike, TrueCard, UBlock, WanderJoin,
+    CardEst, FactorJoinEst, JoinHist, JoinHistConfig, PessEst, PostgresLike, TrueCard,
 };
-use fj_datagen::{stats_catalog_split_by_date, training_workload, StatsConfig, WorkloadConfig};
-use fj_exec::TrueCardEngine;
+use fj_datagen::{stats_catalog_split_by_date, StatsConfig, WorkloadConfig};
 use fj_stats::BnConfig;
 
 /// Experiment-wide knobs (scale, query caps) read from the environment.
@@ -21,8 +19,6 @@ pub struct ExpConfig {
     pub scale: f64,
     /// Optional cap on evaluation queries (None = paper-shaped counts).
     pub queries: Option<usize>,
-    /// Training queries for MSCN.
-    pub mscn_train: usize,
     /// When set, load the benchmark database from this real-dump directory
     /// (`--dataset-dir` / `FJ_DATASET_DIR`) instead of generating synthetic
     /// data; `scale` is ignored for the data (workloads still adapt to it).
@@ -48,7 +44,6 @@ impl ExpConfig {
         ExpConfig {
             scale,
             queries,
-            mscn_train: 200,
             dataset_dir,
         }
     }
@@ -58,7 +53,6 @@ impl ExpConfig {
         ExpConfig {
             scale: 0.04,
             queries: Some(10),
-            mscn_train: 40,
             dataset_dir: None,
         }
     }
@@ -105,85 +99,6 @@ pub fn paper_factorjoin(env: &BenchEnv) -> FactorJoinEst {
         threads: 0,
     };
     FactorJoinEst::new(FactorJoinModel::train(&env.catalog, cfg))
-}
-
-fn mscn_for(env: &BenchEnv, n_train: usize) -> MscnLite {
-    let wl_cfg = match env.kind {
-        BenchKind::StatsCeb => WorkloadConfig::stats_ceb(),
-        BenchKind::ImdbJob => WorkloadConfig::imdb_job(),
-    };
-    let train = training_workload(&env.catalog, &wl_cfg, n_train);
-    let labelled: Vec<(fj_query::Query, f64)> = train
-        .into_iter()
-        .map(|q| {
-            let card = TrueCardEngine::new(&env.catalog, &q).full_cardinality();
-            (q, card)
-        })
-        .collect();
-    MscnLite::train(&env.catalog, &labelled, MscnConfig::default())
-}
-
-/// Table 1: the taxonomy is qualitative; print it as a reference summary.
-pub fn table1() {
-    let mut t = Table::new(
-        "Table 1 — CardEst method taxonomy (qualitative, from the paper)",
-        &[
-            "method",
-            "category",
-            "handles correlation",
-            "handles joins",
-            "bound",
-        ],
-    );
-    for (m, c, corr, joins, bound) in [
-        (
-            "postgres",
-            "traditional",
-            "no (indep.)",
-            "NDV uniformity",
-            "no",
-        ),
-        (
-            "joinhist",
-            "traditional",
-            "no (indep.)",
-            "per-bin uniformity",
-            "no",
-        ),
-        ("wjsample", "sampling", "via sampling", "random walks", "no"),
-        ("mscn", "query-driven", "learned", "learned", "no"),
-        (
-            "bayescard/deepdb/flat",
-            "data-driven",
-            "learned",
-            "fanout templates",
-            "no",
-        ),
-        (
-            "pessest",
-            "bound-based",
-            "exact at runtime",
-            "sketch bound",
-            "yes",
-        ),
-        ("ublock", "bound-based", "no", "top-k bound", "yes"),
-        (
-            "factorjoin",
-            "this paper",
-            "single-table models",
-            "factor-graph bound",
-            "yes",
-        ),
-    ] {
-        t.row(vec![
-            m.into(),
-            c.into(),
-            corr.into(),
-            joins.into(),
-            bound.into(),
-        ]);
-    }
-    t.print();
 }
 
 /// Table 2: benchmark summary statistics.
@@ -306,19 +221,9 @@ pub fn end_to_end(kind: BenchKind, cfg: ExpConfig) -> Vec<MethodResult> {
     if kind == BenchKind::StatsCeb {
         let mut jh = JoinHist::build(&env.catalog, JoinHistConfig::classic(100));
         results.push(runner.run(&mut jh));
-        for size in [FanoutSize::Small, FanoutSize::Medium, FanoutSize::Large] {
-            let mut dd = DataDrivenFanout::build(&env.catalog, size);
-            results.push(runner.run(&mut dd));
-        }
     }
-    let mut wj = WanderJoin::build(&env.catalog, 200, 7);
-    results.push(runner.run(&mut wj));
-    let mut mscn = mscn_for(&env, cfg.mscn_train);
-    results.push(runner.run(&mut mscn));
     let mut pe = PessEst::new(&env.catalog, 512);
     results.push(runner.run(&mut pe));
-    let mut ub = UBlock::build(&env.catalog, 64);
-    results.push(runner.run(&mut ub));
     let mut fj = paper_factorjoin(&env);
     results.push(runner.run(&mut fj));
 
@@ -375,7 +280,6 @@ pub fn fig7(cfg: ExpConfig) {
     );
     let mut methods: Vec<Box<dyn CardEst>> = vec![
         Box::new(PostgresLike::build(&env.catalog)),
-        Box::new(DataDrivenFanout::build(&env.catalog, FanoutSize::Large)),
         Box::new(PessEst::new(&env.catalog, 512)),
         Box::new(paper_factorjoin(&env)),
     ];
@@ -459,7 +363,7 @@ pub fn per_query(kind: BenchKind, cfg: ExpConfig) {
         let mut run = EndToEnd::new(&env);
         run.zero_planning = zero;
         let r = run.run(m.as_mut());
-        for c in 0..4 {
+        for (c, name) in names.iter().enumerate() {
             let idx: Vec<usize> = (0..env.queries.len())
                 .filter(|&i| cluster_of(totals_pg[i]) == c)
                 .collect();
@@ -473,7 +377,7 @@ pub fn per_query(kind: BenchKind, cfg: ExpConfig) {
                 .sum();
             t.row(vec![
                 r.method.clone(),
-                names[c].into(),
+                (*name).into(),
                 idx.len().to_string(),
                 fmt_seconds(pg_tot),
                 fmt_seconds(m_tot),
@@ -484,7 +388,7 @@ pub fn per_query(kind: BenchKind, cfg: ExpConfig) {
     t.print();
 }
 
-/// Table 5: incremental updates on STATS-CEB.
+/// Table 5: incremental update versus retraining on STATS-CEB (§4.3).
 pub fn table5(cfg: ExpConfig) {
     // The update experiment needs the generator's date-split (base catalog
     // + later inserts); it cannot run against a loaded dump. Skipping
@@ -502,15 +406,10 @@ pub fn table5(cfg: ExpConfig) {
         ..Default::default()
     };
     let (mut base, inserts) = stats_catalog_split_by_date(&stats_cfg, 1825);
-    // Train stale models on the first half.
+    // Train on the first half, then apply the inserts incrementally (§4.3).
     let fj_cfg = FactorJoinConfig::default();
-    let mut fj = FactorJoinModel::train(&base, fj_cfg);
-    let t_dd = std::time::Instant::now();
-    let _dd_stale = DataDrivenFanout::build(&base, FanoutSize::Medium);
-    let dd_train = t_dd.elapsed().as_secs_f64();
-
-    // Apply inserts: FactorJoin incrementally, data-driven must retrain.
-    let t_fj = std::time::Instant::now();
+    let mut fj = FactorJoinModel::train(&base, fj_cfg.clone());
+    let t_inc = std::time::Instant::now();
     for (tname, rows) in &inserts {
         let first = base.table(tname).expect("table exists").nrows();
         base.table_mut(tname)
@@ -520,10 +419,11 @@ pub fn table5(cfg: ExpConfig) {
         let table = base.table(tname).expect("table exists").clone();
         fj.insert(&table, first);
     }
-    let fj_update = t_fj.elapsed().as_secs_f64();
-    let t_dd2 = std::time::Instant::now();
-    let mut dd = DataDrivenFanout::build(&base, FanoutSize::Medium);
-    let dd_update = t_dd2.elapsed().as_secs_f64();
+    let inc_s = t_inc.elapsed().as_secs_f64();
+    // The alternative: retrain from scratch on the updated data.
+    let t_retrain = std::time::Instant::now();
+    let retrained = FactorJoinModel::train(&base, fj_cfg);
+    let retrain_s = t_retrain.elapsed().as_secs_f64();
 
     // End-to-end after update, against the updated data.
     let wl = fj_datagen::stats_ceb_workload(
@@ -537,9 +437,6 @@ pub fn table5(cfg: ExpConfig) {
     let runner = EndToEnd::new(&env);
     let mut pg = PostgresLike::build(&env.catalog);
     let r_pg = runner.run(&mut pg);
-    let mut fj_est = FactorJoinEst::new(fj);
-    let r_fj = runner.run(&mut fj_est);
-    let r_dd = runner.run(&mut dd);
 
     let mut t = Table::new(
         "Table 5 — incremental update performance on STATS-CEB",
@@ -550,22 +447,22 @@ pub fn table5(cfg: ExpConfig) {
             "improvement over postgres",
         ],
     );
-    t.row(vec![
-        "deepdb-like (retrain)".into(),
-        fmt_seconds(dd_update + dd_train * 0.0),
-        fmt_seconds(r_dd.total_s()),
-        format!("{:+.1}%", r_dd.improvement_over(&r_pg) * 100.0),
-    ]);
-    t.row(vec![
-        "factorjoin (incremental)".into(),
-        fmt_seconds(fj_update),
-        fmt_seconds(r_fj.total_s()),
-        format!("{:+.1}%", r_fj.improvement_over(&r_pg) * 100.0),
-    ]);
+    for (label, model, update_s) in [
+        ("factorjoin (incremental)", fj, inc_s),
+        ("factorjoin (retrain)", retrained, retrain_s),
+    ] {
+        let r = runner.run(&mut FactorJoinEst::new(model));
+        t.row(vec![
+            label.into(),
+            fmt_seconds(update_s),
+            fmt_seconds(r.total_s()),
+            format!("{:+.1}%", r.improvement_over(&r_pg) * 100.0),
+        ]);
+    }
     t.print();
     println!(
-        "update speedup: {:.0}x faster than retraining the data-driven model",
-        (dd_update / fj_update.max(1e-9)).max(1.0)
+        "update speedup: {:.1}x (retrain ÷ incremental)",
+        retrain_s / inc_s.max(1e-9)
     );
 }
 

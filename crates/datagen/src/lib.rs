@@ -29,4 +29,4 @@ pub use imdb_db::{imdb_catalog, ImdbConfig};
 pub use loader::{load_dataset, load_table_csv, write_dataset, LoadError};
 pub use schemas::DatasetKind;
 pub use stats_db::{stats_catalog, stats_catalog_split_by_date, StatsConfig};
-pub use workload::{imdb_job_workload, stats_ceb_workload, training_workload, WorkloadConfig};
+pub use workload::{imdb_job_workload, stats_ceb_workload, WorkloadConfig};

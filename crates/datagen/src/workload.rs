@@ -107,17 +107,6 @@ pub fn imdb_job_workload(catalog: &Catalog, cfg: &WorkloadConfig) -> Vec<Query> 
     generate(catalog, cfg)
 }
 
-/// Generates `n` training queries for learned query-driven baselines
-/// (MSCN-lite). Uses a distinct seed-space so training and evaluation
-/// workloads differ while sharing template structure.
-pub fn training_workload(catalog: &Catalog, cfg: &WorkloadConfig, n: usize) -> Vec<Query> {
-    let mut train_cfg = *cfg;
-    train_cfg.seed = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(7);
-    train_cfg.num_queries = n;
-    train_cfg.num_templates = (cfg.num_templates * 2).max(8);
-    generate(catalog, &train_cfg)
-}
-
 fn generate(catalog: &Catalog, cfg: &WorkloadConfig) -> Vec<Query> {
     assert!(cfg.min_tables >= 2 && cfg.max_tables >= cfg.min_tables);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -504,18 +493,6 @@ mod tests {
         assert_eq!((j.num_queries, j.num_templates), (113, 33));
         assert!(j.allow_cyclic && j.allow_like);
         assert!(!s.allow_cyclic && !s.allow_like);
-    }
-
-    #[test]
-    fn training_workload_distinct_from_eval() {
-        let cat = stats_catalog(&StatsConfig::tiny());
-        let cfg = WorkloadConfig::tiny(5);
-        let eval = stats_ceb_workload(&cat, &cfg);
-        let train = training_workload(&cat, &cfg, 25);
-        assert_eq!(train.len(), 25);
-        let se: Vec<String> = eval.iter().map(|q| q.to_sql(&cat)).collect();
-        let st: Vec<String> = train.iter().map(|q| q.to_sql(&cat)).collect();
-        assert!(st.iter().filter(|s| se.contains(s)).count() < st.len() / 2);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! [`Selection`] bitmap ([`CompiledFilter::select`]): each predicate reads
 //! one typed column slice and produces one `u64` per 64 rows, NULLs are
 //! masked a word at a time from the column's null bitmap, and AND/OR/NOT
-//! are word operations. [`CompiledFilter::eval`] decides a single row, for
-//! callers that look rows up by index instead of scanning.
+//! are word operations.
 
 use crate::expr::FilterExpr;
 use crate::like::LikePattern;
@@ -230,13 +229,6 @@ fn cmp_holds<T: PartialOrd>(op: CmpOp, x: T, v: T) -> bool {
 }
 
 impl CompiledFilter {
-    /// Evaluates the filter for row `idx` of the table it was compiled for.
-    /// For point lookups; scans go through [`Self::select`].
-    #[inline]
-    pub fn eval(&self, table: &Table, idx: usize) -> bool {
-        eval_node(&self.root, table, idx)
-    }
-
     /// Evaluates the filter for every row of the table it was compiled
     /// for, leaving in `out` one bit per row (set = the row passes).
     pub fn select(&self, table: &Table, out: &mut Selection) {
@@ -258,50 +250,6 @@ impl CompiledFilter {
         let mut selection = Selection::default();
         self.select(table, &mut selection);
         selection.count()
-    }
-}
-
-fn eval_node(node: &CompiledNode, table: &Table, idx: usize) -> bool {
-    match node {
-        CompiledNode::True => true,
-        CompiledNode::Pred(p) => eval_pred(p, table, idx),
-        CompiledNode::And(parts) => parts.iter().all(|n| eval_node(n, table, idx)),
-        CompiledNode::Or(parts) => parts.iter().any(|n| eval_node(n, table, idx)),
-        CompiledNode::Not(inner) => !eval_node(inner, table, idx),
-    }
-}
-
-#[inline]
-fn eval_pred(p: &CompiledPred, table: &Table, idx: usize) -> bool {
-    let valid = |col: &usize| !table.column(*col).is_null(idx);
-    match p {
-        CompiledPred::IntCmp { col, op, v } => {
-            valid(col) && cmp_holds(*op, table.column(*col).ints()[idx], *v)
-        }
-        CompiledPred::IntCmpF { col, op, v } => {
-            valid(col) && cmp_holds(*op, table.column(*col).ints()[idx] as f64, *v)
-        }
-        CompiledPred::FloatCmp { col, op, v } => {
-            valid(col) && cmp_holds(*op, table.column(*col).floats()[idx], *v)
-        }
-        CompiledPred::IntBetween { col, lo, hi } => {
-            valid(col) && (*lo..=*hi).contains(&table.column(*col).ints()[idx])
-        }
-        CompiledPred::FloatBetween { col, lo, hi } => {
-            valid(col) && (*lo..=*hi).contains(&table.column(*col).floats()[idx])
-        }
-        CompiledPred::IntIn { col, ints, floats } => {
-            let x = table.column(*col).ints()[idx];
-            valid(col) && (ints.binary_search(&x).is_ok() || float_in(floats, x as f64))
-        }
-        CompiledPred::FloatIn { col, values } => {
-            valid(col) && float_in(values, table.column(*col).floats()[idx])
-        }
-        CompiledPred::StrCodes { col, codes } => {
-            valid(col) && codes[table.column(*col).codes()[idx] as usize]
-        }
-        CompiledPred::IsNull { col, negated } => table.column(*col).is_null(idx) != *negated,
-        CompiledPred::Never => false,
     }
 }
 
@@ -529,17 +477,11 @@ mod tests {
             .collect()
     }
 
-    /// Both compiled paths — the bitmap scan and the per-row `eval` —
-    /// against the reference.
+    /// The compiled bitmap scan against the reference.
     fn check(expr: FilterExpr) {
         let t = table();
         let expected = reference(&t, &expr);
         assert_eq!(filtered_selection(&t, &expr), expected, "expr {expr}");
-        let compiled = compile_filter(&t, &expr);
-        let by_row: Vec<u32> = (0..t.nrows() as u32)
-            .filter(|&r| compiled.eval(&t, r as usize))
-            .collect();
-        assert_eq!(by_row, expected, "expr {expr} row by row");
     }
 
     #[test]

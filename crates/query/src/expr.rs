@@ -158,16 +158,6 @@ impl FilterExpr {
         }
     }
 
-    /// True when the expression is a pure conjunction of atomic predicates
-    /// (no OR/NOT) — the shape the Bayesian-network estimator handles natively.
-    pub fn is_conjunctive(&self) -> bool {
-        match self {
-            FilterExpr::True | FilterExpr::Pred(_) => true,
-            FilterExpr::And(parts) => parts.iter().all(FilterExpr::is_conjunctive),
-            FilterExpr::Or(_) | FilterExpr::Not(_) => false,
-        }
-    }
-
     /// Number of atomic predicates.
     pub fn num_predicates(&self) -> usize {
         self.predicates().len()
@@ -369,21 +359,6 @@ mod tests {
         ]);
         assert_eq!(e.columns(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(e.num_predicates(), 3);
-    }
-
-    #[test]
-    fn conjunctive_detection() {
-        let conj = FilterExpr::and(vec![
-            FilterExpr::pred(Predicate::eq("a", 1)),
-            FilterExpr::pred(Predicate::eq("b", 2)),
-        ]);
-        assert!(conj.is_conjunctive());
-        let disj = FilterExpr::or(vec![
-            FilterExpr::pred(Predicate::eq("a", 1)),
-            FilterExpr::pred(Predicate::eq("b", 2)),
-        ]);
-        assert!(!disj.is_conjunctive());
-        assert!(FilterExpr::True.is_conjunctive());
     }
 
     #[test]

@@ -71,9 +71,9 @@ impl QueryGraph {
         // members by ascending key index. Roots take their ids first, then
         // every key reads its root's.
         let mut num_vars = 0;
-        for k in 0..keys.len() {
+        for (k, key) in keys.iter_mut().enumerate() {
             if uf.find(k) == k {
-                keys[k].1 = num_vars;
+                key.1 = num_vars;
                 num_vars += 1;
             }
         }

@@ -231,10 +231,18 @@ impl ModelRegistry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
     use fj_datagen::{stats_catalog, StatsConfig};
+
+    /// Holds `registry`'s write lock until the returned guard drops, so
+    /// every model lookup waits — a worker resolving its batch's model
+    /// included. The seam that lets a server test keep a batch in flight
+    /// for exactly as long as it needs, whatever the scheduling.
+    pub(crate) fn hold_lookups(registry: &ModelRegistry) -> impl Sized + '_ {
+        registry.entries.write().expect("registry lock")
+    }
 
     fn tiny_model(k: usize) -> (Arc<FactorJoinModel>, Catalog) {
         let cat = stats_catalog(&StatsConfig {

@@ -997,6 +997,62 @@ mod tests {
         assert_eq!((id, reason), (9, RejectReason::DeadlineExceeded));
     }
 
+    /// The admission-control acceptance criterion: a client past its
+    /// in-flight quota observes an explicit rejection — not a hang — and
+    /// the quota frees up once the in-flight batch completes.
+    #[test]
+    fn quota_exceeded_is_rejected_not_hung() {
+        let (model, queries) = tiny_setup();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1)
+                .with_queue_capacity(queries.len())
+                .with_max_inflight(1),
+        )
+        .expect("bind");
+        let mut client = FjClient::connect(server.local_addr()).expect("connect");
+
+        // The shard's only worker waits at its model lookup until `hold`
+        // drops, so the first batch is still in flight when the second
+        // arrives, however the threads are scheduled.
+        let hold = crate::registry::tests::hold_lookups(server.registry("stats").expect("shard"));
+        let id_inflight = client.send("stats", 1, &queries).expect("send in-flight");
+        let id_over = client
+            .send("stats", 1, &queries[..1])
+            .expect("send over-quota");
+
+        // The rejection lands while the first batch is still in flight.
+        match client.recv(id_over).expect("recv over-quota") {
+            wire::BatchOutcome::Rejected { reason, message } => {
+                assert_eq!(reason, RejectReason::QuotaExceeded);
+                assert!(message.contains('1'), "message names the quota: {message}");
+            }
+            wire::BatchOutcome::Served(_) => {
+                panic!("over-quota request was served, not rejected")
+            }
+        }
+        drop(hold);
+        // The in-flight batch itself is unaffected by the rejection.
+        match client.recv(id_inflight).expect("recv in-flight") {
+            wire::BatchOutcome::Served(results) => {
+                assert_eq!(results.len(), queries.len());
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            other => panic!("in-flight batch lost: {other:?}"),
+        }
+        // Quota released on completion: the retry goes through.
+        match client.call("stats", 1, &queries[..1]).expect("retry") {
+            wire::BatchOutcome::Served(results) => assert_eq!(results.len(), 1),
+            other => panic!("post-completion retry rejected: {other:?}"),
+        }
+
+        let snap = server.stats("stats").expect("shard stats");
+        assert_eq!(snap.rejected, 1, "the quota rejection is counted");
+        assert_eq!(snap.shed, 0);
+        server.shutdown();
+    }
+
     /// Regression for the empty-batch fast path skipping the duplicate-id
     /// check: reusing an in-flight id — even with an empty batch — must
     /// drop the connection, never produce two responses with one tag.
@@ -1004,8 +1060,7 @@ mod tests {
     fn empty_batch_reusing_an_in_flight_id_drops_the_connection() {
         let (model, wl) = tiny_setup();
         // One worker and a big batch: in flight for milliseconds while the
-        // next frame arrives microseconds later (same margin the quota
-        // integration test relies on).
+        // next frame arrives microseconds later.
         let big: Vec<Query> = std::iter::repeat_with(|| wl.iter().cloned())
             .take(8)
             .flatten()

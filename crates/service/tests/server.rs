@@ -220,63 +220,6 @@ fn hot_swap_mid_flight_is_visible_through_epochs() {
     }
 }
 
-/// The admission-control acceptance criterion: a client past its in-flight
-/// quota observes an explicit rejection — not a hang — and the quota
-/// frees up once the in-flight batch completes.
-#[test]
-fn quota_exceeded_is_rejected_not_hung() {
-    let catalog = tiny_catalog();
-    let model = Arc::new(train(&catalog, 25));
-    let queries = workload(&catalog, 19);
-    // One big in-flight batch: the single worker needs many TrueScan
-    // estimates (milliseconds) to finish it, while the reader thread sees
-    // the next frame microseconds later — a >1000x margin, so the second
-    // request deterministically finds the quota exhausted.
-    let big: Vec<Query> = std::iter::repeat_with(|| queries.iter().cloned())
-        .take(8)
-        .flatten()
-        .collect();
-
-    let (server, addr) = serve_one(
-        Arc::clone(&model),
-        ServerConfig::new(1)
-            .with_queue_capacity(big.len())
-            .with_max_inflight(1),
-    );
-    let mut client = FjClient::connect(addr).expect("connect");
-
-    let id_big = client.send("stats", 1, &big).expect("send big");
-    let id_over = client
-        .send("stats", 1, &queries[..1])
-        .expect("send over-quota");
-
-    // The rejection lands while the big batch is still computing.
-    match client.recv(id_over).expect("recv over-quota") {
-        BatchOutcome::Rejected { reason, message } => {
-            assert_eq!(reason, RejectReason::QuotaExceeded);
-            assert!(message.contains('1'), "message names the quota: {message}");
-        }
-        BatchOutcome::Served(_) => panic!("over-quota request was served, not rejected"),
-    }
-    // The in-flight batch itself is unaffected by the rejection.
-    match client.recv(id_big).expect("recv big") {
-        BatchOutcome::Served(results) => {
-            assert_eq!(results.len(), big.len());
-            assert!(results.iter().all(|r| r.is_ok()));
-        }
-        other => panic!("in-flight batch lost: {other:?}"),
-    }
-    // Quota released on completion: the retry goes through.
-    match client.call("stats", 1, &queries[..1]).expect("retry") {
-        BatchOutcome::Served(results) => assert_eq!(results.len(), 1),
-        other => panic!("post-completion retry rejected: {other:?}"),
-    }
-
-    let snap = server.stats("stats").expect("shard stats");
-    assert_eq!(snap.rejected, 1, "the quota rejection is counted");
-    assert_eq!(snap.shed, 0);
-}
-
 /// Queue-full shedding is all-or-nothing and therefore deterministic: a
 /// batch larger than the shard queue is always refused whole, the
 /// connection stays usable, and the shed shows up in the stats.

@@ -129,6 +129,11 @@ fn hot_swap_under_load_never_mixes_models() {
     ));
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The swapper reports its first swap, and the clients start only after
+    // it: on a loaded machine they could otherwise finish every pass
+    // before the swapper is ever scheduled, and the test would check
+    // nothing.
+    let (first_swap_tx, first_swap_rx) = std::sync::mpsc::channel();
     let swapped_epochs = {
         // Swapper: flip between the two models while clients run.
         let registry = Arc::clone(&registry);
@@ -141,12 +146,16 @@ fn hot_swap_under_load_never_mixes_models() {
                 let next = if to_b { Arc::clone(&b) } else { Arc::clone(&a) };
                 assert!(registry.swap_model("stats", next).is_some());
                 epochs.push(registry.get("stats").expect("registered").epoch);
+                if epochs.len() == 1 {
+                    first_swap_tx.send(()).expect("main thread waits");
+                }
                 to_b = !to_b;
                 std::thread::yield_now();
             }
             epochs
         })
     };
+    first_swap_rx.recv().expect("swapper made its first swap");
 
     let clients: Vec<_> = (0..3)
         .map(|c| {

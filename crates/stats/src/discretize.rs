@@ -418,9 +418,10 @@ impl DiscreteColumn {
                         let full_to = maxs.partition_point(|&hi| hi as f64 + 1.0 <= b);
                         codes[..zero_to].fill(0.0);
                         codes[zero_from.max(zero_to)..].fill(0.0);
-                        for i in zero_to..zero_from {
+                        let partial = codes.iter_mut().enumerate().take(zero_from);
+                        for (i, slot) in partial.skip(zero_to) {
                             if !(full_from..full_to).contains(&i) {
-                                codes[i] *= coverage(i);
+                                *slot *= coverage(i);
                             }
                         }
                         *null = 0.0;

@@ -1,9 +1,8 @@
-//! Differential properties of bulk single-table inference: the selection
-//! bitmap against the per-row evaluator, the compiled filter against the
-//! reference `FilterExpr::eval`, compiled `LIKE` against the reference
-//! matcher, the dictionary-wide `LIKE` matcher against per-entry matching,
-//! string columns across round trips, and the in-place profile against
-//! its parts.
+//! Differential properties of bulk single-table inference: the compiled
+//! filter's selection bitmap against the reference `FilterExpr::eval`,
+//! compiled `LIKE` against the reference matcher, the dictionary-wide
+//! `LIKE` matcher against per-entry matching, string columns across round
+//! trips, and the in-place profile against its parts.
 
 use fj_query::{
     compile_filter, filtered_count, filtered_selection, like_match, CmpOp, FilterExpr, LikePattern,
@@ -301,49 +300,31 @@ fn string_table(entries: &[String]) -> Table {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-    /// The selection bitmap holds exactly the rows the per-row evaluator
-    /// accepts — also when the buffer still holds another filter's bits.
+    /// The compiled filter accepts exactly the rows the reference
+    /// evaluator `FilterExpr::eval` does — also when the selection buffer
+    /// still holds another filter's bits — and every count agrees.
     #[test]
-    fn bulk_selection_equals_per_row_eval(
+    fn compiled_filter_equals_reference_evaluator(
         rows in prop::collection::vec(row(), 200..201),
         nrows in row_count(),
         before in Filters { depth: 2 },
         expr in Filters { depth: 3 },
     ) {
         let t = table(rows, nrows);
-        let compiled = compile_filter(&t, &expr);
-        let expected: Vec<usize> = (0..t.nrows()).filter(|&r| compiled.eval(&t, r)).collect();
+        let expected: Vec<usize> = (0..t.nrows())
+            .filter(|&r| expr.eval(&|c: &str| t.column_by_name(c).expect("bound").get(r)))
+            .collect();
 
+        let compiled = compile_filter(&t, &expr);
         let mut selection = Selection::default();
         compile_filter(&t, &before).select(&t, &mut selection);
         compiled.select(&t, &mut selection);
-        prop_assert_eq!(selection.rows().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(selection.rows().collect::<Vec<_>>(), expected.clone(), "{}", expr);
         prop_assert_eq!(selection.count(), expected.len() as u64);
         prop_assert_eq!(compiled.count(&t), expected.len() as u64);
         prop_assert_eq!(filtered_count(&t, &expr), expected.len() as u64);
         let as_u32: Vec<u32> = expected.iter().map(|&r| r as u32).collect();
         prop_assert_eq!(filtered_selection(&t, &expr), as_u32);
-    }
-
-    /// The compiled filter — bitmap scan and per-row `eval` — accepts
-    /// exactly the rows the reference evaluator `FilterExpr::eval` does,
-    /// so a compile bug both compiled paths share cannot hide.
-    #[test]
-    fn compiled_filter_equals_reference_evaluator(
-        rows in prop::collection::vec(row(), 200..201),
-        nrows in row_count(),
-        expr in Filters { depth: 3 },
-    ) {
-        let t = table(rows, nrows);
-        let reference: Vec<usize> = (0..t.nrows())
-            .filter(|&r| expr.eval(&|c: &str| t.column_by_name(c).expect("bound").get(r)))
-            .collect();
-        let compiled = compile_filter(&t, &expr);
-        let by_row: Vec<usize> = (0..t.nrows()).filter(|&r| compiled.eval(&t, r)).collect();
-        prop_assert_eq!(&by_row, &reference, "{}", expr);
-        let mut selection = Selection::default();
-        compiled.select(&t, &mut selection);
-        prop_assert_eq!(selection.rows().collect::<Vec<_>>(), reference, "{}", expr);
     }
 
     /// `LikePattern::match_dict` marks exactly the entries per-entry
