@@ -1,4 +1,4 @@
-//! Factors and the bound-preserving factor join (paper §4.1, Eq. 5).
+//! Factors and the probabilistic-bound factor join (paper §4.1, Eq. 5).
 //!
 //! A [`Factor`] represents one table (or one already-joined sub-plan) in
 //! the query's factor graph: an estimated row count plus, per adjacent
@@ -14,9 +14,22 @@
 //! (tightened by the always-valid cap `dₗ[i]·dᵣ[i]`), giving both the
 //! sub-plan's cardinality bound (`Σᵢ bound[i]`) and — because the per-bin
 //! bounds form an unnormalized distribution over the joined table's keys —
-//! a new cached factor for progressive estimation (paper §5.2). Residual
-//! variables scale by the implied fan-out and their MFVs multiply by the
-//! other side's maximal MFV, both upper-bound-preserving.
+//! a new cached factor for progressive estimation (paper §5.2).
+//!
+//! ## What the join guarantees
+//!
+//! On one shared variable with exact inputs, each bin's Eq. 5 term bounds
+//! the true join size inside that bin, so the joined `rows` is an upper
+//! bound (paper §4.1). Variables the join does not eliminate — an alias's
+//! other join keys — carry over rescaled by the implied fan-out (the
+//! step's bound over their side's total), so each still sums to the new
+//! row count, and their MFVs multiply by the other side's maximal MFV.
+//! That rescale spreads the fan-out over a residual variable's bins in
+//! proportion to its old distribution: it assumes the eliminated key and
+//! the residual key are independent, and it is **not** a bound. When they
+//! are correlated, a later join on the residual variable can
+//! under-estimate; `ROADMAP.md` item 1, evidence (B), counts such
+//! sub-plans, each with an alias joined on two different keys.
 //!
 //! ## Layout
 //!

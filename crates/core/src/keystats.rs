@@ -81,21 +81,16 @@ impl KeyStats {
     }
 
     /// Incorporates the new rows `first_new_row..` of `table`'s column
-    /// `ci`, updating frequencies, totals, NDV, and MFV counts. New values
-    /// are adopted into their fallback bin of `bins`.
-    pub fn insert(&mut self, table: &Table, ci: usize, first_new_row: usize, bins: &mut KeyBinMap) {
+    /// `ci`, updating frequencies, totals, NDV, and MFV counts. `bins` is
+    /// the key group's frozen map: a value it has never seen lands in its
+    /// deterministic fallback bin, the same one every estimator sharing the
+    /// map assigns it (paper §4.3).
+    pub fn insert(&mut self, table: &Table, ci: usize, first_new_row: usize, bins: &KeyBinMap) {
         let column = table.column(ci);
         for r in first_new_row..table.nrows() {
             if let Some(v) = column.key_at(r) {
                 let c = self.freq.add(v, 1);
-                // Only genuinely-new values need adopting (pinning their
-                // fallback assignment); repeats resolve with a read-only
-                // lookup, keeping the per-row update cost flat.
-                let b = if c == 1 {
-                    bins.adopt(v)
-                } else {
-                    bins.bin_of(v)
-                };
+                let b = bins.bin_of(v);
                 if c == 1 {
                     self.bin_ndv[b] += 1.0;
                 }
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn insert_updates_incrementally() {
         let mut t = column(&[Some(1), Some(2), Some(3)]);
-        let mut bins = bins2();
+        let bins = bins2();
         let mut s = KeyStats::build(t.column(0), &bins);
         assert_eq!(s.bin_mfv, vec![1.0, 1.0]);
         // Insert three more 1s and one new value 99.
@@ -188,11 +183,11 @@ mod tests {
             vec![Value::Int(99)],
         ])
         .unwrap();
-        s.insert(&t, 0, 3, &mut bins);
+        s.insert(&t, 0, 3, &bins);
         assert_eq!(s.freq.get(1), 4);
         let b1 = bins.bin_of(1);
         assert_eq!(s.bin_mfv[b1], 4.0);
-        // 99 was adopted into some bin and counted.
+        // 99 landed in its fallback bin and was counted.
         let b99 = bins.bin_of(99);
         assert!(s.bin_total[b99] >= 1.0);
         assert_eq!(s.total(), 7.0);
@@ -201,11 +196,11 @@ mod tests {
     #[test]
     fn incremental_equals_rebuild() {
         let mut t = column(&(0..50).map(|i| Some(i % 4 + 1)).collect::<Vec<_>>());
-        let mut bins = bins2();
+        let bins = bins2();
         let mut s = KeyStats::build(t.column(0), &bins);
         let new: Vec<Vec<Value>> = (0..30).map(|i| vec![Value::Int(i % 4 + 1)]).collect();
         t.append_rows(&new).unwrap();
-        s.insert(&t, 0, 50, &mut bins);
+        s.insert(&t, 0, 50, &bins);
         let rebuilt = KeyStats::build(t.column(0), &bins);
         assert_eq!(s.bin_total, rebuilt.bin_total);
         assert_eq!(s.bin_mfv, rebuilt.bin_mfv);

@@ -1,7 +1,7 @@
 //! The FactorJoin model: offline training and online estimation.
 
 use crate::binning::{build_group_bins, BinBudget, BinningStrategy, KeyFreq};
-use crate::factor::{Factor, FactorArena, FactorId, JoinScratch, KeepVars};
+use crate::factor::{FactorArena, FactorId, JoinScratch, KeepVars};
 use crate::keystats::KeyStats;
 use fj_par::WorkerPool;
 use fj_query::{connected_subplans_into, Query, QueryGraph, SubplanMask};
@@ -9,8 +9,9 @@ use fj_stats::{
     BaseTableEstimator, BayesNetEstimator, BnConfig, ExactEstimator, KeyBinMap, SamplingEstimator,
     TableBins, TableProfile,
 };
-use fj_storage::{Catalog, Column, KeyRef, Table, TableSchema};
+use fj_storage::{Catalog, KeyRef, Table, TableSchema};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which single-table estimator backs the model (paper Table 7 ablation).
@@ -137,27 +138,52 @@ impl SubplanEstimator<'_> {
 }
 
 /// A trained FactorJoin model.
+///
+/// Each statistic is held once. A key group's bin map is built once into
+/// an `Arc` that the model, every table's [`TableBins`] and every
+/// single-table estimator share, and nothing mutates it afterwards (paper
+/// §4.3 keeps bins fixed under inserts), so a clone copies no bin slab.
+/// Each table has one record and each join key one slot.
+#[derive(Clone)]
 pub struct FactorJoinModel {
     config: FactorJoinConfig,
-    group_of: HashMap<KeyRef, usize>,
-    group_bins: Vec<KeyBinMap>,
-    /// Offline statistics of every join key; `key_slot` names the slots.
-    key_stats: Vec<KeyStats>,
+    group_bins: Vec<Arc<KeyBinMap>>,
+    /// Every join key's slot in `keys`.
     key_slot: HashMap<KeyRef, usize>,
-    table_bins: HashMap<String, TableBins>,
-    estimators: HashMap<String, Box<dyn BaseTableEstimator>>,
-    tables: HashMap<String, TableMeta>,
+    keys: Vec<KeyRecord>,
+    tables: HashMap<String, TableRecord>,
     report: TrainingReport,
 }
 
-/// What estimation reads about one table besides its estimator, resolved
-/// once per model so the per-alias path looks nothing up by name.
+/// One join key: its group and its offline statistics.
 #[derive(Debug, Clone)]
-struct TableMeta {
+struct KeyRecord {
+    group: usize,
+    stats: KeyStats,
+}
+
+/// Everything the model holds about one table, resolved once per model so
+/// the per-alias path looks it up by name once and nothing else by name.
+struct TableRecord {
     schema: TableSchema,
-    /// Per schema column: the slot of its statistics in `key_stats`
-    /// (`None` for a column that is not a declared join key).
+    /// Per schema column: the slot of its key in `keys` (`None` for a
+    /// column that is not a declared join key).
     key_slots: Vec<Option<usize>>,
+    bins: TableBins,
+    estimator: Box<dyn BaseTableEstimator>,
+}
+
+impl Clone for TableRecord {
+    /// The boxed estimator clones through
+    /// [`BaseTableEstimator::clone_box`]; the bins are shared `Arc`s.
+    fn clone(&self) -> Self {
+        TableRecord {
+            schema: self.schema.clone(),
+            key_slots: self.key_slots.clone(),
+            bins: self.bins.clone(),
+            estimator: self.estimator.clone_box(),
+        }
+    }
 }
 
 impl FactorJoinModel {
@@ -194,18 +220,18 @@ impl FactorJoinModel {
                 .schema()
                 .index_of(&kr.column)
                 .expect("group keys exist");
-            profile_key_freq(table.column(ci))
+            KeyFreq::count_column(table.column(ci))
         });
 
         // Wave 2a — bin each group from its members' frequency maps, one
         // task per group.
-        let group_bins: Vec<KeyBinMap> = pool.run_indexed(num_groups, |gi| {
+        let group_bins: Vec<Arc<KeyBinMap>> = pool.run_indexed(num_groups, |gi| {
             let g = &groups[gi];
             let k = config.bin_budget.bins_for(g.id, num_groups);
             let member_freqs: Vec<&KeyFreq> = (0..g.keys.len())
                 .map(|j| &freqs[group_start[gi] + j])
                 .collect();
-            build_group_bins(&member_freqs, k, config.strategy)
+            Arc::new(build_group_bins(&member_freqs, k, config.strategy))
         });
 
         // Wave 2b — per-bin statistics of every key under its group's
@@ -221,61 +247,76 @@ impl FactorJoinModel {
         // Serial assembly in canonical order. Each key's frequency map
         // moves into its `KeyStats` (groups partition the keys), so
         // training never clones the potentially large per-key maps.
-        let mut group_of = HashMap::new();
-        let mut key_stats = HashMap::new();
-        for ((kr, freq), (gid, vectors)) in flat_keys
-            .iter()
+        let keys = flat_keys
+            .into_iter()
             .zip(freqs)
-            .zip(gid_of_flat.iter().zip(stat_vectors))
-        {
-            group_of.insert((*kr).clone(), *gid);
-            key_stats.insert((*kr).clone(), KeyStats::from_vectors(vectors, freq));
-        }
+            .zip(gid_of_flat.into_iter().zip(stat_vectors))
+            .map(|((kr, freq), (gid, vectors))| {
+                (kr.clone(), gid, KeyStats::from_vectors(vectors, freq))
+            })
+            .collect();
 
-        Self::assemble(
-            config, group_of, group_bins, key_stats, catalog, &pool, start,
-        )
+        Self::assemble(config, group_bins, keys, catalog, &pool, start)
     }
 
-    /// The tail shared by [`Self::train`] and [`Self::from_parts`]: per-table
-    /// bin sets, one estimator fit per table (wave 3 — the dominant cost:
-    /// Chow-Liu trees and CPTs for BayesNet models), and each table's key
-    /// statistics resolved by column.
+    /// The tail shared by [`Self::train`] and [`Self::from_parts`]: one
+    /// slot per join key, and one record per table — key slots, its keys'
+    /// shared bin maps, and one estimator fit (wave 3, the dominant cost:
+    /// Chow-Liu trees and CPTs for BayesNet models).
     fn assemble(
         config: FactorJoinConfig,
-        group_of: HashMap<KeyRef, usize>,
-        group_bins: Vec<KeyBinMap>,
-        key_stats: HashMap<KeyRef, KeyStats>,
+        group_bins: Vec<Arc<KeyBinMap>>,
+        keys: Vec<(KeyRef, usize, KeyStats)>,
         catalog: &Catalog,
         pool: &WorkerPool,
         start: Instant,
     ) -> Self {
-        let table_bins = assemble_table_bins(catalog, &group_of, &group_bins);
-        let estimators = build_estimators(catalog, &table_bins, &config, pool);
-        let (keys, key_stats): (Vec<KeyRef>, Vec<KeyStats>) = key_stats.into_iter().unzip();
-        let key_slot: HashMap<KeyRef, usize> = keys.into_iter().zip(0..).collect();
-        let tables = catalog
-            .tables()
-            .map(|t| {
-                let schema = t.schema().clone();
-                let key_slots = schema
-                    .columns()
-                    .iter()
-                    .map(|def| key_slot.get(&KeyRef::new(t.name(), &def.name)).copied())
-                    .collect();
-                (t.name().to_string(), TableMeta { schema, key_slots })
+        let mut key_slot = HashMap::with_capacity(keys.len());
+        let keys: Vec<KeyRecord> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(slot, (kr, group, stats))| {
+                key_slot.insert(kr, slot);
+                KeyRecord { group, stats }
             })
             .collect();
+
+        let catalog_tables: Vec<&Table> = catalog.tables().collect();
+        let records = pool.run_indexed(catalog_tables.len(), |i| {
+            let table = catalog_tables[i];
+            let schema = table.schema().clone();
+            // A key column's bin set entry is its group's map itself.
+            let mut bins = TableBins::new();
+            let key_slots = schema
+                .columns()
+                .iter()
+                .map(|def| {
+                    let slot = key_slot.get(&KeyRef::new(table.name(), &def.name)).copied();
+                    if let Some(slot) = slot {
+                        let map = Arc::clone(&group_bins[keys[slot].group]);
+                        bins.insert_shared(&def.name, map);
+                    }
+                    slot
+                })
+                .collect();
+            let estimator = build_estimator(&config.estimator, table, &bins, config.seed);
+            let record = TableRecord {
+                schema,
+                key_slots,
+                bins,
+                estimator,
+            };
+            (table.name().to_string(), record)
+        });
+        let tables = records.into_iter().collect();
+
         let num_groups = group_bins.len();
-        let bins_per_group = group_bins.iter().map(KeyBinMap::k).collect();
+        let bins_per_group = group_bins.iter().map(|b| b.k()).collect();
         let mut model = FactorJoinModel {
             config,
-            group_of,
             group_bins,
-            key_stats,
             key_slot,
-            table_bins,
-            estimators,
+            keys,
             tables,
             report: TrainingReport {
                 train_seconds: 0.0,
@@ -307,58 +348,61 @@ impl FactorJoinModel {
 
     /// Group id of a join key, if it is part of a declared relation.
     pub fn group_of(&self, key: &KeyRef) -> Option<usize> {
-        self.group_of.get(key).copied()
+        self.key_slot.get(key).map(|&slot| self.keys[slot].group)
     }
 
     /// Per-key offline statistics.
     pub fn key_stats(&self, key: &KeyRef) -> Option<&KeyStats> {
-        self.key_slot.get(key).map(|&slot| &self.key_stats[slot])
+        self.key_slot.get(key).map(|&slot| &self.keys[slot].stats)
     }
 
-    /// Iterates over all (key, statistics) pairs (used by persistence).
-    pub fn iter_key_stats(&self) -> impl Iterator<Item = (&KeyRef, &KeyStats)> {
-        self.key_slot
-            .iter()
-            .map(|(key, &slot)| (key, &self.key_stats[slot]))
+    /// Iterates over every join key with its group id and statistics (used
+    /// by persistence).
+    pub fn iter_keys(&self) -> impl Iterator<Item = (&KeyRef, usize, &KeyStats)> {
+        self.key_slot.iter().map(|(key, &slot)| {
+            let record = &self.keys[slot];
+            (key, record.group, &record.stats)
+        })
     }
 
-    /// Reassembles a model from persisted statistics, rebuilding the
-    /// single-table estimators against `catalog` (in parallel, like
-    /// [`Self::train`]).
+    /// The shared bin map of every key group, by group id (used by
+    /// persistence).
+    pub(crate) fn shared_group_bins(&self) -> &[Arc<KeyBinMap>] {
+        &self.group_bins
+    }
+
+    /// Reassembles a model from persisted statistics — each join key with
+    /// its group id and statistics — rebuilding the single-table
+    /// estimators against `catalog` (in parallel, like [`Self::train`]).
     pub(crate) fn from_parts(
         config: FactorJoinConfig,
-        group_of: HashMap<KeyRef, usize>,
-        group_bins: Vec<KeyBinMap>,
-        key_stats: HashMap<KeyRef, KeyStats>,
+        group_bins: Vec<Arc<KeyBinMap>>,
+        keys: Vec<(KeyRef, usize, KeyStats)>,
         catalog: &Catalog,
     ) -> Self {
         let pool = WorkerPool::new(config.threads);
-        Self::assemble(
-            config,
-            group_of,
-            group_bins,
-            key_stats,
-            catalog,
-            &pool,
-            Instant::now(),
-        )
+        Self::assemble(config, group_bins, keys, catalog, &pool, Instant::now())
     }
 
     /// The single-table estimator of `table` (for baselines and tests).
     pub fn estimator(&self, table: &str) -> Option<&dyn BaseTableEstimator> {
-        self.estimators.get(table).map(|b| b.as_ref())
+        self.tables.get(table).map(|t| t.estimator.as_ref())
     }
 
     /// The bin maps of `table`'s join keys.
     pub fn table_bins(&self, table: &str) -> Option<&TableBins> {
-        self.table_bins.get(table)
+        self.tables.get(table).map(|t| &t.bins)
     }
 
     /// Deployable model size: estimators, bin maps, per-bin statistics.
     pub fn model_bytes(&self) -> usize {
-        let est: usize = self.estimators.values().map(|e| e.model_bytes()).sum();
-        let bins: usize = self.group_bins.iter().map(KeyBinMap::heap_bytes).sum();
-        let stats: usize = self.key_stats.iter().map(KeyStats::heap_bytes).sum();
+        let est: usize = self
+            .tables
+            .values()
+            .map(|t| t.estimator.model_bytes())
+            .sum();
+        let bins: usize = self.group_bins.iter().map(|b| b.heap_bytes()).sum();
+        let stats: usize = self.keys.iter().map(|k| k.stats.heap_bytes()).sum();
         est + bins + stats
     }
 
@@ -381,14 +425,12 @@ impl FactorJoinModel {
         alias: usize,
         scratch: &mut EstimationScratch,
     ) -> f64 {
-        let tref = &query.tables()[alias];
-        let meta = &self.tables[&tref.table];
-        let est = &self.estimators[&tref.table];
+        let record = &self.tables[&query.tables()[alias].table];
 
         // Distinct key columns of this alias, with their variables. Their
         // names sit on the stack: an alias joins on a handful of keys.
         let keys = graph.alias_keys(alias);
-        let name = |&(c, _): &(usize, usize)| meta.schema.column(c).name.as_str();
+        let name = |&(c, _): &(usize, usize)| record.schema.column(c).name.as_str();
         let mut few = [""; 8];
         let many: Vec<&str>;
         let names: &[&str] = if keys.len() <= few.len() {
@@ -409,7 +451,9 @@ impl FactorJoinModel {
             ..
         } = scratch;
         let reserved = profile.capacity();
-        est.profile_into(query.filter(alias), names, profile);
+        record
+            .estimator
+            .profile_into(query.filter(alias), names, profile);
         if profile.capacity() != reserved {
             *grow_events += 1;
         }
@@ -426,8 +470,8 @@ impl FactorJoinModel {
         let mut prev_var = usize::MAX;
         for &(var, idx) in key_order.iter() {
             let dist: &[f64] = &profile.key_dists[idx];
-            let mfv: &[f64] = match meta.key_slots[keys[idx].0] {
-                Some(slot) => &self.key_stats[slot].bin_mfv,
+            let mfv: &[f64] = match record.key_slots[keys[idx].0] {
+                Some(slot) => &self.keys[slot].stats.bin_mfv,
                 None => {
                     if ones.len() < dist.len() {
                         ones.resize(dist.len(), 1.0);
@@ -446,65 +490,15 @@ impl FactorJoinModel {
         profile.rows.max(0.0)
     }
 
-    /// Builds the base factor of alias `i` as an owned [`Factor`] (cold
-    /// paths: direct estimation, tests).
-    fn base_factor(
-        &self,
-        query: &Query,
-        graph: &QueryGraph,
-        alias: usize,
-        scratch: &mut EstimationScratch,
-    ) -> Factor {
-        let rows = self.build_base_factor(query, graph, alias, scratch);
-        Factor::from_scratch(rows, &scratch.join)
-    }
-
     /// Estimates the probabilistic cardinality bound of `query` (paper
-    /// Figure 4, online phase): build the factor graph, then fold factors
-    /// along the join graph with the bound-preserving join.
+    /// Figure 4, online phase): the full-plan entry of
+    /// [`Self::estimate_subplans`], so a query and its sub-plans are
+    /// answered by one fold.
     pub fn estimate(&self, query: &Query) -> f64 {
-        let n = query.num_tables();
-        if n == 0 {
-            return 0.0;
-        }
-        let graph = QueryGraph::analyze(query);
-        if n == 1 {
-            return self.estimators[&query.tables()[0].table].estimate_filter(query.filter(0));
-        }
-        let mut scratch = EstimationScratch::default();
-        let mut factors: Vec<Factor> = (0..n)
-            .map(|i| self.base_factor(query, &graph, i, &mut scratch))
-            .collect();
-
-        // Fold smallest-first along adjacency, eliminating variables whose
-        // member aliases are all joined.
-        let mut joined: u64 = 0;
-        let order_start = (0..n)
-            .min_by(|&a, &b| {
-                factors[a]
-                    .rows
-                    .partial_cmp(&factors[b].rows)
-                    .expect("rows are finite")
-            })
-            .expect("non-empty query");
-        joined |= 1 << order_start;
-        let mut acc = std::mem::replace(&mut factors[order_start], Factor::scalar(0.0));
-        while joined.count_ones() < n as u32 {
-            let next = (0..n)
-                .filter(|&i| joined & (1 << i) == 0)
-                .min_by_key(|&i| {
-                    let adjacent = graph.neighbor_mask(i) & joined != 0;
-                    (!adjacent, factors[i].rows as i64)
-                })
-                .expect("remaining alias exists");
-            joined |= 1 << next;
-            let keep = keep_for_mask(&graph, joined);
-            acc = acc.join_with(&factors[next], &keep, &mut scratch.join);
-            if acc.rows == 0.0 {
-                return 0.0;
-            }
-        }
-        acc.rows
+        let n = query.num_tables() as u32;
+        self.estimate_subplans(query, n)
+            .last()
+            .map_or(0.0, |&(_, rows)| rows)
     }
 
     /// Progressively estimates every connected sub-plan of `query` with at
@@ -608,34 +602,6 @@ impl FactorJoinModel {
         out
     }
 
-    /// Incorporates rows `first_new_row..` of the updated `table` (paper
-    /// §4.3): bins stay fixed, per-bin statistics and the single-table
-    /// estimator update incrementally.
-    pub fn insert(&mut self, table: &Table, first_new_row: usize) {
-        self.insert_inner(table, first_new_row);
-        self.report.model_bytes = self.model_bytes();
-    }
-
-    /// One table's worth of [`Self::insert`] without the model-size
-    /// refresh (batched by [`Self::apply_insert`]).
-    fn insert_inner(&mut self, table: &Table, first_new_row: usize) {
-        let name = table.name();
-        let Some(meta) = self.tables.get(name) else {
-            return;
-        };
-        // Update key statistics for this table's join keys.
-        for (ci, slot) in meta.key_slots.iter().enumerate() {
-            let Some(slot) = *slot else { continue };
-            let gid = self.group_of[&KeyRef::new(name, &meta.schema.column(ci).name)];
-            // Adopt new values into the group map so the per-key stats and
-            // the estimator bins agree on fallback assignments.
-            self.key_stats[slot].insert(table, ci, first_new_row, &mut self.group_bins[gid]);
-        }
-        if let Some(est) = self.estimators.get_mut(name) {
-            est.insert(table, first_new_row);
-        }
-    }
-
     /// Applies a staged batch of inserts in `O(|delta|)` (paper §4.3): for
     /// every staged table, the new rows `first_new_row..` of the (already
     /// appended-to) `catalog` are routed through the **existing** stable
@@ -646,15 +612,24 @@ impl FactorJoinModel {
     /// updates are cheap, and the bound degrades only as far as the frozen
     /// binning drifts from the new data distribution.
     pub fn apply_insert(&mut self, catalog: &Catalog, delta: &ModelDelta) {
-        for (name, first_new_row) in &delta.entries {
+        for (name, first_new_row) in delta.entries() {
             let table = catalog.table(name).expect("delta names a catalog table");
-            self.insert_inner(table, *first_new_row);
+            let Some(record) = self.tables.get_mut(name) else {
+                continue;
+            };
+            for (ci, slot) in record.key_slots.iter().enumerate() {
+                let Some(slot) = *slot else { continue };
+                let key = &mut self.keys[slot];
+                key.stats
+                    .insert(table, ci, first_new_row, &self.group_bins[key.group]);
+            }
+            record.estimator.insert(table, first_new_row);
         }
         self.report.model_bytes = self.model_bytes();
     }
 
-    /// [`Self::apply_insert`] on a copy: clones the trained statistics,
-    /// applies the delta, and returns the updated model, leaving `self`
+    /// [`Self::apply_insert`] on a copy: clones the trained statistics
+    /// (sharing the frozen bin maps), applies the delta, and returns the updated model, leaving `self`
     /// untouched. This is the hot-swap path — the served model stays live
     /// behind its `Arc` while the copy absorbs the update, then
     /// `ModelRegistry::apply_insert` (fj-service) publishes the copy
@@ -663,28 +638,6 @@ impl FactorJoinModel {
         let mut updated = self.clone();
         updated.apply_insert(catalog, delta);
         updated
-    }
-}
-
-impl Clone for FactorJoinModel {
-    /// Deep copy; the boxed single-table estimators clone through
-    /// [`BaseTableEstimator::clone_box`].
-    fn clone(&self) -> Self {
-        FactorJoinModel {
-            config: self.config.clone(),
-            group_of: self.group_of.clone(),
-            group_bins: self.group_bins.clone(),
-            key_stats: self.key_stats.clone(),
-            key_slot: self.key_slot.clone(),
-            table_bins: self.table_bins.clone(),
-            estimators: self
-                .estimators
-                .iter()
-                .map(|(name, est)| (name.clone(), est.clone_box()))
-                .collect(),
-            tables: self.tables.clone(),
-            report: self.report.clone(),
-        }
     }
 }
 
@@ -740,7 +693,7 @@ impl ModelDelta {
 /// The variables that must survive a join producing `mask`: those with a
 /// member alias outside the mask (some not-yet-joined alias still
 /// references them). Shared by the model's fold and by baselines that
-/// reuse the bound-preserving join (e.g. PessEst).
+/// reuse the factor join (e.g. PessEst).
 pub fn keep_for_mask(graph: &QueryGraph, mask: SubplanMask) -> KeepVars {
     KeepVars::from_fn(graph.num_vars(), |var| graph.var_aliases(var) & !mask != 0)
 }
@@ -777,66 +730,11 @@ fn build_estimator(
     }
 }
 
-/// Counts every non-null key of `column` into a flat frequency map — the
-/// unit of wave-1 training parallelism.
-fn profile_key_freq(column: &Column) -> KeyFreq {
-    KeyFreq::count_column(column)
-}
-
-/// Collects each table's join-key bin maps, with an (empty) entry for
-/// every catalog table so estimator construction finds its bins. Each
-/// group's map is deep-copied **once** and then `Arc`-shared across all
-/// referencing tables (and, transitively, their estimators): the shared
-/// copies are frozen snapshots — incremental inserts mutate only the
-/// model's own `group_bins`, whose adopt-pinned assignments agree with the
-/// snapshots' deterministic fallback by construction.
-fn assemble_table_bins(
-    catalog: &Catalog,
-    group_of: &HashMap<KeyRef, usize>,
-    group_bins: &[KeyBinMap],
-) -> HashMap<String, TableBins> {
-    let shared: Vec<std::sync::Arc<KeyBinMap>> = group_bins
-        .iter()
-        .map(|b| std::sync::Arc::new(b.clone()))
-        .collect();
-    let mut table_bins: HashMap<String, TableBins> = catalog
-        .tables()
-        .map(|t| (t.name().to_string(), TableBins::new()))
-        .collect();
-    for (kr, &gid) in group_of {
-        table_bins
-            .entry(kr.table.clone())
-            .or_default()
-            .insert_shared(&kr.column, std::sync::Arc::clone(&shared[gid]));
-    }
-    table_bins
-}
-
-/// Fits one single-table estimator per catalog table across the pool —
-/// wave 3 of training, and the dominant cost for learned estimators
-/// (Chow-Liu structure search + CPT counting per table).
-fn build_estimators(
-    catalog: &Catalog,
-    table_bins: &HashMap<String, TableBins>,
-    config: &FactorJoinConfig,
-    pool: &WorkerPool,
-) -> HashMap<String, Box<dyn BaseTableEstimator>> {
-    let tables: Vec<&Table> = catalog.tables().collect();
-    let built: Vec<(String, Box<dyn BaseTableEstimator>)> = pool.run_indexed(tables.len(), |i| {
-        let table = tables[i];
-        let bins = &table_bins[table.name()];
-        (
-            table.name().to_string(),
-            build_estimator(&config.estimator, table, bins, config.seed),
-        )
-    });
-    built.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factor::reference::RefFactor;
+    use crate::factor::Factor;
     use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
     use fj_exec::TrueCardEngine;
     use fj_query::parse_query;
@@ -925,26 +823,6 @@ mod tests {
         assert!(bounds[2] >= truth * 0.999, "k=100 still an upper bound");
         // k=1 is loose but finite.
         assert!(bounds[0].is_finite());
-    }
-
-    #[test]
-    fn progressive_full_query_matches_direct_estimate() {
-        let cat = tiny_catalog();
-        let model = FactorJoinModel::train(&cat, truescan_config(30));
-        let q = parse_query(
-            &cat,
-            "SELECT COUNT(*) FROM users u, posts p, comments c \
-             WHERE u.id = p.owner_user_id AND p.id = c.post_id AND u.reputation > 10;",
-        )
-        .unwrap();
-        let subs = model.estimate_subplans(&q, 1);
-        assert_eq!(subs.len(), 6);
-        let full = subs.iter().find(|(m, _)| *m == 0b111).unwrap().1;
-        let direct = model.estimate(&q);
-        // Same factor folds modulo order; both are valid bounds and should
-        // agree within a small factor.
-        let ratio = (full / direct).max(direct / full);
-        assert!(ratio < 2.0, "progressive {full} vs direct {direct}");
     }
 
     #[test]
@@ -1047,12 +925,14 @@ mod tests {
         )
         .unwrap();
         let before = model.estimate(&q);
+        let mut delta = ModelDelta::new();
         for (tname, rows) in &inserts {
-            let first = base.table(tname).unwrap().nrows();
-            base.table_mut(tname).unwrap().append_rows(rows).unwrap();
-            let table = base.table(tname).unwrap().clone();
-            model.insert(&table, first);
+            let table = base.table_mut(tname).unwrap();
+            let first = table.nrows();
+            table.append_rows(rows).unwrap();
+            delta.record(table, first);
         }
+        model.apply_insert(&base, &delta);
         let after = model.estimate(&q);
         let truth = TrueCardEngine::new(&base, &q).full_cardinality();
         assert!(after > before, "estimate should grow after inserts");
@@ -1110,7 +990,8 @@ mod tests {
         for &mask in &masks {
             if mask.count_ones() == 1 {
                 let i = mask.trailing_zeros() as usize;
-                let f = model.base_factor(q, &graph, i, &mut scratch);
+                let rows = model.build_base_factor(q, &graph, i, &mut scratch);
+                let f = Factor::from_scratch(rows, &scratch.join);
                 let rf = ref_of(&f);
                 out.push((mask, rf.rows));
                 base[i] = Some(rf.clone());

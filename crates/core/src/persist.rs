@@ -34,6 +34,7 @@ use fj_storage::{Catalog, KeyRef};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A trained model's persistable statistics — what the `.fjm` codec
 /// encodes from and decodes to.
@@ -46,8 +47,9 @@ pub struct SavedModel {
     pub estimator: BaseEstimatorKind,
     /// Seed for sampling estimators.
     pub seed: u64,
-    /// Per-group bin maps.
-    pub group_bins: Vec<KeyBinMap>,
+    /// Per-group bin maps, shared with the model they were saved from or
+    /// are loaded into.
+    pub group_bins: Vec<Arc<KeyBinMap>>,
     /// Join key → group id.
     pub group_of: HashMap<String, usize>,
     /// Join key → per-bin statistics.
@@ -71,21 +73,16 @@ impl SavedModel {
         let mut group_of = HashMap::new();
         let mut key_stats = HashMap::new();
         let mut max_gid = 0usize;
-        for (kr, stats) in model.iter_key_stats() {
-            let gid = model
-                .group_of(kr)
-                .expect("stats exist only for grouped keys");
+        for (kr, gid, stats) in model.iter_keys() {
             max_gid = max_gid.max(gid);
             group_of.insert(key_to_string(kr), gid);
             key_stats.insert(key_to_string(kr), stats.clone());
         }
-        let group_bins: Vec<KeyBinMap> =
-            (0..=max_gid).map(|g| model.group_bins(g).clone()).collect();
         SavedModel {
             strategy: cfg.strategy,
             estimator: cfg.estimator,
             seed: cfg.seed,
-            group_bins,
+            group_bins: model.shared_group_bins()[..=max_gid].to_vec(),
             group_of,
             key_stats,
         }
@@ -93,29 +90,28 @@ impl SavedModel {
 
     /// Reconstructs a servable model from saved statistics, rebuilding
     /// single-table estimators from `catalog`. [`load_model`] ends here.
-    pub fn into_model(self, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
+    /// Every key must carry statistics.
+    pub fn into_model(mut self, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
         let config = FactorJoinConfig {
-            bin_budget: BinBudget::Uniform(self.group_bins.first().map(KeyBinMap::k).unwrap_or(1)),
+            bin_budget: BinBudget::Uniform(self.group_bins.first().map_or(1, |b| b.k())),
             strategy: self.strategy,
             estimator: self.estimator,
             seed: self.seed,
             threads: 0,
         };
-        let mut group_of = HashMap::new();
-        let mut key_stats = HashMap::new();
-        for (key, gid) in &self.group_of {
+        let mut keys = Vec::with_capacity(self.group_of.len());
+        for (key, gid) in self.group_of {
             let (table, column) = key.split_once('.').ok_or_else(|| err("bad key"))?;
-            let kr = KeyRef::new(table, column);
-            group_of.insert(kr.clone(), *gid);
-            if let Some(s) = self.key_stats.get(key) {
-                key_stats.insert(kr, s.clone());
-            }
+            let stats = self
+                .key_stats
+                .remove(&key)
+                .ok_or_else(|| err(format!("key {key} has no statistics")))?;
+            keys.push((KeyRef::new(table, column), gid, stats));
         }
         Ok(FactorJoinModel::from_parts(
             config,
-            group_of,
             self.group_bins,
-            key_stats,
+            keys,
             catalog,
         ))
     }
@@ -231,6 +227,33 @@ mod tests {
         let after = loaded.estimate(&q);
         assert_eq!(before, after, "persisted bins must reproduce the bound");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A key the file assigns a group but no statistics cannot be served
+    /// (its MFVs are unknown): the load names it instead of guessing.
+    #[test]
+    fn load_rejects_a_key_without_statistics() {
+        let cat = stats_catalog(&StatsConfig {
+            scale: 0.02,
+            ..Default::default()
+        });
+        let cfg = FactorJoinConfig {
+            bin_budget: BinBudget::Uniform(4),
+            estimator: BaseEstimatorKind::TrueScan,
+            ..Default::default()
+        };
+        let mut saved = SavedModel::from_model(&FactorJoinModel::train(&cat, cfg));
+        saved
+            .key_stats
+            .remove("posts.id")
+            .expect("posts.id is a key");
+        let e = binary::decode(&binary::encode(&saved))
+            .expect("the file itself is well-formed")
+            .into_model(&cat)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("posts.id"), "unnamed key: {e}");
     }
 
     #[test]

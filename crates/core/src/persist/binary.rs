@@ -68,6 +68,7 @@ use crate::keystats::KeyStats;
 use crate::model::BaseEstimatorKind;
 use fj_stats::{BnConfig, KeyBinMap};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// First eight bytes of every `.fjm` file.
 pub const MAGIC: [u8; 8] = *b"\x89FJM\r\n\x1a\n";
@@ -580,7 +581,7 @@ fn decode_meta(payload: &[u8]) -> Result<(BinningStrategy, BaseEstimatorKind, u6
     Ok((strategy, estimator, seed))
 }
 
-fn decode_group_bins(payload: &[u8]) -> Result<Vec<KeyBinMap>, PersistError> {
+fn decode_group_bins(payload: &[u8]) -> Result<Vec<Arc<KeyBinMap>>, PersistError> {
     let mut d = Dec::new(payload);
     // Each group record is at least 24 bytes (k + cap + len), which bounds
     // the count before the Vec below reserves anything.
@@ -595,7 +596,7 @@ fn decode_group_bins(payload: &[u8]) -> Result<Vec<KeyBinMap>, PersistError> {
         d.align8();
         let map = KeyBinMap::from_raw_parts(k as usize, keys, bins, len as usize)
             .map_err(|e| invalid(format!("group {gi} bin map: {e}")))?;
-        out.push(map);
+        out.push(Arc::new(map));
     }
     Ok(out)
 }
@@ -627,7 +628,7 @@ fn decode_keys(payload: &[u8], num_groups: usize) -> Result<Vec<(String, usize)>
 fn decode_key_stats(
     payload: &[u8],
     keys: &[(String, usize)],
-    group_bins: &[KeyBinMap],
+    group_bins: &[Arc<KeyBinMap>],
 ) -> Result<HashMap<String, KeyStats>, PersistError> {
     let mut d = Dec::new(payload);
     // Each stats record is at least 32 bytes (index + k + cap + len).
@@ -815,7 +816,10 @@ mod tests {
             strategy: BinningStrategy::Gbsa,
             estimator: BaseEstimatorKind::Sampling { rate: 0.25 },
             seed: 42,
-            group_bins: vec![KeyBinMap::new(4, m0), KeyBinMap::new(3, m1)],
+            group_bins: vec![
+                Arc::new(KeyBinMap::new(4, m0)),
+                Arc::new(KeyBinMap::new(3, m1)),
+            ],
             group_of,
             key_stats,
         }

@@ -468,9 +468,10 @@ fn accept_loop(
             .spawn(move || {
                 // Connection errors (bad frames, disconnects) drop just
                 // this client; the server keeps serving.
-                let _ = serve_connection(stream, &conn_shared);
-                // Deregister: release the duplicated shutdown fd now and
-                // queue the thread handle for the accept loop to reap.
+                let _ = serve_connection(stream, &conn_shared, conn_id);
+                // Deregister (already done unless setup failed): release
+                // the duplicated shutdown fd now and queue the thread
+                // handle for the accept loop to reap.
                 conn_shared
                     .conn_streams
                     .lock()
@@ -526,7 +527,7 @@ struct PendingBatch {
     stages: Arc<ShardStages>,
 }
 
-fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &ServerShared, conn_id: u64) -> io::Result<()> {
     stream.set_read_timeout(shared.read_timeout)?;
     stream.set_write_timeout(shared.write_timeout)?;
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -557,6 +558,13 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> 
         &inflight,
         &tx,
     );
+    // The reader is done, so shutdown has nothing left to unblock here:
+    // deregister now, while the last replies drain.
+    shared
+        .conn_streams
+        .lock()
+        .expect("conn list")
+        .remove(&conn_id);
     // Dropping our sender lets the collector's recv() disconnect once the
     // shard services resolve every batch still in flight for this
     // connection (each holds a clone until it replies).
@@ -1059,16 +1067,10 @@ mod tests {
     #[test]
     fn empty_batch_reusing_an_in_flight_id_drops_the_connection() {
         let (model, wl) = tiny_setup();
-        // One worker and a big batch: in flight for milliseconds while the
-        // next frame arrives microseconds later.
-        let big: Vec<Query> = std::iter::repeat_with(|| wl.iter().cloned())
-            .take(8)
-            .flatten()
-            .collect();
         let server = FjServer::bind(
             "127.0.0.1:0",
             vec![ShardSpec::new("stats", model)],
-            ServerConfig::new(1).with_queue_capacity(big.len()),
+            ServerConfig::new(1).with_queue_capacity(wl.len()),
         )
         .expect("bind");
 
@@ -1080,21 +1082,33 @@ mod tests {
         wire::decode_hello_ok(&buf).expect("hello ok");
 
         // Reuse id 7 while it is in flight, via the empty-batch fast path.
-        // Both frames leave in one write, so the reuse is already buffered
-        // when the reader admits the big batch.
+        // The shard's only worker waits at its model lookup until `hold`
+        // drops, so id 7 is still in flight when the reader reaches the
+        // reuse, however the threads are scheduled; the hold ends once
+        // the reader has stopped and deregistered the connection.
+        let hold = crate::registry::tests::hold_lookups(server.registry("stats").expect("shard"));
         let mut frames = Vec::new();
-        for batch in [&big[..], &[]] {
+        for batch in [&wl[..], &[]] {
             let payload = wire::encode_estimate_batch(7, "stats", 1, batch, 0, 0);
             write_frame(&mut frames, &payload).unwrap();
         }
         sock.write_all(&frames).unwrap();
+        wait_until("the reader to drop the connection", || {
+            server
+                .shared
+                .conn_streams
+                .lock()
+                .expect("conn list")
+                .is_empty()
+        });
+        drop(hold);
 
         // The in-flight batch still resolves (exactly one response for id
         // 7), then the connection is dropped instead of answered twice.
         assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
         let (id, results) = wire::decode_batch_result(&buf).expect("the in-flight batch");
         assert_eq!(id, 7);
-        assert_eq!(results.len(), big.len());
+        assert_eq!(results.len(), wl.len());
         assert_eq!(
             read_frame(&mut reader, &mut buf).expect("clean close"),
             FrameRead::CleanEof,

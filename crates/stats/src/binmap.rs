@@ -44,16 +44,25 @@ impl KeyBinMap {
     pub fn new(k: usize, assignments: impl IntoIterator<Item = (i64, u32)>) -> Self {
         assert!(k > 0, "at least one bin required");
         let assignments: Vec<(i64, u32)> = assignments.into_iter().collect();
+        // Sized once, at most 7/8 full, so every probe ends at an empty
+        // slot; the map is never written again.
+        let cap = (assignments.len() * 8 / 7 + 1).next_power_of_two().max(8);
+        let mask = cap - 1;
         let mut out = KeyBinMap {
             k,
-            keys: Vec::new(),
-            bins: Vec::new(),
+            keys: vec![0; cap],
+            bins: vec![EMPTY; cap],
             len: 0,
         };
-        out.grow_to((assignments.len() * 8 / 7 + 1).next_power_of_two().max(8));
         for (v, b) in assignments {
             debug_assert!((b as usize) < k, "bin index out of range");
-            out.set(v, b);
+            let mut slot = (fxhash(v) >> 32) as usize & mask;
+            while out.bins[slot] != EMPTY && out.keys[slot] != v {
+                slot = (slot + 1) & mask;
+            }
+            out.len += usize::from(out.bins[slot] == EMPTY);
+            out.keys[slot] = v;
+            out.bins[slot] = b;
         }
         out
     }
@@ -97,54 +106,6 @@ impl KeyBinMap {
             }
         }
         (fxhash(value) % self.k as u64) as usize
-    }
-
-    /// Registers a newly-seen value into its fallback bin (used by
-    /// incremental updates to make the assignment explicit).
-    pub fn adopt(&mut self, value: i64) -> usize {
-        let b = self.bin_of(value);
-        self.set(value, b as u32);
-        b
-    }
-
-    /// Inserts or overwrites one assignment.
-    fn set(&mut self, value: i64, bin: u32) {
-        if self.keys.is_empty() || self.len * 8 >= self.keys.len() * 7 {
-            self.grow_to((self.keys.len() * 2).max(8));
-        }
-        let mask = self.keys.len() - 1;
-        let mut slot = (fxhash(value) >> 32) as usize & mask;
-        loop {
-            if self.bins[slot] == EMPTY {
-                self.keys[slot] = value;
-                self.bins[slot] = bin;
-                self.len += 1;
-                return;
-            }
-            if self.keys[slot] == value {
-                self.bins[slot] = bin;
-                return;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    fn grow_to(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two());
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; cap]);
-        let old_bins = std::mem::replace(&mut self.bins, vec![EMPTY; cap]);
-        let mask = cap - 1;
-        for (v, b) in old_keys.into_iter().zip(old_bins) {
-            if b == EMPTY {
-                continue;
-            }
-            let mut slot = (fxhash(v) >> 32) as usize & mask;
-            while self.bins[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = v;
-            self.bins[slot] = b;
-        }
     }
 
     /// Approximate heap size in bytes.
@@ -229,12 +190,12 @@ fn fxhash(v: i64) -> u64 {
 
 /// The bin maps for every join-key column of one table.
 ///
-/// Maps are held behind `Arc`s: a key group's bin map is **frozen** once
-/// selected (incremental inserts only pin fallback assignments on the
-/// model's own mutable copy, never re-bin), so every table and every
-/// single-table estimator that references the same group shares one
-/// allocation. That makes both cold builds and the hot-swap model clone
-/// O(refcount) per map instead of O(assigned values).
+/// Maps are held behind `Arc`s: a key group's bin map is built once and
+/// never mutated afterwards (incremental inserts route new values through
+/// [`KeyBinMap::bin_of`]'s fallback, paper §4.3), so the model, every table
+/// and every single-table estimator that references the same group share
+/// one allocation. That makes both cold builds and the hot-swap model
+/// clone O(refcount) per map instead of O(assigned values).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TableBins {
     per_key: HashMap<String, Arc<KeyBinMap>>,
@@ -312,14 +273,6 @@ mod tests {
         // Different values spread across bins.
         let bins: std::collections::HashSet<usize> = (0..100).map(|v| b.bin_of(v)).collect();
         assert!(bins.len() > 3, "fallback should spread: {bins:?}");
-    }
-
-    #[test]
-    fn adopt_pins_the_fallback() {
-        let mut b = KeyBinMap::new(4, HashMap::new());
-        let bin = b.adopt(55);
-        assert_eq!(b.bin_of(55), bin);
-        assert_eq!(b.assigned(), 1);
     }
 
     #[test]

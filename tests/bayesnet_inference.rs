@@ -2,7 +2,7 @@
 //! network: a pinned checksum over every sub-plan estimate of the STATS
 //! workload, and a counting allocator around warm `profile_into` calls.
 
-use factorjoin::{FactorJoinConfig, FactorJoinModel};
+use factorjoin::{FactorJoinConfig, FactorJoinModel, ModelDelta};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_query::{CmpOp, FilterExpr, Predicate};
 use fj_stats::{BaseTableEstimator, BayesNetEstimator, BnConfig, TableProfile};
@@ -70,7 +70,9 @@ fn stats_workload_estimate_bits(updated: bool) -> (usize, u64) {
             .map(|r| posts.row(r))
             .collect();
         posts.append_rows(&copies).expect("rows of the same table");
-        model.insert(cat.table("posts").expect("stats has posts"), first_new_row);
+        let mut delta = ModelDelta::new();
+        delta.record(posts, first_new_row);
+        model.apply_insert(&cat, &delta);
     }
     let mut hash = fj_query::StableHasher::new(0);
     let mut subplans = 0;

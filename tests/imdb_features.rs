@@ -3,7 +3,7 @@
 //! the learned data-driven baselines cannot run this benchmark; FactorJoin
 //! must handle it end to end).
 
-use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
+use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel, ModelDelta};
 use fj_datagen::{imdb_catalog, imdb_job_workload, ImdbConfig, WorkloadConfig};
 use fj_exec::TrueCardEngine;
 use fj_query::parse_query;
@@ -147,7 +147,9 @@ fn job_workload_estimate_bits(updated: bool) -> (usize, u64) {
             .map(|r| title.row(r))
             .collect();
         title.append_rows(&copies).expect("rows of the same table");
-        model.insert(cat.table("title").expect("imdb has title"), first_new_row);
+        let mut delta = ModelDelta::new();
+        delta.record(title, first_new_row);
+        model.apply_insert(&cat, &delta);
     }
     let mut hash = fj_query::StableHasher::new(0);
     let mut subplans = 0;

@@ -2,7 +2,7 @@
 //! generate data → train → estimate sub-plans → optimize → execute.
 
 use factorjoin::{
-    BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel,
+    BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel, ModelDelta,
 };
 use fj_baselines::{CardEst, FactorJoinEst, PostgresLike, TrueCard};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
@@ -159,15 +159,14 @@ fn update_then_estimate_stays_consistent() {
             ..Default::default()
         },
     );
+    let mut delta = ModelDelta::new();
     for (tname, rows) in &inserts {
-        let first = base.table(tname).expect("table").nrows();
-        base.table_mut(tname)
-            .expect("table")
-            .append_rows(rows)
-            .expect("rows");
-        let t = base.table(tname).expect("table").clone();
-        model.insert(&t, first);
+        let table = base.table_mut(tname).expect("table");
+        let first = table.nrows();
+        table.append_rows(rows).expect("rows");
+        delta.record(table, first);
     }
+    model.apply_insert(&base, &delta);
     // After updates, bounds on fresh queries still dominate the truth for
     // the vast majority of sub-plans.
     let queries = workload(&base, 8, 99);
