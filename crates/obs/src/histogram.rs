@@ -4,10 +4,10 @@
 //! buckets: the first 32 buckets are exact (one per value 0..32), and every
 //! power-of-two octave above that is split into 32 linear sub-buckets. The
 //! whole `u64` range fits in 1 920 buckets (~15 KiB), so memory is bounded,
-//! recording is a single `fetch_add`, snapshots never sort, and two
-//! histograms merge by adding bucket counts. The price is quantization:
-//! any recorded value is reported as its bucket's upper bound, at most
-//! 1/32 ≈ 3.1 % above the true value.
+//! recording is a single `fetch_add`, snapshots never sort, and a scraper
+//! merges two histograms' exposition by adding bucket counts. The price is
+//! quantization: any recorded value is reported as its bucket's upper
+//! bound, at most 1/32 ≈ 3.1 % above the true value.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,7 +19,7 @@ const SUB: u64 = 1 << SUB_BITS;
 /// bucketed value ranges over `SUB_BITS..=63`.
 const OCTAVES: u64 = 64 - SUB_BITS as u64;
 /// Total bucket count covering every `u64` value.
-pub(crate) const NUM_BUCKETS: usize = (SUB + OCTAVES * SUB) as usize;
+const NUM_BUCKETS: usize = (SUB + OCTAVES * SUB) as usize;
 
 /// Bucket index for a value. Exact for `v < 32`; log-linear above.
 #[inline]
@@ -49,7 +49,7 @@ fn bucket_lo(i: usize) -> u64 {
 
 /// Highest value that lands in bucket `i` (the bucket's inclusive upper
 /// bound). Every value recorded into bucket `i` is reported as this bound.
-pub fn bucket_hi(i: usize) -> u64 {
+fn bucket_hi(i: usize) -> u64 {
     if i + 1 >= NUM_BUCKETS {
         u64::MAX
     } else {
@@ -59,7 +59,8 @@ pub fn bucket_hi(i: usize) -> u64 {
 
 /// The `[lo, hi]` inclusive bounds of the bucket that `v` lands in — the
 /// quantization interval a recorded value is reported from.
-pub fn bucket_bounds(v: u64) -> (u64, u64) {
+#[cfg(test)]
+pub(crate) fn bucket_bounds(v: u64) -> (u64, u64) {
     let i = bucket_index(v);
     (bucket_lo(i), bucket_hi(i))
 }
@@ -67,9 +68,8 @@ pub fn bucket_bounds(v: u64) -> (u64, u64) {
 /// A lock-free histogram over `u64` values with bounded memory.
 ///
 /// `record` is wait-free (one relaxed `fetch_add` per atomic touched);
-/// `snapshot` reads the buckets without blocking writers; `merge_from`
-/// adds another histogram's buckets into this one. See the module docs
-/// for the bucket layout.
+/// `snapshot` reads the buckets without blocking writers. See the module
+/// docs for the bucket layout.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -101,38 +101,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Record a duration as nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded values (wrapping on overflow).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Add every bucket of `other` into `self`. Concurrent recording on
-    /// either side is safe; the merge is then "some consistent interleaving"
-    /// rather than a point-in-time copy.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let c = src.load(Ordering::Relaxed);
-            if c > 0 {
-                dst.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Reset every bucket to zero. Not atomic with respect to concurrent
     /// `record` calls — intended for stat-window resets between runs.
     pub fn clear(&self) {
@@ -143,9 +111,8 @@ impl Histogram {
         self.sum.store(0, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the non-empty buckets, for quantile queries,
-    /// merging, and exposition. Never sorts; cost is one pass over the
-    /// bucket array.
+    /// A point-in-time copy of the non-empty buckets, for exposition.
+    /// Never sorts; cost is one pass over the bucket array.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         let mut count = 0u64;
@@ -156,9 +123,10 @@ impl Histogram {
                 count += c;
             }
         }
-        // Count is recomputed from the buckets so quantile ranks stay
-        // consistent under concurrent recording; the sum may then lag or
-        // lead by the in-flight records, which exposition tolerates.
+        // Count is recomputed from the buckets so the `+Inf` bucket and
+        // `_count` agree with the cumulative buckets under concurrent
+        // recording; the sum may then lag or lead by the in-flight
+        // records, which exposition tolerates.
         let sum = if count == 0 {
             0
         } else {
@@ -172,17 +140,9 @@ impl Histogram {
     }
 }
 
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish()
-    }
-}
-
-/// A point-in-time, mergeable copy of a [`Histogram`]'s non-empty buckets.
-#[derive(Clone, Debug, Default)]
+/// A point-in-time copy of a [`Histogram`]'s non-empty buckets, rendered
+/// by [`crate::MetricsRegistry`].
+#[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     /// `(bucket index, count)` pairs, sorted by index, counts > 0.
     buckets: Vec<(u32, u64)>,
@@ -192,78 +152,21 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Number of recorded values.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Iterate non-empty buckets as `(upper inclusive bound, count)`,
     /// in increasing bound order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .map(|&(i, c)| (bucket_hi(i as usize), c))
-    }
-
-    /// Nearest-rank quantile (`q` in `[0, 1]`), reported as the upper bound
-    /// of the bucket holding the rank-th smallest sample — so the result is
-    /// ≥ the true sample value and within one bucket width of it. Returns 0
-    /// for an empty histogram.
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for &(i, c) in &self.buckets {
-            cum += c;
-            if cum >= rank {
-                return bucket_hi(i as usize);
-            }
-        }
-        // Unreachable when counts are consistent; fall back to the max.
-        self.buckets
-            .last()
-            .map(|&(i, _)| bucket_hi(i as usize))
-            .unwrap_or(0)
-    }
-
-    /// Merge another snapshot into this one (bucket-wise addition).
-    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        while let (Some(&&(ia, ca)), Some(&&(ib, cb))) = (a.peek(), b.peek()) {
-            match ia.cmp(&ib) {
-                std::cmp::Ordering::Less => {
-                    merged.push((ia, ca));
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((ib, cb));
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((ia, ca + cb));
-                    a.next();
-                    b.next();
-                }
-            }
-        }
-        merged.extend(a.copied());
-        merged.extend(b.copied());
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
     }
 }
 
@@ -322,6 +225,21 @@ mod tests {
         assert_eq!(bucket_hi(NUM_BUCKETS - 1), u64::MAX);
     }
 
+    /// Nearest-rank quantile as a scraper computes it from the cumulative
+    /// `le` buckets: the upper bound of the bucket holding the rank-th
+    /// smallest sample.
+    fn quantile(snap: &HistogramSnapshot, q: f64) -> u64 {
+        let rank = ((q * snap.count() as f64).ceil() as u64).clamp(1, snap.count());
+        let mut cum = 0;
+        snap.buckets()
+            .find(|&(_, c)| {
+                cum += c;
+                cum >= rank
+            })
+            .map(|(hi, _)| hi)
+            .expect("the rank lies within the count")
+    }
+
     #[test]
     fn quantiles_match_sorted_samples_within_one_bucket() {
         let mut state = 42u64;
@@ -342,14 +260,15 @@ mod tests {
         samples.sort_unstable();
         let snap = hist.snapshot();
         assert_eq!(snap.count(), samples.len() as u64);
+        assert_eq!(snap.sum(), samples.iter().sum::<u64>());
         for &q in &[0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
             let exact = samples[rank - 1];
-            let approx = snap.value_at_quantile(q);
+            let approx = quantile(&snap, q);
             let (lo, hi) = bucket_bounds(exact);
             assert_eq!(
                 approx, hi,
-                "q={q}: histogram must report the bucket upper bound of the \
+                "q={q}: the buckets must report the upper bound of the \
                  exact sample {exact} (bucket [{lo},{hi}]), got {approx}"
             );
             assert!(approx >= exact && approx - exact <= hi - lo);
@@ -358,15 +277,14 @@ mod tests {
 
     #[test]
     fn merged_histogram_equals_concatenated_samples() {
-        // Proptest-style randomized check (satellite 3): percentiles of
-        // merge(h1, h2) equal percentiles of concat(samples1, samples2)
-        // within one bucket width, across many random shard splits.
+        // What a scraper does with two shards' exposition: add the bucket
+        // counts bound by bound. That must equal one histogram that
+        // recorded the concatenated samples, across many random splits.
         let mut state = 0xc0ffee_u64;
         for round in 0..25 {
             let n1 = 1 + (splitmix64(&mut state) % 800) as usize;
             let n2 = 1 + (splitmix64(&mut state) % 800) as usize;
-            let (h1, h2) = (Histogram::new(), Histogram::new());
-            let mut all = Vec::with_capacity(n1 + n2);
+            let (h1, h2, all) = (Histogram::new(), Histogram::new(), Histogram::new());
             for k in 0..(n1 + n2) {
                 let v = splitmix64(&mut state) % (1 << (10 + round % 40));
                 if k < n1 {
@@ -374,33 +292,20 @@ mod tests {
                 } else {
                     h2.record(v);
                 }
-                all.push(v);
+                all.record(v);
             }
-            all.sort_unstable();
-
-            // Merge via snapshots (what stats_merged does)…
-            let mut snap = h1.snapshot();
-            snap.merge_from(&h2.snapshot());
-            // …and via the atomic path, to pin both to the same answer.
-            let atomic = Histogram::new();
-            atomic.merge_from(&h1);
-            atomic.merge_from(&h2);
-            let atomic_snap = atomic.snapshot();
-
-            assert_eq!(snap.count(), all.len() as u64);
-            assert_eq!(atomic_snap.count(), all.len() as u64);
-            for &q in &[0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-                let rank = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len());
-                let exact = all[rank - 1];
-                let (lo, hi) = bucket_bounds(exact);
-                for v in [snap.value_at_quantile(q), atomic_snap.value_at_quantile(q)] {
-                    assert!(
-                        v >= exact && v <= hi,
-                        "round {round} q={q}: merged quantile {v} not within \
-                         bucket [{lo},{hi}] of exact {exact}"
-                    );
-                }
+            let (s1, s2, whole) = (h1.snapshot(), h2.snapshot(), all.snapshot());
+            let mut merged = std::collections::BTreeMap::new();
+            for (hi, c) in s1.buckets().chain(s2.buckets()) {
+                *merged.entry(hi).or_insert(0u64) += c;
             }
+            assert_eq!(
+                merged.into_iter().collect::<Vec<_>>(),
+                whole.buckets().collect::<Vec<_>>(),
+                "round {round}: bucket-wise sum differs from the concatenation"
+            );
+            assert_eq!(s1.count() + s2.count(), whole.count());
+            assert_eq!(s1.sum() + s2.sum(), whole.sum());
         }
     }
 
@@ -409,23 +314,11 @@ mod tests {
         let h = Histogram::new();
         h.record(7);
         h.record(70_000);
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.snapshot().count(), 2);
         h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.snapshot().value_at_quantile(0.5), 0);
-    }
-
-    #[test]
-    fn record_duration_uses_nanoseconds() {
-        let h = Histogram::new();
-        h.record_duration(std::time::Duration::from_nanos(250));
         let snap = h.snapshot();
-        // 250 ns must not collapse to zero (the as_micros bug this crate
-        // exists to fix) and must round within its bucket.
-        let v = snap.value_at_quantile(0.5);
-        let (lo, hi) = bucket_bounds(250);
-        assert!(v >= lo && v <= hi && v >= 250);
-        assert_eq!(snap.sum(), 250);
+        assert_eq!(snap.count(), 0);
+        assert_eq!(snap.sum(), 0);
+        assert_eq!(snap.buckets().count(), 0);
     }
 }

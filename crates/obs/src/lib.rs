@@ -5,14 +5,13 @@
 //! for any slow request without paying for the answer on the hot path.
 //! This crate provides the pieces, with zero dependencies beyond `std`:
 //!
-//! * [`Counter`] / [`Gauge`] — relaxed-atomic scalars.
+//! * [`Counter`] — a relaxed-atomic monotone counter.
 //! * [`Histogram`] — a lock-free log-linear bucketed histogram
 //!   (HdrHistogram-style): bounded memory (~15 KiB), wait-free `record`,
-//!   percentiles within 1/32 ≈ 3.1 % of exact, and bucket-wise
-//!   [`Histogram::merge_from`] so per-shard histograms combine into a
-//!   fleet view without re-sorting samples.
+//!   and buckets within 1/32 ≈ 3.1 % of every recorded value, so a
+//!   scraper computes percentiles and merges shards bucket by bucket.
 //! * [`MetricsRegistry`] — names, labels, and Prometheus text exposition
-//!   over the above (plus closure-backed entries for embedded stats).
+//!   over closures that sample the owner's atomics at render time.
 //! * [`Stage`] / [`StageBreakdown`] / [`SlowLog`] — per-request stage
 //!   spans (admission → queue wait → estimation → encode → socket write)
 //!   and a worst-N slow-query log rendered as `# slowlog` comment lines
@@ -22,13 +21,17 @@
 //!   entries.
 //!
 //! ```
-//! use fj_obs::MetricsRegistry;
+//! use fj_obs::{Histogram, MetricsRegistry};
+//! use std::sync::Arc;
 //!
 //! let registry = MetricsRegistry::new();
-//! let latency = registry.histogram(
+//! let latency = Arc::new(Histogram::new());
+//! let read = Arc::clone(&latency);
+//! registry.register_histogram_fn(
 //!     "fj_request_latency_seconds",
 //!     "End-to-end request latency.",
 //!     &[("dataset", "stats")],
+//!     move || read.snapshot(),
 //! );
 //! latency.record(250); // nanoseconds
 //! let text = registry.render(); // Prometheus text format
@@ -44,8 +47,8 @@ mod registry;
 mod slowlog;
 mod trace;
 
-pub use histogram::{bucket_bounds, bucket_hi, Histogram, HistogramSnapshot};
-pub use metrics::{Counter, Gauge};
-pub use registry::{MetricKind, MetricsRegistry};
+pub use histogram::{Histogram, HistogramSnapshot};
+pub use metrics::Counter;
+pub use registry::MetricsRegistry;
 pub use slowlog::{SlowLog, SlowQuery, Stage, StageBreakdown};
 pub use trace::next_trace_id;

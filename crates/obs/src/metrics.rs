@@ -1,6 +1,6 @@
-//! Atomic scalar metrics: monotone counters and up/down gauges.
+//! Atomic monotone counters.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter (relaxed atomics; wait-free).
 #[derive(Debug, Default)]
@@ -36,57 +36,17 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can go up and down (relaxed atomics).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Set to an absolute value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (may be negative via [`Gauge::sub`]).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         c.reset();
         assert_eq!(c.get(), 0);
-
-        let g = Gauge::new();
-        g.set(10);
-        g.sub(3);
-        g.add(1);
-        assert_eq!(g.get(), 8);
     }
 }

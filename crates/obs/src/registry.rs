@@ -2,9 +2,9 @@
 //!
 //! A [`MetricsRegistry`] owns an ordered list of metric *families* (one
 //! `# HELP`/`# TYPE` header each); every family holds one entry per label
-//! set. Entries either share ownership of a live metric (`Arc<Counter>`,
-//! `Arc<Histogram>`, …) or hold a closure sampled at render time, which
-//! lets embedded stats structs expose themselves without restructuring.
+//! set, and every entry is a closure sampled at render time. The owner of
+//! the atomics keeps them; the registry only knows how to read them, so
+//! the hot path never learns the registry exists.
 //!
 //! Rendering follows the Prometheus text format: families and entries in
 //! registration order, label values escaped (`\\`, `\"`, `\n`), histogram
@@ -13,47 +13,23 @@
 //! exposition converts bounds and sums to seconds (the Prometheus base
 //! unit), so histogram families should be named `*_seconds`.
 
-use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metrics::{Counter, Gauge};
+use crate::histogram::HistogramSnapshot;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
-
-/// What a family is, for its `# TYPE` line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotone counter.
-    Counter,
-    /// Up/down gauge.
-    Gauge,
-    /// Bucketed histogram.
-    Histogram,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
+use std::sync::Mutex;
 
 enum Source {
-    Counter(Arc<Counter>),
-    CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    Gauge(Arc<Gauge>),
-    GaugeFn(Box<dyn Fn() -> f64 + Send + Sync>),
-    Histogram(Arc<Histogram>),
-    HistogramFn(Box<dyn Fn() -> HistogramSnapshot + Send + Sync>),
+    Counter(Box<dyn Fn() -> u64 + Send + Sync>),
+    Gauge(Box<dyn Fn() -> f64 + Send + Sync>),
+    Histogram(Box<dyn Fn() -> HistogramSnapshot + Send + Sync>),
 }
 
 impl Source {
-    fn kind(&self) -> MetricKind {
+    /// The family type, as its `# TYPE` line spells it.
+    fn kind(&self) -> &'static str {
         match self {
-            Source::Counter(_) | Source::CounterFn(_) => MetricKind::Counter,
-            Source::Gauge(_) | Source::GaugeFn(_) => MetricKind::Gauge,
-            Source::Histogram(_) | Source::HistogramFn(_) => MetricKind::Histogram,
+            Source::Counter(_) => "counter",
+            Source::Gauge(_) => "gauge",
+            Source::Histogram(_) => "histogram",
         }
     }
 }
@@ -66,15 +42,14 @@ struct Entry {
 struct Family {
     name: String,
     help: String,
-    kind: MetricKind,
+    kind: &'static str,
     entries: Vec<Entry>,
 }
 
 /// An ordered collection of metric families with Prometheus exposition.
 ///
 /// Registration takes a short lock; rendering takes the same lock and
-/// samples every entry. The hot path (recording into a `Counter` or
-/// `Histogram` obtained at registration) never touches the registry lock.
+/// samples every entry's closure.
 #[derive(Default)]
 pub struct MetricsRegistry {
     families: Mutex<Vec<Family>>,
@@ -86,6 +61,8 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Adds `name{labels}` to its family, creating the family (with this
+    /// `help`) on first use; a later entry's `help` is ignored.
     fn register(&self, name: &str, help: &str, labels: &[(&str, &str)], source: Source) {
         let kind = source.kind();
         let entry = Entry {
@@ -99,7 +76,7 @@ impl MetricsRegistry {
         if let Some(fam) = fams.iter_mut().find(|f| f.name == name) {
             assert!(
                 fam.kind == kind,
-                "metric family {name:?} registered as {:?} and {kind:?}",
+                "metric family {name:?} registered as {} and {kind}",
                 fam.kind
             );
             fam.entries.push(entry);
@@ -113,25 +90,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Create and register a counter; the returned handle is the hot-path
-    /// recording side.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register_counter(name, help, labels, Arc::clone(&c));
-        c
-    }
-
-    /// Register an existing counter under `name{labels}`.
-    pub fn register_counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        counter: Arc<Counter>,
-    ) {
-        self.register(name, help, labels, Source::Counter(counter));
-    }
-
     /// Register a counter sampled from a closure at render time.
     pub fn register_counter_fn(
         &self,
@@ -140,14 +98,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::CounterFn(Box::new(f)));
-    }
-
-    /// Create and register a gauge.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, labels, Source::Gauge(Arc::clone(&g)));
-        g
+        self.register(name, help, labels, Source::Counter(Box::new(f)));
     }
 
     /// Register a gauge sampled from a closure at render time (e.g. a live
@@ -159,29 +110,12 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::GaugeFn(Box::new(f)));
+        self.register(name, help, labels, Source::Gauge(Box::new(f)));
     }
 
-    /// Create and register a histogram. Record nanoseconds into it; the
-    /// exposition renders seconds.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.register_histogram(name, help, labels, Arc::clone(&h));
-        h
-    }
-
-    /// Register an existing histogram under `name{labels}`.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        hist: Arc<Histogram>,
-    ) {
-        self.register(name, help, labels, Source::Histogram(hist));
-    }
-
-    /// Register a histogram sampled from a closure at render time.
+    /// Register a histogram sampled from a closure at render time (record
+    /// nanoseconds into the [`crate::Histogram`] behind it; the exposition
+    /// renders seconds).
     pub fn register_histogram_fn(
         &self,
         name: &str,
@@ -189,7 +123,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> HistogramSnapshot + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::HistogramFn(Box::new(f)));
+        self.register(name, help, labels, Source::Histogram(Box::new(f)));
     }
 
     /// Render the whole registry in the Prometheus text exposition format.
@@ -198,7 +132,7 @@ impl MetricsRegistry {
         let mut out = String::new();
         for fam in fams.iter() {
             let _ = writeln!(out, "# HELP {} {}", fam.name, escape_help(&fam.help));
-            let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.as_str());
+            let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind);
             for entry in &fam.entries {
                 render_entry(&mut out, &fam.name, entry);
             }
@@ -209,12 +143,9 @@ impl MetricsRegistry {
 
 fn render_entry(out: &mut String, name: &str, entry: &Entry) {
     match &entry.source {
-        Source::Counter(c) => scalar_line(out, name, &entry.labels, None, &c.get().to_string()),
-        Source::CounterFn(f) => scalar_line(out, name, &entry.labels, None, &f().to_string()),
-        Source::Gauge(g) => scalar_line(out, name, &entry.labels, None, &g.get().to_string()),
-        Source::GaugeFn(f) => scalar_line(out, name, &entry.labels, None, &fmt_f64(f())),
-        Source::Histogram(h) => histogram_lines(out, name, &entry.labels, &h.snapshot()),
-        Source::HistogramFn(f) => histogram_lines(out, name, &entry.labels, &f()),
+        Source::Counter(f) => scalar_line(out, name, &entry.labels, None, &f().to_string()),
+        Source::Gauge(f) => scalar_line(out, name, &entry.labels, None, &fmt_f64(f())),
+        Source::Histogram(f) => histogram_lines(out, name, &entry.labels, &f()),
     }
 }
 
@@ -335,14 +266,33 @@ fn escape_help(v: &str) -> String {
 mod tests {
     use super::*;
     use crate::histogram::bucket_bounds;
+    use crate::{Counter, Histogram};
+    use std::sync::Arc;
+
+    /// Registers a fresh histogram under `name{labels}`; the returned
+    /// handle is the recording side.
+    fn histogram(
+        reg: &MetricsRegistry,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Arc<Histogram> {
+        let h = Arc::new(Histogram::new());
+        let read = Arc::clone(&h);
+        reg.register_histogram_fn(name, help, labels, move || read.snapshot());
+        h
+    }
 
     #[test]
     fn golden_exposition_text() {
         let reg = MetricsRegistry::new();
-        let requests = reg.counter(
+        let requests = Arc::new(Counter::new());
+        let read = Arc::clone(&requests);
+        reg.register_counter_fn(
             "fj_requests_total",
             "Requests served.",
             &[("dataset", "stats")],
+            move || read.get(),
         );
         requests.add(3);
         reg.register_counter_fn(
@@ -351,9 +301,9 @@ mod tests {
             &[("dataset", "imdb")],
             || 7,
         );
-        let g = reg.gauge("fj_queue_depth", "Jobs queued.", &[]);
-        g.set(4);
-        let h = reg.histogram(
+        reg.register_gauge_fn("fj_queue_depth", "Jobs queued.", &[], || 4.0);
+        let h = histogram(
+            &reg,
             "fj_latency_seconds",
             "End-to-end latency.",
             &[("dataset", "stats")],
@@ -392,7 +342,7 @@ fj_latency_seconds_count{dataset=\"stats\"} 4
     #[test]
     fn histogram_sum_and_count_carry_labels() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("fj_h_seconds", "h", &[("dataset", "s")]);
+        let h = histogram(&reg, "fj_h_seconds", "h", &[("dataset", "s")]);
         h.record(1);
         let text = reg.render();
         assert!(text.contains("fj_h_seconds_sum{dataset=\"s\"} 0.000000001"));
@@ -402,12 +352,12 @@ fj_latency_seconds_count{dataset=\"stats\"} 4
     #[test]
     fn label_escaping() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter(
+        reg.register_counter_fn(
             "fj_weird_total",
             "Help with \\ backslash\nand newline.",
             &[("path", "a\\b\"c\nd")],
+            || 1,
         );
-        c.inc();
         let text = reg.render();
         assert!(
             text.contains("# HELP fj_weird_total Help with \\\\ backslash\\nand newline.\n"),
@@ -422,7 +372,7 @@ fj_latency_seconds_count{dataset=\"stats\"} 4
     #[test]
     fn le_bounds_are_cumulative_and_sorted() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("fj_x_seconds", "x", &[]);
+        let h = histogram(&reg, "fj_x_seconds", "x", &[]);
         let mut state = 99u64;
         for _ in 0..2000 {
             state = state
@@ -463,7 +413,7 @@ fj_latency_seconds_count{dataset=\"stats\"} 4
     #[should_panic(expected = "registered as")]
     fn kind_mismatch_panics() {
         let reg = MetricsRegistry::new();
-        let _ = reg.counter("fj_dup", "a", &[]);
-        let _ = reg.gauge("fj_dup", "b", &[]);
+        reg.register_counter_fn("fj_dup", "a", &[], || 0);
+        reg.register_gauge_fn("fj_dup", "b", &[], || 0.0);
     }
 }

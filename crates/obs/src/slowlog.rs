@@ -58,12 +58,12 @@ impl StageBreakdown {
     }
 
     /// One stage's duration in nanoseconds.
-    pub fn get(&self, stage: Stage) -> u64 {
+    pub(crate) fn get(&self, stage: Stage) -> u64 {
         self.ns[stage as usize]
     }
 
     /// The stage that consumed the most time (earliest wins ties).
-    pub fn dominant(&self) -> Stage {
+    pub(crate) fn dominant(&self) -> Stage {
         let mut best = Stage::ALL[0];
         for stage in Stage::ALL {
             if self.get(stage) > self.get(best) {
@@ -71,11 +71,6 @@ impl StageBreakdown {
             }
         }
         best
-    }
-
-    /// Sum over all stages, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
     }
 }
 
@@ -95,7 +90,7 @@ pub struct SlowQuery {
     pub stages: StageBreakdown,
 }
 
-/// A bounded worst-N log of the slowest requests seen since the last clear.
+/// A bounded worst-N log of the slowest requests offered to it.
 ///
 /// `offer` keeps the N entries with the largest `total_ns`; it takes a
 /// short lock on the entry vector (capacity is small — tens of entries),
@@ -135,25 +130,10 @@ impl SlowLog {
     }
 
     /// Kept entries, slowest first.
-    pub fn snapshot(&self) -> Vec<SlowQuery> {
+    fn snapshot(&self) -> Vec<SlowQuery> {
         let mut entries = self.entries.lock().unwrap().clone();
         entries.sort_by_key(|q| std::cmp::Reverse(q.total_ns));
         entries
-    }
-
-    /// Number of kept entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// True when no entry has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries (stat-window reset).
-    pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
     }
 
     /// Render the log as `# slowlog …` comment lines — legal trailing
@@ -214,8 +194,6 @@ mod tests {
             vec![50, 40, 30],
             "must keep the three slowest, slowest first"
         );
-        log.clear();
-        assert!(log.is_empty());
     }
 
     #[test]
@@ -238,6 +216,5 @@ mod tests {
         b.set(Stage::Admission, 7);
         b.set(Stage::Encode, 7);
         assert_eq!(b.dominant(), Stage::Admission);
-        assert_eq!(b.total_ns(), 14);
     }
 }

@@ -33,22 +33,24 @@
 //!   replaying the same queries is served without touching the model.
 //!   Epoch keying makes hot-swap invalidation free — a swapped model can
 //!   never be answered from its predecessor's entries.
-//! * [`StatsSnapshot`] reports throughput, p50/p95/p99 latency (from
-//!   bounded, mergeable [`fj_obs`] log-linear histograms — so
-//!   [`server::FjServer::stats_merged`] can combine shards exactly), the
-//!   queue-depth high-water mark, and the admission-control counters
+//! * [`StatsSnapshot`] reports a shard's counters — requests, sub-plans,
+//!   errors, cache hits/misses/evictions, the admission-control counters
 //!   ([`StatsSnapshot::rejected`] quota refusals, [`StatsSnapshot::shed`]
-//!   queue-full sheds).
+//!   queue-full sheds, [`StatsSnapshot::expired`] deadline sheds) — and
+//!   the queue depth and its high-water mark. Latency lives in the
+//!   exposition's histograms (below), where a scraper computes
+//!   percentiles and merges shards bucket by bucket.
 //! * [`server::FjServer`] / [`server::FjClient`] put the whole thing on
 //!   the network: a length-prefixed binary TCP protocol with multiplexed
 //!   pipelined batches, per-dataset shards, epoch-tagged (hot-swap
 //!   detectable) bit-identical estimates, and admission control that
 //!   rejects explicitly instead of blocking connection threads.
 //! * The serving path is observable end to end: every shard's counters,
-//!   latency histograms, and per-stage (admission / queue wait /
-//!   estimation / encode / socket write) histograms register in a
-//!   [`fj_obs::MetricsRegistry`], scrapeable remotely as Prometheus text
-//!   via [`server::FjClient::metrics`]; client-minted trace ids
+//!   latency histogram, and per-stage (admission / queue wait /
+//!   estimation / encode / socket write) histograms — all owned by the
+//!   shard's service — register in a [`fj_obs::MetricsRegistry`],
+//!   scrapeable remotely as Prometheus text via
+//!   [`server::FjClient::metrics`]; client-minted trace ids
 //!   ([`server::FjClient::send_traced`]) tag the server's worst-N
 //!   slow-query log so a slow batch can be pinned to its dominant stage.
 //!
@@ -67,7 +69,8 @@
 //! for r in responses.iter().flatten() {
 //!     println!("epoch {}: {} sub-plans", r.model_epoch, r.estimates.len());
 //! }
-//! println!("{}", service.stats());
+//! let stats = service.stats();
+//! println!("{} requests, {} sub-plans", stats.requests, stats.subplans);
 //! ```
 
 #![warn(missing_docs)]

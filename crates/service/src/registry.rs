@@ -26,7 +26,6 @@ pub struct ModelHandle {
 
 struct Entry {
     model: Arc<FactorJoinModel>,
-    catalog: Option<Arc<Catalog>>,
     epoch: u64,
 }
 
@@ -50,50 +49,12 @@ impl ModelRegistry {
     /// Publishes `model` under `dataset`, replacing any previous model.
     /// Returns the publication epoch.
     pub fn publish(&self, dataset: &str, model: Arc<FactorJoinModel>) -> u64 {
-        self.publish_entry(dataset, model, None)
-    }
-
-    /// [`Self::publish`] keeping the training catalog alongside the model,
-    /// for offline paths that retrain or incrementally update (the model
-    /// itself never needs the catalog to serve estimates).
-    pub fn publish_with_catalog(
-        &self,
-        dataset: &str,
-        model: Arc<FactorJoinModel>,
-        catalog: Arc<Catalog>,
-    ) -> u64 {
-        self.publish_entry(dataset, model, Some(catalog))
-    }
-
-    fn publish_entry(
-        &self,
-        dataset: &str,
-        model: Arc<FactorJoinModel>,
-        catalog: Option<Arc<Catalog>>,
-    ) -> u64 {
         let mut entries = self.entries.write().expect("registry lock");
         // Allocate the epoch under the write lock so install order matches
         // epoch order: concurrent publishers cannot install a lower epoch
         // after a higher one.
         let epoch = self.fresh_epoch();
-        let slot = entries.entry(dataset.to_string());
-        match slot {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let prev_catalog = e.get().catalog.clone();
-                e.insert(Entry {
-                    model,
-                    catalog: catalog.or(prev_catalog),
-                    epoch,
-                });
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Entry {
-                    model,
-                    catalog,
-                    epoch,
-                });
-            }
-        }
+        entries.insert(dataset.to_string(), Entry { model, epoch });
         epoch
     }
 
@@ -109,7 +70,7 @@ impl ModelRegistry {
     ) -> Option<Arc<FactorJoinModel>> {
         let mut entries = self.entries.write().expect("registry lock");
         let entry = entries.get_mut(dataset)?;
-        // Under the write lock, like publish_entry: install order must
+        // Under the write lock, like publish: install order must
         // match epoch order or clients comparing epochs would mistake a
         // superseded model for the newest one.
         entry.epoch = self.fresh_epoch();
@@ -168,32 +129,20 @@ impl ModelRegistry {
         }
     }
 
-    /// Persists the served model of `dataset` to `path` as `.fjm` (whatever
-    /// the extension); the write is crash-safe (same-dir temp + fsync +
-    /// rename). Fails with `NotFound` for an unknown dataset.
-    pub fn save_dataset(&self, dataset: &str, path: &std::path::Path) -> std::io::Result<()> {
-        let handle = self.get(dataset).ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("unknown dataset {dataset:?}"),
-            )
-        })?;
-        factorjoin::save_model(&handle.model, path)
-    }
-
     /// Loads a `.fjm` model file (anything else is refused as
-    /// `InvalidData`) and publishes it under `dataset`, keeping `catalog`
-    /// alongside for later retrains/updates. Returns the publication
-    /// epoch. This is the registry's cold-start path: ship a trained
-    /// `.fjm` to a fresh shard and it serves without retraining.
+    /// `InvalidData`) and publishes it under `dataset`. Returns the
+    /// publication epoch. This is the registry's cold-start path: ship a
+    /// trained `.fjm` (written by [`factorjoin::save_model`]) to a fresh
+    /// shard and it serves without retraining. `catalog` is read, not
+    /// kept: loading refits the single-table estimators from it.
     pub fn load_and_publish(
         &self,
         dataset: &str,
         path: &std::path::Path,
-        catalog: Arc<Catalog>,
+        catalog: &Catalog,
     ) -> std::io::Result<u64> {
-        let model = factorjoin::load_model(path, &catalog)?;
-        Ok(self.publish_with_catalog(dataset, Arc::new(model), catalog))
+        let model = factorjoin::load_model(path, catalog)?;
+        Ok(self.publish(dataset, Arc::new(model)))
     }
 
     /// Resolves `dataset` to its current model and epoch.
@@ -203,12 +152,6 @@ impl ModelRegistry {
             model: Arc::clone(&e.model),
             epoch: e.epoch,
         })
-    }
-
-    /// The catalog published alongside `dataset`, if any.
-    pub fn catalog(&self, dataset: &str) -> Option<Arc<Catalog>> {
-        let entries = self.entries.read().expect("registry lock");
-        entries.get(dataset).and_then(|e| e.catalog.clone())
     }
 
     /// Registered dataset names, sorted.
@@ -262,25 +205,22 @@ pub(crate) mod tests {
 
     #[test]
     fn publish_get_swap_epochs() {
-        let (m1, cat) = tiny_model(5);
+        let (m1, _) = tiny_model(5);
         let (m2, _) = tiny_model(10);
         let reg = ModelRegistry::new();
         assert!(reg.is_empty());
         assert!(reg.get("stats").is_none());
 
-        let e1 = reg.publish_with_catalog("stats", Arc::clone(&m1), Arc::new(cat));
+        let e1 = reg.publish("stats", Arc::clone(&m1));
         let h1 = reg.get("stats").unwrap();
         assert_eq!(h1.epoch, e1);
         assert!(Arc::ptr_eq(&h1.model, &m1));
-        assert!(reg.catalog("stats").is_some());
 
         let old = reg.swap_model("stats", Arc::clone(&m2)).unwrap();
         assert!(Arc::ptr_eq(&old, &m1));
         let h2 = reg.get("stats").unwrap();
         assert!(h2.epoch > e1, "swap advances the epoch");
         assert!(Arc::ptr_eq(&h2.model, &m2));
-        // Swap keeps the catalog of the original publication.
-        assert!(reg.catalog("stats").is_some());
 
         assert!(reg.swap_model("unknown", m2).is_none());
         assert_eq!(reg.datasets(), vec!["stats".to_string()]);
@@ -409,34 +349,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn save_dataset_and_load_and_publish_roundtrip_through_disk() {
+    fn save_model_then_load_and_publish_roundtrip_through_disk() {
         use fj_datagen::{stats_ceb_workload, WorkloadConfig};
         let (m, cat) = tiny_model(8);
         let queries = stats_ceb_workload(&cat, &WorkloadConfig::tiny(21));
-        let reg = ModelRegistry::new();
-        reg.publish("stats", Arc::clone(&m));
 
         let dir = std::env::temp_dir().join("fj_registry_persist");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stats.fjm");
-        // Unknown dataset: NotFound, and nothing written.
-        let e = reg.save_dataset("nope", &path).unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
-        assert!(!path.exists());
-
-        reg.save_dataset("stats", &path).unwrap();
+        factorjoin::save_model(&m, &path).unwrap();
         // Cold start on a fresh registry shard: load the shipped .fjm and
         // serve bit-identically to the original in-memory model.
         let reg2 = ModelRegistry::new();
-        let epoch = reg2
-            .load_and_publish("stats", &path, Arc::new(cat))
-            .unwrap();
+        let epoch = reg2.load_and_publish("stats", &path, &cat).unwrap();
         let h = reg2.get("stats").unwrap();
         assert_eq!(h.epoch, epoch);
-        assert!(
-            reg2.catalog("stats").is_some(),
-            "catalog kept for later updates"
-        );
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(
                 m.estimate(q).to_bits(),
@@ -451,8 +378,7 @@ pub(crate) mod tests {
         bytes.truncate(mid);
         std::fs::write(&bad, &bytes).unwrap();
         let reg3 = ModelRegistry::new();
-        let cat3 = reg2.catalog("stats").unwrap();
-        assert!(reg3.load_and_publish("stats", &bad, cat3).is_err());
+        assert!(reg3.load_and_publish("stats", &bad, &cat).is_err());
         assert!(reg3.is_empty(), "failed load must not publish");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,9 +6,9 @@ use super::wire::{
 use crate::registry::ModelRegistry;
 use crate::request::{EstimateRequest, EstimateResponse, RejectReason, Reply, ServiceError};
 use crate::service::{EstimatorService, ServiceConfig};
-use crate::stats::StatsSnapshot;
+use crate::stats::{StatsInner, StatsSnapshot};
 use factorjoin::FactorJoinModel;
-use fj_obs::{Histogram, MetricsRegistry, SlowLog, SlowQuery, Stage, StageBreakdown};
+use fj_obs::{MetricsRegistry, SlowLog, SlowQuery, Stage, StageBreakdown};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -133,34 +133,11 @@ impl ServerConfig {
     }
 }
 
-/// Serving-path stage histograms owned by the network tier. The shard
-/// service records queue-wait and estimation per query; these cover the
-/// stages only the server sees, per batch. All record nanoseconds.
-struct ShardStages {
-    admission: Histogram,
-    encode: Histogram,
-    socket_write: Histogram,
-}
-
-impl ShardStages {
-    fn new() -> Self {
-        ShardStages {
-            admission: Histogram::new(),
-            encode: Histogram::new(),
-            socket_write: Histogram::new(),
-        }
-    }
-}
-
-struct Shard {
-    registry: Arc<ModelRegistry>,
-    service: EstimatorService,
-    stages: Arc<ShardStages>,
-}
-
 /// Shared per-server state handed to every connection thread.
 struct ServerShared {
-    shards: HashMap<String, Shard>,
+    /// One worker pool per dataset; each serves out of its shard's
+    /// registry and owns its statistics.
+    shards: HashMap<String, EstimatorService>,
     /// Sorted dataset names, precomputed for the hello frame.
     datasets: Vec<String>,
     max_inflight: usize,
@@ -181,7 +158,7 @@ struct ServerShared {
     /// reaps (joins and forgets) their handles before serving the next
     /// client, shutdown reaps whatever remains.
     finished_conns: Mutex<Vec<u64>>,
-    /// Every shard's counters, gauges, and latency/stage histograms,
+    /// Every shard's counters, queue gauge, and latency/stage histograms,
     /// rendered on demand for the `Metrics` opcode.
     metrics: MetricsRegistry,
     /// Worst-N completed batches with per-stage breakdowns, rendered as
@@ -231,18 +208,11 @@ impl FjServer {
         let mut shard_map = HashMap::new();
         for spec in shards {
             let service = EstimatorService::start(
-                Arc::clone(&spec.registry),
+                spec.registry,
                 ServiceConfig::new(&spec.dataset, config.workers_per_shard)
                     .with_queue_capacity(config.queue_capacity),
             );
-            shard_map.insert(
-                spec.dataset,
-                Shard {
-                    registry: spec.registry,
-                    service,
-                    stages: Arc::new(ShardStages::new()),
-                },
-            );
+            shard_map.insert(spec.dataset, service);
         }
         let mut datasets: Vec<String> = shard_map.keys().cloned().collect();
         datasets.sort();
@@ -251,24 +221,7 @@ impl FjServer {
         // exposition text is deterministic across runs.
         let metrics = MetricsRegistry::new();
         for name in &datasets {
-            let shard = &shard_map[name];
-            shard.service.install_metrics(&metrics, name);
-            for (stage, pick) in [
-                (
-                    "admission",
-                    (|s| &s.admission) as fn(&ShardStages) -> &Histogram,
-                ),
-                ("encode", |s| &s.encode),
-                ("socket_write", |s| &s.socket_write),
-            ] {
-                let stages = Arc::clone(&shard.stages);
-                metrics.register_histogram_fn(
-                    "fj_stage_duration_seconds",
-                    "Per-stage serving latency in seconds.",
-                    &[("dataset", name), ("stage", stage)],
-                    move || pick(&stages).snapshot(),
-                );
-            }
+            shard_map[name].install_metrics(&metrics, name);
         }
 
         let shared = Arc::new(ServerShared {
@@ -309,30 +262,20 @@ impl FjServer {
 
     /// The registry backing `dataset`'s shard, for server-side hot-swaps.
     pub fn registry(&self, dataset: &str) -> Option<&Arc<ModelRegistry>> {
-        self.shared.shards.get(dataset).map(|s| &s.registry)
+        self.shared.shards.get(dataset).map(|s| s.registry())
     }
 
-    /// Serving statistics of `dataset`'s shard — including the
+    /// Serving counters of `dataset`'s shard — including the
     /// [`StatsSnapshot::rejected`] (quota) and [`StatsSnapshot::shed`]
-    /// (queue-full) admission counters.
+    /// (queue-full) admission counters. Latency distributions are in
+    /// [`FjServer::metrics_text`].
     pub fn stats(&self, dataset: &str) -> Option<StatsSnapshot> {
-        self.shared.shards.get(dataset).map(|s| s.service.stats())
+        self.shared.shards.get(dataset).map(|s| s.stats())
     }
 
-    /// Serving statistics merged across **every** shard: counters summed,
-    /// latency percentiles computed on the merged histograms (exactly what
-    /// concatenating the shards' samples would give, up to bucket width),
-    /// queue depths summed, high-water and window taken as maxima.
-    pub fn stats_merged(&self) -> StatsSnapshot {
-        crate::stats::merged_snapshot(self.shared.shards.values().map(|shard| {
-            let (depth, high_water) = shard.service.queue_depth_and_high_water();
-            (shard.service.stats_inner().as_ref(), depth, high_water)
-        }))
-    }
-
-    /// The Prometheus text exposition for every shard — counters, gauges,
-    /// latency and per-stage histograms — followed by `# slowlog` comment
-    /// lines for the worst-N completed batches. This is exactly what the
+    /// The Prometheus text exposition for every shard — counters, queue
+    /// gauge, latency and per-stage histograms — followed by `# slowlog`
+    /// comment lines for the worst-N completed batches. This is exactly what the
     /// wire `Metrics` opcode (see [`FjClient::metrics`]) returns.
     ///
     /// [`FjClient::metrics`]: super::FjClient::metrics
@@ -345,12 +288,13 @@ impl FjServer {
         &self.shared.datasets
     }
 
-    /// Resets `dataset`'s shard statistics (between benchmark warm-up and
-    /// the timed window). Returns whether the dataset has a shard.
+    /// Resets `dataset`'s shard statistics — counters, latency and stage
+    /// histograms, queue high-water mark — between benchmark warm-up and
+    /// the timed window. Returns whether the dataset has a shard.
     pub fn reset_stats(&self, dataset: &str) -> bool {
         match self.shared.shards.get(dataset) {
             Some(shard) => {
-                shard.service.reset_stats();
+                shard.reset_stats();
                 true
             }
             None => false,
@@ -523,8 +467,8 @@ struct PendingBatch {
     received: Instant,
     /// Frame receipt → enqueue (decode, admission checks, batch build).
     admission_ns: u64,
-    /// The owning shard's stage histograms, for encode/write recording.
-    stages: Arc<ShardStages>,
+    /// The owning shard's stats, for encode/write recording.
+    stats: Arc<StatsInner>,
 }
 
 fn serve_connection(stream: TcpStream, shared: &ServerShared, conn_id: u64) -> io::Result<()> {
@@ -691,7 +635,7 @@ fn reader_loop(
         // Admission check 1: the per-client in-flight quota. Only this
         // reader thread increments, so load-then-add does not race.
         if inflight.load(Ordering::SeqCst) >= shared.max_inflight {
-            shard.service.record_admission_rejection();
+            shard.record_admission_rejection(batch.queries.len());
             reject(
                 id,
                 RejectReason::QuotaExceeded,
@@ -727,7 +671,8 @@ fn reader_loop(
             .collect();
 
         let admission_ns = elapsed_ns(received);
-        shard.stages.admission.record(admission_ns);
+        let stats = Arc::clone(shard.stats_inner());
+        stats.record_stage(Stage::Admission, admission_ns);
         pending.lock().expect("pending").insert(
             id,
             PendingBatch {
@@ -735,7 +680,7 @@ fn reader_loop(
                 dataset: batch.dataset,
                 received,
                 admission_ns,
-                stages: Arc::clone(&shard.stages),
+                stats,
             },
         );
         // Count the batch against the quota *before* it can possibly
@@ -744,7 +689,7 @@ fn reader_loop(
         // increment, wrapping the counter to usize::MAX and wedging the
         // quota shut for the rest of the connection.
         inflight.fetch_add(1, Ordering::SeqCst);
-        match shard.service.offer_tagged(requests, id, tx) {
+        match shard.offer_tagged(requests, id, tx) {
             Ok(()) => {}
             Err(rejected) => {
                 inflight.fetch_sub(1, Ordering::SeqCst);
@@ -791,8 +736,10 @@ fn collector_loop(
         }
         let socket_write_ns = elapsed_ns(write_started);
 
-        entry.stages.encode.record(encode_ns);
-        entry.stages.socket_write.record(socket_write_ns);
+        entry.stats.record_stage(Stage::Encode, encode_ns);
+        entry
+            .stats
+            .record_stage(Stage::SocketWrite, socket_write_ns);
         let mut stages = StageBreakdown::new();
         stages.set(Stage::Admission, entry.admission_ns);
         stages.set(Stage::QueueWait, served.queue_wait_ns);
@@ -881,9 +828,9 @@ fn health_report(shared: &ServerShared) -> wire::HealthReport {
             let shard = &shared.shards[name];
             wire::ShardHealth {
                 dataset: name.clone(),
-                model_epoch: shard.registry.get(name).map_or(0, |handle| handle.epoch),
-                queue_depth: shard.service.queue_depth().min(u32::MAX as usize) as u32,
-                queue_capacity: shard.service.queue_capacity().min(u32::MAX as usize) as u32,
+                model_epoch: shard.registry().get(name).map_or(0, |handle| handle.epoch),
+                queue_depth: shard.queue_depth().min(u32::MAX as usize) as u32,
+                queue_capacity: shard.queue_capacity().min(u32::MAX as usize) as u32,
             }
         })
         .collect();
@@ -917,7 +864,7 @@ fn enforce_frame_cap(tag: u64, frame: Vec<u8>) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::FjClient;
+    use crate::server::{ClientConfig, FjClient, RetryPolicy};
     use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig};
     use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
     use fj_query::Query;
@@ -1027,7 +974,7 @@ mod tests {
         let hold = crate::registry::tests::hold_lookups(server.registry("stats").expect("shard"));
         let id_inflight = client.send("stats", 1, &queries).expect("send in-flight");
         let id_over = client
-            .send("stats", 1, &queries[..1])
+            .send("stats", 1, &queries[..3])
             .expect("send over-quota");
 
         // The rejection lands while the first batch is still in flight.
@@ -1056,7 +1003,10 @@ mod tests {
         }
 
         let snap = server.stats("stats").expect("shard stats");
-        assert_eq!(snap.rejected, 1, "the quota rejection is counted");
+        assert_eq!(
+            snap.rejected, 3,
+            "the quota rejection counts the batch's queries, like shed"
+        );
         assert_eq!(snap.shed, 0);
         server.shutdown();
     }
@@ -1209,6 +1159,153 @@ mod tests {
                 .is_empty()
                 && server.conn_threads.lock().expect("threads").len() == 1
         });
+        server.shutdown();
+    }
+
+    /// The end-to-end deadline: a client whose budget is too small for the
+    /// queue wait gets its call bounded client-side, and the server sheds
+    /// the expired work instead of estimating for nobody — visible as the
+    /// `expired` counter. The worker and the quota slots survive.
+    #[test]
+    fn expired_deadlines_are_shed_and_counted() {
+        let (model, queries) = tiny_setup();
+        let big: Vec<Query> = std::iter::repeat_with(|| queries.iter().cloned())
+            .take(4)
+            .flatten()
+            .collect();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1).with_queue_capacity(big.len() + 8),
+        )
+        .expect("bind");
+        let addr = server.local_addr();
+        let mut blocker = FjClient::connect(addr).expect("connect blocker");
+        // The hurried client: a 5 ms budget, connected before the hold so
+        // its handshake cannot eat into it.
+        let mut hurried = FjClient::connect_with(
+            addr,
+            ClientConfig::default().with_request_timeout(Some(Duration::from_millis(5))),
+        )
+        .expect("connect hurried");
+
+        // The shard's only worker waits at its model lookup until `hold`
+        // drops, so the hurried batch expires in the queue behind the
+        // blocker's however the threads are scheduled. (A health probe
+        // reads the registry too, so the queue depth is read in-process.)
+        let hold = crate::registry::tests::hold_lookups(server.registry("stats").expect("shard"));
+        let id_big = blocker.send("stats", 1, &big).expect("send big");
+        let shard = &server.shared.shards["stats"];
+        wait_until("the blocker's batch to be queued", || {
+            shard.queue_depth() + 1 >= big.len()
+        });
+
+        let started = Instant::now();
+        let result = hurried.call("stats", 1, &queries[..3]);
+        let elapsed = started.elapsed();
+        // Bounded: the deadline plus generous scheduling slack, never the
+        // blocker's completion time.
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "deadline-bounded call took {elapsed:?}"
+        );
+        match result {
+            // Socket read timeouts surface as WouldBlock (EAGAIN) on Linux
+            // and TimedOut elsewhere; the call-level budget check reports
+            // TimedOut.
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                ),
+                "unexpected: {e}"
+            ),
+            Ok(wire::BatchOutcome::Rejected { reason, .. }) => {
+                // Raced the worker: the server noticed the expiry first.
+                assert_eq!(reason, RejectReason::DeadlineExceeded);
+            }
+            Ok(wire::BatchOutcome::Served(_)) => {
+                panic!("a 5 ms budget cannot outlast a held worker")
+            }
+        }
+        // The server's deadline runs from frame receipt, which precedes
+        // the enqueue seen here; release the worker only once it has
+        // passed, so every hurried query is claimed expired.
+        wait_until("the hurried batch to be queued", || {
+            shard.queue_depth() + 1 >= big.len() + 3
+        });
+        let expired_by = Instant::now() + Duration::from_millis(5);
+        wait_until("the hurried deadline to pass", || {
+            Instant::now() > expired_by
+        });
+        drop(hold);
+
+        // The blocker's own batch is unaffected.
+        match blocker.recv(id_big).expect("recv big") {
+            wire::BatchOutcome::Served(results) => assert_eq!(results.len(), big.len()),
+            other => panic!("big batch lost: {other:?}"),
+        }
+
+        // The worker shed the expired queries without estimating them.
+        wait_until("the expired counter to reach 3", || {
+            server.stats("stats").expect("shard stats").expired >= 3
+        });
+
+        // And the service is fully live afterwards: a clean client is served.
+        let mut clean = FjClient::connect(addr).expect("connect clean");
+        match clean.call("stats", 1, &queries[..2]).expect("roundtrip") {
+            wire::BatchOutcome::Served(results) => {
+                assert_eq!(results.len(), 2);
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            other => panic!("post-expiry batch rejected: {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    /// The server reaps connections idle past the configured window; a
+    /// client with retries reconnects transparently on its next call.
+    #[test]
+    fn idle_connections_are_reaped_and_reconnect() {
+        let (model, queries) = tiny_setup();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1)
+                .with_read_timeout(Some(Duration::from_millis(25)))
+                .with_idle_timeout(Some(Duration::from_millis(100))),
+        )
+        .expect("bind");
+        let mut client = FjClient::connect_with(
+            server.local_addr(),
+            ClientConfig::default().with_retry(RetryPolicy::retries(3)),
+        )
+        .expect("connect");
+        match client.call("stats", 1, &queries[..1]).expect("warm-up") {
+            wire::BatchOutcome::Served(_) => {}
+            other => panic!("warm-up rejected: {other:?}"),
+        }
+
+        // Go quiet until the server has reaped the connection: its reader
+        // leaves `conn_streams` when it ends.
+        wait_until("the idle connection to be reaped", || {
+            server
+                .shared
+                .conn_streams
+                .lock()
+                .expect("conn list")
+                .is_empty()
+        });
+
+        // The next call hits the dead socket, reconnects, and is served.
+        match client
+            .call("stats", 1, &queries[..1])
+            .expect("post-idle call")
+        {
+            wire::BatchOutcome::Served(results) => assert_eq!(results.len(), 1),
+            other => panic!("post-idle call rejected: {other:?}"),
+        }
+        assert!(client.is_connected());
         server.shutdown();
     }
 }

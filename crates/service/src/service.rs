@@ -187,12 +187,14 @@ impl EstimatorService {
         })
     }
 
-    /// Counts an admission-control rejection (per-client quota) in
-    /// [`StatsSnapshot::rejected`]. Called by serving tiers layered on
-    /// top — quota policy lives with the connection state they own, but
-    /// the counter belongs to the service the client was refused.
-    pub fn record_admission_rejection(&self) {
-        self.pool.stats.record_rejected();
+    /// Counts an admission-control rejection (per-client quota) of a
+    /// batch of `requests` queries in [`StatsSnapshot::rejected`], which
+    /// counts queries like [`StatsSnapshot::shed`]. Called by serving
+    /// tiers layered on top — quota policy lives with the connection
+    /// state they own, but the counter belongs to the service the client
+    /// was refused.
+    pub fn record_admission_rejection(&self, requests: usize) {
+        self.pool.stats.record_rejected(requests);
     }
 
     /// The shared registry (publish/swap models through this).
@@ -222,8 +224,9 @@ impl EstimatorService {
         self.pool.queue.capacity()
     }
 
-    /// Register this service's counters, latency/stage histograms, and a
-    /// live queue-depth gauge into `registry`, labelled with `dataset`.
+    /// Register this service's counters, latency and five stage
+    /// histograms, and a live queue-depth gauge into `registry`, labelled
+    /// with `dataset`.
     /// Entries are closure-backed `Arc` clones: the hot path records into
     /// the same atomics it always did and never touches the registry.
     pub fn install_metrics(&self, registry: &MetricsRegistry, dataset: &str) {
@@ -237,25 +240,20 @@ impl EstimatorService {
         );
     }
 
-    /// The shard's raw stats, for cross-shard merging ([`crate::FjServer::stats_merged`]).
+    /// The shard's stats owner, which the network tier records its
+    /// admission, encode and socket-write stages into.
     pub(crate) fn stats_inner(&self) -> &Arc<StatsInner> {
         &self.pool.stats
     }
 
-    /// Queue depth and high-water mark under one lock, for snapshots.
-    pub(crate) fn queue_depth_and_high_water(&self) -> (usize, usize) {
-        self.pool.queue.depth_and_high_water()
-    }
-
-    /// Service statistics since start (or the last [`Self::reset_stats`]).
+    /// Service counters since start (or the last [`Self::reset_stats`]).
     pub fn stats(&self) -> StatsSnapshot {
         let (depth, high_water) = self.pool.queue.depth_and_high_water();
         self.pool.stats.snapshot(depth, high_water)
     }
 
-    /// Clears counters/latencies, restarts the measurement window, and
-    /// resets the queue high-water mark (between benchmark warm-up and the
-    /// timed run).
+    /// Clears counters and histograms and resets the queue high-water mark
+    /// (between benchmark warm-up and the timed run).
     pub fn reset_stats(&self) {
         self.pool.stats.reset();
         self.pool.queue.reset_high_water();
@@ -678,11 +676,11 @@ mod tests {
         // Now the queue is full: even a single request is shed.
         let err = service.offer_requests(reqs(1)).unwrap_err();
         assert_eq!(err.reason, RejectReason::Overloaded);
-        // Quota rejections recorded through the public hook.
-        service.record_admission_rejection();
+        // Quota rejections recorded through the public hook, per query.
+        service.record_admission_rejection(2);
         let snap = service.stats();
         assert_eq!(snap.shed, 4, "3 + 1 shed requests counted");
-        assert_eq!(snap.rejected, 1);
+        assert_eq!(snap.rejected, 2);
         // Closed queue refuses with ShuttingDown instead.
         service.pool.queue.close();
         let err = service.offer_requests(reqs(1)).unwrap_err();

@@ -1,28 +1,31 @@
-//! Service-level statistics: throughput, latency percentiles, saturation.
+//! A shard's serving statistics, with one owner: the shard's service holds
+//! the ten counters, the end-to-end latency histogram and the five
+//! per-stage histograms of one dataset, and the network tier records its
+//! stages into them.
 //!
 //! Built on `fj-obs`: counters are relaxed atomics and latencies go into
-//! lock-free log-linear [`Histogram`]s (bounded memory, wait-free record,
-//! no sort-on-snapshot). Because histograms merge bucket-wise, per-shard
-//! stats combine into a fleet view (`merged_snapshot`, surfaced as
-//! `FjServer::stats_merged`) — something the old sort-a-`Mutex<Vec>`
-//! reservoir could not do. Percentiles are quantized to the histogram's
-//! bucket width: reported values are upper bucket bounds, at most
-//! 1/32 ≈ 3.1 % above the exact sample.
+//! lock-free log-linear [`Histogram`]s recorded in nanoseconds. Two views
+//! read them: the Prometheus exposition
+//! ([`crate::EstimatorService::install_metrics`], which
+//! [`crate::FjServer::metrics_text`] and the `Metrics` opcode return) carries
+//! every counter and histogram, so percentiles and cross-shard merges are
+//! the scraper's, bucket by bucket; [`StatsSnapshot`] is the counters and
+//! queue gauges alone, for in-process callers.
 
-use fj_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, Stage};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use fj_obs::{Counter, Histogram, MetricsRegistry, Stage};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The shard's counters, named once: the discriminant indexes
-/// [`StatsInner::counters`] and every per-shard `[u64; N]` of counts, and
-/// [`COUNTERS`] gives each one its exported name and help text.
+/// [`StatsInner::counters`], and [`COUNTERS`] gives each one its exported
+/// name and help text.
 #[derive(Clone, Copy)]
 enum Stat {
     Requests,
     Subplans,
     Errors,
     /// Requests refused by admission control (per-client quota) before
-    /// reaching the queue.
+    /// reaching the queue, counted per query.
     Rejected,
     /// Requests shed because the bounded queue had no room (load shedding
     /// chosen over producer blocking by the non-blocking submit path).
@@ -101,18 +104,18 @@ const COUNTERS: [(Stat, &str, &str); N] = [
     ),
 ];
 
-/// Shared counters the workers update as they serve (internal; read
-/// through [`crate::EstimatorService::stats`]).
+/// Shared counters and histograms that the workers and the network tier
+/// update as they serve (internal; read through
+/// [`crate::EstimatorService::stats`] and the exposition).
 pub(crate) struct StatsInner {
     /// Indexed by [`Stat`].
     counters: [Counter; N],
     /// End-to-end latency (queue wait + estimation), nanoseconds.
     latency: Histogram,
-    /// Queue-wait stage only, nanoseconds.
-    queue_wait: Histogram,
-    /// Estimation stage only, nanoseconds.
-    estimation: Histogram,
-    window_start: Mutex<Instant>,
+    /// Indexed by [`Stage`], nanoseconds. The workers record queue wait
+    /// and estimation per query; the network tier records admission,
+    /// encode and socket write per batch.
+    stages: [Histogram; Stage::ALL.len()],
 }
 
 impl StatsInner {
@@ -120,14 +123,17 @@ impl StatsInner {
         StatsInner {
             counters: std::array::from_fn(|_| Counter::new()),
             latency: Histogram::new(),
-            queue_wait: Histogram::new(),
-            estimation: Histogram::new(),
-            window_start: Mutex::new(Instant::now()),
+            stages: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
     fn counter(&self, stat: Stat) -> &Counter {
         &self.counters[stat as usize]
+    }
+
+    /// Record one stage's duration, in nanoseconds.
+    pub(crate) fn record_stage(&self, stage: Stage, ns: u64) {
+        self.stages[stage as usize].record(ns);
     }
 
     /// Record one served request. Stage durations are recorded in
@@ -144,16 +150,16 @@ impl StatsInner {
         let qw = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
         let est = u64::try_from(estimation.as_nanos()).unwrap_or(u64::MAX);
         self.latency.record(qw.saturating_add(est));
-        self.queue_wait.record(qw);
-        self.estimation.record(est);
+        self.record_stage(Stage::QueueWait, qw);
+        self.record_stage(Stage::Estimation, est);
     }
 
     pub(crate) fn record_error(&self) {
         self.counter(Stat::Errors).inc();
     }
 
-    pub(crate) fn record_rejected(&self) {
-        self.counter(Stat::Rejected).inc();
+    pub(crate) fn record_rejected(&self, requests: usize) {
+        self.counter(Stat::Rejected).add(requests as u64);
     }
 
     pub(crate) fn record_shed(&self, requests: usize) {
@@ -188,20 +194,12 @@ impl StatsInner {
         self.counter(Stat::Errors).inc();
     }
 
-    /// Clears all counters and restarts the measurement window (used
-    /// between benchmark warm-up and the timed run).
+    /// Clears every counter and histogram (used between benchmark warm-up
+    /// and the timed run).
     pub(crate) fn reset(&self) {
         self.counters.iter().for_each(Counter::reset);
         self.latency.clear();
-        self.queue_wait.clear();
-        self.estimation.clear();
-        *self.window_start.lock().expect("stats lock") = Instant::now();
-    }
-
-    /// Point-in-time latency distribution (used by [`merged_snapshot`] and
-    /// the wire-level stage metrics).
-    pub(crate) fn latency_snapshot(&self) -> HistogramSnapshot {
-        self.latency.snapshot()
+        self.stages.iter().for_each(Histogram::clear);
     }
 
     /// Register this shard's counters and histograms into a metrics
@@ -222,67 +220,38 @@ impl StatsInner {
             &[("dataset", d)],
             move || me.latency.snapshot(),
         );
-        let stage_help = "Per-stage time for served requests.";
-        let me = Arc::clone(self);
-        registry.register_histogram_fn(
-            "fj_stage_duration_seconds",
-            stage_help,
-            &[("dataset", d), ("stage", Stage::QueueWait.name())],
-            move || me.queue_wait.snapshot(),
-        );
-        let me = Arc::clone(self);
-        registry.register_histogram_fn(
-            "fj_stage_duration_seconds",
-            stage_help,
-            &[("dataset", d), ("stage", Stage::Estimation.name())],
-            move || me.estimation.snapshot(),
-        );
-    }
-
-    fn window_elapsed(&self) -> Duration {
-        self.window_start.lock().expect("stats lock").elapsed()
-    }
-
-    fn counts(&self) -> [u64; N] {
-        std::array::from_fn(|i| self.counters[i].get())
+        for stage in Stage::ALL {
+            let me = Arc::clone(self);
+            registry.register_histogram_fn(
+                "fj_stage_duration_seconds",
+                "Per-stage time for served requests.",
+                &[("dataset", d), ("stage", stage.name())],
+                move || me.stages[stage as usize].snapshot(),
+            );
+        }
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, queue_high_water: usize) -> StatsSnapshot {
-        StatsSnapshot::new(
-            &self.counts(),
-            &self.latency_snapshot(),
-            self.window_elapsed(),
+        let count = |stat| self.counter(stat).get();
+        StatsSnapshot {
+            requests: count(Stat::Requests),
+            subplans: count(Stat::Subplans),
+            errors: count(Stat::Errors),
+            rejected: count(Stat::Rejected),
+            shed: count(Stat::Shed),
+            expired: count(Stat::Expired),
+            worker_panics: count(Stat::WorkerPanics),
+            cache_hits: count(Stat::CacheHits),
+            cache_misses: count(Stat::CacheMisses),
+            cache_evictions: count(Stat::CacheEvictions),
             queue_depth,
             queue_high_water,
-        )
-    }
-}
-
-/// Merge per-shard stats into one fleet-wide snapshot: counters sum,
-/// latency histograms merge bucket-wise (so percentiles describe the
-/// concatenation of every shard's samples, quantized to bucket width),
-/// queue depths sum, high-water and window take the max.
-pub(crate) fn merged_snapshot<'a>(
-    shards: impl IntoIterator<Item = (&'a StatsInner, usize, usize)>,
-) -> StatsSnapshot {
-    let mut hist = HistogramSnapshot::default();
-    let mut window = Duration::ZERO;
-    let mut depth = 0usize;
-    let mut high_water = 0usize;
-    let mut counts = [0u64; N];
-    for (inner, queue_depth, queue_high_water) in shards {
-        hist.merge_from(&inner.latency_snapshot());
-        window = window.max(inner.window_elapsed());
-        depth += queue_depth;
-        high_water = high_water.max(queue_high_water);
-        for (total, count) in counts.iter_mut().zip(inner.counts()) {
-            *total += count;
         }
     }
-    StatsSnapshot::new(&counts, &hist, window, depth, high_water)
 }
 
-/// A point-in-time view of service health since the last reset.
+/// A shard's counters and queue gauges since start (or the last reset).
+/// Latency distributions live in the exposition's histograms.
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
     /// Requests served successfully.
@@ -296,7 +265,8 @@ pub struct StatsSnapshot {
     /// refusals in [`Self::rejected`] and [`Self::shed`].
     pub errors: u64,
     /// Requests refused by admission control (per-client in-flight quota)
-    /// before they reached the queue.
+    /// before they reached the queue; a refused batch counts each of its
+    /// queries, like [`Self::shed`].
     pub rejected: u64,
     /// Requests shed on submission because the bounded queue was full (the
     /// non-blocking submit path refuses load instead of blocking producers).
@@ -315,115 +285,18 @@ pub struct StatsSnapshot {
     /// sub-plan fingerprint). Counted per sub-plan, not per request.
     pub cache_hits: u64,
     /// Sub-plan estimates computed by the model and inserted into the
-    /// sub-plan cache (per sub-plan, so
-    /// [`Self::cache_hit_rate`] = hits/(hits+misses)). A service with
-    /// the cache disabled keeps both at zero.
+    /// sub-plan cache (per sub-plan, so hits/(hits+misses) is the
+    /// per-sub-plan hit rate). A service with the cache disabled keeps
+    /// both at zero.
     pub cache_misses: u64,
     /// Live sub-plan cache entries evicted under capacity pressure
     /// (stale-epoch overwrites after a model swap are not counted).
     pub cache_evictions: u64,
-    /// Aggregate served requests per second over the window.
-    pub requests_per_second: f64,
-    /// Aggregate sub-plan estimates per second over the window — the
-    /// throughput number the paper's serving story cares about.
-    pub subplans_per_second: f64,
-    /// Median end-to-end request latency (queue wait + estimation).
-    ///
-    /// Percentiles come from a log-linear histogram with bounded memory
-    /// (recorded in nanoseconds, ~15 KiB per shard, never re-sorted):
-    /// the reported value is the upper bound of the bucket holding the
-    /// rank-th sample, at most 1/32 ≈ 3.1 % above the exact latency. The
-    /// window covers *every* request since the last reset — no sliding
-    /// reservoir — and shards merge exactly bucket-wise.
-    pub p50_latency: Duration,
-    /// 95th-percentile latency (same quantization as [`Self::p50_latency`]).
-    pub p95_latency: Duration,
-    /// 99th-percentile latency (same quantization as [`Self::p50_latency`]).
-    pub p99_latency: Duration,
     /// Requests queued right now.
     pub queue_depth: usize,
     /// Deepest the request queue has been (capacity hit = producers were
     /// backpressured).
     pub queue_high_water: usize,
-    /// Length of the measurement window.
-    pub window: Duration,
-}
-
-impl StatsSnapshot {
-    fn new(
-        counts: &[u64; N],
-        hist: &HistogramSnapshot,
-        window: Duration,
-        queue_depth: usize,
-        queue_high_water: usize,
-    ) -> Self {
-        let count = |stat: Stat| counts[stat as usize];
-        let secs = window.as_secs_f64().max(1e-12);
-        StatsSnapshot {
-            requests: count(Stat::Requests),
-            subplans: count(Stat::Subplans),
-            errors: count(Stat::Errors),
-            rejected: count(Stat::Rejected),
-            shed: count(Stat::Shed),
-            expired: count(Stat::Expired),
-            worker_panics: count(Stat::WorkerPanics),
-            cache_hits: count(Stat::CacheHits),
-            cache_misses: count(Stat::CacheMisses),
-            cache_evictions: count(Stat::CacheEvictions),
-            requests_per_second: count(Stat::Requests) as f64 / secs,
-            subplans_per_second: count(Stat::Subplans) as f64 / secs,
-            p50_latency: Duration::from_nanos(hist.value_at_quantile(0.50)),
-            p95_latency: Duration::from_nanos(hist.value_at_quantile(0.95)),
-            p99_latency: Duration::from_nanos(hist.value_at_quantile(0.99)),
-            queue_depth,
-            queue_high_water,
-            window,
-        }
-    }
-
-    /// Fraction of sub-plan estimates served from the cache,
-    /// hits/(hits+misses); 0.0 when nothing has been looked up (or the
-    /// cache is disabled).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} req ({} sub-plans, {} errors, {} rejected, {} shed, {} expired, \
-             {} panics) in {:.2}s — \
-             {:.0} req/s, {:.0} sub-plans/s; \
-             cache {} hits / {} misses ({:.0}% hit rate, {} evictions); \
-             latency p50 {:.0}µs p95 {:.0}µs p99 {:.0}µs; queue depth {} (high-water {})",
-            self.requests,
-            self.subplans,
-            self.errors,
-            self.rejected,
-            self.shed,
-            self.expired,
-            self.worker_panics,
-            self.window.as_secs_f64(),
-            self.requests_per_second,
-            self.subplans_per_second,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.cache_evictions,
-            self.p50_latency.as_secs_f64() * 1e6,
-            self.p95_latency.as_secs_f64() * 1e6,
-            self.p99_latency.as_secs_f64() * 1e6,
-            self.queue_depth,
-            self.queue_high_water,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -431,12 +304,12 @@ mod tests {
     use super::*;
 
     /// The histogram quantizes upward by at most one bucket: 1/32 relative.
-    fn assert_quantized(actual: Duration, exact: Duration) {
+    fn assert_quantized(actual_ns: u64, exact: Duration) {
         let exact_ns = exact.as_nanos() as f64;
-        let actual_ns = actual.as_nanos() as f64;
+        let actual = actual_ns as f64;
         assert!(
-            actual_ns >= exact_ns && actual_ns <= exact_ns * (1.0 + 1.0 / 32.0) + 1.0,
-            "{actual:?} not within one bucket above {exact:?}"
+            actual >= exact_ns && actual <= exact_ns * (1.0 + 1.0 / 32.0) + 1.0,
+            "{actual_ns} ns not within one bucket above {exact:?}"
         );
     }
 
@@ -444,6 +317,39 @@ mod tests {
         // Split arbitrarily across the two stages; the end-to-end
         // histogram records the sum.
         s.record_success(subplans, latency / 2, latency - latency / 2);
+    }
+
+    /// The exposition of one shard, as `FjServer::metrics_text` renders it.
+    fn scrape(s: &Arc<StatsInner>) -> String {
+        let reg = MetricsRegistry::new();
+        s.install_metrics(&reg, "stats");
+        reg.render()
+    }
+
+    /// The value of the exposition line for `series` (name plus labels).
+    fn value(text: &str, series: &str) -> f64 {
+        let line = text
+            .lines()
+            .find(|l| l.strip_prefix(series).is_some_and(|v| v.starts_with(' ')))
+            .unwrap_or_else(|| panic!("missing {series} in:\n{text}"));
+        line.rsplit(' ').next().unwrap().parse().expect("a number")
+    }
+
+    /// Nearest-rank quantile of `family{dataset="stats"}` in nanoseconds,
+    /// as a scraper reads it off the cumulative buckets: the first `le`
+    /// bound whose count reaches the rank.
+    fn scraped_quantile(text: &str, family: &str, q: f64) -> u64 {
+        let count = value(text, &format!("{family}_count{{dataset=\"stats\"}}"));
+        let rank = (q * count).ceil().max(1.0);
+        let prefix = format!("{family}_bucket{{dataset=\"stats\",le=\"");
+        text.lines()
+            .filter_map(|l| l.strip_prefix(&prefix))
+            .find_map(|rest| {
+                let (le, cum) = rest.split_once("\"} ")?;
+                let le: f64 = le.parse().ok()?;
+                (cum.parse::<f64>().ok()? >= rank).then(|| (le * 1e9).round() as u64)
+            })
+            .unwrap_or_else(|| panic!("no {family} bucket reaches rank {rank}"))
     }
 
     #[test]
@@ -457,7 +363,7 @@ mod tests {
 
     #[test]
     fn percentiles_ordered_and_reset_clears() {
-        let s = StatsInner::new();
+        let s = Arc::new(StatsInner::new());
         for us in [100u64, 200, 300, 400, 1000] {
             success(&s, 3, Duration::from_micros(us));
         }
@@ -470,34 +376,57 @@ mod tests {
         assert_eq!(snap.shed, 0);
         assert_eq!(snap.queue_depth, 2);
         assert_eq!(snap.queue_high_water, 7);
-        assert!(snap.p50_latency <= snap.p95_latency);
-        assert!(snap.p95_latency <= snap.p99_latency);
+        let text = scrape(&s);
+        let family = "fj_request_latency_seconds";
+        let (p50, p95, p99) = (
+            scraped_quantile(&text, family, 0.50),
+            scraped_quantile(&text, family, 0.95),
+            scraped_quantile(&text, family, 0.99),
+        );
+        assert!(p50 <= p95 && p95 <= p99);
         // Nearest-rank p50 of five samples is the 3rd: 300µs, reported as
         // its bucket's upper bound.
-        assert_quantized(snap.p50_latency, Duration::from_micros(300));
-        assert!(snap.subplans_per_second > 0.0);
-        let text = snap.to_string();
-        assert!(text.contains("sub-plans/s"), "{text}");
+        assert_quantized(p50, Duration::from_micros(300));
 
         s.reset();
         let snap = s.snapshot(0, 7);
         assert_eq!(snap.requests, 0);
-        assert_eq!(snap.p99_latency, Duration::ZERO);
+        let text = scrape(&s);
+        assert_eq!(
+            value(&text, "fj_request_latency_seconds_count{dataset=\"stats\"}"),
+            0.0
+        );
+        for stage in Stage::ALL {
+            let series = format!(
+                "fj_stage_duration_seconds_count{{dataset=\"stats\",stage=\"{}\"}}",
+                stage.name()
+            );
+            assert_eq!(value(&text, &series), 0.0, "{series}");
+        }
     }
 
     #[test]
     fn sub_microsecond_latencies_are_not_truncated_to_zero() {
         // Regression for the as_micros bug: a 250 ns estimate used to
         // land in the zero bucket. Nanosecond recording keeps it visible.
-        let s = StatsInner::new();
+        let s = Arc::new(StatsInner::new());
         s.record_success(1, Duration::from_nanos(100), Duration::from_nanos(150));
-        let snap = s.snapshot(0, 0);
-        assert!(
-            snap.p50_latency >= Duration::from_nanos(250),
-            "250 ns must not collapse to zero, got {:?}",
-            snap.p50_latency
+        let text = scrape(&s);
+        let sum = |series: &str| value(&text, series);
+        assert_eq!(
+            sum("fj_request_latency_seconds_sum{dataset=\"stats\"}"),
+            250e-9
         );
-        assert_quantized(snap.p50_latency, Duration::from_nanos(250));
+        assert_eq!(
+            sum("fj_stage_duration_seconds_sum{dataset=\"stats\",stage=\"queue_wait\"}"),
+            100e-9
+        );
+        assert_eq!(
+            sum("fj_stage_duration_seconds_sum{dataset=\"stats\",stage=\"estimation\"}"),
+            150e-9
+        );
+        let p50 = scraped_quantile(&text, "fj_request_latency_seconds", 0.5);
+        assert_quantized(p50, Duration::from_nanos(250));
     }
 
     #[test]
@@ -505,43 +434,25 @@ mod tests {
         // The old reservoir slid past 4096 samples; the histogram keeps
         // every sample's bucket forever in fixed memory, so early samples
         // still shape the percentiles after 10k recordings.
-        let s = StatsInner::new();
+        let s = Arc::new(StatsInner::new());
         for i in 0..10_000u64 {
             success(&s, 1, Duration::from_micros(i));
         }
-        let snap = s.snapshot(0, 0);
-        assert_eq!(snap.requests, 10_000);
-        assert_quantized(snap.p50_latency, Duration::from_micros(4_999));
-        assert_quantized(snap.p99_latency, Duration::from_micros(9_899));
-    }
-
-    #[test]
-    fn merged_shards_match_concatenated_samples() {
-        // stats_merged acceptance at the unit level: merging two shards'
-        // histograms must equal bucketing the concatenated raw samples.
-        let (a, b) = (StatsInner::new(), StatsInner::new());
-        let mut all: Vec<u64> = Vec::new();
-        for i in 1..=300u64 {
-            let ns = i * 977; // spread across buckets
-            all.push(ns);
-            let shard = if i % 3 == 0 { &a } else { &b };
-            shard.record_success(2, Duration::ZERO, Duration::from_nanos(ns));
-        }
-        all.sort_unstable();
-        let merged = merged_snapshot([(&a, 1, 5), (&b, 2, 9)]);
-        assert_eq!(merged.requests, 300);
-        assert_eq!(merged.subplans, 600);
-        assert_eq!(merged.queue_depth, 3, "queue depths sum");
-        assert_eq!(merged.queue_high_water, 9, "high water takes the max");
-        for (q, d) in [
-            (0.50, merged.p50_latency),
-            (0.95, merged.p95_latency),
-            (0.99, merged.p99_latency),
-        ] {
-            let rank = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len());
-            let exact = Duration::from_nanos(all[rank - 1]);
-            assert_quantized(d, exact);
-        }
+        assert_eq!(s.snapshot(0, 0).requests, 10_000);
+        let text = scrape(&s);
+        let family = "fj_request_latency_seconds";
+        assert_eq!(
+            value(&text, &format!("{family}_count{{dataset=\"stats\"}}")),
+            10_000.0
+        );
+        assert_quantized(
+            scraped_quantile(&text, family, 0.50),
+            Duration::from_micros(4_999),
+        );
+        assert_quantized(
+            scraped_quantile(&text, family, 0.99),
+            Duration::from_micros(9_899),
+        );
     }
 
     #[test]
@@ -558,9 +469,6 @@ mod tests {
             snap.errors, 1,
             "a contained panic is an estimation failure and belongs in the error total"
         );
-        let text = snap.to_string();
-        assert!(text.contains("3 expired"), "{text}");
-        assert!(text.contains("1 panics"), "{text}");
         s.reset();
         let snap = s.snapshot(0, 0);
         assert_eq!(snap.expired, 0);
@@ -569,16 +477,14 @@ mod tests {
 
     #[test]
     fn rejected_and_shed_counters_roundtrip() {
+        // Both count queries: a refused batch of three is three rejected.
         let s = StatsInner::new();
-        s.record_rejected();
-        s.record_rejected();
+        s.record_rejected(3);
+        s.record_rejected(1);
         s.record_shed(5);
         let snap = s.snapshot(0, 0);
-        assert_eq!(snap.rejected, 2);
+        assert_eq!(snap.rejected, 4);
         assert_eq!(snap.shed, 5);
-        let text = snap.to_string();
-        assert!(text.contains("2 rejected"), "{text}");
-        assert!(text.contains("5 shed"), "{text}");
         s.reset();
         let snap = s.snapshot(0, 0);
         assert_eq!(snap.rejected, 0);
@@ -587,32 +493,36 @@ mod tests {
 
     #[test]
     fn cache_counters_roundtrip_reset_and_merge() {
-        let s = StatsInner::new();
+        let s = Arc::new(StatsInner::new());
         s.record_cache_hits(9);
         s.record_cache_misses(3, 2);
         let snap = s.snapshot(0, 0);
         assert_eq!(snap.cache_hits, 9);
         assert_eq!(snap.cache_misses, 3);
         assert_eq!(snap.cache_evictions, 2);
-        assert!((snap.cache_hit_rate() - 0.75).abs() < 1e-12);
-        let text = snap.to_string();
-        assert!(text.contains("9 hits / 3 misses"), "{text}");
-        assert!(text.contains("2 evictions"), "{text}");
-        // Merged shards sum the cache counters exactly.
-        let other = StatsInner::new();
+        // Two shards in one exposition: a scraper sums their series.
+        let other = Arc::new(StatsInner::new());
         other.record_cache_hits(1);
         other.record_cache_misses(1, 0);
-        let merged = merged_snapshot([(&s, 0, 0), (&other, 0, 0)]);
-        assert_eq!(merged.cache_hits, 10);
-        assert_eq!(merged.cache_misses, 4);
-        assert_eq!(merged.cache_evictions, 2);
+        let reg = MetricsRegistry::new();
+        s.install_metrics(&reg, "a");
+        other.install_metrics(&reg, "b");
+        let text = reg.render();
+        let merged = |name: &str| {
+            ["a", "b"]
+                .iter()
+                .map(|d| value(&text, &format!("{name}{{dataset=\"{d}\"}}")))
+                .sum::<f64>()
+        };
+        assert_eq!(merged("fj_subplan_cache_hits_total"), 10.0);
+        assert_eq!(merged("fj_subplan_cache_misses_total"), 4.0);
+        assert_eq!(merged("fj_subplan_cache_evictions_total"), 2.0);
         // Reset clears them with everything else.
         s.reset();
         let snap = s.snapshot(0, 0);
         assert_eq!(snap.cache_hits, 0);
         assert_eq!(snap.cache_misses, 0);
         assert_eq!(snap.cache_evictions, 0);
-        assert_eq!(snap.cache_hit_rate(), 0.0, "empty rate is 0, not NaN");
     }
 
     #[test]
@@ -621,45 +531,42 @@ mod tests {
         let reg = MetricsRegistry::new();
         s.install_metrics(&reg, "stats");
         s.record_success(2, Duration::from_micros(10), Duration::from_micros(20));
-        s.record_rejected();
+        s.record_stage(Stage::Admission, 1_000);
+        s.record_stage(Stage::Encode, 2_000);
+        s.record_stage(Stage::SocketWrite, 3_000);
+        s.record_rejected(1);
         s.record_cache_hits(5);
         s.record_cache_misses(2, 1);
         let text = reg.render();
-        assert!(
-            text.contains("fj_subplan_cache_hits_total{dataset=\"stats\"} 5"),
+        for (series, expected) in [
+            ("fj_subplan_cache_hits_total{dataset=\"stats\"}", 5.0),
+            ("fj_subplan_cache_misses_total{dataset=\"stats\"}", 2.0),
+            ("fj_subplan_cache_evictions_total{dataset=\"stats\"}", 1.0),
+            ("fj_requests_total{dataset=\"stats\"}", 1.0),
+            ("fj_rejected_total{dataset=\"stats\"}", 1.0),
+            ("fj_request_latency_seconds_count{dataset=\"stats\"}", 1.0),
+        ] {
+            assert_eq!(value(&text, series), expected, "{series}");
+        }
+        // One family, one HELP, all five stages.
+        assert_eq!(
+            text.matches("# HELP fj_stage_duration_seconds ").count(),
+            1,
             "{text}"
         );
-        assert!(
-            text.contains("fj_subplan_cache_misses_total{dataset=\"stats\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("fj_subplan_cache_evictions_total{dataset=\"stats\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("fj_requests_total{dataset=\"stats\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("fj_rejected_total{dataset=\"stats\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "fj_stage_duration_seconds_bucket{dataset=\"stats\",stage=\"queue_wait\""
+        for stage in Stage::ALL {
+            let series = format!(
+                "fj_stage_duration_seconds_count{{dataset=\"stats\",stage=\"{}\"}}",
+                stage.name()
+            );
+            assert_eq!(value(&text, &series), 1.0, "{series}");
+        }
+        assert_eq!(
+            value(
+                &text,
+                "fj_stage_duration_seconds_sum{dataset=\"stats\",stage=\"socket_write\"}"
             ),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "fj_stage_duration_seconds_count{dataset=\"stats\",stage=\"estimation\"} 1"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("fj_request_latency_seconds_count{dataset=\"stats\"} 1"),
-            "{text}"
+            3e-6
         );
     }
 }

@@ -1,18 +1,15 @@
 //! Integration suite for the serving path's failure handling: health
-//! probes, graceful drain, end-to-end deadlines, worker-panic
-//! containment, retry-driven recovery, and idle-connection reaping (the
-//! acceptance criteria of the resilience tentpole).
+//! probes, graceful drain, and worker-panic containment. (End-to-end
+//! deadlines and idle-connection reaping live with the in-crate server
+//! tests, which can hold the shard's worker and watch the server's
+//! connection list.)
 
 use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_query::{FilterExpr, Query, TableRef};
-use fj_service::{
-    BatchOutcome, ClientConfig, FjClient, FjServer, RejectReason, RetryPolicy, ServerConfig,
-    ShardSpec,
-};
+use fj_service::{BatchOutcome, FjClient, FjServer, RejectReason, ServerConfig, ShardSpec};
 use fj_storage::Catalog;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn tiny_catalog() -> Catalog {
     stats_catalog(&StatsConfig {
@@ -104,114 +101,6 @@ fn health_probe_and_graceful_drain() {
     server.shutdown();
 }
 
-/// The end-to-end deadline: a client whose budget is too small for the
-/// queue wait gets its call bounded client-side, and the server sheds the
-/// expired work instead of estimating for nobody — visible as the
-/// `expired` counter. The connectionless worker and quota slots survive.
-#[test]
-fn expired_deadlines_are_shed_and_counted() {
-    let catalog = tiny_catalog();
-    let model = Arc::new(train(&catalog, 25));
-    let queries = workload(&catalog, 43);
-    // One worker, pre-loaded with a batch big enough to hold it well past
-    // the short deadline below (TrueScan runs single-digit microseconds
-    // per query here, so holding the worker for tens of milliseconds takes
-    // tens of thousands).
-    let big: Vec<Query> = std::iter::repeat_with(|| queries.iter().cloned())
-        .take(3000)
-        .flatten()
-        .collect();
-
-    let (server, addr) = serve_one(
-        Arc::clone(&model),
-        ServerConfig::new(1).with_queue_capacity(big.len() + 8),
-    );
-    let mut blocker = FjClient::connect(addr).expect("connect blocker");
-    // The hurried client: a 5 ms budget, connected *before* the flood so
-    // its handshake doesn't eat into the race-free window below.
-    let mut hurried = FjClient::connect_with(
-        addr,
-        ClientConfig::default().with_request_timeout(Some(Duration::from_millis(5))),
-    )
-    .expect("connect hurried");
-    let mut probe = FjClient::connect(addr).expect("connect probe");
-
-    let id_big = blocker.send("stats", 1, &big).expect("send big");
-    // Wait until the flood is actually queued (its frame decodes on the
-    // blocker's reader thread, so "send returned" does not mean "enqueued")
-    // and deep enough that draining the remainder dwarfs the 5 ms budget.
-    let sync_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let depth = probe.health().expect("health probe").shards[0].queue_depth;
-        if depth >= (big.len() / 2) as u32 {
-            break;
-        }
-        assert!(
-            Instant::now() < sync_deadline,
-            "queue never filled (depth {depth})"
-        );
-    }
-
-    // The hurried queries sit in queue behind the flood, expire, and are
-    // shed by the worker at pick-up.
-    let started = Instant::now();
-    let result = hurried.call("stats", 1, &queries[..3]);
-    let elapsed = started.elapsed();
-    // Bounded: the deadline plus generous scheduling slack, never the
-    // flood's completion time.
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "deadline-bounded call took {elapsed:?}"
-    );
-    match result {
-        // Socket read timeouts surface as WouldBlock (EAGAIN) on Linux and
-        // TimedOut elsewhere; the call-level budget check reports TimedOut.
-        Err(e) => assert!(
-            matches!(
-                e.kind(),
-                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-            ),
-            "unexpected: {e}"
-        ),
-        Ok(BatchOutcome::Rejected { reason, .. }) => {
-            // Raced the worker: the server noticed the expiry first.
-            assert_eq!(reason, RejectReason::DeadlineExceeded);
-        }
-        Ok(BatchOutcome::Served(_)) => panic!("a 5 ms budget cannot outlast the flood"),
-    }
-
-    // The blocker's own batch is unaffected.
-    match blocker.recv(id_big).expect("recv big") {
-        BatchOutcome::Served(results) => assert_eq!(results.len(), big.len()),
-        other => panic!("big batch lost: {other:?}"),
-    }
-
-    // The worker shed the expired queries without estimating them.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let snap = server.stats("stats").expect("shard stats");
-        if snap.expired >= 3 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "expired counter stuck at {} (want >= 3)",
-            snap.expired
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // And the service is fully live afterwards: a clean client is served.
-    let mut clean = FjClient::connect(addr).expect("connect clean");
-    match clean.call("stats", 1, &queries[..2]).expect("roundtrip") {
-        BatchOutcome::Served(results) => {
-            assert_eq!(results.len(), 2);
-            assert!(results.iter().all(|r| r.is_ok()));
-        }
-        other => panic!("post-expiry batch rejected: {other:?}"),
-    }
-}
-
 /// A query that panics the estimator (here: a structurally valid wire
 /// query naming a table the model never saw) resolves its own slot with a
 /// clear error; sibling queries in the same batch and all later batches
@@ -258,42 +147,4 @@ fn worker_panic_is_contained_to_its_slot() {
         BatchOutcome::Served(results) => assert!(results.iter().all(|r| r.is_ok())),
         other => panic!("post-panic batch rejected: {other:?}"),
     }
-}
-
-/// The server reaps connections idle past the configured window; a client
-/// with retries reconnects transparently on its next call.
-#[test]
-fn idle_connections_are_reaped_and_reconnect() {
-    let catalog = tiny_catalog();
-    let model = Arc::new(train(&catalog, 15));
-    let queries = workload(&catalog, 59);
-
-    let (_server, addr) = serve_one(
-        Arc::clone(&model),
-        ServerConfig::new(1)
-            .with_read_timeout(Some(Duration::from_millis(25)))
-            .with_idle_timeout(Some(Duration::from_millis(100))),
-    );
-    let mut client = FjClient::connect_with(
-        addr,
-        ClientConfig::default().with_retry(RetryPolicy::retries(3)),
-    )
-    .expect("connect");
-    match client.call("stats", 1, &queries[..1]).expect("warm-up") {
-        BatchOutcome::Served(_) => {}
-        other => panic!("warm-up rejected: {other:?}"),
-    }
-
-    // Go quiet long enough for the server to reap the connection.
-    std::thread::sleep(Duration::from_millis(400));
-
-    // The next call hits the dead socket, reconnects, and is served.
-    match client
-        .call("stats", 1, &queries[..1])
-        .expect("post-idle call")
-    {
-        BatchOutcome::Served(results) => assert_eq!(results.len(), 1),
-        other => panic!("post-idle call rejected: {other:?}"),
-    }
-    assert!(client.is_connected());
 }

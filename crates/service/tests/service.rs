@@ -106,7 +106,7 @@ fn concurrent_estimates_bit_identical_to_single_threaded() {
     let per_client = 5 * queries.len() as u64;
     assert_eq!(snap.requests, 4 * per_client);
     assert_eq!(snap.errors, 0);
-    assert!(snap.p50_latency <= snap.p99_latency);
+    assert!(snap.subplans >= snap.requests, "every query has a sub-plan");
 }
 
 /// Hot-swapping models while clients hammer the service never panics and
@@ -216,7 +216,6 @@ fn persisted_model_serves_identically() {
 
     let dir = std::env::temp_dir().join("fj_service_persist_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let catalog = Arc::new(catalog);
     // Both load paths must serve bit-identically: the registry's own
     // cold-start loader and load_model + publish.
     for via_registry in [true, false] {
@@ -225,11 +224,11 @@ fn persisted_model_serves_identically() {
         let registry = Arc::new(ModelRegistry::new());
         if via_registry {
             registry
-                .load_and_publish("stats", &path, Arc::clone(&catalog))
+                .load_and_publish("stats", &path, &catalog)
                 .expect("load_and_publish");
         } else {
             let loaded = load_model(&path, &catalog).expect("load");
-            registry.publish_with_catalog("stats", Arc::new(loaded), Arc::clone(&catalog));
+            registry.publish("stats", Arc::new(loaded));
         }
         std::fs::remove_file(&path).ok();
         let service =
@@ -243,8 +242,6 @@ fn persisted_model_serves_identically() {
                 "via_registry={via_registry}: loaded model diverges from the saved one on query {qi}"
             );
         }
-        // The registry kept the catalog for offline retraining paths.
-        assert!(registry.catalog("stats").is_some());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -538,7 +535,6 @@ fn disabled_cache_serves_identically_with_zero_counters() {
     assert_eq!(snap.cache_hits, 0);
     assert_eq!(snap.cache_misses, 0);
     assert_eq!(snap.cache_evictions, 0);
-    assert_eq!(snap.cache_hit_rate(), 0.0);
 }
 
 /// Backpressure: a queue smaller than the batch still serves everything.
@@ -576,5 +572,5 @@ fn bounded_queue_backpressure_serves_all() {
         queries.len(),
         "never two oversized batches queued at once, never part of one"
     );
-    assert!(snap.subplans_per_second > 0.0);
+    assert!(snap.subplans > 0);
 }

@@ -11,6 +11,7 @@ use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel
 use fj_datagen::{stats_catalog_split_by_date, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_service::{EstimatorService, ModelRegistry, ServiceConfig};
 use std::sync::Arc;
+use std::time::Instant;
 
 #[path = "util/scale.rs"]
 mod util;
@@ -52,6 +53,7 @@ fn main() {
     let queries = Arc::new(stats_ceb_workload(&catalog, &WorkloadConfig::tiny(5)));
 
     // Concurrent clients: each thread batches the workload several times.
+    let started = Instant::now();
     let clients: Vec<_> = (0..workers.max(2))
         .map(|_| {
             let service = Arc::clone(&service);
@@ -64,7 +66,7 @@ fn main() {
                         epochs.insert(resp.model_epoch);
                     }
                 }
-                epochs
+                (epochs, Instant::now())
             })
         })
         .collect();
@@ -87,18 +89,32 @@ fn main() {
     println!("hot-swapped retrained model: epoch {first_epoch} → {new_epoch} (no reader paused)");
 
     let mut seen_epochs = std::collections::BTreeSet::new();
+    let mut finished = started;
     for c in clients {
-        seen_epochs.extend(c.join().expect("client"));
+        let (epochs, done) = c.join().expect("client");
+        seen_epochs.extend(epochs);
+        finished = finished.max(done);
     }
+    let elapsed = finished - started;
     println!(
         "clients observed model epochs {:?} across the swap",
         seen_epochs.iter().collect::<Vec<_>>()
     );
 
     let snap = service.stats();
-    println!("service stats: {snap}");
     println!(
-        "aggregate throughput with {workers} workers: {:.0} sub-plans/s",
-        snap.subplans_per_second
+        "service stats: {} requests, {} sub-plans, {} errors; cache {} hits / {} misses; \
+         queue high-water {}",
+        snap.requests,
+        snap.subplans,
+        snap.errors,
+        snap.cache_hits,
+        snap.cache_misses,
+        snap.queue_high_water,
+    );
+    println!(
+        "aggregate throughput with {workers} workers: {:.0} sub-plans/s over the clients' {:.1}ms",
+        snap.subplans as f64 / elapsed.as_secs_f64(),
+        elapsed.as_secs_f64() * 1e3,
     );
 }

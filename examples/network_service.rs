@@ -72,6 +72,7 @@ fn main() {
         .with_retry(RetryPolicy::retries(3));
     let mut client = FjClient::connect_with(server.local_addr(), client_config).expect("connect");
     println!("handshake: server offers datasets {:?}", client.datasets());
+    let started = Instant::now();
     let ids: Vec<u64> = queries
         .iter()
         .map(|q| {
@@ -94,10 +95,14 @@ fn main() {
             }
         }
     }
+    let elapsed = started.elapsed().as_secs_f64();
     println!(
-        "pipelined {} single-query batches → {} sub-plan estimates, all epoch {}",
+        "pipelined {} single-query batches → {} sub-plan estimates in {:.0}µs \
+         ({:.0} sub-plans/s), all epoch {}",
         ids.len(),
         subplans,
+        elapsed * 1e6,
+        subplans as f64 / elapsed,
         first_epoch
     );
 
@@ -153,7 +158,10 @@ fn main() {
     );
 
     let snap = server.stats("stats").expect("stats shard");
-    println!("shard stats: {snap}");
+    println!(
+        "shard stats: {} requests, {} sub-plans, {} shed, {} rejected",
+        snap.requests, snap.subplans, snap.shed, snap.rejected,
+    );
 
     // Observability: send one traced request (the client mints the trace
     // id), then scrape the whole server as Prometheus text over the same
