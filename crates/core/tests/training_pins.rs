@@ -4,10 +4,13 @@
 //! file proves a build trains exactly what its predecessors trained. Each
 //! row pins, as literal FNV-1a hashes:
 //!
-//! * the `.fjm` bytes of the trained model — the bin maps (wave 2a) and the
-//!   per-key statistics (waves 1 and 2b), slab layouts included;
+//! * the `.fjm` bytes of the trained model;
 //! * the bits of every sub-plan estimate over a small workload — which also
-//!   reads the single-table estimators (wave 3, the fit `load_model` repeats).
+//!   reads the single-table estimators (wave 3);
+//! * the training statistics themselves, independently of any byte format:
+//!   each group's `k` and sorted `(value, bin)` entries (wave 2a), and each
+//!   key's sorted `(value, count)` entries and its three per-bin vectors
+//!   (waves 1 and 2b). A format change re-records the first column only.
 //!
 //! Both datasets × every estimator backend × every binning strategy, each
 //! trained serially and on four threads. A speed-up of training must leave
@@ -25,6 +28,7 @@ use fj_datagen::{
 use fj_query::Query;
 use fj_stats::BnConfig;
 use fj_storage::Catalog;
+use std::collections::BTreeMap;
 
 /// FNV-1a, 64 bit: a hash with no seed and no dependency, stable forever.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -33,8 +37,41 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// `(fjm hash, estimates hash)` of one training.
-fn fingerprint(cat: &Catalog, queries: &[Query], cfg: FactorJoinConfig) -> (u64, u64) {
+/// The hash of what training computed, read through the model's public
+/// accessors in a canonical order: groups by id, keys by name.
+fn statistics_hash(model: &FactorJoinModel) -> u64 {
+    let mut bytes = Vec::new();
+    for gid in 0..model.report().num_groups {
+        let map = model.group_bins(gid);
+        let mut entries: Vec<(i64, u32)> = map.entries().collect();
+        entries.sort_unstable();
+        bytes.extend((map.k() as u64).to_le_bytes());
+        for (value, bin) in entries {
+            bytes.extend(value.to_le_bytes());
+            bytes.extend(bin.to_le_bytes());
+        }
+    }
+    let keys: BTreeMap<String, _> = model
+        .iter_keys()
+        .map(|(key, gid, stats)| (format!("{}.{}", key.table, key.column), (gid, stats)))
+        .collect();
+    for (name, (gid, stats)) in keys {
+        bytes.extend(name.as_bytes());
+        bytes.extend((gid as u64).to_le_bytes());
+        for (value, count) in stats.freq.sorted_entries() {
+            bytes.extend(value.to_le_bytes());
+            bytes.extend(count.to_le_bytes());
+        }
+        for vector in [&stats.bin_total, &stats.bin_mfv, &stats.bin_ndv] {
+            bytes.extend((vector.len() as u64).to_le_bytes());
+            bytes.extend(vector.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+        }
+    }
+    fnv1a(bytes)
+}
+
+/// `(fjm hash, estimates hash, statistics hash)` of one training.
+fn fingerprint(cat: &Catalog, queries: &[Query], cfg: FactorJoinConfig) -> (u64, u64, u64) {
     let model = FactorJoinModel::train(cat, cfg);
     let fjm = fnv1a(encode(&SavedModel::from_model(&model)));
     let mut session = model.subplan_estimator();
@@ -43,30 +80,31 @@ fn fingerprint(cat: &Catalog, queries: &[Query], cfg: FactorJoinConfig) -> (u64,
         .flat_map(|(mask, est)| [mask.to_le_bytes(), est.to_bits().to_le_bytes()])
         .flatten()
         .collect();
-    (fjm, fnv1a(bytes))
+    (fjm, fnv1a(bytes), statistics_hash(&model))
 }
 
-/// `("dataset/estimator/strategy", fjm hash, estimates hash)`.
+/// `("dataset/estimator/strategy", fjm hash, estimates hash, statistics
+/// hash)`.
 #[rustfmt::skip]
-const PINS: [(&str, u64, u64); 18] = [
-    ("stats/bayesnet/gbsa", 0xd9d10e6178b45c5a, 0xdbf978a5a9773981),
-    ("stats/bayesnet/equal_depth", 0x7f79d4e8719a251b, 0x43754afea0a34e11),
-    ("stats/bayesnet/equal_width", 0xdf29482c257cd62c, 0xe21a3fcd150c9db1),
-    ("stats/sampling/gbsa", 0xfed800e29e72b516, 0xc591629da5e289ec),
-    ("stats/sampling/equal_depth", 0xaa87add67672aaa3, 0xd28598c847e1e879),
-    ("stats/sampling/equal_width", 0x5427b4c6f3988e04, 0x254edd094700a1db),
-    ("stats/truescan/gbsa", 0x2f8c3e1345c97f99, 0x893da16a70093662),
-    ("stats/truescan/equal_depth", 0x4e7fca1013be5a50, 0x29eb4b96cfe109c9),
-    ("stats/truescan/equal_width", 0x6c7be20349835043, 0xd8571694252ed8a2),
-    ("imdb/bayesnet/gbsa", 0xbfec812cb13b41a3, 0xcc501b8f245be6df),
-    ("imdb/bayesnet/equal_depth", 0xdcd7a05d51f0f4df, 0x0361c9e4b9f8392c),
-    ("imdb/bayesnet/equal_width", 0x4acc2ea8941897ce, 0x2603b353ec1a7119),
-    ("imdb/sampling/gbsa", 0xaec08d597a89d047, 0x5a26d0a1e3a025cc),
-    ("imdb/sampling/equal_depth", 0x8af50044bd557173, 0x9127d28606ef51a6),
-    ("imdb/sampling/equal_width", 0x9b695e1a3d1203ca, 0xa85e98ff2884c6b3),
-    ("imdb/truescan/gbsa", 0xc4d18f7b202c63dc, 0x1dc42a17b9b91565),
-    ("imdb/truescan/equal_depth", 0xd820c21671a6330c, 0xdec0fa4800f9a085),
-    ("imdb/truescan/equal_width", 0xc00624dfab8a1a55, 0x11c2900ff0434961),
+const PINS: [(&str, u64, u64, u64); 18] = [
+    ("stats/bayesnet/gbsa", 0xd9d10e6178b45c5a, 0xdbf978a5a9773981, 0x458e9984de5528c7),
+    ("stats/bayesnet/equal_depth", 0x7f79d4e8719a251b, 0x43754afea0a34e11, 0x7f137be47bdecd9f),
+    ("stats/bayesnet/equal_width", 0xdf29482c257cd62c, 0xe21a3fcd150c9db1, 0x5d5b09bf0fab086d),
+    ("stats/sampling/gbsa", 0xfed800e29e72b516, 0xc591629da5e289ec, 0x458e9984de5528c7),
+    ("stats/sampling/equal_depth", 0xaa87add67672aaa3, 0xd28598c847e1e879, 0x7f137be47bdecd9f),
+    ("stats/sampling/equal_width", 0x5427b4c6f3988e04, 0x254edd094700a1db, 0x5d5b09bf0fab086d),
+    ("stats/truescan/gbsa", 0x2f8c3e1345c97f99, 0x893da16a70093662, 0x458e9984de5528c7),
+    ("stats/truescan/equal_depth", 0x4e7fca1013be5a50, 0x29eb4b96cfe109c9, 0x7f137be47bdecd9f),
+    ("stats/truescan/equal_width", 0x6c7be20349835043, 0xd8571694252ed8a2, 0x5d5b09bf0fab086d),
+    ("imdb/bayesnet/gbsa", 0xbfec812cb13b41a3, 0xcc501b8f245be6df, 0x6ac7cffc69e2978d),
+    ("imdb/bayesnet/equal_depth", 0xdcd7a05d51f0f4df, 0x0361c9e4b9f8392c, 0x56a56fe6fdb5201f),
+    ("imdb/bayesnet/equal_width", 0x4acc2ea8941897ce, 0x2603b353ec1a7119, 0x1008914b7f6137a3),
+    ("imdb/sampling/gbsa", 0xaec08d597a89d047, 0x5a26d0a1e3a025cc, 0x6ac7cffc69e2978d),
+    ("imdb/sampling/equal_depth", 0x8af50044bd557173, 0x9127d28606ef51a6, 0x56a56fe6fdb5201f),
+    ("imdb/sampling/equal_width", 0x9b695e1a3d1203ca, 0xa85e98ff2884c6b3, 0x1008914b7f6137a3),
+    ("imdb/truescan/gbsa", 0xc4d18f7b202c63dc, 0x1dc42a17b9b91565, 0x6ac7cffc69e2978d),
+    ("imdb/truescan/equal_depth", 0xd820c21671a6330c, 0xdec0fa4800f9a085, 0x56a56fe6fdb5201f),
+    ("imdb/truescan/equal_width", 0xc00624dfab8a1a55, 0x11c2900ff0434961, 0x1008914b7f6137a3),
 ];
 
 #[test]
@@ -83,7 +121,7 @@ fn training_output_matches_the_pinned_hashes() {
     let imdb_queries = imdb_job_workload(&imdb, &WorkloadConfig::tiny(32));
     let mut got = Vec::new();
     let mut wrong = Vec::new();
-    for &(label, fjm, estimates) in &PINS {
+    for &(label, fjm, estimates, statistics) in &PINS {
         let (data, rest) = label.split_once('/').unwrap();
         let (est, strat) = rest.split_once('/').unwrap();
         let (cat, queries) = match data {
@@ -110,12 +148,12 @@ fn training_output_matches_the_pinned_hashes() {
         let serial = fingerprint(cat, queries, cfg(1));
         let parallel = fingerprint(cat, queries, cfg(4));
         assert_eq!(serial, parallel, "{label}: 1 vs 4 threads");
-        if serial != (fjm, estimates) {
+        if serial != (fjm, estimates, statistics) {
             wrong.push(label);
         }
         got.push(format!(
-            "    (\"{label}\", {:#018x}, {:#018x}),",
-            serial.0, serial.1
+            "    (\"{label}\", {:#018x}, {:#018x}, {:#018x}),",
+            serial.0, serial.1, serial.2
         ));
     }
     assert!(
