@@ -68,7 +68,8 @@ fn bench_quality(args: &[String]) -> ! {
         .unwrap_or(quality::PINNED_SCALE);
     match (write, check) {
         (Some(path), None) => {
-            let sample = quality::measure(&label, scale, queries);
+            let mut sample = quality::measure(&label, scale, queries);
+            sample.bound = Some(quality::measure_bound(quality::BOUND_SCALE));
             println!("measured {}", quality::format_sample(&sample));
             quality::append_sample(Path::new(&path), &sample).unwrap_or_else(|e| {
                 eprintln!("error: cannot write {path}: {e}");

@@ -14,13 +14,24 @@
 //! data, the workloads, and every recorded estimator are seeded, so a
 //! fresh measurement on any machine reproduces the baseline bit-for-bit
 //! unless the *code* changed. The default tolerance is therefore tight.
+//!
+//! The `bound` section is a ratchet on the paper's contract: with exact
+//! (TrueScan) single-table statistics, the estimate of every sub-plan is
+//! meant to be an upper bound. It counts, on the full paper workloads at
+//! [`BOUND_SCALE`], the sub-plans whose estimate falls below the truth at
+//! each of [`BOUND_BINS`], with the worst truth ÷ estimate, and the
+//! multi-key aliases (an alias joined on two different variables) every
+//! known under-estimate involves. The check fails if any count rises.
 
 use crate::env::{BenchEnv, BenchKind};
 use crate::experiments::paper_factorjoin;
 use crate::harness::EndToEnd;
 use crate::report::{percentile, q_error};
+use factorjoin::{
+    BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel,
+};
 use fj_baselines::{CardEst, JoinHist, JoinHistConfig, PessEst, PostgresLike, TrueCard};
-use fj_query::Query;
+use fj_query::{connected_subplans, Query, QueryGraph, SubplanMask};
 use serde_json::Value;
 use std::path::Path;
 
@@ -40,6 +51,62 @@ pub const PINNED_BINS: usize = 100;
 /// enough for CI (true cardinalities of every sub-plan are computed by
 /// executing the joins), large enough for stable percentiles.
 pub const PINNED_QUERIES: usize = 16;
+
+/// Data scale of the bound ratchet: the paper workloads in full.
+pub const BOUND_SCALE: f64 = 1.0;
+
+/// Bins per key group of the bound ratchet's cells; `None` is one bin per
+/// key value (equal-depth with more bins than values).
+pub const BOUND_BINS: [Option<usize>; 4] = [Some(10), Some(100), Some(1000), None];
+
+/// Bins that give every key value its own bin under equal-depth binning.
+const PER_VALUE_BINS: usize = 10_000_000;
+
+/// Relative shortfall below which an estimate is not an under-estimate:
+/// with one bin per value the bound is the truth, and the rounding of its
+/// floating-point products must not count as a violation.
+const ROUNDING: f64 = 1e-9;
+
+/// Under-estimates of one bin budget on one workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundCell {
+    /// The bin budget: `k=10`, …, or `per-value`.
+    pub bins: String,
+    /// Sub-plans whose estimate is below the true cardinality (by more
+    /// than a relative 10⁻⁹ of rounding).
+    pub underestimates: usize,
+    /// The largest truth ÷ estimate among them (1 when there is none).
+    pub worst_ratio: f64,
+}
+
+/// The bound ratchet on one workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundWorkload {
+    /// Workload name (`STATS-CEB`, `IMDB-JOB`).
+    pub workload: String,
+    /// Connected sub-plans scored (single tables included).
+    pub subplans: usize,
+    /// Alias occurrences over all queries.
+    pub aliases: usize,
+    /// Aliases joined on two or more different variables in their query.
+    pub multi_key_aliases: usize,
+    /// Sub-plans of two or more aliases.
+    pub multi_table_subplans: usize,
+    /// Of those, the ones with an alias joined on two different variables
+    /// inside the sub-plan.
+    pub multi_key_subplans: usize,
+    /// One cell per bin budget, in [`BOUND_BINS`] order.
+    pub cells: Vec<BoundCell>,
+}
+
+/// The bound ratchet: TrueScan bases on both paper workloads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundSample {
+    /// Data scale measured at.
+    pub scale: f64,
+    /// Per-workload cells.
+    pub workloads: Vec<BoundWorkload>,
+}
 
 /// Quality of one estimation method on one workload.
 #[derive(Debug, Clone)]
@@ -102,6 +169,8 @@ pub struct QualitySample {
     pub bins: usize,
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadQuality>,
+    /// The bound ratchet, when recorded (see [`measure_bound`]).
+    pub bound: Option<BoundSample>,
 }
 
 impl QualitySample {
@@ -242,6 +311,111 @@ pub fn measure(label: &str, scale: f64, queries: usize) -> QualitySample {
             measure_workload(BenchKind::StatsCeb, scale, queries),
             measure_workload(BenchKind::ImdbJob, scale, queries),
         ],
+        bound: None,
+    }
+}
+
+/// Whether `alias` joins on two or more different variables with other
+/// aliases of `mask`.
+fn multi_key(graph: &QueryGraph, mask: SubplanMask, alias: usize) -> bool {
+    let others = mask & !(1 << alias);
+    let mut vars: Vec<usize> = graph
+        .alias_keys(alias)
+        .iter()
+        .map(|&(_, var)| var)
+        .filter(|&var| graph.var_aliases(var) & others != 0)
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars.len() >= 2
+}
+
+fn measure_bound_workload(kind: BenchKind, scale: f64) -> BoundWorkload {
+    let env = BenchEnv::build(kind, scale, None);
+    let (mut aliases, mut multi_key_aliases) = (0, 0);
+    let (mut subplans, mut multi_table_subplans, mut multi_key_subplans) = (0, 0, 0);
+    for q in &env.queries {
+        let graph = QueryGraph::analyze(q);
+        let all = (1u64 << q.num_tables()) - 1;
+        aliases += q.num_tables();
+        multi_key_aliases += (0..q.num_tables())
+            .filter(|&a| multi_key(&graph, all, a))
+            .count();
+        for mask in connected_subplans(q, 1) {
+            subplans += 1;
+            if mask.count_ones() >= 2 {
+                multi_table_subplans += 1;
+                let members = (0..q.num_tables()).filter(|a| mask & (1 << a) != 0);
+                multi_key_subplans +=
+                    usize::from(members.into_iter().any(|a| multi_key(&graph, mask, a)));
+            }
+        }
+    }
+    let cells = BOUND_BINS
+        .iter()
+        .map(|&bins| {
+            let (bin_budget, strategy, label) = match bins {
+                Some(k) => (
+                    BinBudget::Uniform(k),
+                    BinningStrategy::Gbsa,
+                    format!("k={k}"),
+                ),
+                None => (
+                    BinBudget::Uniform(PER_VALUE_BINS),
+                    BinningStrategy::EqualDepth,
+                    "per-value".to_string(),
+                ),
+            };
+            let model = FactorJoinModel::train(
+                &env.catalog,
+                FactorJoinConfig {
+                    bin_budget,
+                    strategy,
+                    estimator: BaseEstimatorKind::TrueScan,
+                    seed: 42,
+                    threads: 0,
+                },
+            );
+            let mut session = model.subplan_estimator();
+            let (mut underestimates, mut worst_ratio) = (0, 1.0f64);
+            for (qi, q) in env.queries.iter().enumerate() {
+                for (mask, est) in session.estimate_subplans(q, 1) {
+                    let truth = env.truth(qi, mask);
+                    if est < truth * (1.0 - ROUNDING) {
+                        underestimates += 1;
+                        worst_ratio = worst_ratio.max(truth / est.max(1e-300));
+                    }
+                }
+            }
+            BoundCell {
+                bins: label,
+                underestimates,
+                worst_ratio,
+            }
+        })
+        .collect();
+    BoundWorkload {
+        workload: env.name().to_string(),
+        subplans,
+        aliases,
+        multi_key_aliases,
+        multi_table_subplans,
+        multi_key_subplans,
+        cells,
+    }
+}
+
+/// Measures the bound ratchet at `scale` (the recorded one is
+/// [`BOUND_SCALE`]): TrueScan models with GBSA at k ∈ {10, 100, 1000} and
+/// one bin per value, on the full STATS-CEB and IMDB-JOB workloads, each
+/// connected sub-plan against its true cardinality. Deterministic.
+pub fn measure_bound(scale: f64) -> BoundSample {
+    BoundSample {
+        scale,
+        workloads: vec![
+            measure_bound_workload(BenchKind::StatsCeb, scale),
+            measure_bound_workload(BenchKind::ImdbJob, scale),
+        ],
     }
 }
 
@@ -348,8 +522,86 @@ fn workload_from_json(v: &Value) -> std::io::Result<WorkloadQuality> {
     })
 }
 
-fn sample_to_json(s: &QualitySample) -> Value {
+fn bound_to_json(b: &BoundSample) -> Value {
+    let cell = |c: &BoundCell| {
+        Value::object([
+            ("bins".to_string(), Value::from(c.bins.clone())),
+            ("underestimates".to_string(), Value::from(c.underestimates)),
+            ("worst_ratio".to_string(), Value::from(c.worst_ratio)),
+        ])
+    };
+    let workload = |w: &BoundWorkload| {
+        Value::object([
+            ("workload".to_string(), Value::from(w.workload.clone())),
+            ("subplans".to_string(), Value::from(w.subplans)),
+            ("aliases".to_string(), Value::from(w.aliases)),
+            (
+                "multi_key_aliases".to_string(),
+                Value::from(w.multi_key_aliases),
+            ),
+            (
+                "multi_table_subplans".to_string(),
+                Value::from(w.multi_table_subplans),
+            ),
+            (
+                "multi_key_subplans".to_string(),
+                Value::from(w.multi_key_subplans),
+            ),
+            (
+                "cells".to_string(),
+                Value::Array(w.cells.iter().map(cell).collect()),
+            ),
+        ])
+    };
     Value::object([
+        ("scale".to_string(), Value::from(b.scale)),
+        (
+            "workloads".to_string(),
+            Value::Array(b.workloads.iter().map(workload).collect()),
+        ),
+    ])
+}
+
+fn bound_from_json(v: &Value) -> std::io::Result<BoundSample> {
+    let array = |v: &Value, k: &str| v[k].as_array().cloned().ok_or_else(|| err(k));
+    let count = |v: &Value, k: &str| v[k].as_f64().map(|x| x as usize).ok_or_else(|| err(k));
+    let cell = |c: &Value| -> std::io::Result<BoundCell> {
+        Ok(BoundCell {
+            bins: c["bins"].as_str().ok_or_else(|| err("bins"))?.to_string(),
+            underestimates: count(c, "underestimates")?,
+            worst_ratio: c["worst_ratio"]
+                .as_f64()
+                .ok_or_else(|| err("worst_ratio"))?,
+        })
+    };
+    let workload = |w: &Value| -> std::io::Result<BoundWorkload> {
+        Ok(BoundWorkload {
+            workload: w["workload"]
+                .as_str()
+                .ok_or_else(|| err("workload"))?
+                .to_string(),
+            subplans: count(w, "subplans")?,
+            aliases: count(w, "aliases")?,
+            multi_key_aliases: count(w, "multi_key_aliases")?,
+            multi_table_subplans: count(w, "multi_table_subplans")?,
+            multi_key_subplans: count(w, "multi_key_subplans")?,
+            cells: array(w, "cells")?
+                .iter()
+                .map(cell)
+                .collect::<std::io::Result<_>>()?,
+        })
+    };
+    Ok(BoundSample {
+        scale: v["scale"].as_f64().ok_or_else(|| err("bound scale"))?,
+        workloads: array(v, "workloads")?
+            .iter()
+            .map(workload)
+            .collect::<std::io::Result<_>>()?,
+    })
+}
+
+fn sample_to_json(s: &QualitySample) -> Value {
+    let mut fields = vec![
         ("label".to_string(), Value::from(s.label.clone())),
         ("scale".to_string(), Value::from(s.scale)),
         ("bins".to_string(), Value::from(s.bins)),
@@ -357,7 +609,11 @@ fn sample_to_json(s: &QualitySample) -> Value {
             "workloads".to_string(),
             Value::Array(s.workloads.iter().map(workload_to_json).collect()),
         ),
-    ])
+    ];
+    if let Some(b) = &s.bound {
+        fields.push(("bound".to_string(), bound_to_json(b)));
+    }
+    Value::object(fields)
 }
 
 fn sample_from_json(v: &Value) -> std::io::Result<QualitySample> {
@@ -372,6 +628,11 @@ fn sample_from_json(v: &Value) -> std::io::Result<QualitySample> {
             .iter()
             .map(workload_from_json)
             .collect::<std::io::Result<_>>()?,
+        // Samples recorded before the ratchet have no bound section.
+        bound: match &v["bound"] {
+            Value::Null => None,
+            b => Some(bound_from_json(b)?),
+        },
     })
 }
 
@@ -520,6 +781,9 @@ pub fn compare_samples(
             }
         }
     }
+    if let Some(bb) = &baseline.bound {
+        compare_bound(&mut deltas, &mut ok, bb, fresh.bound.as_ref());
+    }
     CheckReport {
         baseline: baseline.clone(),
         fresh: fresh.clone(),
@@ -528,9 +792,48 @@ pub fn compare_samples(
     }
 }
 
+/// The ratchet: every recorded cell must be measured again, and no
+/// under-estimate count may rise.
+fn compare_bound(
+    deltas: &mut Vec<MetricDelta>,
+    ok: &mut bool,
+    baseline: &BoundSample,
+    fresh: Option<&BoundSample>,
+) {
+    for bw in &baseline.workloads {
+        let fw = fresh.and_then(|f| f.workloads.iter().find(|w| w.workload == bw.workload));
+        for bc in &bw.cells {
+            let fc = fw.and_then(|w| w.cells.iter().find(|c| c.bins == bc.bins));
+            let Some(fc) = fc else {
+                *ok = false;
+                continue;
+            };
+            let (b, f) = (bc.underestimates as f64, fc.underestimates as f64);
+            let within = fc.underestimates <= bc.underestimates;
+            *ok &= within;
+            deltas.push(MetricDelta {
+                workload: format!("{}[bound]", bw.workload),
+                method: format!("truescan {}", bc.bins),
+                metric: "underestimates",
+                baseline: b,
+                fresh: f,
+                ratio: if b > 0.0 {
+                    f / b
+                } else if f > 0.0 {
+                    f64::INFINITY
+                } else {
+                    1.0
+                },
+                ok: within,
+            });
+        }
+    }
+}
+
 /// Measures a fresh sample at the **baseline's** scale and query count
 /// and compares every recorded quality metric, failing on any
-/// `fresh > threshold × baseline`.
+/// `fresh > threshold × baseline` — and, when the baseline records the
+/// bound ratchet, on any under-estimate count above the recorded one.
 ///
 /// The caller's `queries` (the `--queries` flag) is only a fallback for
 /// baselines that recorded no workloads: comparing two measurements taken
@@ -548,7 +851,8 @@ pub fn check_against(path: &Path, threshold: f64, queries: usize) -> std::io::Re
         .first()
         .map(|w| w.queries)
         .unwrap_or(queries);
-    let fresh = measure("ci-check", baseline.scale, queries);
+    let mut fresh = measure("ci-check", baseline.scale, queries);
+    fresh.bound = baseline.bound.as_ref().map(|b| measure_bound(b.scale));
     Ok(compare_samples(&baseline, &fresh, threshold))
 }
 
@@ -571,6 +875,29 @@ pub fn format_sample(s: &QualitySample) -> String {
                 "\n    ({} templates recorded; worst factorjoin p95 per shape gated individually)",
                 w.templates.len()
             ));
+        }
+    }
+    if let Some(b) = &s.bound {
+        out.push_str(&format!(
+            "\n  bound ratchet, TrueScan bases, scale {}:",
+            b.scale
+        ));
+        for w in &b.workloads {
+            out.push_str(&format!(
+                "\n    {} ({} sub-plans; multi-key aliases {} of {}, in {} of {} multi-table sub-plans):",
+                w.workload,
+                w.subplans,
+                w.multi_key_aliases,
+                w.aliases,
+                w.multi_key_subplans,
+                w.multi_table_subplans
+            ));
+            for c in &w.cells {
+                out.push_str(&format!(
+                    "\n      {:<10} under-estimates {:>4}, worst ×{:.3}",
+                    c.bins, c.underestimates, c.worst_ratio
+                ));
+            }
         }
     }
     out
@@ -627,6 +954,75 @@ mod tests {
                     }],
                 }],
             }],
+            bound: None,
+        }
+    }
+
+    fn with_bound(mut s: QualitySample, counts: [usize; 2]) -> QualitySample {
+        let cells = ["k=10", "per-value"]
+            .iter()
+            .zip(counts)
+            .map(|(bins, underestimates)| BoundCell {
+                bins: bins.to_string(),
+                underestimates,
+                worst_ratio: 1.5,
+            })
+            .collect();
+        s.bound = Some(BoundSample {
+            scale: 1.0,
+            workloads: vec![BoundWorkload {
+                workload: "STATS-CEB".into(),
+                subplans: 50,
+                aliases: 20,
+                multi_key_aliases: 3,
+                multi_table_subplans: 30,
+                multi_key_subplans: 9,
+                cells,
+            }],
+        });
+        s
+    }
+
+    #[test]
+    fn a_rising_under_estimate_count_fails_the_ratchet() {
+        let base = with_bound(sample(2.0, 14.0, 1.2), [5, 60]);
+        assert!(compare_samples(&base, &base.clone(), DEFAULT_THRESHOLD).ok);
+        // Fewer under-estimates pass; one more anywhere fails, naming it.
+        let better = with_bound(sample(2.0, 14.0, 1.2), [0, 59]);
+        assert!(compare_samples(&base, &better, DEFAULT_THRESHOLD).ok);
+        let worse = with_bound(sample(2.0, 14.0, 1.2), [5, 61]);
+        let report = compare_samples(&base, &worse, DEFAULT_THRESHOLD);
+        assert!(!report.ok);
+        let bad: Vec<_> = report.deltas.iter().filter(|d| !d.ok).collect();
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].method, "truescan per-value");
+        assert_eq!(bad[0].workload, "STATS-CEB[bound]");
+        // A fresh sample without the section fails a baseline with one.
+        assert!(!compare_samples(&base, &sample(2.0, 14.0, 1.2), DEFAULT_THRESHOLD).ok);
+        // The section survives the JSON history.
+        let back = sample_from_json(&sample_to_json(&worse)).unwrap();
+        assert_eq!(back.bound, worse.bound);
+        assert_eq!(
+            sample_from_json(&sample_to_json(&base)).unwrap().bound,
+            base.bound
+        );
+    }
+
+    /// The ratchet's measurement end to end on a tiny scale: every cell is
+    /// recorded, and the multi-key counts are consistent.
+    #[test]
+    fn bound_measurement_records_every_cell() {
+        let b = measure_bound(0.02);
+        assert_eq!(b.workloads.len(), 2);
+        for w in &b.workloads {
+            assert_eq!(w.cells.len(), BOUND_BINS.len());
+            assert!(w.multi_key_aliases <= w.aliases);
+            assert!(w.multi_key_subplans <= w.multi_table_subplans);
+            assert!(w.multi_table_subplans < w.subplans);
+            for c in &w.cells {
+                assert!(c.underestimates <= w.subplans);
+                assert!(c.worst_ratio >= 1.0);
+            }
         }
     }
 

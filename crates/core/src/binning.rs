@@ -32,7 +32,7 @@ pub enum BinningStrategy {
 /// Per-group bin budget: either a uniform `k` per group or a global budget
 /// split proportionally to workload join-pattern frequencies (paper §4.2,
 /// "Deciding k based on query workloads").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BinBudget {
     /// Every group gets the same number of bins.
     Uniform(usize),

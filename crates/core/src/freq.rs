@@ -114,8 +114,8 @@ impl KeyFreq {
         }
     }
 
-    /// Records the count of a not-yet-seen `value` outright (persistence
-    /// restore path; zero counts are dropped, they mean "absent").
+    /// Records the count of a not-yet-seen `value` outright (zero counts
+    /// are dropped, they mean "absent").
     pub fn set(&mut self, value: i64, count: u64) {
         if count == 0 {
             return;
@@ -147,41 +147,25 @@ impl KeyFreq {
         self.keys.len() * 8 + self.counts.len() * 8
     }
 
-    /// The raw open-addressing slabs as `(keys, counts, len)` — written
-    /// verbatim by the binary persistence format so load is a bulk copy.
-    pub fn raw_parts(&self) -> (&[i64], &[u64], usize) {
-        (&self.keys, &self.counts, self.len)
-    }
-
-    /// Rebuilds a map from raw slabs (inverse of [`Self::raw_parts`]),
-    /// validating the invariants the probing code relies on — same
-    /// discipline as `fj_stats::KeyBinMap::from_raw_parts`: equal-length
-    /// power-of-two slabs, `len` matching the occupied (non-zero-count)
-    /// slots, and occupancy within the `7/8` growth bound so probe loops
-    /// terminate. Slot placement is trusted (the writer used the identical
-    /// hash); integrity against corruption is the caller's CRC.
-    pub fn from_raw_parts(keys: Vec<i64>, counts: Vec<u64>, len: usize) -> Result<Self, String> {
-        if keys.len() != counts.len() {
+    /// Rebuilds a map from [`Self::sorted_entries`], validating what a
+    /// hostile or corrupt file could break: values strictly increasing (no
+    /// value twice) and every count non-zero (zero means "absent"). Sized
+    /// once for the entries, so the rebuild never regrows.
+    pub fn from_sorted_entries(entries: &[(i64, u64)]) -> Result<Self, String> {
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
             return Err(format!(
-                "slab length mismatch: {} keys vs {} counts",
-                keys.len(),
-                counts.len()
+                "values not strictly increasing: {} then {}",
+                w[0].0, w[1].0
             ));
         }
-        let cap = keys.len();
-        if cap != 0 && !cap.is_power_of_two() {
-            return Err(format!("slab capacity {cap} is not a power of two"));
+        if let Some(&(v, _)) = entries.iter().find(|&&(_, c)| c == 0) {
+            return Err(format!("value {v} has a zero count"));
         }
-        let occupied = counts.iter().filter(|&&c| c > 0).count();
-        if occupied != len {
-            return Err(format!("{occupied} occupied slots but len says {len}"));
+        let mut f = Self::with_capacity(entries.len());
+        for &(v, c) in entries {
+            f.add(v, c);
         }
-        if cap != 0 && len * 8 > cap * 7 {
-            return Err(format!(
-                "over-full table: {len} entries in {cap} slots breaks probe termination"
-            ));
-        }
-        Ok(KeyFreq { keys, counts, len })
+        Ok(f)
     }
 
     fn grow_to(&mut self, cap: usize) {
@@ -317,25 +301,23 @@ mod tests {
     }
 
     #[test]
-    fn raw_parts_roundtrip_is_slab_identical() {
+    fn sorted_entries_roundtrip_preserves_counts() {
         let mut f = KeyFreq::new();
         for v in 0..2000i64 {
             f.add((v * 7919) % 997, 1 + (v % 13) as u64);
         }
-        let (keys, counts, len) = f.raw_parts();
-        let back = KeyFreq::from_raw_parts(keys.to_vec(), counts.to_vec(), len).unwrap();
+        let entries = f.sorted_entries();
+        let back = KeyFreq::from_sorted_entries(&entries).unwrap();
         assert_eq!(back, f);
-        let (k2, c2, l2) = back.raw_parts();
-        assert_eq!((k2, c2, l2), (keys, counts, len), "slabs copied verbatim");
+        assert_eq!(back.sorted_entries(), entries);
     }
 
     #[test]
-    fn from_raw_parts_rejects_invalid_slabs() {
-        assert!(KeyFreq::from_raw_parts(vec![0; 8], vec![0; 4], 0).is_err());
-        assert!(KeyFreq::from_raw_parts(vec![0; 6], vec![0; 6], 0).is_err());
-        assert!(KeyFreq::from_raw_parts(vec![0; 8], vec![0; 8], 2).is_err());
-        assert!(KeyFreq::from_raw_parts(vec![0; 8], vec![1; 8], 8).is_err());
-        let empty = KeyFreq::from_raw_parts(vec![], vec![], 0).unwrap();
+    fn from_sorted_entries_rejects_invalid_entries() {
+        assert!(KeyFreq::from_sorted_entries(&[(1, 1), (1, 2)]).is_err());
+        assert!(KeyFreq::from_sorted_entries(&[(3, 1), (1, 2)]).is_err());
+        assert!(KeyFreq::from_sorted_entries(&[(1, 1), (2, 0)]).is_err());
+        let empty = KeyFreq::from_sorted_entries(&[]).unwrap();
         assert!(empty.is_empty());
     }
 

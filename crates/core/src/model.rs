@@ -31,7 +31,7 @@ pub enum BaseEstimatorKind {
 }
 
 /// Training configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorJoinConfig {
     /// Bins per equivalent key group (paper default k = 100).
     pub bin_budget: BinBudget,
@@ -259,10 +259,10 @@ impl FactorJoinModel {
         Self::assemble(config, group_bins, keys, catalog, &pool, start)
     }
 
-    /// The tail shared by [`Self::train`] and [`Self::from_parts`]: one
-    /// slot per join key, and one record per table — key slots, its keys'
-    /// shared bin maps, and one estimator fit (wave 3, the dominant cost:
-    /// Chow-Liu trees and CPTs for BayesNet models).
+    /// The tail of [`Self::train`]: one slot per join key, and one record
+    /// per table — key slots, its keys' shared bin maps, and one estimator
+    /// fit (wave 3, the dominant cost: Chow-Liu trees and CPTs for BayesNet
+    /// models).
     fn assemble(
         config: FactorJoinConfig,
         group_bins: Vec<Arc<KeyBinMap>>,
@@ -271,34 +271,13 @@ impl FactorJoinModel {
         pool: &WorkerPool,
         start: Instant,
     ) -> Self {
-        let mut key_slot = HashMap::with_capacity(keys.len());
-        let keys: Vec<KeyRecord> = keys
-            .into_iter()
-            .enumerate()
-            .map(|(slot, (kr, group, stats))| {
-                key_slot.insert(kr, slot);
-                KeyRecord { group, stats }
-            })
-            .collect();
-
+        let (key_slot, keys) = index_keys(keys);
         let catalog_tables: Vec<&Table> = catalog.tables().collect();
         let records = pool.run_indexed(catalog_tables.len(), |i| {
             let table = catalog_tables[i];
             let schema = table.schema().clone();
-            // A key column's bin set entry is its group's map itself.
-            let mut bins = TableBins::new();
-            let key_slots = schema
-                .columns()
-                .iter()
-                .map(|def| {
-                    let slot = key_slot.get(&KeyRef::new(table.name(), &def.name)).copied();
-                    if let Some(slot) = slot {
-                        let map = Arc::clone(&group_bins[keys[slot].group]);
-                        bins.insert_shared(&def.name, map);
-                    }
-                    slot
-                })
-                .collect();
+            let (key_slots, bins) =
+                key_columns(table.name(), &schema, &key_slot, &keys, &group_bins);
             let estimator = build_estimator(&config.estimator, table, &bins, config.seed);
             let record = TableRecord {
                 schema,
@@ -308,8 +287,66 @@ impl FactorJoinModel {
             };
             (table.name().to_string(), record)
         });
-        let tables = records.into_iter().collect();
+        let mut model = Self::finish(config, group_bins, key_slot, keys, records, pool.threads());
+        model.report.train_seconds = start.elapsed().as_secs_f64();
+        model
+    }
 
+    /// A model read back from a file: the keys with their groups and
+    /// statistics, and per table its name, schema and estimator —
+    /// `estimator(i, schema, bins)` decodes table `i`'s against the key bins
+    /// this model gives it. Every key must be a column of a listed table.
+    /// Nothing is fitted.
+    pub(crate) fn from_decoded<E: From<String>>(
+        config: FactorJoinConfig,
+        group_bins: Vec<Arc<KeyBinMap>>,
+        keys: Vec<(KeyRef, usize, KeyStats)>,
+        tables: Vec<(String, TableSchema)>,
+        mut estimator: impl FnMut(
+            usize,
+            &TableSchema,
+            &TableBins,
+        ) -> Result<Box<dyn BaseTableEstimator>, E>,
+    ) -> Result<Self, E> {
+        let (key_slot, keys) = index_keys(keys);
+        let mut records = Vec::with_capacity(tables.len());
+        let mut placed = 0;
+        for (i, (name, schema)) in tables.into_iter().enumerate() {
+            let (key_slots, bins) = key_columns(&name, &schema, &key_slot, &keys, &group_bins);
+            placed += key_slots.iter().flatten().count();
+            let estimator = estimator(i, &schema, &bins)?;
+            let record = TableRecord {
+                schema,
+                key_slots,
+                bins,
+                estimator,
+            };
+            records.push((name, record));
+        }
+        if placed != keys.len() {
+            let orphan = key_slot
+                .keys()
+                .find(|k| {
+                    !records
+                        .iter()
+                        .any(|(name, r)| *name == k.table && r.schema.index_of(&k.column).is_some())
+                })
+                .map_or_else(String::new, |k| format!("{}.{}", k.table, k.column));
+            return Err(E::from(format!(
+                "key {orphan} is not a column of any table in the file"
+            )));
+        }
+        Ok(Self::finish(config, group_bins, key_slot, keys, records, 1))
+    }
+
+    fn finish(
+        config: FactorJoinConfig,
+        group_bins: Vec<Arc<KeyBinMap>>,
+        key_slot: HashMap<KeyRef, usize>,
+        keys: Vec<KeyRecord>,
+        tables: Vec<(String, TableRecord)>,
+        threads: usize,
+    ) -> Self {
         let num_groups = group_bins.len();
         let bins_per_group = group_bins.iter().map(|b| b.k()).collect();
         let mut model = FactorJoinModel {
@@ -317,17 +354,16 @@ impl FactorJoinModel {
             group_bins,
             key_slot,
             keys,
-            tables,
+            tables: tables.into_iter().collect(),
             report: TrainingReport {
                 train_seconds: 0.0,
                 model_bytes: 0,
                 num_groups,
                 bins_per_group,
-                threads: pool.threads(),
+                threads,
             },
         };
         model.report.model_bytes = model.model_bytes();
-        model.report.train_seconds = start.elapsed().as_secs_f64();
         model
     }
 
@@ -371,17 +407,16 @@ impl FactorJoinModel {
         &self.group_bins
     }
 
-    /// Reassembles a model from persisted statistics — each join key with
-    /// its group id and statistics — rebuilding the single-table
-    /// estimators against `catalog` (in parallel, like [`Self::train`]).
-    pub(crate) fn from_parts(
-        config: FactorJoinConfig,
-        group_bins: Vec<Arc<KeyBinMap>>,
-        keys: Vec<(KeyRef, usize, KeyStats)>,
-        catalog: &Catalog,
-    ) -> Self {
-        let pool = WorkerPool::new(config.threads);
-        Self::assemble(config, group_bins, keys, catalog, &pool, Instant::now())
+    /// Every table's name, schema and estimator, sorted by name (used by
+    /// persistence).
+    pub(crate) fn sorted_tables(&self) -> Vec<(&str, &TableSchema, &dyn BaseTableEstimator)> {
+        let mut out: Vec<_> = self
+            .tables
+            .iter()
+            .map(|(name, t)| (name.as_str(), &t.schema, t.estimator.as_ref()))
+            .collect();
+        out.sort_unstable_by_key(|&(name, _, _)| name);
+        out
     }
 
     /// The single-table estimator of `table` (for baselines and tests).
@@ -394,7 +429,9 @@ impl FactorJoinModel {
         self.tables.get(table).map(|t| &t.bins)
     }
 
-    /// Deployable model size: estimators, bin maps, per-bin statistics.
+    /// Deployable model size: what each estimator owns, each group's bin
+    /// map once (the model, its tables and their estimators share it), and
+    /// the per-bin statistics.
     pub fn model_bytes(&self) -> usize {
         let est: usize = self
             .tables
@@ -715,6 +752,45 @@ fn split_mask(mask: SubplanMask, done: &[SubplanMask]) -> (usize, usize) {
     panic!("connected sub-plan must have an estimated connected predecessor");
 }
 
+/// One slot per join key, in the order given.
+fn index_keys(keys: Vec<(KeyRef, usize, KeyStats)>) -> (HashMap<KeyRef, usize>, Vec<KeyRecord>) {
+    let mut key_slot = HashMap::with_capacity(keys.len());
+    let keys = keys
+        .into_iter()
+        .enumerate()
+        .map(|(slot, (kr, group, stats))| {
+            key_slot.insert(kr, slot);
+            KeyRecord { group, stats }
+        })
+        .collect();
+    (key_slot, keys)
+}
+
+/// The key slot of each column of table `name` (`None` for a column that
+/// is not a join key), and the table's key bins: each key column's entry
+/// is its group's map itself.
+fn key_columns(
+    name: &str,
+    schema: &TableSchema,
+    key_slot: &HashMap<KeyRef, usize>,
+    keys: &[KeyRecord],
+    group_bins: &[Arc<KeyBinMap>],
+) -> (Vec<Option<usize>>, TableBins) {
+    let mut bins = TableBins::new();
+    let key_slots = schema
+        .columns()
+        .iter()
+        .map(|def| {
+            let slot = key_slot.get(&KeyRef::new(name, &def.name)).copied();
+            if let Some(slot) = slot {
+                bins.insert_shared(&def.name, Arc::clone(&group_bins[keys[slot].group]));
+            }
+            slot
+        })
+        .collect();
+    (key_slots, bins)
+}
+
 fn build_estimator(
     kind: &BaseEstimatorKind,
     table: &Table,
@@ -765,6 +841,48 @@ mod tests {
         assert_eq!(r.bins_per_group.len(), 2);
         assert!(r.model_bytes > 0);
         assert!(r.train_seconds >= 0.0);
+    }
+
+    /// Each key group's map is shared by the model, its tables and their
+    /// estimators, and counted once: `model_bytes` is what the estimators
+    /// own, plus every distinct map, plus the per-bin statistics.
+    #[test]
+    fn model_bytes_charges_each_group_map_once() {
+        let cat = tiny_catalog();
+        for estimator in [
+            BaseEstimatorKind::BayesNet(BnConfig::default()),
+            BaseEstimatorKind::TrueScan,
+        ] {
+            let model = FactorJoinModel::train(
+                &cat,
+                FactorJoinConfig {
+                    estimator,
+                    ..truescan_config(30)
+                },
+            );
+            let mut maps: Vec<*const KeyBinMap> = Vec::new();
+            let (mut map_bytes, mut owned, mut key_columns) = (0, 0, 0);
+            for table in cat.tables() {
+                owned += model.estimator(table.name()).unwrap().model_bytes();
+                for (_, map) in model.table_bins(table.name()).unwrap().iter() {
+                    key_columns += 1;
+                    if !maps.contains(&std::ptr::from_ref(map)) {
+                        maps.push(map);
+                        map_bytes += map.heap_bytes();
+                    }
+                }
+            }
+            assert!(key_columns > maps.len(), "some map is shared");
+            let stats: usize = model.iter_keys().map(|(_, _, s)| s.heap_bytes()).sum();
+            assert_eq!(
+                model.model_bytes(),
+                owned + map_bytes + stats,
+                "{estimator:?}"
+            );
+            if estimator == BaseEstimatorKind::TrueScan {
+                assert_eq!(owned, 0, "a scan owns no learned state");
+            }
+        }
     }
 
     #[test]

@@ -1,119 +1,93 @@
 //! Model persistence: the binary `.fjm` format.
 //!
-//! FactorJoin's deployable statistics — the per-group bin maps and the
-//! per-key bin statistics — persist in one format, `.fjm` ([`binary`]):
-//! versioned, checksummed, little-endian sections whose layout mirrors the
-//! in-memory flat slabs, so load is validate + bulk copy rather than
-//! parse. [`save_model`] writes it whatever the path's extension, and
-//! [`load_model`] reads nothing else: a file that does not start with
-//! [`binary::MAGIC`] — an old JSON export, an empty file, any foreign
-//! bytes — is rejected as [`PersistError::BadMagic`] with the path named,
-//! without any attempt to parse it.
+//! A model persists in one format, `.fjm` ([`binary`]): versioned,
+//! checksummed, little-endian sections holding everything training
+//! computed — the [`FactorJoinConfig`], the per-group bin maps, the
+//! per-key statistics, and one section per table with its single-table
+//! estimator's fitted state. [`save_model`] writes it whatever the path's
+//! extension, and [`load_model`] reads nothing else: a file that does not
+//! start with [`binary::MAGIC`] — an old JSON export, an empty file, any
+//! foreign bytes — is rejected as [`PersistError::BadMagic`] with the path
+//! named, without any attempt to parse it.
 //!
-//! The bytes are canonical: the same statistics always encode to the same
-//! file, whether they come from one training or another, from any thread
-//! count, or from a reloaded model (see [`binary::encode`]).
+//! The trained model is the artefact (as FLAT and Scardina ship theirs): a
+//! load decodes the estimators and recomputes only what they derive from
+//! their fitted state, and fits nothing. So a loaded model is the saved
+//! one bit for bit — trained or updated (§4.3), with any config — and a
+//! cold start pays a decode instead of a training pass. The catalog a load
+//! is given is checked, not read: it must hold exactly the file's tables
+//! with the same column names and types.
 //!
-//! Single-table estimators are *rebuilt* from the catalog on load: they
-//! train in well under a second at paper scale (Figure 6), so shipping
-//! them would only complicate the format. The saved file pins the binning,
-//! which is the part whose reproducibility matters (bin selection is the
-//! expensive, data-dependent step, and incremental updates must keep bins
-//! fixed, §4.3). All writes are crash-safe via `write_atomic` (same-dir
-//! temp + fsync + rename).
+//! The bytes are canonical: the same model always encodes to the same
+//! file, whether it comes from one training or another, from any thread
+//! count, or from a reloaded model (see [`binary::encode`]). All writes
+//! are crash-safe via `write_atomic` (same-dir temp + fsync + rename).
 //!
 //! [`PersistError::BadMagic`]: binary::PersistError::BadMagic
 
 pub mod binary;
 
-use crate::binning::{BinBudget, BinningStrategy};
-use crate::keystats::KeyStats;
-use crate::model::{BaseEstimatorKind, FactorJoinConfig, FactorJoinModel};
-use fj_stats::KeyBinMap;
-use fj_storage::{Catalog, KeyRef};
-use std::collections::HashMap;
+use crate::model::{FactorJoinConfig, FactorJoinModel};
+use fj_storage::Catalog;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Arc;
 
-/// A trained model's persistable statistics — what the `.fjm` codec
-/// encodes from and decodes to.
-#[derive(Debug)]
+/// A decoded `.fjm` file: the saved model, not yet matched against a
+/// catalog. [`load_saved`] returns it; [`Self::into_model`] checks the
+/// catalog and hands the model over.
 pub struct SavedModel {
-    /// Binning strategy used at training time.
-    pub strategy: BinningStrategy,
-    /// Single-table estimator kind. The file records the kind and the
-    /// sampling rate; a decoded `BayesNet` carries `BnConfig::default()`.
-    pub estimator: BaseEstimatorKind,
-    /// Seed for sampling estimators.
-    pub seed: u64,
-    /// Per-group bin maps, shared with the model they were saved from or
-    /// are loaded into.
-    pub group_bins: Vec<Arc<KeyBinMap>>,
-    /// Join key → group id.
-    pub group_of: HashMap<String, usize>,
-    /// Join key → per-bin statistics.
-    pub key_stats: HashMap<String, KeyStats>,
+    model: FactorJoinModel,
 }
 
 fn err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-fn key_to_string(k: &KeyRef) -> String {
-    format!("{}.{}", k.table, k.column)
-}
-
 impl SavedModel {
-    /// Snapshots a trained model's persistable statistics (bins, group
-    /// assignments, per-key stats, config fingerprint) via its public
-    /// accessors. [`save_model`] starts here.
-    pub fn from_model(model: &FactorJoinModel) -> SavedModel {
-        let cfg = model.config();
-        let mut group_of = HashMap::new();
-        let mut key_stats = HashMap::new();
-        let mut max_gid = 0usize;
-        for (kr, gid, stats) in model.iter_keys() {
-            max_gid = max_gid.max(gid);
-            group_of.insert(key_to_string(kr), gid);
-            key_stats.insert(key_to_string(kr), stats.clone());
-        }
-        SavedModel {
-            strategy: cfg.strategy,
-            estimator: cfg.estimator,
-            seed: cfg.seed,
-            group_bins: model.shared_group_bins()[..=max_gid].to_vec(),
-            group_of,
-            key_stats,
-        }
+    /// The saved training configuration.
+    pub fn config(&self) -> &FactorJoinConfig {
+        self.model.config()
     }
 
-    /// Reconstructs a servable model from saved statistics, rebuilding
-    /// single-table estimators from `catalog`. [`load_model`] ends here.
-    /// Every key must carry statistics.
-    pub fn into_model(mut self, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
-        let config = FactorJoinConfig {
-            bin_budget: BinBudget::Uniform(self.group_bins.first().map_or(1, |b| b.k())),
-            strategy: self.strategy,
-            estimator: self.estimator,
-            seed: self.seed,
-            threads: 0,
-        };
-        let mut keys = Vec::with_capacity(self.group_of.len());
-        for (key, gid) in self.group_of {
-            let (table, column) = key.split_once('.').ok_or_else(|| err("bad key"))?;
-            let stats = self
-                .key_stats
-                .remove(&key)
-                .ok_or_else(|| err(format!("key {key} has no statistics")))?;
-            keys.push((KeyRef::new(table, column), gid, stats));
+    /// The saved model, once `catalog` is shown to hold exactly its tables,
+    /// each with the same column names and types in the same order: the
+    /// estimators were fitted to that schema, and queries are compiled
+    /// against the catalog. Any difference is `InvalidData` naming the
+    /// table. [`load_model`] ends here.
+    pub fn into_model(self, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
+        let saved = self.model.sorted_tables();
+        for table in catalog.tables() {
+            let Some(&(_, schema, _)) = saved.iter().find(|(name, _, _)| *name == table.name())
+            else {
+                return Err(err(format!(
+                    "catalog table {:?} is not in the model file",
+                    table.name()
+                )));
+            };
+            let shape = |s: &fj_storage::TableSchema| -> Vec<(String, fj_storage::DataType)> {
+                s.columns()
+                    .iter()
+                    .map(|c| (c.name.clone(), c.dtype))
+                    .collect()
+            };
+            if shape(schema) != shape(table.schema()) {
+                return Err(err(format!(
+                    "catalog table {:?} has other columns than the model file: {:?} vs {:?}",
+                    table.name(),
+                    shape(table.schema()),
+                    shape(schema)
+                )));
+            }
         }
-        Ok(FactorJoinModel::from_parts(
-            config,
-            self.group_bins,
-            keys,
-            catalog,
-        ))
+        if let Some((name, _, _)) = saved
+            .iter()
+            .find(|(name, _, _)| catalog.table(name).is_err())
+        {
+            return Err(err(format!(
+                "model file table {name:?} is not in the catalog"
+            )));
+        }
+        Ok(self.model)
     }
 }
 
@@ -163,31 +137,28 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Serializes the model's statistics to `path` as `.fjm`, whatever the
-/// extension.
+/// Serializes the model to `path` as `.fjm`, whatever the extension.
 ///
 /// The write is crash-safe: bytes are staged in a same-directory temp
 /// file, fsynced, and renamed over `path`, so a kill or power loss
 /// mid-save leaves the previous model file intact (`write_atomic` above).
 pub fn save_model(model: &FactorJoinModel, path: &Path) -> std::io::Result<()> {
-    write_atomic(path, &binary::encode(&SavedModel::from_model(model)))
+    write_atomic(path, &binary::encode(model))
 }
 
-/// Loads a saved `.fjm` model, rebuilding single-table estimators from
-/// `catalog`.
-///
-/// The catalog must have the same schema as at save time; data may have
-/// changed (estimators retrain on the current data while the saved bins
-/// and key statistics are restored verbatim).
+/// Loads a saved `.fjm` model: decodes it ([`load_saved`]) and checks
+/// that `catalog` has exactly the file's tables, with the same column
+/// names and types ([`SavedModel::into_model`]). No estimator is fitted:
+/// the loaded model is the saved one, bit for bit.
 pub fn load_model(path: &Path, catalog: &Catalog) -> std::io::Result<FactorJoinModel> {
     load_saved(path)?.into_model(catalog)
 }
 
-/// Reads and fully validates a `.fjm` file's persisted statistics without
-/// rebuilding estimators — the read stage of [`load_model`], exposed so
-/// tooling (and `fj_benchmark`) can measure or inspect the format in
-/// isolation. Any rejection is `InvalidData` naming the file, with the
-/// typed [`binary::PersistError`] diagnosis in the message.
+/// Reads and fully validates a `.fjm` file — the decode stage of
+/// [`load_model`], before the catalog check, exposed so tooling (and
+/// `fj_benchmark`) can measure or inspect the format in isolation. Any
+/// rejection is `InvalidData` naming the file, with the typed
+/// [`binary::PersistError`] diagnosis in the message.
 pub fn load_saved(path: &Path) -> std::io::Result<SavedModel> {
     let bytes = std::fs::read(path)?;
     binary::decode(&bytes).map_err(|e| err(format!("model file {}: {e}", path.display())))
@@ -196,9 +167,12 @@ pub fn load_saved(path: &Path) -> std::io::Result<SavedModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binning::{BinBudget, BinningStrategy};
+    use crate::model::BaseEstimatorKind;
     use fj_datagen::{stats_catalog, StatsConfig};
     use fj_query::parse_query;
     use fj_stats::BnConfig;
+    use fj_storage::{ColumnDef, DataType, Table, TableSchema, Value};
 
     #[test]
     fn save_load_roundtrip_preserves_estimates() {
@@ -242,18 +216,88 @@ mod tests {
             estimator: BaseEstimatorKind::TrueScan,
             ..Default::default()
         };
-        let mut saved = SavedModel::from_model(&FactorJoinModel::train(&cat, cfg));
-        saved
-            .key_stats
-            .remove("posts.id")
-            .expect("posts.id is a key");
-        let e = binary::decode(&binary::encode(&saved))
-            .expect("the file itself is well-formed")
-            .into_model(&cat)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("posts.id"), "unnamed key: {e}");
+        let model = FactorJoinModel::train(&cat, cfg);
+        let last_key = model
+            .iter_keys()
+            .map(|(k, _, _)| format!("{}.{}", k.table, k.column))
+            .max()
+            .unwrap();
+        // Claim one record fewer in KEY_STATS (its leading count varint)
+        // and re-checksum the section: the last key has no statistics.
+        let mut bytes = binary::encode(&model);
+        let entry = (0..6)
+            .map(|i| 24 + i * 32)
+            .find(|&e| bytes[e..e + 4] == binary::SEC_KEY_STATS.to_le_bytes())
+            .unwrap();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (off, len) = (word(entry + 8), word(entry + 16));
+        assert!(bytes[off] > 0 && bytes[off] < 0x80, "one-byte record count");
+        bytes[off] -= 1;
+        let crc = binary::crc32(&bytes[off..off + len]);
+        bytes[entry + 24..entry + 28].copy_from_slice(&crc.to_le_bytes());
+        let e = binary::decode(&bytes).map(|_| ()).unwrap_err();
+        assert!(matches!(e, binary::PersistError::Invalid { .. }), "{e}");
+        assert!(e.to_string().contains(&last_key), "unnamed key: {e}");
+    }
+
+    /// The catalog a load is given must hold exactly the file's tables with
+    /// the same columns: each difference is refused at load, naming the
+    /// table, not at the first estimate.
+    #[test]
+    fn load_checks_the_catalog_names_the_table() {
+        let cat = stats_catalog(&StatsConfig {
+            scale: 0.02,
+            ..Default::default()
+        });
+        let model = FactorJoinModel::train(
+            &cat,
+            FactorJoinConfig {
+                bin_budget: BinBudget::Uniform(4),
+                estimator: BaseEstimatorKind::TrueScan,
+                ..Default::default()
+            },
+        );
+        let dir = std::env::temp_dir().join("fj_persist_catalog_check");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.fjm");
+        save_model(&model, &path).unwrap();
+        assert!(load_model(&path, &cat).is_ok());
+
+        let mut missing = Catalog::new();
+        for t in cat.tables().filter(|t| t.name() != "badges") {
+            missing.add_table(t.clone()).unwrap();
+        }
+        let mut extra = cat.clone();
+        let schema = TableSchema::new(vec![ColumnDef::key("id")]);
+        let rows = vec![vec![Value::Int(1)]];
+        extra
+            .add_table(Table::from_rows("extras", schema, &rows).unwrap())
+            .unwrap();
+        let mut retyped = Catalog::new();
+        for t in cat.tables() {
+            if t.name() != "users" {
+                retyped.add_table(t.clone()).unwrap();
+                continue;
+            }
+            let columns: Vec<ColumnDef> = t
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| match c.name.as_str() {
+                    "reputation" => ColumnDef::new(&c.name, DataType::Float),
+                    _ => c.clone(),
+                })
+                .collect();
+            let rows: Vec<Vec<Value>> = (0..t.nrows()).map(|r| t.row(r)).collect();
+            let users = Table::from_rows("users", TableSchema::new(columns), &rows).unwrap();
+            retyped.add_table(users).unwrap();
+        }
+        for (catalog, table) in [(missing, "badges"), (extra, "extras"), (retyped, "users")] {
+            let e = load_model(&path, &catalog).map(|_| ()).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{table}: {e}");
+            assert!(e.to_string().contains(table), "{table} not named: {e}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -398,9 +442,15 @@ mod tests {
             );
             save_model(&model, &path).unwrap();
             let saved = load_saved(&path).unwrap();
-            assert_eq!(saved.strategy, strategy);
-            assert_eq!(saved.estimator, estimator);
-            assert_eq!(saved.seed, 9);
+            // Every field but the build's thread count, which is not saved.
+            let want = FactorJoinConfig {
+                threads: 0,
+                ..model.config().clone()
+            };
+            assert_eq!(saved.config(), &want);
+            assert_eq!(saved.config().strategy, strategy);
+            assert_eq!(saved.config().estimator, estimator);
+            assert_eq!(saved.config().seed, 9);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

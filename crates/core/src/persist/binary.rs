@@ -1,13 +1,16 @@
 //! `.fjm` — the versioned, checksummed, little-endian binary model format,
 //! the only one a model persists in.
 //!
-//! The format mirrors the **in-memory flat slabs** on disk — the
-//! open-addressing `KeyFreq` (i64→u64) and `KeyBinMap` (i64→u32) tables
-//! and the per-bin `f64` statistics vectors are written verbatim — so a
-//! cold load is *validate + bulk copy*, not parse. Every
-//! multi-byte field is little-endian and every array sits at an 8-byte
-//! aligned offset, so a future mmap-based loader could reference sections
-//! in place.
+//! The file holds the trained model: the full training config, every key
+//! group's bin map, every join key's statistics, and one section per table
+//! with its single-table estimator's fitted state. Maps are written as
+//! their occupied entries sorted by value — zigzag-delta values and varint
+//! counts or bins — rather than as the in-memory open-addressing slabs, so
+//! the bytes depend only on the model's contents and a map costs a few
+//! bytes an entry instead of its slab's 12–16 bytes a slot. What an
+//! estimator derives from its fitted state (a Bayesian network's CPT slab,
+//! priors and topology; a sampler's per-row key bins and histograms) is
+//! recomputed on load by the code the fit uses, never stored.
 //!
 //! ## Layout
 //!
@@ -17,7 +20,7 @@
 //! 8       2     format major version (u16) — readers reject a mismatch
 //! 10      2     format minor version (u16) — forward-compatible
 //! 12      4     endian mark 0x0A0B0C0D — byte-swapped file ⇒ WrongEndian
-//! 16      4     section count (≤ 64)
+//! 16      4     section count (≤ 4096)
 //! 20      4     reserved (0)
 //! 24      32·n  section table: { id u32, reserved u32, offset u64,
 //!                                len u64, crc32 u32, reserved u32 }
@@ -25,14 +28,17 @@
 //! ```
 //!
 //! Sections (all offsets absolute, payload lengths exact, CRC-32/IEEE over
-//! the exact payload bytes):
+//! the exact payload bytes). Inside a payload, counts and integers are
+//! LEB128 varints (signed ones zigzag-mapped) and `f64`s are their raw
+//! little-endian bits ([`fj_storage::codec`]):
 //!
 //! | id | section      | contents |
 //! |---:|--------------|----------|
-//! | 1  | `META`       | binning strategy, estimator kind (+ sampling rate as raw `f64` bits), seed |
-//! | 2  | `GROUP_BINS` | per key group: `k`, then the raw `KeyBinMap` slabs (`keys: i64[cap]`, `bins: u32[cap]`, `len`) |
-//! | 3  | `KEYS`       | sorted `table.column` names with their group ids |
-//! | 4  | `KEY_STATS`  | per key: `bin_total/bin_mfv/bin_ndv: f64[k]` + raw `KeyFreq` slabs |
+//! | 1  | `META`       | the `FactorJoinConfig`: bin budget, strategy, estimator kind with its `BnConfig` or sampling rate, seed (not `threads`: the model is the same at every thread count) |
+//! | 2  | `GROUP_BINS` | per key group: `k`, then its `(value, bin)` entries sorted by value |
+//! | 3  | `KEYS`       | `table.column` names, sorted, with their group ids |
+//! | 4  | `KEY_STATS`  | per key, in `KEYS` order: `bin_total/bin_mfv/bin_ndv: f64[k]`, then its `(value, count)` entries sorted by value |
+//! | 5  | `TABLE`      | one per table, sorted by name: name, schema, estimator tag, then the estimator — BayesNet: rows, per node its discretizer (a key column by its group id) and Chow-Liu parent, marginal and joint counts; Sampling: rate, seed, base rows and the sample table; TrueScan: its table snapshot |
 //!
 //! The magic is PNG-style on purpose: the high bit catches 7-bit strips,
 //! and the embedded `\r\n` + `\x1a` catch text-mode newline translation.
@@ -41,32 +47,48 @@
 //!
 //! * **Major** — incompatible layout change. A reader rejects any file
 //!   whose major differs from its own ([`PersistError::UnsupportedMajor`]).
+//!   Major 2 stores the estimators; a major-1 file (statistics only, whose
+//!   estimators were refitted on load) is refused, not refitted.
 //! * **Minor** — forward-compatible addition: a newer writer may append
 //!   new sections (unknown ids are skipped) or extend a section's payload
 //!   (readers ignore trailing payload bytes). A reader therefore accepts
-//!   any minor, including ones newer than itself, as long as the four
-//!   required sections decode.
+//!   any minor, including ones newer than itself, as long as the sections
+//!   it knows decode.
 //! * Byte-swapped (big-endian) files and foreign files are rejected up
 //!   front with [`PersistError::WrongEndian`] / [`PersistError::BadMagic`].
+//!
+//! Payloads are varint streams, so a section cannot be referenced in place
+//! (mmap): a load decodes every section, which costs less than the copy
+//! and validation of the verbatim slabs it replaced.
 //!
 //! ## Hostile-input discipline
 //!
 //! Decoding never trusts a length before checking it against the bytes
-//! actually present: every array count is validated against the remaining
+//! actually present: every count is validated against the remaining
 //! payload *before* any allocation (a section claiming 2⁶⁰ entries fails
-//! with [`PersistError::HostileLength`], it does not OOM), every section's
-//! `offset + len` is overflow-checked against the file, and the slab
-//! rebuilders (`KeyFreq::from_raw_parts` / `KeyBinMap::from_raw_parts`)
-//! re-validate the open-addressing invariants so probe loops always
-//! terminate. The byte-mutation fuzz suite below holds the decoder to the
-//! same contract as the wire codec: arbitrary bytes produce `Ok` or a
-//! typed error — never a panic, never an unbounded allocation.
+//! with [`PersistError::HostileLength`], it does not OOM), and every
+//! section's `offset + len` is overflow-checked against the file. Every
+//! value inference indexes with is validated before a model is built:
+//! sorted entries must be strictly increasing with non-zero counts and
+//! bins `< k`; a key's statistics must have its group's `k`; a Bayesian
+//! network's parents must form a forest and its count tables must have
+//! the sizes its code counts give; a key column must name its own group
+//! with that group's `k`. The byte-mutation fuzz suite below holds the
+//! decoder to the same contract as the wire codec: arbitrary bytes produce
+//! `Ok` or a typed error — never a panic, never an unbounded allocation.
 
 use super::SavedModel;
-use crate::binning::{BinningStrategy, KeyFreq};
+use crate::binning::{BinBudget, BinningStrategy, KeyFreq};
 use crate::keystats::KeyStats;
-use crate::model::BaseEstimatorKind;
-use fj_stats::{BnConfig, KeyBinMap};
+use crate::model::{BaseEstimatorKind, FactorJoinConfig, FactorJoinModel};
+use fj_stats::{
+    BaseTableEstimator, BayesNetEstimator, BnConfig, ExactEstimator, KeyBinMap, SamplingEstimator,
+};
+use fj_storage::codec::{
+    decode_entries, decode_schema, encode_entries, encode_schema, DecodeError,
+};
+use fj_storage::codec::{Dec, Enc};
+use fj_storage::{KeyRef, TableSchema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -74,7 +96,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"\x89FJM\r\n\x1a\n";
 
 /// Major format version written by this build; readers reject any other.
-pub const FORMAT_MAJOR: u16 = 1;
+pub const FORMAT_MAJOR: u16 = 2;
 
 /// Minor format version written by this build; readers accept any minor
 /// (see the versioning policy in the module docs).
@@ -84,21 +106,24 @@ pub const FORMAT_MINOR: u16 = 0;
 /// detected before any other field is interpreted.
 const ENDIAN_MARK: u32 = 0x0A0B_0C0D;
 
-/// Hard cap on the section count — far above the four the format defines,
-/// but low enough that a hostile header cannot make the table walk slow.
-const MAX_SECTIONS: u32 = 64;
+/// Hard cap on the section count — one a table plus four, far above any
+/// schema here, but low enough that a hostile header cannot make the table
+/// walk slow.
+const MAX_SECTIONS: u32 = 4096;
 
 const HEADER_LEN: usize = 24;
 const SECTION_ENTRY_LEN: usize = 32;
 
-/// Section id of the model metadata (strategy / estimator / seed).
+/// Section id of the training configuration.
 pub const SEC_META: u32 = 1;
-/// Section id of the per-group `KeyBinMap` slabs.
+/// Section id of the per-group bin maps.
 pub const SEC_GROUP_BINS: u32 = 2;
 /// Section id of the join-key name table.
 pub const SEC_KEYS: u32 = 3;
-/// Section id of the per-key statistics (bin vectors + `KeyFreq` slabs).
+/// Section id of the per-key statistics (bin vectors + frequency entries).
 pub const SEC_KEY_STATS: u32 = 4;
+/// Section id of a table's schema and estimator (one section a table).
+pub const SEC_TABLE: u32 = 5;
 
 const REQUIRED_SECTIONS: [u32; 4] = [SEC_META, SEC_GROUP_BINS, SEC_KEYS, SEC_KEY_STATS];
 
@@ -108,6 +133,7 @@ fn section_name(id: u32) -> &'static str {
         SEC_GROUP_BINS => "GROUP_BINS",
         SEC_KEYS => "KEYS",
         SEC_KEY_STATS => "KEY_STATS",
+        SEC_TABLE => "TABLE",
         _ => "unknown",
     }
 }
@@ -292,155 +318,155 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // ----------------------------------------------------------------- encoder
 
-/// Little-endian section-payload builder; `align8` keeps every array start
-/// 8-byte aligned relative to the (8-byte-aligned) section start.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-    fn align8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
+fn encode_meta(config: &FactorJoinConfig) -> Vec<u8> {
+    let mut e = Enc::default();
+    match &config.bin_budget {
+        BinBudget::Uniform(k) => {
+            e.u8(0);
+            e.len(*k);
+        }
+        BinBudget::Workload { total, weights } => {
+            e.u8(1);
+            e.len(*total);
+            let mut sorted: Vec<(&usize, &f64)> = weights.iter().collect();
+            sorted.sort_unstable_by_key(|&(gid, _)| *gid);
+            e.len(sorted.len());
+            for (&gid, &w) in sorted {
+                e.len(gid);
+                e.f64(w);
+            }
         }
     }
-    fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-fn encode_meta(saved: &SavedModel) -> Vec<u8> {
-    let strategy: u8 = match saved.strategy {
+    e.u8(match config.strategy {
         BinningStrategy::Gbsa => 0,
         BinningStrategy::EqualWidth => 1,
         BinningStrategy::EqualDepth => 2,
-    };
-    let (estimator, rate): (u8, f64) = match saved.estimator {
-        BaseEstimatorKind::BayesNet(_) => (0, 0.0),
-        BaseEstimatorKind::Sampling { rate } => (1, rate),
-        BaseEstimatorKind::TrueScan => (2, 0.0),
-    };
-    let mut e = Enc::default();
-    e.bytes(&[strategy, estimator, 0, 0, 0, 0, 0, 0]);
-    e.f64(rate);
-    e.u64(saved.seed);
+    });
+    match config.estimator {
+        BaseEstimatorKind::BayesNet(bn) => {
+            e.u8(0);
+            e.len(bn.max_codes);
+            e.len(bn.mi_sample_rows);
+            e.f64(bn.alpha);
+            e.f64(bn.fallback_selectivity);
+            e.len(bn.threads);
+        }
+        BaseEstimatorKind::Sampling { rate } => {
+            e.u8(1);
+            e.f64(rate);
+        }
+        BaseEstimatorKind::TrueScan => e.u8(2),
+    }
+    // `threads` is not written: it sets how many workers the build fans
+    // out to, and the model is the same bit for bit at every count.
+    e.varint(config.seed);
     e.finish()
 }
 
-fn encode_group_bins(saved: &SavedModel) -> Vec<u8> {
+fn estimator_tag(kind: &BaseEstimatorKind) -> u8 {
+    match kind {
+        BaseEstimatorKind::BayesNet(_) => 0,
+        BaseEstimatorKind::Sampling { .. } => 1,
+        BaseEstimatorKind::TrueScan => 2,
+    }
+}
+
+fn encode_group_bins(groups: &[Arc<KeyBinMap>]) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(saved.group_bins.len() as u64);
-    for map in &saved.group_bins {
-        let (k, keys, bins, len) = map.raw_parts();
-        e.u64(k as u64);
-        e.u64(keys.len() as u64);
-        e.u64(len as u64);
-        for &v in keys {
-            e.i64(v);
-        }
-        for &b in bins {
-            e.u32(b);
-        }
-        e.align8();
+    e.len(groups.len());
+    for map in groups {
+        e.len(map.k());
+        let entries: Vec<(i64, u64)> = map
+            .sorted_entries()
+            .into_iter()
+            .map(|(v, b)| (v, u64::from(b)))
+            .collect();
+        encode_entries(&mut e, &entries);
     }
     e.finish()
 }
 
-/// Canonical key order: sorted by full `table.column` name, so the
-/// `HashMap` iteration order of [`SavedModel`] never reaches the bytes.
-fn sorted_keys(saved: &SavedModel) -> Vec<&String> {
-    let mut names: Vec<&String> = saved.group_of.keys().collect();
-    names.sort();
-    names
+fn key_name(key: &KeyRef) -> String {
+    format!("{}.{}", key.table, key.column)
 }
 
-fn encode_keys(saved: &SavedModel, names: &[&String]) -> Vec<u8> {
+fn encode_keys(keys: &[(String, usize, &KeyStats)]) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(names.len() as u64);
-    for name in names {
-        e.u64(saved.group_of[*name] as u64);
-        e.u32(name.len() as u32);
-        e.u32(0); // reserved / pad
-        e.bytes(name.as_bytes());
-        e.align8();
+    e.len(keys.len());
+    for (name, gid, _) in keys {
+        e.str(name);
+        e.len(*gid);
     }
     e.finish()
 }
 
-fn encode_key_stats(saved: &SavedModel, names: &[&String]) -> Vec<u8> {
-    let present: Vec<(usize, &KeyStats)> = names
-        .iter()
-        .enumerate()
-        .filter_map(|(i, name)| saved.key_stats.get(*name).map(|s| (i, s)))
-        .collect();
+fn encode_key_stats(keys: &[(String, usize, &KeyStats)]) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(present.len() as u64);
-    for (index, stats) in present {
-        let (fkeys, fcounts, flen) = stats.freq.raw_parts();
-        e.u64(index as u64);
-        e.u64(stats.k() as u64);
-        e.u64(fkeys.len() as u64);
-        e.u64(flen as u64);
-        for &x in &stats.bin_total {
-            e.f64(x);
+    e.len(keys.len());
+    for (_, _, stats) in keys {
+        e.len(stats.k());
+        for vector in [&stats.bin_total, &stats.bin_mfv, &stats.bin_ndv] {
+            vector.iter().for_each(|&x| e.f64(x));
         }
-        for &x in &stats.bin_mfv {
-            e.f64(x);
-        }
-        for &x in &stats.bin_ndv {
-            e.f64(x);
-        }
-        for &v in fkeys {
-            e.i64(v);
-        }
-        for &c in fcounts {
-            e.u64(c);
-        }
+        encode_entries(&mut e, &stats.freq.sorted_entries());
     }
     e.finish()
 }
 
-/// Serializes `saved` into the `.fjm` byte layout (see module docs).
+fn encode_table(
+    config: &FactorJoinConfig,
+    groups: &[Arc<KeyBinMap>],
+    name: &str,
+    schema: &TableSchema,
+    estimator: &dyn BaseTableEstimator,
+) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.str(name);
+    encode_schema(&mut e, schema);
+    e.u8(estimator_tag(&config.estimator));
+    estimator.encode(&mut e, groups);
+    e.finish()
+}
+
+/// Serializes `model` into the `.fjm` byte layout (see module docs).
 ///
-/// Canonical: the same statistics always produce the same bytes. Keys are
-/// written in sorted order, and every slab is a deterministic function of
-/// its insert sequence — `build_group_bins` inserts bin assignments in an
-/// order fixed by the data, key frequencies are counted in row order, and
-/// a decoded slab is the written one. So two trainings on the same data,
-/// at any thread count, write identical files, and save→load→save is
-/// byte-identical.
-pub fn encode(saved: &SavedModel) -> Vec<u8> {
-    let names = sorted_keys(saved);
-    let sections: [(u32, Vec<u8>); 4] = [
-        (SEC_META, encode_meta(saved)),
-        (SEC_GROUP_BINS, encode_group_bins(saved)),
-        (SEC_KEYS, encode_keys(saved, &names)),
-        (SEC_KEY_STATS, encode_key_stats(saved, &names)),
+/// Canonical: the same model always produces the same bytes. Keys and
+/// tables are written sorted by name, maps as their entries sorted by
+/// value, and every estimator writes its fitted state in an order fixed by
+/// the table. So two trainings on the same data, at any thread count,
+/// write identical files, and save→load→save is byte-identical.
+pub fn encode(model: &FactorJoinModel) -> Vec<u8> {
+    let config = model.config();
+    let groups = model.shared_group_bins();
+    let mut keys: Vec<(String, usize, &KeyStats)> = model
+        .iter_keys()
+        .map(|(key, gid, stats)| (key_name(key), gid, stats))
+        .collect();
+    keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut sections = vec![
+        (SEC_META, encode_meta(config)),
+        (SEC_GROUP_BINS, encode_group_bins(groups)),
+        (SEC_KEYS, encode_keys(&keys)),
+        (SEC_KEY_STATS, encode_key_stats(&keys)),
     ];
-    let mut out = Vec::new();
+    for (name, schema, estimator) in model.sorted_tables() {
+        let payload = encode_table(config, groups, name, schema, estimator);
+        sections.push((SEC_TABLE, payload));
+    }
+    frame(FORMAT_MAJOR, FORMAT_MINOR, &sections)
+}
+
+/// Lays `sections` out behind the header and section table.
+fn frame(major: u16, minor: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let payload_bytes: usize = sections.iter().map(|(_, p)| p.len() + 7).sum();
+    let mut out =
+        Vec::with_capacity(HEADER_LEN + SECTION_ENTRY_LEN * sections.len() + payload_bytes);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_MAJOR.to_le_bytes());
-    out.extend_from_slice(&FORMAT_MINOR.to_le_bytes());
+    out.extend_from_slice(&major.to_le_bytes());
+    out.extend_from_slice(&minor.to_le_bytes());
     out.extend_from_slice(&ENDIAN_MARK.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
     let table_at = out.len();
     out.resize(table_at + SECTION_ENTRY_LEN * sections.len(), 0);
     for (i, (id, payload)) in sections.iter().enumerate() {
@@ -461,116 +487,75 @@ pub fn encode(saved: &SavedModel) -> Vec<u8> {
 
 // ----------------------------------------------------------------- decoder
 
-/// Bounds-checked little-endian cursor over one section payload. Every
-/// read states *what* it was reading so truncation errors name the field.
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, at: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], PersistError> {
-        if n > self.remaining() {
-            return Err(PersistError::Truncated { what });
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn align8(&mut self) {
-        // Padding inside a section is relative to the section start, which
-        // the file layout keeps 8-byte aligned; skipping past the end is
-        // harmless (the next read reports truncation).
-        self.at = self.buf.len().min((self.at + 7) & !7);
-    }
-
-    /// Reads an element count and pre-validates it against the remaining
-    /// payload (`elem_size` bytes per element) **before** the caller
-    /// allocates anything — the no-OOM-on-hostile-length guard.
-    fn count(&mut self, what: &'static str, elem_size: usize) -> Result<usize, PersistError> {
-        let n = self.u64(what)?;
-        let available = (self.remaining() / elem_size.max(1)) as u64;
-        if n > available {
-            return Err(PersistError::HostileLength {
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { what } => PersistError::Truncated { what },
+            DecodeError::HostileLength {
                 what,
-                wanted: n,
+                wanted,
                 available,
-            });
+            } => PersistError::HostileLength {
+                what,
+                wanted,
+                available,
+            },
+            DecodeError::Invalid { what } => PersistError::Invalid { what },
         }
-        Ok(n as usize)
-    }
-
-    fn f64s(&mut self, n: usize, what: &'static str) -> Result<Vec<f64>, PersistError> {
-        let raw = self.take(n * 8, what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
-    }
-
-    fn i64s(&mut self, n: usize, what: &'static str) -> Result<Vec<i64>, PersistError> {
-        let raw = self.take(n * 8, what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u64s(&mut self, n: usize, what: &'static str) -> Result<Vec<u64>, PersistError> {
-        let raw = self.take(n * 8, what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u32s(&mut self, n: usize, what: &'static str) -> Result<Vec<u32>, PersistError> {
-        let raw = self.take(n * 4, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
     }
 }
 
-fn decode_meta(payload: &[u8]) -> Result<(BinningStrategy, BaseEstimatorKind, u64), PersistError> {
+impl From<String> for PersistError {
+    fn from(what: String) -> Self {
+        PersistError::Invalid { what }
+    }
+}
+
+fn decode_meta(payload: &[u8]) -> Result<FactorJoinConfig, PersistError> {
     let mut d = Dec::new(payload);
-    let head = d.take(8, "META header")?;
-    let strategy = match head[0] {
+    let bin_budget = match d.u8("META bin budget tag")? {
+        0 => BinBudget::Uniform(d.usize("META uniform bins")?),
+        1 => {
+            let total = d.usize("META workload bins")?;
+            let n = d.count("META workload weights", 9)?;
+            let mut weights = HashMap::with_capacity(n);
+            for _ in 0..n {
+                let gid = d.usize("META weight group")?;
+                if weights.insert(gid, d.f64("META weight")?).is_some() {
+                    return Err(invalid(format!("group {gid} weighted twice")));
+                }
+            }
+            BinBudget::Workload { total, weights }
+        }
+        t => return Err(invalid(format!("unknown bin budget tag {t}"))),
+    };
+    let strategy = match d.u8("META strategy")? {
         0 => BinningStrategy::Gbsa,
         1 => BinningStrategy::EqualWidth,
         2 => BinningStrategy::EqualDepth,
         t => return Err(invalid(format!("unknown strategy tag {t}"))),
     };
-    let est_tag = head[1];
-    let rate = d.f64("META sampling rate")?;
-    let seed = d.u64("META seed")?;
-    let estimator = match est_tag {
-        // The network's own `BnConfig` is not persisted.
-        0 => BaseEstimatorKind::BayesNet(BnConfig::default()),
+    let estimator = match d.u8("META estimator")? {
+        0 => {
+            let bn = BnConfig {
+                max_codes: d.usize("META max codes")?,
+                mi_sample_rows: d.usize("META MI sample rows")?,
+                alpha: d.f64("META smoothing")?,
+                fallback_selectivity: d.f64("META fallback selectivity")?,
+                threads: d.usize("META network threads")?,
+            };
+            let unit = 0.0..=1.0;
+            if bn.max_codes == 0
+                || !(bn.alpha.is_finite() && bn.alpha >= 0.0)
+                || !unit.contains(&bn.fallback_selectivity)
+            {
+                return Err(invalid(format!("network config out of range: {bn:?}")));
+            }
+            BaseEstimatorKind::BayesNet(bn)
+        }
         1 => {
-            if !(rate.is_finite() && rate > 0.0 && rate <= 1.0) {
+            let rate = d.f64("META sampling rate")?;
+            if !(rate > 0.0 && rate <= 1.0) {
                 return Err(invalid(format!("sampling rate {rate} outside (0, 1]")));
             }
             BaseEstimatorKind::Sampling { rate }
@@ -578,23 +563,27 @@ fn decode_meta(payload: &[u8]) -> Result<(BinningStrategy, BaseEstimatorKind, u6
         2 => BaseEstimatorKind::TrueScan,
         t => return Err(invalid(format!("unknown estimator tag {t}"))),
     };
-    Ok((strategy, estimator, seed))
+    Ok(FactorJoinConfig {
+        bin_budget,
+        strategy,
+        estimator,
+        seed: d.varint("META seed")?,
+        threads: 0,
+    })
 }
 
 fn decode_group_bins(payload: &[u8]) -> Result<Vec<Arc<KeyBinMap>>, PersistError> {
     let mut d = Dec::new(payload);
-    // Each group record is at least 24 bytes (k + cap + len), which bounds
-    // the count before the Vec below reserves anything.
-    let n = d.count("GROUP_BINS group count", 24)?;
+    // A group is at least its `k` and its entry count.
+    let n = d.count("GROUP_BINS group count", 2)?;
     let mut out = Vec::with_capacity(n);
     for gi in 0..n {
-        let k = d.u64("group bin count")?;
-        let cap = d.count("group slab capacity", 12)?; // 8 key + 4 bin bytes
-        let len = d.u64("group assigned count")?;
-        let keys = d.i64s(cap, "group slab keys")?;
-        let bins = d.u32s(cap, "group slab bins")?;
-        d.align8();
-        let map = KeyBinMap::from_raw_parts(k as usize, keys, bins, len as usize)
+        let k = d.usize("group bin count")?;
+        let entries = decode_entries(&mut d, "group bin entries")?
+            .into_iter()
+            .map(|(v, b)| (v, u32::try_from(b).unwrap_or(u32::MAX)))
+            .collect();
+        let map = KeyBinMap::from_sorted_entries(k, entries)
             .map_err(|e| invalid(format!("group {gi} bin map: {e}")))?;
         out.push(Arc::new(map));
     }
@@ -603,21 +592,20 @@ fn decode_group_bins(payload: &[u8]) -> Result<Vec<Arc<KeyBinMap>>, PersistError
 
 fn decode_keys(payload: &[u8], num_groups: usize) -> Result<Vec<(String, usize)>, PersistError> {
     let mut d = Dec::new(payload);
-    // Each key record is at least 16 bytes (gid + name length + pad).
-    let n = d.count("KEYS key count", 16)?;
-    let mut out = Vec::with_capacity(n);
+    // A key is at least its name's length and its group id.
+    let n = d.count("KEYS key count", 2)?;
+    let mut out: Vec<(String, usize)> = Vec::with_capacity(n);
     for _ in 0..n {
-        let gid = d.u64("key group id")? as usize;
-        let name_len = d.u32("key name length")? as usize;
-        let _reserved = d.u32("key name pad")?;
-        let raw = d.take(name_len, "key name bytes")?;
-        d.align8();
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| invalid("key name is not UTF-8"))?
-            .to_string();
+        let name = d.str("key name")?.to_string();
+        let gid = d.usize("key group id")?;
         if gid >= num_groups {
             return Err(invalid(format!(
                 "key {name:?}: group {gid} has no bin map (only {num_groups} groups)"
+            )));
+        }
+        if !name.contains('.') || out.last().is_some_and(|(prev, _)| *prev >= name) {
+            return Err(invalid(format!(
+                "key {name:?} is malformed, repeated or unsorted"
             )));
         }
         out.push((name, gid));
@@ -629,62 +617,127 @@ fn decode_key_stats(
     payload: &[u8],
     keys: &[(String, usize)],
     group_bins: &[Arc<KeyBinMap>],
-) -> Result<HashMap<String, KeyStats>, PersistError> {
+) -> Result<Vec<KeyStats>, PersistError> {
     let mut d = Dec::new(payload);
-    // Each stats record is at least 32 bytes (index + k + cap + len).
-    let n = d.count("KEY_STATS record count", 32)?;
-    let mut out = HashMap::with_capacity(n.min(keys.len()));
-    let mut prev_index: Option<usize> = None;
-    for _ in 0..n {
-        let index = d.u64("stats key index")? as usize;
-        if index >= keys.len() {
-            return Err(invalid(format!(
-                "stats record references key {index} but only {} keys exist",
-                keys.len()
-            )));
-        }
-        if prev_index.is_some_and(|p| index <= p) {
-            return Err(invalid(
-                "stats records out of order (duplicate or unsorted key index)",
-            ));
-        }
-        prev_index = Some(index);
-        let (name, gid) = &keys[index];
+    // A record is at least its `k` and its entry count.
+    let n = d.count("KEY_STATS record count", 2)?;
+    if let Some((name, _)) = keys.get(n) {
+        return Err(invalid(format!("key {name} has no statistics")));
+    }
+    let mut out = Vec::with_capacity(keys.len());
+    for (name, gid) in keys {
         let k = d.count("stats bin count", 24)?; // 3 × f64 per bin
-        let fcap = d.count("stats freq capacity", 16)?; // 8 key + 8 count bytes
-        let flen = d.u64("stats freq len")?;
-        let bin_total = d.f64s(k, "stats bin totals")?;
-        let bin_mfv = d.f64s(k, "stats bin MFVs")?;
-        let bin_ndv = d.f64s(k, "stats bin NDVs")?;
-        let fkeys = d.i64s(fcap, "stats freq keys")?;
-        let fcounts = d.u64s(fcap, "stats freq counts")?;
-        let freq = KeyFreq::from_raw_parts(fkeys, fcounts, flen as usize)
-            .map_err(|e| invalid(format!("key {name:?} frequency slab: {e}")))?;
-        // Per-bin vectors must agree with the key's group, or estimation
-        // would index out of bounds later.
+                                                 // Per-bin vectors must agree with the key's group, or estimation
+                                                 // would index out of bounds later.
         let expect = group_bins[*gid].k();
         if k != expect {
             return Err(invalid(format!(
                 "key {name:?}: {k} bins but group {gid} has {expect}"
             )));
         }
-        out.insert(
-            name.clone(),
-            KeyStats {
-                bin_total,
-                bin_mfv,
-                bin_ndv,
-                freq,
-            },
-        );
+        let mut vector = || {
+            (0..k)
+                .map(|_| d.f64("stats bin vector"))
+                .collect::<Result<Vec<f64>, _>>()
+        };
+        let (bin_total, bin_mfv, bin_ndv) = (vector()?, vector()?, vector()?);
+        let entries = decode_entries(&mut d, "stats frequency entries")?;
+        let freq = KeyFreq::from_sorted_entries(&entries)
+            .map_err(|e| invalid(format!("key {name:?} frequencies: {e}")))?;
+        out.push(KeyStats {
+            bin_total,
+            bin_mfv,
+            bin_ndv,
+            freq,
+        });
     }
     Ok(out)
 }
 
+/// A `TABLE` section's name and schema, and the rest of its payload: the
+/// estimator, decoded once the table's key bins are known.
+fn decode_table_head<'a>(
+    payload: &'a [u8],
+    config: &FactorJoinConfig,
+) -> Result<(String, TableSchema, Dec<'a>), PersistError> {
+    let mut d = Dec::new(payload);
+    let name = d.str("table name")?.to_string();
+    let schema = decode_schema(&mut d)?;
+    let tag = d.u8("table estimator tag")?;
+    if tag != estimator_tag(&config.estimator) {
+        return Err(invalid(format!(
+            "table {name:?}: estimator tag {tag} differs from the config's"
+        )));
+    }
+    Ok((name, schema, d))
+}
+
 /// Parses `.fjm` bytes into a [`SavedModel`], validating magic, version,
-/// endianness, the section table, every per-section CRC, and every length
-/// field (see module docs for the exact rejection taxonomy).
+/// endianness, the section table, every per-section CRC, every length
+/// field and every value inference indexes with (see module docs for the
+/// exact rejection taxonomy). Builds the model without fitting anything.
 pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
+    let sections = read_sections(bytes)?;
+    let section = |id| sections.iter().find(|(i, _)| *i == id).map(|&(_, p)| p);
+    for id in REQUIRED_SECTIONS {
+        if section(id).is_none() {
+            return Err(PersistError::MissingSection { id });
+        }
+    }
+    let config = decode_meta(section(SEC_META).unwrap())?;
+    let group_bins = decode_group_bins(section(SEC_GROUP_BINS).unwrap())?;
+    let keys = decode_keys(section(SEC_KEYS).unwrap(), group_bins.len())?;
+    let stats = decode_key_stats(section(SEC_KEY_STATS).unwrap(), &keys, &group_bins)?;
+    let mut tables = Vec::new();
+    let mut estimators = Vec::new();
+    for &(_, payload) in sections.iter().filter(|(id, _)| *id == SEC_TABLE) {
+        let (name, schema, rest) = decode_table_head(payload, &config)?;
+        if tables
+            .last()
+            .is_some_and(|(prev, _): &(String, _)| *prev >= name)
+        {
+            return Err(invalid(format!("table {name:?} is repeated or unsorted")));
+        }
+        tables.push((name, schema));
+        estimators.push(rest);
+    }
+    let keys = keys
+        .into_iter()
+        .zip(stats)
+        .map(|((name, gid), stats)| {
+            let (table, column) = name.split_once('.').expect("checked by decode_keys");
+            (KeyRef::new(table, column), gid, stats)
+        })
+        .collect();
+    let names: Vec<String> = tables.iter().map(|(name, _)| name.clone()).collect();
+    let model = FactorJoinModel::from_decoded(
+        config.clone(),
+        group_bins.clone(),
+        keys,
+        tables,
+        |i, schema, bins| -> Result<Box<dyn BaseTableEstimator>, PersistError> {
+            let d = &mut estimators[i];
+            let name = &names[i];
+            Ok(match config.estimator {
+                BaseEstimatorKind::BayesNet(bn) => {
+                    Box::new(BayesNetEstimator::decode(d, schema, bins, &group_bins, bn)?)
+                }
+                BaseEstimatorKind::Sampling { .. } => {
+                    Box::new(SamplingEstimator::decode(d, name, schema, bins)?)
+                }
+                BaseEstimatorKind::TrueScan => {
+                    Box::new(ExactEstimator::decode(d, name, schema, bins)?)
+                }
+            })
+        },
+    )?;
+    Ok(SavedModel { model })
+}
+
+/// Checks the header and section table, and every section's extent and
+/// CRC; returns each section's `(id, payload)` in file order. Required
+/// sections may appear once; unknown ids are skipped.
+fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, PersistError> {
     if !bytes.starts_with(&MAGIC) {
         // A non-empty proper prefix of the magic is a torn `.fjm`; anything
         // else — an empty file, an old JSON export — is not `.fjm` at all.
@@ -726,7 +779,7 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
             what: "section table",
         });
     }
-    let mut sections: HashMap<u32, &[u8]> = HashMap::new();
+    let mut sections: Vec<(u32, &[u8])> = Vec::with_capacity(section_count as usize);
     for i in 0..section_count as usize {
         let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let id = u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap());
@@ -745,36 +798,26 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
         if crc32(payload) != crc {
             return Err(PersistError::ChecksumMismatch { id });
         }
-        if REQUIRED_SECTIONS.contains(&id) && sections.insert(id, payload).is_some() {
+        if REQUIRED_SECTIONS.contains(&id) && sections.iter().any(|&(seen, _)| seen == id) {
             return Err(PersistError::BadSectionTable {
                 reason: format!("duplicate section {id}"),
             });
         }
         // Unknown section ids are skipped: that is how a future minor
         // version stays readable by this build.
-    }
-    for id in REQUIRED_SECTIONS {
-        if !sections.contains_key(&id) {
-            return Err(PersistError::MissingSection { id });
+        if REQUIRED_SECTIONS.contains(&id) || id == SEC_TABLE {
+            sections.push((id, payload));
         }
     }
-    let (strategy, estimator, seed) = decode_meta(sections[&SEC_META])?;
-    let group_bins = decode_group_bins(sections[&SEC_GROUP_BINS])?;
-    let keys = decode_keys(sections[&SEC_KEYS], group_bins.len())?;
-    let key_stats = decode_key_stats(sections[&SEC_KEY_STATS], &keys, &group_bins)?;
-    Ok(SavedModel {
-        strategy,
-        estimator,
-        seed,
-        group_bins,
-        group_of: keys.into_iter().collect(),
-        key_stats,
-    })
+    Ok(sections)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binning::BinBudget;
+    use fj_query::parse_query;
+    use fj_storage::{Catalog, ColumnDef, DataType, Table, Value};
 
     /// Same mixer as `fj_service::fault::splitmix64` (inlined — fj-core
     /// must not depend on the service crate): keeps the fuzz sweep
@@ -787,42 +830,76 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A small but structurally complete SavedModel: two groups, three
-    /// keys, one key deliberately without stats (a grouped key need not
-    /// have any, so the format must round-trip that too).
-    fn sample_saved() -> SavedModel {
-        let m0 = (0..40i64).map(|v| (v * 7, (v % 4) as u32));
-        let m1 = (0..17i64).map(|v| (v * 3 - 5, (v % 3) as u32));
-        let mut freq_a = KeyFreq::default();
-        for v in 0..25i64 {
-            freq_a.set(v * 7, (v as u64 % 9) + 1);
-        }
-        let freq_b = KeyFreq::default();
-        let stats = |k: usize, freq: &KeyFreq| KeyStats {
-            bin_total: (0..k).map(|i| i as f64 * 1.5 + 0.25).collect(),
-            bin_mfv: (0..k).map(|i| i as f64 + 0.125).collect(),
-            bin_ndv: (0..k).map(|i| (i + 1) as f64).collect(),
-            freq: freq.clone(),
-        };
-        let mut group_of = HashMap::new();
-        group_of.insert("posts.id".to_string(), 0);
-        group_of.insert("comments.post_id".to_string(), 0);
-        group_of.insert("users.id".to_string(), 1);
-        let mut key_stats = HashMap::new();
-        key_stats.insert("posts.id".to_string(), stats(4, &freq_a));
-        key_stats.insert("comments.post_id".to_string(), stats(4, &freq_b));
-        // "users.id" has a group but no stats on purpose.
-        SavedModel {
-            strategy: BinningStrategy::Gbsa,
-            estimator: BaseEstimatorKind::Sampling { rate: 0.25 },
-            seed: 42,
-            group_bins: vec![
-                Arc::new(KeyBinMap::new(4, m0)),
-                Arc::new(KeyBinMap::new(3, m1)),
-            ],
-            group_of,
-            key_stats,
-        }
+    /// Two related tables, small enough to fuzz whole files: a key with
+    /// NULLs, and integer, string and float attributes.
+    fn tiny_catalog() -> Catalog {
+        let posts = TableSchema::new(vec![
+            ColumnDef::key("id"),
+            ColumnDef::new("score", DataType::Int),
+            ColumnDef::new("tag", DataType::Str),
+            ColumnDef::new("ratio", DataType::Float),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..120i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 5),
+                    Value::Str(format!("t{}", i % 3)),
+                    Value::Float(i as f64 / 7.0),
+                ]
+            })
+            .collect();
+        let comments = TableSchema::new(vec![
+            ColumnDef::key("post_id"),
+            ColumnDef::new("len", DataType::Int),
+        ]);
+        let crows: Vec<Vec<Value>> = (0..200i64)
+            .map(|i| {
+                let post = if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i * 7) % 120)
+                };
+                vec![post, Value::Int(i % 11)]
+            })
+            .collect();
+        let mut cat = Catalog::new();
+        cat.add_table(Table::from_rows("posts", posts, &rows).unwrap())
+            .unwrap();
+        cat.add_table(Table::from_rows("comments", comments, &crows).unwrap())
+            .unwrap();
+        cat.relate("posts", "id", "comments", "post_id").unwrap();
+        cat
+    }
+
+    const ESTIMATORS: [BaseEstimatorKind; 3] = [
+        BaseEstimatorKind::BayesNet(BnConfig {
+            max_codes: 64,
+            mi_sample_rows: 20_000,
+            alpha: 0.1,
+            fallback_selectivity: 0.25,
+            threads: 1,
+        }),
+        BaseEstimatorKind::Sampling { rate: 0.25 },
+        BaseEstimatorKind::TrueScan,
+    ];
+
+    fn model(cat: &Catalog, estimator: BaseEstimatorKind) -> FactorJoinModel {
+        FactorJoinModel::train(
+            cat,
+            FactorJoinConfig {
+                bin_budget: BinBudget::Uniform(4),
+                estimator,
+                seed: 42,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+    }
+
+    /// The `.fjm` bytes of the tiny catalog's BayesNet model.
+    fn sample_bytes() -> Vec<u8> {
+        encode(&model(&tiny_catalog(), ESTIMATORS[0]))
     }
 
     /// Reads a well-formed file's section table back into (id, payload)
@@ -841,32 +918,17 @@ mod tests {
             .collect()
     }
 
-    /// Reassembles a file from scratch with arbitrary version fields and
-    /// section list — the tool for version-skew and table-shape tests.
-    fn assemble(major: u16, minor: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&major.to_le_bytes());
-        out.extend_from_slice(&minor.to_le_bytes());
-        out.extend_from_slice(&ENDIAN_MARK.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        let table_at = out.len();
-        out.resize(table_at + SECTION_ENTRY_LEN * sections.len(), 0);
-        for (i, (id, payload)) in sections.iter().enumerate() {
-            while out.len() % 8 != 0 {
-                out.push(0);
-            }
-            let offset = out.len() as u64;
-            let crc = crc32(payload);
-            out.extend_from_slice(payload);
-            let e = table_at + i * SECTION_ENTRY_LEN;
-            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
-            out[e + 8..e + 16].copy_from_slice(&offset.to_le_bytes());
-            out[e + 16..e + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            out[e + 24..e + 28].copy_from_slice(&crc.to_le_bytes());
-        }
-        out
+    /// `base` with the first section of id `id` replaced by `payload`,
+    /// reframed with valid checksums.
+    fn with(base: &[(u32, Vec<u8>)], id: u32, payload: Vec<u8>) -> Vec<u8> {
+        let mut sections = base.to_vec();
+        let at = sections.iter().position(|(i, _)| *i == id).unwrap();
+        sections[at].1 = payload;
+        frame(FORMAT_MAJOR, FORMAT_MINOR, &sections)
+    }
+
+    fn is_invalid(got: Result<SavedModel, PersistError>) -> bool {
+        matches!(got, Err(PersistError::Invalid { .. }))
     }
 
     #[test]
@@ -878,7 +940,7 @@ mod tests {
 
     #[test]
     fn header_layout_is_as_documented() {
-        let bytes = encode(&sample_saved());
+        let bytes = sample_bytes();
         assert_eq!(&bytes[..8], &MAGIC);
         assert_eq!(
             u16::from_le_bytes(bytes[8..10].try_into().unwrap()),
@@ -889,9 +951,11 @@ mod tests {
             FORMAT_MINOR
         );
         assert_eq!(&bytes[12..16], &ENDIAN_MARK.to_le_bytes());
-        assert_eq!(u32::from_le_bytes(bytes[16..20].try_into().unwrap()), 4);
-        // Every section payload starts 8-byte aligned (mmap-friendliness).
-        for i in 0..4 {
+        // The four model sections, then one per table in name order.
+        let ids: Vec<u32> = split_sections(&bytes).iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 5]);
+        // Every section payload starts 8-byte aligned.
+        for i in 0..ids.len() {
             let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
             let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap());
             assert_eq!(off % 8, 0, "section {i} not aligned");
@@ -900,73 +964,72 @@ mod tests {
 
     #[test]
     fn encode_decode_reencode_is_byte_identical() {
-        let saved = sample_saved();
-        let bytes = encode(&saved);
-        let decoded = decode(&bytes).unwrap();
-        let again = encode(&decoded);
-        assert_eq!(bytes, again, "save -> load -> save must be byte-identical");
-        // And the decode is semantically faithful, not just re-encodable.
-        assert_eq!(decoded.strategy, saved.strategy);
-        assert_eq!(decoded.estimator, saved.estimator);
-        assert_eq!(decoded.seed, saved.seed);
-        assert_eq!(decoded.group_of, saved.group_of);
-        assert_eq!(decoded.key_stats.len(), saved.key_stats.len());
-        for (name, stats) in &saved.key_stats {
-            let d = &decoded.key_stats[name];
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&d.bin_total), bits(&stats.bin_total));
-            assert_eq!(bits(&d.bin_mfv), bits(&stats.bin_mfv));
-            assert_eq!(bits(&d.bin_ndv), bits(&stats.bin_ndv));
-            assert_eq!(d.freq.sorted_entries(), stats.freq.sorted_entries());
-        }
-        for (a, b) in decoded.group_bins.iter().zip(&saved.group_bins) {
-            assert_eq!(a.k(), b.k());
-            let sorted = |m: &KeyBinMap| {
-                let mut v: Vec<(i64, u32)> = m.entries().collect();
-                v.sort_unstable();
-                v
+        let cat = tiny_catalog();
+        let q = parse_query(
+            &cat,
+            "SELECT COUNT(*) FROM posts p, comments c WHERE p.id = c.post_id \
+             AND p.score > 1 AND p.tag = 't2';",
+        )
+        .unwrap();
+        for estimator in ESTIMATORS {
+            let trained = model(&cat, estimator);
+            let bytes = encode(&trained);
+            let decoded = decode(&bytes).unwrap();
+            let want = FactorJoinConfig {
+                threads: 0,
+                ..trained.config().clone()
             };
-            assert_eq!(sorted(a), sorted(b));
+            assert_eq!(decoded.config(), &want);
+            let loaded = decoded.into_model(&cat).unwrap();
+            assert_eq!(encode(&loaded), bytes, "{estimator:?}: save->load->save");
+            assert_eq!(loaded.model_bytes(), trained.model_bytes());
+            let bits = |m: &FactorJoinModel| {
+                m.estimate_subplans(&q, 1)
+                    .into_iter()
+                    .map(|(mask, e)| (mask, e.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&loaded), bits(&trained), "{estimator:?}");
         }
     }
 
     #[test]
     fn wrong_magic_is_a_named_error() {
-        let mut bytes = encode(&sample_saved());
+        let mut bytes = sample_bytes();
         bytes[0] ^= 0x40;
-        assert_eq!(decode(&bytes).unwrap_err(), PersistError::BadMagic);
+        assert_eq!(decode(&bytes).err(), Some(PersistError::BadMagic));
         // Neither an old JSON export nor an empty file is a torn `.fjm`.
         assert_eq!(
-            decode(b"{\"version\":1}").unwrap_err(),
-            PersistError::BadMagic
+            decode(b"{\"version\":1}").err(),
+            Some(PersistError::BadMagic)
         );
-        assert_eq!(decode(b"").unwrap_err(), PersistError::BadMagic);
+        assert_eq!(decode(b"").err(), Some(PersistError::BadMagic));
         // Nor is a 7-bit-stripped copy of a real file (PNG-magic trick).
-        let mut stripped = encode(&sample_saved());
+        let mut stripped = sample_bytes();
         for b in &mut stripped {
             *b &= 0x7F;
         }
-        assert_eq!(decode(&stripped).unwrap_err(), PersistError::BadMagic);
+        assert_eq!(decode(&stripped).err(), Some(PersistError::BadMagic));
     }
 
     #[test]
     fn byte_swapped_file_is_a_named_error() {
-        let mut bytes = encode(&sample_saved());
+        let mut bytes = sample_bytes();
         bytes[12..16].copy_from_slice(&ENDIAN_MARK.to_be_bytes());
-        assert_eq!(decode(&bytes).unwrap_err(), PersistError::WrongEndian);
+        assert_eq!(decode(&bytes).err(), Some(PersistError::WrongEndian));
     }
 
     #[test]
     fn future_major_is_rejected_future_minor_is_tolerated() {
-        let sections = split_sections(&encode(&sample_saved()));
+        let sections = split_sections(&sample_bytes());
         // Major bump: reject by policy, naming both versions.
-        let v2 = assemble(FORMAT_MAJOR + 1, 0, &sections);
+        let v3 = frame(FORMAT_MAJOR + 1, 0, &sections);
         assert_eq!(
-            decode(&v2).unwrap_err(),
-            PersistError::UnsupportedMajor {
+            decode(&v3).err(),
+            Some(PersistError::UnsupportedMajor {
                 found: FORMAT_MAJOR + 1,
                 supported: FORMAT_MAJOR,
-            }
+            })
         );
         // Minor bump with an unknown extra section and a META payload
         // extended by a hypothetical new field: still loads.
@@ -977,44 +1040,64 @@ mod tests {
             }
         }
         skewed.push((99, b"from the future".to_vec()));
-        let future = assemble(FORMAT_MAJOR, FORMAT_MINOR + 1, &skewed);
+        let future = frame(FORMAT_MAJOR, FORMAT_MINOR + 1, &skewed);
         let decoded = decode(&future).expect("future-minor file must load");
+        assert_eq!(decoded.config().estimator, ESTIMATORS[0]);
+        assert!(decoded.into_model(&tiny_catalog()).is_ok());
+    }
+
+    /// A format-1 file held statistics only and had its estimators refitted
+    /// on load; this build refuses it rather than refit.
+    #[test]
+    fn a_format_1_file_is_refused() {
+        let v1 = frame(1, 0, &split_sections(&sample_bytes()));
         assert_eq!(
-            decoded.estimator,
-            BaseEstimatorKind::Sampling { rate: 0.25 }
+            decode(&v1).err(),
+            Some(PersistError::UnsupportedMajor {
+                found: 1,
+                supported: 2
+            })
         );
-        assert_eq!(decoded.group_of.len(), 3);
     }
 
     #[test]
     fn missing_and_duplicate_sections_are_named_errors() {
-        let sections = split_sections(&encode(&sample_saved()));
+        let sections = split_sections(&sample_bytes());
         let without_stats: Vec<_> = sections
             .iter()
             .filter(|(id, _)| *id != SEC_KEY_STATS)
             .cloned()
             .collect();
         assert_eq!(
-            decode(&assemble(FORMAT_MAJOR, FORMAT_MINOR, &without_stats)).unwrap_err(),
-            PersistError::MissingSection { id: SEC_KEY_STATS }
+            decode(&frame(FORMAT_MAJOR, FORMAT_MINOR, &without_stats)).err(),
+            Some(PersistError::MissingSection { id: SEC_KEY_STATS })
         );
         let mut doubled = sections.clone();
         doubled.push(sections[0].clone());
         assert!(matches!(
-            decode(&assemble(FORMAT_MAJOR, FORMAT_MINOR, &doubled)),
+            decode(&frame(FORMAT_MAJOR, FORMAT_MINOR, &doubled)),
             Err(PersistError::BadSectionTable { .. })
         ));
+        // A table twice is as wrong as a required section twice.
+        let mut tables_twice = sections.clone();
+        tables_twice.push(sections.last().unwrap().clone());
+        assert!(is_invalid(decode(&frame(
+            FORMAT_MAJOR,
+            FORMAT_MINOR,
+            &tables_twice
+        ))));
     }
 
     #[test]
     fn truncation_at_every_boundary_is_a_clear_error() {
-        let bytes = encode(&sample_saved());
+        let bytes = sample_bytes();
+        let n = split_sections(&bytes).len();
         // Cut points: every header byte, every table-entry edge, every
         // section start / midpoint / end-minus-one. (All prefixes would be
         // O(n^2) CRC work; boundaries are where the interesting states are,
         // and the fuzz test samples the rest.)
         let mut cuts: Vec<usize> = (0..HEADER_LEN.min(bytes.len())).collect();
-        for i in 0..4 {
+        for i in 0..n {
             let e = HEADER_LEN + i * SECTION_ENTRY_LEN;
             cuts.extend([e, e + SECTION_ENTRY_LEN]);
             let off = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
@@ -1024,15 +1107,16 @@ mod tests {
         cuts.push(bytes.len() - 1);
         for cut in cuts {
             let torn = &bytes[..cut.min(bytes.len())];
-            let got = decode(torn);
-            assert!(got.is_err(), "prefix of {cut} bytes decoded: {got:?}");
+            let got = decode(torn).err();
             // Torn files must be *diagnosed* as torn, not as something else.
             assert!(
                 matches!(
                     got,
-                    Err(PersistError::BadMagic
-                        | PersistError::Truncated { .. }
-                        | PersistError::SectionOutOfBounds { .. })
+                    Some(
+                        PersistError::BadMagic
+                            | PersistError::Truncated { .. }
+                            | PersistError::SectionOutOfBounds { .. }
+                    )
                 ),
                 "prefix of {cut} bytes gave an unexpected diagnosis: {got:?}"
             );
@@ -1041,7 +1125,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
-        let bytes = encode(&sample_saved());
+        let bytes = sample_bytes();
         let first_off = {
             let e = HEADER_LEN;
             u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize
@@ -1060,101 +1144,201 @@ mod tests {
 
     #[test]
     fn hostile_lengths_are_rejected_before_allocation() {
-        let base = split_sections(&encode(&sample_saved()));
-        let with = |id: u32, payload: Vec<u8>| {
-            let swapped: Vec<_> = base
-                .iter()
-                .map(|(i, p)| (*i, if *i == id { payload.clone() } else { p.clone() }))
-                .collect();
-            assemble(FORMAT_MAJOR, FORMAT_MINOR, &swapped)
+        let base = split_sections(&sample_bytes());
+        let hostile = |id: u32, build: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::default();
+            build(&mut e);
+            decode(&with(&base, id, e.finish())).err()
         };
-        // GROUP_BINS claiming u64::MAX groups in an 8-byte payload.
-        let huge_groups = with(SEC_GROUP_BINS, u64::MAX.to_le_bytes().to_vec());
-        assert!(
-            matches!(
-                decode(&huge_groups),
-                Err(PersistError::HostileLength {
-                    wanted: u64::MAX,
-                    ..
-                })
-            ),
-            "hostile group count not pre-validated: {:?}",
-            decode(&huge_groups)
-        );
-        // One group whose slab capacity claims 2^60 entries.
-        let mut p = Vec::new();
-        p.extend_from_slice(&1u64.to_le_bytes()); // group count
-        p.extend_from_slice(&4u64.to_le_bytes()); // k
-        p.extend_from_slice(&(1u64 << 60).to_le_bytes()); // capacity: hostile
-        let huge_cap = with(SEC_GROUP_BINS, p);
+        // GROUP_BINS claiming u64::MAX groups.
         assert!(matches!(
-            decode(&huge_cap),
-            Err(PersistError::HostileLength { .. })
+            hostile(SEC_GROUP_BINS, &|e| e.varint(u64::MAX)),
+            Some(PersistError::HostileLength {
+                wanted: u64::MAX,
+                ..
+            })
+        ));
+        // One group whose entry count claims 2^60 entries.
+        let huge_entries = hostile(SEC_GROUP_BINS, &|e| {
+            e.len(1);
+            e.len(4);
+            e.varint(1 << 60);
+        });
+        assert!(matches!(
+            huge_entries,
+            Some(PersistError::HostileLength { .. })
         ));
         // KEYS claiming a name longer than the payload.
-        let mut p = Vec::new();
-        p.extend_from_slice(&1u64.to_le_bytes()); // key count
-        p.extend_from_slice(&0u64.to_le_bytes()); // gid
-        p.extend_from_slice(&u32::MAX.to_le_bytes()); // name length: hostile
-        p.extend_from_slice(&0u32.to_le_bytes()); // pad
+        let long_name = hostile(SEC_KEYS, &|e| {
+            e.len(1);
+            e.varint(u32::MAX.into());
+        });
         assert!(matches!(
-            decode(&with(SEC_KEYS, p)),
-            Err(PersistError::Truncated { .. })
+            long_name,
+            Some(PersistError::HostileLength { .. })
         ));
         // KEY_STATS record with a hostile bin count.
-        let mut p = Vec::new();
-        p.extend_from_slice(&1u64.to_le_bytes()); // record count
-        p.extend_from_slice(&0u64.to_le_bytes()); // key index
-        p.extend_from_slice(&(1u64 << 59).to_le_bytes()); // k: hostile
-        assert!(matches!(
-            decode(&with(SEC_KEY_STATS, p)),
-            Err(PersistError::HostileLength { .. })
-        ));
+        let huge_k = hostile(SEC_KEY_STATS, &|e| {
+            e.len(2);
+            e.varint(1 << 59);
+        });
+        assert!(matches!(huge_k, Some(PersistError::HostileLength { .. })));
     }
 
+    /// Every value inference indexes with is validated at decode: sorted
+    /// entries, their counts and bins, group ids, `k`s and tags.
     #[test]
     fn invalid_slabs_and_tags_are_rejected() {
-        let base = split_sections(&encode(&sample_saved()));
-        let with = |id: u32, payload: Vec<u8>| {
-            let swapped: Vec<_> = base
-                .iter()
-                .map(|(i, p)| (*i, if *i == id { payload.clone() } else { p.clone() }))
-                .collect();
-            assemble(FORMAT_MAJOR, FORMAT_MINOR, &swapped)
+        let base = split_sections(&sample_bytes());
+        let payload = |build: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::default();
+            build(&mut e);
+            e.finish()
         };
         // META with an unknown strategy tag.
-        let mut meta = vec![9u8, 0, 0, 0, 0, 0, 0, 0];
-        meta.extend_from_slice(&0u64.to_le_bytes());
-        meta.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            decode(&with(SEC_META, meta)),
-            Err(PersistError::Invalid { .. })
-        ));
-        // A group slab whose len disagrees with its occupancy
-        // (cap=0 but len=1): must be caught by from_raw_parts.
-        let mut p = Vec::new();
-        p.extend_from_slice(&1u64.to_le_bytes()); // group count
-        p.extend_from_slice(&4u64.to_le_bytes()); // k
-        p.extend_from_slice(&0u64.to_le_bytes()); // capacity 0
-        p.extend_from_slice(&1u64.to_le_bytes()); // len 1: inconsistent
-        assert!(matches!(
-            decode(&with(SEC_GROUP_BINS, p)),
-            Err(PersistError::Invalid { .. })
-        ));
-        // A KEYS entry referencing a nonexistent group.
-        let mut p = Vec::new();
-        p.extend_from_slice(&1u64.to_le_bytes()); // key count
-        p.extend_from_slice(&77u64.to_le_bytes()); // gid out of range
-        p.extend_from_slice(&4u32.to_le_bytes()); // name length
-        p.extend_from_slice(&0u32.to_le_bytes()); // pad
-        p.extend_from_slice(b"a.b!");
-        while p.len() % 8 != 0 {
-            p.push(0);
+        let meta = payload(&|e| {
+            e.u8(0);
+            e.len(4);
+            e.u8(9);
+        });
+        assert!(is_invalid(decode(&with(&base, SEC_META, meta))));
+        // Group entries whose values do not increase, and a bin >= k.
+        for entries in [vec![(5, 0), (5, 1)], vec![(5, 0), (2, 1)], vec![(1, 4)]] {
+            let groups = payload(&|e| {
+                e.len(1);
+                e.len(4);
+                encode_entries(e, &entries);
+            });
+            assert!(
+                is_invalid(decode(&with(&base, SEC_GROUP_BINS, groups))),
+                "{entries:?}"
+            );
         }
-        assert!(matches!(
-            decode(&with(SEC_KEYS, p)),
-            Err(PersistError::Invalid { .. })
-        ));
+        // A KEYS entry referencing a nonexistent group.
+        let keys = payload(&|e| {
+            e.len(1);
+            e.str("posts.id");
+            e.len(77);
+        });
+        assert!(is_invalid(decode(&with(&base, SEC_KEYS, keys))));
+        // Key statistics: a k other than the group's, a zero count, and
+        // values that do not increase.
+        let stats = |k: usize, entries: &[(i64, u64)]| {
+            payload(&|e| {
+                e.len(2);
+                for _ in 0..2 {
+                    e.len(k);
+                    (0..3 * k).for_each(|_| e.f64(1.0));
+                    encode_entries(e, entries);
+                }
+            })
+        };
+        let k = model(&tiny_catalog(), ESTIMATORS[0]).group_bins(0).k();
+        assert!(decode(&with(&base, SEC_KEY_STATS, stats(k, &[(1, 2), (3, 1)]))).is_ok());
+        for bad in [
+            stats(k + 1, &[(1, 2)]),
+            stats(k, &[(1, 2), (3, 0)]),
+            stats(k, &[(3, 2), (1, 1)]),
+        ] {
+            assert!(is_invalid(decode(&with(&base, SEC_KEY_STATS, bad))));
+        }
+        // A table whose estimator tag is not the config's.
+        let mut table = base
+            .iter()
+            .find(|(id, _)| *id == SEC_TABLE)
+            .unwrap()
+            .1
+            .clone();
+        let mut d = Dec::new(&table);
+        d.str("name").unwrap();
+        decode_schema(&mut d).unwrap();
+        let tag_at = table.len() - d.remaining();
+        table[tag_at] = 2;
+        assert!(is_invalid(decode(&with(&base, SEC_TABLE, table))));
+    }
+
+    /// A `comments` network written by hand: `post_id` (the key, `gid`
+    /// fitted to `k` bins) and `len` (values 1 and 2), with the parent
+    /// varints `parents` and count tables of the given lengths.
+    fn comments_network(gid: usize, k: usize, parents: [u64; 2], lens: [usize; 4]) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.str("comments");
+        let schema = TableSchema::new(vec![
+            ColumnDef::key("post_id"),
+            ColumnDef::new("len", DataType::Int),
+        ]);
+        encode_schema(&mut e, &schema);
+        e.u8(0);
+        e.varint(10);
+        e.len(2);
+        e.str("post_id");
+        e.u8(0);
+        e.len(gid);
+        e.len(k);
+        e.varint(parents[0]);
+        e.str("len");
+        e.u8(1);
+        fj_storage::codec::encode_deltas(&mut e, &[1, 2]);
+        e.varint(parents[1]);
+        // Marginal then joint per node; a root has no joint.
+        let [m0, j0, m1, j1] = lens;
+        for (n, present) in [
+            (m0, true),
+            (j0, parents[0] != 0),
+            (m1, true),
+            (j1, parents[1] != 0),
+        ] {
+            if present {
+                e.len(n);
+                (0..n).for_each(|i| e.varint(i as u64 % 3));
+            }
+        }
+        e.finish()
+    }
+
+    /// The network shapes inference would index out of bounds with, or
+    /// loop on, are rejected at decode.
+    #[test]
+    fn malformed_networks_are_rejected() {
+        let base = split_sections(&sample_bytes());
+        let k = model(&tiny_catalog(), ESTIMATORS[0]).group_bins(0).k();
+        let (kk, kl) = (k + 1, 3);
+        // `comments` sorts before `posts`: the first TABLE section.
+        let load = |payload| decode(&with(&base, SEC_TABLE, payload));
+        // The hand layout is right: `len` under `post_id` decodes.
+        assert!(load(comments_network(0, k, [0, 1], [kk, 0, kl, kl * kk])).is_ok());
+        for (why, payload) in [
+            (
+                "parent out of range",
+                comments_network(0, k, [0, 3], [kk, 0, kl, kl * kk]),
+            ),
+            (
+                "own parent",
+                comments_network(0, k, [0, 2], [kk, 0, kl, kl * kl]),
+            ),
+            (
+                "cycle",
+                comments_network(0, k, [2, 1], [kk, kk * kl, kl, kl * kk]),
+            ),
+            (
+                "joint length",
+                comments_network(0, k, [0, 1], [kk, 0, kl, kl * kk - 1]),
+            ),
+            (
+                "marginal length",
+                comments_network(0, k, [0, 1], [kk + 1, 0, kl, kl * kk]),
+            ),
+            (
+                "missing group",
+                comments_network(7, k, [0, 1], [kk, 0, kl, kl * kk]),
+            ),
+            (
+                "other k",
+                comments_network(0, k + 1, [0, 1], [kk + 1, 0, kl, kl * (kk + 1)]),
+            ),
+        ] {
+            assert!(is_invalid(load(payload)), "{why} was not rejected");
+        }
     }
 
     /// The wire-codec discipline applied to the model file: arbitrary
@@ -1164,7 +1348,7 @@ mod tests {
     /// failure here).
     #[test]
     fn seeded_byte_mutation_fuzz_never_panics() {
-        let good = encode(&sample_saved());
+        let good = sample_bytes();
         for seed in 0..64u64 {
             let mut rng = seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0x9E37;
             for round in 0..64 {
@@ -1192,6 +1376,56 @@ mod tests {
                     outcome.is_ok(),
                     "decode panicked on seed {seed} round {round} ({} bytes)",
                     bytes.len()
+                );
+            }
+        }
+    }
+
+    /// Mutations *behind* the checksums: one section's payload is flipped,
+    /// truncated or extended and the file reframed with fresh CRCs, so the
+    /// bytes reach the section decoders — the sorted-entry maps, the key
+    /// statistics and every estimator's section. Each must decode to `Ok`
+    /// or a typed error, and a model that decodes must answer a query.
+    #[test]
+    fn section_payload_fuzz_never_panics() {
+        let cat = tiny_catalog();
+        let q = parse_query(
+            &cat,
+            "SELECT COUNT(*) FROM posts p, comments c WHERE p.id = c.post_id AND p.score > 1;",
+        )
+        .unwrap();
+        for estimator in ESTIMATORS {
+            let sections = split_sections(&encode(&model(&cat, estimator)));
+            for seed in 0..400u64 {
+                let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x51;
+                let mut mutated = sections.clone();
+                let at = (splitmix64(&mut rng) as usize) % mutated.len();
+                let payload = &mut mutated[at].1;
+                match splitmix64(&mut rng) % 4 {
+                    0 => {
+                        let keep = (splitmix64(&mut rng) as usize) % (payload.len() + 1);
+                        payload.truncate(keep);
+                    }
+                    1 => payload.extend(std::iter::repeat_n(0xFF, 9)),
+                    _ => {}
+                }
+                for _ in 0..(splitmix64(&mut rng) % 3 + 1) {
+                    if !payload.is_empty() {
+                        let i = (splitmix64(&mut rng) as usize) % payload.len();
+                        payload[i] ^= (splitmix64(&mut rng) % 255 + 1) as u8;
+                    }
+                }
+                let bytes = frame(FORMAT_MAJOR, FORMAT_MINOR, &mutated);
+                let outcome = std::panic::catch_unwind(|| {
+                    if let Ok(saved) = decode(&bytes) {
+                        if let Ok(m) = saved.into_model(&cat) {
+                            m.estimate_subplans(&q, 1);
+                        }
+                    }
+                });
+                assert!(
+                    outcome.is_ok(),
+                    "{estimator:?}: section {at} mutation {seed} panicked"
                 );
             }
         }

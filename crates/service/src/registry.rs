@@ -132,9 +132,10 @@ impl ModelRegistry {
     /// Loads a `.fjm` model file (anything else is refused as
     /// `InvalidData`) and publishes it under `dataset`. Returns the
     /// publication epoch. This is the registry's cold-start path: ship a
-    /// trained `.fjm` (written by [`factorjoin::save_model`]) to a fresh
-    /// shard and it serves without retraining. `catalog` is read, not
-    /// kept: loading refits the single-table estimators from it.
+    /// trained or updated `.fjm` (written by [`factorjoin::save_model`])
+    /// to a fresh shard and it serves the saved model, bit for bit,
+    /// without fitting anything. `catalog` is checked, not kept: it must
+    /// hold exactly the file's tables with the same columns.
     pub fn load_and_publish(
         &self,
         dataset: &str,

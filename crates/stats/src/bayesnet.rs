@@ -41,13 +41,14 @@
 //! the counts and the request: the propagation scratch is fully rewritten
 //! by each call.
 
-use crate::binmap::TableBins;
+use crate::binmap::{KeyBinMap, TableBins};
 use crate::chowliu::chow_liu_tree_threads;
 use crate::discretize::{DiscreteColumn, Discretizer};
 use crate::traits::{BaseTableEstimator, TableProfile};
 use fj_query::FilterExpr;
-use fj_storage::Table;
-use std::sync::Mutex;
+use fj_storage::codec::{invalid, Dec, DecodeError, Enc};
+use fj_storage::{Table, TableSchema};
+use std::sync::{Arc, Mutex};
 
 /// Bayesian-network build configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,6 +115,39 @@ fn axpy_rows(out: &mut [f64], mat: &[f64], w: &[f64]) {
             *o += w[i] * x;
         }
     }
+}
+
+/// Counts above this are not exact in an `f64`; a file claiming one is
+/// corrupt (every count is a sum of ones).
+const MAX_EXACT_COUNT: u64 = 1 << 53;
+
+/// Writes counts (exact integers in `f64`s) as their length and varints.
+fn encode_counts(out: &mut Enc, counts: &[f64]) {
+    out.len(counts.len());
+    for &c in counts {
+        debug_assert!(c >= 0.0 && c.fract() == 0.0, "counts are sums of ones");
+        out.varint(c as u64);
+    }
+}
+
+/// Reads `expected` counts written by [`encode_counts`].
+fn decode_counts(
+    d: &mut Dec<'_>,
+    expected: usize,
+    what: &'static str,
+) -> Result<Vec<f64>, DecodeError> {
+    let n = d.count(what, 1)?;
+    if n != expected {
+        return Err(invalid(format!(
+            "{what}: {n} cells, but the code counts give {expected}"
+        )));
+    }
+    (0..n)
+        .map(|_| match d.varint(what)? {
+            c if c > MAX_EXACT_COUNT => Err(invalid(format!("{what}: count {c} is not exact"))),
+            c => Ok(c as f64),
+        })
+        .collect()
 }
 
 /// "No node": the parent of a root, the top of a tree without evidence.
@@ -338,8 +372,31 @@ impl BayesNetEstimator {
         codes: &[Vec<u32>],
         cfg: BnConfig,
     ) -> Self {
-        let m = cols.len();
         let n = codes.first().map_or(0, Vec::len);
+        let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
+        let marginal = domains.iter().map(|&k| vec![0.0; k]).collect();
+        let joint = parent
+            .iter()
+            .enumerate()
+            .map(|(i, p)| p.map(|p| vec![0.0; domains[i] * domains[p]]))
+            .collect();
+        let mut bn = Self::with_counts(cols, parent, marginal, joint, 0.0, cfg);
+        bn.count(codes, n);
+        bn
+    }
+
+    /// The network over `cols` with the forest `parent` and these counts:
+    /// its topological order, tree ids and slab layout. What inference
+    /// derives from the counts is left for `recompute_derived`.
+    fn with_counts(
+        cols: Vec<DiscreteColumn>,
+        parent: Vec<Option<usize>>,
+        marginal: Vec<Vec<f64>>,
+        joint: Vec<Option<Vec<f64>>>,
+        nrows: f64,
+        cfg: BnConfig,
+    ) -> Self {
+        let m = cols.len();
         let domains: Vec<usize> = cols.iter().map(DiscreteColumn::n_codes).collect();
 
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); m];
@@ -390,19 +447,13 @@ impl BayesNetEstimator {
             }
         }
 
-        let marginal = domains.iter().map(|&k| vec![0.0; k]).collect();
-        let joint = parent
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.map(|p| vec![0.0; domains[i] * domains[p]]))
-            .collect();
         let scratch = Mutex::new(PropScratch::new(&nodes, trees));
-        let mut bn = BayesNetEstimator {
+        BayesNetEstimator {
             cols,
             parent,
             marginal,
             joint,
-            nrows: 0.0,
+            nrows,
             cfg,
             nodes,
             topo,
@@ -411,9 +462,83 @@ impl BayesNetEstimator {
             prior: Vec::new(),
             prior_rows: Vec::new(),
             scratch,
-        };
-        bn.count(codes, n);
-        bn
+        }
+    }
+
+    /// Reads a network written by [`BaseTableEstimator::encode`] for the
+    /// table with `schema` and key bins `bins`, then derives the CPT slab
+    /// and priors from the counts as the fit does.
+    ///
+    /// Rejected before any inference could index with them: a node naming
+    /// no column of `schema` (or a column twice), a key column not matching
+    /// its group (see [`DiscreteColumn::decode_fit`]), a key of `bins` the
+    /// network does not model by its bins, a parent forest with an
+    /// out-of-range index or a cycle, and a marginal or joint whose length
+    /// is not its code count (or the product of its own and its parent's).
+    pub fn decode(
+        d: &mut Dec<'_>,
+        schema: &TableSchema,
+        bins: &TableBins,
+        groups: &[Arc<KeyBinMap>],
+        cfg: BnConfig,
+    ) -> Result<Self, DecodeError> {
+        let nrows = d.varint("network rows")?;
+        if nrows > MAX_EXACT_COUNT {
+            return Err(invalid(format!("{nrows} rows exceed exact f64 counts")));
+        }
+        // A node is at least its name's length, tag, parent and two counts.
+        let m = d.count("network nodes", 5)?;
+        let mut cols: Vec<DiscreteColumn> = Vec::with_capacity(m);
+        let mut parent = Vec::with_capacity(m);
+        for _ in 0..m {
+            let col = DiscreteColumn::decode_fit(d, groups, bins)?;
+            if schema.index_of(&col.name).is_none() || cols.iter().any(|c| c.name == col.name) {
+                return Err(invalid(format!(
+                    "node {:?} is not a distinct column of the table",
+                    col.name
+                )));
+            }
+            cols.push(col);
+            parent.push(match d.varint("node parent")? {
+                0 => None,
+                p => Some(usize::try_from(p - 1).unwrap_or(usize::MAX)),
+            });
+        }
+        if let Some((i, p)) =
+            (0..m).find_map(|i| parent[i].filter(|&p| p >= m || p == i).map(|p| (i, p)))
+        {
+            return Err(invalid(format!("node {i} has parent {p} of {m} nodes")));
+        }
+        if let Some((key, _)) = bins.iter().find(|(key, _)| {
+            !cols
+                .iter()
+                .any(|c| &c.name == *key && c.key_bins().is_some())
+        }) {
+            return Err(invalid(format!(
+                "key column {key:?} is not modeled by its bins"
+            )));
+        }
+        let mut marginal = Vec::with_capacity(m);
+        let mut joint = Vec::with_capacity(m);
+        for i in 0..m {
+            let k = cols[i].n_codes();
+            marginal.push(decode_counts(d, k, "marginal counts")?);
+            let cells = parent[i].map(|p| k.checked_mul(cols[p].n_codes()));
+            joint.push(match cells {
+                None => None,
+                Some(cells) => Some(decode_counts(
+                    d,
+                    cells.unwrap_or(usize::MAX),
+                    "joint counts",
+                )?),
+            });
+        }
+        let mut bn = Self::with_counts(cols, parent, marginal, joint, nrows as f64, cfg);
+        if bn.topo.len() != m {
+            return Err(invalid("the parent forest has a cycle"));
+        }
+        bn.recompute_derived();
+        Ok(bn)
     }
 
     /// Adds `rows` rows, encoded as `codes` (column-major), to the marginal
@@ -769,6 +894,21 @@ impl BaseTableEstimator for BayesNetEstimator {
         self.count(&codes, rows.len());
     }
 
+    fn encode(&self, out: &mut Enc, groups: &[Arc<KeyBinMap>]) {
+        out.varint(self.nrows as u64);
+        out.len(self.cols.len());
+        for (col, parent) in self.cols.iter().zip(&self.parent) {
+            col.encode_fit(out, groups);
+            out.len(parent.map_or(0, |p| p + 1));
+        }
+        for (marginal, joint) in self.marginal.iter().zip(&self.joint) {
+            encode_counts(out, marginal);
+            if let Some(joint) = joint {
+                encode_counts(out, joint);
+            }
+        }
+    }
+
     fn model_bytes(&self) -> usize {
         let counts: usize = self
             .marginal
@@ -1014,6 +1154,72 @@ mod tests {
         let b = bn.model_bytes();
         assert!(b > 100, "too small: {b}");
         assert!(b < 4_000_000, "unexpectedly large: {b}");
+    }
+
+    /// A key column's bin map is its group's, shared with the model: the
+    /// network's size does not depend on how many values the map assigns.
+    #[test]
+    fn model_bytes_does_not_charge_the_shared_key_map() {
+        let t = correlated_table(2000);
+        let small = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        let mut wide = TableBins::new();
+        let map: HashMap<i64, u32> = (0..100_000).map(|v| (v, (v % 8) as u32)).collect();
+        wide.insert("id", KeyBinMap::new(8, map));
+        let large = BayesNetEstimator::build(&t, &wide, BnConfig::default());
+        assert_eq!(small.model_bytes(), large.model_bytes());
+    }
+
+    /// The encoded network decodes to one that answers bit for bit and
+    /// re-encodes to the same bytes, with the derived CPT slab and priors
+    /// recomputed, after inserts as after the fit.
+    #[test]
+    fn encode_decode_is_bit_identical_after_inserts() {
+        let mut t = correlated_table(3000);
+        let bins = bins_mod(8);
+        let groups: Vec<Arc<KeyBinMap>> = vec![Arc::clone(bins.get_shared("id").unwrap())];
+        let mut bn = BayesNetEstimator::build(&t, &bins, BnConfig::default());
+        let filters = [
+            FilterExpr::True,
+            FilterExpr::pred(Predicate::eq("attr", 3)),
+            FilterExpr::pred(Predicate::cmp("noise", CmpOp::Ge, 40)),
+        ];
+        for round in 0..2 {
+            let mut e = Enc::default();
+            bn.encode(&mut e, &groups);
+            let bytes = e.finish();
+            let back = BayesNetEstimator::decode(
+                &mut Dec::new(&bytes),
+                t.schema(),
+                &bins,
+                &groups,
+                BnConfig::default(),
+            )
+            .unwrap();
+            let mut again = Enc::default();
+            back.encode(&mut again, &groups);
+            assert_eq!(again.finish(), bytes, "round {round}");
+            assert_eq!(back.cpt, bn.cpt);
+            assert_eq!(back.prior_rows, bn.prior_rows);
+            for f in &filters {
+                let (a, b) = (bn.profile(f, &["id"]), back.profile(f, &["id"]));
+                assert_eq!(a.rows.to_bits(), b.rows.to_bits());
+                assert_eq!(a.key_dists, b.key_dists);
+            }
+            // Decoding against other key bins than the fit's is refused.
+            let other = bins_mod(8);
+            let refused = BayesNetEstimator::decode(
+                &mut Dec::new(&bytes),
+                t.schema(),
+                &other,
+                &groups,
+                BnConfig::default(),
+            );
+            assert!(refused.is_err());
+            let first = t.nrows();
+            let rows: Vec<Vec<Value>> = (0..t.nrows().min(500)).map(|r| t.row(r)).collect();
+            t.append_rows(&rows).unwrap();
+            bn.insert(&t, first);
+        }
     }
 
     #[test]

@@ -37,17 +37,18 @@ impl KeyBinMap {
     /// Creates a map with `k` bins from explicit `(value, bin)` assignments.
     ///
     /// The slab layout (which slot a colliding value lands in) follows the
-    /// order of `assignments`, and the `.fjm` format writes the slabs
-    /// verbatim: pass them in an order fixed by the inputs — not a std
-    /// `HashMap`'s randomly seeded one — for the same statistics to persist
-    /// to the same bytes.
+    /// order of `assignments`; lookups do not depend on it. A map without
+    /// assignments allocates nothing.
     pub fn new(k: usize, assignments: impl IntoIterator<Item = (i64, u32)>) -> Self {
         assert!(k > 0, "at least one bin required");
         let assignments: Vec<(i64, u32)> = assignments.into_iter().collect();
         // Sized once, at most 7/8 full, so every probe ends at an empty
         // slot; the map is never written again.
-        let cap = (assignments.len() * 8 / 7 + 1).next_power_of_two().max(8);
-        let mask = cap - 1;
+        let cap = match assignments.len() {
+            0 => 0,
+            n => (n * 8 / 7 + 1).next_power_of_two().max(8),
+        };
+        let mask = cap.wrapping_sub(1);
         let mut out = KeyBinMap {
             k,
             keys: vec![0; cap],
@@ -69,12 +70,7 @@ impl KeyBinMap {
 
     /// Single-bin map (the k=1 ablation of paper Figure 9).
     pub fn single_bin() -> Self {
-        KeyBinMap {
-            k: 1,
-            keys: Vec::new(),
-            bins: Vec::new(),
-            len: 0,
-        }
+        Self::new(1, [])
     }
 
     /// Number of bins.
@@ -113,62 +109,40 @@ impl KeyBinMap {
         self.keys.len() * 8 + self.bins.len() * 4
     }
 
-    /// The raw open-addressing slabs as `(k, keys, bins, len)` — the
-    /// binary persistence format writes these verbatim so load is a bulk
-    /// copy, not a per-entry re-insertion.
+    /// The raw open-addressing slabs as `(k, keys, bins, len)`: equal raw
+    /// parts mean an identical slab layout, not only identical lookups.
     pub fn raw_parts(&self) -> (usize, &[i64], &[u32], usize) {
         (self.k, &self.keys, &self.bins, self.len)
     }
 
-    /// Rebuilds a map from raw slabs (the inverse of [`Self::raw_parts`]),
-    /// validating every invariant the probing code relies on so a hostile
-    /// or corrupt file can never produce a map that panics, loops forever,
-    /// or indexes out of bounds:
-    ///
-    /// * `k > 0` and both slabs the same (zero or power-of-two) length;
-    /// * `len` equals the number of occupied (non-sentinel) slots;
-    /// * occupancy within the `7/8` growth bound, so probe loops always
-    ///   find an empty slot and terminate;
-    /// * every stored bin index is `< k`.
-    ///
-    /// Slot *placement* is not re-derived: a CRC-valid file stores slots
-    /// exactly where the writer's identical hash function put them.
-    pub fn from_raw_parts(
-        k: usize,
-        keys: Vec<i64>,
-        bins: Vec<u32>,
-        len: usize,
-    ) -> Result<Self, String> {
+    /// The explicit assignments sorted by value — the canonical form a
+    /// model file stores, whatever order the slab holds them in.
+    pub fn sorted_entries(&self) -> Vec<(i64, u32)> {
+        let mut out: Vec<(i64, u32)> = self.entries().collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Rebuilds a map from [`Self::sorted_entries`], validating what a
+    /// hostile or corrupt file could break: `k > 0`, values strictly
+    /// increasing (so no value is assigned twice), and every bin `< k`.
+    pub fn from_sorted_entries(k: usize, entries: Vec<(i64, u32)>) -> Result<Self, String> {
         if k == 0 {
             return Err("at least one bin required".into());
         }
-        if keys.len() != bins.len() {
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
             return Err(format!(
-                "slab length mismatch: {} keys vs {} bins",
-                keys.len(),
-                bins.len()
+                "values not strictly increasing: {} then {}",
+                w[0].0, w[1].0
             ));
         }
-        let cap = keys.len();
-        if cap != 0 && !cap.is_power_of_two() {
-            return Err(format!("slab capacity {cap} is not a power of two"));
+        if let Some(&(v, b)) = entries.iter().find(|&&(_, b)| b as usize >= k) {
+            return Err(format!("value {v}: bin {b} out of range for k={k}"));
         }
-        let occupied = bins.iter().filter(|&&b| b != EMPTY).count();
-        if occupied != len {
-            return Err(format!("{occupied} occupied slots but len says {len}"));
-        }
-        if cap != 0 && len * 8 > cap * 7 {
-            return Err(format!(
-                "over-full table: {len} entries in {cap} slots breaks probe termination"
-            ));
-        }
-        if let Some(bad) = bins.iter().find(|&&b| b != EMPTY && b as usize >= k) {
-            return Err(format!("bin index {bad} out of range for k={k}"));
-        }
-        Ok(KeyBinMap { k, keys, bins, len })
+        Ok(Self::new(k, entries))
     }
 
-    /// Iterates over the explicit (value, bin) assignments (persistence).
+    /// Iterates over the explicit (value, bin) assignments in slab order.
     pub fn entries(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
         self.keys
             .iter()
@@ -300,42 +274,34 @@ mod tests {
     }
 
     #[test]
-    fn raw_parts_roundtrip_preserves_lookups() {
+    fn sorted_entries_roundtrip_preserves_lookups() {
         let map: HashMap<i64, u32> = (0..500).map(|v| (v * 13, (v % 9) as u32)).collect();
         let b = KeyBinMap::new(9, map);
-        let (k, keys, bins, len) = b.raw_parts();
-        let back = KeyBinMap::from_raw_parts(k, keys.to_vec(), bins.to_vec(), len).unwrap();
+        let entries = b.sorted_entries();
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let back = KeyBinMap::from_sorted_entries(b.k(), entries.clone()).unwrap();
         assert_eq!(back.k(), b.k());
         assert_eq!(back.assigned(), b.assigned());
+        assert_eq!(back.heap_bytes(), b.heap_bytes());
         for v in -1000..1000 {
             assert_eq!(back.bin_of(v), b.bin_of(v), "value {v}");
         }
-        // Raw parts of the rebuilt map are identical — byte-stable persistence.
-        let (k2, keys2, bins2, len2) = back.raw_parts();
-        assert_eq!((k2, len2), (k, len));
-        assert_eq!(keys2, keys);
-        assert_eq!(bins2, bins);
+        assert_eq!(back.sorted_entries(), entries);
     }
 
     #[test]
-    fn from_raw_parts_rejects_invalid_slabs() {
+    fn from_sorted_entries_rejects_invalid_entries() {
         // k = 0.
-        assert!(KeyBinMap::from_raw_parts(0, vec![], vec![], 0).is_err());
-        // Mismatched slab lengths.
-        assert!(KeyBinMap::from_raw_parts(2, vec![0; 8], vec![EMPTY; 4], 0).is_err());
-        // Non-power-of-two capacity.
-        assert!(KeyBinMap::from_raw_parts(2, vec![0; 6], vec![EMPTY; 6], 0).is_err());
-        // len disagrees with occupancy.
-        assert!(KeyBinMap::from_raw_parts(2, vec![0; 8], vec![EMPTY; 8], 3).is_err());
-        // Over-full table (no empty slot → probe loops would never end).
-        assert!(KeyBinMap::from_raw_parts(2, vec![0; 8], vec![1; 8], 8).is_err());
+        assert!(KeyBinMap::from_sorted_entries(0, vec![]).is_err());
+        // Repeated and decreasing values.
+        assert!(KeyBinMap::from_sorted_entries(2, vec![(1, 0), (1, 1)]).is_err());
+        assert!(KeyBinMap::from_sorted_entries(2, vec![(5, 0), (1, 1)]).is_err());
         // Bin index out of range.
-        let mut bins = vec![EMPTY; 8];
-        bins[0] = 5;
-        assert!(KeyBinMap::from_raw_parts(2, vec![0; 8], bins, 1).is_err());
-        // Empty map is fine.
-        let empty = KeyBinMap::from_raw_parts(3, vec![], vec![], 0).unwrap();
-        assert_eq!(empty.assigned(), 0);
+        assert!(KeyBinMap::from_sorted_entries(2, vec![(1, 0), (2, 2)]).is_err());
+        // An empty map allocates nothing, like `single_bin`.
+        let empty = KeyBinMap::from_sorted_entries(3, vec![]).unwrap();
+        assert_eq!((empty.assigned(), empty.heap_bytes()), (0, 0));
         assert!(empty.bin_of(7) < 3);
+        assert_eq!(KeyBinMap::single_bin().heap_bytes(), 0);
     }
 }

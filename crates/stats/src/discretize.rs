@@ -27,8 +27,9 @@
 //! value, so rows appended after the fit — values and strings it never saw
 //! — land where the value-level encoder puts them.
 
-use crate::binmap::KeyBinMap;
+use crate::binmap::{KeyBinMap, TableBins};
 use fj_query::{CmpOp, FilterExpr, Predicate};
+use fj_storage::codec::{decode_deltas, encode_deltas, invalid, Dec, DecodeError, Enc};
 use fj_storage::{Column, DataType, StrDict, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -186,10 +187,7 @@ impl Discretizer {
                 dict_rows[col.codes()[i] as usize] += 1;
             }
         }
-        let mut bucket_rows = vec![0f64; n];
-        for (code, s) in dict.iter().enumerate() {
-            bucket_rows[str_bucket(s, n)] += dict_rows[code] as f64;
-        }
+        let bucket_rows = bucket_rows(&dict, &dict_rows, n);
         DiscreteColumn {
             name: name.to_string(),
             non_null_codes: n,
@@ -254,6 +252,14 @@ impl DiscreteColumn {
     /// Total number of codes including the trailing NULL code.
     pub fn n_codes(&self) -> usize {
         self.non_null_codes + 1
+    }
+
+    /// The shared bin map of a key column (`None` for an attribute).
+    pub fn key_bins(&self) -> Option<&Arc<KeyBinMap>> {
+        match &self.encoding {
+            Encoding::KeyBins(map) => Some(map),
+            _ => None,
+        }
     }
 
     /// The NULL code (always the last).
@@ -464,10 +470,12 @@ impl DiscreteColumn {
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes of what the column owns: a key
+    /// column's bin map is its group's, shared with the model, which
+    /// charges it once.
     pub fn heap_bytes(&self) -> usize {
         match &self.encoding {
-            Encoding::KeyBins(m) => m.heap_bytes(),
+            Encoding::KeyBins(_) => 0,
             Encoding::IntCategorical { values } => values.len() * 8,
             Encoding::IntBuckets { uppers, .. } => uppers.len() * 8 * 3 + uppers.len() * 4,
             Encoding::StrSmall { dict, .. } => {
@@ -480,6 +488,200 @@ impl DiscreteColumn {
                 ..
             } => dict.heap_bytes() + dict_rows.len() * 4 + bucket_rows.len() * 8,
         }
+    }
+}
+
+impl DiscreteColumn {
+    /// Writes the fitted encoding: the column name, then a key column as its
+    /// group's id in `groups` (and that group's `k`), integer codes as their
+    /// values or bucket bounds, string codes as their dictionary (and a
+    /// hashed column's per-entry row counts). Derived lookups — a small
+    /// dictionary's intern map, a hashed column's per-bucket rows — are
+    /// rebuilt by [`Self::decode_fit`].
+    pub fn encode_fit(&self, out: &mut Enc, groups: &[Arc<KeyBinMap>]) {
+        out.str(&self.name);
+        match &self.encoding {
+            Encoding::KeyBins(map) => {
+                let gid = groups
+                    .iter()
+                    .position(|g| Arc::ptr_eq(g, map))
+                    .expect("a key column's bins are its group's shared map");
+                out.u8(0);
+                out.len(gid);
+                out.len(map.k());
+            }
+            Encoding::IntCategorical { values } => {
+                out.u8(1);
+                encode_deltas(out, values);
+            }
+            Encoding::IntBuckets {
+                uppers,
+                mins,
+                maxs,
+                ndv,
+            } => {
+                out.u8(2);
+                encode_deltas(out, uppers);
+                encode_deltas(out, mins);
+                encode_deltas(out, maxs);
+                out.len(ndv.len());
+                ndv.iter().for_each(|&n| out.varint(n.into()));
+            }
+            Encoding::StrSmall { dict, .. } => {
+                out.u8(3);
+                encode_dict(out, dict);
+            }
+            Encoding::StrHashed {
+                n, dict, dict_rows, ..
+            } => {
+                out.u8(4);
+                out.len(*n);
+                encode_dict(out, dict);
+                out.len(dict_rows.len());
+                dict_rows.iter().for_each(|&r| out.varint(r.into()));
+            }
+        }
+    }
+
+    /// Reads a column written by [`Self::encode_fit`]. A key column must name a
+    /// group of `groups` with the `k` it was fitted to, and be a key of the
+    /// table with that group's map in `bins`; integer values and bucket
+    /// bounds must be strictly increasing, and every length must match the
+    /// code count — so inference can never index out of bounds.
+    pub fn decode_fit(
+        d: &mut Dec<'_>,
+        groups: &[Arc<KeyBinMap>],
+        bins: &TableBins,
+    ) -> Result<Self, DecodeError> {
+        let name = d.str("node column name")?.to_string();
+        let bad = |what: String| invalid(format!("column {name:?}: {what}"));
+        let (encoding, non_null_codes) = match d.u8("node encoding tag")? {
+            0 => {
+                let gid = d.varint("key group id")?;
+                let k = d.varint("key group bins")?;
+                let map = usize::try_from(gid)
+                    .ok()
+                    .and_then(|g| groups.get(g))
+                    .ok_or_else(|| bad(format!("names missing group {gid}")))?;
+                if map.k() as u64 != k {
+                    return Err(bad(format!(
+                        "fitted to {k} bins, group {gid} has {}",
+                        map.k()
+                    )));
+                }
+                if !bins.get_shared(&name).is_some_and(|m| Arc::ptr_eq(m, map)) {
+                    return Err(bad(format!("is not the table's key in group {gid}")));
+                }
+                (Encoding::KeyBins(Arc::clone(map)), map.k())
+            }
+            1 => {
+                let values = decode_deltas(d, "categorical values")?;
+                increasing(&values).map_err(bad)?;
+                let codes = values.len().max(1);
+                (Encoding::IntCategorical { values }, codes)
+            }
+            2 => {
+                let uppers = decode_deltas(d, "bucket uppers")?;
+                let mins = decode_deltas(d, "bucket mins")?;
+                let maxs = decode_deltas(d, "bucket maxs")?;
+                let n = d.count("bucket ndv count", 1)?;
+                let ndv = (0..n)
+                    .map(|_| d.u32_varint("bucket ndv"))
+                    .collect::<Result<Vec<u32>, _>>()?;
+                let k = uppers.len();
+                if k == 0 || [mins.len(), maxs.len(), ndv.len()] != [k; 3] {
+                    return Err(bad("bucket vectors of unequal or zero length".into()));
+                }
+                increasing(&uppers).map_err(bad)?;
+                for i in 0..k {
+                    let width = maxs[i].checked_sub(mins[i]).and_then(|w| w.checked_add(1));
+                    if width.is_none_or(|w| w <= 0) || (i > 0 && mins[i] <= maxs[i - 1]) {
+                        return Err(bad(format!("bucket {i} bounds are not ordered")));
+                    }
+                }
+                let encoding = Encoding::IntBuckets {
+                    uppers,
+                    mins,
+                    maxs,
+                    ndv,
+                };
+                (encoding, k)
+            }
+            3 => {
+                let dict = decode_dict(d)?;
+                let intern = dict
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (s.to_string(), i as u32))
+                    .collect();
+                let codes = dict.len().max(1);
+                (Encoding::StrSmall { dict, intern }, codes)
+            }
+            4 => {
+                // The node's marginal (one count a code) follows, which
+                // bounds the bucket count before anything is allocated.
+                let n = d.count("hashed buckets", 1)?;
+                if n == 0 {
+                    return Err(bad("no hashed buckets".into()));
+                }
+                let dict = decode_dict(d)?;
+                let rows = d.count("dictionary row counts", 1)?;
+                if rows != dict.len() {
+                    return Err(bad(format!("{rows} row counts for {} entries", dict.len())));
+                }
+                let dict_rows = (0..rows)
+                    .map(|_| d.u32_varint("dictionary row count"))
+                    .collect::<Result<Vec<u32>, _>>()?;
+                let bucket_rows = bucket_rows(&dict, &dict_rows, n);
+                let encoding = Encoding::StrHashed {
+                    n,
+                    dict,
+                    dict_rows,
+                    bucket_rows,
+                };
+                (encoding, n)
+            }
+            t => return Err(bad(format!("unknown encoding tag {t}"))),
+        };
+        Ok(DiscreteColumn {
+            name,
+            encoding,
+            non_null_codes,
+        })
+    }
+}
+
+fn encode_dict(out: &mut Enc, dict: &StrDict) {
+    out.len(dict.len());
+    dict.iter().for_each(|s| out.str(s));
+}
+
+fn decode_dict(d: &mut Dec<'_>) -> Result<StrDict, DecodeError> {
+    let n = d.count("dictionary size", 1)?;
+    let entries = (0..n)
+        .map(|_| d.str("dictionary entry"))
+        .collect::<Result<Vec<&str>, _>>()?;
+    StrDict::from_entries(entries).map_err(|_| invalid("dictionary exceeds 4 GiB"))
+}
+
+/// Rows per hash bucket of a hashed string column: each entry's rows added
+/// into its bucket, in dictionary order.
+fn bucket_rows(dict: &StrDict, dict_rows: &[u32], n: usize) -> Vec<f64> {
+    let mut rows = vec![0f64; n];
+    for (code, s) in dict.iter().enumerate() {
+        rows[str_bucket(s, n)] += dict_rows[code] as f64;
+    }
+    rows
+}
+
+/// `Ok` when `values` are strictly increasing.
+fn increasing(values: &[i64]) -> Result<(), String> {
+    match values.windows(2).find(|w| w[0] >= w[1]) {
+        Some(w) => Err(format!(
+            "values not strictly increasing: {} then {}",
+            w[0], w[1]
+        )),
+        None => Ok(()),
     }
 }
 

@@ -7,10 +7,12 @@
 //! latency, which is why its end-to-end time loses to the Bayesian network
 //! despite better plans.
 
-use crate::binmap::TableBins;
+use crate::binmap::{KeyBinMap, TableBins};
 use crate::traits::{BaseTableEstimator, TableProfile};
 use fj_query::{compile_filter, FilterExpr};
-use fj_storage::Table;
+use fj_storage::codec::{decode_table, encode_table, invalid, Dec, DecodeError, Enc};
+use fj_storage::{Table, TableSchema};
+use std::sync::Arc;
 
 /// Exact scanning estimator holding its own snapshot of the table.
 #[derive(Clone)]
@@ -26,6 +28,27 @@ impl ExactEstimator {
             table: table.clone(),
             bins: bins.clone(),
         }
+    }
+
+    /// Reads a snapshot written by [`BaseTableEstimator::encode`]; it must
+    /// be the table `name` with `schema`.
+    pub fn decode(
+        d: &mut Dec<'_>,
+        name: &str,
+        schema: &TableSchema,
+        bins: &TableBins,
+    ) -> Result<Self, DecodeError> {
+        let table = decode_table(d)?;
+        if table.name() != name || table.schema() != schema {
+            return Err(invalid(format!(
+                "snapshot {:?} does not have table {name:?}'s schema",
+                table.name()
+            )));
+        }
+        Ok(ExactEstimator {
+            table,
+            bins: bins.clone(),
+        })
     }
 }
 
@@ -72,10 +95,14 @@ impl BaseTableEstimator for ExactEstimator {
         self.table = table.clone();
     }
 
+    fn encode(&self, out: &mut Enc, _groups: &[Arc<KeyBinMap>]) {
+        encode_table(out, &self.table);
+    }
+
     fn model_bytes(&self) -> usize {
-        // The "model" is the data itself; report only the bin maps so the
-        // size comparison against learned models stays meaningful.
-        self.bins.heap_bytes()
+        // The "model" is the data itself, and the bin maps are shared: no
+        // learned state to report.
+        0
     }
 }
 

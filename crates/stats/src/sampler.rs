@@ -10,10 +10,12 @@
 //! bin ids are counted per key and scaled by the inverse sampling fraction.
 //! An unfiltered alias skips the scan and copies a cached histogram.
 
-use crate::binmap::TableBins;
+use crate::binmap::{KeyBinMap, TableBins};
 use crate::traits::{BaseTableEstimator, TableProfile};
 use fj_query::{compile_filter, FilterExpr};
-use fj_storage::Table;
+use fj_storage::codec::{decode_table, encode_table, invalid, Dec, DecodeError, Enc};
+use fj_storage::{Table, TableSchema};
+use std::sync::Arc;
 
 /// One binned join-key column of the sample.
 #[derive(Clone)]
@@ -69,6 +71,12 @@ impl SamplingEstimator {
             rows.push(0);
         }
         let sample = table.select_rows(table.name(), &rows);
+        Self::from_sample(sample, bins, n as f64, rate, seed)
+    }
+
+    /// The estimator over `sample`, drawn at `rate` with `seed` from a table
+    /// of `base_rows` rows: bins every sampled key.
+    fn from_sample(sample: Table, bins: &TableBins, base_rows: f64, rate: f64, seed: u64) -> Self {
         let keys = bins
             .iter()
             .filter_map(|(name, map)| {
@@ -84,12 +92,40 @@ impl SamplingEstimator {
             sample,
             keys,
             bins: bins.clone(),
-            base_rows: n as f64,
+            base_rows,
             rate,
             seed,
         };
         est.bin_rows_from(0);
         est
+    }
+
+    /// Reads a sampler written by [`BaseTableEstimator::encode`] for the
+    /// table `name` with `schema` and key bins `bins`, and bins the sample's
+    /// keys as the fit does. The rate must lie in (0, 1], the base row count
+    /// be finite and non-negative, and the sample have the table's schema.
+    pub fn decode(
+        d: &mut Dec<'_>,
+        name: &str,
+        schema: &TableSchema,
+        bins: &TableBins,
+    ) -> Result<Self, DecodeError> {
+        let rate = d.f64("sampling rate")?;
+        let seed = d.varint("sampling seed")?;
+        let base_rows = d.f64("sampled table rows")?;
+        if !(rate > 0.0 && rate <= 1.0 && base_rows.is_finite() && base_rows >= 0.0) {
+            return Err(invalid(format!(
+                "sampler of {name:?}: rate {rate} or base rows {base_rows} out of range"
+            )));
+        }
+        let sample = decode_table(d)?;
+        if sample.name() != name || sample.schema() != schema {
+            return Err(invalid(format!(
+                "sample {:?} does not have table {name:?}'s schema",
+                sample.name()
+            )));
+        }
+        Ok(Self::from_sample(sample, bins, base_rows, rate, seed))
     }
 
     /// Bins the keys of sample rows `from..`, extending each key column's
@@ -196,6 +232,13 @@ impl BaseTableEstimator for SamplingEstimator {
         }
         self.base_rows = n as f64;
         self.bin_rows_from(sampled_before);
+    }
+
+    fn encode(&self, out: &mut Enc, _groups: &[Arc<KeyBinMap>]) {
+        out.f64(self.rate);
+        out.varint(self.seed);
+        out.f64(self.base_rows);
+        encode_table(out, &self.sample);
     }
 
     fn model_bytes(&self) -> usize {

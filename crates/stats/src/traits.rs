@@ -1,7 +1,10 @@
 //! The estimator interface FactorJoin plugs into.
 
+use crate::binmap::KeyBinMap;
 use fj_query::{FilterExpr, Selection};
+use fj_storage::codec::Enc;
 use fj_storage::Table;
+use std::sync::Arc;
 
 /// Everything FactorJoin needs from a table for one query: the estimated
 /// filtered row count and the conditional binned distribution of each
@@ -92,7 +95,16 @@ pub trait BaseTableEstimator: Send + Sync {
     /// copyable without knowing their concrete type.
     fn clone_box(&self) -> Box<dyn BaseTableEstimator>;
 
-    /// Approximate model size in bytes (paper Figure 6 reports model sizes).
+    /// Writes the fitted state — what the fit and every `insert` computed
+    /// from rows — for the concrete type's `decode` to read back. Whatever
+    /// is derived from that state is recomputed on decode, not written. A
+    /// key column's bin map is written as its index in `groups`, the
+    /// model's shared maps.
+    fn encode(&self, out: &mut Enc, groups: &[Arc<KeyBinMap>]);
+
+    /// Approximate size in bytes of what the estimator owns (paper Figure 6
+    /// reports model sizes). The key groups' bin maps are the model's,
+    /// shared with every estimator, and not included.
     fn model_bytes(&self) -> usize;
 }
 
@@ -121,6 +133,7 @@ mod tests {
         fn clone_box(&self) -> Box<dyn BaseTableEstimator> {
             Box::new(Fixed)
         }
+        fn encode(&self, _out: &mut Enc, _groups: &[Arc<KeyBinMap>]) {}
         fn model_bytes(&self) -> usize {
             0
         }

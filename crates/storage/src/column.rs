@@ -119,6 +119,19 @@ impl StrDict {
         Ok(code)
     }
 
+    /// A dictionary of `entries` in order, its buffers exactly full — what
+    /// a finished column holds.
+    pub fn from_entries<'a>(
+        entries: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Self, DictionaryFull> {
+        let mut dict = StrDict::new();
+        for s in entries {
+            dict.push(s)?;
+        }
+        dict.shrink_to_fit();
+        Ok(dict)
+    }
+
     /// Heap footprint in bytes: the arena plus four bytes per entry once
     /// the column is finished (its buffers are then exactly full).
     pub fn heap_bytes(&self) -> usize {

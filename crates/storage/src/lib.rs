@@ -21,6 +21,7 @@
 
 pub mod bitmap;
 pub mod catalog;
+pub mod codec;
 pub mod column;
 pub mod error;
 pub mod schema;

@@ -1,18 +1,22 @@
 //! Persistence: train a model once, ship it as a binary `.fjm` file, and
-//! serve bit-identical estimates after a cold start.
+//! serve bit-identical estimates after a cold start — for the trained
+//! model and for the model an incremental update (paper §4.3) produced.
 //!
 //! ```sh
 //! cargo run --release --example persistence
+//! FJ_SCALE=0.05 cargo run --release --example persistence   # seconds
 //! ```
 //!
 //! `.fjm` (magic + section table + per-section CRC) is the only model
-//! format: load is validate + bulk copy, not parse. Its bytes are
+//! format, and it holds the trained model itself: bins, key statistics
+//! and every single-table estimator. A load decodes it and fits nothing,
+//! so the loaded model is the saved one bit for bit. Its bytes are
 //! canonical — training again on the same data writes the same file.
 
 use std::time::Instant;
 
-use factorjoin::{load_model, save_model, FactorJoinConfig, FactorJoinModel};
-use fj_datagen::{stats_catalog, StatsConfig};
+use factorjoin::{load_model, save_model, FactorJoinConfig, FactorJoinModel, ModelDelta};
+use fj_datagen::{stats_catalog_split_by_date, StatsConfig};
 use fj_query::parse_query;
 
 #[path = "util/scale.rs"]
@@ -20,11 +24,15 @@ mod util;
 use util::fj_scale;
 
 fn main() {
-    // 1. Train a model on the synthetic Stack-Exchange-like database.
-    let catalog = stats_catalog(&StatsConfig {
-        scale: fj_scale(),
-        ..Default::default()
-    });
+    // 1. Train a model on the synthetic Stack-Exchange-like database, up
+    //    to a cut-off date; the later rows arrive as inserts in step 6.
+    let (catalog, inserts) = stats_catalog_split_by_date(
+        &StatsConfig {
+            scale: fj_scale(),
+            ..Default::default()
+        },
+        3285,
+    );
     let model = FactorJoinModel::train(&catalog, FactorJoinConfig::default());
     println!(
         "trained: {} tables, {} rows, model {} KB in memory",
@@ -69,6 +77,32 @@ fn main() {
         "retraining on the same data wrote different bytes"
     );
     println!("verify : retrained model saves byte-identically");
+
+    // 6. Absorb the later rows as an incremental update, ship the updated
+    //    model, and reload it: it is the updated model, not a refit.
+    let mut current = catalog.clone();
+    let mut delta = ModelDelta::new();
+    for (name, rows) in &inserts {
+        let table = current.table_mut(name).expect("split names a table");
+        let first = table.nrows();
+        table.append_rows(rows).expect("schema-compatible rows");
+        delta.record(table, first);
+    }
+    let updated = model.updated_with(&current, &delta);
+    let updated_fjm = dir.join("updated.fjm");
+    save_model(&updated, &updated_fjm).expect("save updated model");
+    let reloaded = load_model(&updated_fjm, &current).expect("load updated model");
+    let query = parse_query(&current, sql).expect("valid SQL");
+    let (want, got) = (updated.estimate(&query), reloaded.estimate(&query));
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "reloading the updated model changed the estimate: {got} vs {want}"
+    );
+    println!(
+        "verify : updated model ({} rows inserted) reloads bit-identical ({want:.0})",
+        delta.rows()
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
