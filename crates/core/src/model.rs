@@ -293,17 +293,18 @@ impl FactorJoinModel {
     }
 
     /// A model read back from a file: the keys with their groups and
-    /// statistics, and per table its name, schema and estimator —
-    /// `estimator(i, schema, bins)` decodes table `i`'s against the key bins
-    /// this model gives it. Every key must be a column of a listed table.
-    /// Nothing is fitted.
-    pub(crate) fn from_decoded<E: From<String>>(
+    /// statistics, and per table its name, schema and encoded estimator —
+    /// `estimator(encoded, name, schema, bins)` decodes it against the key
+    /// bins this model gives the table. Every key must be a column of a
+    /// listed table. Nothing is fitted.
+    pub(crate) fn from_decoded<T, E: From<String>>(
         config: FactorJoinConfig,
         group_bins: Vec<Arc<KeyBinMap>>,
         keys: Vec<(KeyRef, usize, KeyStats)>,
-        tables: Vec<(String, TableSchema)>,
+        tables: Vec<(String, TableSchema, T)>,
         mut estimator: impl FnMut(
-            usize,
+            T,
+            &str,
             &TableSchema,
             &TableBins,
         ) -> Result<Box<dyn BaseTableEstimator>, E>,
@@ -311,10 +312,10 @@ impl FactorJoinModel {
         let (key_slot, keys) = index_keys(keys);
         let mut records = Vec::with_capacity(tables.len());
         let mut placed = 0;
-        for (i, (name, schema)) in tables.into_iter().enumerate() {
+        for (name, schema, encoded) in tables {
             let (key_slots, bins) = key_columns(&name, &schema, &key_slot, &keys, &group_bins);
             placed += key_slots.iter().flatten().count();
-            let estimator = estimator(i, &schema, &bins)?;
+            let estimator = estimator(encoded, &name, &schema, &bins)?;
             let record = TableRecord {
                 schema,
                 key_slots,

@@ -57,9 +57,8 @@
 //! * Byte-swapped (big-endian) files and foreign files are rejected up
 //!   front with [`PersistError::WrongEndian`] / [`PersistError::BadMagic`].
 //!
-//! Payloads are varint streams, so a section cannot be referenced in place
-//! (mmap): a load decodes every section, which costs less than the copy
-//! and validation of the verbatim slabs it replaced.
+//! Payloads are varint streams, so no section can be referenced in place
+//! (mmap): a load decodes every section.
 //!
 //! ## Hostile-input discipline
 //!
@@ -688,18 +687,13 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
     let group_bins = decode_group_bins(section(SEC_GROUP_BINS).unwrap())?;
     let keys = decode_keys(section(SEC_KEYS).unwrap(), group_bins.len())?;
     let stats = decode_key_stats(section(SEC_KEY_STATS).unwrap(), &keys, &group_bins)?;
-    let mut tables = Vec::new();
-    let mut estimators = Vec::new();
+    let mut tables: Vec<(String, TableSchema, Dec)> = Vec::new();
     for &(_, payload) in sections.iter().filter(|(id, _)| *id == SEC_TABLE) {
         let (name, schema, rest) = decode_table_head(payload, &config)?;
-        if tables
-            .last()
-            .is_some_and(|(prev, _): &(String, _)| *prev >= name)
-        {
+        if tables.last().is_some_and(|(prev, _, _)| *prev >= name) {
             return Err(invalid(format!("table {name:?} is repeated or unsorted")));
         }
-        tables.push((name, schema));
-        estimators.push(rest);
+        tables.push((name, schema, rest));
     }
     let keys = keys
         .into_iter()
@@ -709,24 +703,26 @@ pub fn decode(bytes: &[u8]) -> Result<SavedModel, PersistError> {
             (KeyRef::new(table, column), gid, stats)
         })
         .collect();
-    let names: Vec<String> = tables.iter().map(|(name, _)| name.clone()).collect();
+    let estimator = config.estimator;
     let model = FactorJoinModel::from_decoded(
-        config.clone(),
+        config,
         group_bins.clone(),
         keys,
         tables,
-        |i, schema, bins| -> Result<Box<dyn BaseTableEstimator>, PersistError> {
-            let d = &mut estimators[i];
-            let name = &names[i];
-            Ok(match config.estimator {
-                BaseEstimatorKind::BayesNet(bn) => {
-                    Box::new(BayesNetEstimator::decode(d, schema, bins, &group_bins, bn)?)
-                }
+        |mut d, name, schema, bins| -> Result<Box<dyn BaseTableEstimator>, PersistError> {
+            Ok(match estimator {
+                BaseEstimatorKind::BayesNet(bn) => Box::new(BayesNetEstimator::decode(
+                    &mut d,
+                    schema,
+                    bins,
+                    &group_bins,
+                    bn,
+                )?),
                 BaseEstimatorKind::Sampling { .. } => {
-                    Box::new(SamplingEstimator::decode(d, name, schema, bins)?)
+                    Box::new(SamplingEstimator::decode(&mut d, name, schema, bins)?)
                 }
                 BaseEstimatorKind::TrueScan => {
-                    Box::new(ExactEstimator::decode(d, name, schema, bins)?)
+                    Box::new(ExactEstimator::decode(&mut d, name, schema, bins)?)
                 }
             })
         },

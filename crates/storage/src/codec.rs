@@ -115,11 +115,6 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Bytes written so far.
-    pub fn bytes_written(&self) -> usize {
-        self.buf.len()
-    }
-
     /// The encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -350,22 +345,19 @@ pub fn encode_table(e: &mut Enc, table: &Table) {
             e.len(r - prev);
             prev = r + 1;
         }
-        let valid = (0..n).filter(|&r| !nulls.is_null(r));
-        match col.dtype() {
-            DataType::Int => {
-                let mut prev = 0i64;
-                for r in valid {
-                    let v = col.ints()[r];
-                    e.zigzag(v.wrapping_sub(prev));
-                    prev = v;
+        if col.dtype() == DataType::Str {
+            e.len(col.dict().len());
+            col.dict().iter().for_each(|s| e.str(s));
+        }
+        let mut prev = 0i64;
+        for r in (0..n).filter(|&r| !nulls.is_null(r)) {
+            match col.dtype() {
+                DataType::Int => {
+                    e.zigzag(col.ints()[r].wrapping_sub(prev));
+                    prev = col.ints()[r];
                 }
-            }
-            DataType::Float => valid.for_each(|r| e.f64(col.floats()[r])),
-            DataType::Str => {
-                let dict = col.dict();
-                e.len(dict.len());
-                dict.iter().for_each(|s| e.str(s));
-                valid.for_each(|r| e.varint(u64::from(col.codes()[r])));
+                DataType::Float => e.f64(col.floats()[r]),
+                DataType::Str => e.varint(u64::from(col.codes()[r])),
             }
         }
     }
@@ -405,52 +397,37 @@ pub fn decode_table(d: &mut Dec<'_>) -> Result<Table, DecodeError> {
             null_rows.push(r);
             next = r + 1;
         }
+        let mut dict = Vec::new();
+        if def.dtype == DataType::Str {
+            let entries = d.count("dictionary size", 1)?;
+            for _ in 0..entries {
+                dict.push(d.str("dictionary entry")?);
+            }
+        }
         let mut b = ColumnBuilder::with_capacity(def.dtype, nrows);
         let mut nulls = null_rows.into_iter().peekable();
-        let mut is_null = |r: usize| nulls.next_if_eq(&r).is_some();
-        match def.dtype {
-            DataType::Int => {
-                let mut prev = 0i64;
-                for r in 0..nrows {
-                    let v = if is_null(r) {
-                        Value::Null
-                    } else {
+        let mut prev = 0i64;
+        for r in 0..nrows {
+            let v = if nulls.next_if_eq(&r).is_some() {
+                Value::Null
+            } else {
+                match def.dtype {
+                    DataType::Int => {
                         prev = prev.wrapping_add(d.zigzag("integer value")?);
                         Value::Int(prev)
-                    };
-                    b.push(&v).expect("typed value");
-                }
-            }
-            DataType::Float => {
-                for r in 0..nrows {
-                    let v = if is_null(r) {
-                        Value::Null
-                    } else {
-                        Value::Float(d.f64("float value")?)
-                    };
-                    b.push(&v).expect("typed value");
-                }
-            }
-            DataType::Str => {
-                let entries = d.count("dictionary size", 1)?;
-                let mut dict = Vec::with_capacity(entries);
-                for _ in 0..entries {
-                    dict.push(d.str("dictionary entry")?);
-                }
-                for r in 0..nrows {
-                    let v = if is_null(r) {
-                        Value::Null
-                    } else {
+                    }
+                    DataType::Float => Value::Float(d.f64("float value")?),
+                    DataType::Str => {
                         let code = d.varint("string code")?;
                         let s = usize::try_from(code)
                             .ok()
                             .and_then(|c| dict.get(c))
                             .ok_or_else(|| bad("string code out of range"))?;
                         Value::Str((*s).to_string())
-                    };
-                    b.push(&v).map_err(|_| bad("dictionary overflow"))?;
+                    }
                 }
-            }
+            };
+            b.push(&v).map_err(|_| bad("dictionary overflow"))?;
         }
         columns.push(b.finish());
     }
