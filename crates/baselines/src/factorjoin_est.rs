@@ -28,11 +28,6 @@ impl FactorJoinEst {
     pub fn model(&self) -> &FactorJoinModel {
         &self.model
     }
-
-    /// Mutable access (incremental updates).
-    pub fn model_mut(&mut self) -> &mut FactorJoinModel {
-        &mut self.model
-    }
 }
 
 impl CardEst for FactorJoinEst {

@@ -18,6 +18,8 @@
 //! with the identical insert sequence, which is one of the pillars of the
 //! bit-identical parallel build (see `crates/core/tests/parallel_train.rs`).
 
+use fj_storage::codec::{Dec, DecodeError, EntryReader};
+
 /// Value → occurrence-count map over `i64` join keys (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct KeyFreq {
@@ -147,42 +149,57 @@ impl KeyFreq {
         self.keys.len() * 8 + self.counts.len() * 8
     }
 
-    /// Rebuilds a map from [`Self::sorted_entries`], validating what a
-    /// hostile or corrupt file could break: values strictly increasing (no
+    /// Reads a map written as its [`Self::sorted_entries`] by
+    /// [`fj_storage::codec::encode_entries`], filling the slab as the pairs
+    /// decode — no vector of pairs in between. The outer error is the byte
+    /// stream's (truncated, overflowing, a hostile count); the inner one is
+    /// what a corrupt file could break: values strictly increasing (no
     /// value twice) and every count non-zero (zero means "absent"). Sized
-    /// once for the entries, so the rebuild never regrows.
-    pub fn from_sorted_entries(entries: &[(i64, u64)]) -> Result<Self, String> {
-        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
-            return Err(format!(
-                "values not strictly increasing: {} then {}",
-                w[0].0, w[1].0
-            ));
+    /// once for the entries and filled in value order, so the slab never
+    /// regrows and is laid out as [`Self::add`] in that order lays it out.
+    pub fn from_sorted_entries(
+        d: &mut Dec<'_>,
+        what: &'static str,
+    ) -> Result<Result<Self, String>, DecodeError> {
+        let mut entries = EntryReader::new(d, what)?;
+        let mut f = Self::with_capacity(entries.count());
+        let mut zero = None;
+        for _ in 0..entries.count() {
+            let (v, c) = entries.next_pair(d)?;
+            if c == 0 {
+                zero.get_or_insert(v);
+            } else if entries.in_order() {
+                f.insert_new(v, c);
+            }
         }
-        if let Some(&(v, _)) = entries.iter().find(|&&(_, c)| c == 0) {
-            return Err(format!("value {v} has a zero count"));
+        Ok(entries.unordered().and_then(|()| match zero {
+            Some(v) => Err(format!("value {v} has a zero count")),
+            None => Ok(f),
+        }))
+    }
+
+    /// Stores a `value` known to be absent in a slab with room for it.
+    #[inline]
+    fn insert_new(&mut self, value: i64, count: u64) {
+        let mask = self.keys.len() - 1;
+        let mut slot = (hash(value) as usize) & mask;
+        while self.counts[slot] != 0 {
+            slot = (slot + 1) & mask;
         }
-        let mut f = Self::with_capacity(entries.len());
-        for &(v, c) in entries {
-            f.add(v, c);
-        }
-        Ok(f)
+        self.keys[slot] = value;
+        self.counts[slot] = count;
+        self.len += 1;
     }
 
     fn grow_to(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two());
         let old_keys = std::mem::replace(&mut self.keys, vec![0; cap]);
         let old_counts = std::mem::replace(&mut self.counts, vec![0; cap]);
-        let mask = cap - 1;
+        self.len = 0;
         for (k, c) in old_keys.into_iter().zip(old_counts) {
-            if c == 0 {
-                continue;
+            if c != 0 {
+                self.insert_new(k, c);
             }
-            let mut slot = (hash(k) as usize) & mask;
-            while self.counts[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = k;
-            self.counts[slot] = c;
         }
     }
 }
@@ -216,6 +233,7 @@ impl PartialEq for KeyFreq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fj_storage::codec::{encode_entries, Enc};
 
     #[test]
     fn add_get_len() {
@@ -300,6 +318,14 @@ mod tests {
         assert_eq!(f.get(0), 3);
     }
 
+    /// `entries` through the byte form a model file stores them in.
+    fn read(entries: &[(i64, u64)]) -> Result<KeyFreq, String> {
+        let mut e = Enc::default();
+        encode_entries(&mut e, entries);
+        let bytes = e.finish();
+        KeyFreq::from_sorted_entries(&mut Dec::new(&bytes), "entries").expect("well-formed bytes")
+    }
+
     #[test]
     fn sorted_entries_roundtrip_preserves_counts() {
         let mut f = KeyFreq::new();
@@ -307,18 +333,92 @@ mod tests {
             f.add((v * 7919) % 997, 1 + (v % 13) as u64);
         }
         let entries = f.sorted_entries();
-        let back = KeyFreq::from_sorted_entries(&entries).unwrap();
+        let back = read(&entries).unwrap();
         assert_eq!(back, f);
         assert_eq!(back.sorted_entries(), entries);
     }
 
     #[test]
     fn from_sorted_entries_rejects_invalid_entries() {
-        assert!(KeyFreq::from_sorted_entries(&[(1, 1), (1, 2)]).is_err());
-        assert!(KeyFreq::from_sorted_entries(&[(3, 1), (1, 2)]).is_err());
-        assert!(KeyFreq::from_sorted_entries(&[(1, 1), (2, 0)]).is_err());
-        let empty = KeyFreq::from_sorted_entries(&[]).unwrap();
+        assert!(read(&[(1, 1), (1, 2)]).is_err());
+        assert!(read(&[(3, 1), (1, 2)]).is_err());
+        assert!(read(&[(1, 1), (2, 0)]).is_err());
+        let empty = read(&[]).unwrap();
         assert!(empty.is_empty());
+    }
+
+    /// The rebuild `from_sorted_entries` replaced: collect every pair,
+    /// validate the vector, then add the pairs in order.
+    fn per_entry(d: &mut Dec<'_>) -> Result<Result<KeyFreq, String>, DecodeError> {
+        let n = d.count("freq", 2)?;
+        let mut entries = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            prev = prev.wrapping_add(d.zigzag("freq")?);
+            entries.push((prev, d.varint("freq")?));
+        }
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Ok(Err(format!(
+                "values not strictly increasing: {} then {}",
+                w[0].0, w[1].0
+            )));
+        }
+        if let Some(&(v, _)) = entries.iter().find(|&&(_, c)| c == 0) {
+            return Ok(Err(format!("value {v} has a zero count")));
+        }
+        let mut f = KeyFreq::with_capacity(entries.len());
+        for (v, c) in entries {
+            f.add(v, c);
+        }
+        Ok(Ok(f))
+    }
+
+    /// Filling the slab from the bytes gives the slab the per-entry path
+    /// built — same slots in the same order — and rejects every corrupt
+    /// stream with the same error: zero counts and values repeated or out
+    /// of order, then truncated, overflowing or hostile bytes on top, alone
+    /// or together.
+    #[test]
+    fn streamed_rebuild_matches_the_per_entry_path() {
+        let mut f = KeyFreq::new();
+        for v in 0..300i64 {
+            f.add((v * 7919) % 1013 - 500, 1 + (v % 200) as u64);
+        }
+        let base = f.sorted_entries();
+        let layout = |r: Result<Result<KeyFreq, String>, DecodeError>| {
+            r.map(|inner| inner.map(|f| (f.iter().collect::<Vec<_>>(), f.heap_bytes())))
+        };
+        let mut state = 5u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 24
+        };
+        for round in 0..3000 {
+            let mut entries = base.clone();
+            for _ in 0..round % 4 {
+                let i = next() as usize % entries.len();
+                match next() % 3 {
+                    0 => entries[i].1 = 0,
+                    1 => entries[i].0 = entries[i.saturating_sub(1)].0 - (next() % 3) as i64,
+                    _ => entries[i].1 = u64::MAX - next() % 2,
+                }
+            }
+            let mut e = Enc::default();
+            encode_entries(&mut e, &entries);
+            let mut b = e.finish();
+            if round % 3 == 2 {
+                let at = next() as usize % b.len();
+                b[at] = [0, 0x80, 0xFF, 0x7F][next() as usize % 4];
+            }
+            if round % 7 == 6 {
+                b.truncate(next() as usize % (b.len() + 1));
+            }
+            let streamed = KeyFreq::from_sorted_entries(&mut Dec::new(&b), "freq");
+            let want = per_entry(&mut Dec::new(&b));
+            assert_eq!(layout(streamed), layout(want), "round {round}");
+        }
     }
 
     #[test]

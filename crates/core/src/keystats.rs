@@ -108,11 +108,6 @@ impl KeyStats {
     pub fn heap_bytes(&self) -> usize {
         self.bin_total.len() * 8 * 3
     }
-
-    /// Bytes including the auxiliary frequency map kept for updates.
-    pub fn heap_bytes_with_freq(&self) -> usize {
-        self.heap_bytes() + self.freq.heap_bytes()
-    }
 }
 
 #[cfg(test)]

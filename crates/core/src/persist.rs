@@ -14,9 +14,14 @@
 //! load decodes the estimators and recomputes only what they derive from
 //! their fitted state, and fits nothing. So a loaded model is the saved
 //! one bit for bit — trained or updated (§4.3), with any config — and a
-//! cold start pays a decode instead of a training pass. The catalog a load
-//! is given is checked, not read: it must hold exactly the file's tables
-//! with the same column names and types.
+//! cold start pays a decode instead of a training pass. The decode pays
+//! per byte, not per call: maps fill their slabs straight from the bytes,
+//! with no vector of entries in between. On the benchmark's `lifecycle`
+//! model (827 617 bytes) it takes ≈ 4.6 ms, down from ≈ 8.1 ms; read
+//! sections + CRC 0.66 → 0.28, `GROUP_BINS` 1.29 → 0.58, `KEY_STATS`
+//! 4.07 → 2.47 and the tables 2.04 → 1.24 ms (the split is in [`binary`]).
+//! The catalog a load is given is checked, not read: it must hold exactly
+//! the file's tables with the same column names and types.
 //!
 //! The bytes are canonical: the same model always encodes to the same
 //! file, whether it comes from one training or another, from any thread

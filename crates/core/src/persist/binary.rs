@@ -60,6 +60,29 @@
 //! Payloads are varint streams, so no section can be referenced in place
 //! (mmap): a load decodes every section.
 //!
+//! ## Decode cost
+//!
+//! A load pays per byte, not per call ([`fj_storage::codec`]'s hot-path
+//! rule): the maps fill their slabs straight from the byte stream, the
+//! key statistics' `f64` vectors and a network's counts fill slabs sized
+//! once, and the CRC runs slice-by-16. On the benchmark's `lifecycle`
+//! model (STATS scale 10, 827 617 bytes; 78 k group entries, 220 k
+//! frequency entries), the median of 400 decodes on a 2-core Xeon VM,
+//! before → after:
+//!
+//! | step | ms |
+//! |---|---:|
+//! | read sections + CRC | 0.66 → 0.28 |
+//! | `GROUP_BINS` | 1.29 → 0.58 |
+//! | `KEY_STATS` | 4.07 → 2.47 |
+//! | eight `TABLE`s (of which the networks' `recompute_derived`) | 2.04 (0.72) → 1.24 (0.68) |
+//! | whole decode | 8.1 → 4.6 |
+//!
+//! What is left is mostly memory: a frequency map's slab is sized for its
+//! entries and each entry lands at its hash, so filling it is one
+//! scattered write an entry; and the derived network state is recomputed
+//! by the code the fit uses, so a reload stays bit-identical.
+//!
 //! ## Hostile-input discipline
 //!
 //! Decoding never trusts a length before checking it against the bytes
@@ -83,10 +106,7 @@ use crate::model::{BaseEstimatorKind, FactorJoinConfig, FactorJoinModel};
 use fj_stats::{
     BaseTableEstimator, BayesNetEstimator, BnConfig, ExactEstimator, KeyBinMap, SamplingEstimator,
 };
-use fj_storage::codec::{
-    decode_entries, decode_schema, encode_entries, encode_schema, DecodeError,
-};
-use fj_storage::codec::{Dec, Enc};
+use fj_storage::codec::{decode_schema, encode_entries, encode_schema, Dec, DecodeError, Enc};
 use fj_storage::{KeyRef, TableSchema};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -258,11 +278,11 @@ fn invalid(what: impl Into<String>) -> PersistError {
 
 // ------------------------------------------------------------------- crc32
 
-/// CRC-32/IEEE lookup tables for slice-by-8, built at compile time.
+/// CRC-32/IEEE lookup tables for slice-by-16, built at compile time.
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; table `k` gives
 /// the CRC contribution of a byte `k` positions earlier in the stream.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -279,7 +299,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -292,24 +312,22 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32/IEEE of `bytes` (the checksum PNG and gzip use), computed
-/// slice-by-8: sections are megabytes of slab data and the checksum pass
-/// must not dominate the load the format exists to make fast.
+/// slice-by-16: sixteen independent table lookups a 16-byte block, so the
+/// checksum pass costs a fraction of the load the format exists to make
+/// fast.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes(ch[0..4].try_into().unwrap()) ^ c;
-        let hi = u32::from_le_bytes(ch[4..8].try_into().unwrap());
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut next = 0;
+        for (i, &b) in block.iter().enumerate() {
+            // The running CRC folds into the block's first four bytes.
+            let b = if i < 4 { b ^ (c >> (8 * i)) as u8 } else { b };
+            next ^= CRC_TABLES[15 - i][b as usize];
+        }
+        c = next;
     }
-    for &b in chunks.remainder() {
+    for &b in blocks.remainder() {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -578,11 +596,7 @@ fn decode_group_bins(payload: &[u8]) -> Result<Vec<Arc<KeyBinMap>>, PersistError
     let mut out = Vec::with_capacity(n);
     for gi in 0..n {
         let k = d.usize("group bin count")?;
-        let entries = decode_entries(&mut d, "group bin entries")?
-            .into_iter()
-            .map(|(v, b)| (v, u32::try_from(b).unwrap_or(u32::MAX)))
-            .collect();
-        let map = KeyBinMap::from_sorted_entries(k, entries)
+        let map = KeyBinMap::from_sorted_entries(k, &mut d, "group bin entries")?
             .map_err(|e| invalid(format!("group {gi} bin map: {e}")))?;
         out.push(Arc::new(map));
     }
@@ -634,14 +648,10 @@ fn decode_key_stats(
                 "key {name:?}: {k} bins but group {gid} has {expect}"
             )));
         }
-        let mut vector = || {
-            (0..k)
-                .map(|_| d.f64("stats bin vector"))
-                .collect::<Result<Vec<f64>, _>>()
-        };
-        let (bin_total, bin_mfv, bin_ndv) = (vector()?, vector()?, vector()?);
-        let entries = decode_entries(&mut d, "stats frequency entries")?;
-        let freq = KeyFreq::from_sorted_entries(&entries)
+        let bin_total = d.f64s(k, "stats bin vector")?;
+        let bin_mfv = d.f64s(k, "stats bin vector")?;
+        let bin_ndv = d.f64s(k, "stats bin vector")?;
+        let freq = KeyFreq::from_sorted_entries(&mut d, "stats frequency entries")?
             .map_err(|e| invalid(format!("key {name:?} frequencies: {e}")))?;
         out.push(KeyStats {
             bin_total,
@@ -932,6 +942,33 @@ mod tests {
         // The standard CRC-32/IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The 16-byte blocks agree with the bit-at-a-time definition at every
+    /// length around a block edge and on a section-sized buffer.
+    #[test]
+    fn crc32_blocks_match_the_bitwise_definition() {
+        let bitwise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        };
+        let mut state = 1u64;
+        let data: Vec<u8> = (0..100_003)
+            .map(|_| (splitmix64(&mut state) >> 56) as u8)
+            .collect();
+        for n in (0..=70).chain([4095, 4096, 4097, data.len()]) {
+            assert_eq!(crc32(&data[..n]), bitwise(&data[..n]), "{n} bytes");
+        }
     }
 
     #[test]

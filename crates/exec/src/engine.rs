@@ -92,12 +92,6 @@ impl TrueCardEngine {
         }
     }
 
-    /// Filtered base-table cardinality of alias `i` (counts rows with NULL
-    /// join keys too, as a single-table query would).
-    pub fn base_cardinality(&self, alias: usize) -> u64 {
-        self.alias_filtered[alias]
-    }
-
     /// Exact cardinality of the sub-plan over the aliases in `mask`.
     pub fn cardinality(&mut self, mask: SubplanMask) -> f64 {
         assert!(

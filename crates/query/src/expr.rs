@@ -6,6 +6,13 @@ use fj_storage::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The deepest AND/OR/NOT nesting a filter may have: the count of
+/// AND, OR and NOT nodes on its longest path from the root. The parser and
+/// the wire decoder both refuse deeper input with a typed error, since
+/// both recurse once a level and a hostile query would otherwise overflow
+/// the stack. The workloads nest about four levels deep.
+pub const MAX_FILTER_DEPTH: usize = 64;
+
 /// A boolean combination of predicates on a single table alias.
 ///
 /// FactorJoin explicitly supports disjunctive filter clauses (paper §1),

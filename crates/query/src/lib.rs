@@ -27,7 +27,7 @@ pub mod query;
 pub mod subplan;
 
 pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter, Selection};
-pub use expr::{FilterExpr, ValueMatcher};
+pub use expr::{FilterExpr, ValueMatcher, MAX_FILTER_DEPTH};
 pub use fingerprint::{
     subplan_fingerprints, subplan_fingerprints_into, FingerprintBuf, StableHasher,
 };

@@ -20,7 +20,7 @@
 //! predicates; everything else must reference exactly one alias and becomes
 //! part of that alias's filter.
 
-use crate::expr::FilterExpr;
+use crate::expr::{FilterExpr, MAX_FILTER_DEPTH};
 use crate::predicate::{CmpOp, Predicate};
 use crate::query::{Query, QueryError, TableRef};
 use fj_storage::{Catalog, Value};
@@ -40,6 +40,11 @@ pub enum ParseError {
     UnqualifiedColumn(String),
     /// Query binding failed.
     Bind(QueryError),
+    /// The WHERE clause nests AND/OR/NOT deeper than the cap.
+    TooDeep {
+        /// The cap, [`MAX_FILTER_DEPTH`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -54,6 +59,12 @@ impl fmt::Display for ParseError {
             }
             ParseError::UnqualifiedColumn(c) => write!(f, "unqualified column reference: {c}"),
             ParseError::Bind(e) => write!(f, "bind error: {e}"),
+            ParseError::TooDeep { max } => {
+                write!(
+                    f,
+                    "WHERE clause nests AND/OR/NOT more than {max} levels deep"
+                )
+            }
         }
     }
 }
@@ -251,6 +262,11 @@ enum Ast {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Grammar levels entered: one an `expr`, an `and_expr` and a `NOT`.
+    /// Every AND, OR and NOT node of the filter a clause lowers to comes
+    /// from a level of its own, so capping the levels caps the filter's
+    /// depth — and the parser's recursion — at [`MAX_FILTER_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -333,44 +349,60 @@ impl Parser {
         }
     }
 
+    /// Runs `level` one grammar level deeper, refusing to go past the cap.
+    fn nested(
+        &mut self,
+        level: impl FnOnce(&mut Self) -> Result<Ast, ParseError>,
+    ) -> Result<Ast, ParseError> {
+        if self.depth == MAX_FILTER_DEPTH {
+            return Err(ParseError::TooDeep {
+                max: MAX_FILTER_DEPTH,
+            });
+        }
+        self.depth += 1;
+        let out = level(self);
+        self.depth -= 1;
+        out
+    }
+
     // expr := and_expr (OR and_expr)*
     fn expr(&mut self) -> Result<Ast, ParseError> {
-        let mut parts = vec![self.and_expr()?];
-        while self.peek_kw("or") {
-            self.next();
-            parts.push(self.and_expr()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("nonempty")
-        } else {
-            Ast::Or(parts)
+        self.nested(|p| {
+            let mut parts = vec![p.and_expr()?];
+            while p.peek_kw("or") {
+                p.next();
+                parts.push(p.and_expr()?);
+            }
+            Ok(if parts.len() == 1 {
+                parts.pop().expect("nonempty")
+            } else {
+                Ast::Or(parts)
+            })
         })
     }
 
     // and_expr := not_expr (AND not_expr)*
     fn and_expr(&mut self) -> Result<Ast, ParseError> {
-        let mut parts = vec![self.not_expr()?];
-        loop {
+        self.nested(|p| {
+            let mut parts = vec![p.not_expr()?];
             // BETWEEN consumes its own AND, so only continue when the next
             // token truly starts a new conjunct.
-            if self.peek_kw("and") {
-                self.next();
-                parts.push(self.not_expr()?);
-            } else {
-                break;
+            while p.peek_kw("and") {
+                p.next();
+                parts.push(p.not_expr()?);
             }
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("nonempty")
-        } else {
-            Ast::And(parts)
+            Ok(if parts.len() == 1 {
+                parts.pop().expect("nonempty")
+            } else {
+                Ast::And(parts)
+            })
         })
     }
 
     fn not_expr(&mut self) -> Result<Ast, ParseError> {
         if self.peek_kw("not") {
             self.next();
-            Ok(Ast::Not(Box::new(self.not_expr()?)))
+            self.nested(|p| Ok(Ast::Not(Box::new(p.not_expr()?))))
         } else {
             self.atom()
         }
@@ -598,7 +630,11 @@ fn lower_single_alias(ast: &Ast) -> Result<(String, FilterExpr), ParseError> {
 /// Parses a `SELECT COUNT(*) …` statement and binds it against `catalog`.
 pub fn parse_query(catalog: &Catalog, sql: &str) -> Result<Query, ParseError> {
     let toks = lex(sql)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.expect_kw("select")?;
     p.expect_kw("count")?;
     p.expect_sym("(")?;
@@ -832,6 +868,52 @@ mod tests {
         let q1 = parse_query(&cat, sql).unwrap();
         let q2 = parse_query(&cat, &q1.to_sql(&cat)).unwrap();
         assert_eq!(q1, q2);
+    }
+
+    /// Nesting past [`MAX_FILTER_DEPTH`] is a typed error, not a stack
+    /// overflow: 10 000 parentheses or `NOT`s used to abort the process.
+    /// Up to the cap a clause parses, and its filter is no deeper than the
+    /// wire decoder accepts.
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let cat = catalog();
+        let sql = |open: &str, close: &str, n: usize| {
+            format!(
+                "SELECT COUNT(*) FROM posts p WHERE {}p.score > 1{};",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        let too_deep = Err(ParseError::TooDeep {
+            max: MAX_FILTER_DEPTH,
+        });
+        for (open, close) in [("(", ")"), ("NOT ", ""), ("NOT (", ")")] {
+            assert_eq!(parse_query(&cat, &sql(open, close, 10_000)), too_deep);
+        }
+        fn depth(f: &FilterExpr) -> usize {
+            match f {
+                FilterExpr::True | FilterExpr::Pred(_) => 0,
+                FilterExpr::Not(inner) => 1 + depth(inner),
+                FilterExpr::And(parts) | FilterExpr::Or(parts) => {
+                    1 + parts.iter().map(depth).max().unwrap_or(0)
+                }
+            }
+        }
+        // A clause is an OR of ANDs: two levels before the first NOT.
+        let nots = MAX_FILTER_DEPTH - 2;
+        let q = parse_query(&cat, &sql("NOT ", "", nots)).unwrap();
+        assert_eq!(depth(q.filter(0)), nots);
+        assert_eq!(parse_query(&cat, &sql("NOT ", "", nots + 1)), too_deep);
+        // Each parenthesis here opens an OR of an AND: two levels a pair.
+        let alternating =
+            |n: usize| sql("p.score = 1 OR p.score = 2 AND (", ")", n).replace("> 1", "= 3");
+        let deepest = (0..)
+            .take_while(|&n| parse_query(&cat, &alternating(n)).is_ok())
+            .last()
+            .unwrap();
+        let q = parse_query(&cat, &alternating(deepest)).unwrap();
+        assert_eq!(depth(q.filter(0)), MAX_FILTER_DEPTH - 2);
+        assert_eq!(parse_query(&cat, &alternating(deepest + 1)), too_deep);
     }
 
     #[test]

@@ -276,11 +276,6 @@ impl Query {
         self.tables.len()
     }
 
-    /// Alias index by name.
-    pub fn alias_index(&self, alias: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t.alias == alias)
-    }
-
     /// Whether the alias-level join graph is connected.
     pub fn is_connected(&self) -> bool {
         if self.tables.is_empty() {

@@ -51,11 +51,6 @@ impl EstimateRequest {
         self.deadline = Some(deadline);
         self
     }
-
-    /// [`Self::with_deadline`] as a budget relative to now.
-    pub fn with_deadline_in(self, budget: Duration) -> Self {
-        self.with_deadline(Instant::now() + budget)
-    }
 }
 
 /// A served estimation result.

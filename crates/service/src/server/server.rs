@@ -952,6 +952,133 @@ mod tests {
         assert_eq!((id, reason), (9, RejectReason::DeadlineExceeded));
     }
 
+    /// Pull `key=<digits>` out of a slowlog line.
+    fn slowlog_field(line: &str, key: &str) -> u64 {
+        let needle = format!(" {key}=");
+        let start = line.find(&needle).unwrap_or_else(|| {
+            panic!("slowlog line is missing {key}: {line}");
+        }) + needle.len();
+        line[start..]
+            .split(|c: char| c.is_whitespace())
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("unparsable {key} in: {line}"))
+    }
+
+    /// The observability plane's headline check: a traced batch that
+    /// spends its life queued is pinned to queue wait. The shard's only
+    /// worker picks up a one-query blocker and waits at its model lookup
+    /// until `hold` drops, so the traced batch and two followers sit in the
+    /// queue for the whole hold, however the threads are scheduled. The
+    /// metrics are scraped **over the wire**, and the slow-query log
+    /// carries the client-minted trace id.
+    #[test]
+    fn traced_queue_delayed_batch_is_pinned_to_queue_wait() {
+        let (model, wl) = tiny_setup();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1).with_slowlog_capacity(8),
+        )
+        .expect("bind");
+        let mut client = FjClient::connect(server.local_addr()).expect("connect");
+        let shard = || server.stats("stats").expect("shard");
+
+        let hold = crate::registry::tests::hold_lookups(server.registry("stats").expect("shard"));
+        let blocker = client.send("stats", 1, &wl[..1]).expect("send blocker");
+        wait_until("the worker to pick up the blocker", || {
+            let s = shard();
+            s.queue_high_water >= 1 && s.queue_depth == 0
+        });
+        let (traced_id, trace_id) = client
+            .send_traced("stats", 1, &wl[..1])
+            .expect("send traced");
+        assert_ne!(trace_id, 0, "a minted trace id is never the untraced 0");
+        let followers: Vec<u64> = (0..2)
+            .map(|_| client.send("stats", 1, &wl[..1]).expect("send follower"))
+            .collect();
+        wait_until("three batches queued behind the blocker", || {
+            shard().queue_depth == 3
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        drop(hold);
+
+        for id in std::iter::once(blocker).chain(followers) {
+            assert!(matches!(
+                client.recv(id).expect("recv"),
+                wire::BatchOutcome::Served(_)
+            ));
+        }
+        match client.recv(traced_id).expect("recv traced") {
+            wire::BatchOutcome::Served(results) => assert_eq!(results.len(), 1),
+            other => panic!("the traced batch was not served: {other:?}"),
+        }
+
+        // Scrape over the wire (the same text `metrics_text` returns). The
+        // collector records the encode/socket_write stages *after* writing
+        // a response, so poll until the metrics plane settles.
+        let mut text = client.metrics().expect("scrape");
+        wait_until("the wire scrape to match the in-process one", || {
+            text = client.metrics().expect("scrape");
+            text == server.metrics_text()
+        });
+
+        // The exposition covers counters, the latency histogram, and every
+        // serving stage under one family.
+        assert!(text.contains("# TYPE fj_requests_total counter"), "{text}");
+        assert!(text.contains("# TYPE fj_request_latency_seconds histogram"));
+        assert!(text.contains("# TYPE fj_stage_duration_seconds histogram"));
+        for stage in [
+            "admission",
+            "queue_wait",
+            "estimation",
+            "encode",
+            "socket_write",
+        ] {
+            let series =
+                format!("fj_stage_duration_seconds_count{{dataset=\"stats\",stage=\"{stage}\"}}");
+            assert!(text.contains(&series), "missing {series} in:\n{text}");
+        }
+
+        // The traced batch's slowlog entry: present, attributed to our
+        // trace, and dominated by queue wait. The collector offers it
+        // *after* writing the reply frame, so poll for it.
+        let needle = format!("trace_id={trace_id:#018x}");
+        let traced_line = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("# slowlog") && l.contains(&needle))
+                .map(str::to_string)
+        };
+        wait_until("the traced batch's slowlog entry", || {
+            text = client.metrics().expect("scrape");
+            traced_line(&text).is_some()
+        });
+        let line = traced_line(&text).expect("the poll above found it");
+        assert!(line.contains("dataset=\"stats\""), "{line}");
+        assert!(line.ends_with("dominant=queue_wait"), "{line}");
+        let queue_wait = slowlog_field(&line, "queue_wait_ns");
+        let estimation = slowlog_field(&line, "estimation_ns");
+        assert!(
+            queue_wait >= 50_000_000 && queue_wait > estimation,
+            "queued for the whole hold, queue wait ({queue_wait}ns) must dwarf \
+             the one-query estimation ({estimation}ns): {line}"
+        );
+
+        // The aggregate stage histograms agree: three batches queued for the
+        // hold, and only the blocker's estimation spans it.
+        let stage_sum = |stage: &str| -> f64 {
+            let series =
+                format!("fj_stage_duration_seconds_sum{{dataset=\"stats\",stage=\"{stage}\"}}");
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&series))
+                .unwrap_or_else(|| panic!("missing {series}"));
+            line.rsplit(' ').next().unwrap().parse().expect("a float")
+        };
+        assert!(stage_sum("queue_wait") > stage_sum("estimation"));
+        server.shutdown();
+    }
+
     /// The admission-control acceptance criterion: a client past its
     /// in-flight quota observes an explicit rejection — not a hang — and
     /// the quota frees up once the in-flight batch completes.
@@ -1064,6 +1191,43 @@ mod tests {
             FrameRead::CleanEof,
             "the id reuse must drop the connection, not answer"
         );
+        server.shutdown();
+    }
+
+    /// A 100 KB frame of nested NOT tags used to overflow the reader's
+    /// stack and abort the server. Now its connection is dropped like any
+    /// other malformed frame's, and the server goes on serving.
+    #[test]
+    fn a_filter_nested_past_the_cap_drops_only_its_connection() {
+        let (model, wl) = tiny_setup();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1),
+        )
+        .expect("bind");
+
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+        let mut buf = Vec::new();
+        write_frame(&mut sock, &wire::encode_hello()).unwrap();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
+        wire::decode_hello_ok(&buf).expect("hello ok");
+        write_frame(&mut sock, &wire::tests::nested_not_batch(100_000)).unwrap();
+        assert_eq!(
+            read_frame(&mut reader, &mut buf).expect("clean close"),
+            FrameRead::CleanEof,
+            "a malformed frame drops the connection"
+        );
+
+        let mut client = FjClient::connect(server.local_addr()).expect("second client");
+        match client.call("stats", 1, &wl).expect("served") {
+            wire::BatchOutcome::Served(results) => {
+                assert_eq!(results.len(), wl.len());
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            other => panic!("the second client was not served: {other:?}"),
+        }
         server.shutdown();
     }
 

@@ -40,7 +40,9 @@
 //! `trace_id` are fixed `u64`s, `0` meaning none.
 
 use crate::request::RejectReason;
-use fj_query::{ColRef, FilterExpr, JoinPredicate, Predicate, Query, SubplanMask, TableRef};
+use fj_query::{
+    ColRef, FilterExpr, JoinPredicate, Predicate, Query, SubplanMask, TableRef, MAX_FILTER_DEPTH,
+};
 use fj_storage::Value;
 use std::io::{IoSlice, Read, Write};
 
@@ -812,8 +814,16 @@ fn encode_filter(e: &mut Enc, f: &FilterExpr) {
     }
 }
 
-fn decode_filter(d: &mut Dec<'_>) -> Result<FilterExpr, WireError> {
+/// Reads a filter whose AND/OR/NOT ancestors number `depth`: a node that
+/// would put it past [`MAX_FILTER_DEPTH`] is a `BadQuery`, so a frame of
+/// nested tags cannot recurse the reader off its stack.
+fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError> {
     let tag = d.u8()?;
+    if matches!(tag, 2..=4) && depth == MAX_FILTER_DEPTH {
+        return Err(WireError::BadQuery(format!(
+            "filter nests AND/OR/NOT more than {MAX_FILTER_DEPTH} levels deep"
+        )));
+    }
     Ok(match tag {
         0 => FilterExpr::True,
         1 => FilterExpr::Pred(decode_predicate(d)?),
@@ -821,7 +831,7 @@ fn decode_filter(d: &mut Dec<'_>) -> Result<FilterExpr, WireError> {
             let n = d.count(1)?;
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
-                parts.push(decode_filter(d)?);
+                parts.push(decode_filter(d, depth + 1)?);
             }
             if tag == 2 {
                 FilterExpr::And(parts)
@@ -829,7 +839,7 @@ fn decode_filter(d: &mut Dec<'_>) -> Result<FilterExpr, WireError> {
                 FilterExpr::Or(parts)
             }
         }
-        4 => FilterExpr::Not(Box::new(decode_filter(d)?)),
+        4 => FilterExpr::Not(Box::new(decode_filter(d, depth + 1)?)),
         tag => {
             return Err(WireError::BadTag {
                 what: "filter",
@@ -881,15 +891,62 @@ fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
     }
     let mut filters = Vec::with_capacity(nt);
     for _ in 0..nt {
-        filters.push(decode_filter(d)?);
+        filters.push(decode_filter(d, 0)?);
     }
     Query::from_wire_parts(tables, joins, filters).map_err(|e| WireError::BadQuery(e.to_string()))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fj_query::CmpOp;
+
+    /// An `EstimateBatch` payload of one `posts` query whose filter is
+    /// `nots` NOT tags around `True`: 100 000 of them are a 100 KB frame,
+    /// far below the frame cap.
+    pub(crate) fn nested_not_batch(nots: usize) -> Vec<u8> {
+        let mut e = Enc::new(OP_ESTIMATE_BATCH);
+        e.u64(1);
+        e.str("stats");
+        e.u32(1);
+        e.u64(0); // no deadline
+        e.u64(0); // untraced
+        e.u32(1); // one query
+        e.u32(1); // one table
+        e.str("p");
+        e.str("posts");
+        e.u32(0); // no joins
+        for _ in 0..nots {
+            e.u8(4);
+        }
+        e.u8(0);
+        e.finish()
+    }
+
+    /// Nesting past the cap is a `BadQuery`, not a stack overflow: the
+    /// recursive reader used to abort the process on this frame.
+    #[test]
+    fn nesting_past_the_cap_is_a_bad_query() {
+        let frame = nested_not_batch(100_000);
+        assert!(frame.len() < 128 << 10 && frame.len() < MAX_FRAME_LEN as usize);
+        assert!(matches!(
+            decode_estimate_batch(&frame),
+            Err(WireError::BadQuery(m)) if m.contains("levels deep")
+        ));
+        let at_cap = decode_estimate_batch(&nested_not_batch(MAX_FILTER_DEPTH)).unwrap();
+        let mut f = &at_cap.queries[0].filters()[0];
+        for _ in 0..MAX_FILTER_DEPTH {
+            let FilterExpr::Not(inner) = f else {
+                panic!("not a NOT: {f:?}")
+            };
+            f = inner;
+        }
+        assert_eq!(f, &FilterExpr::True);
+        assert!(matches!(
+            decode_estimate_batch(&nested_not_batch(MAX_FILTER_DEPTH + 1)),
+            Err(WireError::BadQuery(_))
+        ));
+    }
 
     fn sample_query() -> Query {
         // Hand-built, catalog-free: three tables, two joins, nested filters

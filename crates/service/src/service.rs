@@ -208,11 +208,6 @@ impl EstimatorService {
         self.pool.cache.as_ref()
     }
 
-    /// Number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Requests queued but not yet picked up by a worker (a health-probe
     /// load signal).
     pub fn queue_depth(&self) -> usize {

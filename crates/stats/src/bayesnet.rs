@@ -142,12 +142,15 @@ fn decode_counts(
             "{what}: {n} cells, but the code counts give {expected}"
         )));
     }
-    (0..n)
-        .map(|_| match d.varint(what)? {
-            c if c > MAX_EXACT_COUNT => Err(invalid(format!("{what}: count {c} is not exact"))),
-            c => Ok(c as f64),
-        })
-        .collect()
+    let mut counts = Vec::with_capacity(n);
+    for _ in 0..n {
+        let c = d.varint(what)?;
+        if c > MAX_EXACT_COUNT {
+            return Err(invalid(format!("{what}: count {c} is not exact")));
+        }
+        counts.push(c as f64);
+    }
+    Ok(counts)
 }
 
 /// "No node": the parent of a root, the top of a tree without evidence.
@@ -931,6 +934,66 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng};
     use std::collections::HashMap;
+
+    /// The per-cell reader `decode_counts` replaced, collecting as it goes.
+    fn per_cell(d: &mut Dec<'_>, expected: usize) -> Result<Vec<f64>, DecodeError> {
+        let n = d.count("cells", 1)?;
+        if n != expected {
+            return Err(invalid(format!(
+                "cells: {n} cells, but the code counts give {expected}"
+            )));
+        }
+        (0..n)
+            .map(|_| match d.varint("cells")? {
+                c if c > MAX_EXACT_COUNT => Err(invalid(format!("cells: count {c} is not exact"))),
+                c => Ok(c as f64),
+            })
+            .collect()
+    }
+
+    /// Counts read into a slab sized once equal the collected ones, and
+    /// every fault — a wrong length, an inexact count, truncation, a
+    /// hostile length — is the same error.
+    #[test]
+    fn presized_counts_match_the_per_cell_reader() {
+        let mut state = 9u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 24
+        };
+        for round in 0..2000 {
+            let mut e = Enc::default();
+            let n = (next() % 40) as usize;
+            e.len(if round % 9 == 8 { n + 1 } else { n });
+            for _ in 0..n {
+                e.varint(match next() % 8 {
+                    0 => MAX_EXACT_COUNT + next() % 2,
+                    1 => next(),
+                    _ => next() % 300,
+                });
+            }
+            let mut b = e.finish();
+            if round % 3 == 2 {
+                b.truncate(next() as usize % (b.len() + 1));
+            }
+            if round % 5 == 4 {
+                let at = next() as usize % b.len().max(1);
+                if let Some(byte) = b.get_mut(at) {
+                    *byte = [0xFF, 0x80, 0x7F][next() as usize % 3];
+                }
+            }
+            let bits = |r: Result<Vec<f64>, DecodeError>| {
+                r.map(|v| v.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+            };
+            assert_eq!(
+                bits(decode_counts(&mut Dec::new(&b), n, "cells")),
+                bits(per_cell(&mut Dec::new(&b), n)),
+                "round {round}"
+            );
+        }
+    }
 
     /// Table with a strong key↔attribute correlation: attr = key % 4.
     fn correlated_table(n: usize) -> Table {

@@ -6,6 +6,7 @@
 //! as a hash map plus a deterministic fallback for values never seen during
 //! binning (which appear after incremental inserts, paper §4.3).
 
+use fj_storage::codec::{Dec, DecodeError, EntryReader};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,19 +43,8 @@ impl KeyBinMap {
     pub fn new(k: usize, assignments: impl IntoIterator<Item = (i64, u32)>) -> Self {
         assert!(k > 0, "at least one bin required");
         let assignments: Vec<(i64, u32)> = assignments.into_iter().collect();
-        // Sized once, at most 7/8 full, so every probe ends at an empty
-        // slot; the map is never written again.
-        let cap = match assignments.len() {
-            0 => 0,
-            n => (n * 8 / 7 + 1).next_power_of_two().max(8),
-        };
-        let mask = cap.wrapping_sub(1);
-        let mut out = KeyBinMap {
-            k,
-            keys: vec![0; cap],
-            bins: vec![EMPTY; cap],
-            len: 0,
-        };
+        let mut out = Self::sized(k, assignments.len());
+        let mask = out.keys.len().wrapping_sub(1);
         for (v, b) in assignments {
             debug_assert!((b as usize) < k, "bin index out of range");
             let mut slot = (fxhash(v) >> 32) as usize & mask;
@@ -66,6 +56,35 @@ impl KeyBinMap {
             out.bins[slot] = b;
         }
         out
+    }
+
+    /// An empty map with room for `n` assignments: sized once, at most 7/8
+    /// full, so every probe ends at an empty slot; the map is never
+    /// written again once filled.
+    fn sized(k: usize, n: usize) -> Self {
+        let cap = match n {
+            0 => 0,
+            n => (n * 8 / 7 + 1).next_power_of_two().max(8),
+        };
+        KeyBinMap {
+            k,
+            keys: vec![0; cap],
+            bins: vec![EMPTY; cap],
+            len: 0,
+        }
+    }
+
+    /// Assigns a `value` known to be absent, in a slab with room for it.
+    #[inline]
+    fn insert_new(&mut self, value: i64, bin: u32) {
+        let mask = self.keys.len() - 1;
+        let mut slot = (fxhash(value) >> 32) as usize & mask;
+        while self.bins[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.len += 1;
+        self.keys[slot] = value;
+        self.bins[slot] = bin;
     }
 
     /// Single-bin map (the k=1 ablation of paper Figure 9).
@@ -123,23 +142,38 @@ impl KeyBinMap {
         out
     }
 
-    /// Rebuilds a map from [`Self::sorted_entries`], validating what a
-    /// hostile or corrupt file could break: `k > 0`, values strictly
-    /// increasing (so no value is assigned twice), and every bin `< k`.
-    pub fn from_sorted_entries(k: usize, entries: Vec<(i64, u32)>) -> Result<Self, String> {
+    /// Reads a map written as its [`Self::sorted_entries`] by
+    /// [`fj_storage::codec::encode_entries`], filling the slab as the pairs
+    /// decode — no vector of pairs in between. The outer error is the byte
+    /// stream's (truncated, overflowing, a hostile count); the inner one is
+    /// what a corrupt file could break: `k > 0`, values strictly increasing
+    /// (so no value is assigned twice), and every bin `< k`. Filled in
+    /// value order, so the slab is laid out as [`Self::new`] lays out the
+    /// same entries.
+    pub fn from_sorted_entries(
+        k: usize,
+        d: &mut Dec<'_>,
+        what: &'static str,
+    ) -> Result<Result<Self, String>, DecodeError> {
+        let mut entries = EntryReader::new(d, what)?;
+        let mut out = Self::sized(k, entries.count());
+        let mut out_of_range = None;
+        for _ in 0..entries.count() {
+            let (v, b) = entries.next_pair(d)?;
+            let b = u32::try_from(b).unwrap_or(u32::MAX);
+            if b as usize >= k {
+                out_of_range.get_or_insert((v, b));
+            } else if entries.in_order() {
+                out.insert_new(v, b);
+            }
+        }
         if k == 0 {
-            return Err("at least one bin required".into());
+            return Ok(Err("at least one bin required".into()));
         }
-        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
-            return Err(format!(
-                "values not strictly increasing: {} then {}",
-                w[0].0, w[1].0
-            ));
-        }
-        if let Some(&(v, b)) = entries.iter().find(|&&(_, b)| b as usize >= k) {
-            return Err(format!("value {v}: bin {b} out of range for k={k}"));
-        }
-        Ok(Self::new(k, entries))
+        Ok(entries.unordered().and_then(|()| match out_of_range {
+            Some((v, b)) => Err(format!("value {v}: bin {b} out of range for k={k}")),
+            None => Ok(out),
+        }))
     }
 
     /// Iterates over the explicit (value, bin) assignments in slab order.
@@ -226,6 +260,7 @@ impl TableBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fj_storage::codec::{encode_entries, Enc};
 
     #[test]
     fn explicit_assignments_resolve() {
@@ -273,13 +308,23 @@ mod tests {
         KeyBinMap::new(0, HashMap::new());
     }
 
+    /// `entries` through the byte form a model file stores them in.
+    fn read(k: usize, entries: &[(i64, u32)]) -> Result<KeyBinMap, String> {
+        let wide: Vec<(i64, u64)> = entries.iter().map(|&(v, b)| (v, b.into())).collect();
+        let mut e = Enc::default();
+        encode_entries(&mut e, &wide);
+        let bytes = e.finish();
+        KeyBinMap::from_sorted_entries(k, &mut Dec::new(&bytes), "entries")
+            .expect("well-formed bytes")
+    }
+
     #[test]
     fn sorted_entries_roundtrip_preserves_lookups() {
         let map: HashMap<i64, u32> = (0..500).map(|v| (v * 13, (v % 9) as u32)).collect();
         let b = KeyBinMap::new(9, map);
         let entries = b.sorted_entries();
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let back = KeyBinMap::from_sorted_entries(b.k(), entries.clone()).unwrap();
+        let back = read(b.k(), &entries).unwrap();
         assert_eq!(back.k(), b.k());
         assert_eq!(back.assigned(), b.assigned());
         assert_eq!(back.heap_bytes(), b.heap_bytes());
@@ -287,19 +332,103 @@ mod tests {
             assert_eq!(back.bin_of(v), b.bin_of(v), "value {v}");
         }
         assert_eq!(back.sorted_entries(), entries);
+        // The same slab as `new` fed the sorted entries.
+        let sorted = KeyBinMap::new(b.k(), entries.iter().copied());
+        assert_eq!(back.raw_parts(), sorted.raw_parts());
+    }
+
+    /// The rebuild `from_sorted_entries` replaced: collect every pair,
+    /// validate the vector, then build the map with `new`.
+    fn per_entry(k: usize, d: &mut Dec<'_>) -> Result<Result<KeyBinMap, String>, DecodeError> {
+        let n = d.count("bins", 2)?;
+        let mut entries = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            prev = prev.wrapping_add(d.zigzag("bins")?);
+            let b = d.varint("bins")?;
+            entries.push((prev, u32::try_from(b).unwrap_or(u32::MAX)));
+        }
+        if k == 0 {
+            return Ok(Err("at least one bin required".into()));
+        }
+        if let Some(w) = entries.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Ok(Err(format!(
+                "values not strictly increasing: {} then {}",
+                w[0].0, w[1].0
+            )));
+        }
+        if let Some(&(v, b)) = entries.iter().find(|&&(_, b)| b as usize >= k) {
+            return Ok(Err(format!("value {v}: bin {b} out of range for k={k}")));
+        }
+        Ok(Ok(KeyBinMap::new(k, entries)))
+    }
+
+    /// Filling the slab from the bytes gives the slab the per-entry path
+    /// built — raw parts equal — and rejects every corrupt stream with the
+    /// same error: bins out of range (or beyond 32 bits), values repeated
+    /// or out of order and `k = 0`, then truncated, overflowing or hostile
+    /// bytes on top, alone or together.
+    #[test]
+    fn streamed_rebuild_matches_the_per_entry_path() {
+        let map: HashMap<i64, u32> = (0..300).map(|v| (v * 37 - 4000, (v % 11) as u32)).collect();
+        let base: Vec<(i64, u64)> = KeyBinMap::new(11, map)
+            .sorted_entries()
+            .into_iter()
+            .map(|(v, b)| (v, b.into()))
+            .collect();
+        let parts = |r: Result<Result<KeyBinMap, String>, DecodeError>| {
+            r.map(|inner| {
+                inner.map(|m| {
+                    let (k, keys, bins, len) = m.raw_parts();
+                    (k, keys.to_vec(), bins.to_vec(), len)
+                })
+            })
+        };
+        let mut state = 3u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 24
+        };
+        for round in 0..3000 {
+            let mut entries = base.clone();
+            for _ in 0..round % 4 {
+                let i = next() as usize % entries.len();
+                match next() % 3 {
+                    0 => entries[i].1 = [11, 12, 1 << 33][next() as usize % 3],
+                    1 => entries[i].0 = entries[i.saturating_sub(1)].0 - (next() % 3) as i64,
+                    _ => entries[i].1 = next() % 13,
+                }
+            }
+            let mut e = Enc::default();
+            encode_entries(&mut e, &entries);
+            let mut b = e.finish();
+            if round % 3 == 2 {
+                let at = next() as usize % b.len();
+                b[at] = [0, 0x80, 0xFF, 0x7F][next() as usize % 4];
+            }
+            if round % 7 == 6 {
+                b.truncate(next() as usize % (b.len() + 1));
+            }
+            let k = [11, 12, 3, 0][round % 4];
+            let streamed = KeyBinMap::from_sorted_entries(k, &mut Dec::new(&b), "bins");
+            let want = per_entry(k, &mut Dec::new(&b));
+            assert_eq!(parts(streamed), parts(want), "round {round}, k = {k}");
+        }
     }
 
     #[test]
     fn from_sorted_entries_rejects_invalid_entries() {
         // k = 0.
-        assert!(KeyBinMap::from_sorted_entries(0, vec![]).is_err());
+        assert!(read(0, &[]).is_err());
         // Repeated and decreasing values.
-        assert!(KeyBinMap::from_sorted_entries(2, vec![(1, 0), (1, 1)]).is_err());
-        assert!(KeyBinMap::from_sorted_entries(2, vec![(5, 0), (1, 1)]).is_err());
+        assert!(read(2, &[(1, 0), (1, 1)]).is_err());
+        assert!(read(2, &[(5, 0), (1, 1)]).is_err());
         // Bin index out of range.
-        assert!(KeyBinMap::from_sorted_entries(2, vec![(1, 0), (2, 2)]).is_err());
+        assert!(read(2, &[(1, 0), (2, 2)]).is_err());
         // An empty map allocates nothing, like `single_bin`.
-        let empty = KeyBinMap::from_sorted_entries(3, vec![]).unwrap();
+        let empty = read(3, &[]).unwrap();
         assert_eq!((empty.assigned(), empty.heap_bytes()), (0, 0));
         assert!(empty.bin_of(7) < 3);
         assert_eq!(KeyBinMap::single_bin().heap_bytes(), 0);

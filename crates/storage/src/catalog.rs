@@ -85,11 +85,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replaces a table in place (used after `append_rows` on a clone).
-    pub fn replace_table(&mut self, table: Table) {
-        self.tables.insert(table.name().to_string(), table);
-    }
-
     /// Declares a join relation; both endpoints must exist and be join keys.
     pub fn add_relation(&mut self, rel: JoinRelation) -> Result<()> {
         for kr in [&rel.left, &rel.right] {

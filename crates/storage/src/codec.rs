@@ -8,6 +8,18 @@
 //! allocates, so a field claiming 2⁶⁰ entries fails with
 //! [`DecodeError::HostileLength`] instead of exhausting memory.
 //!
+//! A model load reads hundreds of thousands of values through [`Dec`], so
+//! its reads follow one hot-path rule: pay per byte, not per call. The reads
+//! are `#[inline]`, so a caller in another crate compiles them into its
+//! loop. [`Dec::varint`] returns a one-byte value — most counts, deltas and
+//! codes — without entering its loop, and keeps the loop, with its
+//! truncation and overflow errors, out of line. Bulk readers fill their
+//! consumer directly and validate as they go, with no intermediate
+//! vector: [`Dec::f64s`] takes a run of `f64`s with one bounds check, and
+//! [`EntryReader`] hands a sorted-entry map's pairs to the slab being
+//! filled. Each rejects what a per-value reader rejects, with the same
+//! error and field name, and checks a count before anything is sized.
+//!
 //! [`encode_table`] / [`decode_table`] persist a [`Table`] — schema, NULL
 //! positions and values — as a varint stream. Decoding replays the values
 //! through [`ColumnBuilder`], the way every table is built, so a decoded
@@ -136,11 +148,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not read yet.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
         if n > self.remaining() {
             return Err(DecodeError::Truncated { what });
@@ -151,23 +165,51 @@ impl<'a> Dec<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, DecodeError> {
         Ok(self.take(1, what)?[0])
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
     /// An `f64` from its raw bits.
+    #[inline]
     pub fn f64(&mut self, what: &'static str) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// `n` `f64`s, each its raw bits, into a vector sized once: one bounds
+    /// check for the run, then one load a value.
+    pub fn f64s(&mut self, n: usize, what: &'static str) -> Result<Vec<f64>, DecodeError> {
+        let bytes = self.take(n.saturating_mul(8), what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+
     /// An unsigned LEB128 varint; more than ten bytes, or bits beyond 64,
-    /// are invalid.
+    /// are invalid. A value below 128 — most counts, deltas and codes — is
+    /// one byte and returns without entering the loop.
+    #[inline]
     pub fn varint(&mut self, what: &'static str) -> Result<u64, DecodeError> {
+        if let Some(&b) = self.buf.get(self.at) {
+            if b < 0x80 {
+                self.at += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.varint_slow(what)
+    }
+
+    /// [`Self::varint`] a byte at a time: every multi-byte value, and every
+    /// truncation and overflow error.
+    #[inline(never)]
+    fn varint_slow(&mut self, what: &'static str) -> Result<u64, DecodeError> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.u8(what)?;
@@ -184,18 +226,21 @@ impl<'a> Dec<'a> {
 
     /// A varint that must fit a `usize` (a size or an index, not a count
     /// of elements that follow — see [`Self::count`]).
+    #[inline]
     pub fn usize(&mut self, what: &'static str) -> Result<usize, DecodeError> {
         let v = self.varint(what)?;
         usize::try_from(v).map_err(|_| invalid(format!("{what}: {v} does not fit a usize")))
     }
 
     /// A varint that must fit a `u32`.
+    #[inline]
     pub fn u32_varint(&mut self, what: &'static str) -> Result<u32, DecodeError> {
         let v = self.varint(what)?;
         u32::try_from(v).map_err(|_| invalid(format!("{what}: {v} does not fit 32 bits")))
     }
 
     /// A zigzag-mapped signed varint (see [`Enc::zigzag`]).
+    #[inline]
     pub fn zigzag(&mut self, what: &'static str) -> Result<i64, DecodeError> {
         let v = self.varint(what)?;
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
@@ -266,17 +311,69 @@ pub fn encode_entries(e: &mut Enc, entries: &[(i64, u64)]) {
     }
 }
 
-/// Reads pairs written by [`encode_entries`]; their order is the caller's
-/// to validate.
-pub fn decode_entries(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<(i64, u64)>, DecodeError> {
-    let n = d.count(what, 2)?;
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        prev = prev.wrapping_add(d.zigzag(what)?);
-        out.push((prev, d.varint(what)?));
+/// Reads the pairs written by [`encode_entries`] one at a time, so a map
+/// fills its slab straight from the bytes instead of from a vector of
+/// pairs. [`Self::new`] reads the count, bounded by the payload before the
+/// caller sizes anything; the caller then calls [`Self::next_pair`] exactly
+/// [`Self::count`] times and asks [`Self::unordered`] at the end. Reading
+/// every pair before reporting an order fault keeps the precedence of a
+/// reader that collects the pairs first: a truncated or overflowing pair
+/// anywhere wins over values out of order.
+#[derive(Debug)]
+pub struct EntryReader {
+    what: &'static str,
+    count: usize,
+    read: usize,
+    prev: i64,
+    unordered: Option<(i64, i64)>,
+}
+
+impl EntryReader {
+    /// Reads the pair count; a pair is at least two bytes.
+    pub fn new(d: &mut Dec<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        Ok(EntryReader {
+            what,
+            count: d.count(what, 2)?,
+            read: 0,
+            prev: 0,
+            unordered: None,
+        })
     }
-    Ok(out)
+
+    /// Number of pairs the count announced.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The next `(value, payload)` pair.
+    #[inline]
+    pub fn next_pair(&mut self, d: &mut Dec<'_>) -> Result<(i64, u64), DecodeError> {
+        debug_assert!(self.read < self.count, "read past the announced count");
+        let v = self.prev.wrapping_add(d.zigzag(self.what)?);
+        let payload = d.varint(self.what)?;
+        if self.read > 0 && v <= self.prev && self.unordered.is_none() {
+            self.unordered = Some((self.prev, v));
+        }
+        self.prev = v;
+        self.read += 1;
+        Ok((v, payload))
+    }
+
+    /// Whether every value read so far was above the one before it: while
+    /// it holds, the value just read is new to the map being filled.
+    #[inline]
+    pub fn in_order(&self) -> bool {
+        self.unordered.is_none()
+    }
+
+    /// The first adjacent values that did not strictly increase, as the
+    /// message a corrupt map is rejected with.
+    pub fn unordered(&self) -> Result<(), String> {
+        match self.unordered {
+            Some((a, b)) => Err(format!("values not strictly increasing: {a} then {b}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn dtype_tag(dtype: DataType) -> u8 {
@@ -492,6 +589,148 @@ mod tests {
             Dec::new(&[0xFF, 0xFF, 0xFF, 0x0F]).count("n", 8),
             Err(DecodeError::HostileLength { .. })
         ));
+    }
+
+    /// The one-byte fast path and the byte-at-a-time loop agree — value,
+    /// error and cursor — on every encoding of 1 to 10 bytes: all one- and
+    /// two-byte buffers, then for each longer length continuation bytes of
+    /// every shape followed by terminators that fit, overflow or are
+    /// overlong (a zero high group), each read whole, cut short, with bytes
+    /// after it, and from the last byte of a longer buffer.
+    #[test]
+    fn varint_fast_path_agrees_with_the_loop() {
+        let agree = |buf: &[u8], at: usize| {
+            let (mut fast, mut slow) = (Dec::new(buf), Dec::new(buf));
+            fast.at = at;
+            slow.at = at;
+            let got = (fast.varint("v"), fast.remaining());
+            let want = (slow.varint_slow("v"), slow.remaining());
+            assert_eq!(got, want, "{buf:02x?} from byte {at}");
+        };
+        let mut encodings: Vec<Vec<u8>> = (0..=255u8).map(|b| vec![b]).collect();
+        for a in 0..=255u8 {
+            encodings.extend((0..=255u8).map(|b| vec![a, b]));
+        }
+        for len in 3..=11 {
+            for cont in [0x80u8, 0x81, 0xC0, 0xFE, 0xFF] {
+                for last in [0x00u8, 0x01, 0x02, 0x40, 0x7E, 0x7F, 0x80, 0xFF] {
+                    let mut e = vec![cont; len - 1];
+                    e.push(last);
+                    encodings.push(e);
+                }
+            }
+        }
+        let mut e = Enc::default();
+        for v in [0, 127, 128, 1 << 35, u64::MAX >> 1, u64::MAX] {
+            e.varint(v);
+        }
+        let canonical = e.finish();
+        for enc in &encodings {
+            agree(enc, 0);
+            agree(&enc[..enc.len() - 1], 0);
+            let mut tail = enc.clone();
+            tail.extend_from_slice(&canonical);
+            agree(&tail, 0);
+            let mut prefixed = canonical.clone();
+            prefixed.extend_from_slice(enc);
+            agree(&prefixed, canonical.len());
+            agree(&prefixed, prefixed.len() - 1);
+            agree(&prefixed, prefixed.len());
+        }
+    }
+
+    /// `f64s` reads what per-value `f64` reads read, and fails where they
+    /// fail with the same error.
+    #[test]
+    fn bulk_f64s_match_per_value_reads() {
+        let mut e = Enc::default();
+        for x in [0.5, -0.0, f64::NAN, f64::INFINITY, 1e300, 3.25] {
+            e.f64(x);
+        }
+        let bytes = e.finish();
+        for cut in 0..=bytes.len() {
+            for n in [0, 1, 5, 6, 7, usize::MAX / 4] {
+                let mut d = Dec::new(&bytes[..cut]);
+                let per_value: Result<Vec<u64>, _> = (0..n.min(8))
+                    .map(|_| d.f64("x").map(f64::to_bits))
+                    .collect();
+                let bulk = Dec::new(&bytes[..cut])
+                    .f64s(n, "x")
+                    .map(|v| v.into_iter().map(f64::to_bits).collect::<Vec<_>>());
+                if n <= 8 {
+                    assert_eq!(bulk, per_value, "{n} values from {cut} bytes");
+                } else {
+                    assert_eq!(bulk, Err(DecodeError::Truncated { what: "x" }));
+                }
+            }
+        }
+    }
+
+    /// The per-pair reader `EntryReader` replaced: collect, then check.
+    fn collect_entries(d: &mut Dec<'_>) -> Result<Result<Vec<(i64, u64)>, String>, DecodeError> {
+        let n = d.count("pairs", 2)?;
+        let mut out = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            prev = prev.wrapping_add(d.zigzag("pairs")?);
+            out.push((prev, d.varint("pairs")?));
+        }
+        Ok(match out.windows(2).find(|w| w[0].0 >= w[1].0) {
+            Some(w) => Err(format!(
+                "values not strictly increasing: {} then {}",
+                w[0].0, w[1].0
+            )),
+            None => Ok(out),
+        })
+    }
+
+    fn stream_entries(d: &mut Dec<'_>) -> Result<Result<Vec<(i64, u64)>, String>, DecodeError> {
+        let mut r = EntryReader::new(d, "pairs")?;
+        let out = (0..r.count())
+            .map(|_| r.next_pair(d))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(r.unordered().map(|()| out))
+    }
+
+    /// Streamed pairs equal collected ones, and every fault — truncation,
+    /// overflow, a hostile count, values out of order, several at once —
+    /// is reported as the collecting reader reports it.
+    #[test]
+    fn entry_reader_matches_the_collecting_reader() {
+        let bases: Vec<Vec<u8>> = [
+            &[(-5, 1), (0, 300), (1, 0), (2, 2), (70, u64::MAX), (900, 1)][..],
+            &[(-5, 1), (0, 300), (1, 0), (1, 2), (70, u64::MAX), (-3, 4)][..],
+        ]
+        .iter()
+        .map(|entries| {
+            let mut e = Enc::default();
+            encode_entries(&mut e, entries);
+            e.finish()
+        })
+        .collect();
+        let mut state = 11u64;
+        let mut cases = vec![vec![0xFF; 11], vec![0x7F]];
+        cases.extend(bases.iter().cloned());
+        for i in 0..4000 {
+            let mut b = bases[i % 2].clone();
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = (state >> 33) as usize % b.len();
+            b[at] ^= (state >> 8) as u8 | 1;
+            if state.is_multiple_of(3) {
+                b.truncate((state >> 40) as usize % (b.len() + 1));
+            }
+            cases.push(b);
+        }
+        for bytes in &cases {
+            let (mut a, mut b) = (Dec::new(bytes), Dec::new(bytes));
+            assert_eq!(
+                stream_entries(&mut a),
+                collect_entries(&mut b),
+                "{bytes:02x?}"
+            );
+        }
     }
 
     #[test]
