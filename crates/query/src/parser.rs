@@ -349,60 +349,64 @@ impl Parser {
         }
     }
 
-    /// Runs `level` one grammar level deeper, refusing to go past the cap.
-    fn nested(
-        &mut self,
-        level: impl FnOnce(&mut Self) -> Result<Ast, ParseError>,
-    ) -> Result<Ast, ParseError> {
+    /// Enters one grammar level, refusing to go past the cap. The caller
+    /// leaves it (`depth -= 1`) once its node is built; an error ends the
+    /// whole parse, so an early return need not.
+    fn descend(&mut self) -> Result<(), ParseError> {
         if self.depth == MAX_FILTER_DEPTH {
             return Err(ParseError::TooDeep {
                 max: MAX_FILTER_DEPTH,
             });
         }
         self.depth += 1;
-        let out = level(self);
-        self.depth -= 1;
-        out
+        Ok(())
     }
 
     // expr := and_expr (OR and_expr)*
     fn expr(&mut self) -> Result<Ast, ParseError> {
-        self.nested(|p| {
-            let mut parts = vec![p.and_expr()?];
-            while p.peek_kw("or") {
-                p.next();
-                parts.push(p.and_expr()?);
-            }
-            Ok(if parts.len() == 1 {
-                parts.pop().expect("nonempty")
-            } else {
-                Ast::Or(parts)
-            })
+        self.descend()?;
+        let mut parts = vec![self.and_expr()?];
+        while self.peek_kw("or") {
+            self.next();
+            parts.push(self.and_expr()?);
+        }
+        self.depth -= 1;
+        Ok(if parts.len() == 1 {
+            parts.pop().expect("nonempty")
+        } else {
+            Ast::Or(parts)
         })
     }
 
     // and_expr := not_expr (AND not_expr)*
     fn and_expr(&mut self) -> Result<Ast, ParseError> {
-        self.nested(|p| {
-            let mut parts = vec![p.not_expr()?];
+        self.descend()?;
+        let mut parts = vec![self.not_expr()?];
+        loop {
             // BETWEEN consumes its own AND, so only continue when the next
             // token truly starts a new conjunct.
-            while p.peek_kw("and") {
-                p.next();
-                parts.push(p.not_expr()?);
-            }
-            Ok(if parts.len() == 1 {
-                parts.pop().expect("nonempty")
+            if self.peek_kw("and") {
+                self.next();
+                parts.push(self.not_expr()?);
             } else {
-                Ast::And(parts)
-            })
+                break;
+            }
+        }
+        self.depth -= 1;
+        Ok(if parts.len() == 1 {
+            parts.pop().expect("nonempty")
+        } else {
+            Ast::And(parts)
         })
     }
 
     fn not_expr(&mut self) -> Result<Ast, ParseError> {
         if self.peek_kw("not") {
             self.next();
-            self.nested(|p| Ok(Ast::Not(Box::new(p.not_expr()?))))
+            self.descend()?;
+            let inner = self.not_expr()?;
+            self.depth -= 1;
+            Ok(Ast::Not(Box::new(inner)))
         } else {
             self.atom()
         }
