@@ -695,11 +695,12 @@ mod tests {
         }
     }
 
-    /// The slabs and the bin count of a map: equal raw parts mean equal
-    /// `.fjm` bytes.
-    fn raw(map: &KeyBinMap) -> (usize, Vec<i64>, Vec<u32>, usize) {
-        let (k, keys, bins, len) = map.raw_parts();
-        (k, keys.to_vec(), bins.to_vec(), len)
+    /// The bin count, the assignments in slab order and the slab size of a
+    /// map. Under linear probing the set of occupied slots depends only on
+    /// the values and the slab size, so equal parts mean an equal slab,
+    /// slot for slot — and equal `.fjm` bytes.
+    fn raw(map: &KeyBinMap) -> (usize, Vec<(i64, u32)>, usize) {
+        (map.k(), map.entries().collect(), map.heap_bytes())
     }
 
     use proptest::prelude::*;

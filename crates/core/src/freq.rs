@@ -8,12 +8,29 @@
 //! linear probing. A count of zero marks an empty slot, which the public
 //! API preserves by never storing zero counts.
 //!
+//! A map has one of two forms, kept in the same two arrays:
+//!
+//! - the **slab** above, which every map built by counting, `add`,
+//!   [`KeyFreq::with_capacity`] or `collect` has;
+//! - the **sorted** form of a map read by [`KeyFreq::from_sorted_entries`]:
+//!   dense `keys` and `counts` columns, values strictly increasing, exactly
+//!   as a model file stores them. A loaded model that only serves never
+//!   reads its maps, so it never pays for a slab.
+//!
+//! The conversion is one way: the first [`KeyFreq::add`] to a sorted map
+//! (an update of a loaded model) turns it into the slab, filled in value
+//! order into a map sized for its entries, which is the slab
+//! `from_sorted_entries` used to build at load time, slot for slot. `get`
+//! binary-searches the sorted form; `len`, `iter`, `sorted_entries` and
+//! equality answer the same on either form.
+//!
 //! `fj_stats::KeyBinMap` carries a sibling slab specialized for i64→bin
 //! lookups (different sentinel and hash-bit split; fj-stats cannot depend
 //! on this crate) — a probe/grow fix here likely applies there too.
 //!
-//! Iteration order is slot order — arbitrary but **deterministic**: it
-//! depends only on the sequence of inserts, never on pointer addresses or
+//! Iteration order is slot order for a slab and value order for a sorted
+//! map — arbitrary but **deterministic**: it depends only on the sequence
+//! of inserts (or the bytes read), never on pointer addresses or
 //! per-process seeds. Serial and parallel training build each key's map
 //! with the identical insert sequence, which is one of the pillars of the
 //! bit-identical parallel build (see `crates/core/tests/parallel_train.rs`).
@@ -23,12 +40,16 @@ use fj_storage::codec::{Dec, DecodeError, EntryReader};
 /// Value → occurrence-count map over `i64` join keys (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct KeyFreq {
-    /// Slot keys; meaningful only where `counts` is non-zero.
+    /// Slot keys; meaningful only where `counts` is non-zero. In the
+    /// sorted form, every value, strictly increasing.
     keys: Vec<i64>,
-    /// Slot counts; `0` = empty slot (real entries are always ≥ 1).
+    /// Slot counts; `0` = empty slot (real entries are always ≥ 1). In the
+    /// sorted form, the count of each value in `keys`.
     counts: Vec<u64>,
-    /// Number of occupied slots.
+    /// Number of occupied slots (in the sorted form, `keys.len()`).
     len: usize,
+    /// `keys` and `counts` are the sorted form, not a slab.
+    sorted: bool,
 }
 
 impl KeyFreq {
@@ -72,6 +93,12 @@ impl KeyFreq {
     /// The count of `value` (0 when absent).
     #[inline]
     pub fn get(&self, value: i64) -> u64 {
+        if self.sorted {
+            return match self.keys.binary_search(&value) {
+                Ok(i) => self.counts[i],
+                Err(_) => 0,
+            };
+        }
         if self.counts.is_empty() {
             return 0;
         }
@@ -89,14 +116,17 @@ impl KeyFreq {
         }
     }
 
-    /// Adds `delta` occurrences of `value`, returning the new count.
+    /// Adds `delta` occurrences of `value`, returning the new count. The
+    /// first add to a sorted map turns it into the slab (see module docs).
     #[inline]
     pub fn add(&mut self, value: i64, delta: u64) -> u64 {
         if delta == 0 {
             return self.get(value);
         }
+        // A sorted map is always full by this test, so its first add takes
+        // the cold path and the slab's hot path has no extra branch.
         if self.counts.is_empty() || self.len * 8 >= self.keys.len() * 7 {
-            self.grow_to((self.keys.len() * 2).max(8));
+            self.make_room();
         }
         let mask = self.keys.len() - 1;
         let mut slot = (hash(value) as usize) & mask;
@@ -137,11 +167,20 @@ impl KeyFreq {
     }
 
     /// All `(value, count)` pairs sorted by value (canonical order for
-    /// persistence and differential tests).
+    /// persistence and differential tests). A sorted map already holds
+    /// them in that order, so re-saving a loaded model sorts nothing.
     pub fn sorted_entries(&self) -> Vec<(i64, u64)> {
         let mut out: Vec<(i64, u64)> = self.iter().collect();
-        out.sort_unstable();
+        if !self.sorted {
+            out.sort_unstable();
+        }
         out
+    }
+
+    /// Whether the map is still in the sorted form it was read in.
+    #[cfg(test)]
+    pub(crate) fn is_sorted_form(&self) -> bool {
+        self.sorted
     }
 
     /// Approximate heap size in bytes.
@@ -150,28 +189,34 @@ impl KeyFreq {
     }
 
     /// Reads a map written as its [`Self::sorted_entries`] by
-    /// [`fj_storage::codec::encode_entries`], filling the slab as the pairs
-    /// decode — no vector of pairs in between. The outer error is the byte
-    /// stream's (truncated, overflowing, a hostile count); the inner one is
-    /// what a corrupt file could break: values strictly increasing (no
-    /// value twice) and every count non-zero (zero means "absent"). Sized
-    /// once for the entries and filled in value order, so the slab never
-    /// regrows and is laid out as [`Self::add`] in that order lays it out.
+    /// [`fj_storage::codec::encode_entries`] into the sorted form, pushing
+    /// the pairs as they decode — no slab, no vector of pairs in between.
+    /// The outer error is the byte stream's (truncated, overflowing, a
+    /// hostile count, all caught before the columns are sized); the inner
+    /// one is what a corrupt file could break: values strictly increasing
+    /// (no value twice) and every count non-zero (zero means "absent").
     pub fn from_sorted_entries(
         d: &mut Dec<'_>,
         what: &'static str,
     ) -> Result<Result<Self, String>, DecodeError> {
         let mut entries = EntryReader::new(d, what)?;
-        let mut f = Self::with_capacity(entries.count());
+        let mut f = KeyFreq {
+            keys: Vec::with_capacity(entries.count()),
+            counts: Vec::with_capacity(entries.count()),
+            len: 0,
+            sorted: true,
+        };
         let mut zero = None;
         for _ in 0..entries.count() {
             let (v, c) = entries.next_pair(d)?;
             if c == 0 {
                 zero.get_or_insert(v);
             } else if entries.in_order() {
-                f.insert_new(v, c);
+                f.keys.push(v);
+                f.counts.push(c);
             }
         }
+        f.len = f.keys.len();
         Ok(entries.unordered().and_then(|()| match zero {
             Some(v) => Err(format!("value {v} has a zero count")),
             None => Ok(f),
@@ -189,6 +234,23 @@ impl KeyFreq {
         self.keys[slot] = value;
         self.counts[slot] = count;
         self.len += 1;
+    }
+
+    /// Makes room for one more value: turns a sorted map into its slab,
+    /// then doubles the slab if it is still too full.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self) {
+        if self.sorted {
+            let mut slab = Self::with_capacity(self.len);
+            for (&v, &c) in self.keys.iter().zip(&self.counts) {
+                slab.insert_new(v, c);
+            }
+            *self = slab;
+        }
+        if self.counts.is_empty() || self.len * 8 >= self.keys.len() * 7 {
+            self.grow_to((self.keys.len() * 2).max(8));
+        }
     }
 
     fn grow_to(&mut self, cap: usize) {
@@ -373,11 +435,12 @@ mod tests {
         Ok(Ok(f))
     }
 
-    /// Filling the slab from the bytes gives the slab the per-entry path
-    /// built — same slots in the same order — and rejects every corrupt
-    /// stream with the same error: zero counts and values repeated or out
-    /// of order, then truncated, overflowing or hostile bytes on top, alone
-    /// or together.
+    /// Reading the bytes into the sorted form keeps every guarantee of the
+    /// per-entry path: each corrupt stream (zero counts, values repeated or
+    /// out of order, then truncated, overflowing or hostile bytes on top,
+    /// alone or together) is rejected with the same error, each sound one
+    /// holds the same `(value, count)` set, and after one `add` the slab is
+    /// the per-entry path's slot for slot.
     #[test]
     fn streamed_rebuild_matches_the_per_entry_path() {
         let mut f = KeyFreq::new();
@@ -385,9 +448,17 @@ mod tests {
             f.add((v * 7919) % 1013 - 500, 1 + (v % 200) as u64);
         }
         let base = f.sorted_entries();
-        let layout = |r: Result<Result<KeyFreq, String>, DecodeError>| {
-            r.map(|inner| inner.map(|f| (f.iter().collect::<Vec<_>>(), f.heap_bytes())))
+        type Read = Result<Result<KeyFreq, String>, DecodeError>;
+        let pairs = |r: &Read| {
+            r.clone().map(|inner| {
+                inner.map(|f| {
+                    let mut p: Vec<(i64, u64)> = f.iter().collect();
+                    p.sort_unstable();
+                    p
+                })
+            })
         };
+        let layout = |f: &KeyFreq| (f.iter().collect::<Vec<_>>(), f.heap_bytes());
         let mut state = 5u64;
         let mut next = || {
             state = state
@@ -395,6 +466,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 24
         };
+        let mut sound = 0;
         for round in 0..3000 {
             let mut entries = base.clone();
             for _ in 0..round % 4 {
@@ -417,7 +489,72 @@ mod tests {
             }
             let streamed = KeyFreq::from_sorted_entries(&mut Dec::new(&b), "freq");
             let want = per_entry(&mut Dec::new(&b));
-            assert_eq!(layout(streamed), layout(want), "round {round}");
+            assert_eq!(pairs(&streamed), pairs(&want), "round {round}");
+            if let (Ok(Ok(mut got)), Ok(Ok(mut want))) = (streamed, want) {
+                assert!(got.sorted && !want.sorted, "round {round}");
+                // An existing value with room to count, or a new one.
+                let v = base[next() as usize % base.len()].0;
+                let v = if next() % 2 == 0 && (1..1000).contains(&want.get(v)) {
+                    v
+                } else {
+                    2000 + (next() % 1000) as i64
+                };
+                assert_eq!(got.add(v, 1), want.add(v, 1), "round {round}");
+                assert!(!got.sorted, "round {round}");
+                assert_eq!(layout(&got), layout(&want), "round {round}");
+                sound += 1;
+            }
+        }
+        assert!(sound > 100, "only {sound} sound streams");
+    }
+
+    /// `get`, `iter`, `len`, `sorted_entries` and `==` answer the same for
+    /// a map read into the sorted form and the slab it was saved from: the
+    /// empty map, negative values and the `i64` extremes included.
+    #[test]
+    fn sorted_and_slab_forms_answer_alike() {
+        let mut state = 11u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 24
+        };
+        for round in 0..300 {
+            let n = if round == 0 { 0 } else { next() as usize % 300 };
+            let mut slab = KeyFreq::new();
+            for _ in 0..n {
+                let v = match next() % 4 {
+                    0 => i64::MIN + (next() % 3) as i64,
+                    1 => i64::MAX - (next() % 3) as i64,
+                    2 => -((next() % 1000) as i64),
+                    _ => (next() % 1000) as i64,
+                };
+                slab.add(v, 1 + next() % 5);
+            }
+            let sorted = read(&slab.sorted_entries()).unwrap();
+            assert!(sorted.sorted && !slab.sorted, "round {round}");
+            assert_eq!(sorted.len(), slab.len(), "round {round}");
+            assert_eq!(sorted.is_empty(), n == 0, "round {round}");
+            // Equality probes the other side: both directions.
+            assert_eq!(sorted, slab, "round {round}");
+            assert_eq!(slab, sorted, "round {round}");
+            let entries = slab.sorted_entries();
+            assert_eq!(sorted.sorted_entries(), entries, "round {round}");
+            assert_eq!(sorted.iter().collect::<Vec<_>>(), entries, "round {round}");
+            let mut probes = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+            for &(v, _) in &entries {
+                probes.extend([v.wrapping_sub(1), v, v.wrapping_add(1)]);
+            }
+            for v in probes {
+                assert_eq!(sorted.get(v), slab.get(v), "round {round}, value {v}");
+            }
+            if let Some(&(v, _)) = entries.first() {
+                let mut more = slab.clone();
+                more.add(v, 1);
+                assert_ne!(sorted, more, "round {round}");
+                assert_ne!(more, sorted, "round {round}");
+            }
         }
     }
 

@@ -23,7 +23,10 @@ pub struct KeyStats {
     pub bin_mfv: Vec<f64>,
     /// Distinct values per bin (diagnostics; enables NDV-based baselines).
     pub bin_ndv: Vec<f64>,
-    /// Value→count frequency map (kept for GBSA and incremental updates).
+    /// Value→count frequency map. Estimation never reads it: it is kept
+    /// for [`Self::insert`] (incremental updates) and for re-saving the
+    /// model. A loaded model holds it in its sorted form until an insert
+    /// needs the slab (see [`KeyFreq`]).
     pub freq: KeyFreq,
 }
 

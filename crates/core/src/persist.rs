@@ -16,10 +16,13 @@
 //! one bit for bit — trained or updated (§4.3), with any config — and a
 //! cold start pays a decode instead of a training pass. The decode pays
 //! per byte, not per call: maps fill their slabs straight from the bytes,
-//! with no vector of entries in between. On the benchmark's `lifecycle`
-//! model (827 617 bytes) it takes ≈ 4.6 ms, down from ≈ 8.1 ms; read
-//! sections + CRC 0.66 → 0.28, `GROUP_BINS` 1.29 → 0.58, `KEY_STATS`
-//! 4.07 → 2.47 and the tables 2.04 → 1.24 ms (the split is in [`binary`]).
+//! with no vector of entries in between, and the key frequency maps, which
+//! only an update or a re-save reads, stay in the sorted form the bytes
+//! hold until an update needs a slab. On the benchmark's `lifecycle` model
+//! (827 617 bytes) the decode takes ≈ 3.0 ms, down from ≈ 4.7 ms with a
+//! slab built per key at load (and ≈ 8.1 ms before maps were filled from
+//! the bytes); `KEY_STATS` alone 2.47 → 0.90 ms (the split is in
+//! [`binary`]).
 //! The catalog a load is given is checked, not read: it must hold exactly
 //! the file's tables with the same column names and types.
 //!
@@ -174,10 +177,33 @@ mod tests {
     use super::*;
     use crate::binning::{BinBudget, BinningStrategy};
     use crate::model::BaseEstimatorKind;
-    use fj_datagen::{stats_catalog, StatsConfig};
+    use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
     use fj_query::parse_query;
     use fj_stats::BnConfig;
     use fj_storage::{ColumnDef, DataType, Table, TableSchema, Value};
+
+    /// Serving a loaded model reads no key's frequency map, so every map
+    /// stays in the sorted form it was read in and no slab is built.
+    #[test]
+    fn serving_a_loaded_model_builds_no_frequency_slab() {
+        let cat = stats_catalog(&StatsConfig {
+            scale: 0.05,
+            ..Default::default()
+        });
+        let model = FactorJoinModel::train(&cat, FactorJoinConfig::default());
+        let loaded = binary::decode(&binary::encode(&model))
+            .unwrap()
+            .into_model(&cat)
+            .unwrap();
+        let queries = stats_ceb_workload(&cat, &WorkloadConfig::stats_ceb());
+        for q in &queries {
+            assert!(!loaded.estimate_subplans(q, 1).is_empty());
+        }
+        assert_eq!(loaded.iter_keys().count(), 13);
+        for (key, _, stats) in loaded.iter_keys() {
+            assert!(stats.freq.is_sorted_form(), "{key:?} built a slab");
+        }
+    }
 
     #[test]
     fn save_load_roundtrip_preserves_estimates() {

@@ -63,25 +63,37 @@
 //! ## Decode cost
 //!
 //! A load pays per byte, not per call ([`fj_storage::codec`]'s hot-path
-//! rule): the maps fill their slabs straight from the byte stream, the
+//! rule): the group maps fill their slabs straight from the byte stream,
+//! each key's frequency map keeps the sorted columns the bytes hold, the
 //! key statistics' `f64` vectors and a network's counts fill slabs sized
 //! once, and the CRC runs slice-by-16. On the benchmark's `lifecycle`
 //! model (STATS scale 10, 827 617 bytes; 78 k group entries, 220 k
-//! frequency entries), the median of 400 decodes on a 2-core Xeon VM,
-//! before → after:
+//! frequency entries) on a 2-core Xeon VM, the fastest of six alternating
+//! blocks of 400 decodes, frequency slabs built at load → kept sorted:
 //!
 //! | step | ms |
 //! |---|---:|
-//! | read sections + CRC | 0.66 → 0.28 |
-//! | `GROUP_BINS` | 1.29 → 0.58 |
-//! | `KEY_STATS` | 4.07 → 2.47 |
-//! | eight `TABLE`s (of which the networks' `recompute_derived`) | 2.04 (0.72) → 1.24 (0.68) |
-//! | whole decode | 8.1 → 4.6 |
+//! | read sections + CRC | 0.28 → 0.27 |
+//! | `GROUP_BINS` | 0.64 → 0.59 |
+//! | `KEY_STATS` | 2.47 → 0.90 |
+//! | eight `TABLE`s | 1.27 → 1.20 |
+//! | whole decode | 4.70 → 3.00 |
 //!
-//! What is left is mostly memory: a frequency map's slab is sized for its
+//! The medians of the six blocks, which the VM's slow phases inflate, move
+//! alike: `KEY_STATS` 3.28 → 1.30, whole decode 6.62 → 4.21 ms. (Before
+//! maps were filled from the bytes, the whole decode took 8.1 ms.)
+//!
+//! What is left is mostly memory: a group map's slab is sized for its
 //! entries and each entry lands at its hash, so filling it is one
 //! scattered write an entry; and the derived network state is recomputed
-//! by the code the fit uses, so a reload stays bit-identical.
+//! by the code the fit uses, so a reload stays bit-identical. A frequency
+//! map skips that write because estimation never reads it: the load keeps
+//! its dense columns (16 bytes an entry, written in order), and the first
+//! update that inserts into the key builds the slab a load used to build,
+//! slot for slot. That moves ≈ 0.7 ms into the first `updated_with` of a
+//! loaded model (fastest blocks of 100 runs: 6.9 → 7.6 ms), against
+//! ≈ 1.8 ms off the load (4.9 → 3.1 ms); load → first update is not
+//! slower (medians of four blocks of 100: 14.5 → 11.4 ms).
 //!
 //! ## Hostile-input discipline
 //!
@@ -825,8 +837,8 @@ mod tests {
     use fj_query::parse_query;
     use fj_storage::{Catalog, ColumnDef, DataType, Table, Value};
 
-    /// Same mixer as `fj_service::fault::splitmix64` (inlined — fj-core
-    /// must not depend on the service crate): keeps the fuzz sweep
+    /// The `splitmix64` mixer fj-service's seeded tests use (inlined —
+    /// fj-core must not depend on the service crate): keeps the fuzz sweep
     /// deterministic and replayable from a printed seed.
     fn splitmix64(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -71,7 +71,7 @@ fn an_update_leaves_every_bin_map_as_trained_and_shared() {
     for gid in 0..trained.report().num_groups {
         let (before, after) = (trained.group_bins(gid), updated.group_bins(gid));
         assert!(
-            before.raw_parts() == after.raw_parts(),
+            before.entries().eq(after.entries()) && before.heap_bytes() == after.heap_bytes(),
             "group {gid} changed: {} assigned values, then {}",
             before.assigned(),
             after.assigned()

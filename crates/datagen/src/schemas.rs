@@ -343,7 +343,7 @@ mod tests {
         assert_eq!(schemas.len(), 8);
         let keys: usize = schemas
             .iter()
-            .map(|(_, s)| s.join_key_indices().len())
+            .map(|(_, s)| s.columns().iter().filter(|c| c.join_key).count())
             .sum();
         assert_eq!(keys, 13, "13 join keys as in paper Table 2");
     }

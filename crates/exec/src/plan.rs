@@ -38,21 +38,6 @@ impl PlanNode {
         }
     }
 
-    /// Collects the masks of all internal (join) nodes, bottom-up.
-    pub fn internal_masks(&self) -> Vec<SubplanMask> {
-        let mut out = Vec::new();
-        self.collect_internal(&mut out);
-        out
-    }
-
-    fn collect_internal(&self, out: &mut Vec<SubplanMask>) {
-        if let PlanNode::Join { left, right } = self {
-            left.collect_internal(out);
-            right.collect_internal(out);
-            out.push(self.mask());
-        }
-    }
-
     /// True when the tree is left-deep (every right child is a scan).
     pub fn is_left_deep(&self) -> bool {
         match self {
@@ -97,17 +82,11 @@ mod tests {
     }
 
     #[test]
-    fn internal_masks_bottom_up() {
-        let p = join(join(scan(0), scan(1)), scan(2));
-        assert_eq!(p.internal_masks(), vec![0b011, 0b111]);
-    }
-
-    #[test]
     fn left_deep_detection() {
         let ld = join(join(scan(0), scan(1)), scan(2));
         assert!(ld.is_left_deep());
         let bushy = join(join(scan(0), scan(1)), join(scan(2), scan(3)));
         assert!(!bushy.is_left_deep());
-        assert_eq!(bushy.internal_masks().len(), 3);
+        assert_eq!(bushy.num_leaves(), 4);
     }
 }

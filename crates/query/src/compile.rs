@@ -33,6 +33,12 @@ enum CompiledPred {
     FloatCmp { col: usize, op: CmpOp, v: f64 },
     /// Integer range (inclusive).
     IntBetween { col: usize, lo: i64, hi: i64 },
+    /// Integer range (inclusive) with a float bound.
+    IntBetweenF {
+        col: usize,
+        lo: NumBound,
+        hi: NumBound,
+    },
     /// Float range (inclusive).
     FloatBetween { col: usize, lo: f64, hi: f64 },
     /// Integer set membership: `ints` (sorted) exactly, or `floats`
@@ -50,6 +56,34 @@ enum CompiledPred {
     IsNull { col: usize, negated: bool },
     /// Statically false (e.g. type-mismatched literal).
     Never,
+}
+
+/// A numeric bound of an integer column's range, compared as
+/// `Value::sql_cmp` compares: an integer exactly, a float against the row
+/// widened to `f64` (so a NaN bound holds for no row).
+#[derive(Clone, Copy)]
+enum NumBound {
+    Int(i64),
+    Float(f64),
+}
+
+impl NumBound {
+    fn of(v: &Value) -> Option<Self> {
+        match v {
+            Value::Int(i) => Some(NumBound::Int(*i)),
+            Value::Float(f) => Some(NumBound::Float(*f)),
+            _ => None,
+        }
+    }
+
+    /// `x <op> self`.
+    #[inline]
+    fn holds(self, op: CmpOp, x: i64) -> bool {
+        match self {
+            NumBound::Int(v) => op.eval(x.cmp(&v)),
+            NumBound::Float(v) => cmp_holds(op, x as f64, v),
+        }
+    }
 }
 
 /// A compiled boolean filter for one specific table.
@@ -155,15 +189,11 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
                     lo: *a,
                     hi: *b,
                 },
-                _ => match (lo.as_float(), hi.as_float()) {
-                    (Some(a), Some(b)) => {
-                        // Integer column, float bounds: tighten to ints.
-                        CompiledPred::IntBetween {
-                            col,
-                            lo: a.ceil() as i64,
-                            hi: b.floor() as i64,
-                        }
-                    }
+                // Not tightened to integers: `ceil` of a NaN bound casts to
+                // 0, and past 2^53 a row widened to `f64` can round onto
+                // a bound it is below.
+                _ => match (NumBound::of(lo), NumBound::of(hi)) {
+                    (Some(lo), Some(hi)) => CompiledPred::IntBetweenF { col, lo, hi },
                     _ => CompiledPred::Never,
                 },
             },
@@ -391,6 +421,12 @@ fn select_pred(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine) {
             let c = table.column(*col);
             select_values(c, c.ints(), dst, how, |x| (*lo..=*hi).contains(&x));
         }
+        CompiledPred::IntBetweenF { col, lo, hi } => {
+            let c = table.column(*col);
+            select_values(c, c.ints(), dst, how, |x| {
+                lo.holds(CmpOp::Ge, x) && hi.holds(CmpOp::Le, x)
+            });
+        }
         CompiledPred::FloatBetween { col, lo, hi } => {
             let c = table.column(*col);
             select_values(c, c.floats(), dst, how, |x| (*lo..=*hi).contains(&x));
@@ -503,6 +539,44 @@ mod tests {
         check(FilterExpr::pred(Predicate::cmp("f", CmpOp::Gt, 0)));
         check(FilterExpr::pred(Predicate::cmp("f", CmpOp::Le, 2.5)));
         check(FilterExpr::pred(Predicate::cmp("a", CmpOp::Gt, 4.5)));
+    }
+
+    /// A float bound on an integer column compares as `sql_cmp` does: a
+    /// NaN bound holds for no row (tightening it to an integer once made it
+    /// 0), and past 2^53 the row is widened, not the bound tightened.
+    #[test]
+    fn float_bounds_on_an_int_column_match_reference() {
+        check(FilterExpr::pred(Predicate::between("a", f64::NAN, 9)));
+        check(FilterExpr::pred(Predicate::between("a", 2, f64::NAN)));
+        check(FilterExpr::pred(Predicate::between(
+            "a",
+            f64::NEG_INFINITY,
+            5.5,
+        )));
+        check(FilterExpr::pred(Predicate::between(
+            "a",
+            -0.0,
+            f64::INFINITY,
+        )));
+        let big = 1i64 << 60;
+        let schema = TableSchema::new(vec![ColumnDef::new("a", DataType::Int)]);
+        let rows: Vec<Vec<Value>> = [big - 1, big, big + 1, i64::MAX]
+            .into_iter()
+            .map(|v| vec![Value::Int(v)])
+            .collect();
+        let t = Table::from_rows("t", schema, &rows).unwrap();
+        for expr in [
+            Predicate::between("a", big as f64, i64::MAX),
+            Predicate::between("a", big - 1, big as f64),
+            Predicate::between("a", f64::NAN, i64::MAX),
+        ] {
+            let expr = FilterExpr::pred(expr);
+            assert_eq!(
+                filtered_selection(&t, &expr),
+                reference(&t, &expr),
+                "{expr}"
+            );
+        }
     }
 
     #[test]

@@ -184,25 +184,6 @@ impl QueryGraph {
     pub fn neighbor_mask(&self, alias: usize) -> u64 {
         self.bits[alias]
     }
-
-    /// Maximum number of distinct join keys in any single alias — the
-    /// `max(|JK|)` exponent in the paper's complexity analysis (§3.2).
-    pub fn max_keys_per_alias(&self) -> usize {
-        self.key_start
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The variable id of a given (alias, column) key, if it is a join key
-    /// of this query.
-    pub fn var_of(&self, alias: usize, column: usize) -> Option<usize> {
-        self.alias_keys(alias)
-            .iter()
-            .find(|&&(c, _)| c == column)
-            .map(|&(_, v)| v)
-    }
 }
 
 /// Index of `key` in `keys`, appending it (variable not yet known) on
@@ -278,7 +259,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![2, 2, 3]);
         // Max join keys in one table is 2 (paper: exponent = 2 for Q2).
-        assert_eq!(g.max_keys_per_alias(), 2);
+        let max_keys = (0..4).map(|a| g.alias_keys(a).len()).max();
+        assert_eq!(max_keys, Some(2));
     }
 
     #[test]
@@ -357,7 +339,12 @@ mod tests {
         let g = QueryGraph::analyze(&q);
         let a_id_col = cat.table("a").unwrap().schema().index_of("id").unwrap();
         let b_aid_col = cat.table("b").unwrap().schema().index_of("a_id").unwrap();
-        assert_eq!(g.var_of(0, a_id_col), g.var_of(1, b_aid_col));
-        assert_eq!(g.var_of(3, 99), None);
+        let var_of = |alias: usize, column: usize| {
+            let keys = g.alias_keys(alias);
+            keys.iter().find(|&&(c, _)| c == column).map(|&(_, v)| v)
+        };
+        assert!(var_of(0, a_id_col).is_some());
+        assert_eq!(var_of(0, a_id_col), var_of(1, b_aid_col));
+        assert_eq!(var_of(3, 99), None);
     }
 }

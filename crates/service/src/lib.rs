@@ -76,7 +76,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod fault;
 pub mod queue;
 pub mod registry;
 pub mod request;
@@ -86,7 +85,6 @@ pub mod stats;
 mod worker;
 
 pub use cache::SubplanCache;
-pub use fault::{CutKind, FaultPlan, FaultProxy, FaultScript, FaultyStream};
 pub use registry::{ModelHandle, ModelRegistry};
 pub use request::{
     AdmissionRejected, BatchTicket, EstimateRequest, EstimateResponse, RejectReason, ServiceError,

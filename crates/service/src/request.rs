@@ -34,12 +34,6 @@ impl EstimateRequest {
         }
     }
 
-    /// Targets a specific registry dataset.
-    pub fn on_dataset(mut self, dataset: &str) -> Self {
-        self.dataset = Some(dataset.to_string());
-        self
-    }
-
     /// Restricts the response to sub-plans with at least `min_size` aliases.
     pub fn with_min_size(mut self, min_size: u32) -> Self {
         self.min_size = min_size;

@@ -1365,7 +1365,7 @@ pub(crate) mod tests {
     /// panicking. Reproducible: a failure prints the seed that found it.
     #[test]
     fn seeded_byte_mutation_fuzz_never_panics() {
-        use crate::fault::splitmix64;
+        use super::super::retry::splitmix64;
 
         let q = sample_query();
         let report = HealthReport {

@@ -202,12 +202,6 @@ impl EstimatorService {
         &self.pool.registry
     }
 
-    /// The sub-plan estimate cache, or `None` when disabled
-    /// ([`ServiceConfig::subplan_cache_entries`] = 0).
-    pub fn subplan_cache(&self) -> Option<&Arc<SubplanCache>> {
-        self.pool.cache.as_ref()
-    }
-
     /// Requests queued but not yet picked up by a worker (a health-probe
     /// load signal).
     pub fn queue_depth(&self) -> usize {
@@ -327,10 +321,9 @@ mod tests {
     fn unknown_dataset_errors() {
         let (model, wl) = tiny_setup();
         let service = EstimatorService::serve("stats", model, 1);
-        let err = service
-            .submit_request(EstimateRequest::new(wl[0].clone()).on_dataset("nope"))
-            .wait()
-            .unwrap_err();
+        let mut request = EstimateRequest::new(wl[0].clone());
+        request.dataset = Some("nope".into());
+        let err = service.submit_request(request).wait().unwrap_err();
         assert_eq!(err, ServiceError::UnknownDataset("nope".into()));
         assert_eq!(service.stats().errors, 1);
     }

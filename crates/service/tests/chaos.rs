@@ -20,11 +20,15 @@ use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_query::Query;
 use fj_service::{
-    BatchOutcome, ClientConfig, FaultPlan, FaultProxy, FjClient, FjServer, RetryPolicy,
-    ServerConfig, ShardSpec,
+    BatchOutcome, ClientConfig, FjClient, FjServer, RetryPolicy, ServerConfig, ShardSpec,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[path = "support/fault.rs"]
+mod fault;
+
+use fault::{FaultPlan, FaultProxy};
 
 /// Per-call budget for clients talking through the proxy.
 const CHAOS_BUDGET: Duration = Duration::from_secs(1);
@@ -208,7 +212,7 @@ fn seeded_chaos_episodes_never_wedge_the_server() {
 /// each direction, each followed by the clean-path check.
 #[test]
 fn directed_stall_and_sever_episodes_are_bounded() {
-    use fj_service::FaultScript;
+    use fault::FaultScript;
 
     let catalog = stats_catalog(&StatsConfig {
         scale: 0.02,

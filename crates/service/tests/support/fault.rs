@@ -1,4 +1,4 @@
-//! Deterministic fault injection for resilience testing.
+//! Deterministic fault injection for the chaos suite (`tests/chaos.rs`).
 //!
 //! Everything here is reproducible from a `u64` seed: a failing chaos run
 //! prints its seed, and re-running with that seed replays the exact same
@@ -27,10 +27,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The `splitmix64` PRNG step: advances `state` and returns the next
-/// pseudo-random value. This is the one generator behind every seeded
-/// fault schedule, retry jitter, and fuzz mutation in the crate, so a seed
-/// means the same byte stream everywhere.
-pub fn splitmix64(state: &mut u64) -> u64 {
+/// pseudo-random value. Every seeded fault schedule derives from it (the
+/// same generator as the client's retry jitter).
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -73,14 +72,6 @@ impl FaultScript {
     pub fn chunked() -> Self {
         FaultScript {
             chunk: true,
-            ..Default::default()
-        }
-    }
-
-    /// A single delay before the byte at `offset`.
-    pub fn delay_at(offset: u64, delay: Duration) -> Self {
-        FaultScript {
-            delay: Some((offset, delay)),
             ..Default::default()
         }
     }
@@ -403,21 +394,6 @@ fn pump(mut src: TcpStream, dst: TcpStream, script: FaultScript, stop: &AtomicBo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix64_is_deterministic_and_seed_sensitive() {
-        let mut a = 42u64;
-        let mut b = 42u64;
-        let seq_a: Vec<u64> = (0..8).map(|_| splitmix64(&mut a)).collect();
-        let seq_b: Vec<u64> = (0..8).map(|_| splitmix64(&mut b)).collect();
-        assert_eq!(seq_a, seq_b, "same seed, same stream");
-        let mut c = 43u64;
-        let seq_c: Vec<u64> = (0..8).map(|_| splitmix64(&mut c)).collect();
-        assert_ne!(seq_a, seq_c, "different seed, different stream");
-        // Known-good first output for seed 0 (reference splitmix64).
-        let mut zero = 0u64;
-        assert_eq!(splitmix64(&mut zero), 0xe220_a839_7b1d_cdaf);
-    }
 
     #[test]
     fn fault_plans_replay_identically_from_a_seed() {

@@ -601,11 +601,6 @@ impl BayesNetEstimator {
         self.prior = prior;
     }
 
-    /// Number of network nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.cols.len()
-    }
-
     /// Parent array (diagnostic / tests).
     pub fn structure(&self) -> &[Option<usize>] {
         &self.parent
@@ -1306,7 +1301,7 @@ mod tests {
     /// `P(evidence)` and, per node, `P(node = c, evidence)`, with `ev[i]`
     /// the per-code evidence weights of node i (`None`: no evidence).
     fn enumerate_joint(bn: &BayesNetEstimator, ev: &[Option<Vec<f64>>]) -> (f64, Vec<Vec<f64>>) {
-        let m = bn.num_nodes();
+        let m = bn.cols.len();
         let mut state = vec![0usize; m];
         let mut p_evidence = 0.0;
         let mut with_evidence: Vec<Vec<f64>> = (0..m).map(|i| vec![0.0; bn.k(i)]).collect();

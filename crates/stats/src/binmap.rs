@@ -128,12 +128,6 @@ impl KeyBinMap {
         self.keys.len() * 8 + self.bins.len() * 4
     }
 
-    /// The raw open-addressing slabs as `(k, keys, bins, len)`: equal raw
-    /// parts mean an identical slab layout, not only identical lookups.
-    pub fn raw_parts(&self) -> (usize, &[i64], &[u32], usize) {
-        (self.k, &self.keys, &self.bins, self.len)
-    }
-
     /// The explicit assignments sorted by value — the canonical form a
     /// model file stores, whatever order the slab holds them in.
     pub fn sorted_entries(&self) -> Vec<(i64, u32)> {
@@ -262,6 +256,11 @@ mod tests {
     use super::*;
     use fj_storage::codec::{encode_entries, Enc};
 
+    /// The whole slab: bin count, slots, assigned values and where they sit.
+    fn layout(m: &KeyBinMap) -> (usize, Vec<i64>, Vec<u32>, usize) {
+        (m.k, m.keys.clone(), m.bins.clone(), m.len)
+    }
+
     #[test]
     fn explicit_assignments_resolve() {
         let map: HashMap<i64, u32> = [(10, 0), (20, 1), (30, 1)].into_iter().collect();
@@ -334,7 +333,7 @@ mod tests {
         assert_eq!(back.sorted_entries(), entries);
         // The same slab as `new` fed the sorted entries.
         let sorted = KeyBinMap::new(b.k(), entries.iter().copied());
-        assert_eq!(back.raw_parts(), sorted.raw_parts());
+        assert_eq!(layout(&back), layout(&sorted));
     }
 
     /// The rebuild `from_sorted_entries` replaced: collect every pair,
@@ -377,12 +376,7 @@ mod tests {
             .map(|(v, b)| (v, b.into()))
             .collect();
         let parts = |r: Result<Result<KeyBinMap, String>, DecodeError>| {
-            r.map(|inner| {
-                inner.map(|m| {
-                    let (k, keys, bins, len) = m.raw_parts();
-                    (k, keys.to_vec(), bins.to_vec(), len)
-                })
-            })
+            r.map(|inner| inner.map(|m| layout(&m)))
         };
         let mut state = 3u64;
         let mut next = || {

@@ -155,11 +155,6 @@ impl SamplingEstimator {
             self.base_rows / self.sample.nrows() as f64
         }
     }
-
-    /// Number of sampled rows (diagnostic).
-    pub fn sample_rows(&self) -> usize {
-        self.sample.nrows()
-    }
 }
 
 impl BaseTableEstimator for SamplingEstimator {
@@ -288,7 +283,7 @@ mod tests {
     fn full_rate_sampling_is_exact() {
         let t = table(1000);
         let est = SamplingEstimator::build(&t, &bins_for(5), 1.0, 7);
-        assert_eq!(est.sample_rows(), 1000);
+        assert_eq!(est.sample.nrows(), 1000);
         let f = FilterExpr::pred(Predicate::cmp("x", CmpOp::Lt, 50));
         assert_eq!(est.estimate_filter(&f), 500.0);
     }
@@ -406,7 +401,7 @@ mod tests {
             t.append_rows(&new_rows).unwrap();
             est.insert(&t, first_new_row);
 
-            assert_eq!(est.keys[0].bin_ids.len(), est.sample_rows());
+            assert_eq!(est.keys[0].bin_ids.len(), est.sample.nrows());
             assert_eq!(est.keys[0].bin_ids[..ids_before.len()], ids_before[..]);
             let cached = est.profile(&FilterExpr::True, &["id"]);
             let recount = est.profile(&tautology(), &["id"]);
@@ -414,7 +409,7 @@ mod tests {
             let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&cached.key_dists[0]), bits(&recount.key_dists[0]));
         }
-        assert!(est.sample_rows() > ids_before.len() + 400);
+        assert!(est.sample.nrows() > ids_before.len() + 400);
     }
 
     #[test]

@@ -20,15 +20,6 @@ impl NullBitmap {
         Self::default()
     }
 
-    /// Creates a bitmap of `len` rows, all valid (non-null).
-    pub fn all_valid(len: usize) -> Self {
-        NullBitmap {
-            words: Vec::new(),
-            len,
-            null_count: 0,
-        }
-    }
-
     /// Number of rows tracked.
     pub fn len(&self) -> usize {
         self.len
@@ -105,12 +96,14 @@ mod tests {
 
     #[test]
     fn all_valid_has_no_nulls() {
-        let b = NullBitmap::all_valid(1000);
+        let mut b = NullBitmap::new();
+        (0..1000).for_each(|_| b.push(false));
         assert_eq!(b.len(), 1000);
         assert_eq!(b.null_count(), 0);
         assert!(!b.is_null(0));
         assert!(!b.is_null(999));
         assert!(b.no_nulls());
+        assert_eq!(b.heap_bytes(), 0, "all-valid rows allocate no words");
     }
 
     #[test]

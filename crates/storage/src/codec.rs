@@ -438,7 +438,7 @@ pub fn encode_table(e: &mut Enc, table: &Table) {
         let nulls = col.nulls();
         e.len(nulls.null_count());
         let mut prev = 0usize;
-        for r in (0..n).filter(|&r| nulls.is_null(r)) {
+        for r in nulls.null_indices() {
             e.len(r - prev);
             prev = r + 1;
         }

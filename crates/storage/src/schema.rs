@@ -98,16 +98,6 @@ impl TableSchema {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
-
-    /// Indices of all join-key columns.
-    pub fn join_key_indices(&self) -> Vec<usize> {
-        self.columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.join_key)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +124,8 @@ mod tests {
 
     #[test]
     fn join_key_indices_only_keys() {
-        assert_eq!(schema().join_key_indices(), vec![0, 3]);
+        let keys: Vec<bool> = schema().columns().iter().map(|c| c.join_key).collect();
+        assert_eq!(keys, vec![true, false, false, true]);
     }
 
     #[test]
