@@ -75,7 +75,7 @@ impl KeyFreq {
     pub fn with_capacity(n: usize) -> Self {
         let mut f = Self::default();
         if n > 0 {
-            f.grow_to((n * 8 / 7 + 1).next_power_of_two().max(8));
+            f.grow_to(slots_for(n));
         }
         f
     }
@@ -236,17 +236,15 @@ impl KeyFreq {
         self.len += 1;
     }
 
-    /// Makes room for one more value: turns a sorted map into its slab,
-    /// then doubles the slab if it is still too full.
+    /// Makes room for one more value: turns a sorted map into its slab —
+    /// sized as [`Self::with_capacity`] sizes it and filled in value order
+    /// — then doubles the slab if it is still too full.
     #[cold]
     #[inline(never)]
     fn make_room(&mut self) {
         if self.sorted {
-            let mut slab = Self::with_capacity(self.len);
-            for (&v, &c) in self.keys.iter().zip(&self.counts) {
-                slab.insert_new(v, c);
-            }
-            *self = slab;
+            self.sorted = false;
+            self.grow_to(slots_for(self.len));
         }
         if self.counts.is_empty() || self.len * 8 >= self.keys.len() * 7 {
             self.grow_to((self.keys.len() * 2).max(8));
@@ -264,6 +262,11 @@ impl KeyFreq {
             }
         }
     }
+}
+
+/// Slab slots for `n` values under the 7/8 load limit.
+fn slots_for(n: usize) -> usize {
+    (n * 8 / 7 + 1).next_power_of_two().max(8)
 }
 
 /// Fibonacci-style multiply-rotate mix — same family as the `KeyBinMap`
@@ -509,8 +512,9 @@ mod tests {
     }
 
     /// `get`, `iter`, `len`, `sorted_entries` and `==` answer the same for
-    /// a map read into the sorted form and the slab it was saved from: the
-    /// empty map, negative values and the `i64` extremes included.
+    /// a map read into the sorted form and the slab it was saved from, and
+    /// its first `add` builds the slab the per-entry load built: the empty
+    /// map, negative values and the `i64` extremes included.
     #[test]
     fn sorted_and_slab_forms_answer_alike() {
         let mut state = 11u64;
@@ -549,6 +553,16 @@ mod tests {
             for v in probes {
                 assert_eq!(sorted.get(v), slab.get(v), "round {round}, value {v}");
             }
+            // The first add builds the slab the per-entry load built.
+            let mut loaded = sorted.clone();
+            let mut want = KeyFreq::with_capacity(entries.len());
+            entries.iter().for_each(|&(v, c)| {
+                want.add(v, c);
+            });
+            let v = (next() % 2000) as i64 - 1000;
+            assert_eq!(loaded.add(v, 1), want.add(v, 1), "round {round}");
+            let layout = |f: &KeyFreq| (f.iter().collect::<Vec<_>>(), f.heap_bytes());
+            assert_eq!(layout(&loaded), layout(&want), "round {round}");
             if let Some(&(v, _)) = entries.first() {
                 let mut more = slab.clone();
                 more.add(v, 1);

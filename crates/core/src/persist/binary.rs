@@ -90,10 +90,11 @@
 //! map skips that write because estimation never reads it: the load keeps
 //! its dense columns (16 bytes an entry, written in order), and the first
 //! update that inserts into the key builds the slab a load used to build,
-//! slot for slot. That moves ≈ 0.7 ms into the first `updated_with` of a
-//! loaded model (fastest blocks of 100 runs: 6.9 → 7.6 ms), against
-//! ≈ 1.8 ms off the load (4.9 → 3.1 ms); load → first update is not
-//! slower (medians of four blocks of 100: 14.5 → 11.4 ms).
+//! slot for slot. That moves ≈ 0.7–1.2 ms into the first `updated_with`
+//! of a loaded model (fastest blocks of 100 runs in two sessions: 6.9 →
+//! 7.6 and 6.9 → 8.1 ms), against ≈ 1.6–1.8 ms off the load (4.9 →
+//! 3.1–3.3 ms); load → first update is not slower (medians of four
+//! blocks of 100: 14.5 → 11.4 and 13.2 → 11.8 ms).
 //!
 //! ## Hostile-input discipline
 //!

@@ -189,9 +189,9 @@ fn compile_pred(table: &Table, p: &Predicate) -> CompiledPred {
                     lo: *a,
                     hi: *b,
                 },
-                // Not tightened to integers: `ceil` of a NaN bound casts to
-                // 0, and past 2^53 a row widened to `f64` can round onto
-                // a bound it is below.
+                // Kept as `sql_cmp` compares, not tightened to integers: a
+                // NaN bound would cast to 0, and past 2^53 a row widened
+                // to `f64` can round onto a bound it is below.
                 _ => match (NumBound::of(lo), NumBound::of(hi)) {
                     (Some(lo), Some(hi)) => CompiledPred::IntBetweenF { col, lo, hi },
                     _ => CompiledPred::Never,
@@ -542,8 +542,8 @@ mod tests {
     }
 
     /// A float bound on an integer column compares as `sql_cmp` does: a
-    /// NaN bound holds for no row (tightening it to an integer once made it
-    /// 0), and past 2^53 the row is widened, not the bound tightened.
+    /// NaN bound holds for no row, and past 2^53 the row is widened, not
+    /// the bound tightened.
     #[test]
     fn float_bounds_on_an_int_column_match_reference() {
         check(FilterExpr::pred(Predicate::between("a", f64::NAN, 9)));
