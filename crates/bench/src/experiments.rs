@@ -1,4 +1,4 @@
-//! One function per paper table/figure (see DESIGN.md §4 for the index).
+//! One function per paper table/figure; `fj_experiments`' usage text lists their ids.
 
 use crate::env::{BenchEnv, BenchKind};
 use crate::harness::{EndToEnd, MethodResult};

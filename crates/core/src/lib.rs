@@ -61,3 +61,7 @@ pub use model::{
 };
 pub use persist::binary::PersistError;
 pub use persist::{load_model, load_saved, save_model, SavedModel};
+
+// A query's key-group variables number at most its joins, so the join cap
+// keeps every variable id inside a factor.
+const _: () = assert!(fj_query::MAX_JOINS <= MAX_VARS);

@@ -45,6 +45,16 @@ pub struct JoinPredicate {
     pub right: ColRef,
 }
 
+/// The most join predicates a query may have. Analysis finds each join key
+/// by a linear scan of the keys before it, so its cost grows with the
+/// square of the join count; and a query's key-group variables number at
+/// most its joins, so this also keeps them within `factorjoin-core`'s
+/// `MAX_VARS` (256), the variables a factor can hold. [`Query::new`] and
+/// [`Query::from_wire_parts`] refuse a query over it with
+/// [`QueryError::TooManyJoins`]. The benchmark workloads have at most
+/// eight aliases a query.
+pub const MAX_JOINS: usize = 256;
+
 /// Errors from query construction/binding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -64,6 +74,8 @@ pub enum QueryError {
     Disconnected,
     /// More aliases than the sub-plan bitmask supports (64).
     TooManyAliases(usize),
+    /// More join predicates than [`MAX_JOINS`].
+    TooManyJoins(usize),
 }
 
 impl fmt::Display for QueryError {
@@ -86,6 +98,9 @@ impl fmt::Display for QueryError {
             }
             QueryError::Disconnected => write!(f, "join graph is not connected"),
             QueryError::TooManyAliases(n) => write!(f, "{n} aliases exceed the supported 64"),
+            QueryError::TooManyJoins(n) => {
+                write!(f, "{n} join predicates exceed the supported {MAX_JOINS}")
+            }
         }
     }
 }
@@ -95,7 +110,7 @@ impl std::error::Error for QueryError {}
 /// A bound join query: validated against a catalog.
 ///
 /// Invariants (enforced by [`Query::new`]):
-/// * aliases are unique and ≤ 64;
+/// * aliases are unique and ≤ 64, join predicates ≤ [`MAX_JOINS`];
 /// * every join column exists, is typed `Int` or `Str`, and joins relate two
 ///   *different* aliases (cyclic graphs and multiple edges are fine);
 /// * `filters[i]` applies to `tables[i]` and references existing columns;
@@ -120,6 +135,9 @@ impl Query {
     ) -> Result<Self, QueryError> {
         if tables.len() > 64 {
             return Err(QueryError::TooManyAliases(tables.len()));
+        }
+        if joins_by_name.len() > MAX_JOINS {
+            return Err(QueryError::TooManyJoins(joins_by_name.len()));
         }
         assert_eq!(
             tables.len(),
@@ -199,9 +217,9 @@ impl Query {
     /// the deserialization path for transport layers (e.g. the `fj-service`
     /// wire protocol) moving queries between processes.
     ///
-    /// Catalog-independent invariants are re-checked (alias count and
-    /// uniqueness, one filter per table, join endpoints in range and
-    /// relating distinct aliases, connectivity). Catalog-dependent checks
+    /// Catalog-independent invariants are re-checked (alias and join
+    /// counts, alias uniqueness, one filter per table, join endpoints in
+    /// range and relating distinct aliases, connectivity). Catalog-dependent checks
     /// (table/column existence and types) happened when the query was first
     /// bound with [`Query::new`] on the sending side; the receiver is
     /// expected to serve a model trained on the same schema.
@@ -212,6 +230,9 @@ impl Query {
     ) -> Result<Self, QueryError> {
         if tables.len() > 64 {
             return Err(QueryError::TooManyAliases(tables.len()));
+        }
+        if joins.len() > MAX_JOINS {
+            return Err(QueryError::TooManyJoins(joins.len()));
         }
         if tables.len() != filters.len() {
             // One filter slot per table reference is a structural invariant
@@ -579,6 +600,48 @@ mod tests {
         assert_eq!(sub.joins()[0].left.alias, 0);
         assert_eq!(sub.joins()[0].right.alias, 1);
         assert!(sub.is_connected());
+    }
+
+    /// A query of [`MAX_JOINS`] join predicates binds through the parser
+    /// and the wire path; one more is `TooManyJoins` on both, before the
+    /// graph is analyzed. On the wire path each join is its own key group,
+    /// so the cap is also the most variables a query can have.
+    #[test]
+    fn join_predicates_are_capped_on_both_paths() {
+        let cat = catalog();
+        for n in [MAX_JOINS - 1, MAX_JOINS, MAX_JOINS + 1] {
+            let want = (n > MAX_JOINS).then_some(QueryError::TooManyJoins(n));
+            let sql = format!(
+                "SELECT COUNT(*) FROM a AS a, b AS b WHERE {};",
+                vec!["a.id = b.a_id"; n].join(" AND ")
+            );
+            let parsed = crate::parser::parse_query(&cat, &sql);
+            match &want {
+                Some(e) => assert_eq!(parsed, Err(crate::ParseError::Bind(e.clone()))),
+                None => assert_eq!(parsed.unwrap().joins().len(), n),
+            }
+            let joins = (0..n)
+                .map(|c| JoinPredicate {
+                    left: ColRef {
+                        alias: 0,
+                        column: c,
+                    },
+                    right: ColRef {
+                        alias: 1,
+                        column: c,
+                    },
+                })
+                .collect();
+            let wired = Query::from_wire_parts(
+                vec![TableRef::new("a", "a"), TableRef::new("b", "b")],
+                joins,
+                vec![FilterExpr::True, FilterExpr::True],
+            );
+            match want {
+                Some(e) => assert_eq!(wired.unwrap_err(), e),
+                None => assert_eq!(crate::QueryGraph::analyze(&wired.unwrap()).num_vars(), n),
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use super::retry::RetryPolicy;
 use super::wire::{
     self, read_frame, write_frame, BatchOutcome, FrameRead, HealthReport, WireError, MAX_FRAME_LEN,
-    OP_BATCH_RESULT, OP_REJECTED, PROTOCOL_VERSION,
+    OP_BATCH_RESULT, OP_REJECTED,
 };
 use fj_obs::next_trace_id;
 use fj_query::Query;
@@ -158,12 +158,7 @@ impl FjClient {
         write_frame(&mut writer, &wire::encode_hello())?;
         let mut frame = Vec::new();
         read_reply(&mut reader, &mut frame)?;
-        let (theirs, datasets) = wire::decode_hello_ok(&frame)?;
-        if theirs != PROTOCOL_VERSION {
-            return Err(WireError::VersionMismatch { theirs }.into());
-        }
-
-        self.datasets = datasets;
+        self.datasets = wire::decode_hello_ok(&frame)?;
         self.conn = Some(Conn {
             reader,
             writer,
@@ -475,7 +470,7 @@ mod tests {
     use fj_storage::Value;
     use std::io::BufReader as StdBufReader;
     use std::net::TcpListener;
-    use wire::WireEstimates;
+    use wire::{WireEstimates, PROTOCOL_VERSION};
 
     fn one_query() -> Query {
         Query::from_wire_parts(
@@ -705,9 +700,9 @@ mod tests {
             let mut reader = StdBufReader::new(stream);
             let mut frame = Vec::new();
             read_frame(&mut reader, &mut frame).expect("hello");
-            let mut hello_ok = wire::Enc::new(wire::OP_HELLO_OK);
-            hello_ok.u32(PROTOCOL_VERSION + 1);
-            hello_ok.u32(0); // no datasets
+            let mut hello_ok = wire::begin(wire::OP_HELLO_OK);
+            hello_ok.varint((PROTOCOL_VERSION + 1).into());
+            hello_ok.len(0); // no datasets
             write_frame(&mut writer, &hello_ok.finish()).expect("hello_ok");
         });
         let Err(err) = FjClient::connect(addr) else {

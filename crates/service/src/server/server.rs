@@ -587,7 +587,8 @@ fn reader_loop(
                 reply(&wire::encode_metrics_ok(&shared.metrics_text()))?;
                 continue;
             }
-            Some(wire::OP_ESTIMATE_BATCH) => {}
+            // An empty frame fails the batch decoder's opcode read.
+            Some(wire::OP_ESTIMATE_BATCH) | None => {}
             Some(tag) => {
                 return Err(wire::WireError::BadTag {
                     what: "opcode",
@@ -595,7 +596,6 @@ fn reader_loop(
                 }
                 .into())
             }
-            None => return Err(wire::WireError::Truncated.into()),
         }
         let batch = wire::decode_estimate_batch(buf)?;
         let id = batch.request_id;
@@ -1233,7 +1233,9 @@ mod tests {
 
     /// The handshake is exact-match: a client of another version gets the
     /// server's `HelloOk` (so it can name the mismatch), then a clean
-    /// close, and nothing it sends afterwards is answered.
+    /// close, and nothing it sends afterwards is answered — a version-4
+    /// client, whose hello holds its version as a fixed `u32`, and one of
+    /// the next version alike.
     #[test]
     fn a_client_of_another_version_gets_hello_ok_then_a_close() {
         let (model, wl) = tiny_setup();
@@ -1244,32 +1246,32 @@ mod tests {
         )
         .expect("bind");
 
-        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
-        let mut buf = Vec::new();
-        let mut hello = wire::Enc::new(wire::OP_HELLO);
-        hello.u32(PROTOCOL_VERSION + 1);
-        write_frame(&mut sock, &hello.finish()).unwrap();
-        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
-        let (version, datasets) = wire::decode_hello_ok(&buf).expect("hello ok");
-        assert_eq!(
-            version, PROTOCOL_VERSION,
-            "the server names its own version"
-        );
-        assert_eq!(datasets, ["stats"]);
-        assert_eq!(
-            read_frame(&mut reader, &mut buf).unwrap(),
-            FrameRead::CleanEof,
-            "then a clean close"
-        );
+        let mut next = wire::begin(wire::OP_HELLO);
+        next.varint((PROTOCOL_VERSION + 1).into());
+        let version_4 = [wire::OP_HELLO, 4, 0, 0, 0];
+        for hello in [version_4.to_vec(), next.finish()] {
+            let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+            let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+            let mut buf = Vec::new();
+            write_frame(&mut sock, &hello).unwrap();
+            assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
+            // Decoding succeeds only if the server names its own version.
+            let datasets = wire::decode_hello_ok(&buf).expect("hello ok");
+            assert_eq!(datasets, ["stats"]);
+            assert_eq!(
+                read_frame(&mut reader, &mut buf).unwrap(),
+                FrameRead::CleanEof,
+                "then a clean close"
+            );
 
-        // The socket is closed: a batch sent now is never answered.
-        let batch = wire::encode_estimate_batch(1, "stats", 1, &wl[..1], 0, 0);
-        let _ = write_frame(&mut sock, &batch);
-        assert!(!matches!(
-            read_frame(&mut reader, &mut buf),
-            Ok(FrameRead::Frame)
-        ));
+            // The socket is closed: a batch sent now is never answered.
+            let batch = wire::encode_estimate_batch(1, "stats", 1, &wl[..1], 0, 0);
+            let _ = write_frame(&mut sock, &batch);
+            assert!(!matches!(
+                read_frame(&mut reader, &mut buf),
+                Ok(FrameRead::Frame)
+            ));
+        }
         assert_eq!(server.stats("stats").expect("shard").requests, 0);
         server.shutdown();
     }

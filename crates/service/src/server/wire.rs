@@ -1,10 +1,14 @@
 //! The length-prefixed binary wire protocol shared by [`super::FjServer`]
 //! and [`super::FjClient`].
 //!
-//! Everything is hand-rolled on `std` (the build environment has no
-//! registry access, so no serde/tokio/tonic): little-endian fixed-width
-//! integers, `f64` as raw IEEE-754 bits (estimates cross the wire
-//! **bit-identical**), and length-prefixed UTF-8 strings.
+//! Every payload is written with [`fj_storage::codec::Enc`] and read with
+//! [`fj_storage::codec::Dec`], the codec `.fjm` models use: counts,
+//! lengths, indices, the version, epochs, masks and ids are LEB128
+//! varints, `Value::Int` is a zigzag varint, strings are length-prefixed
+//! UTF-8, and only `f64`s (raw IEEE-754 bits — estimates cross the wire
+//! **bit-identical**) and the random `trace_id` are fixed-width
+//! little-endian. A repeated field's count is checked against the bytes
+//! left before anything is allocated for it.
 //!
 //! ## Framing
 //!
@@ -34,20 +38,24 @@
 //! ## Versioning
 //!
 //! One layout per message and one version, [`PROTOCOL_VERSION`]; both
-//! peers require the other to speak exactly that version. Every field is
-//! always written: `EstimateBatch`'s `deadline_ms` (a **relative**
-//! millisecond budget — peers' wall clocks are not synchronized) and
-//! `trace_id` are fixed `u64`s, `0` meaning none.
+//! peers require the other to speak exactly that version. A hello is read
+//! only as far as its version, so a peer of another version is still
+//! answered and refused by name. Every field is always written:
+//! `EstimateBatch`'s `deadline_ms` (a **relative** millisecond budget —
+//! peers' wall clocks are not synchronized) and `trace_id` are `0` when
+//! there is none.
 
 use crate::request::RejectReason;
 use fj_query::{
-    ColRef, FilterExpr, JoinPredicate, Predicate, Query, SubplanMask, TableRef, MAX_FILTER_DEPTH,
+    ColRef, FilterExpr, JoinPredicate, Predicate, Query, QueryError, SubplanMask, TableRef,
+    MAX_FILTER_DEPTH, MAX_JOINS,
 };
+use fj_storage::codec::{Dec, DecodeError, Enc};
 use fj_storage::Value;
 use std::io::{IoSlice, Read, Write};
 
 /// Protocol version spoken — and required of the peer — by this build.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Hard ceiling on a frame payload, validated before allocating.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -74,8 +82,10 @@ pub const OP_METRICS_OK: u8 = 0x85;
 /// A malformed or unexpected wire payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The payload ended before the field being decoded.
-    Truncated,
+    /// A field did not decode: the payload ended inside it, its count
+    /// exceeded what the remaining bytes can hold, or its bytes were
+    /// invalid (UTF-8, a varint past its width). The error names the field.
+    Decode(DecodeError),
     /// An enum tag byte had no defined meaning.
     BadTag {
         /// Which decoder hit the tag.
@@ -83,8 +93,6 @@ pub enum WireError {
         /// The offending byte.
         tag: u8,
     },
-    /// A string field held invalid UTF-8.
-    BadUtf8,
     /// A frame length prefix exceeded [`MAX_FRAME_LEN`].
     FrameTooLarge(u32),
     /// The peer spoke a protocol version other than [`PROTOCOL_VERSION`].
@@ -101,9 +109,8 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "payload truncated"),
+            WireError::Decode(e) => write!(f, "undecodable payload: {e}"),
             WireError::BadTag { what, tag } => write!(f, "bad {what} tag {tag:#04x}"),
-            WireError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             WireError::FrameTooLarge(n) => {
                 write!(f, "frame of {n} bytes exceeds the {MAX_FRAME_LEN}-byte cap")
             }
@@ -121,120 +128,31 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Decode(e)
+    }
+}
+
 impl From<WireError> for std::io::Error {
     fn from(e: WireError) -> Self {
         std::io::Error::new(std::io::ErrorKind::InvalidData, e)
     }
 }
 
-// ------------------------------------------------------------- primitives
-
-/// Append-only payload encoder.
-#[derive(Default)]
-pub(crate) struct Enc {
-    buf: Vec<u8>,
+/// An encoder holding `opcode`, the first byte of every payload.
+pub(crate) fn begin(opcode: u8) -> Enc {
+    let mut e = Enc::default();
+    e.u8(opcode);
+    e
 }
 
-impl Enc {
-    pub(crate) fn new(opcode: u8) -> Self {
-        Enc { buf: vec![opcode] }
-    }
-
-    pub(crate) fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        // Raw bits, not a decimal rendering: estimates must survive the
-        // wire bit-identical.
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Cursor-based payload decoder.
-pub(crate) struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Bounded element count for a repeated field: each element consumes at
-    /// least `min_elem_bytes`, so a count the remaining payload cannot hold
-    /// is rejected before any allocation.
-    pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.buf.len() - self.pos {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
+/// A payload must end where its message does.
+fn finish(d: &Dec<'_>) -> Result<(), WireError> {
+    if d.remaining() == 0 {
+        Ok(())
+    } else {
+        Err(WireError::TrailingBytes)
     }
 }
 
@@ -373,40 +291,53 @@ fn reason_from_code(code: u8) -> Result<RejectReason, WireError> {
 }
 
 pub(crate) fn encode_hello() -> Vec<u8> {
-    let mut e = Enc::new(OP_HELLO);
-    e.u32(PROTOCOL_VERSION);
+    let mut e = begin(OP_HELLO);
+    e.varint(PROTOCOL_VERSION.into());
     e.finish()
 }
 
+/// The peer's version. A hello of this build's version must end after it;
+/// one of another version is read no further, since its layout is not
+/// this build's to judge (version 4 wrote a fixed `u32`, whose low byte
+/// reads as the same varint).
 pub(crate) fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_HELLO)?;
-    let version = d.u32()?;
-    d.finish()?;
+    let version = d.u32_varint("version")?;
+    if version == PROTOCOL_VERSION {
+        finish(&d)?;
+    }
     Ok(version)
 }
 
 pub(crate) fn encode_hello_ok(datasets: &[String]) -> Vec<u8> {
-    let mut e = Enc::new(OP_HELLO_OK);
-    e.u32(PROTOCOL_VERSION);
-    e.u32(datasets.len() as u32);
+    let mut e = begin(OP_HELLO_OK);
+    e.varint(PROTOCOL_VERSION.into());
+    e.len(datasets.len());
     for d in datasets {
         e.str(d);
     }
     e.finish()
 }
 
-pub(crate) fn decode_hello_ok(payload: &[u8]) -> Result<(u32, Vec<String>), WireError> {
+/// The datasets a server of this build's version offers; a server of any
+/// other version is a [`WireError::VersionMismatch`], read no further than
+/// its version.
+pub(crate) fn decode_hello_ok(payload: &[u8]) -> Result<Vec<String>, WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_HELLO_OK)?;
-    let version = d.u32()?;
-    let n = d.count(4)?;
+    let theirs = d.u32_varint("version")?;
+    if theirs != PROTOCOL_VERSION {
+        return Err(WireError::VersionMismatch { theirs });
+    }
+    // A dataset name is at least its length byte.
+    let n = d.count("datasets", 1)?;
     let mut datasets = Vec::with_capacity(n);
     for _ in 0..n {
-        datasets.push(d.str()?);
+        datasets.push(d.str("dataset")?.to_string());
     }
-    d.finish()?;
-    Ok((version, datasets))
+    finish(&d)?;
+    Ok(datasets)
 }
 
 /// A decoded estimate-batch request.
@@ -432,13 +363,13 @@ pub(crate) fn encode_estimate_batch(
     deadline_ms: u64,
     trace_id: u64,
 ) -> Vec<u8> {
-    let mut e = Enc::new(OP_ESTIMATE_BATCH);
-    e.u64(request_id);
+    let mut e = begin(OP_ESTIMATE_BATCH);
+    e.varint(request_id);
     e.str(dataset);
-    e.u32(min_size);
-    e.u64(deadline_ms);
+    e.varint(min_size.into());
+    e.varint(deadline_ms);
     e.u64(trace_id);
-    e.u32(queries.len() as u32);
+    e.len(queries.len());
     for q in queries {
         encode_query(&mut e, q);
     }
@@ -448,17 +379,18 @@ pub(crate) fn encode_estimate_batch(
 pub(crate) fn decode_estimate_batch(payload: &[u8]) -> Result<EstimateBatch, WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_ESTIMATE_BATCH)?;
-    let request_id = d.u64()?;
-    let dataset = d.str()?;
-    let min_size = d.u32()?;
-    let deadline_ms = d.u64()?;
-    let trace_id = d.u64()?;
-    let n = d.count(12)?;
+    let request_id = d.varint("request id")?;
+    let dataset = d.str("dataset")?.to_string();
+    let min_size = d.u32_varint("min size")?;
+    let deadline_ms = d.varint("deadline")?;
+    let trace_id = d.u64("trace id")?;
+    // A query is at least its table and join counts.
+    let n = d.count("queries", 2)?;
     let mut queries = Vec::with_capacity(n);
     for _ in 0..n {
         queries.push(decode_query(&mut d)?);
     }
-    d.finish()?;
+    finish(&d)?;
     Ok(EstimateBatch {
         request_id,
         dataset,
@@ -473,17 +405,17 @@ pub(crate) fn encode_batch_result(
     request_id: u64,
     results: &[Result<WireEstimates, String>],
 ) -> Vec<u8> {
-    let mut e = Enc::new(OP_BATCH_RESULT);
-    e.u64(request_id);
-    e.u32(results.len() as u32);
+    let mut e = begin(OP_BATCH_RESULT);
+    e.varint(request_id);
+    e.len(results.len());
     for r in results {
         match r {
             Ok(est) => {
                 e.u8(0);
-                e.u64(est.model_epoch);
-                e.u32(est.estimates.len() as u32);
+                e.varint(est.model_epoch);
+                e.len(est.estimates.len());
                 for &(mask, value) in &est.estimates {
-                    e.u64(mask);
+                    e.varint(mask);
                     e.f64(value);
                 }
             }
@@ -501,18 +433,20 @@ pub(crate) fn decode_batch_result(
 ) -> Result<(u64, Vec<Result<WireEstimates, String>>), WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_BATCH_RESULT)?;
-    let request_id = d.u64()?;
-    let n = d.count(1)?;
+    let request_id = d.varint("request id")?;
+    // A result is at least its tag and a message length.
+    let n = d.count("results", 2)?;
     let mut results = Vec::with_capacity(n);
     for _ in 0..n {
-        match d.u8()? {
+        match d.u8("result tag")? {
             0 => {
-                let model_epoch = d.u64()?;
-                let m = d.count(16)?;
+                let model_epoch = d.varint("model epoch")?;
+                // An estimate is at least a mask byte and the f64's eight.
+                let m = d.count("estimates", 9)?;
                 let mut estimates = Vec::with_capacity(m);
                 for _ in 0..m {
-                    let mask = d.u64()?;
-                    let value = d.f64()?;
+                    let mask = d.varint("mask")?;
+                    let value = d.f64("estimate")?;
                     estimates.push((mask, value));
                 }
                 results.push(Ok(WireEstimates {
@@ -520,7 +454,7 @@ pub(crate) fn decode_batch_result(
                     estimates,
                 }));
             }
-            1 => results.push(Err(d.str()?)),
+            1 => results.push(Err(d.str("result message")?.to_string())),
             tag => {
                 return Err(WireError::BadTag {
                     what: "result",
@@ -529,13 +463,13 @@ pub(crate) fn decode_batch_result(
             }
         }
     }
-    d.finish()?;
+    finish(&d)?;
     Ok((request_id, results))
 }
 
 pub(crate) fn encode_rejected(request_id: u64, reason: RejectReason, message: &str) -> Vec<u8> {
-    let mut e = Enc::new(OP_REJECTED);
-    e.u64(request_id);
+    let mut e = begin(OP_REJECTED);
+    e.varint(request_id);
     e.u8(reason_code(reason));
     e.str(message);
     e.finish()
@@ -544,10 +478,10 @@ pub(crate) fn encode_rejected(request_id: u64, reason: RejectReason, message: &s
 pub(crate) fn decode_rejected(payload: &[u8]) -> Result<(u64, RejectReason, String), WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_REJECTED)?;
-    let request_id = d.u64()?;
-    let reason = reason_from_code(d.u8()?)?;
-    let message = d.str()?;
-    d.finish()?;
+    let request_id = d.varint("request id")?;
+    let reason = reason_from_code(d.u8("reason")?)?;
+    let message = d.str("rejection message")?.to_string();
+    finish(&d)?;
     Ok((request_id, reason, message))
 }
 
@@ -578,19 +512,19 @@ pub struct HealthReport {
 }
 
 pub(crate) fn encode_metrics() -> Vec<u8> {
-    Enc::new(OP_METRICS).finish()
+    begin(OP_METRICS).finish()
 }
 
 pub(crate) fn decode_metrics(payload: &[u8]) -> Result<(), WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_METRICS)?;
-    d.finish()
+    finish(&d)
 }
 
 /// The scrape response body: the server's full Prometheus exposition text
 /// with the slow-query log appended as `# slowlog` comment lines.
 pub(crate) fn encode_metrics_ok(text: &str) -> Vec<u8> {
-    let mut e = Enc::new(OP_METRICS_OK);
+    let mut e = begin(OP_METRICS_OK);
     e.str(text);
     e.finish()
 }
@@ -598,30 +532,30 @@ pub(crate) fn encode_metrics_ok(text: &str) -> Vec<u8> {
 pub(crate) fn decode_metrics_ok(payload: &[u8]) -> Result<String, WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_METRICS_OK)?;
-    let text = d.str()?;
-    d.finish()?;
+    let text = d.str("metrics text")?.to_string();
+    finish(&d)?;
     Ok(text)
 }
 
 pub(crate) fn encode_health() -> Vec<u8> {
-    Enc::new(OP_HEALTH).finish()
+    begin(OP_HEALTH).finish()
 }
 
 pub(crate) fn decode_health(payload: &[u8]) -> Result<(), WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_HEALTH)?;
-    d.finish()
+    finish(&d)
 }
 
 pub(crate) fn encode_health_ok(report: &HealthReport) -> Vec<u8> {
-    let mut e = Enc::new(OP_HEALTH_OK);
+    let mut e = begin(OP_HEALTH_OK);
     e.u8(report.draining as u8);
-    e.u32(report.shards.len() as u32);
+    e.len(report.shards.len());
     for shard in &report.shards {
         e.str(&shard.dataset);
-        e.u64(shard.model_epoch);
-        e.u32(shard.queue_depth);
-        e.u32(shard.queue_capacity);
+        e.varint(shard.model_epoch);
+        e.varint(shard.queue_depth.into());
+        e.varint(shard.queue_capacity.into());
     }
     e.finish()
 }
@@ -629,7 +563,7 @@ pub(crate) fn encode_health_ok(report: &HealthReport) -> Vec<u8> {
 pub(crate) fn decode_health_ok(payload: &[u8]) -> Result<HealthReport, WireError> {
     let mut d = Dec::new(payload);
     expect_op(&mut d, OP_HEALTH_OK)?;
-    let draining = match d.u8()? {
+    let draining = match d.u8("draining")? {
         0 => false,
         1 => true,
         tag => {
@@ -639,22 +573,23 @@ pub(crate) fn decode_health_ok(payload: &[u8]) -> Result<HealthReport, WireError
             })
         }
     };
-    let n = d.count(20)?;
+    // A shard is at least a name length, an epoch, a depth and a capacity.
+    let n = d.count("shards", 4)?;
     let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         shards.push(ShardHealth {
-            dataset: d.str()?,
-            model_epoch: d.u64()?,
-            queue_depth: d.u32()?,
-            queue_capacity: d.u32()?,
+            dataset: d.str("shard dataset")?.to_string(),
+            model_epoch: d.varint("shard model epoch")?,
+            queue_depth: d.u32_varint("queue depth")?,
+            queue_capacity: d.u32_varint("queue capacity")?,
         });
     }
-    d.finish()?;
+    finish(&d)?;
     Ok(HealthReport { draining, shards })
 }
 
 fn expect_op(d: &mut Dec<'_>, opcode: u8) -> Result<(), WireError> {
-    let tag = d.u8()?;
+    let tag = d.u8("opcode")?;
     if tag != opcode {
         return Err(WireError::BadTag {
             what: "opcode",
@@ -671,7 +606,7 @@ fn encode_value(e: &mut Enc, v: &Value) {
         Value::Null => e.u8(0),
         Value::Int(i) => {
             e.u8(1);
-            e.i64(*i);
+            e.zigzag(*i);
         }
         Value::Float(f) => {
             e.u8(2);
@@ -685,11 +620,11 @@ fn encode_value(e: &mut Enc, v: &Value) {
 }
 
 fn decode_value(d: &mut Dec<'_>) -> Result<Value, WireError> {
-    Ok(match d.u8()? {
+    Ok(match d.u8("value tag")? {
         0 => Value::Null,
-        1 => Value::Int(d.i64()?),
-        2 => Value::Float(d.f64()?),
-        3 => Value::Str(d.str()?),
+        1 => Value::Int(d.zigzag("integer value")?),
+        2 => Value::Float(d.f64("float value")?),
+        3 => Value::Str(d.str("string value")?.to_string()),
         tag => return Err(WireError::BadTag { what: "value", tag }),
     })
 }
@@ -711,7 +646,7 @@ fn encode_predicate(e: &mut Enc, p: &Predicate) {
         Predicate::InList { column, values } => {
             e.u8(2);
             e.str(column);
-            e.u32(values.len() as u32);
+            e.len(values.len());
             for v in values {
                 encode_value(e, v);
             }
@@ -748,20 +683,21 @@ fn decode_cmp_op(tag: u8) -> Result<fj_query::CmpOp, WireError> {
 }
 
 fn decode_predicate(d: &mut Dec<'_>) -> Result<Predicate, WireError> {
-    Ok(match d.u8()? {
+    Ok(match d.u8("predicate tag")? {
         0 => Predicate::Cmp {
-            column: d.str()?,
-            op: decode_cmp_op(d.u8()?)?,
+            column: d.str("predicate column")?.to_string(),
+            op: decode_cmp_op(d.u8("cmp op")?)?,
             value: decode_value(d)?,
         },
         1 => Predicate::Between {
-            column: d.str()?,
+            column: d.str("predicate column")?.to_string(),
             lo: decode_value(d)?,
             hi: decode_value(d)?,
         },
         2 => {
-            let column = d.str()?;
-            let n = d.count(1)?;
+            let column = d.str("predicate column")?.to_string();
+            // A value is at least its tag.
+            let n = d.count("IN values", 1)?;
             let mut values = Vec::with_capacity(n);
             for _ in 0..n {
                 values.push(decode_value(d)?);
@@ -769,13 +705,13 @@ fn decode_predicate(d: &mut Dec<'_>) -> Result<Predicate, WireError> {
             Predicate::InList { column, values }
         }
         3 => Predicate::Like {
-            column: d.str()?,
-            pattern: d.str()?,
-            negated: d.u8()? != 0,
+            column: d.str("predicate column")?.to_string(),
+            pattern: d.str("LIKE pattern")?.to_string(),
+            negated: d.u8("negated")? != 0,
         },
         4 => Predicate::IsNull {
-            column: d.str()?,
-            negated: d.u8()? != 0,
+            column: d.str("predicate column")?.to_string(),
+            negated: d.u8("negated")? != 0,
         },
         tag => {
             return Err(WireError::BadTag {
@@ -795,14 +731,14 @@ fn encode_filter(e: &mut Enc, f: &FilterExpr) {
         }
         FilterExpr::And(parts) => {
             e.u8(2);
-            e.u32(parts.len() as u32);
+            e.len(parts.len());
             for p in parts {
                 encode_filter(e, p);
             }
         }
         FilterExpr::Or(parts) => {
             e.u8(3);
-            e.u32(parts.len() as u32);
+            e.len(parts.len());
             for p in parts {
                 encode_filter(e, p);
             }
@@ -818,7 +754,7 @@ fn encode_filter(e: &mut Enc, f: &FilterExpr) {
 /// would put it past [`MAX_FILTER_DEPTH`] is a `BadQuery`, so a frame of
 /// nested tags cannot recurse the reader off its stack.
 fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError> {
-    let tag = d.u8()?;
+    let tag = d.u8("filter tag")?;
     if matches!(tag, 2..=4) && depth == MAX_FILTER_DEPTH {
         return Err(WireError::BadQuery(format!(
             "filter nests AND/OR/NOT more than {MAX_FILTER_DEPTH} levels deep"
@@ -828,7 +764,8 @@ fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError>
         0 => FilterExpr::True,
         1 => FilterExpr::Pred(decode_predicate(d)?),
         2 | 3 => {
-            let n = d.count(1)?;
+            // A part is at least its tag.
+            let n = d.count("AND/OR parts", 1)?;
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
                 parts.push(decode_filter(d, depth + 1)?);
@@ -850,17 +787,17 @@ fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError>
 }
 
 fn encode_query(e: &mut Enc, q: &Query) {
-    e.u32(q.tables().len() as u32);
+    e.len(q.tables().len());
     for t in q.tables() {
         e.str(&t.alias);
         e.str(&t.table);
     }
-    e.u32(q.joins().len() as u32);
+    e.len(q.joins().len());
     for j in q.joins() {
-        e.u32(j.left.alias as u32);
-        e.u32(j.left.column as u32);
-        e.u32(j.right.alias as u32);
-        e.u32(j.right.column as u32);
+        e.len(j.left.alias);
+        e.len(j.left.column);
+        e.len(j.right.alias);
+        e.len(j.right.column);
     }
     for f in q.filters() {
         encode_filter(e, f);
@@ -868,24 +805,35 @@ fn encode_query(e: &mut Enc, q: &Query) {
 }
 
 fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
-    let nt = d.count(8)?;
+    let bad = |e: QueryError| WireError::BadQuery(e.to_string());
+    // A table is at least its alias and name lengths and its filter's tag.
+    // Past the alias and join caps a query is refused from its count,
+    // before a table or join is read.
+    let nt = d.count("query tables", 3)?;
+    if nt > 64 {
+        return Err(bad(QueryError::TooManyAliases(nt)));
+    }
     let mut tables = Vec::with_capacity(nt);
     for _ in 0..nt {
-        let alias = d.str()?;
-        let table = d.str()?;
+        let alias = d.str("table alias")?.to_string();
+        let table = d.str("table name")?.to_string();
         tables.push(TableRef { alias, table });
     }
-    let nj = d.count(16)?;
+    // A join is at least its four index bytes.
+    let nj = d.count("query joins", 4)?;
+    if nj > MAX_JOINS {
+        return Err(bad(QueryError::TooManyJoins(nj)));
+    }
     let mut joins = Vec::with_capacity(nj);
     for _ in 0..nj {
         joins.push(JoinPredicate {
             left: ColRef {
-                alias: d.u32()? as usize,
-                column: d.u32()? as usize,
+                alias: d.usize("join alias")?,
+                column: d.usize("join column")?,
             },
             right: ColRef {
-                alias: d.u32()? as usize,
-                column: d.u32()? as usize,
+                alias: d.usize("join alias")?,
+                column: d.usize("join column")?,
             },
         });
     }
@@ -893,7 +841,7 @@ fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
     for _ in 0..nt {
         filters.push(decode_filter(d, 0)?);
     }
-    Query::from_wire_parts(tables, joins, filters).map_err(|e| WireError::BadQuery(e.to_string()))
+    Query::from_wire_parts(tables, joins, filters).map_err(bad)
 }
 
 #[cfg(test)]
@@ -901,26 +849,88 @@ pub(crate) mod tests {
     use super::*;
     use fj_query::CmpOp;
 
+    /// An `EstimateBatch` payload for request 1 on `stats` with no deadline,
+    /// untraced, whose queries — from their count on — `queries` writes.
+    fn batch_with(queries: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = begin(OP_ESTIMATE_BATCH);
+        e.varint(1); // request id
+        e.str("stats");
+        e.varint(1); // min size
+        e.varint(0); // no deadline
+        e.u64(0); // untraced
+        queries(&mut e);
+        e.finish()
+    }
+
+    /// [`batch_with`] one query over one `posts` table, no joins, whose
+    /// filter `filter` writes.
+    fn one_table_batch(filter: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        batch_with(|e| {
+            e.len(1); // one query
+            e.len(1); // one table
+            e.str("p");
+            e.str("posts");
+            e.len(0); // no joins
+            filter(e);
+        })
+    }
+
     /// An `EstimateBatch` payload of one `posts` query whose filter is
     /// `nots` NOT tags around `True`: 100 000 of them are a 100 KB frame,
     /// far below the frame cap.
     pub(crate) fn nested_not_batch(nots: usize) -> Vec<u8> {
-        let mut e = Enc::new(OP_ESTIMATE_BATCH);
-        e.u64(1);
-        e.str("stats");
-        e.u32(1);
-        e.u64(0); // no deadline
-        e.u64(0); // untraced
-        e.u32(1); // one query
-        e.u32(1); // one table
-        e.str("p");
-        e.str("posts");
-        e.u32(0); // no joins
-        for _ in 0..nots {
-            e.u8(4);
-        }
-        e.u8(0);
-        e.finish()
+        one_table_batch(|e| {
+            for _ in 0..nots {
+                e.u8(4);
+            }
+            e.u8(0);
+        })
+    }
+
+    /// A batch of one query over two tables whose `claimed` join count is
+    /// followed by `present` joins, each `a.c = b.c` on its own column `c`.
+    fn joined_batch(claimed: usize, present: usize) -> Vec<u8> {
+        batch_with(|e| {
+            e.len(1); // one query
+            e.len(2); // two tables
+            for (alias, table) in [("a", "posts"), ("b", "users")] {
+                e.str(alias);
+                e.str(table);
+            }
+            e.len(claimed);
+            for c in 0..present {
+                for side in [0, c, 1, c] {
+                    e.len(side);
+                }
+            }
+            e.u8(0); // FilterExpr::True, twice
+            e.u8(0);
+        })
+    }
+
+    /// The join cap holds on the wire: [`MAX_JOINS`] joins decode, one more
+    /// is a `BadQuery`, and so is a frame of four million joins — the most
+    /// a frame held when a join was 16 fixed bytes — refused from its count
+    /// before a join is read.
+    #[test]
+    fn joins_past_the_cap_are_refused_before_they_are_read() {
+        let at_cap = decode_estimate_batch(&joined_batch(MAX_JOINS, MAX_JOINS)).unwrap();
+        assert_eq!(at_cap.queries[0].joins().len(), MAX_JOINS);
+        let past = decode_estimate_batch(&joined_batch(MAX_JOINS + 1, MAX_JOINS + 1));
+        assert!(
+            matches!(&past, Err(WireError::BadQuery(m)) if m.contains("join predicates")),
+            "{:?}",
+            past.err()
+        );
+        let worst = 4 << 20;
+        let mut frame = joined_batch(worst, 0);
+        // The claimed joins' bytes: four zero indices each, then the filters.
+        frame.splice(frame.len() - 2..frame.len() - 2, vec![0u8; 4 * worst]);
+        assert!(frame.len() < MAX_FRAME_LEN as usize);
+        assert!(matches!(
+            decode_estimate_batch(&frame),
+            Err(WireError::BadQuery(m)) if m.contains("join predicates")
+        ));
     }
 
     /// Nesting past the cap is a `BadQuery`, not a stack overflow: the
@@ -1014,9 +1024,17 @@ pub(crate) mod tests {
     fn hello_frames_roundtrip() {
         assert_eq!(decode_hello(&encode_hello()).unwrap(), PROTOCOL_VERSION);
         let datasets = vec!["imdb".to_string(), "stats".to_string()];
-        let (version, got) = decode_hello_ok(&encode_hello_ok(&datasets)).unwrap();
-        assert_eq!(version, PROTOCOL_VERSION);
-        assert_eq!(got, datasets);
+        assert_eq!(
+            decode_hello_ok(&encode_hello_ok(&datasets)).unwrap(),
+            datasets
+        );
+        // Version 4 wrote the version as a fixed `u32`: its hello still
+        // names version 4, and its `HelloOk` is a mismatch, not garbage.
+        assert_eq!(decode_hello(&[OP_HELLO, 4, 0, 0, 0]), Ok(4));
+        assert_eq!(
+            decode_hello_ok(&[OP_HELLO_OK, 4, 0, 0, 0, 0, 0, 0, 0]),
+            Err(WireError::VersionMismatch { theirs: 4 })
+        );
     }
 
     #[test]
@@ -1042,13 +1060,16 @@ pub(crate) mod tests {
     const DEADLINE_TRACE_PAIRS: [(u64, u64); 4] = [(0, 0), (250, 0), (0, 0xfeed), (250, 0xfeed)];
 
     #[test]
-    fn deadline_and_trace_id_are_fixed_fields() {
+    fn deadline_and_trace_id_are_always_written() {
         let q = sample_query();
         let qs = std::slice::from_ref(&q);
         let len = encode_estimate_batch(1, "stats", 1, qs, 0, 0).len();
         for (deadline_ms, trace_id) in DEADLINE_TRACE_PAIRS {
             let payload = encode_estimate_batch(1, "stats", 1, qs, deadline_ms, trace_id);
-            assert_eq!(payload.len(), len, "one layout whatever the values");
+            // One layout whatever the values: the deadline is a varint (250
+            // takes two bytes), the trace id eight fixed bytes.
+            let deadline_bytes = if deadline_ms < 128 { 1 } else { 2 };
+            assert_eq!(payload.len(), len - 1 + deadline_bytes);
             let b = decode_estimate_batch(&payload).unwrap();
             assert_eq!((b.deadline_ms, b.trace_id), (deadline_ms, trace_id));
             assert_eq!(b.queries[0].filters(), q.filters());
@@ -1288,7 +1309,7 @@ pub(crate) mod tests {
             read_frame(&mut quiet, &mut buf).unwrap(),
             FrameRead::TimedOut
         );
-        for cut in [2, 6] {
+        for cut in [2, 5] {
             let err = read_frame(&mut Quiet(&full[..cut]), &mut buf).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "cut at {cut}");
         }
@@ -1313,32 +1334,79 @@ pub(crate) mod tests {
         let mut padded = encode_hello();
         padded.push(0xff);
         assert_eq!(decode_hello(&padded), Err(WireError::TrailingBytes));
-        // Absurd element count with a tiny payload: rejected before any
-        // allocation by the count() bound.
-        let mut e = Enc::new(OP_HELLO_OK);
-        e.u32(PROTOCOL_VERSION);
-        e.u32(u32::MAX); // claims 4 billion datasets in a 9-byte payload
-        assert_eq!(decode_hello_ok(&e.finish()), Err(WireError::Truncated));
+        // Every repeated field claiming 2⁶⁰ elements in a tiny payload is
+        // refused by name from its count, before anything is allocated.
+        const HOSTILE: u64 = 1 << 60;
+        let refused = |field: &str, got: Result<(), WireError>| {
+            assert!(
+                matches!(
+                    &got,
+                    Err(WireError::Decode(DecodeError::HostileLength { what, wanted, .. }))
+                        if *what == field && *wanted == HOSTILE
+                ),
+                "{field}: {got:?}"
+            );
+        };
+        let mut e = begin(OP_HELLO_OK);
+        e.varint(PROTOCOL_VERSION.into());
+        e.varint(HOSTILE);
+        refused("datasets", decode_hello_ok(&e.finish()).map(drop));
+        let batch = |payload: Vec<u8>| decode_estimate_batch(&payload).map(drop);
+        refused("queries", batch(batch_with(|e| e.varint(HOSTILE))));
+        refused(
+            "query tables",
+            batch(batch_with(|e| {
+                e.len(1);
+                e.varint(HOSTILE);
+            })),
+        );
+        refused(
+            "query joins",
+            batch(batch_with(|e| {
+                e.len(1);
+                e.len(1);
+                e.str("p");
+                e.str("posts");
+                e.varint(HOSTILE);
+            })),
+        );
+        for tag in [2, 3] {
+            refused(
+                "AND/OR parts",
+                batch(one_table_batch(|e| {
+                    e.u8(tag);
+                    e.varint(HOSTILE);
+                })),
+            );
+        }
+        refused(
+            "IN values",
+            batch(one_table_batch(|e| {
+                e.u8(1); // a predicate
+                e.u8(2); // IN
+                e.str("kind");
+                e.varint(HOSTILE);
+            })),
+        );
+        let mut e = begin(OP_BATCH_RESULT);
+        e.varint(9);
+        e.varint(HOSTILE);
+        refused("results", decode_batch_result(&e.finish()).map(drop));
+        let mut e = begin(OP_BATCH_RESULT);
+        e.varint(9);
+        e.len(1);
+        e.u8(0); // served
+        e.varint(7); // model epoch
+        e.varint(HOSTILE);
+        refused("estimates", decode_batch_result(&e.finish()).map(drop));
+        let mut e = begin(OP_HEALTH_OK);
+        e.u8(0);
+        e.varint(HOSTILE);
+        refused("shards", decode_health_ok(&e.finish()).map(drop));
         // A structurally invalid query (disconnected join graph) fails
         // validation at decode, not later at estimation.
-        let tables = vec![TableRef::new("a", "posts"), TableRef::new("b", "users")];
-        let mut enc = Enc::new(OP_ESTIMATE_BATCH);
-        enc.u64(1);
-        enc.str("stats");
-        enc.u32(1);
-        enc.u64(0); // no deadline
-        enc.u64(0); // untraced
-        enc.u32(1); // one query
-        enc.u32(tables.len() as u32);
-        for t in &tables {
-            enc.str(&t.alias);
-            enc.str(&t.table);
-        }
-        enc.u32(0); // no joins between two tables: disconnected
-        enc.u8(0); // FilterExpr::True
-        enc.u8(0);
         assert!(matches!(
-            decode_estimate_batch(&enc.finish()),
+            decode_estimate_batch(&joined_batch(0, 0)),
             Err(WireError::BadQuery(_))
         ));
     }

@@ -804,12 +804,15 @@ fn bucket_coverage(clause: &FilterExpr, min: i64, max: i64, ndv: u32) -> f64 {
     }
 }
 
+/// A NaN literal compares as unordered, so it holds for no row (`<>`
+/// included), the way the compiled filter evaluates it.
 fn pred_coverage(p: &Predicate, min: i64, max: i64, ndv: u32) -> f64 {
     let width = (max - min + 1) as f64;
     let clampf = |x: f64| x.clamp(0.0, 1.0);
+    let number = |v: &Value| v.as_float().filter(|f| !f.is_nan());
     match p {
         Predicate::Cmp { op, value, .. } => {
-            let Some(v) = value.as_float() else {
+            let Some(v) = number(value) else {
                 return 0.0;
             };
             let (lo, hi) = (min as f64, max as f64);
@@ -835,7 +838,7 @@ fn pred_coverage(p: &Predicate, min: i64, max: i64, ndv: u32) -> f64 {
             }
         }
         Predicate::Between { lo, hi, .. } => {
-            let (Some(a), Some(b)) = (lo.as_float(), hi.as_float()) else {
+            let (Some(a), Some(b)) = (number(lo), number(hi)) else {
                 return 0.0;
             };
             let inter = (b.min(max as f64) - a.max(min as f64) + 1.0).max(0.0);

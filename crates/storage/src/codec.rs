@@ -8,17 +8,19 @@
 //! allocates, so a field claiming 2⁶⁰ entries fails with
 //! [`DecodeError::HostileLength`] instead of exhausting memory.
 //!
-//! A model load reads hundreds of thousands of values through [`Dec`], so
-//! its reads follow one hot-path rule: pay per byte, not per call. The reads
-//! are `#[inline]`, so a caller in another crate compiles them into its
-//! loop. [`Dec::varint`] returns a one-byte value — most counts, deltas and
-//! codes — without entering its loop, and keeps the loop, with its
-//! truncation and overflow errors, out of line. Bulk readers fill their
-//! consumer directly and validate as they go, with no intermediate
-//! vector: [`Dec::f64s`] takes a run of `f64`s with one bounds check, and
-//! [`EntryReader`] hands a sorted-entry map's pairs to the slab being
-//! filled. Each rejects what a per-value reader rejects, with the same
-//! error and field name, and checks a count before anything is sized.
+//! A model load reads hundreds of thousands of values through [`Dec`], and
+//! the wire protocol of `fj-service` writes and reads every request and
+//! response through [`Enc`] and [`Dec`], so both follow one hot-path rule:
+//! pay per byte, not per call. The reads and writes are `#[inline]`, so a
+//! caller in another crate compiles them into its loop. [`Dec::varint`]
+//! returns a one-byte value — most counts, deltas and codes — without
+//! entering its loop, and keeps the loop, with its truncation and overflow
+//! errors, out of line. Bulk readers fill their consumer directly and
+//! validate as they go, with no intermediate vector: [`Dec::f64s`] takes a
+//! run of `f64`s with one bounds check, and [`EntryReader`] hands a
+//! sorted-entry map's pairs to the slab being filled. Each rejects what a
+//! per-value reader rejects, with the same error and field name, and
+//! checks a count before anything is sized.
 //!
 //! [`encode_table`] / [`decode_table`] persist a [`Table`] — schema, NULL
 //! positions and values — as a varint stream. Decoding replays the values
@@ -87,21 +89,25 @@ pub struct Enc {
 
 impl Enc {
     /// One byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// An `f64` as its raw little-endian bits (exact, NaN payloads kept).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// An unsigned LEB128 varint: 7 bits a byte, low bits first.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
@@ -111,17 +117,20 @@ impl Enc {
     }
 
     /// A `usize` as a varint.
+    #[inline]
     pub fn len(&mut self, v: usize) {
         self.varint(v as u64);
     }
 
     /// A signed value, zigzag-mapped (0, -1, 1, -2, … → 0, 1, 2, 3, …) so
     /// small magnitudes of either sign take few bytes.
+    #[inline]
     pub fn zigzag(&mut self, v: i64) {
         self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// A length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
@@ -249,6 +258,7 @@ impl<'a> Dec<'a> {
     /// An element count, pre-validated against the remaining payload at
     /// `min_elem_size` bytes an element **before** the caller allocates
     /// anything: the no-OOM-on-hostile-length guard.
+    #[inline]
     pub fn count(
         &mut self,
         what: &'static str,
@@ -267,6 +277,7 @@ impl<'a> Dec<'a> {
     }
 
     /// A length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, what: &'static str) -> Result<&'a str, DecodeError> {
         let n = self.count(what, 1)?;
         std::str::from_utf8(self.take(n, what)?)

@@ -6,12 +6,20 @@
 //! column of the table, and `NOT` nesting up to `MAX_FILTER_DEPTH`. Each
 //! compiled filter must count exactly the rows the row-at-a-time
 //! `FilterExpr::eval` accepts, and neither side may panic.
+//!
+//! Every such filter also goes through `profile_into` of each single-table
+//! estimator, reached through `FactorJoinModel::estimator` and asked for the
+//! alias's join keys, the way sub-plan estimation asks: TrueScan's rows must
+//! equal the reference count, and no estimator may panic or return a
+//! negative or non-finite row count or key distribution.
 
+use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{
     imdb_catalog, imdb_job_workload, stats_catalog, stats_ceb_workload, ImdbConfig, StatsConfig,
     WorkloadConfig,
 };
-use fj_query::{compile_filter, CmpOp, FilterExpr, Predicate, Query, MAX_FILTER_DEPTH};
+use fj_query::{compile_filter, CmpOp, FilterExpr, Predicate, Query, QueryGraph, MAX_FILTER_DEPTH};
+use fj_stats::{BnConfig, TableProfile};
 use fj_storage::{Catalog, Table, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -225,9 +233,38 @@ fn edit(rng: &mut u64, expr: &FilterExpr, columns: &[String]) -> FilterExpr {
     out
 }
 
-/// Compiled count against the reference, each run where a panic is caught
-/// and reported with the case that caused it.
-fn check(table: &Table, expr: &FilterExpr, case: &str) {
+/// One model per single-table estimator, trained on `catalog` (few bins:
+/// the filter path does not depend on them).
+fn models(catalog: &Catalog) -> Vec<FactorJoinModel> {
+    [
+        BaseEstimatorKind::TrueScan,
+        BaseEstimatorKind::BayesNet(BnConfig::default()),
+        BaseEstimatorKind::Sampling { rate: 0.2 },
+    ]
+    .into_iter()
+    .map(|estimator| {
+        let config = FactorJoinConfig {
+            bin_budget: BinBudget::Uniform(10),
+            estimator,
+            ..Default::default()
+        };
+        FactorJoinModel::train(catalog, config)
+    })
+    .collect()
+}
+
+/// Compiled count against the reference, then each model's estimator
+/// profile of `keys` against it, each run where a panic is caught and
+/// reported with the case that caused it. `profiles` holds one reused
+/// buffer per model, as a session's scratch does.
+fn check(
+    table: &Table,
+    expr: &FilterExpr,
+    keys: &[&str],
+    models: &[FactorJoinModel],
+    profiles: &mut [TableProfile],
+    case: &str,
+) {
     let compiled = catch_unwind(AssertUnwindSafe(|| {
         compile_filter(table, expr).count(table)
     }));
@@ -236,11 +273,35 @@ fn check(table: &Table, expr: &FilterExpr, case: &str) {
     let want = catch_unwind(AssertUnwindSafe(|| reference(table, expr)))
         .unwrap_or_else(|_| panic!("reference panicked on {case}: {expr}"));
     assert_eq!(compiled, want, "{case} on table {}: {expr}", table.name());
+    for (model, profile) in models.iter().zip(profiles.iter_mut()) {
+        let est = model.estimator(table.name()).unwrap();
+        let name = est.name();
+        catch_unwind(AssertUnwindSafe(|| est.profile_into(expr, keys, profile)))
+            .unwrap_or_else(|_| panic!("{name} profile panicked on {case}: {expr}"));
+        let rows = profile.rows;
+        assert!(
+            rows.is_finite() && rows >= 0.0,
+            "{name} rows {rows} on {case}: {expr}"
+        );
+        assert_eq!(profile.key_dists.len(), keys.len(), "{name} on {case}");
+        for (key, dist) in keys.iter().zip(&profile.key_dists) {
+            assert!(
+                dist.iter().all(|&d| d.is_finite() && d >= 0.0),
+                "{name} key {key} distribution {dist:?} on {case}: {expr}"
+            );
+        }
+        if name == "truescan" {
+            assert_eq!(rows, want as f64, "truescan rows on {case}: {expr}");
+        }
+    }
 }
 
 fn fuzz(catalog: &Catalog, queries: &[Query], seed: u64) -> usize {
+    let models = models(catalog);
+    let mut profiles = vec![TableProfile::default(); models.len()];
     let mut checked = 0;
     for (qi, query) in queries.iter().enumerate() {
+        let graph = QueryGraph::analyze(query);
         for (ai, table_ref) in query.tables().iter().enumerate() {
             let table = catalog.table(&table_ref.table).unwrap();
             let columns: Vec<String> = table
@@ -249,14 +310,22 @@ fn fuzz(catalog: &Catalog, queries: &[Query], seed: u64) -> usize {
                 .iter()
                 .map(|c| c.name.clone())
                 .collect();
+            let keys: Vec<&str> = graph
+                .alias_keys(ai)
+                .iter()
+                .map(|&(c, _)| columns[c].as_str())
+                .collect();
             let filter = query.filter(ai);
-            check(table, filter, &format!("query {qi} alias {ai}"));
+            let mut check = |expr: &FilterExpr, case: &str| {
+                check(table, expr, &keys, &models, &mut profiles, case)
+            };
+            check(filter, &format!("query {qi} alias {ai}"));
             let mut rng = seed ^ ((qi * 16 + ai) as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
             for e in 0..EDITS {
                 let edited = edit(&mut rng, filter, &columns);
                 assert!(depth(&edited) <= MAX_FILTER_DEPTH);
                 let case = format!("query {qi} alias {ai} edit {e} (seed {seed})");
-                check(table, &edited, &case);
+                check(&edited, &case);
             }
             checked += 1 + EDITS;
         }
