@@ -4,7 +4,7 @@ use crate::binning::{build_group_bins, BinBudget, BinningStrategy, KeyFreq};
 use crate::factor::{FactorArena, FactorId, JoinScratch, KeepVars};
 use crate::keystats::KeyStats;
 use fj_par::WorkerPool;
-use fj_query::{connected_subplans_into, Query, QueryGraph, SubplanMask};
+use fj_query::{connected_subplans_into, Query, QueryError, QueryGraph, SubplanMask};
 use fj_stats::{
     BaseTableEstimator, BayesNetEstimator, BnConfig, ExactEstimator, KeyBinMap, SamplingEstimator,
     TableBins, TableProfile,
@@ -428,6 +428,40 @@ impl FactorJoinModel {
     /// The bin maps of `table`'s join keys.
     pub fn table_bins(&self, table: &str) -> Option<&TableBins> {
         self.tables.get(table).map(|t| &t.bins)
+    }
+
+    /// Checks that `query` names only what this model holds: every table,
+    /// every join column index and every filter column. A query bound with
+    /// [`Query::new`] against the catalog the model was trained on always
+    /// passes; [`Query::from_wire_parts`] sees no catalog, so a server
+    /// checks a decoded query here before estimating it, since estimation
+    /// indexes the model by these names and indices.
+    pub fn check_query(&self, query: &Query) -> Result<(), QueryError> {
+        let schema = |alias: usize| {
+            let table = &query.tables()[alias].table;
+            (self.tables.get(table).map(|t| &t.schema))
+                .ok_or_else(|| QueryError::UnknownTable(table.clone()))
+        };
+        for (alias, tref) in query.tables().iter().enumerate() {
+            let schema = schema(alias)?;
+            if let Some(p) = (query.filter(alias).predicates().into_iter())
+                .find(|p| schema.index_of(p.column()).is_none())
+            {
+                return Err(QueryError::UnknownColumn {
+                    alias: tref.alias.clone(),
+                    column: p.column().to_string(),
+                });
+            }
+        }
+        for side in query.joins().iter().flat_map(|j| [j.left, j.right]) {
+            if side.column >= schema(side.alias)?.len() {
+                return Err(QueryError::ColumnOutOfRange {
+                    table: query.tables()[side.alias].table.clone(),
+                    column: side.column,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Deployable model size: what each estimator owns, each group's bin
@@ -899,6 +933,49 @@ mod tests {
         let single = subs.iter().find(|(m, _)| *m == 0b01).unwrap().1;
         let exact = fj_query::filtered_count(cat.table("posts").unwrap(), q.filter(0)) as f64;
         assert_eq!(single, exact, "TrueScan single-table estimates are exact");
+    }
+
+    /// A query bound against the training catalog passes; one rebuilt
+    /// from wire parts naming what the model lacks is refused by name.
+    #[test]
+    fn check_query_names_what_the_model_lacks() {
+        use fj_query::{FilterExpr, Predicate};
+        let cat = tiny_catalog();
+        let model = FactorJoinModel::train(&cat, truescan_config(10));
+        let q = parse_query(
+            &cat,
+            "SELECT COUNT(*) FROM posts p, comments c WHERE p.id = c.post_id AND p.score > 0;",
+        )
+        .unwrap();
+        assert_eq!(model.check_query(&q), Ok(()));
+        let check = |q: Query| model.check_query(&q);
+        let rebuilt =
+            |tables, joins, filters| Query::from_wire_parts(tables, joins, filters).unwrap();
+        let mut tables = q.tables().to_vec();
+        tables[1].table = "no_such_table".into();
+        assert_eq!(
+            check(rebuilt(tables, q.joins().to_vec(), q.filters().to_vec())),
+            Err(QueryError::UnknownTable("no_such_table".into()))
+        );
+        let columns = cat.table("comments").unwrap().schema().len();
+        let mut joins = q.joins().to_vec();
+        joins[0].right.column = columns;
+        assert_eq!(
+            check(rebuilt(q.tables().to_vec(), joins, q.filters().to_vec())),
+            Err(QueryError::ColumnOutOfRange {
+                table: "comments".into(),
+                column: columns,
+            })
+        );
+        let mut filters = q.filters().to_vec();
+        filters[1] = FilterExpr::pred(Predicate::eq("no_such_column", 1));
+        assert_eq!(
+            check(rebuilt(q.tables().to_vec(), q.joins().to_vec(), filters)),
+            Err(QueryError::UnknownColumn {
+                alias: "c".into(),
+                column: "no_such_column".into(),
+            })
+        );
     }
 
     #[test]

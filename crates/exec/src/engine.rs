@@ -9,9 +9,8 @@
 //! mechanism behind the execution-cost metric (every plan-tree node's true
 //! cardinality).
 
-use crate::filter::filtered_selection;
 use crate::relation::{GroupedRel, NULL_KEY};
-use fj_query::{connected_subplans, Query, QueryGraph, SubplanMask};
+use fj_query::{connected_subplans, filtered_selection, Query, QueryGraph, SubplanMask};
 use fj_storage::Catalog;
 use std::collections::HashMap;
 

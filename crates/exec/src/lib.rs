@@ -22,14 +22,12 @@
 
 pub mod cost;
 pub mod engine;
-pub mod filter;
 pub mod optimizer;
 pub mod plan;
 pub mod relation;
 
 pub use cost::{plan_cost, CostModel, PlanCostBreakdown};
 pub use engine::TrueCardEngine;
-pub use filter::{compile_filter, filtered_count, filtered_selection, CompiledFilter};
 pub use optimizer::{optimize, OptimizedPlan};
 pub use plan::PlanNode;
 pub use relation::{GroupedRel, NULL_KEY};

@@ -1,64 +1,32 @@
-//! Canonical sub-plan fingerprints for the service-tier estimate cache.
+//! Query fingerprints for the service-tier estimate cache.
 //!
-//! A sub-plan's estimate is a pure function of the trained model plus the
-//! sub-plan's *shape*: which tables it touches, their filters, how their
-//! join keys group into equivalent-key variables, and which pairs are
-//! directly joined. [`subplan_fingerprints`] hashes exactly that shape —
-//! nothing more — with a seeded, platform-independent hash, so
+//! Estimating a query's sub-plans is a deterministic fold over what the
+//! estimator reads of the query: each alias's table name, its filter in
+//! stored term order, and the join list in stored order. Alias names are
+//! never read. [`query_fingerprint`] hashes exactly those inputs with a
+//! seeded, platform-independent hash, so the cache key `(model epoch,
+//! sub-plan mask, query fingerprint)` is sound in one sentence: equal keys
+//! mean the same deterministic fold over the same inputs, so a cache hit
+//! reproduces the miss it replaces bit for bit. Term order is hashed as
+//! stored, not sorted, because float evaluation order inside the
+//! estimators follows it; the join list is hashed as stored because it
+//! numbers the key-group variables.
 //!
-//! * two requests for the **same** sub-plan always produce the same
-//!   `(mask, fingerprint)` pair (repeated-workload serving hits), and
-//! * equal fingerprints imply the progressive estimator performs an
-//!   **isomorphic computation**, making a cache hit bit-identical to the
-//!   miss it replaces (`f64::to_bits` equality — see the fj-service cache
-//!   tests).
-//!
-//! ## What the fingerprint must cover (and why)
-//!
-//! Per alias of the sub-plan mask `S`, in ascending-bit order:
-//!
-//! * the **table name** and the **filter tree** in stored term order —
-//!   term order is preserved (not sorted) because float evaluation order
-//!   inside the estimators follows it;
-//! * the alias's `(column index, variable)` join-key list, with each
-//!   global variable id remapped to its **rank** among the distinct ids
-//!   appearing anywhere in `S`. Global ids depend on join order across the
-//!   whole query, but every ordering decision the estimator makes
-//!   (variable elimination order, shared-variable discovery, `KeepVars`
-//!   membership) is invariant under the order-preserving rank map. The
-//!   list also captures *global* key-equivalence projected onto `S`: two
-//!   keys inside `S` can share a variable only through a chain of joins —
-//!   possibly passing outside `S` — and that merge shows up here;
-//! * the alias's direct-join **neighbor set intersected with `S`**,
-//!   remapped to mask ranks — the progressive estimator's split choice and
-//!   connectivity checks depend on which pairs inside `S` are directly
-//!   joined, not just on the variable structure.
-//!
-//! Structure *outside* `S` (beyond the projected variable merges above)
-//! provably cannot change the sub-plan's row bound: it only decides which
-//! residual variables are kept in cached factors, and residual variables
-//! never contribute to any step's bound inside `S`.
+//! Different queries share no entry (up to hash collisions), even where a
+//! sub-plan of one is a sub-plan of the other: the query is the cache
+//! unit, as it is the unit an optimizer asks for (paper §5.2).
 //!
 //! ## The hash
 //!
-//! Every field above is fed as whole `u64` words (strings as a length word
-//! then 8-byte little-endian chunks) into a folded 64×64→128-bit multiply,
-//! and each fingerprint ends in a splitmix64 avalanche. What does not
-//! depend on the mask — an alias's table, filter and key columns — is
-//! hashed once per query into one content word per alias; per sub-plan the
-//! stream is the alias count, then per alias its content word, its key
-//! ranks (as many as its content says) and its remapped neighbor set. A
-//! variable's rank is a popcount over the [`QueryGraph`]'s per-alias
-//! variable bitsets.
-//!
-//! Fingerprints are deterministic across platforms and runs but carry no
-//! promise across releases: they key a process-local cache. The request
-//! path analyses a query once and fingerprints through
-//! [`subplan_fingerprints_into`] with buffers it keeps. [`StableHasher`] is
-//! the byte-stream hash whose outputs never change, for hashes that outlive
-//! a process (benchmark input hashes, test checksums).
+//! Every field is fed as whole `u64` words (strings as a length word then
+//! 8-byte little-endian chunks) into a folded 64×64→128-bit multiply, and
+//! the fingerprint ends in a splitmix64 avalanche. Counts precede every
+//! repeated field, so the word stream of one query is never a prefix of
+//! another's. Fingerprints are deterministic across platforms and runs but
+//! carry no promise across releases: they key a process-local cache.
+//! [`StableHasher`] is the byte-stream hash whose outputs never change, for
+//! hashes that outlive a process (benchmark input hashes, test checksums).
 
-use crate::graph::QueryGraph;
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::subplan::{connected_subplans, SubplanMask};
@@ -251,117 +219,40 @@ fn write_filter(h: &mut WordHasher, f: &FilterExpr) {
     }
 }
 
-/// Remaps the set bits of `bits ∩ mask` to their ranks within `mask`
-/// (software `pext`): bit `b` becomes bit `popcount(mask & (2^b - 1))`.
-fn rank_remap(bits: u64, mask: u64) -> u64 {
-    let mut rest = bits & mask;
-    let mut out = 0u64;
-    while rest != 0 {
-        let b = rest.trailing_zeros() as u64;
-        out |= 1 << (mask & ((1u64 << b) - 1)).count_ones();
-        rest &= rest - 1;
-    }
-    out
-}
-
-/// Caller-owned buffers of [`subplan_fingerprints_into`]; a hot path that
-/// keeps one across queries fingerprints without allocating once warm.
-#[derive(Debug, Default)]
-pub struct FingerprintBuf {
-    /// Per alias its content hash, then the variable set of the sub-plan
-    /// being hashed.
-    words: Vec<u64>,
-    out: Vec<(SubplanMask, u64)>,
-}
-
-/// Per-sub-plan canonical fingerprints of `query`, in exactly the order
-/// `FactorJoinModel::estimate_subplans_with(.., query, min_size)` returns
-/// its estimates (connected sub-plans sorted by `(popcount, mask)`).
+/// The fingerprint of everything `query`'s estimation reads (see the
+/// module docs): the alias count, per alias its table name and filter,
+/// then the join list, each side as `(alias index, column index)`.
 ///
-/// `seed` perturbs every fingerprint; the service picks one per process so
+/// `seed` perturbs the fingerprint; the service picks one per process so
 /// fingerprints never become accidentally load-bearing across deployments.
-pub fn subplan_fingerprints(query: &Query, min_size: u32, seed: u64) -> Vec<(SubplanMask, u64)> {
-    let graph = QueryGraph::analyze(query);
-    let masks = connected_subplans(query, min_size);
-    let mut buf = FingerprintBuf::default();
-    subplan_fingerprints_into(query, &graph, &masks, seed, &mut buf);
-    buf.out
-}
-
-/// [`subplan_fingerprints`] of the given connected sub-plans `masks` of
-/// `query` (analysed as `graph`), one `(mask, fingerprint)` per mask in
-/// order, written into `buf`: the request path analyses and enumerates a
-/// query once and shares both with the estimator.
-pub fn subplan_fingerprints_into<'b>(
-    query: &Query,
-    graph: &QueryGraph,
-    masks: &[SubplanMask],
-    seed: u64,
-    buf: &'b mut FingerprintBuf,
-) -> &'b [(SubplanMask, u64)] {
-    let FingerprintBuf { words, out } = buf;
-    let seeded = WordHasher::new(seed);
-    // Per alias, what does not depend on the mask, hashed once: table,
-    // filter and join-key columns.
-    let n = query.num_tables();
-    words.clear();
-    words.reserve(n + graph.var_set_words());
-    words.extend(query.tables().iter().enumerate().map(|(alias, tref)| {
-        let mut h = seeded;
+pub fn query_fingerprint(query: &Query, seed: u64) -> u64 {
+    let mut h = WordHasher::new(seed);
+    h.write_u64(query.num_tables() as u64);
+    for (tref, filter) in query.tables().iter().zip(query.filters()) {
         h.write_str(&tref.table);
-        write_filter(&mut h, query.filter(alias));
-        let keys = graph.alias_keys(alias);
-        h.write_u64(keys.len() as u64);
-        for &(col, _) in keys {
-            h.write_u64(col as u64);
-        }
-        h.finish()
-    }));
-    words.resize(n + graph.var_set_words(), 0);
-    let (contents, mask_vars) = words.split_at_mut(n);
-
-    out.clear();
-    out.reserve(masks.len());
-    for &mask in masks {
-        mask_var_set(graph, mask, mask_vars);
-        let mut h = seeded;
-        h.write_u64(mask.count_ones() as u64);
-        let mut rest = mask;
-        while rest != 0 {
-            let alias = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            // The content fixes how many key ranks follow.
-            h.write_u64(contents[alias]);
-            for &(_, var) in graph.alias_keys(alias) {
-                h.write_u64(rank(mask_vars, var));
-            }
-            h.write_u64(rank_remap(graph.neighbor_mask(alias), mask));
-        }
-        out.push((mask, h.finish()));
+        write_filter(&mut h, filter);
     }
-    out
-}
-
-/// The variables any alias of the non-empty `mask` touches, as a bitset
-/// in `set` (the union of the aliases' [`QueryGraph::alias_var_set`]s).
-fn mask_var_set(graph: &QueryGraph, mask: SubplanMask, set: &mut [u64]) {
-    set.copy_from_slice(graph.alias_var_set(mask.trailing_zeros() as usize));
-    let mut rest = mask & mask.wrapping_sub(1);
-    while rest != 0 {
-        let alias = rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        for (w, &bits) in set.iter_mut().zip(graph.alias_var_set(alias)) {
-            *w |= bits;
+    h.write_u64(query.joins().len() as u64);
+    for join in query.joins() {
+        for side in [join.left, join.right] {
+            h.write_u64(side.alias as u64);
+            h.write_u64(side.column as u64);
         }
     }
+    h.finish()
 }
 
-/// The rank of member `v` in the bitset `set`: how many members lie below
-/// it (the order-preserving id → position map of the module doc).
-fn rank(set: &[u64], v: usize) -> u64 {
-    let (word, bit) = (v / 64, v % 64);
-    let below: u32 = set[..word].iter().map(|w| w.count_ones()).sum();
-    u64::from(below + (set[word] & ((1u64 << bit) - 1)).count_ones())
+/// Every connected sub-plan of `query` with at least `min_size` aliases,
+/// each paired with the query's [`query_fingerprint`], in exactly the
+/// order `FactorJoinModel::estimate_subplans_with(.., query, min_size)`
+/// returns its estimates (sorted by `(popcount, mask)`): the cache keys of
+/// one request, minus the epoch.
+pub fn subplan_fingerprints(query: &Query, min_size: u32, seed: u64) -> Vec<(SubplanMask, u64)> {
+    let fingerprint = query_fingerprint(query, seed);
+    connected_subplans(query, min_size)
+        .into_iter()
+        .map(|mask| (mask, fingerprint))
+        .collect()
 }
 
 #[cfg(test)]
@@ -437,8 +328,10 @@ mod tests {
         }
     }
 
+    /// The query is the cache unit: a filter on alias 0 changes the key
+    /// of every sub-plan, those without alias 0 included.
     #[test]
-    fn filter_changes_change_affected_subplans_only() {
+    fn a_filter_change_changes_every_subplan_key() {
         let cat = catalog();
         let base = chain_query(&cat, vec![FilterExpr::True; 3]);
         let filtered = chain_query(
@@ -451,12 +344,10 @@ mod tests {
         );
         let fa = subplan_fingerprints(&base, 1, 9);
         let fb = subplan_fingerprints(&filtered, 1, 9);
-        for ((m, f1), (_, f2)) in fa.iter().zip(&fb) {
-            if m & 0b001 != 0 {
-                assert_ne!(f1, f2, "mask {m:b} should see the alias-0 filter");
-            } else {
-                assert_eq!(f1, f2, "mask {m:b} does not involve alias 0");
-            }
+        assert_eq!(fa.len(), fb.len());
+        for ((m1, f1), (m2, f2)) in fa.iter().zip(&fb) {
+            assert_eq!(m1, m2);
+            assert_ne!(f1, f2, "mask {m1:b} kept its key across a filter change");
         }
     }
 
@@ -511,11 +402,30 @@ mod tests {
         assert_ne!(full_c, full_s);
     }
 
+    /// Alias names are not read by estimation, so they are not hashed;
+    /// the join list's stored order numbers the variables, so it is.
     #[test]
-    fn rank_remap_compacts_bits() {
-        assert_eq!(rank_remap(0b1010, 0b1110), 0b101);
-        assert_eq!(rank_remap(0b0001, 0b1110), 0);
-        assert_eq!(rank_remap(u64::MAX, 0b1001), 0b11);
+    fn alias_names_are_ignored_and_join_order_is_not() {
+        let cat = catalog();
+        let q = chain_query(&cat, vec![FilterExpr::True; 3]);
+        let renamed = Query::from_wire_parts(
+            ["x", "y", "z"]
+                .iter()
+                .zip(q.tables())
+                .map(|(alias, t)| TableRef::new(alias, &t.table))
+                .collect(),
+            q.joins().to_vec(),
+            q.filters().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(query_fingerprint(&q, 6), query_fingerprint(&renamed, 6));
+        let reversed = Query::from_wire_parts(
+            q.tables().to_vec(),
+            q.joins().iter().rev().copied().collect(),
+            q.filters().to_vec(),
+        )
+        .unwrap();
+        assert_ne!(query_fingerprint(&q, 6), query_fingerprint(&reversed, 6));
     }
 
     /// Pinned outputs: benchmark input hashes and test checksums outlive
@@ -549,64 +459,5 @@ mod tests {
         assert_ne!(hash("ab"), hash("ab\0"));
         assert_ne!(hash("12345678"), hash("12345678\0"));
         assert_ne!(hash(""), hash("\0"));
-    }
-
-    /// The rank map before variable bitsets: every variable of the mask
-    /// collected, sorted, deduplicated and binary-searched — per alias of
-    /// the mask in ascending order, per key in `alias_keys` order.
-    fn oracle_ranks(graph: &QueryGraph, mask: SubplanMask) -> Vec<u64> {
-        let aliases = || (0..64).filter(move |a| mask & (1u64 << a) != 0);
-        let mut vars: Vec<usize> = aliases()
-            .flat_map(|a| graph.alias_keys(a).iter().map(|&(_, var)| var))
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        aliases()
-            .flat_map(|a| graph.alias_keys(a).iter())
-            .map(|&(_, var)| vars.binary_search(&var).expect("var of the mask") as u64)
-            .collect()
-    }
-
-    /// A query with more join variables than one word holds: a 40-alias
-    /// chain of one table joined on two column pairs per edge (78
-    /// variables). Every sub-plan's ranks match the sort/dedup oracle, so
-    /// no variable id ≥ 64 wraps onto a low bit.
-    #[test]
-    fn wide_query_ranks_match_the_sorting_oracle() {
-        let mut cat = Catalog::new();
-        let schema = TableSchema::new(["c0", "c1", "c2", "c3"].map(ColumnDef::key).to_vec());
-        cat.add_table(Table::from_rows("t", schema, &[vec![Value::Int(0); 4]]).unwrap())
-            .unwrap();
-        let n = 40;
-        let tables = (0..n)
-            .map(|i| TableRef::new(&format!("t{i}"), "t"))
-            .collect();
-        let joins: Vec<_> = (1..n)
-            .flat_map(|i| {
-                let (l, r) = (format!("t{}", i - 1), format!("t{i}"));
-                [j(&l, "c0", &r, "c1"), j(&l, "c2", &r, "c3")]
-            })
-            .collect();
-        let q = Query::new(&cat, tables, &joins, vec![FilterExpr::True; n]).unwrap();
-        let graph = QueryGraph::analyze(&q);
-        assert_eq!(graph.num_vars(), 2 * (n - 1));
-        assert_eq!(graph.var_set_words(), 2);
-
-        let masks = crate::subplan::connected_subplans(&q, 1);
-        let mut set = vec![0; graph.var_set_words()];
-        let mut high_ranks = 0;
-        for &mask in &masks {
-            mask_var_set(&graph, mask, &mut set);
-            let ranks: Vec<u64> = (0..n)
-                .filter(|&a| mask & (1u64 << a) != 0)
-                .flat_map(|a| graph.alias_keys(a).iter())
-                .map(|&(_, var)| rank(&set, var))
-                .collect();
-            assert_eq!(ranks, oracle_ranks(&graph, mask), "mask {mask:b}");
-            high_ranks += ranks.iter().filter(|&&r| r >= 64).count();
-        }
-        assert!(high_ranks > 0, "some sub-plan spans more than 64 variables");
-        let fps = subplan_fingerprints(&q, 1, 5);
-        assert_eq!(fps.iter().map(|&(m, _)| m).collect::<Vec<_>>(), masks);
     }
 }

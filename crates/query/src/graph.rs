@@ -9,9 +9,9 @@
 //!
 //! Analysis runs once per estimate request on the serving path, so it
 //! records bitset views the hot loops test instead of scanning lists — per
-//! alias its join neighbors, per variable the aliases it touches, per alias
-//! the variables its keys touch — and builds the per-variable member lists
-//! only when [`QueryGraph::vars`] is first asked for them.
+//! alias its join neighbors, per variable the aliases it touches — and
+//! builds the per-variable member lists only when [`QueryGraph::vars`] is
+//! first asked for them.
 
 use crate::query::{ColRef, Query};
 use fj_storage::UnionFind;
@@ -40,15 +40,11 @@ pub struct QueryGraph {
     /// alias: alias `a`'s run is `alias_keys[key_start[a]..key_start[a + 1]]`.
     alias_keys: Vec<(usize, usize)>,
     key_start: Vec<usize>,
-    /// Three bitset tables in one buffer: per alias the mask of aliases it
-    /// is directly joined with (`n` words); per variable the mask of aliases
-    /// with a member key in it (`num_vars` words); per alias the variables
-    /// its keys touch (`var_words` = ⌈num_vars / 64⌉ words each, bit
-    /// `v % 64` of word `v / 64`, so an id ≥ 64 lands in its own word
-    /// instead of wrapping).
+    /// Two bitset tables in one buffer: per alias the mask of aliases it
+    /// is directly joined with (`n` words), then per variable the mask of
+    /// aliases with a member key in it (`num_vars` words).
     bits: Vec<u64>,
     num_aliases: usize,
-    var_words: usize,
 }
 
 impl QueryGraph {
@@ -81,16 +77,13 @@ impl QueryGraph {
             keys[k].1 = keys[uf.find(k)].1;
         }
 
-        let var_words = num_vars.div_ceil(64).max(1);
-        let mut bits = vec![0u64; n + num_vars + n * var_words];
-        let (neighbors, rest) = bits.split_at_mut(n);
-        let (var_aliases, var_sets) = rest.split_at_mut(num_vars);
+        let mut bits = vec![0u64; n + num_vars];
+        let (neighbors, var_aliases) = bits.split_at_mut(n);
         // Keys are distinct (alias, column)s, so each alias's (column, var)
         // pairs are distinct too: a counting sort by alias places them.
         let mut key_start = vec![0usize; n + 1];
         for &(cr, var) in &keys {
             var_aliases[var] |= 1 << cr.alias;
-            var_sets[cr.alias * var_words + var / 64] |= 1 << (var % 64);
             key_start[cr.alias + 1] += 1;
         }
         for a in 0..n {
@@ -122,7 +115,6 @@ impl QueryGraph {
             key_start,
             bits,
             num_aliases: n,
-            var_words,
         }
     }
 
@@ -159,19 +151,6 @@ impl QueryGraph {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Words in each variable bitset: ⌈[`Self::num_vars`] / 64⌉, at least
-    /// one.
-    pub(crate) fn var_set_words(&self) -> usize {
-        self.var_words
-    }
-
-    /// The variables `alias` touches as a bitset: bit `v % 64` of word
-    /// `v / 64`, [`Self::var_set_words`] words.
-    pub(crate) fn alias_var_set(&self, alias: usize) -> &[u64] {
-        let start = self.num_aliases + self.num_vars + alias * self.var_words;
-        &self.bits[start..start + self.var_words]
     }
 
     /// The mask of aliases with a member key in variable `var`.
@@ -323,12 +302,6 @@ mod tests {
         for v in g.vars() {
             let aliases = v.members.iter().fold(0u64, |m, cr| m | 1 << cr.alias);
             assert_eq!(g.var_aliases(v.id), aliases);
-        }
-        for alias in 0..4 {
-            let set = g.alias_var_set(alias);
-            assert_eq!(set.len(), 1);
-            let vars = g.alias_vars(alias).iter().fold(0u64, |m, &v| m | 1 << v);
-            assert_eq!(set[0], vars);
         }
     }
 

@@ -12,8 +12,8 @@
 //!   group* variables (paper §3.1), which become the factor-graph variables;
 //! * [`subplan`] — enumeration of all connected sub-plans, which is the set
 //!   of cardinalities a cost-based optimizer requests (paper §5.2);
-//! * [`fingerprint`] — seeded stable canonical sub-plan fingerprints, the
-//!   cache key of the service tier's sub-plan estimate cache;
+//! * [`fingerprint`] — seeded stable query fingerprints, the query part of
+//!   the cache key of the service tier's sub-plan estimate cache;
 //! * [`parser`] — a SQL-subset parser so workloads can be written as text.
 
 pub mod compile;
@@ -28,9 +28,7 @@ pub mod subplan;
 
 pub use compile::{compile_filter, filtered_count, filtered_selection, CompiledFilter, Selection};
 pub use expr::{FilterExpr, ValueMatcher, MAX_FILTER_DEPTH};
-pub use fingerprint::{
-    subplan_fingerprints, subplan_fingerprints_into, FingerprintBuf, StableHasher,
-};
+pub use fingerprint::{query_fingerprint, subplan_fingerprints, StableHasher};
 pub use graph::{KeyVar, QueryGraph};
 pub use like::{like_match, LikePattern};
 pub use parser::{parse_query, ParseError};

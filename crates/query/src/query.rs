@@ -66,6 +66,8 @@ pub enum QueryError {
     UnknownTable(String),
     /// Column missing from a table schema.
     UnknownColumn { alias: String, column: String },
+    /// A column index past the end of a table schema.
+    ColumnOutOfRange { table: String, column: usize },
     /// Join condition on a non-key or float column.
     BadJoinColumn { alias: String, column: String },
     /// Both sides of a join condition refer to the same alias.
@@ -86,6 +88,9 @@ impl fmt::Display for QueryError {
             QueryError::UnknownTable(t) => write!(f, "unknown table {t}"),
             QueryError::UnknownColumn { alias, column } => {
                 write!(f, "unknown column {alias}.{column}")
+            }
+            QueryError::ColumnOutOfRange { table, column } => {
+                write!(f, "table {table} has no column #{column}")
             }
             QueryError::BadJoinColumn { alias, column } => {
                 write!(f, "column {alias}.{column} cannot be used as a join key")

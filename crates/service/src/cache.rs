@@ -1,19 +1,19 @@
 //! Sharded, epoch-fenced sub-plan estimate cache.
 //!
 //! An optimizer fleet re-plans the same queries constantly, and every
-//! re-plan re-requests the same canonical sub-plans. FactorJoin's
-//! estimates are pure functions of (model, canonical sub-plan), so the
-//! service tier can answer repeats without touching the model at all.
-//! This module provides that fast path:
+//! re-plan re-requests every sub-plan of the query. FactorJoin's
+//! estimates are a deterministic fold over (model, query), so the service
+//! tier can answer repeats without touching the model at all. This module
+//! provides that fast path:
 //!
-//! * **Key** — `(model epoch, sub-plan mask, fingerprint)`. The
-//!   fingerprint is [`fj_query::subplan_fingerprints`]'s seeded word-mixed
-//!   hash over the canonicalized sub-plan (table identities, filter
-//!   terms in stored order, join-key equivalence structure projected
-//!   onto the sub-plan); equal keys imply an isomorphic estimation
-//!   computation and therefore a **bit-identical** `f64`. The value
-//!   stored is the raw `f64::to_bits`, so a hit reproduces the miss
-//!   exactly.
+//! * **Key** — `(model epoch, sub-plan mask, query fingerprint)`. The
+//!   fingerprint is [`fj_query::query_fingerprint`]'s seeded hash of
+//!   exactly what estimation reads of the query (table names, filters in
+//!   stored term order, the join list in stored order), so equal keys
+//!   mean the same deterministic fold over the same inputs: a
+//!   **bit-identical** `f64`. The value stored is the raw `f64::to_bits`,
+//!   so a hit reproduces the miss exactly. Different queries share no
+//!   entry.
 //! * **Epoch fencing** — registry epochs are globally unique and
 //!   monotonic across datasets, so the epoch component both scopes keys
 //!   to their dataset *and* invalidates the whole cache lazily on
@@ -42,8 +42,8 @@ const NUM_SHARDS: usize = 16;
 /// Set associativity: slots probed per lookup/insert.
 const WAYS: usize = 8;
 
-/// Seed for the sub-plan fingerprint hash. Fixed for the life of
-/// a cache so the same canonical sub-plan always maps to the same key;
+/// Seed for the query fingerprint hash. Fixed for the life of a cache so
+/// the same query always maps to the same keys;
 /// distinct from zero so accidental all-zero keys do not collide with
 /// empty slots.
 pub const FINGERPRINT_SEED: u64 = 0x6a09_e667_f3bc_c908;
@@ -64,7 +64,7 @@ struct Shard {
     tick: usize,
 }
 
-/// A sharded, bounded, epoch-fenced map from canonical sub-plans to
+/// A sharded, bounded, epoch-fenced map from a query's sub-plans to
 /// bit-exact estimates (see module docs).
 pub struct SubplanCache {
     shards: Box<[Mutex<Shard>]>,

@@ -24,13 +24,15 @@
 //!   finishes the last sends the batch's one reply. A lone `submit` is a
 //!   batch of one.
 //! * [`ModelRegistry`] maps dataset names to `Arc`-shared immutable
-//!   models. [`ModelRegistry::swap_model`] atomically publishes a
+//!   models; a service serves the one dataset it was started with. [`ModelRegistry::swap_model`] atomically publishes a
 //!   retrained model without pausing readers; responses carry the serving
 //!   model's epoch so clients can tell which model answered.
 //! * [`SubplanCache`] sits in front of the workers: a sharded,
-//!   memory-bounded map from (model epoch, canonical sub-plan
+//!   memory-bounded map from (model epoch, sub-plan mask, query
 //!   fingerprint) to the bit-exact `f64` estimate, so an optimizer fleet
 //!   replaying the same queries is served without touching the model.
+//!   The fingerprint hashes exactly what estimation reads of the query,
+//!   so equal keys mean the same deterministic fold over the same inputs.
 //!   Epoch keying makes hot-swap invalidation free — a swapped model can
 //!   never be answered from its predecessor's entries.
 //! * [`StatsSnapshot`] reports a shard's counters — requests, sub-plans,

@@ -1,14 +1,14 @@
 //! Request/response types and completion tickets.
 
-use fj_query::{Query, SubplanMask};
+use fj_query::{Query, QueryError, SubplanMask};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// One estimation request: a query plus how it should be served.
+/// One estimation request: a query plus how it should be served. The
+/// service answers it from the dataset it was started with
+/// ([`crate::ServiceConfig::dataset`]).
 #[derive(Debug, Clone)]
 pub struct EstimateRequest {
-    /// Registry dataset to serve from; `None` uses the service default.
-    pub dataset: Option<String>,
     /// The join query to estimate.
     pub query: Query,
     /// Minimum sub-plan size to report (1 = include single tables), as in
@@ -23,11 +23,9 @@ pub struct EstimateRequest {
 }
 
 impl EstimateRequest {
-    /// A request for every connected sub-plan of `query` on the service's
-    /// default dataset.
+    /// A request for every connected sub-plan of `query`.
     pub fn new(query: Query) -> Self {
         EstimateRequest {
-            dataset: None,
             query,
             min_size: 1,
             deadline: None,
@@ -77,8 +75,13 @@ impl EstimateResponse {
 /// Why a request could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The request named a dataset the registry does not hold.
+    /// The service's dataset is not in its registry.
     UnknownDataset(String),
+    /// The query names a table, a join column index or a filter column the
+    /// serving model does not hold (see
+    /// [`factorjoin::FactorJoinModel::check_query`]); it was refused
+    /// before estimation.
+    InvalidQuery(QueryError),
     /// The request was accepted (enqueued), but the service shut down
     /// before a worker served it.
     Shutdown,
@@ -103,6 +106,7 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::UnknownDataset(name) => write!(f, "unknown dataset {name:?}"),
+            ServiceError::InvalidQuery(e) => write!(f, "query does not fit the served model: {e}"),
             ServiceError::Shutdown => write!(f, "service shut down before serving the request"),
             ServiceError::SubmitAfterShutdown => {
                 write!(
@@ -124,9 +128,7 @@ impl std::error::Error for ServiceError {}
 
 /// Why an admission-controlled submission was refused (never blocked).
 ///
-/// Shared between the in-process non-blocking path
-/// ([`crate::EstimatorService::offer_requests`]) and the network tier's
-/// reject frames.
+/// The network tier's reject frames carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The client exceeded its in-flight request quota.

@@ -10,6 +10,21 @@
 //! little-endian. A repeated field's count is checked against the bytes
 //! left before anything is allocated for it.
 //!
+//! ## Decoded size
+//!
+//! A byte on the wire can decode into far more memory: a one-byte `True`
+//! AND/OR part becomes a 72-byte node (a one-byte `Null` `IN` value a
+//! 24-byte one), so a 64 MiB frame of them would need ≈ 4.6 GB. An
+//! `EstimateBatch` frame therefore decodes at most [`MAX_BATCH_ELEMENTS`]
+//! elements — queries, tables (with their filter's root), joins, AND/OR
+//! parts, NOT operands and `IN` values — each charged before anything is
+//! allocated for it, and refused past the budget as
+//! [`DecodeError::HostileLength`]. No element takes more than 120 bytes
+//! (a table: its 48-byte `TableRef` and the 72-byte root of its filter),
+//! so the worst decoded size of a legal frame is ≈ 30 MiB of elements plus
+//! its strings, whose bytes are the frame's own (before allocator
+//! rounding): at most ≈ 94 MiB for a full 64 MiB frame.
+//!
 //! ## Framing
 //!
 //! Every message is one frame: a `u32` payload length followed by the
@@ -59,6 +74,30 @@ pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Hard ceiling on a frame payload, validated before allocating.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+
+/// The most elements one `EstimateBatch` frame may decode (see the module
+/// docs): a 16-query batch of eight-table queries uses a few hundred.
+pub const MAX_BATCH_ELEMENTS: usize = 1 << 18;
+
+/// What is left of one frame's [`MAX_BATCH_ELEMENTS`].
+struct Budget(usize);
+
+impl Budget {
+    /// Charges `n` elements of the field `what`, before anything is
+    /// allocated for them.
+    fn charge(&mut self, what: &'static str, n: usize) -> Result<(), WireError> {
+        if n > self.0 {
+            return Err(DecodeError::HostileLength {
+                what,
+                wanted: n as u64,
+                available: self.0 as u64,
+            }
+            .into());
+        }
+        self.0 -= n;
+        Ok(())
+    }
+}
 
 /// Opcode of the client hello frame.
 pub const OP_HELLO: u8 = 0x01;
@@ -386,9 +425,11 @@ pub(crate) fn decode_estimate_batch(payload: &[u8]) -> Result<EstimateBatch, Wir
     let trace_id = d.u64("trace id")?;
     // A query is at least its table and join counts.
     let n = d.count("queries", 2)?;
+    let mut budget = Budget(MAX_BATCH_ELEMENTS);
+    budget.charge("queries", n)?;
     let mut queries = Vec::with_capacity(n);
     for _ in 0..n {
-        queries.push(decode_query(&mut d)?);
+        queries.push(decode_query(&mut d, &mut budget)?);
     }
     finish(&d)?;
     Ok(EstimateBatch {
@@ -682,7 +723,7 @@ fn decode_cmp_op(tag: u8) -> Result<fj_query::CmpOp, WireError> {
     })
 }
 
-fn decode_predicate(d: &mut Dec<'_>) -> Result<Predicate, WireError> {
+fn decode_predicate(d: &mut Dec<'_>, budget: &mut Budget) -> Result<Predicate, WireError> {
     Ok(match d.u8("predicate tag")? {
         0 => Predicate::Cmp {
             column: d.str("predicate column")?.to_string(),
@@ -698,6 +739,7 @@ fn decode_predicate(d: &mut Dec<'_>) -> Result<Predicate, WireError> {
             let column = d.str("predicate column")?.to_string();
             // A value is at least its tag.
             let n = d.count("IN values", 1)?;
+            budget.charge("IN values", n)?;
             let mut values = Vec::with_capacity(n);
             for _ in 0..n {
                 values.push(decode_value(d)?);
@@ -753,7 +795,11 @@ fn encode_filter(e: &mut Enc, f: &FilterExpr) {
 /// Reads a filter whose AND/OR/NOT ancestors number `depth`: a node that
 /// would put it past [`MAX_FILTER_DEPTH`] is a `BadQuery`, so a frame of
 /// nested tags cannot recurse the reader off its stack.
-fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError> {
+fn decode_filter(
+    d: &mut Dec<'_>,
+    depth: usize,
+    budget: &mut Budget,
+) -> Result<FilterExpr, WireError> {
     let tag = d.u8("filter tag")?;
     if matches!(tag, 2..=4) && depth == MAX_FILTER_DEPTH {
         return Err(WireError::BadQuery(format!(
@@ -762,13 +808,14 @@ fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError>
     }
     Ok(match tag {
         0 => FilterExpr::True,
-        1 => FilterExpr::Pred(decode_predicate(d)?),
+        1 => FilterExpr::Pred(decode_predicate(d, budget)?),
         2 | 3 => {
             // A part is at least its tag.
             let n = d.count("AND/OR parts", 1)?;
+            budget.charge("AND/OR parts", n)?;
             let mut parts = Vec::with_capacity(n);
             for _ in 0..n {
-                parts.push(decode_filter(d, depth + 1)?);
+                parts.push(decode_filter(d, depth + 1, budget)?);
             }
             if tag == 2 {
                 FilterExpr::And(parts)
@@ -776,7 +823,10 @@ fn decode_filter(d: &mut Dec<'_>, depth: usize) -> Result<FilterExpr, WireError>
                 FilterExpr::Or(parts)
             }
         }
-        4 => FilterExpr::Not(Box::new(decode_filter(d, depth + 1)?)),
+        4 => {
+            budget.charge("NOT operand", 1)?;
+            FilterExpr::Not(Box::new(decode_filter(d, depth + 1, budget)?))
+        }
         tag => {
             return Err(WireError::BadTag {
                 what: "filter",
@@ -804,7 +854,7 @@ fn encode_query(e: &mut Enc, q: &Query) {
     }
 }
 
-fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
+fn decode_query(d: &mut Dec<'_>, budget: &mut Budget) -> Result<Query, WireError> {
     let bad = |e: QueryError| WireError::BadQuery(e.to_string());
     // A table is at least its alias and name lengths and its filter's tag.
     // Past the alias and join caps a query is refused from its count,
@@ -813,6 +863,7 @@ fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
     if nt > 64 {
         return Err(bad(QueryError::TooManyAliases(nt)));
     }
+    budget.charge("query tables", nt)?;
     let mut tables = Vec::with_capacity(nt);
     for _ in 0..nt {
         let alias = d.str("table alias")?.to_string();
@@ -824,6 +875,7 @@ fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
     if nj > MAX_JOINS {
         return Err(bad(QueryError::TooManyJoins(nj)));
     }
+    budget.charge("query joins", nj)?;
     let mut joins = Vec::with_capacity(nj);
     for _ in 0..nj {
         joins.push(JoinPredicate {
@@ -839,7 +891,7 @@ fn decode_query(d: &mut Dec<'_>) -> Result<Query, WireError> {
     }
     let mut filters = Vec::with_capacity(nt);
     for _ in 0..nt {
-        filters.push(decode_filter(d, 0)?);
+        filters.push(decode_filter(d, 0, budget)?);
     }
     Query::from_wire_parts(tables, joins, filters).map_err(bad)
 }
@@ -1403,6 +1455,48 @@ pub(crate) mod tests {
         e.u8(0);
         e.varint(HOSTILE);
         refused("shards", decode_health_ok(&e.finish()).map(drop));
+        // Past the element budget, a frame is refused before the parts
+        // that overrun it are allocated: one AND of 2 M one-byte `True`
+        // parts is a 2 MiB frame that would decode into 144 MB.
+        let parts = 2_000_000;
+        let and_of_trues = |parts: usize| {
+            one_table_batch(|e| {
+                e.u8(2);
+                e.len(parts);
+                for _ in 0..parts {
+                    e.u8(0);
+                }
+            })
+        };
+        assert_eq!(
+            batch(and_of_trues(parts)),
+            Err(WireError::Decode(DecodeError::HostileLength {
+                what: "AND/OR parts",
+                wanted: parts as u64,
+                available: MAX_BATCH_ELEMENTS as u64 - 2, // the query, its table
+            }))
+        );
+        // At the budget a frame decodes; one element more is refused. No
+        // element is larger than a table with its filter's root, so the
+        // module docs' worst decoded size holds.
+        use std::mem::size_of;
+        let table = size_of::<TableRef>() + size_of::<FilterExpr>();
+        assert_eq!(table, 120);
+        let elements = [
+            size_of::<Query>(),
+            size_of::<JoinPredicate>(),
+            size_of::<Value>(),
+        ];
+        assert!(elements.iter().all(|&size| size <= table));
+        assert!(MAX_BATCH_ELEMENTS * table <= 30 << 20);
+        assert_eq!(batch(and_of_trues(MAX_BATCH_ELEMENTS - 2)), Ok(()));
+        assert!(matches!(
+            batch(and_of_trues(MAX_BATCH_ELEMENTS - 1)),
+            Err(WireError::Decode(DecodeError::HostileLength {
+                what: "AND/OR parts",
+                ..
+            }))
+        ));
         // A structurally invalid query (disconnected join graph) fails
         // validation at decode, not later at estimation.
         assert!(matches!(

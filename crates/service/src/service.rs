@@ -24,8 +24,9 @@ pub struct ServiceConfig {
     /// queries past this (unless the queue is empty), a non-blocking one
     /// is shed.
     pub queue_capacity: usize,
-    /// Dataset served when a request does not name one.
-    pub default_dataset: String,
+    /// The dataset the service serves: the registry entry every request
+    /// is answered from.
+    pub dataset: String,
     /// Total capacity (in cached sub-plan estimates) of the sharded
     /// sub-plan estimate cache, rounded up to the cache's set geometry.
     /// `0` disables the cache entirely (the benchmark's uncached arm);
@@ -34,13 +35,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config serving `default_dataset` with `workers` threads and a
+    /// A config serving `dataset` with `workers` threads and a
     /// 1024-deep queue.
-    pub fn new(default_dataset: &str, workers: usize) -> Self {
+    pub fn new(dataset: &str, workers: usize) -> Self {
         ServiceConfig {
             workers,
             queue_capacity: 1024,
-            default_dataset: default_dataset.to_string(),
+            dataset: dataset.to_string(),
             subplan_cache_entries: 65_536,
         }
     }
@@ -73,7 +74,7 @@ impl EstimatorService {
     /// Starts the worker pool against an existing (shareable) registry.
     pub fn start(registry: Arc<ModelRegistry>, config: ServiceConfig) -> Self {
         let pool = Arc::new(Pool {
-            default_dataset: Arc::from(config.default_dataset),
+            dataset: Arc::from(config.dataset),
             queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
             registry,
             stats: Arc::new(StatsInner::new()),
@@ -92,8 +93,7 @@ impl EstimatorService {
         Self::start(registry, ServiceConfig::new(dataset, workers))
     }
 
-    /// Submits one query against the default dataset (every connected
-    /// sub-plan). Blocks only when the queue is at capacity.
+    /// Submits one query (every connected sub-plan). Blocks only when the queue is at capacity.
     pub fn submit(&self, query: Query) -> Ticket {
         self.submit_request(EstimateRequest::new(query))
     }
@@ -107,7 +107,7 @@ impl EstimatorService {
         Ticket { rx }
     }
 
-    /// Submits a batch of queries against the default dataset. The batch
+    /// Submits a batch of queries. The batch
     /// is one queue entry and resolves with one reply, so batched
     /// submission stays cheap at high request rates.
     pub fn submit_batch(&self, queries: &[Query]) -> BatchTicket {
@@ -140,31 +140,16 @@ impl EstimatorService {
     }
 
     /// Non-blocking, all-or-nothing batch submission — the admission-
-    /// control path for serving tiers that must never stall a network
-    /// thread. The batch is enqueued only when the queue is open and
-    /// `queued + n <= capacity` (so a batch larger than the capacity is
-    /// always shed); otherwise it comes back in [`AdmissionRejected`]
-    /// (reason [`RejectReason::Overloaded`] on a full queue — all `n`
-    /// counted as shed load in [`StatsSnapshot::shed`] — or
-    /// [`RejectReason::ShuttingDown`] on a closed one).
-    pub fn offer_requests(
-        &self,
-        requests: Vec<EstimateRequest>,
-    ) -> Result<BatchTicket, AdmissionRejected> {
-        let (tx, rx) = mpsc::channel::<Reply>();
-        let expected = requests.len();
-        self.offer_tagged(requests, 0, &tx)?;
-        Ok(BatchTicket {
-            rx,
-            expected,
-            accepted: expected,
-        })
-    }
-
-    /// [`Self::offer_requests`] routing the reply to a caller-owned
-    /// channel, tagged so interleaved batches can share it (the network
-    /// tier's submission path: one reply channel per connection, tag =
-    /// wire request id).
+    /// control path of the network tier, which must never stall a
+    /// connection thread. The batch is enqueued only when the queue is
+    /// open and `queued + n <= capacity` (so a batch larger than the
+    /// capacity is always shed); otherwise it comes back in
+    /// [`AdmissionRejected`] (reason [`RejectReason::Overloaded`] on a
+    /// full queue — all `n` counted as shed load in
+    /// [`StatsSnapshot::shed`] — or [`RejectReason::ShuttingDown`] on a
+    /// closed one). The reply goes to a caller-owned channel, tagged so
+    /// interleaved batches can share it (one reply channel per connection,
+    /// tag = wire request id).
     pub(crate) fn offer_tagged(
         &self,
         requests: Vec<EstimateRequest>,
@@ -320,10 +305,10 @@ mod tests {
     #[test]
     fn unknown_dataset_errors() {
         let (model, wl) = tiny_setup();
-        let service = EstimatorService::serve("stats", model, 1);
-        let mut request = EstimateRequest::new(wl[0].clone());
-        request.dataset = Some("nope".into());
-        let err = service.submit_request(request).wait().unwrap_err();
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish("stats", model);
+        let service = EstimatorService::start(registry, ServiceConfig::new("nope", 1));
+        let err = service.submit(wl[0].clone()).wait().unwrap_err();
         assert_eq!(err, ServiceError::UnknownDataset("nope".into()));
         assert_eq!(service.stats().errors, 1);
     }
@@ -345,7 +330,7 @@ mod tests {
     fn stalled_service(queue_capacity: usize) -> EstimatorService {
         EstimatorService {
             pool: Arc::new(Pool {
-                default_dataset: Arc::from("stats"),
+                dataset: Arc::from("stats"),
                 queue: Arc::new(BoundedQueue::new(queue_capacity)),
                 registry: Arc::new(ModelRegistry::new()),
                 stats: Arc::new(StatsInner::new()),
@@ -553,13 +538,13 @@ mod tests {
         );
     }
 
+    /// Structurally valid, but naming a table the model never saw: the
+    /// query is refused by name before estimation, in its own slot.
     #[test]
-    fn a_panic_fails_its_slot_only() {
+    fn a_query_the_model_lacks_fails_its_slot_only() {
         let (model, wl) = tiny_setup();
         let service = stalled_service(8);
         service.pool.registry.publish("stats", Arc::clone(&model));
-        // Structurally valid, but names a table the model never saw: the
-        // estimator panics on it.
         let bogus = Query::from_wire_parts(
             vec![fj_query::TableRef::new("z", "no_such_table")],
             vec![],
@@ -576,20 +561,14 @@ mod tests {
             worker.serve(&batch, index, &mut resolved);
         }
         let results = ticket.wait_all();
-        assert_served_by(
-            results[0].as_ref().expect("before the panic"),
-            &model,
-            &wl[0],
+        assert_served_by(results[0].as_ref().expect("before"), &model, &wl[0]);
+        assert_eq!(
+            results[1].as_ref().unwrap_err(),
+            &ServiceError::InvalidQuery(fj_query::QueryError::UnknownTable("no_such_table".into()))
         );
-        assert!(matches!(&results[1], Err(ServiceError::WorkerPanicked(_))));
-        // The slot after the panic runs on a rebuilt scratch, same worker.
-        assert_served_by(
-            results[2].as_ref().expect("after the panic"),
-            &model,
-            &wl[1],
-        );
+        assert_served_by(results[2].as_ref().expect("after"), &model, &wl[1]);
         let snap = service.stats();
-        assert_eq!((snap.requests, snap.worker_panics), (2, 1));
+        assert_eq!((snap.requests, snap.errors, snap.worker_panics), (2, 1, 0));
     }
 
     #[test]
@@ -648,21 +627,19 @@ mod tests {
         let (model, wl) = tiny_setup();
         let service = stalled_service(2); // no workers: queue never drains
         service.pool.registry.publish("stats", Arc::clone(&model));
-        let reqs = |n: usize| -> Vec<EstimateRequest> {
-            (0..n)
-                .map(|i| EstimateRequest::new(wl[i % wl.len()].clone()))
-                .collect()
-        };
+        let (tx, rx) = mpsc::channel::<Reply>();
+        let offer = |n: usize| service.offer_tagged(requests(&wl, n), 7, &tx);
         // A batch larger than capacity is always shed, all-or-nothing.
-        let err = service.offer_requests(reqs(3)).unwrap_err();
+        let err = offer(3).unwrap_err();
         assert_eq!(err.reason, RejectReason::Overloaded);
         assert_eq!(err.requests.len(), 3, "the batch comes back for retry");
         assert_eq!(service.pool.queue.len(), 0, "nothing partially enqueued");
         // A fitting batch is accepted.
-        let ticket = service.offer_requests(reqs(2)).expect("fits");
-        assert_eq!(ticket.accepted(), 2);
+        offer(2).expect("fits");
+        assert_eq!(service.pool.queue.len(), 2);
+        assert!(rx.try_recv().is_err(), "accepted, not yet served");
         // Now the queue is full: even a single request is shed.
-        let err = service.offer_requests(reqs(1)).unwrap_err();
+        let err = offer(1).unwrap_err();
         assert_eq!(err.reason, RejectReason::Overloaded);
         // Quota rejections recorded through the public hook, per query.
         service.record_admission_rejection(2);
@@ -671,7 +648,7 @@ mod tests {
         assert_eq!(snap.rejected, 2);
         // Closed queue refuses with ShuttingDown instead.
         service.pool.queue.close();
-        let err = service.offer_requests(reqs(1)).unwrap_err();
+        let err = offer(1).unwrap_err();
         assert_eq!(err.reason, RejectReason::ShuttingDown);
     }
 

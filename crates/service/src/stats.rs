@@ -37,7 +37,9 @@ enum Stat {
     /// the ticket resolved with an error instead of hanging).
     WorkerPanics,
     /// Sub-plan estimates served straight from the sub-plan cache,
-    /// bit-identical to a fresh computation.
+    /// bit-identical to a fresh computation: a hit's key (model epoch,
+    /// sub-plan mask, query fingerprint) was computed by the same
+    /// deterministic fold over the same inputs.
     CacheHits,
     /// Sub-plan estimates computed by the model and inserted into the
     /// cache (counts sub-plans, like [`Stat::CacheHits`], so
@@ -65,7 +67,7 @@ const COUNTERS: [(Stat, &str, &str); N] = [
     (
         Stat::Errors,
         "fj_errors_total",
-        "Requests that resolved with a service error (unknown dataset, contained worker panic).",
+        "Requests that resolved with a service error (unknown dataset, a query the model lacks, contained worker panic).",
     ),
     (
         Stat::Rejected,
@@ -259,8 +261,9 @@ pub struct StatsSnapshot {
     /// Sub-plan estimates produced across those requests.
     pub subplans: u64,
     /// Requests that resolved with a [`crate::ServiceError`] after
-    /// admission: unknown dataset at estimation time, plus contained
-    /// worker panics (also counted in [`Self::worker_panics`]). Deadline
+    /// admission: unknown dataset at estimation time, a query naming a
+    /// table or column the model lacks, plus contained worker panics
+    /// (also counted in [`Self::worker_panics`]). Deadline
     /// expiries are tracked separately in [`Self::expired`]; admission
     /// refusals in [`Self::rejected`] and [`Self::shed`].
     pub errors: u64,
@@ -281,8 +284,11 @@ pub struct StatsSnapshot {
     pub worker_panics: u64,
     /// Sub-plan estimates served straight from the sub-plan cache —
     /// bit-identical to what the model would have computed (the cache
-    /// stores raw `f64::to_bits` keyed by model epoch + canonical
-    /// sub-plan fingerprint). Counted per sub-plan, not per request.
+    /// stores raw `f64::to_bits` keyed by model epoch, sub-plan mask and
+    /// the fingerprint of everything estimation reads of the query, so
+    /// equal keys mean the same fold over the same inputs). Counted per
+    /// sub-plan, not per request; a request hits only when all of its
+    /// sub-plans do.
     pub cache_hits: u64,
     /// Sub-plan estimates computed by the model and inserted into the
     /// sub-plan cache (per sub-plan, so hits/(hits+misses) is the

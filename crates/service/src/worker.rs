@@ -6,10 +6,10 @@
 //! the last slot sends the batch's single reply. A lone `submit` is a
 //! batch of one over the same path.
 //!
-//! Per batch a worker works on it resolves, once, the dataset name its
-//! responses carry and the [`ModelHandle`] that serves them ([`Resolved`]);
-//! per query it checks the deadline, estimates under `catch_unwind`
-//! through the sub-plan cache, and records stats.
+//! Per batch a worker works on it resolves, once, the [`ModelHandle`] that
+//! serves the service's dataset ([`Resolved`]); per query it checks the
+//! deadline, estimates under `catch_unwind` through the sub-plan cache,
+//! and records stats.
 
 use crate::cache::{SubplanCache, FINGERPRINT_SEED};
 use crate::queue::BoundedQueue;
@@ -17,9 +17,7 @@ use crate::registry::{ModelHandle, ModelRegistry};
 use crate::request::{EstimateRequest, EstimateResponse, Reply, ServiceError};
 use crate::stats::StatsInner;
 use factorjoin::EstimationScratch;
-use fj_query::{
-    connected_subplans_into, subplan_fingerprints_into, FingerprintBuf, QueryGraph, SubplanMask,
-};
+use fj_query::{connected_subplans_into, query_fingerprint, QueryError, QueryGraph, SubplanMask};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -100,16 +98,17 @@ impl Batch {
 }
 
 /// What a worker resolves once per batch it works on instead of per query:
-/// the dataset name (shared into every response) and the model serving it.
-/// Holding the handle for the batch is also what keeps one worker's
-/// replies for one batch on a single epoch across a hot-swap. Requests of
-/// one batch may name different datasets; a change of name re-resolves.
+/// the model serving the service's dataset (`None` inside when the
+/// registry lacks it). Holding the handle for the batch is also what keeps
+/// one worker's replies for one batch on a single epoch across a hot-swap.
 #[derive(Default)]
-pub(crate) struct Resolved(Option<(Arc<str>, Option<ModelHandle>)>);
+pub(crate) struct Resolved(Option<Option<ModelHandle>>);
 
 /// What a service's submit side and its workers share.
 pub(crate) struct Pool {
-    pub default_dataset: Arc<str>,
+    /// The dataset every request is served from (shared into every
+    /// response).
+    pub dataset: Arc<str>,
     /// Its own `Arc` so the queue-depth gauge can outlive the service
     /// without pinning the rest of the pool.
     pub queue: Arc<BoundedQueue<Batch>>,
@@ -131,13 +130,12 @@ pub(crate) struct Worker {
     buffers: Buffers,
 }
 
-/// What a worker reuses from request to request: the estimator's scratch,
-/// and the sub-plan list and fingerprints of the request being served.
+/// What a worker reuses from request to request: the estimator's scratch
+/// and the sub-plan list of the request being served.
 #[derive(Default)]
 struct Buffers {
     estimation: EstimationScratch,
     masks: Vec<SubplanMask>,
-    fingerprints: FingerprintBuf,
 }
 
 /// Spawns `count` workers draining `pool.queue` until it is closed.
@@ -191,19 +189,13 @@ impl Worker {
             return;
         }
         let pool = &*self.pool;
-        let name = request.dataset.as_deref().unwrap_or(&pool.default_dataset);
-        if !matches!(&resolved.0, Some((held, _)) if **held == *name) {
-            let dataset = if *name == *pool.default_dataset {
-                Arc::clone(&pool.default_dataset)
-            } else {
-                Arc::from(name)
-            };
-            resolved.0 = Some((dataset, pool.registry.get(name)));
-        }
-        let (dataset, handle) = resolved.0.as_ref().expect("resolved above");
+        let handle = resolved
+            .0
+            .get_or_insert_with(|| pool.registry.get(&pool.dataset));
         let Some(handle) = handle else {
             pool.stats.record_error();
-            batch.resolve(index, Err(ServiceError::UnknownDataset(name.to_string())));
+            let error = ServiceError::UnknownDataset(pool.dataset.to_string());
+            batch.resolve(index, Err(error));
             return;
         };
         // Contain estimator panics: the worker's buffers are only buffers,
@@ -215,9 +207,13 @@ impl Worker {
             estimate_through_cache(handle, buffers, request, &pool.stats, pool.cache.as_deref())
         }));
         let result = match attempt {
-            Ok(estimates) => {
+            Ok(Err(error)) => {
+                pool.stats.record_error();
+                Err(ServiceError::InvalidQuery(error))
+            }
+            Ok(Ok(estimates)) => {
                 let response = EstimateResponse {
-                    dataset: Arc::clone(dataset),
+                    dataset: Arc::clone(&pool.dataset),
                     model_epoch: handle.epoch,
                     worker: self.id,
                     queue_wait: picked_up.duration_since(batch.submitted),
@@ -242,27 +238,25 @@ impl Worker {
 }
 
 /// Serve the request's sub-plan estimates, consulting the sub-plan cache
-/// when one is configured.
+/// when one is configured, or refuse a query the model cannot serve.
 ///
 /// The read is **all-or-nothing**: the response is assembled from the
 /// cache only when *every* sub-plan of the request hits under the
 /// handle's epoch — a partial assembly would interleave cached bits with
 /// a fresh computation for no latency win, and the all-or-nothing rule
 /// keeps the hit/miss accounting a clean per-request split. On any miss
-/// the whole request is computed by the model (the uncached path,
-/// unchanged) and every `(mask, estimate)` pair is inserted, so the next
-/// repeat hits.
+/// the query is checked against the model
+/// ([`factorjoin::FactorJoinModel::check_query`]), analysed once, computed
+/// by the model (the uncached path, unchanged) and every `(mask,
+/// estimate)` pair is inserted, so the next repeat hits. A hit needs no
+/// check: its keys were computed, so checked, under the same model.
 ///
-/// The query is analysed and its sub-plans enumerated **once**: the
-/// fingerprints and, on a miss, the estimator both read that one
-/// [`QueryGraph`] and mask list.
-///
-/// Correctness hinges on two facts proven elsewhere:
-/// * the fingerprinted masks are the suffix of the enumeration with at
-///   least `min_size` aliases — exactly what `estimate_analyzed` returns,
-///   in its order (asserted in debug builds) — and equal fingerprints
-///   imply bit-identical estimates, so a hit reproduces the miss exactly
-///   (`f64::to_bits` round-trip, no arithmetic).
+/// Every key of the request is `(handle.epoch, mask, query fingerprint)`:
+/// * equal keys mean the same deterministic fold over the same inputs, so
+///   a hit reproduces the miss exactly (`f64::to_bits` round-trip, no
+///   arithmetic). The masks probed are the suffix of the enumeration with
+///   at least `min_size` aliases — exactly what `estimate_analyzed`
+///   returns, in its order (asserted in debug builds).
 /// * Registry epochs are globally unique and monotonic, so keying on
 ///   `handle.epoch` makes entries from a superseded model unreachable
 ///   the instant `swap_model`/`apply_insert` publishes: a request is
@@ -273,60 +267,46 @@ fn estimate_through_cache(
     request: &EstimateRequest,
     stats: &StatsInner,
     cache: Option<&SubplanCache>,
-) -> Vec<(SubplanMask, f64)> {
-    let Buffers {
-        estimation,
-        masks,
-        fingerprints,
-    } = buffers;
+) -> Result<Vec<(SubplanMask, f64)>, QueryError> {
+    let Buffers { estimation, masks } = buffers;
     let query = &request.query;
-    let graph = QueryGraph::analyze(query);
     connected_subplans_into(query, 1, masks);
-    let estimate = |estimation: &mut EstimationScratch| {
-        handle
-            .model
-            .estimate_analyzed(estimation, query, &graph, masks, request.min_size)
-    };
-    let Some(cache) = cache else {
-        return estimate(estimation);
-    };
-    let first = masks.partition_point(|m| m.count_ones() < request.min_size);
-    let fps = subplan_fingerprints_into(
-        query,
-        &graph,
-        &masks[first..],
-        FINGERPRINT_SEED,
-        fingerprints,
-    );
-    let mut cached = Vec::with_capacity(fps.len());
-    for &(mask, fp) in fps {
-        match cache.get(handle.epoch, mask, fp) {
-            Some(bits) => cached.push((mask, f64::from_bits(bits))),
-            None => {
-                cached.clear();
-                break;
+    let reported = &masks[masks.partition_point(|m| m.count_ones() < request.min_size)..];
+    let keyed = cache.map(|cache| (cache, query_fingerprint(query, FINGERPRINT_SEED)));
+    if let Some((cache, fp)) = keyed {
+        let mut cached = Vec::with_capacity(reported.len());
+        for &mask in reported {
+            match cache.get(handle.epoch, mask, fp) {
+                Some(bits) => cached.push((mask, f64::from_bits(bits))),
+                None => break,
             }
         }
-    }
-    if !fps.is_empty() && cached.len() == fps.len() {
-        stats.record_cache_hits(cached.len());
-        return cached;
-    }
-    let estimates = estimate(estimation);
-    debug_assert_eq!(
-        estimates.len(),
-        fps.len(),
-        "fingerprinted masks must mirror estimate_analyzed"
-    );
-    let mut evictions = 0usize;
-    for ((mask, estimate), &(fp_mask, fp)) in estimates.iter().zip(fps) {
-        debug_assert_eq!(*mask, fp_mask, "sub-plan order must match");
-        if cache.insert(handle.epoch, fp_mask, fp, estimate.to_bits()) {
-            evictions += 1;
+        if !cached.is_empty() && cached.len() == reported.len() {
+            stats.record_cache_hits(cached.len());
+            return Ok(cached);
         }
     }
-    stats.record_cache_misses(estimates.len(), evictions);
-    estimates
+    handle.model.check_query(query)?;
+    let graph = QueryGraph::analyze(query);
+    let model = &handle.model;
+    let estimates = model.estimate_analyzed(estimation, query, &graph, masks, request.min_size);
+    if let Some((cache, fp)) = keyed {
+        debug_assert!(
+            estimates
+                .iter()
+                .map(|&(mask, _)| mask)
+                .eq(reported.iter().copied()),
+            "probed masks must mirror estimate_analyzed"
+        );
+        let mut evictions = 0usize;
+        for &(mask, estimate) in &estimates {
+            if cache.insert(handle.epoch, mask, fp, estimate.to_bits()) {
+                evictions += 1;
+            }
+        }
+        stats.record_cache_misses(estimates.len(), evictions);
+    }
+    Ok(estimates)
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -1,13 +1,15 @@
 //! Integration suite for the serving path's failure handling: health
-//! probes, graceful drain, and worker-panic containment. (End-to-end
+//! probes, graceful drain, and queries the served model cannot answer. (End-to-end
 //! deadlines and idle-connection reaping live with the in-crate server
 //! tests, which can hold the shard's worker and watch the server's
 //! connection list.)
 
 use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel};
 use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
-use fj_query::{FilterExpr, Query, TableRef};
-use fj_service::{BatchOutcome, FjClient, FjServer, RejectReason, ServerConfig, ShardSpec};
+use fj_query::{ColRef, FilterExpr, JoinPredicate, Predicate, Query, TableRef};
+use fj_service::{
+    BatchOutcome, EstimatorService, FjClient, FjServer, RejectReason, ServerConfig, ShardSpec,
+};
 use fj_storage::Catalog;
 use std::sync::Arc;
 
@@ -101,50 +103,90 @@ fn health_probe_and_graceful_drain() {
     server.shutdown();
 }
 
-/// A query that panics the estimator (here: a structurally valid wire
-/// query naming a table the model never saw) resolves its own slot with a
-/// clear error; sibling queries in the same batch and all later batches
-/// are served normally, and the panic shows up in the stats.
+/// Queries the served model cannot answer — a table it lacks, a join
+/// column index past a table's schema, a filter on a column the table
+/// lacks — each resolve their own slot with an error naming the table or
+/// column, in process and over TCP. They are refused before estimation,
+/// so no worker panics; sibling queries and later batches are served.
 #[test]
-fn worker_panic_is_contained_to_its_slot() {
+fn queries_the_model_lacks_are_refused_by_name() {
     let catalog = tiny_catalog();
     let model = Arc::new(train(&catalog, 20));
     let queries = workload(&catalog, 47);
 
-    // from_wire_parts skips catalog validation by design (the server's
-    // model is the receiver's source of truth), so this models a client
-    // bound against a different schema.
-    let bogus = Query::from_wire_parts(
+    // from_wire_parts sees no catalog (the server's model is the
+    // receiver's source of truth), so these model a client bound against
+    // a different schema.
+    let unknown_table = Query::from_wire_parts(
         vec![TableRef::new("z", "no_such_table")],
         vec![],
         vec![FilterExpr::True],
     )
     .expect("structurally valid");
+    let column_past_schema = Query::from_wire_parts(
+        vec![TableRef::new("p", "posts"), TableRef::new("u", "users")],
+        vec![JoinPredicate {
+            left: ColRef {
+                alias: 0,
+                column: 99,
+            },
+            right: ColRef {
+                alias: 1,
+                column: 0,
+            },
+        }],
+        vec![FilterExpr::True; 2],
+    )
+    .expect("structurally valid");
+    let unknown_filter_column = Query::from_wire_parts(
+        vec![TableRef::new("p", "posts")],
+        vec![],
+        vec![FilterExpr::pred(Predicate::eq("no_such_column", 1))],
+    )
+    .expect("structurally valid");
+    let batch = vec![
+        queries[0].clone(),
+        unknown_table,
+        column_past_schema,
+        unknown_filter_column,
+        queries[1].clone(),
+    ];
+    let named = [
+        "unknown table no_such_table",
+        "table posts has no column #99",
+        "unknown column p.no_such_column",
+    ];
+    let check = |errors: Vec<Option<String>>| {
+        assert_eq!(errors.len(), batch.len());
+        assert!(errors[0].is_none(), "sibling before the refusals served");
+        assert!(errors[4].is_none(), "sibling after the refusals served");
+        for (error, name) in errors[1..4].iter().zip(named) {
+            let error = error.as_deref().expect("refused");
+            assert!(error.contains(name), "{error:?} names {name:?}");
+        }
+    };
+
+    let service = EstimatorService::serve("stats", Arc::clone(&model), 1);
+    let results = service.submit_batch(&batch).wait_all();
+    check(
+        results
+            .iter()
+            .map(|r| r.as_ref().err().map(|e| e.to_string()))
+            .collect(),
+    );
+    let snap = service.stats();
+    assert_eq!((snap.errors, snap.worker_panics), (3, 0));
 
     let (server, addr) = serve_one(Arc::clone(&model), ServerConfig::new(1));
     let mut client = FjClient::connect(addr).expect("connect");
-
-    let batch = vec![queries[0].clone(), bogus, queries[1].clone()];
     match client.call("stats", 1, &batch).expect("roundtrip") {
-        BatchOutcome::Served(results) => {
-            assert_eq!(results.len(), 3);
-            assert!(results[0].is_ok(), "sibling before the panic served");
-            assert!(results[2].is_ok(), "sibling after the panic served");
-            let msg = results[1].as_ref().expect_err("bogus query must fail");
-            assert!(
-                msg.contains("panicked"),
-                "slot error names the panic: {msg}"
-            );
-        }
+        BatchOutcome::Served(results) => check(results.into_iter().map(Result::err).collect()),
         other => panic!("batch rejected: {other:?}"),
     }
-
     let snap = server.stats("stats").expect("shard stats");
-    assert_eq!(snap.worker_panics, 1, "the panic is counted");
-
-    // The worker rebuilt its scratch and keeps serving.
+    assert_eq!((snap.errors, snap.worker_panics), (3, 0));
     match client.call("stats", 1, &queries[..2]).expect("roundtrip") {
         BatchOutcome::Served(results) => assert!(results.iter().all(|r| r.is_ok())),
-        other => panic!("post-panic batch rejected: {other:?}"),
+        other => panic!("later batch rejected: {other:?}"),
     }
 }

@@ -428,23 +428,50 @@ fn cache_hit_is_bit_identical_to_miss_for_every_backend() {
     }
 }
 
-/// The cache's soundness contract across **different** queries: every
-/// pair of sub-plans with equal `(mask, fingerprint)` keys, from any
-/// queries of three STATS-CEB and three IMDB-JOB workloads (the paper-sized
-/// one and two small seeds each; IMDB adds cyclic joins, `LIKE` and
-/// self-joins), gets the same `f64::to_bits` from every backend. The workloads must share keys between distinct queries, so
-/// the check cannot pass vacuously. (The grouping does not depend on the
-/// fingerprint seed.)
+/// The cache's soundness contract across queries, over three STATS-CEB and
+/// three IMDB-JOB workloads (the paper-sized one and two small seeds each;
+/// IMDB adds cyclic joins, `LIKE` and self-joins):
+/// * an alias-renamed copy of every query shares every `(mask,
+///   fingerprint)` key with it and gets the same `f64::to_bits` from every
+///   backend, so the check is never vacuous;
+/// * queries that differ in a table, a filter or a join share no key:
+///   each query against its copies with one table renamed, one filter
+///   wrapped in an `AND`, or the join list reversed, and every pair of
+///   workload queries whose content differs.
 #[test]
 fn equal_cache_keys_are_bit_identical_across_queries() {
     use fj_datagen::{imdb_catalog, imdb_job_workload, ImdbConfig};
-    use std::collections::hash_map::{Entry, HashMap};
+    use fj_query::{subplan_fingerprints, FilterExpr, TableRef};
+    use std::collections::HashMap;
+    const SEED: u64 = 0x5eed;
     let stats = tiny_catalog();
     let imdb = imdb_catalog(&ImdbConfig {
         scale: 0.05,
         ..Default::default()
     });
     let stats_workload: fn(&Catalog, &WorkloadConfig) -> Vec<Query> = stats_ceb_workload;
+    // A copy of `q` with its tables, joins and filters edited.
+    let edit = |q: &Query,
+                tables: &dyn Fn(usize, &TableRef) -> TableRef,
+                joins: &dyn Fn(&[fj_query::JoinPredicate]) -> Vec<fj_query::JoinPredicate>,
+                filters: &dyn Fn(usize, &FilterExpr) -> FilterExpr| {
+        Query::from_wire_parts(
+            q.tables()
+                .iter()
+                .enumerate()
+                .map(|(i, t)| tables(i, t))
+                .collect(),
+            joins(q.joins()),
+            q.filters()
+                .iter()
+                .enumerate()
+                .map(|(i, f)| filters(i, f))
+                .collect(),
+        )
+        .expect("an edit keeps the query well formed")
+    };
+    let same_joins = |joins: &[fj_query::JoinPredicate]| joins.to_vec();
+    let same_filter = |_: usize, f: &FilterExpr| f.clone();
     for (dataset, catalog, generate, paper) in [
         ("stats", &stats, stats_workload, WorkloadConfig::stats_ceb()),
         ("imdb", &imdb, imdb_job_workload, WorkloadConfig::imdb_job()),
@@ -453,10 +480,56 @@ fn equal_cache_keys_are_bit_identical_across_queries() {
             .iter()
             .flat_map(|config| generate(catalog, config))
             .collect();
-        let keys: Vec<_> = queries
-            .iter()
-            .map(|q| fj_query::subplan_fingerprints(q, 1, 0x5eed))
+        let renamed: Vec<Query> = (queries.iter())
+            .map(|q| {
+                let alias = |i: usize, t: &TableRef| TableRef::new(&format!("r{i}"), &t.table);
+                edit(q, &alias, &same_joins, &same_filter)
+            })
             .collect();
+        for (q, copy) in queries.iter().zip(&renamed) {
+            assert_eq!(
+                subplan_fingerprints(q, 1, SEED),
+                subplan_fingerprints(copy, 1, SEED),
+                "{dataset}: renaming aliases moved a key"
+            );
+            let table = |i: usize, t: &TableRef| {
+                let name = if i == 0 {
+                    format!("{}_", t.table)
+                } else {
+                    t.table.clone()
+                };
+                TableRef::new(&t.alias, &name)
+            };
+            let filter = |i: usize, f: &FilterExpr| match i {
+                0 => FilterExpr::And(vec![f.clone()]),
+                _ => f.clone(),
+            };
+            let reversed =
+                |joins: &[fj_query::JoinPredicate]| joins.iter().rev().copied().collect();
+            let mut edits = vec![
+                edit(q, &|_, t| t.clone(), &same_joins, &filter),
+                edit(q, &table, &same_joins, &same_filter),
+            ];
+            if q.joins().len() > 1 {
+                edits.push(edit(q, &|_, t| t.clone(), &reversed, &same_filter));
+            }
+            for edited in &edits {
+                assert_ne!(
+                    fj_query::query_fingerprint(q, SEED),
+                    fj_query::query_fingerprint(edited, SEED),
+                    "{dataset}: an edit of a table, filter or join kept the key"
+                );
+            }
+        }
+        // Distinct content, distinct fingerprint: alias names are all the
+        // renamed copies have in common beyond it.
+        let mut by_key: HashMap<u64, &Query> = HashMap::new();
+        for copy in &renamed {
+            let first = *by_key
+                .entry(fj_query::query_fingerprint(copy, SEED))
+                .or_insert(copy);
+            assert_eq!(first, copy, "{dataset}: two queries share a key");
+        }
         for estimator in [
             BaseEstimatorKind::TrueScan,
             BaseEstimatorKind::BayesNet(fj_stats::BnConfig::default()),
@@ -470,34 +543,10 @@ fn equal_cache_keys_are_bit_identical_across_queries() {
                     ..Default::default()
                 },
             );
-            // key → (estimate bits, first query that produced it)
-            let mut groups: HashMap<(u64, u64), (u64, usize)> = HashMap::new();
-            let mut shared = 0usize;
-            for (qi, q) in queries.iter().enumerate() {
-                let estimates = model.estimate_subplans(q, 1);
-                assert_eq!(estimates.len(), keys[qi].len());
-                for (&(mask, fp), &(estimated_mask, estimate)) in keys[qi].iter().zip(&estimates) {
-                    assert_eq!(mask, estimated_mask);
-                    match groups.entry((mask, fp)) {
-                        Entry::Vacant(slot) => {
-                            slot.insert((estimate.to_bits(), qi));
-                        }
-                        Entry::Occupied(group) => {
-                            let (bits, first) = *group.get();
-                            assert_eq!(
-                                bits,
-                                estimate.to_bits(),
-                                "{dataset} {estimator:?}: mask {mask:b} of queries {first} and \
-                                 {qi} share a key but not an estimate"
-                            );
-                            shared += usize::from(queries[first] != *q);
-                        }
-                    }
-                }
-            }
-            assert!(
-                shared > 0,
-                "{dataset} {estimator:?}: no key shared between distinct queries"
+            assert_eq!(
+                expected_bits(&model, &queries),
+                expected_bits(&model, &renamed),
+                "{dataset} {estimator:?}: equal keys, different estimates"
             );
         }
     }
