@@ -51,8 +51,13 @@
 //! subsume the old zero-mass test), reductions run in fixed-width chunks
 //! with independent accumulators (`sum_chunked`/`max_chunked`), and the
 //! residual-copy paths bulk-copy then clamp in place instead of pushing
-//! element-wise. The `RefFactor` BTreeMap oracle tests pin all of this to
-//! the original semantics at ≤ 1e-9 relative error.
+//! element-wise. The whole join, those helpers inlined, is built twice by
+//! `fj_storage::dispatch!`: for baseline x86-64 (two `f64` lanes) and for
+//! AVX2 (four), chosen per CPU at each join. Neither copy uses FMA or
+//! reorders an operation, so both return the same bits (a NaN's payload
+//! aside). The `RefFactor`
+//! BTreeMap oracle tests pin all of this to the original semantics at
+//! ≤ 1e-9 relative error.
 
 /// Maximum variable id a factor can carry (ids are dense per query — the
 /// number of equivalent key groups, far below this in practice).
@@ -412,7 +417,7 @@ fn bin_bound(d_a: f64, d_b: f64, m_a: f64, m_b: f64, sa: f64, sb: f64, ksa: f64,
 /// loop-carried dependency and the reduction vectorizes. Reassociation
 /// shifts the result by at most a few ulp — well inside the 1e-9 relative
 /// tolerance of the `RefFactor` oracle tests.
-#[inline]
+#[inline(always)]
 fn sum_chunked(v: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let mut chunks = v.chunks_exact(4);
@@ -428,7 +433,7 @@ fn sum_chunked(v: &[f64]) -> f64 {
 
 /// Max reduction over non-negative values, chunked like [`sum_chunked`]
 /// (max is associative, so this one is exact).
-#[inline]
+#[inline(always)]
 fn max_chunked(v: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let mut chunks = v.chunks_exact(4);
@@ -454,9 +459,19 @@ fn eff_mfv_max(m: &VarMeta) -> f64 {
     (m.mfv_max * m.mfv_scale).max(1.0)
 }
 
-/// Joins two factor views into `s.out_meta` / `s.out_slab`, returning the
-/// joined row bound. Zero heap allocation once `s` has warmed up.
-pub(crate) fn join_views_into(
+fj_storage::dispatch! {
+    /// Joins two factor views into `s.out_meta` / `s.out_slab`, returning
+    /// the joined row bound. Zero heap allocation once `s` has warmed up.
+    pub(crate) fn join_views_into(
+        a: FactorView<'_>,
+        b: FactorView<'_>,
+        keep: &KeepVars,
+        s: &mut JoinScratch,
+    ) -> f64 = join_views_generic, join_views_avx2;
+}
+
+#[inline(always)]
+fn join_views_generic(
     a: FactorView<'_>,
     b: FactorView<'_>,
     keep: &KeepVars,
@@ -596,6 +611,7 @@ enum Side {
 
 /// Copies the non-shared, kept variables of `src` into the output with the
 /// side's accumulated fan-out scale and MFV multiplicity.
+#[inline(always)]
 fn copy_residuals(
     src: FactorView<'_>,
     side: Side,
@@ -657,6 +673,7 @@ fn copy_residuals(
 /// Join of factors with disjoint variable sets: the cross-product bound.
 /// Every surviving distribution scales by the other side's rows; MFVs by
 /// the same factor clamped to ≥ 1.
+#[inline(always)]
 fn cross_product_into(
     a: FactorView<'_>,
     b: FactorView<'_>,
@@ -1384,6 +1401,107 @@ mod tests {
             let fb = Factor::base(dr, vec![(0, vec![dr], vec![mr])]);
             let j = fa.join(&fb, &KeepVars::none());
             prop_assert!(j.rows >= truth - 1e-6, "bound {} < truth {}", j.rows, truth);
+        }
+    }
+
+    // ----------------------------------- baseline and AVX2 kernel copies
+
+    /// splitmix64: the next seeded draw from `state`.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb)
+    }
+
+    /// A value drawn to stress rounding: NaN, ±∞, ±0, subnormals, huge and
+    /// ordinary magnitudes of both signs.
+    fn awkward(state: &mut u64) -> f64 {
+        let r = draw(state);
+        let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+        match r % 14 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => f64::MIN_POSITIVE * unit,
+            6 => f64::MAX * unit,
+            7 => -unit * 5.0,
+            _ => unit * 100.0,
+        }
+    }
+
+    /// Bit equality, except that every NaN equals every NaN: which NaN an
+    /// operation on two of them returns is left open by IEEE 754, and the
+    /// compiler may commute the operands of one copy and not the other's.
+    fn bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x };
+        v.into_iter().map(canonical).map(f64::to_bits).collect()
+    }
+
+    /// Everything a join leaves in its scratch, as comparable bits.
+    fn output_bits(rows: f64, s: &JoinScratch) -> (Vec<u64>, Vec<(u32, u32, u32)>, Vec<u64>) {
+        let metas = s.out_meta.iter().map(|m| (m.var, m.off, m.k)).collect();
+        let scales = s
+            .out_meta
+            .iter()
+            .flat_map(|m| [m.dist_scale, m.dist_total, m.mfv_scale, m.mfv_max]);
+        let mut numbers = bits([rows]);
+        numbers.extend(bits(scales));
+        (numbers, metas, bits(s.out_slab.iter().copied()))
+    }
+
+    /// Both copies of the join — Eq. 5 lattice, reductions, residual and
+    /// cross-product copies — leave the same bits, on factors full of
+    /// awkward values and all-zero distributions, with bin counts that are
+    /// empty or not a multiple of 4, over one- and two-step joins.
+    #[test]
+    fn join_copies_round_identically() {
+        let mut state = 45u64;
+        let factor = |state: &mut u64| {
+            let mut entries = Vec::new();
+            for var in 0..5 {
+                if draw(state) & 1 == 0 {
+                    let k = [0, 1, 3, 4, 5, 7, 9, 17][draw(state) as usize % 8];
+                    let zero = draw(state).is_multiple_of(5);
+                    let dist = (0..k)
+                        .map(|_| if zero { 0.0 } else { awkward(state) })
+                        .collect();
+                    let mfv = (0..k).map(|_| awkward(state)).collect();
+                    entries.push((var, dist, mfv));
+                }
+            }
+            Factor::base(awkward(state), entries)
+        };
+        for round in 0..2000 {
+            let (a, b, c) = (factor(&mut state), factor(&mut state), factor(&mut state));
+            let keep_bits = draw(&mut state);
+            let keep = KeepVars::from_fn(5, |v| (keep_bits >> v) & 1 == 1);
+            let mut first = JoinScratch::default();
+            let rows = join_views_generic(a.view(), b.view(), &keep, &mut first);
+            let joined = Factor::from_scratch(rows, &first);
+            let once = output_bits(rows, &first);
+            let rows = join_views_generic(joined.view(), c.view(), &keep, &mut first);
+            let want = [once, output_bits(rows, &first)];
+            type Join = fn(FactorView<'_>, FactorView<'_>, &KeepVars, &mut JoinScratch) -> f64;
+            let check = |what: &str, join: Join| {
+                let mut s = JoinScratch::default();
+                let rows = join(a.view(), b.view(), &keep, &mut s);
+                assert_eq!(output_bits(rows, &s), want[0], "{what}, round {round}");
+                let rows = join(joined.view(), c.view(), &keep, &mut s);
+                assert_eq!(output_bits(rows, &s), want[1], "{what}, round {round}, 2nd");
+            };
+            check("dispatched", join_views_into);
+            #[cfg(target_arch = "x86_64")]
+            if fj_storage::cpu::fast_kernels() {
+                check("avx2", |a, b, keep, s| {
+                    // SAFETY: the CPU has the AVX2 tier (checked just above).
+                    unsafe { join_views_avx2(a, b, keep, s) }
+                });
+            }
+        }
+        if !fj_storage::cpu::fast_kernels() {
+            eprintln!("note: no AVX2 tier on this CPU; only the generic copy ran");
         }
     }
 }

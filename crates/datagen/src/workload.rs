@@ -532,4 +532,29 @@ mod tests {
             assert_eq!(&q2, q, "round-trip mismatch for {sql}");
         }
     }
+
+    /// Every query of both paper workloads binds under the sub-plan cap
+    /// (the generator panics on a refused query), with room to spare: the
+    /// widest has 104 connected sub-plans.
+    #[test]
+    fn paper_workloads_bind_under_the_subplan_cap() {
+        let stats = stats_catalog(&StatsConfig::tiny());
+        let imdb = imdb_catalog(&ImdbConfig::tiny());
+        for (queries, want) in [
+            (
+                stats_ceb_workload(&stats, &WorkloadConfig::stats_ceb()),
+                146,
+            ),
+            (imdb_job_workload(&imdb, &WorkloadConfig::imdb_job()), 113),
+        ] {
+            assert_eq!(queries.len(), want);
+            let widest = queries
+                .iter()
+                .map(|q| connected_subplans(q, 1).len())
+                .max()
+                .unwrap();
+            assert!(widest <= 104, "{widest} sub-plans");
+            assert!(widest < fj_query::MAX_SUBPLANS);
+        }
+    }
 }

@@ -15,12 +15,18 @@
 //! [`Selection`] bitmap ([`CompiledFilter::select`]): each predicate reads
 //! one typed column slice and produces one `u64` per 64 rows, NULLs are
 //! masked a word at a time from the column's null bitmap, and AND/OR/NOT
-//! are word operations.
+//! are word operations. A comparison matches its operator once, outside
+//! the row loop, so each of the six loops is a plain compare packed into
+//! mask words. The per-predicate loop nest is built twice by
+//! `fj_storage::dispatch!` — for baseline x86-64 and for AVX2, where four
+//! rows compare at once and variable shifts pack them — and the copy is
+//! chosen per CPU; both select the same rows.
 
 use crate::expr::FilterExpr;
 use crate::like::LikePattern;
 use crate::predicate::{CmpOp, Predicate};
 use fj_storage::{Column, DataType, Table, Value};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// A compiled atomic predicate.
@@ -385,7 +391,7 @@ fn select_node(
 }
 
 /// Tests 64 values per word and combines the non-NULL hits into `dst`.
-#[inline]
+#[inline(always)]
 fn select_values<T: Copy>(
     column: &Column,
     values: &[T],
@@ -403,19 +409,54 @@ fn select_values<T: Copy>(
     }
 }
 
-fn select_pred(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine) {
+/// `as_key(row) <op> v` for every row, with the operator matched once
+/// outside the row loop, so each arm is a plain compare the loop packs
+/// into mask words. An unordered pair (a NaN on either side) satisfies no
+/// operator: `<>` is "ordered and not equal", not `!=`.
+#[inline(always)]
+fn select_cmp<T: Copy, K: PartialOrd + Copy>(
+    column: &Column,
+    values: &[T],
+    dst: &mut [u64],
+    how: Combine,
+    op: CmpOp,
+    v: K,
+    as_key: impl Fn(T) -> K,
+) {
+    match op {
+        CmpOp::Eq => select_values(column, values, dst, how, |x| as_key(x) == v),
+        CmpOp::Neq => select_values(column, values, dst, how, |x| {
+            as_key(x).partial_cmp(&v).is_some_and(Ordering::is_ne)
+        }),
+        CmpOp::Lt => select_values(column, values, dst, how, |x| as_key(x) < v),
+        CmpOp::Le => select_values(column, values, dst, how, |x| as_key(x) <= v),
+        CmpOp::Gt => select_values(column, values, dst, how, |x| as_key(x) > v),
+        CmpOp::Ge => select_values(column, values, dst, how, |x| as_key(x) >= v),
+    }
+}
+
+fj_storage::dispatch! {
+    /// Evaluates one predicate over every row and combines it into `dst`:
+    /// the loop nest of a filter scan, built for baseline x86-64 and for
+    /// AVX2 and chosen per CPU (see the module doc).
+    fn select_pred(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine)
+        = select_pred_generic, select_pred_avx2;
+}
+
+#[inline(always)]
+fn select_pred_generic(p: &CompiledPred, table: &Table, dst: &mut [u64], how: Combine) {
     match p {
         CompiledPred::IntCmp { col, op, v } => {
             let c = table.column(*col);
-            select_values(c, c.ints(), dst, how, |x| cmp_holds(*op, x, *v));
+            select_cmp(c, c.ints(), dst, how, *op, *v, |x| x);
         }
         CompiledPred::IntCmpF { col, op, v } => {
             let c = table.column(*col);
-            select_values(c, c.ints(), dst, how, |x| cmp_holds(*op, x as f64, *v));
+            select_cmp(c, c.ints(), dst, how, *op, *v, |x| x as f64);
         }
         CompiledPred::FloatCmp { col, op, v } => {
             let c = table.column(*col);
-            select_values(c, c.floats(), dst, how, |x| cmp_holds(*op, x, *v));
+            select_cmp(c, c.floats(), dst, how, *op, *v, |x| x);
         }
         CompiledPred::IntBetween { col, lo, hi } => {
             let c = table.column(*col);
@@ -665,5 +706,179 @@ mod tests {
         // Comparing a string column to an int is statically Never.
         check(FilterExpr::pred(Predicate::eq("s", 5)));
         check(FilterExpr::pred(Predicate::like("a", "%1%")));
+    }
+
+    // ----------------------------------- baseline and AVX2 kernel copies
+
+    /// A seeded table of `n` rows: an integer column with NULLs and
+    /// extremes, one without NULLs, a float column of awkward values (NaN,
+    /// ±∞, ±0, subnormals) with NULLs, and a string column with NULLs.
+    fn awkward_table(n: usize, seed: u64) -> Table {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) >> 11
+        };
+        let schema = TableSchema::new(vec![
+            ColumnDef::new("a", DataType::Int),
+            ColumnDef::new("b", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+            ColumnDef::new("s", DataType::Str),
+        ]);
+        let floats = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 3.0,
+            2.5,
+            -1.0,
+            9.0,
+        ];
+        let words = ["apple", "banana", "cherry", "", "apple pie"];
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|_| {
+                let r = next();
+                let a = match r % 9 {
+                    0 => Value::Null,
+                    1 => Value::Int(i64::MIN),
+                    2 => Value::Int(i64::MAX),
+                    3 => Value::Int((1 << 53) + 1),
+                    _ => Value::Int((r >> 8) as i64 % 11 - 5),
+                };
+                let f = match r >> 20 & 15 {
+                    10..=11 => Value::Null,
+                    12.. => Value::Float((r >> 30) as f64 / 1024.0 - 4.0),
+                    i => Value::Float(floats[i as usize]),
+                };
+                let s = match r >> 40 & 7 {
+                    5..=6 => Value::Null,
+                    i => Value::Str(words[i as usize % words.len()].into()),
+                };
+                vec![a, Value::Int((r >> 50) as i64 % 7), f, s]
+            })
+            .collect();
+        Table::from_rows("t", schema, &rows).unwrap()
+    }
+
+    /// Every predicate shape on every column type: each operator with
+    /// integer, float and string literals (NaN, ±∞ and -0.0 among them),
+    /// ranges, lists, patterns and NULL tests.
+    fn awkward_predicates() -> Vec<Predicate> {
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Neq,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let literals = [
+            Value::Int(0),
+            Value::Int(-3),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::MIN_POSITIVE / 8.0),
+            Value::Float(9007199254740993.0),
+            Value::Str("banana".into()),
+        ];
+        let mut preds = Vec::new();
+        for col in ["a", "b", "f", "s"] {
+            for op in ops {
+                for v in &literals {
+                    preds.push(Predicate::cmp(col, op, v.clone()));
+                }
+            }
+            for (lo, hi) in [
+                (Value::Int(-2), Value::Int(3)),
+                (Value::Float(-0.0), Value::Float(f64::INFINITY)),
+                (Value::Float(f64::NAN), Value::Int(4)),
+                (Value::Str("apple".into()), Value::Str("banana".into())),
+            ] {
+                preds.push(Predicate::between(col, lo, hi));
+            }
+            preds.push(Predicate::in_list(col, literals.to_vec()));
+            preds.push(Predicate::like(col, "%an%"));
+            for negated in [false, true] {
+                preds.push(Predicate::IsNull {
+                    column: col.into(),
+                    negated,
+                });
+            }
+        }
+        preds
+    }
+
+    /// Both copies of the per-predicate scan set the same mask words as
+    /// the row-at-a-time `Predicate::eval`, under every way a result
+    /// combines into its destination, on tables of 0 to 200 rows (whole
+    /// and partial words).
+    #[test]
+    fn selection_copies_agree_with_each_other_and_the_reference() {
+        let preds = awkward_predicates();
+        for (n, seed) in [
+            (0, 1),
+            (1, 2),
+            (3, 3),
+            (63, 4),
+            (64, 5),
+            (65, 6),
+            (130, 7),
+            (200, 8),
+        ] {
+            let t = awkward_table(n, seed);
+            let start: Vec<u64> = (0..n.div_ceil(64) as u64)
+                .map(|w| w.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed)
+                .collect();
+            for pred in &preds {
+                let compiled = compile_pred(&t, pred);
+                let column = t.column_by_name(pred.column()).unwrap();
+                let mut hits = vec![0u64; start.len()];
+                for row in 0..n {
+                    hits[row / 64] |= u64::from(pred.eval(&column.get(row))) << (row % 64);
+                }
+                for how in [Combine::Set, Combine::And, Combine::Or] {
+                    let mut want = start.clone();
+                    for (w, &bits) in want.iter_mut().zip(&hits) {
+                        how.apply(w, bits);
+                    }
+                    let tail = (n % 64 != 0).then(|| (1u64 << (n % 64)) - 1);
+                    let rows_only = |words: &[u64]| {
+                        let mut words = words.to_vec();
+                        if let (Some(last), Some(mask)) = (words.last_mut(), tail) {
+                            *last &= mask;
+                        }
+                        words
+                    };
+                    let mut got = start.clone();
+                    select_pred_generic(&compiled, &t, &mut got, how);
+                    assert_eq!(
+                        rows_only(&got),
+                        rows_only(&want),
+                        "generic {pred}, {n} rows"
+                    );
+                    let mut dispatched = start.clone();
+                    select_pred(&compiled, &t, &mut dispatched, how);
+                    assert_eq!(dispatched, got, "dispatched {pred}, {n} rows");
+                    #[cfg(target_arch = "x86_64")]
+                    if fj_storage::cpu::fast_kernels() {
+                        let mut fast = start.clone();
+                        // SAFETY: the CPU has the AVX2 tier (checked just above).
+                        unsafe { select_pred_avx2(&compiled, &t, &mut fast, how) };
+                        assert_eq!(fast, got, "avx2 {pred}, {n} rows");
+                    }
+                }
+            }
+        }
+        if !fj_storage::cpu::fast_kernels() {
+            eprintln!("note: no AVX2 tier on this CPU; only the generic copy ran");
+        }
     }
 }

@@ -34,4 +34,4 @@ pub use like::{like_match, LikePattern};
 pub use parser::{parse_query, ParseError};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{ColRef, JoinPredicate, Query, QueryError, TableRef, MAX_JOINS};
-pub use subplan::{connected_subplans, connected_subplans_into, SubplanMask};
+pub use subplan::{connected_subplans, connected_subplans_into, SubplanMask, MAX_SUBPLANS};

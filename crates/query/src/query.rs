@@ -1,6 +1,7 @@
 //! The join-query IR: aliased tables, equi-join conditions, per-alias filters.
 
 use crate::expr::FilterExpr;
+use crate::subplan::{more_subplans_than, MAX_SUBPLANS};
 use fj_storage::{Catalog, DataType};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -78,6 +79,8 @@ pub enum QueryError {
     TooManyAliases(usize),
     /// More join predicates than [`MAX_JOINS`].
     TooManyJoins(usize),
+    /// More connected sub-plans than [`crate::MAX_SUBPLANS`].
+    TooManySubplans,
 }
 
 impl fmt::Display for QueryError {
@@ -106,6 +109,10 @@ impl fmt::Display for QueryError {
             QueryError::TooManyJoins(n) => {
                 write!(f, "{n} join predicates exceed the supported {MAX_JOINS}")
             }
+            QueryError::TooManySubplans => write!(
+                f,
+                "the join graph has more than the supported {MAX_SUBPLANS} connected sub-plans"
+            ),
         }
     }
 }
@@ -116,6 +123,7 @@ impl std::error::Error for QueryError {}
 ///
 /// Invariants (enforced by [`Query::new`]):
 /// * aliases are unique and ≤ 64, join predicates ≤ [`MAX_JOINS`];
+/// * connected sub-plans ≤ [`MAX_SUBPLANS`];
 /// * every join column exists, is typed `Int` or `Str`, and joins relate two
 ///   *different* aliases (cyclic graphs and multiple edges are fine);
 /// * `filters[i]` applies to `tables[i]` and references existing columns;
@@ -211,9 +219,7 @@ impl Query {
             joins,
             filters,
         };
-        if q.tables.len() > 1 && !q.is_connected() {
-            return Err(QueryError::Disconnected);
-        }
+        q.check_shape()?;
         Ok(q)
     }
 
@@ -271,10 +277,20 @@ impl Query {
             joins,
             filters,
         };
-        if q.tables.len() > 1 && !q.is_connected() {
+        q.check_shape()?;
+        Ok(q)
+    }
+
+    /// The graph checks both constructors end with: the join graph is
+    /// connected and has at most [`MAX_SUBPLANS`] connected sub-plans.
+    fn check_shape(&self) -> Result<(), QueryError> {
+        if self.tables.len() > 1 && !self.is_connected() {
             return Err(QueryError::Disconnected);
         }
-        Ok(q)
+        if more_subplans_than(self, MAX_SUBPLANS) {
+            return Err(QueryError::TooManySubplans);
+        }
+        Ok(())
     }
 
     /// Table references (aliases) in FROM-clause order.
@@ -646,6 +662,76 @@ mod tests {
                 Some(e) => assert_eq!(wired.unwrap_err(), e),
                 None => assert_eq!(crate::QueryGraph::analyze(&wired.unwrap()).num_vars(), n),
             }
+        }
+    }
+
+    /// A star of `leaves` `b` aliases around one `a`, as SQL.
+    fn star_sql(leaves: usize) -> String {
+        let from: Vec<String> = (1..=leaves).map(|i| format!("b AS l{i}")).collect();
+        let joins: Vec<String> = (1..=leaves).map(|i| format!("h.id = l{i}.a_id")).collect();
+        format!(
+            "SELECT COUNT(*) FROM a AS h, {} WHERE {};",
+            from.join(", "),
+            joins.join(" AND ")
+        )
+    }
+
+    /// The process's peak resident set in KiB (Linux; elsewhere `None`).
+    fn peak_rss_kib() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    }
+
+    /// A star of n leaves has 2ⁿ + n connected sub-plans: 15 leaves (32 783)
+    /// bind through SQL and the wire path, 16 (65 552) are
+    /// `TooManySubplans` on both, and so is a 63-leaf star — refused
+    /// promptly, without enumerating its 2⁶³ sub-plans or growing memory.
+    #[test]
+    fn subplans_are_capped_on_both_paths() {
+        let cat = catalog();
+        for leaves in [15, 16, 63] {
+            let want = (leaves > 15).then_some(QueryError::TooManySubplans);
+            let rss_before = peak_rss_kib();
+            let started = std::time::Instant::now();
+            let parsed = crate::parser::parse_query(&cat, &star_sql(leaves));
+            let elapsed = started.elapsed();
+            match &want {
+                Some(e) => assert_eq!(parsed, Err(crate::ParseError::Bind(e.clone()))),
+                None => assert_eq!(
+                    crate::connected_subplans(&parsed.unwrap(), 1).len(),
+                    (1 << leaves) + leaves
+                ),
+            }
+            if leaves == 63 {
+                assert!(elapsed.as_secs() < 5, "refused in {elapsed:?}");
+                if let (Some(before), Some(after)) = (rss_before, peak_rss_kib()) {
+                    assert!(after - before < 64 << 10, "peak RSS {before} → {after} KiB");
+                }
+                assert!(
+                    QueryError::TooManySubplans
+                        .to_string()
+                        .contains("65536 connected sub-plans"),
+                    "the error names the cap"
+                );
+            }
+            let tables = std::iter::once(TableRef::new("h", "a"))
+                .chain((1..=leaves).map(|i| TableRef::new(&format!("l{i}"), "b")))
+                .collect();
+            let joins = (1..=leaves)
+                .map(|i| JoinPredicate {
+                    left: ColRef {
+                        alias: 0,
+                        column: 0,
+                    },
+                    right: ColRef {
+                        alias: i,
+                        column: 0,
+                    },
+                })
+                .collect();
+            let wired = Query::from_wire_parts(tables, joins, vec![FilterExpr::True; leaves + 1]);
+            assert_eq!(wired.err(), want, "{leaves} leaves on the wire path");
         }
     }
 

@@ -8,16 +8,26 @@
 //! "allowed" frontier.
 
 use crate::query::Query;
+use std::ops::ControlFlow;
 
 /// A sub-plan identified by an alias bitmask (bit i ⇔ alias i included).
 pub type SubplanMask = u64;
+
+/// The most connected sub-plans a query may have. Their number is
+/// exponential in the worst case — a star of n leaves has 2ⁿ + n — so
+/// without a cap a 63-leaf star, under a kilobyte of SQL or wire frame,
+/// would ask one worker for 2⁶³ estimates. [`Query::new`] and
+/// [`Query::from_wire_parts`] refuse a query over the cap with
+/// [`crate::QueryError::TooManySubplans`]; the benchmark workloads have at
+/// most 104 a query.
+pub const MAX_SUBPLANS: usize = 1 << 16;
 
 /// Enumerates all connected sub-plans of `query` with ≥ `min_size` aliases,
 /// ordered by popcount then numeric mask.
 ///
 /// The enumeration is exponential in the worst case (as is the quantity
-/// itself); queries in the benchmarks have ≤ 17 aliases and tree-ish shapes,
-/// matching the paper's 1–10⁴ sub-plans per query.
+/// itself); a bound query has at most [`MAX_SUBPLANS`], and the paper's
+/// workloads 1–10⁴.
 pub fn connected_subplans(query: &Query, min_size: u32) -> Vec<SubplanMask> {
     let mut out = Vec::new();
     connected_subplans_into(query, min_size, &mut out);
@@ -32,27 +42,56 @@ pub fn connected_subplans(query: &Query, min_size: u32) -> Vec<SubplanMask> {
 /// touch is `out` itself.
 pub fn connected_subplans_into(query: &Query, min_size: u32, out: &mut Vec<SubplanMask>) {
     let n = query.num_tables();
+    out.clear();
+    // A connected graph on n vertices has at least n(n+1)/2 connected
+    // vertex subsets (a path has exactly that), so this never overshoots.
+    out.reserve(n * (n + 1) / 2);
+    let _ = each_connected_subset(query, &mut |set| {
+        out.push(set);
+        ControlFlow::Continue(())
+    });
+    out.retain(|m| m.count_ones() >= min_size);
+    // Masks are distinct, so an unstable sort gives the same order.
+    out.sort_unstable_by_key(|m| (m.count_ones(), *m));
+}
+
+/// Whether `query` has more than `cap` connected sub-plans; the count
+/// stops at `cap + 1`, so the answer costs at most that many steps.
+pub(crate) fn more_subplans_than(query: &Query, cap: usize) -> bool {
+    let mut count = 0usize;
+    each_connected_subset(query, &mut |_| {
+        count += 1;
+        if count > cap {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_break()
+}
+
+/// Calls `visit` once on every connected alias subset of `query`, until it
+/// breaks.
+fn each_connected_subset(
+    query: &Query,
+    visit: &mut impl FnMut(SubplanMask) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let n = query.num_tables();
     assert!(n <= 64, "query validated to at most 64 aliases");
     let mut adj = [0u64; 64];
     for j in query.joins() {
         adj[j.left.alias] |= 1u64 << j.right.alias;
         adj[j.right.alias] |= 1u64 << j.left.alias;
     }
-    out.clear();
-    // A connected graph on n vertices has at least n(n+1)/2 connected
-    // vertex subsets (a path has exactly that), so this never overshoots.
-    out.reserve(n * (n + 1) / 2);
     // Standard "EnumerateCsg" (Moerkotte & Neumann): seeds descend so each
     // connected set is produced exactly once.
     for seed in (0..n).rev() {
         let seed_mask = 1u64 << seed;
         // Exclude all aliases with index < seed from expansion.
         let forbidden = seed_mask - 1;
-        emit_and_expand(seed_mask, forbidden, &adj[..n], out);
+        emit_and_expand(seed_mask, forbidden, &adj[..n], visit)?;
     }
-    out.retain(|m| m.count_ones() >= min_size);
-    // Masks are distinct, so an unstable sort gives the same order.
-    out.sort_unstable_by_key(|m| (m.count_ones(), *m));
+    ControlFlow::Continue(())
 }
 
 fn neighborhood(set: u64, adj: &[u64]) -> u64 {
@@ -66,16 +105,22 @@ fn neighborhood(set: u64, adj: &[u64]) -> u64 {
     nb & !set
 }
 
-fn emit_and_expand(set: u64, forbidden: u64, adj: &[u64], out: &mut Vec<SubplanMask>) {
-    out.push(set);
+fn emit_and_expand(
+    set: u64,
+    forbidden: u64,
+    adj: &[u64],
+    visit: &mut impl FnMut(SubplanMask) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    visit(set)?;
     let frontier = neighborhood(set, adj) & !forbidden;
     // Enumerate non-empty subsets of the frontier; recurse with the whole
     // frontier forbidden so deeper levels cannot re-add skipped nodes.
     let mut sub = frontier;
     while sub != 0 {
-        emit_and_expand(set | sub, forbidden | frontier, adj, out);
+        emit_and_expand(set | sub, forbidden | frontier, adj, visit)?;
         sub = (sub - 1) & frontier;
     }
+    ControlFlow::Continue(())
 }
 
 /// Number of connected sub-plans (convenience for workload statistics).
@@ -158,6 +203,18 @@ mod tests {
             let subs = connected_subplans(&q, 1);
             assert_eq!(subs.len(), (1 << (n - 1)) + (n - 1), "star n={n}");
         }
+    }
+
+    /// The capped count stops one past the cap: a star of 4 leaves has 20
+    /// connected sub-plans, which is more than 19 and not more than 20.
+    #[test]
+    fn capped_count_is_exact_at_the_boundary() {
+        let cat = catalog(5);
+        let q = star_query(&cat, 5);
+        assert_eq!(connected_subplans(&q, 1).len(), 20);
+        assert!(more_subplans_than(&q, 19));
+        assert!(!more_subplans_than(&q, 20));
+        assert!(!more_subplans_than(&q, MAX_SUBPLANS));
     }
 
     #[test]

@@ -1231,6 +1231,58 @@ mod tests {
         server.shutdown();
     }
 
+    /// A < 1 KB frame holding a 63-leaf star (2⁶³ + 63 connected sub-plans)
+    /// used to make its worker enumerate until memory ran out. Now the
+    /// reader refuses it while decoding (`TooManySubplans`, see the wire
+    /// tests): the connection is dropped promptly, the process's peak RSS
+    /// does not grow, and the server goes on serving.
+    #[test]
+    fn a_star_past_the_subplan_cap_drops_only_its_connection() {
+        let (model, wl) = tiny_setup();
+        let server = FjServer::bind(
+            "127.0.0.1:0",
+            vec![ShardSpec::new("stats", model)],
+            ServerConfig::new(1),
+        )
+        .expect("bind");
+        let peak_rss_kib = || -> Option<u64> {
+            let status = std::fs::read_to_string("/proc/self/status").ok()?;
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse().ok()
+        };
+
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+        let mut buf = Vec::new();
+        write_frame(&mut sock, &wire::encode_hello()).unwrap();
+        assert_eq!(read_frame(&mut reader, &mut buf).unwrap(), FrameRead::Frame);
+        wire::decode_hello_ok(&buf).expect("hello ok");
+        let rss_before = peak_rss_kib();
+        let started = std::time::Instant::now();
+        write_frame(&mut sock, &wire::tests::star_batch(63)).unwrap();
+        assert_eq!(
+            read_frame(&mut reader, &mut buf).expect("clean close"),
+            FrameRead::CleanEof,
+            "the refused frame drops the connection"
+        );
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs() < 5, "dropped after {elapsed:?}");
+        if let (Some(before), Some(after)) = (rss_before, peak_rss_kib()) {
+            assert!(after - before < 64 << 10, "peak RSS {before} → {after} KiB");
+        }
+        assert_eq!(server.stats("stats").expect("shard").requests, 0);
+
+        let mut client = FjClient::connect(server.local_addr()).expect("second client");
+        match client.call("stats", 1, &wl).expect("served") {
+            wire::BatchOutcome::Served(results) => {
+                assert_eq!(results.len(), wl.len());
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            other => panic!("the second client was not served: {other:?}"),
+        }
+        server.shutdown();
+    }
+
     /// The handshake is exact-match: a client of another version gets the
     /// server's `HelloOk` (so it can name the mismatch), then a clean
     /// close, and nothing it sends afterwards is answered — a version-4

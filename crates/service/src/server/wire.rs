@@ -939,6 +939,51 @@ pub(crate) mod tests {
         })
     }
 
+    /// An `EstimateBatch` payload of one star query: a `users` hub joined
+    /// to `leaves` `posts` aliases. 63 leaves are a < 1 KB frame whose
+    /// query has 2⁶³ + 63 connected sub-plans.
+    pub(crate) fn star_batch(leaves: usize) -> Vec<u8> {
+        batch_with(|e| {
+            e.len(1); // one query
+            e.len(leaves + 1);
+            e.str("u");
+            e.str("users");
+            for i in 1..=leaves {
+                e.str(&format!("p{i}"));
+                e.str("posts");
+            }
+            e.len(leaves);
+            for i in 1..=leaves {
+                for side in [0, 0, i, 0] {
+                    e.len(side);
+                }
+            }
+            for _ in 0..=leaves {
+                e.u8(0); // FilterExpr::True
+            }
+        })
+    }
+
+    /// A star past the sub-plan cap is a `BadQuery` naming the cap, refused
+    /// while its frame is decoded; one leaf fewer than the cap allows binds.
+    #[test]
+    fn stars_past_the_subplan_cap_are_refused_by_name() {
+        let frame = star_batch(63);
+        assert!(frame.len() < 1024, "{} bytes", frame.len());
+        let refused = decode_estimate_batch(&frame);
+        assert!(
+            matches!(&refused, Err(WireError::BadQuery(m)) if m.contains("connected sub-plans")),
+            "{:?}",
+            refused.err()
+        );
+        assert!(matches!(
+            decode_estimate_batch(&star_batch(16)),
+            Err(WireError::BadQuery(_))
+        ));
+        let bound = decode_estimate_batch(&star_batch(15)).unwrap();
+        assert_eq!(bound.queries[0].num_tables(), 16);
+    }
+
     /// A batch of one query over two tables whose `claimed` join count is
     /// followed by `present` joins, each `a.c = b.c` on its own column `c`.
     fn joined_batch(claimed: usize, present: usize) -> Vec<u8> {

@@ -89,7 +89,12 @@ impl Default for BnConfig {
 /// reads a layout of its own, so rows are always contiguous). Rows are taken
 /// four at a time: every load and store of `out` then carries four
 /// multiply-adds, and evidence that zeroes most codes skips their rows.
-#[inline]
+///
+/// It is inlined into the loop nests that call it — [`propagate`] and
+/// [`recompute_derived`] — which `fj_storage::dispatch!` builds twice, for
+/// baseline x86-64 and for AVX2 (four `f64` lanes instead of two, no FMA),
+/// and picks per CPU; both copies round identically.
+#[inline(always)]
 fn axpy_rows(out: &mut [f64], mat: &[f64], w: &[f64]) {
     let n = out.len();
     let row = |i: usize| &mat[i * n..(i + 1) * n];
@@ -192,7 +197,7 @@ impl Node {
 
 /// Belief-propagation buffers, sized once from the network shape and fully
 /// rewritten by every request (so results never depend on what ran before).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PropScratch {
     /// Per node: evidence weights times the messages of its children.
     lambda: Vec<f64>,
@@ -540,7 +545,7 @@ impl BayesNetEstimator {
         if bn.topo.len() != m {
             return Err(invalid("the parent forest has a cycle"));
         }
-        bn.recompute_derived();
+        recompute_derived(&mut bn);
         Ok(bn)
     }
 
@@ -563,14 +568,15 @@ impl BayesNetEstimator {
             }
         }
         self.nrows += rows as f64;
-        self.recompute_derived();
+        recompute_derived(self);
     }
 
     /// Refreshes everything inference reads from the current counts (after
     /// build and after each `insert` batch): the CPT slab, and every node's
     /// prior by the recurrence the downward pass uses —
     /// `prior_child = Σ_p prior_parent(p) · P(· | p)`, parents first.
-    fn recompute_derived(&mut self) {
+    #[inline(always)]
+    fn recompute_derived_generic(&mut self) {
         let codes = self.nodes.iter().map(|n| n.k).sum();
         let cells = self.nodes.iter().map(|n| n.k * n.kp).sum();
         let mut cpt = std::mem::take(&mut self.cpt);
@@ -580,16 +586,26 @@ impl BayesNetEstimator {
         prior.resize(codes, 0.0);
         for &i in &self.topo {
             let node = self.nodes[i];
+            // Smoothed cells: `(count + α) / (total + α·k)`, each denominator
+            // computed once.
+            let alpha = self.cfg.alpha;
+            let pad = alpha * node.k as f64;
             if node.parent == NONE {
-                for (c, slot) in prior[node.codes()].iter_mut().enumerate() {
-                    *slot = self.root_prob(i, c);
+                let total = self.nrows + pad;
+                for (slot, &count) in prior[node.codes()]
+                    .iter_mut()
+                    .zip(&self.marginal[i][..node.k])
+                {
+                    *slot = (count + alpha) / total;
                 }
                 continue;
             }
             let cpt = &mut cpt[node.cells()];
-            for p in 0..node.kp {
+            let joint = self.joint[i].as_ref().expect("non-root has joint counts");
+            for (p, &parent_total) in self.marginal[node.parent][..node.kp].iter().enumerate() {
+                let total = parent_total + pad;
                 for c in 0..node.k {
-                    cpt[p * node.k + c] = self.cpt_cell(i, c, p);
+                    cpt[p * node.k + c] = (joint[c * node.kp + p] + alpha) / total;
                 }
             }
             let of_parent = prior[self.nodes[node.parent].codes()].to_vec();
@@ -610,7 +626,9 @@ impl BayesNetEstimator {
         self.cols[i].n_codes()
     }
 
-    /// Smoothed CPT entry `P(node_i = c | parent = p)`.
+    /// Smoothed CPT entry `P(node_i = c | parent = p)`, cell by cell — the
+    /// enumeration oracle's reference for what `recompute_derived` fills.
+    #[cfg(test)]
     fn cpt_cell(&self, i: usize, c: usize, p: usize) -> f64 {
         let parent = self.parent[i].expect("cpt only for non-roots");
         let kc = self.k(i);
@@ -619,7 +637,9 @@ impl BayesNetEstimator {
         (j[c * self.k(parent) + p] + self.cfg.alpha) / (parent_total + self.cfg.alpha * kc as f64)
     }
 
-    /// Smoothed root marginal `P(node_i = c)`.
+    /// Smoothed root marginal `P(node_i = c)` (test reference, like
+    /// `cpt_cell`).
+    #[cfg(test)]
     fn root_prob(&self, i: usize, c: usize) -> f64 {
         (self.marginal[i][c] + self.cfg.alpha) / (self.nrows + self.cfg.alpha * self.k(i) as f64)
     }
@@ -705,7 +725,8 @@ impl BayesNetEstimator {
     /// key in a tree with evidence, leaves `P(key = c, that tree's
     /// evidence)` in `s.belief` and the tree's evidence probability in
     /// `s.tree_p`.
-    fn propagate(&self, s: &mut PropScratch) -> f64 {
+    #[inline(always)]
+    fn propagate_generic(&self, s: &mut PropScratch) -> f64 {
         if s.top.iter().all(|&top| top == NONE) {
             return 1.0;
         }
@@ -828,7 +849,7 @@ impl BayesNetEstimator {
         s.keys.clear();
         let node_of = |key: &&str| self.node_of(key).unwrap_or(NONE);
         s.keys.extend(key_cols.iter().map(node_of));
-        let p_evidence = self.propagate(s);
+        let p_evidence = propagate(self, s);
         out.reset(key_cols.len());
         out.rows = p_evidence * fallback * self.nrows;
         for (dist, &t) in out.key_dists.iter_mut().zip(&s.keys) {
@@ -851,6 +872,18 @@ impl BayesNetEstimator {
             }
         }
     }
+}
+
+fj_storage::dispatch! {
+    /// [`BayesNetEstimator::propagate_generic`], built for baseline x86-64
+    /// and for AVX2 and chosen per CPU.
+    fn propagate(bn: &BayesNetEstimator, s: &mut PropScratch) -> f64
+        = BayesNetEstimator::propagate_generic, propagate_avx2;
+
+    /// [`BayesNetEstimator::recompute_derived_generic`], built for baseline
+    /// x86-64 and for AVX2 and chosen per CPU.
+    fn recompute_derived(bn: &mut BayesNetEstimator)
+        = BayesNetEstimator::recompute_derived_generic, recompute_derived_avx2;
 }
 
 impl BaseTableEstimator for BayesNetEstimator {
@@ -1610,5 +1643,176 @@ mod tests {
             rows(&FilterExpr::and(vec![cross.clone(), on("x", 1), cross])),
             15.625
         );
+    }
+
+    // ----------------------------------- baseline and AVX2 kernel copies
+
+    /// A value drawn to stress rounding: NaN, ±∞, ±0, subnormals, huge and
+    /// ordinary magnitudes of both signs.
+    fn awkward(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..12u32) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => f64::MIN_POSITIVE / rng.gen_range(2.0..1e6),
+            6 => -f64::MIN_POSITIVE * rng.gen_range(1e-9..0.5),
+            7 => f64::MAX / rng.gen_range(1.0..4.0),
+            8 => -rng.gen_range(0.0..10.0),
+            _ => rng.gen_range(0.0..10.0),
+        }
+    }
+
+    /// Bit equality, except that every NaN equals every NaN: which NaN an
+    /// operation on two of them returns is left open by IEEE 754, and the
+    /// compiler may commute the operands of one copy and not the other's.
+    fn same_bits(what: &str, want: &[f64], got: &[f64]) {
+        let bits = |v: &[f64]| {
+            let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+            v.iter()
+                .map(canonical)
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(want), bits(got), "{what}");
+    }
+
+    fj_storage::dispatch! {
+        fn axpy(out: &mut [f64], mat: &[f64], w: &[f64]) = axpy_rows, axpy_avx2;
+    }
+
+    /// `axpy_rows`, dispatched and in both copies, returns the same bits
+    /// on empty, ragged and all-zero inputs full of awkward values.
+    #[test]
+    fn axpy_rows_copies_round_identically() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 13, 63, 64, 65, 130] {
+            for rows in [0usize, 1, 3, 4, 5, 9, 17] {
+                let mat: Vec<f64> = (0..n * rows).map(|_| awkward(&mut rng)).collect();
+                let zero = rng.gen_range(0..4u32) == 0;
+                let w: Vec<f64> = (0..rows)
+                    .map(|_| if zero { 0.0 } else { awkward(&mut rng) })
+                    .collect();
+                let start: Vec<f64> = (0..n).map(|_| awkward(&mut rng)).collect();
+                let mut want = start.clone();
+                axpy_rows(&mut want, &mat, &w);
+                let mut got = start.clone();
+                axpy(&mut got, &mat, &w);
+                same_bits(&format!("dispatched, n {n} rows {rows}"), &want, &got);
+                #[cfg(target_arch = "x86_64")]
+                if fj_storage::cpu::fast_kernels() {
+                    let mut got = start;
+                    // SAFETY: the CPU has the AVX2 tier (checked just above).
+                    unsafe { axpy_avx2(&mut got, &mat, &w) };
+                    same_bits(&format!("avx2, n {n} rows {rows}"), &want, &got);
+                }
+            }
+        }
+        if !fj_storage::cpu::fast_kernels() {
+            eprintln!("note: no AVX2 tier on this CPU; only the generic copy ran");
+        }
+    }
+
+    /// Both copies of `propagate` leave the same bits in every buffer, on
+    /// a two-tree network with NULL codes, whatever the evidence weights —
+    /// awkward values, all-zero nodes — and the requested keys.
+    #[test]
+    fn propagation_copies_round_identically() {
+        let mut rng = StdRng::seed_from_u64(4545);
+        let rows: Vec<Vec<i64>> = (0..400)
+            .map(|r| {
+                let a = rng.gen_range(0..6i64);
+                vec![
+                    a,
+                    (a + r % 2) % 6,
+                    rng.gen_range(0..6),
+                    r % 5,
+                    (r % 5 + a) % 6,
+                ]
+            })
+            .collect();
+        let bn = forest(vec![None, Some(0), Some(0), None, Some(3)], &rows);
+        let names = ["c0", "c1", "c2", "c3", "c4", "none"];
+        for round in 0..300 {
+            let mut s = PropScratch::new(&bn.nodes, bn.trees);
+            let filter = FilterExpr::and(
+                (0..rng.gen_range(0..4u32))
+                    .map(|_| {
+                        let col = names[rng.gen_range(0..5usize)];
+                        FilterExpr::pred(Predicate::cmp(col, CmpOp::Le, rng.gen_range(0..6i64)))
+                    })
+                    .collect(),
+            );
+            bn.compile_evidence(&filter, &mut s);
+            for i in 0..bn.nodes.len() {
+                if s.live[i] && rng.gen_range(0..2u32) == 0 {
+                    let zero = rng.gen_range(0..3u32) == 0;
+                    for l in &mut s.lambda[bn.nodes[i].codes()] {
+                        *l = if zero { 0.0 } else { awkward(&mut rng) };
+                    }
+                }
+            }
+            s.keys = (0..rng.gen_range(0..4u32))
+                .map(|_| bn.node_of(names[rng.gen_range(0..6usize)]).unwrap_or(NONE))
+                .collect();
+            let mut want_s = s.clone();
+            let want = bn.propagate_generic(&mut want_s);
+            let check = |what: &str, got: f64, got_s: &PropScratch| {
+                let what = format!("{what}, round {round}, {filter}");
+                same_bits(&what, &[want], &[got]);
+                same_bits(&what, &want_s.lambda, &got_s.lambda);
+                same_bits(&what, &want_s.msg, &got_s.msg);
+                same_bits(&what, &want_s.belief, &got_s.belief);
+                same_bits(&what, &want_s.tree_p, &got_s.tree_p);
+            };
+            let mut got_s = s.clone();
+            check("dispatched", propagate(&bn, &mut got_s), &got_s);
+            #[cfg(target_arch = "x86_64")]
+            if fj_storage::cpu::fast_kernels() {
+                let mut got_s = s;
+                // SAFETY: the CPU has the AVX2 tier (checked just above).
+                let got = unsafe { propagate_avx2(&bn, &mut got_s) };
+                check("avx2", got, &got_s);
+            }
+        }
+    }
+
+    /// Both copies of `recompute_derived` derive the same CPT, prior and
+    /// scaled-prior bits, from real counts and from counts overwritten with
+    /// awkward values (zeros included).
+    #[test]
+    fn derived_state_copies_round_identically() {
+        let mut rng = StdRng::seed_from_u64(454);
+        let t = correlated_table(1500);
+        let fitted = BayesNetEstimator::build(&t, &bins_mod(8), BnConfig::default());
+        for round in 0..40 {
+            let mut bn = fitted.clone();
+            if round > 0 {
+                let zero = round % 5 == 0;
+                let cells = bn.marginal.iter_mut().chain(bn.joint.iter_mut().flatten());
+                for x in cells.flatten() {
+                    *x = if zero { 0.0 } else { awkward(&mut rng) };
+                }
+                bn.nrows = awkward(&mut rng);
+            }
+            let mut want = bn.clone();
+            want.recompute_derived_generic();
+            let check = |what: &str, got: &BayesNetEstimator| {
+                let what = format!("{what}, round {round}");
+                same_bits(&what, &want.cpt, &got.cpt);
+                same_bits(&what, &want.prior, &got.prior);
+                same_bits(&what, &want.prior_rows, &got.prior_rows);
+            };
+            let mut got = bn.clone();
+            recompute_derived(&mut got);
+            check("dispatched", &got);
+            #[cfg(target_arch = "x86_64")]
+            if fj_storage::cpu::fast_kernels() {
+                // SAFETY: the CPU has the AVX2 tier (checked just above).
+                unsafe { recompute_derived_avx2(&mut bn) };
+                check("avx2", &bn);
+            }
+        }
     }
 }

@@ -18,11 +18,14 @@
 //! * Join keys and numeric attributes are `i64`; floating attributes are
 //!   `f64`; strings are dictionary-encoded (`u32` codes) so that both the
 //!   estimators and the executor operate on integers.
+//! * [`cpu`] and [`dispatch!`] build the estimation hot loops of the other
+//!   crates twice, for baseline x86-64 and for AVX2, and pick per CPU.
 
 pub mod bitmap;
 pub mod catalog;
 pub mod codec;
 pub mod column;
+pub mod cpu;
 pub mod error;
 pub mod schema;
 pub mod table;
