@@ -11,7 +11,7 @@ use fj_stats::{
 };
 use fj_storage::{Catalog, KeyRef, Table, TableSchema};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Which single-table estimator backs the model (paper Table 7 ablation).
@@ -41,8 +41,9 @@ pub struct FactorJoinConfig {
     pub estimator: BaseEstimatorKind,
     /// Seed for the sampling estimator.
     pub seed: u64,
-    /// Worker threads for the offline build (0 = all available cores,
-    /// 1 = fully serial). The trained model is **bit-identical** for every
+    /// Worker threads for the build and every update (0 = all available
+    /// cores, 1 = fully serial; a model loaded from `.fjm` carries 0). The
+    /// trained and the updated model are **bit-identical** for every
     /// thread count — parallelism only fans out independent per-key,
     /// per-group, and per-table work (see `tests/parallel_train.rs`).
     pub threads: usize,
@@ -683,33 +684,144 @@ impl FactorJoinModel {
     /// never re-selected, which is exactly the paper's stale-bound trade:
     /// updates are cheap, and the bound degrades only as far as the frozen
     /// binning drifts from the new data distribution.
+    ///
+    /// The records move out of the model into one fan-out across
+    /// `config.threads` workers — one task per table (its estimator) and
+    /// one per join key (its statistics), the same tasks
+    /// [`Self::updated_with`] runs — and back; the model is bit-identical
+    /// for every thread count.
     pub fn apply_insert(&mut self, catalog: &Catalog, delta: &ModelDelta) {
-        for (name, first_new_row) in delta.entries() {
-            let table = catalog.table(name).expect("delta names a catalog table");
-            let Some(record) = self.tables.get_mut(name) else {
-                continue;
-            };
-            for (ci, slot) in record.key_slots.iter().enumerate() {
-                let Some(slot) = *slot else { continue };
-                let key = &mut self.keys[slot];
-                key.stats
-                    .insert(table, ci, first_new_row, &self.group_bins[key.group]);
-            }
-            record.estimator.insert(table, first_new_row);
-        }
-        self.report.model_bytes = self.model_bytes();
+        let tables: Vec<(String, TableRecord)> = self.tables.drain().collect();
+        let staged = Staged::new(
+            tables.iter().map(|(n, r)| (n, r)),
+            self.keys.len(),
+            catalog,
+            delta,
+        );
+        let parts: Vec<Mutex<Option<Part>>> = (tables.into_iter())
+            .map(|(name, record)| Part::Table(name, record))
+            .chain(std::mem::take(&mut self.keys).into_iter().map(Part::Key))
+            .map(|part| Mutex::new(Some(part)))
+            .collect();
+        let parts = staged.absorb(&self.config, &self.group_bins, |i| {
+            let part = parts[i].lock().expect("update part lock").take();
+            part.expect("each part is taken once")
+        });
+        self.put_back(parts);
     }
 
-    /// [`Self::apply_insert`] on a copy: clones the trained statistics
-    /// (sharing the frozen bin maps), applies the delta, and returns the updated model, leaving `self`
-    /// untouched. This is the hot-swap path — the served model stays live
-    /// behind its `Arc` while the copy absorbs the update, then
+    /// [`Self::apply_insert`] on a copy, leaving `self` untouched: each
+    /// update task clones its table's or key's record (the frozen bin maps
+    /// are shared) and absorbs the delta into the clone, so the copy fans
+    /// out with the update. This is the hot-swap path — the served model
+    /// stays live behind its `Arc` while the copy absorbs the update, then
     /// `ModelRegistry::apply_insert` (fj-service) publishes the copy
     /// atomically.
     pub fn updated_with(&self, catalog: &Catalog, delta: &ModelDelta) -> Self {
-        let mut updated = self.clone();
-        updated.apply_insert(catalog, delta);
+        let tables: Vec<(&String, &TableRecord)> = self.tables.iter().collect();
+        let staged = Staged::new(tables.iter().copied(), self.keys.len(), catalog, delta);
+        let parts = staged.absorb(&self.config, &self.group_bins, |i| match tables.get(i) {
+            Some(&(name, record)) => Part::Table(name.clone(), record.clone()),
+            None => Part::Key(self.keys[i - tables.len()].clone()),
+        });
+        let mut updated = FactorJoinModel {
+            config: self.config.clone(),
+            group_bins: self.group_bins.clone(),
+            key_slot: self.key_slot.clone(),
+            keys: Vec::new(),
+            tables: HashMap::new(),
+            report: self.report.clone(),
+        };
+        updated.put_back(parts);
         updated
+    }
+
+    /// Installs the records an update fan-out returned (tables first, then
+    /// keys in slot order) and refreshes the model size.
+    fn put_back(&mut self, parts: Vec<Part>) {
+        self.keys.reserve(parts.len());
+        for part in parts {
+            match part {
+                Part::Table(name, record) => {
+                    self.tables.insert(name, record);
+                }
+                Part::Key(key) => self.keys.push(key),
+            }
+        }
+        self.report.model_bytes = self.model_bytes();
+    }
+}
+
+/// One record an update rebuilds: a table's, or a join key's.
+enum Part {
+    Table(String, TableRecord),
+    Key(KeyRecord),
+}
+
+/// The rows a delta stages for each record of a model: per table (in the
+/// order the update lists them) the catalog table and its first new row,
+/// then per key slot the same plus the key's column.
+struct Staged<'c> {
+    tables: Vec<Option<(&'c Table, usize)>>,
+    keys: Vec<Option<(&'c Table, usize, usize)>>,
+}
+
+impl<'c> Staged<'c> {
+    fn new<'r>(
+        tables: impl Iterator<Item = (&'r String, &'r TableRecord)>,
+        num_keys: usize,
+        catalog: &'c Catalog,
+        delta: &ModelDelta,
+    ) -> Self {
+        let firsts: HashMap<&str, (&'c Table, usize)> = delta
+            .entries()
+            .map(|(name, first)| {
+                let table = catalog.table(name).expect("delta names a catalog table");
+                (name, (table, first))
+            })
+            .collect();
+        let mut keys = vec![None; num_keys];
+        let tables = tables
+            .map(|(name, record)| {
+                let staged = firsts.get(name.as_str()).copied();
+                if let Some((table, first)) = staged {
+                    for (ci, slot) in record.key_slots.iter().enumerate() {
+                        if let Some(slot) = *slot {
+                            keys[slot] = Some((table, ci, first));
+                        }
+                    }
+                }
+                staged
+            })
+            .collect();
+        Staged { tables, keys }
+    }
+
+    /// The update fan-out: task `i` takes part `i` with `take` (tables
+    /// first, then keys by slot) and absorbs its staged rows. Each task
+    /// reads only its own record and its table's rows, so the result is
+    /// the same at every thread count; `threads: 1` runs it inline.
+    fn absorb(
+        &self,
+        config: &FactorJoinConfig,
+        group_bins: &[Arc<KeyBinMap>],
+        take: impl Fn(usize) -> Part + Sync,
+    ) -> Vec<Part> {
+        let n = self.tables.len() + self.keys.len();
+        WorkerPool::new(config.threads).run_indexed(n, |i| match take(i) {
+            Part::Table(name, mut record) => {
+                if let Some((table, first)) = self.tables[i] {
+                    record.estimator.insert(table, first);
+                }
+                Part::Table(name, record)
+            }
+            Part::Key(mut key) => {
+                if let Some((table, ci, first)) = self.keys[i - self.tables.len()] {
+                    key.stats.insert(table, ci, first, &group_bins[key.group]);
+                }
+                Part::Key(key)
+            }
+        })
     }
 }
 
@@ -723,10 +835,9 @@ impl FactorJoinModel {
 /// post-2014 tuples across the whole schema).
 #[derive(Debug, Clone, Default)]
 pub struct ModelDelta {
-    /// `(table name, first new row)` per staged table, in record order.
-    entries: Vec<(String, usize)>,
-    /// Total staged rows (for reporting; not used by apply).
-    rows: usize,
+    /// `(table name, first new row, rows at record time)` per staged
+    /// table, in first-record order; a table appears once.
+    entries: Vec<(String, usize, usize)>,
 }
 
 impl ModelDelta {
@@ -735,10 +846,25 @@ impl ModelDelta {
         Self::default()
     }
 
-    /// Stages the rows `first_new_row..` of `table` (already appended).
+    /// Stages the rows `first_new_row..` of `table` (already appended). A
+    /// table recorded again keeps one entry from its earliest first new
+    /// row, so rows appended in several steps, each recorded, are absorbed
+    /// once.
     pub fn record(&mut self, table: &Table, first_new_row: usize) {
-        self.rows += table.nrows().saturating_sub(first_new_row);
-        self.entries.push((table.name().to_string(), first_new_row));
+        let end = table.nrows();
+        match self
+            .entries
+            .iter_mut()
+            .find(|(name, ..)| name == table.name())
+        {
+            Some((_, first, staged_end)) => {
+                *first = (*first).min(first_new_row);
+                *staged_end = (*staged_end).max(end);
+            }
+            None => self
+                .entries
+                .push((table.name().to_string(), first_new_row, end)),
+        }
     }
 
     /// Number of staged tables.
@@ -753,12 +879,14 @@ impl ModelDelta {
 
     /// Total rows staged across tables.
     pub fn rows(&self) -> usize {
-        self.rows
+        (self.entries.iter())
+            .map(|&(_, first, end)| end.saturating_sub(first))
+            .sum()
     }
 
     /// The staged `(table, first_new_row)` entries.
     pub fn entries(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.entries.iter().map(|(t, f)| (t.as_str(), *f))
+        self.entries.iter().map(|(t, f, _)| (t.as_str(), *f))
     }
 }
 

@@ -4,9 +4,11 @@
 //! froze losslessly, and estimates within the paper's stale-bound
 //! tolerance where the frozen binning has drifted.
 
+use factorjoin::persist::binary::encode;
 use factorjoin::{BaseEstimatorKind, BinBudget, FactorJoinConfig, FactorJoinModel, ModelDelta};
 use fj_datagen::{stats_catalog_split_by_date, stats_ceb_workload, StatsConfig, WorkloadConfig};
 use fj_exec::TrueCardEngine;
+use fj_query::Query;
 use fj_storage::Catalog;
 
 fn truescan(k: usize) -> FactorJoinConfig {
@@ -147,4 +149,71 @@ fn clone_is_deep() {
             "inserts can only grow the TrueScan bound: {ea} vs {eb}"
         );
     }
+}
+
+/// Every sub-plan estimate of `queries`, as `(mask, f64 bits)`.
+fn estimate_bits(model: &FactorJoinModel, queries: &[Query]) -> Vec<(u64, u64)> {
+    let mut session = model.subplan_estimator();
+    (queries.iter())
+        .flat_map(|q| session.estimate_subplans(q, 1))
+        .map(|(mask, est)| (mask, est.to_bits()))
+        .collect()
+}
+
+/// Rows appended to a table in two steps, each step recorded, are
+/// absorbed once: the delta keeps one entry per table from its earliest
+/// first row, and the update is bit for bit the one a single record of
+/// the whole append gives.
+#[test]
+fn a_table_recorded_twice_is_absorbed_once() {
+    let cfg = StatsConfig {
+        scale: 0.05,
+        ..Default::default()
+    };
+    let (base, inserts) = stats_catalog_split_by_date(&cfg, 1825);
+    let stale = FactorJoinModel::train(&base, truescan(30));
+    let (mut once_catalog, mut twice_catalog) = (base.clone(), base.clone());
+    let (mut once, mut twice) = (ModelDelta::new(), ModelDelta::new());
+    for (name, rows) in &inserts {
+        let table = once_catalog.table_mut(name).unwrap();
+        let first = table.nrows();
+        table.append_rows(rows).unwrap();
+        once.record(table, first);
+
+        let table = twice_catalog.table_mut(name).unwrap();
+        let (head, tail) = rows.split_at(rows.len() / 2);
+        for step in [head, tail] {
+            let first = table.nrows();
+            table.append_rows(step).unwrap();
+            twice.record(table, first);
+        }
+    }
+    assert_eq!(twice.len(), once.len());
+    assert_eq!(twice.rows(), once.rows());
+    assert_eq!(
+        twice.entries().collect::<Vec<_>>(),
+        once.entries().collect::<Vec<_>>()
+    );
+
+    let queries = stats_ceb_workload(&once_catalog, &WorkloadConfig::tiny(4));
+    let want = stale.updated_with(&once_catalog, &once);
+    let got = stale.updated_with(&twice_catalog, &twice);
+    assert!(
+        encode(&got) == encode(&want),
+        "the updates save differently"
+    );
+    assert_eq!(
+        estimate_bits(&got, &queries),
+        estimate_bits(&want, &queries)
+    );
+    let mut in_place = stale.clone();
+    in_place.apply_insert(&twice_catalog, &twice);
+    assert!(
+        encode(&in_place) == encode(&want),
+        "in place saves differently"
+    );
+    assert_eq!(
+        estimate_bits(&in_place, &queries),
+        estimate_bits(&want, &queries)
+    );
 }

@@ -1,14 +1,18 @@
-//! Differential tests of the parallel training pipeline: for every thread
-//! count, `FactorJoinModel::train` must produce the **same model bit for
-//! bit** as the serial build. The comparison is three-layered — the `.fjm`
-//! bytes (bin-map and frequency slabs as laid out, group map, per-key
-//! stats), training-report shape, and the actual sub-plan estimates on a
-//! workload (exact `==` on `f64`s, no tolerance).
+//! Differential tests of the parallel training and update pipelines: for
+//! every thread count, `FactorJoinModel::train`, `updated_with` and
+//! `apply_insert` must produce the **same model bit for bit** as the
+//! serial run. The comparison is three-layered — the `.fjm` bytes (bin-map
+//! and frequency slabs as laid out, group map, per-key stats, estimators),
+//! training-report shape, and the actual sub-plan estimates on a workload
+//! (exact `==` on `f64`s, no tolerance).
 
 use factorjoin::{
-    save_model, BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig, FactorJoinModel,
+    load_model, save_model, BaseEstimatorKind, BinBudget, BinningStrategy, FactorJoinConfig,
+    FactorJoinModel, ModelDelta,
 };
-use fj_datagen::{stats_catalog, stats_ceb_workload, StatsConfig, WorkloadConfig};
+use fj_datagen::{
+    stats_catalog, stats_catalog_split_by_date, stats_ceb_workload, StatsConfig, WorkloadConfig,
+};
 use fj_stats::BnConfig;
 use fj_storage::Catalog;
 
@@ -136,4 +140,85 @@ fn auto_threads_reports_core_count() {
     let serial = FactorJoinModel::train(&cat, config(BaseEstimatorKind::TrueScan, 1));
     assert_eq!(serial.report().threads, 1);
     assert_models_identical(&serial, &model, "auto threads");
+}
+
+/// The date split of the test catalog: the rows before the cut, the same
+/// catalog with the later rows appended, and the delta staging them.
+fn date_split() -> (Catalog, Catalog, ModelDelta) {
+    let cfg = StatsConfig {
+        scale: 0.05,
+        ..Default::default()
+    };
+    let (base, inserts) = stats_catalog_split_by_date(&cfg, 1825);
+    let mut full = base.clone();
+    let mut delta = ModelDelta::new();
+    for (name, rows) in &inserts {
+        let table = full.table_mut(name).unwrap();
+        let first = table.nrows();
+        table.append_rows(rows).unwrap();
+        delta.record(table, first);
+    }
+    (base, full, delta)
+}
+
+/// `model` saved and loaded back against `catalog`.
+fn reloaded(model: &FactorJoinModel, catalog: &Catalog, tag: &str) -> FactorJoinModel {
+    let dir = std::env::temp_dir().join("fj_parallel_train_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.fjm"));
+    save_model(model, &path).unwrap();
+    let loaded = load_model(&path, catalog).unwrap();
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+/// Both update paths of `stale` against the serial update `want`; the
+/// report keeps the stale model's training fields.
+fn assert_updates_identical(
+    want: &FactorJoinModel,
+    stale: &FactorJoinModel,
+    full: &Catalog,
+    delta: &ModelDelta,
+    label: &str,
+) {
+    let copy = stale.updated_with(full, delta);
+    let mut in_place = stale.clone();
+    in_place.apply_insert(full, delta);
+    for (path, updated) in [("updated_with", &copy), ("apply_insert", &in_place)] {
+        let label = format!("{label} {path}");
+        assert_models_identical(want, updated, &label);
+        let (rs, ru) = (stale.report(), updated.report());
+        assert_eq!(rs.threads, ru.threads, "{label}");
+        assert_eq!(rs.train_seconds, ru.train_seconds, "{label}");
+    }
+}
+
+/// Updates fan out over `config.threads` like the build: the model an
+/// update gives is the serial one at 1, 2, 3 and all cores, for a
+/// trained model and for one loaded from `.fjm` (which carries 0 = all
+/// cores), under every single-table estimator.
+#[test]
+fn updates_are_bit_identical_at_every_thread_count() {
+    let (base, full, delta) = date_split();
+    for (name, kind) in [
+        ("bayesnet", BaseEstimatorKind::BayesNet(BnConfig::default())),
+        ("sampling", BaseEstimatorKind::Sampling { rate: 0.2 }),
+        ("truescan", BaseEstimatorKind::TrueScan),
+    ] {
+        let serial = FactorJoinModel::train(&base, config(kind, 1));
+        let want = serial.updated_with(&full, &delta);
+        for threads in [1, 2, 3, 0] {
+            let trained = FactorJoinModel::train(&base, config(kind, threads));
+            assert_updates_identical(
+                &want,
+                &trained,
+                &full,
+                &delta,
+                &format!("{name} x{threads}"),
+            );
+        }
+        let loaded = reloaded(&serial, &base, &format!("update-{name}"));
+        assert_eq!(loaded.config().threads, 0, "{name}");
+        assert_updates_identical(&want, &loaded, &full, &delta, &format!("{name} loaded"));
+    }
 }

@@ -1,8 +1,9 @@
 //! # fj-par — a std-only scoped worker pool
 //!
-//! The offline training pipeline fans embarrassingly-parallel work (per-key
-//! frequency profiling, per-group binning, per-table model fits) across
-//! cores. The build environment has no registry access, so this is the same
+//! The model build fans embarrassingly-parallel work (per-key frequency
+//! profiling, per-group binning, per-table model fits) across cores, and
+//! so does every incremental update (per-table estimator inserts, per-key
+//! statistics). The build environment has no registry access, so this is the same
 //! philosophy as `fj-service`'s request pool — plain `std::thread` — but
 //! *scoped*: workers borrow the caller's data for the duration of one
 //! fan-out instead of owning `Arc`s for the life of a service.
@@ -16,9 +17,12 @@
 //! * **Panic propagation.** A panicking task panics the whole
 //!   [`WorkerPool::run_indexed`] call after every worker has stopped (scoped
 //!   threads are always joined), instead of silently losing a worker.
+//! * **The caller works.** A fan-out to N workers spawns N − 1 threads; the
+//!   calling thread is the N-th and steals tasks like the others, so it
+//!   does not sit idle while the fan-out runs.
 //! * **Inline fast path.** One thread, zero or one task, or a pool of one
 //!   runs the tasks inline on the caller's stack — no spawn cost, and the
-//!   serial build path is *the same code* as the parallel one.
+//!   serial path is *the same code* as the parallel one.
 
 #![warn(missing_docs)]
 
@@ -68,22 +72,26 @@ impl WorkerPool {
         // Work stealing: each worker pulls the next unclaimed index. Results
         // are collected per worker and stitched back in index order, so the
         // steal order never leaks into the output.
+        // The calling thread is one of the workers: it spawns the other
+        // `workers - 1` and steals alongside them.
         let next = AtomicUsize::new(0);
         let done = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, task(i)));
-                    }
-                    done.lock().expect("pool results lock").extend(local);
-                });
+        let work = || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                local.push((i, task(i)));
             }
+            done.lock().expect("pool results lock").extend(local);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         let mut indexed = done.into_inner().expect("pool results lock");
         indexed.sort_unstable_by_key(|&(i, _)| i);

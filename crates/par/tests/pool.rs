@@ -92,3 +92,27 @@ fn assert_send_sync<T: Send + Sync>() {}
 fn pool_is_send_sync() {
     assert_send_sync::<WorkerPool>();
 }
+
+/// The calling thread is one of the pool's N workers: N tasks that all
+/// wait at one `Barrier(N)` can only pass it if N distinct threads run
+/// them at once, and with N − 1 spawned threads one of those must be the
+/// caller.
+#[test]
+fn the_caller_is_one_of_the_workers() {
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    for threads in [2usize, 3, 4] {
+        let barrier = Barrier::new(threads);
+        let ids: Vec<ThreadId> = WorkerPool::new(threads).run_indexed(threads, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        let distinct: HashSet<ThreadId> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), threads, "{threads} workers: {ids:?}");
+        assert!(
+            ids.contains(&std::thread::current().id()),
+            "{threads} workers: the caller ran no task"
+        );
+    }
+}
