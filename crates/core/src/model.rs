@@ -685,144 +685,68 @@ impl FactorJoinModel {
     /// updates are cheap, and the bound degrades only as far as the frozen
     /// binning drifts from the new data distribution.
     ///
-    /// The records move out of the model into one fan-out across
-    /// `config.threads` workers — one task per table (its estimator) and
-    /// one per join key (its statistics), the same tasks
-    /// [`Self::updated_with`] runs — and back; the model is bit-identical
-    /// for every thread count.
+    /// The update is one fan-out across `config.threads` workers: one task
+    /// per table (its estimator absorbs the table's staged rows) and one
+    /// per join key (its statistics absorb the key column's). Each task
+    /// touches only its own record and reads only its table's rows, so the
+    /// model is bit-identical for every thread count.
     pub fn apply_insert(&mut self, catalog: &Catalog, delta: &ModelDelta) {
-        let tables: Vec<(String, TableRecord)> = self.tables.drain().collect();
-        let staged = Staged::new(
-            tables.iter().map(|(n, r)| (n, r)),
-            self.keys.len(),
-            catalog,
-            delta,
-        );
-        let parts: Vec<Mutex<Option<Part>>> = (tables.into_iter())
-            .map(|(name, record)| Part::Table(name, record))
-            .chain(std::mem::take(&mut self.keys).into_iter().map(Part::Key))
-            .map(|part| Mutex::new(Some(part)))
-            .collect();
-        let parts = staged.absorb(&self.config, &self.group_bins, |i| {
-            let part = parts[i].lock().expect("update part lock").take();
-            part.expect("each part is taken once")
-        });
-        self.put_back(parts);
-    }
-
-    /// [`Self::apply_insert`] on a copy, leaving `self` untouched: each
-    /// update task clones its table's or key's record (the frozen bin maps
-    /// are shared) and absorbs the delta into the clone, so the copy fans
-    /// out with the update. This is the hot-swap path — the served model
-    /// stays live behind its `Arc` while the copy absorbs the update, then
-    /// `ModelRegistry::apply_insert` (fj-service) publishes the copy
-    /// atomically.
-    pub fn updated_with(&self, catalog: &Catalog, delta: &ModelDelta) -> Self {
-        let tables: Vec<(&String, &TableRecord)> = self.tables.iter().collect();
-        let staged = Staged::new(tables.iter().copied(), self.keys.len(), catalog, delta);
-        let parts = staged.absorb(&self.config, &self.group_bins, |i| match tables.get(i) {
-            Some(&(name, record)) => Part::Table(name.clone(), record.clone()),
-            None => Part::Key(self.keys[i - tables.len()].clone()),
-        });
-        let mut updated = FactorJoinModel {
-            config: self.config.clone(),
-            group_bins: self.group_bins.clone(),
-            key_slot: self.key_slot.clone(),
-            keys: Vec::new(),
-            tables: HashMap::new(),
-            report: self.report.clone(),
-        };
-        updated.put_back(parts);
-        updated
-    }
-
-    /// Installs the records an update fan-out returned (tables first, then
-    /// keys in slot order) and refreshes the model size.
-    fn put_back(&mut self, parts: Vec<Part>) {
-        self.keys.reserve(parts.len());
-        for part in parts {
-            match part {
-                Part::Table(name, record) => {
-                    self.tables.insert(name, record);
-                }
-                Part::Key(key) => self.keys.push(key),
-            }
-        }
-        self.report.model_bytes = self.model_bytes();
-    }
-}
-
-/// One record an update rebuilds: a table's, or a join key's.
-enum Part {
-    Table(String, TableRecord),
-    Key(KeyRecord),
-}
-
-/// The rows a delta stages for each record of a model: per table (in the
-/// order the update lists them) the catalog table and its first new row,
-/// then per key slot the same plus the key's column.
-struct Staged<'c> {
-    tables: Vec<Option<(&'c Table, usize)>>,
-    keys: Vec<Option<(&'c Table, usize, usize)>>,
-}
-
-impl<'c> Staged<'c> {
-    fn new<'r>(
-        tables: impl Iterator<Item = (&'r String, &'r TableRecord)>,
-        num_keys: usize,
-        catalog: &'c Catalog,
-        delta: &ModelDelta,
-    ) -> Self {
-        let firsts: HashMap<&str, (&'c Table, usize)> = delta
+        let staged: HashMap<&str, (&Table, usize)> = delta
             .entries()
             .map(|(name, first)| {
                 let table = catalog.table(name).expect("delta names a catalog table");
                 (name, (table, first))
             })
             .collect();
-        let mut keys = vec![None; num_keys];
-        let tables = tables
-            .map(|(name, record)| {
-                let staged = firsts.get(name.as_str()).copied();
-                if let Some((table, first)) = staged {
-                    for (ci, slot) in record.key_slots.iter().enumerate() {
-                        if let Some(slot) = *slot {
-                            keys[slot] = Some((table, ci, first));
-                        }
+        // Per key slot: its table, its column in that table, the first row.
+        let mut key_rows = vec![None; self.keys.len()];
+        for (name, record) in &self.tables {
+            if let Some(&(table, first)) = staged.get(name.as_str()) {
+                for (ci, slot) in record.key_slots.iter().enumerate() {
+                    if let Some(slot) = *slot {
+                        key_rows[slot] = Some((table, ci, first));
                     }
                 }
-                staged
-            })
+            }
+        }
+        let group_bins = &self.group_bins;
+        // One lock per record only hands each task its `&mut`.
+        let tasks: Vec<Mutex<Part>> = (self.tables.iter_mut())
+            .map(|(name, record)| Part::Table(staged.get(name.as_str()).copied(), record))
+            .chain((self.keys.iter_mut().zip(key_rows)).map(|(key, rows)| Part::Key(rows, key)))
+            .map(Mutex::new)
             .collect();
-        Staged { tables, keys }
+        WorkerPool::new(self.config.threads).run_indexed(tasks.len(), |i| {
+            match &mut *tasks[i].lock().expect("update task lock") {
+                Part::Table(Some((table, first)), record) => record.estimator.insert(table, *first),
+                Part::Key(Some((table, ci, first)), key) => {
+                    key.stats.insert(table, *ci, *first, &group_bins[key.group]);
+                }
+                Part::Table(None, _) | Part::Key(None, _) => {}
+            }
+        });
+        drop(tasks);
+        self.report.model_bytes = self.model_bytes();
     }
 
-    /// The update fan-out: task `i` takes part `i` with `take` (tables
-    /// first, then keys by slot) and absorbs its staged rows. Each task
-    /// reads only its own record and its table's rows, so the result is
-    /// the same at every thread count; `threads: 1` runs it inline.
-    fn absorb(
-        &self,
-        config: &FactorJoinConfig,
-        group_bins: &[Arc<KeyBinMap>],
-        take: impl Fn(usize) -> Part + Sync,
-    ) -> Vec<Part> {
-        let n = self.tables.len() + self.keys.len();
-        WorkerPool::new(config.threads).run_indexed(n, |i| match take(i) {
-            Part::Table(name, mut record) => {
-                if let Some((table, first)) = self.tables[i] {
-                    record.estimator.insert(table, first);
-                }
-                Part::Table(name, record)
-            }
-            Part::Key(mut key) => {
-                if let Some((table, ci, first)) = self.keys[i - self.tables.len()] {
-                    key.stats.insert(table, ci, first, &group_bins[key.group]);
-                }
-                Part::Key(key)
-            }
-        })
+    /// [`Self::apply_insert`] on a copy: clones the model (sharing the
+    /// frozen bin maps) on the calling thread, applies the delta, and
+    /// returns the updated model, leaving `self` untouched. This is the
+    /// hot-swap path — the served model stays live behind its `Arc` while
+    /// the copy absorbs the update, then `ModelRegistry::apply_insert`
+    /// (fj-service) publishes the copy atomically.
+    pub fn updated_with(&self, catalog: &Catalog, delta: &ModelDelta) -> Self {
+        let mut updated = self.clone();
+        updated.apply_insert(catalog, delta);
+        updated
     }
+}
+
+/// One update task of [`FactorJoinModel::apply_insert`]: a table's or a
+/// join key's record with the rows staged for it (`None`: nothing).
+enum Part<'a> {
+    Table(Option<(&'a Table, usize)>, &'a mut TableRecord),
+    Key(Option<(&'a Table, usize, usize)>, &'a mut KeyRecord),
 }
 
 /// A staged batch of table inserts, applied to a model in `O(|delta|)` by

@@ -3,10 +3,11 @@
 //! The model build fans embarrassingly-parallel work (per-key frequency
 //! profiling, per-group binning, per-table model fits) across cores, and
 //! so does every incremental update (per-table estimator inserts, per-key
-//! statistics). The build environment has no registry access, so this is the same
-//! philosophy as `fj-service`'s request pool — plain `std::thread` — but
-//! *scoped*: workers borrow the caller's data for the duration of one
-//! fan-out instead of owning `Arc`s for the life of a service.
+//! statistics). The build environment has no registry access, so this is
+//! the same philosophy as `fj-service`'s request pool — plain
+//! `std::thread` — but *scoped*: workers borrow the caller's data for the
+//! duration of one fan-out instead of owning `Arc`s for the life of a
+//! service.
 //!
 //! The scheduling contract is what makes parallel training safe to adopt:
 //!
@@ -71,9 +72,8 @@ impl WorkerPool {
         }
         // Work stealing: each worker pulls the next unclaimed index. Results
         // are collected per worker and stitched back in index order, so the
-        // steal order never leaks into the output.
-        // The calling thread is one of the workers: it spawns the other
-        // `workers - 1` and steals alongside them.
+        // steal order never leaks into the output. The calling thread is
+        // one of the workers: it spawns the other `workers - 1`.
         let next = AtomicUsize::new(0);
         let done = Mutex::new(Vec::with_capacity(n));
         let work = || {

@@ -80,8 +80,8 @@ impl ModelRegistry {
     /// Absorbs a staged insert batch into the served model of `dataset`
     /// **without a cold rebuild** (paper §4.3): copies the current model
     /// and applies the delta in `O(|delta|)` through the frozen bin maps
-    /// ([`FactorJoinModel::updated_with`], fanned out per table and per
-    /// join key over the model's `config.threads` workers), and publishes
+    /// ([`FactorJoinModel::updated_with`]: the absorb fans out per table
+    /// and per join key over the model's `config.threads` workers), and publishes
     /// the updated copy atomically. Readers are never blocked by the
     /// update — the expensive clone-and-apply runs outside the
     /// registry lock, and an optimistic epoch check retries if another
